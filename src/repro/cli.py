@@ -37,6 +37,7 @@ from typing import List, Optional
 from .compiler import compile_source, disassemble
 from .config import PAPER_MACHINE
 from .harness import render_speedups, run_static_suite
+from .hotpath import hotpath_tiers
 from .interp import FunctionalRunner
 from .lang import analyze, parse
 from .lang.errors import CompileError
@@ -678,6 +679,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
+    try:
+        hotpath_tiers()         # latch REPRO_HOTPATH; rejects unknown tiers
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     try:
         if args.cmd == "run":
             return _cmd_run(args, out)

@@ -69,9 +69,7 @@ _WINDOWS: Dict[str, Tuple[int, int]] = {
     "net_jitter": (50, 4000),
 }
 
-#: Exclusive upper bound on one ``net_jitter`` payload.  The memory
-#: fast path pads its quiescence horizon by twice this before drawing
-#: (draws are irreversible: each consumes a schedule index).
+#: Exclusive upper bound on one ``net_jitter`` payload.
 MAX_NET_JITTER = 400.0
 
 #: Values ``a_corrupt`` overwrites a scalar slot with: zeros, sign

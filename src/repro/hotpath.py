@@ -1,16 +1,11 @@
 """Hot-path tier switches (``REPRO_HOTPATH``).
 
-The per-simulation critical path carries four independent
+The per-simulation critical path carries three independent
 optimizations, each provably cycle-exact but individually toggleable
 for attribution and for the regression gate's off/on diff:
 
 * ``engine``  -- the calendar/bucket scheduler queue in
   :class:`repro.sim.Engine` (heapq fallback when off);
-* ``mem``     -- the epoch-forecast miss planner in
-  :class:`repro.mem.CoherentMemorySystem` (misses book reservation
-  windows on their path's servers and walk the leg boundaries with
-  lightweight ticks, instead of resuming the generator transaction's
-  coroutine chain at every event);
 * ``fuse``    -- bytecode superinstruction fusion in
   :mod:`repro.compiler.optimize`;
 * ``compile`` -- per-function generated-code translation in
@@ -20,12 +15,14 @@ for attribution and for the regression gate's off/on diff:
 ``REPRO_HOTPATH`` unset means *all tiers on* (the optimizations are
 bit-exact, so there is no reason to run without them); set, it is a
 comma-separated subset to enable -- ``REPRO_HOTPATH=`` (empty) turns
-everything off, ``REPRO_HOTPATH=engine,fuse`` leaves only the memory
-fast path and the generated-code tier disabled.
+everything off, ``REPRO_HOTPATH=engine,fuse`` leaves only the
+generated-code tier disabled.  A token that names no tier raises
+``ValueError`` (the CLI prints it on one line and exits 2): a stale
+setting must not silently run with that tier -- or every tier -- off.
 
 The environment is consulted *once per process* -- the first
 :func:`hotpath_tiers` call latches the set, and construction/compile
-sites (engine and memory system ``__init__``, the compiler when an
+sites (engine ``__init__``, the compiler when an
 image is built, the VM when it adopts generated code) read that latch.
 Toggling the variable mid-run therefore has no effect and the hot
 loops carry no environment lookups.  Process-pool workers inherit the
@@ -44,7 +41,7 @@ __all__ = ["HOTPATH_TIERS", "hotpath_tiers", "hotpath_enabled",
            "reset_for_tests"]
 
 #: Every known tier, in ablation-report order.
-HOTPATH_TIERS = ("engine", "mem", "fuse", "compile")
+HOTPATH_TIERS = ("engine", "fuse", "compile")
 
 _tiers: Optional[FrozenSet[str]] = None
 
@@ -57,8 +54,14 @@ def hotpath_tiers() -> FrozenSet[str]:
         if raw is None:
             _tiers = frozenset(HOTPATH_TIERS)
         else:
-            _tiers = frozenset(t.strip() for t in raw.split(",")
-                               if t.strip() in HOTPATH_TIERS)
+            names = frozenset(t.strip() for t in raw.split(",") if t.strip())
+            unknown = names.difference(HOTPATH_TIERS)
+            if unknown:
+                raise ValueError(
+                    f"REPRO_HOTPATH: unknown tier(s) "
+                    f"{', '.join(sorted(unknown))}; valid tiers are "
+                    f"{', '.join(HOTPATH_TIERS)}")
+            _tiers = names
     return _tiers
 
 

@@ -17,40 +17,7 @@ from typing import Dict, Optional, Set
 from ..obs.probe import NULL_PROBE, Probe
 from ..sim import Engine, Mutex
 
-__all__ = ["DirEntry", "DirLock", "Directory", "DirState"]
-
-
-class DirLock(Mutex):
-    """Per-line transaction lock with a monotone *epoch* witness.
-
-    The epoch advances on every acquisition and on every directory
-    state transition of the line, locked or not (evictions drop copies
-    without taking the lock).  The memory fast path snapshots it when a
-    plan acquires the lock and re-validates at each deferred resumption
-    point: an unexpected move means some lock-free actor touched the
-    line mid-plan, and the plan must re-derive its view instead of
-    trusting the forecast (DESIGN §6)."""
-
-    def __init__(self, engine: Engine, name: str):
-        super().__init__(engine, name)
-        self.epoch = 0
-
-    def is_free_now(self) -> bool:
-        """Would an ``acquire()`` issued now succeed immediately and in
-        zero simulated time?  (The public form of the fast path's old
-        ``count``/``_waiters``/``op_latency`` pokes.)"""
-        return self.count > 0 and not self._waiters and self.op_latency == 0.0
-
-    def try_acquire(self) -> bool:
-        ok = super().try_acquire()
-        if ok:
-            self.epoch += 1
-        return ok
-
-    def acquire(self):
-        result = yield from super().acquire()
-        self.epoch += 1
-        return result
+__all__ = ["DirEntry", "Directory", "DirState"]
 
 
 class DirState:
@@ -89,7 +56,7 @@ class Directory:
         self.engine = engine
         self.probe = probe
         self._entries: Dict[int, DirEntry] = {}
-        self._locks: Dict[int, DirLock] = {}
+        self._locks: Dict[int, Mutex] = {}
 
     def entry(self, line_addr: int) -> DirEntry:
         """Get (creating on demand) a line's directory entry."""
@@ -100,19 +67,14 @@ class Directory:
             self.probe.count("dir.lines")
         return e
 
-    def lock(self, line_addr: int) -> DirLock:
+    def lock(self, line_addr: int) -> Mutex:
         """Per-line transaction-serialization mutex at the home."""
         m = self._locks.get(line_addr)
         if m is None:
-            m = DirLock(self.engine, f"dir:{line_addr:#x}")
+            m = Mutex(self.engine, f"dir:{line_addr:#x}")
             self._locks[line_addr] = m
             self.probe.count("dir.locks")
         return m
-
-    def _bump(self, line_addr: int) -> None:
-        lk = self._locks.get(line_addr)
-        if lk is not None:
-            lk.epoch += 1
 
     # -- state transitions (zero simulated time; timing is charged by the
     # -- protocol engine around these calls) ----------------------------------
@@ -124,7 +86,6 @@ class Directory:
             raise RuntimeError(f"add_sharer on EXCLUSIVE line {line_addr:#x}")
         e.state = DirState.SHARED
         e.sharers.add(node)
-        self._bump(line_addr)
 
     def set_exclusive(self, line_addr: int, node: int) -> None:
         """Grant exclusive ownership to one node."""
@@ -132,7 +93,6 @@ class Directory:
         e.state = DirState.EXCLUSIVE
         e.owner = node
         e.sharers.clear()
-        self._bump(line_addr)
 
     def demote_to_shared(self, line_addr: int, extra_sharer: Optional[int] = None) -> None:
         """EXCLUSIVE -> SHARED after an intervention; the old owner keeps
@@ -145,7 +105,6 @@ class Directory:
         if extra_sharer is not None:
             e.sharers.add(extra_sharer)
         e.owner = None
-        self._bump(line_addr)
 
     def drop_node(self, line_addr: int, node: int) -> None:
         """Remove a node's copy (eviction notification or invalidation)."""
@@ -159,7 +118,6 @@ class Directory:
             e.sharers.discard(node)
             if e.state == DirState.SHARED and not e.sharers:
                 e.state = DirState.UNOWNED
-        self._bump(line_addr)
 
     def sharers_excluding(self, line_addr: int, node: int) -> Set[int]:
         """Sharer set minus the requesting node (invalidation targets)."""

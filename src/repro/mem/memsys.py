@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..config.machine import MachineConfig
-from ..hotpath import hotpath_enabled
 from ..obs import Counter, line_outcome, make_sink
 from ..obs.probe import NULL_PROBE, Probe
 from ..sim import Engine
-from ..sim.engine import Process, _PlanWake
 from ..sim.resources import Server
 from .address import Placement, SharedAllocator, is_shared_addr
 from .cache import Cache, CacheLine, MESIState
@@ -62,236 +60,6 @@ class _Mshr:
         self.kind = kind
         self.late = False          # a sibling-stream request merged in
         self.is_prefetch = is_prefetch
-
-
-class _PlanTick:
-    """A scheduled (or handoff-parked) plan boundary.  Stepping it
-    advances the plan's bookkeeping directly -- no coroutine-stack
-    resumption -- which is where the tier's wall-clock win lives: the
-    plan fires the *same number* of events as the generator twin (the
-    cadence is what keeps event order exact), but each one costs a
-    method call instead of re-entering the transaction's generator
-    chain.  The owning process is only stepped at phase boundaries."""
-
-    __slots__ = ("plan", "name", "alive")
-
-    footprint = None
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.name = "mem.plan"
-        self.alive = True
-
-    def _step(self, value) -> None:
-        self.plan._advance()
-
-
-class _MissPlan:
-    """One in-flight contention-forecast plan (DESIGN §6).
-
-    The planner walks the transaction's legs on the same *wake cadence*
-    the generator twin would run them -- each leg is booked at the
-    instant the twin would schedule that leg's arrival, a tick fires at
-    every leg boundary (so the plan's own schedule calls land in the
-    same event buckets, in the same within-bucket order, as the
-    twin's), and a leg that chains behind in-flight occupancy parks its
-    tick on a *handoff* that the occupancy's ender appends at the
-    release instant, exactly like a FIFO queue-gate fire.  By induction
-    the plan steps in the generator's event order at every instant, so
-    same-instant arrival ties at a server resolve identically with the
-    tier on or off.  When real traffic invalidates the booked window,
-    the server preempts the plan (``preempt``) and the rest of the
-    phase degrades to ordinary ``serve()`` calls; later phases plan
-    afresh, so one collision does not forfeit the whole transaction.
-    """
-
-    __slots__ = ("engine", "proc", "window", "_wake", "_abort",
-                 "_abort_arrival", "phase_ops", "_k", "degrade_reason")
-
-    def __init__(self, engine: Engine, proc: Process):
-        self.engine = engine
-        self.proc = proc
-        self.window = None       # the single currently-booked leg window
-        self._wake = None
-        self._abort = None       # op index of a preempted leg, if any
-        self._abort_arrival = 0.0
-        self.phase_ops: list = []
-        self._k = 0              # op cursor within the current phase
-        self.degrade_reason: Optional[str] = None
-
-    # -- phase protocol ---------------------------------------------------
-
-    def plan_phase(self, ops) -> bool:
-        """Stage ``ops`` -- a list of ``(server, duration)`` legs and
-        ``(None, delay)`` pure gaps -- as the current phase and dry-run
-        the booking chain.  Nothing is reserved here (each leg books at
-        its own boundary in ``run_phase``, matching the instant the
-        generator twin would take its queue position); the return value
-        is the admission screen: False when some leg's timeline is
-        undecidable *now* (queued waiters, a unit mid-handoff, jitter
-        injection armed)."""
-        self.stage(ops)
-        t = self.engine.now
-        for srv, dur in ops:
-            if srv is None:
-                t += dur
-                continue
-            s = srv.free_at(t, dur)
-            if s is None:
-                return False
-            t = s + dur
-        return True
-
-    def stage(self, ops) -> None:
-        """Set ``ops`` as the current phase without the dry-run.  For
-        every phase after the admission trip the walk itself is the
-        probe -- an undecidable leg degrades the remainder to ordinary
-        serves -- so the chained ``free_at`` pass would be discarded
-        work on the planner's hottest path."""
-        self.phase_ops = ops
-
-    def run_phase(self):
-        """Generator: walk the phase's ops on the twin's wake cadence.
-        The process parks once; ticks do the boundary work and step it
-        back in at phase end (or on a degrade, where the remaining ops
-        replay through ordinary serves).  Returns True when the phase
-        completed purely from the plan."""
-        self._k = 0
-        k = None
-        st = self._walk()
-        if st == "pure":
-            return True
-        if st == "parked":
-            self._abort = None
-            yield Engine.PAUSE
-            if self._abort is not None:
-                # Preempted at op k: the window was cancelled and the
-                # re-wake landed where the generator twin would issue
-                # the leg's request; replay the rest of the phase real.
-                k = self._abort
-                if self.degrade_reason is None:
-                    self.degrade_reason = "preempt"
-                lag = self.engine.now - self._abort_arrival
-                if lag > 0:
-                    # Repositioning woke us *after* the twin's arrival:
-                    # it queued from _abort_arrival on, the replacement
-                    # serve only charges from now.
-                    self.phase_ops[k][0].total_queue_wait += lag
-            elif self._k >= len(self.phase_ops):
-                return True
-        if k is None:
-            k = self._k          # walk hit an undecidable timeline
-        if self.degrade_reason is None:
-            self.degrade_reason = "server_queue"
-        for srv, dur in self.phase_ops[k:]:
-            if srv is None:
-                yield dur
-            else:
-                yield from srv.serve(dur)
-        return False
-
-    def _walk(self) -> str:
-        """Advance through ops from the cursor until the next tick is
-        staged ("parked"), the phase is over ("pure"), or a leg's
-        timeline is undecidable ("degrade")."""
-        engine = self.engine
-        ops = self.phase_ops
-        n = len(ops)
-        while self._k < n:
-            srv, dur = ops[self._k]
-            now = engine.now
-            if srv is None:
-                # Pure gap: the twin schedules its resumption here too.
-                self._k += 1
-                self._tick(now + dur)
-                return "parked"
-            s = srv.free_at(now, dur)
-            if s is None:
-                if self.degrade_reason is None:
-                    self.degrade_reason = "server_queue"
-                return "degrade"
-            w = srv.reserve(now, s, dur, plan=self, leg=self._k)
-            self.window = w
-            if s > now or srv._pending_release_at(now):
-                # Queued behind occupancy: the twin would be resumed by
-                # the occupant's FIFO handoff, so this tick must be
-                # *appended* at the release instant, not pre-scheduled.
-                srv.park_handoff(s, self._next_tick())
-            else:
-                # Leg start: the twin begins its hold, schedules its end.
-                self._tick(w.end)
-            return "parked"
-        return "pure"
-
-    def _next_tick(self) -> "_PlanTick":
-        # Reuse the tick that just fired: at most one is outstanding per
-        # plan, and a preempt retires it (alive=False) rather than
-        # recycling it, so a dead copy can never be revived in-queue.
-        t = self._wake
-        if type(t) is not _PlanTick or not t.alive:
-            t = _PlanTick(self)
-        self._wake = t
-        return t
-
-    def _tick(self, t: float) -> None:
-        w = self._next_tick()
-        self.engine._schedule(w, t - self.engine.now, None)
-
-    def _advance(self) -> None:
-        """Tick callback: perform this boundary's bookkeeping and stage
-        the next tick; step the owning process only when the phase is
-        over (pure completion or degrade), in this event's step -- the
-        exact position the generator twin's serve-return would run."""
-        engine = self.engine
-        w = self.window
-        if w is not None:
-            if engine.now < w.end:
-                # Leg start (the handoff landed): twin begins its hold.
-                self._tick(w.end)
-                return
-            w.server.complete(w)  # releases the unit to whoever chained
-            self.window = None
-            self._k += 1
-        if self._walk() == "parked":
-            return
-        proc = self.proc
-        engine._current = proc
-        if proc.alive:
-            proc._step(None)
-
-    def preempt(self, leg: int) -> None:
-        """Server callback: the booked window was invalidated (a real
-        hold it chained behind ended early).  Cancel it (refunding
-        statistics) and re-wake the parked plan where the generator
-        twin would issue the leg's request: its planned arrival, or now
-        if the timeline repositioned into the past."""
-        w = self.window
-        if w is None:
-            return
-        w.server.cancel(w)
-        self.window = None
-        self._abort = leg
-        self._abort_arrival = w.arrival
-        if self._wake is not None:
-            self._wake.alive = False
-        t = self.engine.now
-        if w.arrival > t:
-            t = w.arrival
-        nw = _PlanWake(self.proc, name="mem.plan.abort")
-        self._wake = nw
-        self.engine._schedule(nw, t - self.engine.now, None)
-
-    def unwind(self) -> None:
-        """Interrupt/kill mid-plan: cancel the in-flight window (an
-        elapsed one keeps its charges, exactly as an interrupted real
-        serve does)."""
-        if self._wake is not None:
-            self._wake.alive = False
-            self._wake = None
-        w = self.window
-        if w is not None:
-            w.server.cancel(w)
-            self.window = None
 
 
 class NodeMemory:
@@ -350,14 +118,12 @@ class CoherentMemorySystem:
         self.c_mem = cfg.cycles(cfg.mem_time_ns)
         self.c_l1 = float(cfg.l1.hit_cycles)
         self.c_l2 = float(cfg.l2.hit_cycles)
+        self._line_shift = cfg.line_bytes.bit_length() - 1
         self.selfinv_drops = 0
         #: Addresses >= this are runtime-internal (locks, barrier words,
         #: job flags): they are timed like any shared line but excluded
         #: from the Figure-3/5 "shared data" classification.
         self.noclass_base: Optional[int] = None
-        #: Uncontended-miss fast path (``REPRO_HOTPATH`` tier ``mem``),
-        #: resolved once at construction like the engine's queue choice.
-        self._fastmiss = hotpath_enabled("mem")
 
     @property
     def classes(self):
@@ -379,7 +145,7 @@ class CoherentMemorySystem:
 
     def line_addr(self, addr: int) -> int:
         """Align an address to its cache line."""
-        return self.nodes[0].l2.line_addr(addr)
+        return addr >> self._line_shift << self._line_shift
 
     def _make_evict_handler(self, node_id: int):
         def handler(line: CacheLine) -> None:
@@ -391,8 +157,7 @@ class CoherentMemorySystem:
                 # Background writeback: occupy the home memory controller.
                 home = self.placement.home(line.line_addr)
                 self.engine.process(
-                    self._writeback(node_id, home), name="wb",
-                    footprint=())
+                    self._writeback(node_id, home), name="wb")
         return handler
 
     def _writeback(self, node: int, home: int):
@@ -435,39 +200,57 @@ class CoherentMemorySystem:
         """Synchronous L1 load probe (caller charges the 1-cycle hit)."""
         return self.nodes[node].l1s[cpu].lookup(addr) is not None
 
-    def try_fast_load(self, node: int, cpu: int, addr: int,
-                      stream: str):
-        """Synchronous hit path: returns the hit latency in cycles, or
-        None when the access misses the CMP (caller takes the timed
-        transaction path).  Hits have no externally visible contention,
-        so they can bypass the event engine entirely."""
-        nm = self.nodes[node]
-        if nm.l1s[cpu].lookup(addr) is not None:
-            return self.c_l1
-        if nm.l2.peek(addr) is None:
-            return None
-        line = nm.l2.lookup(addr)        # hit statistics + LRU touch
-        self._touch(node, line, stream)
-        nm.l1s[cpu].insert(self.line_addr(addr), MESIState.SHARED)
-        nm.probe.count("l2_hits")
-        nm.probe.count("loads")
-        return self.c_l2
+    def hit_probes(self, node: int, cpu: int, stream: str):
+        """The synchronous hit path of one CPU's stream, bound once (at
+        shell construction): returns ``(load_hit, store_hit)``.
 
-    def try_fast_store(self, node: int, cpu: int, addr: int,
-                       stream: str):
-        """Synchronous store-hit path: only an EXCLUSIVE L2 hit can
-        complete without coherence actions.  Returns cycles or None."""
+        Each takes an address and returns the hit latency in cycles, or
+        None when the access misses the CMP (the caller then takes the
+        timed ``load``/``store`` transaction).  Hits have no externally
+        visible contention, so they bypass the event engine entirely;
+        the L1 tag match is inlined (same statistics and LRU touch as
+        ``Cache.lookup``) so the common hit costs the caller one call.
+        """
         nm = self.nodes[node]
-        line = nm.l2.peek(addr)
-        if line is None or line.state != MESIState.EXCLUSIVE:
-            return None
-        nm.l2.lookup(addr)
-        self._touch(node, line, stream)
-        line.dirty = True
-        self._store_update_l1s(nm, cpu, self.line_addr(addr))
-        nm.probe.count("l2_hits")
-        nm.probe.count("stores")
-        return self.c_l2
+        l1, l2 = nm.l1s[cpu], nm.l2
+        l1_sets, l1_mask, shift = l1._sets, l1._set_mask, l1._line_shift
+        c_l1, c_l2 = self.c_l1, self.c_l2
+        count = nm.probe.count
+
+        def load_hit(addr: int):
+            la = addr >> shift << shift
+            s = l1_sets[(la >> shift) & l1_mask]
+            line = s.get(la)
+            if line is not None and line.state != MESIState.INVALID:
+                del s[la]                    # delete + reinsert = MRU
+                s[la] = line
+                l1.hits += 1
+                return c_l1
+            l1.misses += 1
+            if l2.peek(la) is None:
+                return None
+            line = l2.lookup(la)             # hit statistics + LRU touch
+            self._touch(node, line, stream)
+            l1.insert(la, MESIState.SHARED)
+            count("l2_hits")
+            count("loads")
+            return c_l2
+
+        def store_hit(addr: int):
+            # Only an EXCLUSIVE L2 hit completes without coherence
+            # actions.
+            line = l2.peek(addr)
+            if line is None or line.state != MESIState.EXCLUSIVE:
+                return None
+            l2.lookup(addr)
+            self._touch(node, line, stream)
+            line.dirty = True
+            self._store_update_l1s(nm, cpu, line.line_addr)
+            count("l2_hits")
+            count("stores")
+            return c_l2
+
+        return load_hit, store_hit
 
     def prefetch_would_fire(self, node: int, addr: int) -> bool:
         """Cheap precheck mirroring prefetch_exclusive's drop rules (with
@@ -581,197 +364,8 @@ class CoherentMemorySystem:
             finally:
                 nm.outstanding_prefetches -= 1
 
-        self.engine.process(body(), name=f"pfx:n{node}", footprint=(la,))
+        self.engine.process(body(), name=f"pfx:n{node}")
         return True
-
-    # --------------------------------------- epoch-forecast fast path
-    #
-    # A miss's event sequence is almost always *arithmetically*
-    # determined at issue time even when the machine is not quiescent:
-    # each server leg starts at the later of its arrival and the end of
-    # the occupancy already in flight there.  The planner books each
-    # leg as a reservation window on its server (``free_at`` /
-    # ``reserve``) at the instant the generator twin would take its
-    # queue position, computes the whole timeline arithmetically, and
-    # parks the process (``Engine.PAUSE``) between leg boundaries --
-    # waking on exactly the twin's cadence so its schedule calls keep
-    # the twin's within-bucket event order (same-instant FIFO ties at
-    # a server resolve identically tier on or off), and performing the
-    # transaction's side effects -- lock acquire, directory updates,
-    # commit -- at the twin's exact instants.  Real traffic that would
-    # have queued *ahead* of a planned leg preempts the plan (the
-    # window is cancelled and that leg replays through an ordinary
-    # ``serve()``), so cycle streams are equal by construction, not by
-    # an eligibility screen.  DESIGN.md §6 gives the decidability and
-    # order-exactness arguments; tests/test_mem_fastpath.py checks the
-    # race and ablation properties directly.
-
-    def _fast_miss(self, node: int, la: int, stream: str, nm, mshr,
-                   rdex: bool, upgrade: bool):
-        """Attempt the forecast miss plan.  Returns the latency class
-        name, or ``None`` -- before any yield -- when ineligible (the
-        caller then falls back to the generator transaction)."""
-        engine = self.engine
-        t0 = engine.now
-        home = self.placement.home(la, toucher=node)
-        remote = home != node
-        hm = self.nodes[home]
-        count = nm.probe.count
-        c_bus, c_nil, c_nir = self.c_bus, self.c_nil, self.c_nir
-        c_net, c_mem = self.c_net, self.c_mem
-        proc = engine._current
-        if not isinstance(proc, Process) or not proc.alive:
-            count("fallback.no_proc")
-            return None
-        # Zero-length legs would collapse distinct resumption points
-        # onto their neighbours; decline (paper configs are positive).
-        if c_bus <= 0 or c_nil <= 0 or c_mem <= 0 or c_nir <= 0 or c_net <= 0:
-            count("fallback.config")
-            return None
-        lock = self.directory.lock(la)
-        if lock.op_latency != 0.0:
-            count("fallback.config")
-            return None
-        # Conservative classifier: known same-line work queued inside
-        # the horizon (a pending invalidation, a prefetch conversion)
-        # will contend on the directory lock mid-plan; take the
-        # generator path now rather than plan-and-degrade.
-        base = 2 * c_bus + c_nil + c_mem + (2 * (c_net + c_nir) if remote
-                                            else 0.0)
-        if la in engine.pending_lines(t0 + 2.0 * base):
-            count("fallback.queued_conflict")
-            return None
-        plan = _MissPlan(engine, proc)
-        # Request trip out: requester bus, NI egress + network when
-        # remote, home directory controller.  All-or-nothing: if any
-        # trip leg's timeline is undecidable (queued waiters, a unit
-        # mid-handoff, jitter injection armed on an NI), decline before
-        # yielding so the generator body runs instead.
-        trip = [(nm.bus, c_bus)]
-        if remote:
-            trip += [(nm.ni_out, c_nir), (None, c_net)]
-        trip.append((hm.dirctrl, c_nil))
-        if not plan.plan_phase(trip):
-            plan.unwind()
-            count("fallback.server_queue")
-            return None
-        level = "remote" if remote else "local"
-        acquired = False
-        try:
-            yield from plan.run_phase()
-            # The line lock is taken at its true arrival instant (the
-            # trip's end), so racing same-line transactions keep their
-            # FIFO order; a contended lock is waited out for real.
-            if not lock.is_free_now():
-                count("forecast.lock_wait")
-            yield from lock.acquire()
-            acquired = True
-            epoch0 = lock.epoch
-            # The shape decision reads directory state *here*, under
-            # the lock at the true decision instant -- the forecast
-            # never guesses coherence state, only server timelines.
-            entry = self.directory.entry(la)
-            if entry.state == DirState.EXCLUSIVE and entry.owner != node:
-                level = "remote3"
-                owner = entry.owner
-                onm = self.nodes[owner]
-                ops = []
-                if owner != home:
-                    ops += [(None, c_net), (onm.ni_in, c_nir)]
-                ops.append((onm.bus, c_bus))
-                plan.stage(ops)
-                yield from plan.run_phase()
-                if rdex:
-                    self._invalidate_node_line(owner, la)
-                    ops = []
-                    if owner != node:
-                        ops += [(onm.ni_out, c_nir), (None, c_net)]
-                    if node != home:
-                        ops.append((nm.ni_in, c_nir))
-                    ops.append((nm.bus, c_bus))
-                    plan.stage(ops)
-                    yield from plan.run_phase()
-                else:
-                    oline = onm.l2.peek(la)
-                    if oline is not None:
-                        oline.state = MESIState.SHARED
-                        oline.dirty = False
-                    ops = []
-                    if owner != node:
-                        ops += [(onm.ni_out, c_nir), (None, c_net)]
-                    plan.stage(ops)
-                    yield from plan.run_phase()
-                    engine.process(hm.mem.serve(c_mem), name="3hop-wb",
-                                   footprint=())
-                    self.directory.demote_to_shared(la, extra_sharer=node)
-                    epoch0 = lock.epoch
-                    ops = []
-                    if node != home:
-                        ops.append((nm.ni_in, c_nir))
-                    ops.append((nm.bus, c_bus))
-                    plan.stage(ops)
-                    yield from plan.run_phase()
-            elif rdex:
-                sharers = self.directory.sharers_excluding(la, node)
-                acks = [self._spawn_inv(home, s, la) for s in sharers]
-                if sharers:
-                    count("inv_rounds")
-                    count("invs_sent", len(sharers))
-                if not upgrade:
-                    plan.stage([(hm.mem, c_mem)])
-                    yield from plan.run_phase()
-                if acks:
-                    yield engine.all_of(acks)
-                ops = []
-                if remote:
-                    ops += [(None, c_net), (nm.ni_in, c_nir)]
-                ops.append((nm.bus, c_bus))
-                plan.stage(ops)
-                yield from plan.run_phase()
-            else:
-                plan.stage([(hm.mem, c_mem)])
-                yield from plan.run_phase()
-                self.directory.add_sharer(la, node)  # at the mem-leg end
-                epoch0 = lock.epoch
-                ops = []
-                if remote:
-                    ops += [(None, c_net), (nm.ni_in, c_nir)]
-                ops.append((nm.bus, c_bus))
-                plan.stage(ops)
-                yield from plan.run_phase()
-            if lock.epoch != epoch0:
-                # A lock-free actor (an eviction's drop_node) moved the
-                # line mid-plan.  Every update the plan defers commutes
-                # with drops (DESIGN §6), so the commit below is still
-                # the generator's final state; record the staleness.
-                count("forecast.epoch_moved")
-        except BaseException:
-            # Interrupted (slipstream recovery, or a kill): cancel the
-            # unrendered windows; every mid-flight directory update was
-            # already applied at its exact instant, so the remaining
-            # unwind is just the lock, as in the generator's finally.
-            plan.unwind()
-            if acquired:
-                lock.release()
-            raise
-        # ---- commit: replay the generator's completion order ------------
-        if rdex:
-            self.directory.set_exclusive(la, node)
-        lock.release()
-        line = nm.l2.insert(
-            la, MESIState.EXCLUSIVE if rdex else MESIState.SHARED)
-        if rdex:
-            line.state = MESIState.EXCLUSIVE
-            line.dirty = True
-        self._set_record(line, stream, "rdex" if rdex else "read",
-                         merged_late=mshr.late)
-        if plan.degrade_reason is None:
-            count("fast_misses")
-            count("forecast.hit")
-        else:
-            count("forecast.abort")
-            count("forecast.abort." + plan.degrade_reason)
-        return level
 
     # ------------------------------------------------------- transactions
 
@@ -797,13 +391,45 @@ class CoherentMemorySystem:
         mshr = _Mshr(evt, stream, "read", is_prefetch=False)
         nm.mshrs[la] = mshr
         try:
-            level = None
-            if self._fastmiss:
-                level = yield from self._fast_miss(
-                    node, la, stream, nm, mshr, rdex=False, upgrade=False)
-            if level is None:
-                level = yield from self._gets_body(node, la, stream, nm,
-                                                   mshr)
+            home = self.placement.home(la, toucher=node)
+            level = "local" if home == node else "remote"
+            yield from self._request_trip_out(node, home)
+            lock = self.directory.lock(la)
+            yield from lock.acquire()
+            try:
+                entry = self.directory.entry(la)
+                if entry.state == DirState.EXCLUSIVE and entry.owner != node:
+                    level = "remote3"
+                    owner = entry.owner
+                    # Intervention: home forwards to the owner...
+                    if owner != home:
+                        yield self.c_net
+                        yield from self.nodes[owner].ni_in.serve(self.c_nir)
+                    yield from self.nodes[owner].bus.serve(self.c_bus)
+                    oline = self.nodes[owner].l2.peek(la)
+                    if oline is not None:
+                        oline.state = MESIState.SHARED
+                        oline.dirty = False
+                    # ...owner replies with data straight to the requester
+                    # and writes back to home memory in the background.
+                    if owner != node:
+                        yield from self.nodes[owner].ni_out.serve(self.c_nir)
+                        yield self.c_net
+                    self.engine.process(
+                        self.nodes[home].mem.serve(self.c_mem),
+                        name="3hop-wb")
+                    self.directory.demote_to_shared(la, extra_sharer=node)
+                    if node != home:
+                        yield from self.nodes[node].ni_in.serve(self.c_nir)
+                    yield from self.nodes[node].bus.serve(self.c_bus)
+                else:
+                    yield from self.nodes[home].mem.serve(self.c_mem)
+                    self.directory.add_sharer(la, node)
+                    yield from self._reply_trip_back(node, home)
+            finally:
+                lock.release()
+            line = nm.l2.insert(la, MESIState.SHARED)
+            self._set_record(line, stream, "read", merged_late=mshr.late)
             nm.probe.instant("coh.gets", self.engine.now,
                              {"addr": la, "level": level, "stream": stream})
             return level
@@ -815,48 +441,6 @@ class CoherentMemorySystem:
             if not evt.fired:
                 evt.fire()
 
-    def _gets_body(self, node: int, la: int, stream: str, nm, mshr):
-        home = self.placement.home(la, toucher=node)
-        level = "local" if home == node else "remote"
-        yield from self._request_trip_out(node, home)
-        lock = self.directory.lock(la)
-        yield from lock.acquire()
-        try:
-            entry = self.directory.entry(la)
-            if entry.state == DirState.EXCLUSIVE and entry.owner != node:
-                level = "remote3"
-                owner = entry.owner
-                # Intervention: home forwards to the owner...
-                if owner != home:
-                    yield self.c_net
-                    yield from self.nodes[owner].ni_in.serve(self.c_nir)
-                yield from self.nodes[owner].bus.serve(self.c_bus)
-                oline = self.nodes[owner].l2.peek(la)
-                if oline is not None:
-                    oline.state = MESIState.SHARED
-                    oline.dirty = False
-                # ...owner replies with data straight to the requester and
-                # writes back to home memory in the background.
-                if owner != node:
-                    yield from self.nodes[owner].ni_out.serve(self.c_nir)
-                    yield self.c_net
-                self.engine.process(
-                    self.nodes[home].mem.serve(self.c_mem), name="3hop-wb",
-                    footprint=())
-                self.directory.demote_to_shared(la, extra_sharer=node)
-                if node != home:
-                    yield from self.nodes[node].ni_in.serve(self.c_nir)
-                yield from self.nodes[node].bus.serve(self.c_bus)
-            else:
-                yield from self.nodes[home].mem.serve(self.c_mem)
-                self.directory.add_sharer(la, node)
-                yield from self._reply_trip_back(node, home)
-        finally:
-            lock.release()
-        line = nm.l2.insert(la, MESIState.SHARED)
-        self._set_record(line, stream, "read", merged_late=mshr.late)
-        return level
-
     def _getx(self, node: int, la: int, stream: str, upgrade: bool):
         """Write-ownership transaction (GETX, or upgrade when the line is
         already resident SHARED)."""
@@ -865,13 +449,48 @@ class CoherentMemorySystem:
         mshr = _Mshr(evt, stream, "rdex", is_prefetch=False)
         nm.mshrs[la] = mshr
         try:
-            level = None
-            if self._fastmiss:
-                level = yield from self._fast_miss(
-                    node, la, stream, nm, mshr, rdex=True, upgrade=upgrade)
-            if level is None:
-                level = yield from self._getx_body(node, la, stream,
-                                                   upgrade, nm, mshr)
+            home = self.placement.home(la, toucher=node)
+            level = "local" if home == node else "remote"
+            yield from self._request_trip_out(node, home)
+            lock = self.directory.lock(la)
+            yield from lock.acquire()
+            try:
+                entry = self.directory.entry(la)
+                if entry.state == DirState.EXCLUSIVE and entry.owner != node:
+                    level = "remote3"
+                    owner = entry.owner
+                    if owner != home:
+                        yield self.c_net
+                        yield from self.nodes[owner].ni_in.serve(self.c_nir)
+                    yield from self.nodes[owner].bus.serve(self.c_bus)
+                    self._invalidate_node_line(owner, la)
+                    if owner != node:
+                        yield from self.nodes[owner].ni_out.serve(self.c_nir)
+                        yield self.c_net
+                    if node != home:
+                        yield from self.nodes[node].ni_in.serve(self.c_nir)
+                    yield from self.nodes[node].bus.serve(self.c_bus)
+                else:
+                    # Invalidate all other sharers (concurrently) while
+                    # memory is accessed (skipped on an upgrade:
+                    # permission only).
+                    sharers = self.directory.sharers_excluding(la, node)
+                    acks = [self._spawn_inv(home, s, la) for s in sharers]
+                    if sharers:
+                        nm.probe.count("inv_rounds")
+                        nm.probe.count("invs_sent", len(sharers))
+                    if not upgrade:
+                        yield from self.nodes[home].mem.serve(self.c_mem)
+                    if acks:
+                        yield self.engine.all_of(acks)
+                    yield from self._reply_trip_back(node, home)
+                self.directory.set_exclusive(la, node)
+            finally:
+                lock.release()
+            line = nm.l2.insert(la, MESIState.EXCLUSIVE)
+            line.state = MESIState.EXCLUSIVE
+            line.dirty = True
+            self._set_record(line, stream, "rdex", merged_late=mshr.late)
             nm.probe.instant("coh.getx", self.engine.now,
                              {"addr": la, "level": level, "stream": stream})
             return level
@@ -880,51 +499,6 @@ class CoherentMemorySystem:
                 del nm.mshrs[la]
             if not evt.fired:
                 evt.fire()
-
-    def _getx_body(self, node: int, la: int, stream: str, upgrade: bool,
-                   nm, mshr):
-        home = self.placement.home(la, toucher=node)
-        level = "local" if home == node else "remote"
-        yield from self._request_trip_out(node, home)
-        lock = self.directory.lock(la)
-        yield from lock.acquire()
-        try:
-            entry = self.directory.entry(la)
-            if entry.state == DirState.EXCLUSIVE and entry.owner != node:
-                level = "remote3"
-                owner = entry.owner
-                if owner != home:
-                    yield self.c_net
-                    yield from self.nodes[owner].ni_in.serve(self.c_nir)
-                yield from self.nodes[owner].bus.serve(self.c_bus)
-                self._invalidate_node_line(owner, la)
-                if owner != node:
-                    yield from self.nodes[owner].ni_out.serve(self.c_nir)
-                    yield self.c_net
-                if node != home:
-                    yield from self.nodes[node].ni_in.serve(self.c_nir)
-                yield from self.nodes[node].bus.serve(self.c_bus)
-            else:
-                # Invalidate all other sharers (concurrently) while memory
-                # is accessed (skipped on an upgrade: permission only).
-                sharers = self.directory.sharers_excluding(la, node)
-                acks = [self._spawn_inv(home, s, la) for s in sharers]
-                if sharers:
-                    nm.probe.count("inv_rounds")
-                    nm.probe.count("invs_sent", len(sharers))
-                if not upgrade:
-                    yield from self.nodes[home].mem.serve(self.c_mem)
-                if acks:
-                    yield self.engine.all_of(acks)
-                yield from self._reply_trip_back(node, home)
-            self.directory.set_exclusive(la, node)
-        finally:
-            lock.release()
-        line = nm.l2.insert(la, MESIState.EXCLUSIVE)
-        line.state = MESIState.EXCLUSIVE
-        line.dirty = True
-        self._set_record(line, stream, "rdex", merged_late=mshr.late)
-        return level
 
     def _spawn_inv(self, home: int, sharer: int, la: int):
         ack = self.engine.event(name=f"invack:{la:#x}")
@@ -941,7 +515,7 @@ class CoherentMemorySystem:
                 "coh.inv", self.engine.now, {"addr": la})
             ack.fire()
 
-        self.engine.process(body(), name=f"inv:n{sharer}", footprint=(la,))
+        self.engine.process(body(), name=f"inv:n{sharer}")
         return ack
 
     def _invalidate_node_line(self, node: int, la: int) -> None:
@@ -1016,10 +590,14 @@ class CoherentMemorySystem:
 
 
 class PerfectMemory:
-    """Zero-latency memory model for functional (correctness) runs.
+    """Flat memory model for engine-level tests: every access costs one
+    cycle and always 'hits'.
 
-    Implements the same surface the processor uses so compiled programs
-    run unchanged; every access costs one cycle and always 'hits'."""
+    Covers the timed entry points only (``l1_probe``, ``load``,
+    ``store``, ``prefetch_exclusive`` and the epoch/teardown hooks); it
+    has no synchronous hit path (``hit_probes``,
+    ``prefetch_would_fire``), so a ``ThreadShell`` cannot run on it --
+    functional runs use ``repro.interp.FunctionalRunner`` instead."""
 
     def __init__(self, engine: Engine, cfg: MachineConfig, sink=None):
         self.engine = engine

@@ -78,6 +78,12 @@ class ThreadShell:
         # from "busy" to "memory" when the run's breakdown is collected.
         self._debt = 0.0
         self.fast_mem_cycles = 0.0
+        # The hit path, bound once: this CPU's cache probes, the image's
+        # global base addresses and the shared value arrays.
+        self._load_hit, self._store_hit = machine.memsys.hit_probes(
+            node, cpu, role)
+        self._gbase = machine.gbase
+        self._arrays = machine.store.arrays
 
     # ------------------------------------------------------------ accounting
 
@@ -169,59 +175,59 @@ class ThreadShell:
             if top:
                 self._pop()
 
-    def _same_session(self) -> bool:
-        """Store->prefetch conversion applies only when the A-stream is
-        in the same (barrier-delimited) session as its R-stream."""
-        ch = self.channel
-        return ch is not None and len(ch.a_sites) == len(ch.r_sites)
-
     #: Force a slow (engine-visible) load once this much synchronous time
     #: has accumulated, so user-level spin loops observe other streams'
     #: stores with bounded timing skew.
     DEBT_LIMIT = 400.0
 
     def _fast_read(self, gidx: int, flat: int):
-        """VM callback: synchronous load path for cache hits."""
-        if self.dormant:
-            self._debt += 1.0
-            if self._prof is not None:
-                self._prof.fast(1.0, 0.0, "l1")
-            return self.machine.store.read(gidx, flat)
+        """VM callback: synchronous load path for cache hits.  Runs
+        once per shared load, so the ``dormant`` test, the address and
+        the value read are inlined: a hit costs one call (the probe)."""
+        if self.role == "A":
+            job = self.current_job
+            if (job.slip_setting if self.in_region and job is not None
+                    else self.control.effective)[0] == "NONE":
+                self._debt += 1.0
+                if self._prof is not None:
+                    self._prof.fast(1.0, 0.0, "l1")
+                return self._arrays[gidx][flat].item()
         if self._debt > self.DEBT_LIMIT:
             return MISS
-        addr = self.machine.gaddr(gidx, flat)
-        lat = self.machine.memsys.try_fast_load(self.node, self.cpu, addr,
-                                                self.role)
+        lat = self._load_hit(self._gbase[gidx] + flat * 8)
         if lat is None:
             return MISS
         self._debt += 1.0
         if lat > 1.0:
             self.fast_mem_cycles += lat - 1.0
             self._debt += lat - 1.0
-        if self._prof is not None:
-            self._prof.fast(1.0, lat - 1.0 if lat > 1.0 else 0.0,
-                            "l1" if lat <= 1.0 else "l2")
-        return self.machine.store.read(gidx, flat)
+            if self._prof is not None:
+                self._prof.fast(1.0, lat - 1.0, "l2")
+        elif self._prof is not None:
+            self._prof.fast(1.0, 0.0, "l1")
+        return self._arrays[gidx][flat].item()
 
     def _fast_write(self, gidx: int, flat: int, value) -> bool:
         """VM callback: synchronous store path.  Returns True when fully
         handled (A-stream skip without prefetch, or an exclusive hit)."""
         if self.role == "A":
-            if self.dormant or not self._same_session():
-                self._debt += 1.0
-                if self._prof is not None:
-                    self._prof.fast(1.0, 0.0, "l1")
-                return True
-            addr = self.machine.gaddr(gidx, flat)
-            if not self.machine.memsys.prefetch_would_fire(self.node, addr):
+            # Skip outright when dormant (``dormant``, inlined), when
+            # not in the same barrier-delimited session as the R-stream
+            # (store->prefetch conversion applies only there), or when
+            # the prefetch would be dropped anyway.
+            job = self.current_job
+            ch = self.channel
+            if ((job.slip_setting if self.in_region and job is not None
+                 else self.control.effective)[0] == "NONE"
+                    or ch is None or len(ch.a_sites) != len(ch.r_sites)
+                    or not self.machine.memsys.prefetch_would_fire(
+                        self.node, self._gbase[gidx] + flat * 8)):
                 self._debt += 1.0
                 if self._prof is not None:
                     self._prof.fast(1.0, 0.0, "l1")
                 return True
             return False               # slow path issues the prefetch
-        addr = self.machine.gaddr(gidx, flat)
-        lat = self.machine.memsys.try_fast_store(self.node, self.cpu, addr,
-                                                 self.role)
+        lat = self._store_hit(self._gbase[gidx] + flat * 8)
         if lat is None:
             return False
         self._debt += lat
@@ -229,7 +235,7 @@ class ThreadShell:
         if self._prof is not None:
             self._prof.fast(1.0, lat - 1.0,
                             "l1" if lat <= 1.0 else "l2")
-        self.machine.store.write(gidx, flat, value)
+        self._arrays[gidx][flat] = value
         return True
 
     def _flush_debt(self):

@@ -111,10 +111,9 @@ class Process:
     """A running generator coroutine inside the engine."""
 
     __slots__ = ("engine", "gen", "name", "alive", "done_event", "result",
-                 "_waiting_on", "_pending_interrupt", "footprint")
+                 "_waiting_on", "_pending_interrupt")
 
-    def __init__(self, engine: "Engine", gen: Generator, name: str = "",
-                 footprint: Optional[tuple] = None):
+    def __init__(self, engine: "Engine", gen: Generator, name: str = ""):
         self.engine = engine
         self.gen = gen
         self.name = name
@@ -123,12 +122,6 @@ class Process:
         self.done_event = SimEvent(engine, name=f"done:{name}")
         self._waiting_on: Optional[SimEvent] = None
         self._pending_interrupt: Optional[Interrupt] = None
-        #: Declared interference footprint: the directory lines this
-        #: process may lock or transition, () when it provably touches
-        #: none, or None when unknown (the conservative default).  The
-        #: memory fast path's contention forecast reads these through
-        #: :meth:`Engine.pending_lines`.
-        self.footprint = footprint
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -186,10 +179,6 @@ class Process:
             self.engine._schedule(self, float(cmd), None)
         elif cmd is None:
             self.engine._schedule(self, 0.0, None)
-        elif cmd is Engine.PAUSE:
-            # Park: the process is resumed by a _PlanWake entry (or an
-            # interrupt) that someone scheduled before yielding PAUSE.
-            pass
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported command {cmd!r}")
@@ -206,7 +195,6 @@ class _TimerFire:
     __slots__ = ("evt", "name")
 
     alive = True
-    footprint = None
 
     def __init__(self, evt: "SimEvent", name: str):
         self.evt = evt
@@ -214,34 +202,6 @@ class _TimerFire:
 
     def _step(self, value: Any) -> None:
         self.evt.fire(value)
-
-
-class _PlanWake:
-    """A killable, re-schedulable resumption for a PAUSE-parked process.
-
-    The memory fast path sleeps through its planned occupancy windows by
-    scheduling one of these and yielding :data:`Engine.PAUSE`.  Unlike a
-    plain numeric yield, the pending resumption can be *cancelled*
-    (``alive = False``) and re-issued at a different time with a
-    different value -- which is how a preempted plan is woken early at
-    its last still-valid leg boundary.  Duck-types the queue-entry slice
-    the drain loops touch (``alive``, ``name``, ``_step``)."""
-
-    __slots__ = ("proc", "name", "alive")
-
-    footprint = None
-
-    def __init__(self, proc: "Process", name: str = "planwake"):
-        self.proc = proc
-        self.name = name
-        self.alive = True
-
-    def _step(self, value: Any) -> None:
-        if self.proc.alive:
-            # The resumed process may issue a fresh miss in this same
-            # step; keep _current pointing at it, not at this entry.
-            self.proc.engine._current = self.proc
-            self.proc._step(value)
 
 
 class Engine:
@@ -264,11 +224,6 @@ class Engine:
     seq order because ``_schedule`` appends monotonically.
     """
 
-    #: Yield this sentinel to park the current process: it is resumed
-    #: only by a :class:`_PlanWake` entry (or an interrupt) arranged
-    #: before yielding.  Used by the memory fast path's plan sleeps.
-    PAUSE = object()
-
     def __init__(self, obs: Probe = NULL_PROBE,
                  use_buckets: Optional[bool] = None):
         self.now: float = 0.0
@@ -276,14 +231,6 @@ class Engine:
         self._nprocs = 0
         self.obs = obs
         self.trace_hook: Optional[Callable[[float, Process], None]] = None
-        # The queue entry being stepped right now (a Process, _TimerFire
-        # or _PlanWake).  The memory fast path reads it to learn which
-        # process a plan must park and re-wake.
-        self._current: Any = None
-        # Per-bucket footprint summaries for pending_lines(), memoized
-        # by (timestamp, bucket length): buckets are append-only until
-        # drained, so a summary stays valid while the length matches.
-        self._fp_cache: dict = {}
         if use_buckets is None:
             use_buckets = hotpath_enabled("engine")
         self.use_buckets = use_buckets
@@ -310,14 +257,10 @@ class Engine:
     # -- process management -------------------------------------------------
 
     def process(self, gen: Generator, name: str = "",
-                delay: float = 0.0,
-                footprint: Optional[tuple] = None) -> Process:
+                delay: float = 0.0) -> Process:
         """Register a generator as a process, starting ``delay`` time
-        units from now (default: the current time).  ``footprint``
-        declares the directory lines the process may touch (see
-        :class:`Process`)."""
-        proc = Process(self, gen, name=name or f"proc{self._nprocs}",
-                       footprint=footprint)
+        units from now (default: the current time)."""
+        proc = Process(self, gen, name=name or f"proc{self._nprocs}")
         self._nprocs += 1
         self.obs.count("engine.processes")
         self._schedule(proc, delay, None)
@@ -397,7 +340,6 @@ class Engine:
 
         Dead entries count: like the queue head in the heap discipline,
         the front may belong to a killed process that will be skipped.
-        The memory fast path uses this for its quiescence precondition.
         """
         if self.use_buckets:
             cur = self._cur
@@ -407,52 +349,6 @@ class Engine:
             return times[0] if times else None
         q = self._queue
         return q[0][0] if q else None
-
-    def pending_lines(self, deadline: float) -> frozenset:
-        """Directory lines that queued work scheduled strictly before
-        ``deadline`` *declares* it may touch.
-
-        This is the conservative classifier behind the memory fast
-        path's contention forecast: spawned coherence helpers
-        (writebacks, invalidations, prefetches) carry a ``footprint``
-        naming their lines; entries with an unknown footprint (CPU
-        shells, timers) contribute nothing -- a plan tolerates them
-        because any actual conflict is caught exactly by the server
-        window preemption path, not by this summary.  Bucket summaries
-        are memoized by (timestamp, length), so repeated probes over a
-        mostly-unchanged queue cost one dict lookup per bucket."""
-        out = []
-        if self.use_buckets:
-            cur = self._cur
-            if cur is not None and self._cur_i < len(cur):
-                for entry, _v in cur[self._cur_i:]:
-                    fp = entry.footprint
-                    if fp:
-                        out.extend(fp)
-            cache = self._fp_cache
-            if len(cache) > 512:
-                cache.clear()            # drop summaries of drained buckets
-            for t in self._times:
-                if t >= deadline:
-                    continue
-                b = self._buckets[t]
-                key = (t, len(b))
-                got = cache.get(t)
-                if got is not None and got[0] == len(b):
-                    fps = got[1]
-                else:
-                    fps = frozenset(
-                        a for entry, _v in b
-                        for a in (entry.footprint or ()))
-                    cache[t] = (key[1], fps)
-                out.extend(fps)
-        else:
-            for t, _seq, entry, _v in self._queue:
-                if t < deadline:
-                    fp = entry.footprint
-                    if fp:
-                        out.extend(fp)
-        return frozenset(out)
 
     # -- execution ----------------------------------------------------------
     #
@@ -480,7 +376,6 @@ class Engine:
                     if proc.alive:
                         self._cur_i = i
                         self.now = t = self._cur_t
-                        self._current = proc
                         if self.trace_hook is not None:
                             self.trace_hook(t, proc)
                         proc._step(value)
@@ -505,7 +400,6 @@ class Engine:
             if not proc.alive:
                 continue
             self.now = t
-            self._current = proc
             if self.trace_hook is not None:
                 self.trace_hook(t, proc)
             proc._step(value)

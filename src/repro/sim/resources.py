@@ -16,29 +16,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional
 
-from .engine import Engine, SimEvent, SimulationError, _PlanWake
+from .engine import Engine, SimEvent, SimulationError
 
 __all__ = ["Server", "Semaphore", "Mutex"]
-
-
-class _Window:
-    """One booked occupancy window on a server's reservation timeline.
-
-    ``arrival`` is the instant the planned transaction *would have
-    requested* the unit in the pure-generator world -- it is the FIFO
-    ordering key: a real ``serve()`` arriving later queues behind the
-    window, while one arriving earlier preempts the owning plan (see
-    ``Server._wait_windows``)."""
-
-    __slots__ = ("server", "start", "end", "arrival", "plan", "leg")
-
-    def __init__(self, server, start, end, arrival, plan, leg):
-        self.server = server
-        self.start = start
-        self.end = end
-        self.arrival = arrival
-        self.plan = plan
-        self.leg = leg
 
 
 class Server:
@@ -52,9 +32,7 @@ class Server:
 
     __slots__ = ("engine", "name", "units", "_busy", "_waiters",
                  "total_requests", "total_service", "total_queue_wait",
-                 "max_queue_len", "faults", "busy_until",
-                 "_windows", "_window_waiters", "_win_naps", "_handoffs",
-                 "_cur_end")
+                 "max_queue_len", "faults")
 
     def __init__(self, engine: Engine, name: str, units: int = 1):
         if units < 1:
@@ -72,163 +50,6 @@ class Server:
         #: bounded, protocol-legal jitter to scheduled serve() calls.
         #: None = injection off; the hook is one attribute test.
         self.faults = None
-        #: End of the latest booked reservation window (informational
-        #: high-water mark; the authoritative timeline is _windows).
-        self.busy_until = 0.0
-        #: Booked occupancy windows (the fast path's reservation
-        #: timeline).  Empty whenever the ``mem`` hot-path tier is off.
-        self._windows: list = []
-        #: Real serves currently waiting out booked windows; free_at()
-        #: declines while any exist (their completion order is theirs).
-        self._window_waiters = 0
-        #: Their parked wakes: a waiter sleeps *unscheduled* and is
-        #: re-woken by append when a window completes or cancels -- the
-        #: exact analogue of the FIFO gate handoff in the serve() queue,
-        #: so the waiter's resumption keeps its generator-world position
-        #: in the event order.
-        self._win_naps: list = []
-        #: Parked plan wakes chained behind in-flight occupancy:
-        #: ``(handoff_instant, wake)`` pairs the occupancy's ender fires
-        #: by append (see park_handoff), emulating the queue handoff the
-        #: plan's generator twin would receive.
-        self._handoffs: list = []
-        #: End of the service interval in progress (set when a real
-        #: serve starts its hold, None while the unit is in handoff),
-        #: so free_at() can chain a window behind in-flight occupancy.
-        self._cur_end: float = 0.0
-
-    def idle_at(self, now: float) -> bool:
-        """True when a unit is free, nobody queues, and no reservation
-        extends past ``now`` -- the fast-path eligibility probe."""
-        return (self._busy == 0 and not self._waiters and not self._windows
-                and self.busy_until <= now)
-
-    def free_at(self, arrival: float, length: float):
-        """Earliest start >= ``arrival`` at which one unit could hold a
-        ``length``-long window, given in-flight occupancy and already
-        booked windows -- or None when the timeline is not decidable
-        (queued waiters, a unit in handoff, jitter injection armed).
-
-        FIFO-later windows (planned arrival after this one) do not
-        chain: this request would be served *before* them, so it may
-        gap-fit ahead -- but only when it fits entirely before every
-        such window, since shifting a booked window is not allowed."""
-        if (self.units != 1 or self._waiters or self._window_waiters
-                or self.faults is not None):
-            return None
-        start = arrival
-        if self._busy:
-            end = self._cur_end
-            if end is None:
-                return None
-            if end > start:
-                start = end
-        cap = None              # earliest start of any FIFO-later window
-        for w in self._windows:
-            if w.arrival > arrival:
-                if cap is None or w.start < cap:
-                    cap = w.start
-            elif w.end > start:
-                start = w.end
-        if cap is not None and start + length > cap:
-            return None
-        return start
-
-    def reserve(self, arrival: float, start: float, length: float,
-                plan=None, leg: int = 0) -> _Window:
-        """Book one unit for ``[start, start + length)``.
-
-        Statistics match what a ``serve()`` arriving at ``arrival`` and
-        served over the same window would charge: one request, the
-        service time, and ``start - arrival`` of queueing delay.  The
-        returned window stays on the timeline until the owning plan
-        completes (or cancels) it; real ``serve()`` traffic queues
-        behind it or preempts the plan according to arrival order."""
-        self.total_requests += 1
-        self.total_service += length
-        self.total_queue_wait += start - arrival
-        end = start + length
-        if end > self.busy_until:
-            self.busy_until = end
-        w = _Window(self, start, end, arrival, plan, leg)
-        self._windows.append(w)
-        return w
-
-    def complete(self, w: _Window) -> None:
-        """Retire a fully-elapsed window (the owning plan's wake at its
-        end), releasing the unit to whoever chained behind: parked
-        handoff wakes and window-waiting serves resume by *append*,
-        exactly where the generator twin's queue handoff would land
-        them in the event order."""
-        try:
-            self._windows.remove(w)
-        except ValueError:
-            pass
-        if self._handoffs:
-            self._fire_handoffs(False)
-        self._wake_naps()
-
-    def cancel(self, w: _Window) -> None:
-        """Un-book a window and refund the statistics a serve() over
-        the unrendered part would not have charged."""
-        try:
-            self._windows.remove(w)
-        except ValueError:
-            return
-        now = self.engine.now
-        if w.end > now:
-            self.total_service -= w.end - w.start
-            if w.start >= now:
-                # Never started rendering: the replacement serve
-                # re-charges the request when it arrives.
-                self.total_requests -= 1
-                self.total_queue_wait -= w.start - w.arrival
-        if self._handoffs:
-            # The occupancy a parked plan chained behind may never end
-            # the way it planned; convert future handoffs to scheduled
-            # wakes at their instant (stale ones are dropped).
-            self._fire_handoffs(True)
-        self._wake_naps()
-
-    def park_handoff(self, t: float, wake) -> None:
-        """Park ``wake`` until the occupancy ending at ``t`` releases
-        the unit; complete()/cancel()/_release() fire it by append."""
-        self._handoffs.append((t, wake))
-
-    def _fire_handoffs(self, all_future: bool) -> None:
-        now = self.engine.now
-        keep = []
-        for t, wake in self._handoffs:
-            if not wake.alive:
-                continue                      # owner was preempted/unwound
-            if t <= now:
-                self.engine._schedule(wake, 0.0, None)
-            elif all_future:
-                self.engine._schedule(wake, t - now, None)
-            else:
-                keep.append((t, wake))
-        self._handoffs[:] = keep
-
-    def _wake_naps(self) -> None:
-        """Re-wake window-waiting serves (they re-check the timeline)."""
-        if self._win_naps:
-            for nap in self._win_naps:
-                if nap.alive:
-                    nap.alive = False
-                    self.engine._schedule(
-                        _PlanWake(nap.proc, name=nap.name), 0.0, None)
-
-    def _pending_release_at(self, t: float) -> bool:
-        """True when some occupancy ends exactly at ``t`` but has not
-        released yet (its end event is later in this instant's step
-        order): a plan booking now must take a handoff wake, as its
-        generator twin would queue and be resumed by that release."""
-        if self._busy and self._cur_end == t:
-            return True
-        for w in self._windows:
-            if w.end == t:
-                return True
-        return False
 
     def serve(self, duration: float):
         """Generator: acquire a unit, hold it for ``duration``, release."""
@@ -257,82 +78,17 @@ class Server:
                 raise
         else:
             self._busy += 1
-        if self._windows:
-            try:
-                yield from self._wait_windows(start, duration)
-            except BaseException:
-                self._release()
-                raise
         self.total_queue_wait += self.engine.now - start
-        self._cur_end = self.engine.now + duration
         try:
             if duration > 0:
                 yield duration
             self.total_service += duration
         finally:
-            if self._windows:
-                # An interrupted hold ends early: windows chained behind
-                # the planned service end are now mispositioned (the
-                # generator world would serve those plans right away),
-                # so their owners replay the remainder for real.
-                cur = self._cur_end
-                now = self.engine.now
-                if cur is not None and now < cur:
-                    for w in [w for w in self._windows if w.start > now]:
-                        w.plan.preempt(w.leg)
             self._release()
-            if self._handoffs:
-                self._fire_handoffs(False)
-
-    def _wait_windows(self, arrival: float, duration: float):
-        """Wait out booked windows that are FIFO-ahead of ``arrival``;
-        preempt plans whose windows would collide with this FIFO-earlier
-        service interval (their planned arrival is later than this real
-        one, so the generator world would have served us first -- but a
-        later window that starts after we would finish is untouched:
-        its planned position is still exact)."""
-        engine = self.engine
-        self._window_waiters += 1
-        try:
-            while True:
-                wins = self._windows
-                if not wins:
-                    return
-                now = engine.now
-                for w in [w for w in wins
-                          if w.arrival > arrival
-                          and w.start < now + duration]:
-                    w.plan.preempt(w.leg)    # cancels w and later legs
-                tend = arrival
-                for w in self._windows:
-                    if w.arrival <= arrival and w.end > tend:
-                        tend = w.end
-                if tend <= now:
-                    return
-                # Unscheduled nap: the owning plan's wake at a window's
-                # end (complete) or a cancel re-wakes us by append -- a
-                # pre-scheduled sleep would step us *earlier* in the end
-                # instant's event order than the generator's queue
-                # handoff would, perturbing same-instant FIFO ties.
-                nap = _PlanWake(engine._current, name=f"{self.name}.winwait")
-                self._win_naps.append(nap)
-                try:
-                    yield Engine.PAUSE
-                finally:
-                    nap.alive = False
-                    try:
-                        self._win_naps.remove(nap)
-                    except ValueError:
-                        pass
-        finally:
-            self._window_waiters -= 1
 
     def _release(self) -> None:
         if self._waiters:
             # Hand the unit straight to the next waiter; _busy stays put.
-            # The service-end marker is unknown until the waiter starts
-            # its own hold, so planners must not chain behind it.
-            self._cur_end = None
             self._waiters.popleft().fire()
         else:
             self._busy -= 1

@@ -180,6 +180,16 @@ def test_missing_file():
     assert rc == 2
 
 
+def test_unknown_hotpath_tier_is_one_line_exit_2(demo, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_HOTPATH", "mem")      # the removed tier
+    rc, out = run_cli(["run", demo, "--mode", "single", "--cmps", "4"])
+    assert rc == 2
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "REPRO_HOTPATH" in err and "engine, fuse, compile" in err
+
+
 def test_inputs_flag(tmp_path):
     f = tmp_path / "io.c"
     f.write_text("""

@@ -254,7 +254,7 @@ def test_compiled_tier_attaches_and_activates():
 
 
 def test_tier_off_means_no_gen_src_and_interpreter(monkeypatch):
-    monkeypatch.setenv("REPRO_HOTPATH", "engine,mem,fuse")
+    monkeypatch.setenv("REPRO_HOTPATH", "engine,fuse")
     reset_for_tests()
     prog = compile_source(SRC_LOOP)
     assert all(f.gen_src is None for f in prog.funcs)
@@ -268,7 +268,7 @@ def test_image_without_gen_src_falls_back(monkeypatch):
     """A compile-tier process handed an image built with the tier off
     (stale pickle, foreign producer) must run it interpreted -- the
     all-or-nothing gate returns None, never a partial table."""
-    monkeypatch.setenv("REPRO_HOTPATH", "engine,mem,fuse")
+    monkeypatch.setenv("REPRO_HOTPATH", "engine,fuse")
     reset_for_tests()
     prog = compile_source(SRC_LOOP)
     monkeypatch.delenv("REPRO_HOTPATH")
@@ -439,7 +439,7 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     results = {}
-    for tiers in (None, "engine,mem,fuse"):
+    for tiers in (None, "engine,fuse"):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
@@ -447,7 +447,7 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
         reset_for_tests()
         run = execute_spec(RunSpec.make("cg", "G0", size="test", cfg=cfg))
         results[tiers] = run
-    on, off = results[None], results["engine,mem,fuse"]
+    on, off = results[None], results["engine,fuse"]
     assert on.cycles == off.cycles
     assert on.result.rt_stats == off.result.rt_stats
     assert on.result.r_breakdown == off.result.r_breakdown
@@ -462,7 +462,7 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     outcomes = {}
-    for tiers in (None, "engine,mem,fuse"):
+    for tiers in (None, "engine,fuse"):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
@@ -474,4 +474,4 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
         r = execute_spec(spec).result
         outcomes[tiers] = (r.cycles, r.rt_stats, r.faults["fired"],
                            r.recoveries)
-    assert outcomes[None] == outcomes["engine,mem,fuse"]
+    assert outcomes[None] == outcomes["engine,fuse"]

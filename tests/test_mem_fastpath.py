@@ -1,22 +1,34 @@
-"""Directed tests for the epoch-forecast miss planner (hot-path tier
-``mem``): admission, the reservation-window race protocol, forecast
-fallbacks, and cycle-exactness of the planned path against the
-pure-generator transaction."""
+"""The memory hot path after the forecast tier's removal: one miss
+implementation (the generator transaction) and one hit implementation
+(the per-CPU probes of ``CoherentMemorySystem.hit_probes``).
+
+* the same-line / same-bus race cases the forecast tier had to get
+  right, kept as cycle pins of the generator path;
+* the randomized contended-traffic property, as bucket-queue vs
+  heapq-reference equality of *unsorted* completion traces and server
+  statistics;
+* a differential test of the hit probes and the shell hooks over them
+  against driving ``l1_probe``/``load``/``store`` through the engine;
+* a stale ``REPRO_HOTPATH=mem`` is refused, not silently dropped.
+"""
 
 import random
 
 import pytest
 
-from repro.config import PAPER_MACHINE
-from repro.hotpath import reset_for_tests
+from repro import compile_source
+from repro.config import PAPER_MACHINE, CacheConfig
+from repro.hotpath import HOTPATH_TIERS, hotpath_tiers
+from repro.interp.interpreter import MISS
 from repro.mem import CoherentMemorySystem
 from repro.mem.address import SHARED_BASE
+from repro.runtime import Machine
 from repro.sim import Engine
 
 
-def make(n_cmps=4, **kw):
+def make(n_cmps=4, use_buckets=None, **kw):
     cfg = PAPER_MACHINE.with_(n_cmps=n_cmps, placement="round_robin", **kw)
-    eng = Engine()
+    eng = Engine(use_buckets=use_buckets)
     return eng, CoherentMemorySystem(eng, cfg), cfg
 
 
@@ -29,21 +41,21 @@ def local_miss_cycles(ms):
     return 2 * ms.c_bus + ms.c_nil + ms.c_mem
 
 
-def fast_misses(ms):
-    return sum(nm.stats.get("fast_misses") or 0 for nm in ms.nodes)
+def remote_miss_cycles(ms):
+    """End-to-end latency of an uncontended remote clean read miss."""
+    return local_miss_cycles(ms) + 2 * (ms.c_nir + ms.c_net)
 
 
-def stat(ms, key):
-    return sum(nm.stats.get(key) or 0 for nm in ms.nodes)
+# ------------------------------------------------------------- race pins
 
-
-def _race_same_line(hotpath, monkeypatch):
+@pytest.mark.parametrize("hotpath", ["engine", ""])
+def test_race_same_line_cycles_match_generator(hotpath, monkeypatch):
     """CPU on node 0 misses a line; a second CPU on node 1 wakes at the
     exact completion instant (earlier seq, so it runs first) and
-    requests the *same directory line* while the plan's lock and fill
-    window are still outstanding."""
+    requests the *same directory line* while the leader's lock and fill
+    leg are still outstanding.  Both resolve as uncontended misses,
+    under either queue discipline."""
     monkeypatch.setenv("REPRO_HOTPATH", hotpath)
-    reset_for_tests()                        # re-latch for this value
     eng, ms, cfg = make()
     a = addr_homed_at(cfg, 0)
     results = {}
@@ -58,36 +70,22 @@ def _race_same_line(hotpath, monkeypatch):
     eng.process(racer(), name="racer")       # created first: earlier seq
     eng.process(leader(), name="leader")
     eng.run()
-    return eng, ms, results
+    assert eng.use_buckets == (hotpath == "engine")
+    assert results["leader"].level == "local"
+    assert results["leader"].cycles == local_miss_cycles(ms)
+    # The racer's trip starts after the leader committed, so by its
+    # acquire instant the line lock is free again: a plain remote read.
+    assert results["racer"].level == "remote"
+    assert results["racer"].cycles == remote_miss_cycles(ms)
+    assert eng.now == local_miss_cycles(ms) + remote_miss_cycles(ms)
 
 
-@pytest.mark.parametrize("hotpath", ["engine,mem,fuse", ""])
-def test_race_same_line_cycles_match_generator(hotpath, monkeypatch):
-    """The planner/generator split must be timing-invisible: both
-    accesses take identical cycles with the tier on and off."""
-    eng_on, ms_on, r_on = _race_same_line("engine,mem,fuse", monkeypatch)
-    eng_off, ms_off, r_off = _race_same_line("", monkeypatch)
-    assert r_on["leader"].cycles == r_off["leader"].cycles
-    assert r_on["racer"].cycles == r_off["racer"].cycles
-    assert eng_on.now == eng_off.now
-    # With the forecast, *both* misses plan: the leader fully, and the
-    # racer too (its trip starts after the leader committed, so by its
-    # acquire instant the line lock is free again).
-    assert fast_misses(ms_on) == 2
-    assert ms_on.nodes[0].stats.get("fast_misses") == 1
-    assert ms_on.nodes[1].stats.get("fast_misses") == 1
-    assert fast_misses(ms_off) == 0
-    # The racer still resolved as an ordinary remote read miss.
-    assert r_on["racer"].level == "remote" == r_off["racer"].level
-    assert r_on["leader"].level == "local" == r_off["leader"].level
-
-
-def test_racer_plans_through_held_fill_window(monkeypatch):
-    """A same-node second CPU arriving at the completion instant sees
-    the leader's fill-leg reservation window (bus not idle) and books
-    its own first leg *behind* it -- queueing exactly as it would
-    behind the generator's held fill leg, while still planning."""
-    monkeypatch.setenv("REPRO_HOTPATH", "mem")
+def test_racer_queues_behind_held_fill_leg():
+    """A same-node second CPU arriving at the leader's completion
+    instant finds the bus still held by the leader's fill leg (the
+    leader releases later in the same step): it takes a queue position
+    and is handed the unit in zero time, so both see a full local miss
+    and neither overlaps the other's service."""
     eng, ms, cfg = make()
     a = addr_homed_at(cfg, 0)
     b = a + cfg.line_bytes                   # different directory line
@@ -95,9 +93,7 @@ def test_racer_plans_through_held_fill_window(monkeypatch):
 
     def racer():
         yield local_miss_cycles(ms)
-        # The leader's planned fill window is still on the bus timeline
-        # at this instant (the leader commits later in the same step).
-        assert not ms.nodes[0].bus.idle_at(eng.now)
+        assert ms.nodes[0].bus.queue_length == 0
         results["racer"] = yield from ms.load(0, 1, b)
 
     def leader():
@@ -106,123 +102,26 @@ def test_racer_plans_through_held_fill_window(monkeypatch):
     eng.process(racer(), name="racer")
     eng.process(leader(), name="leader")
     eng.run()
-    assert fast_misses(ms) == 2              # both planned
+    bus = ms.nodes[0].bus
     assert results["leader"].level == "local"
     assert results["racer"].level == "local"
-    # The racer queued behind the fill window: same service, zero overlap.
-    assert results["racer"].cycles == results["leader"].cycles
-
-
-def test_fast_path_reserves_server_statistics(monkeypatch):
-    """Reservations must charge the same request/service totals a
-    serve() over the window would, so utilization reports are
-    tier-invariant."""
-    stats = {}
-    for tiers in ("mem", ""):
-        monkeypatch.setenv("REPRO_HOTPATH", tiers)
-        reset_for_tests()
-        eng, ms, cfg = make()
-        a = addr_homed_at(cfg, 0)
-        eng.run_process(ms.load(0, 0, a))
-        bus = ms.nodes[0].bus
-        stats[tiers] = (bus.total_requests, bus.total_service,
-                        ms.nodes[0].mem.total_service if hasattr(
-                            ms.nodes[0], "mem") else None)
-    assert stats["mem"] == stats[""]
-
-
-def test_fast_path_plans_through_unrelated_queue_entries(monkeypatch):
-    """A queued event with no declared interest in the line (unknown
-    footprint) does not void the forecast: the miss plans anyway, and
-    any actual collision would be caught by window preemption."""
-    monkeypatch.setenv("REPRO_HOTPATH", "mem")
-    eng, ms, cfg = make()
-    a = addr_homed_at(cfg, 0)
-
-    def bystander():
-        yield 1.0                            # wakes mid-flight
-
-    def loader():
-        res = yield from ms.load(0, 0, a)
-        return res
-
-    eng.process(bystander(), name="bystander")
-    res = eng.run_process(loader(), name="loader")
-    assert res.level == "local"
-    assert ms.nodes[0].stats.get("fast_misses") == 1
-    assert ms.nodes[0].stats.get("forecast.hit") == 1
-    assert res.cycles == local_miss_cycles(ms)
-
-
-def test_fast_path_plans_three_hop(monkeypatch):
-    """An EXCLUSIVE line owned elsewhere takes the intervention path --
-    and the planner now books it too, phase by phase, demoting the
-    owner at the exact instant the generator transaction would."""
-    monkeypatch.setenv("REPRO_HOTPATH", "mem")
-    eng, ms, cfg = make()
-    a = addr_homed_at(cfg, 0)
-    eng.run_process(ms.store(1, 0, a))       # node 1 becomes dirty owner
-    n_fast = fast_misses(ms)
-    res = eng.run_process(ms.load(0, 0, a))
-    assert res.level == "remote3"
-    assert fast_misses(ms) == n_fast + 1     # the intervention planned
-    assert cfg.ns(res.cycles) == pytest.approx(270.0)
-
-
-def test_forecast_declines_on_queued_same_line_writer(monkeypatch):
-    """A queued coherence helper that *declares* the same line in its
-    footprint (here: a prefetch-exclusive conversion) voids the
-    forecast -- the miss takes the generator path and the decline is
-    counted under its reason."""
-    monkeypatch.setenv("REPRO_HOTPATH", "mem")
-    eng, ms, cfg = make()
-    a = addr_homed_at(cfg, 1)                # homed away from the loader
-
-    def loader():
-        assert ms.prefetch_exclusive(1, a)   # queues pfx with footprint
-        res = yield from ms.load(0, 0, a)
-        return res
-
-    res = eng.run_process(loader(), name="loader")
-    assert res.level in ("remote", "remote3")
-    assert ms.nodes[0].stats.get("fallback.queued_conflict") == 1
-    assert not ms.nodes[0].stats.get("fast_misses")
-
-
-def test_forecast_ignores_queued_other_line_writer(monkeypatch):
-    """The same scenario on a *different* line plans normally: the
-    classifier is per-line, not a global quiescence screen."""
-    results = {}
-    for tiers in ("mem", ""):
-        monkeypatch.setenv("REPRO_HOTPATH", tiers)
-        reset_for_tests()
-        eng, ms, cfg = make()
-        a = addr_homed_at(cfg, 1)
-        b = a + cfg.line_bytes               # different directory line
-
-        def loader():
-            assert ms.prefetch_exclusive(1, b)
-            res = yield from ms.load(0, 0, a)
-            return res
-
-        res = eng.run_process(loader(), name="loader")
-        results[tiers] = (res.level, res.cycles, eng.now)
-        if tiers == "mem":
-            assert ms.nodes[0].stats.get("fast_misses") == 1
-            assert not ms.nodes[0].stats.get("fallback.queued_conflict")
-    assert results["mem"] == results[""]
+    assert results["racer"].cycles == results["leader"].cycles \
+        == local_miss_cycles(ms)
+    assert bus.max_queue_len == 1            # the racer did queue ...
+    assert bus.total_queue_wait == 0.0       # ... for a zero-time handoff
+    assert bus.total_requests == 4
+    assert bus.total_service == 4 * ms.c_bus
 
 
 # ---------------------------------------------------------------- property
 
-def _contended_workload(tiers, seed, monkeypatch):
+def _contended_workload(use_buckets, seed):
     """Mixed random load/store/prefetch traffic from every CPU over a
     small shared line set -- dense same-line races, upgrades,
     invalidation rounds and 3-hop interventions.  Returns the engine
-    end time plus the full completion-ordered access trace."""
-    monkeypatch.setenv("REPRO_HOTPATH", tiers)
-    reset_for_tests()
-    eng, ms, cfg = make()
+    end time, the full completion-ordered access trace and every
+    server's statistics."""
+    eng, ms, cfg = make(use_buckets=use_buckets)
     rng = random.Random(seed)
     lines = [addr_homed_at(cfg, n) + k * cfg.line_bytes
              for n in range(cfg.n_cmps) for k in range(3)]
@@ -247,20 +146,229 @@ def _contended_workload(tiers, seed, monkeypatch):
                    for _ in range(20)]
             eng.process(worker(node, cpu, ops), name=f"w{node}.{cpu}")
     eng.run()
-    # The trace is compared *unsorted*: the planner's wake cadence
-    # keeps the generator's within-bucket event order (DESIGN §6), so
-    # even completions landing at the same instant must appear in the
-    # same order with the tier on or off.
-    return eng.now, trace
+    servers = [(s.name, s.total_requests, s.total_service,
+                s.total_queue_wait, s.max_queue_len)
+               for nm in ms.nodes
+               for s in (nm.bus, nm.ni_in, nm.ni_out, nm.dirctrl, nm.mem)]
+    # The trace is compared *unsorted*: both disciplines order events by
+    # (time, scheduling order), so even completions landing at the same
+    # instant must appear in the same order.
+    return eng.now, trace, servers
 
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
-def test_forecast_bit_identical_on_contended_workload(seed, monkeypatch):
-    """Property: forecast on vs off vs the heapq reference discipline
-    give bit-identical cycle streams on densely contended traffic --
-    the planner's preemption/degradation protocol, not an eligibility
-    screen, is what guarantees exactness."""
-    ref = _contended_workload("", seed, monkeypatch)
-    for tiers in ("engine,mem", "mem", "engine"):
-        got = _contended_workload(tiers, seed, monkeypatch)
-        assert got == ref, f"divergence under REPRO_HOTPATH={tiers!r}"
+def test_forecast_bit_identical_on_contended_workload(seed):
+    """Property: the bucket queue and the heapq reference discipline
+    give bit-identical completion traces and server statistics on
+    densely contended coherence traffic (the property the removed
+    forecast tier was held to as a third arm, hence the name)."""
+    ref = _contended_workload(False, seed)
+    assert any(queued for *_, queued in ref[2]), "workload never queued"
+    assert _contended_workload(True, seed) == ref
+
+
+# ------------------------------------------------- hit-probe differential
+
+_PROBE_PROG = compile_source("""
+double a[256];
+double b[256];
+void main() { }
+""")
+
+
+class _FastLog:
+    """Stands in for the line profiler: records ``fast`` taggings."""
+
+    def __init__(self):
+        self.calls = []
+
+    def fast(self, busy, stall, level):
+        self.calls.append((busy, stall, level))
+
+
+def _probe_machine(l1_hit_cycles):
+    """Two CMPs in slipstream mode with caches small enough that a few
+    hundred accesses over 32 lines evict at both levels."""
+    cfg = PAPER_MACHINE.with_(
+        n_cmps=2, placement="round_robin",
+        l1=CacheConfig(size_bytes=1024, assoc=2, line_bytes=128,
+                       hit_cycles=l1_hit_cycles),
+        l2=CacheConfig(size_bytes=2048, assoc=2, line_bytes=128,
+                       hit_cycles=10))
+    return Machine(_PROBE_PROG, cfg=cfg, mode="slipstream")
+
+
+def _probe_ops(seed, n_shells, n=700):
+    """Seeded access stream over every shell, with barriers (reference
+    epochs), A-streams running ahead of / rejoining their R-stream's
+    session, and A-streams going dormant and back."""
+    rng = random.Random(seed)
+    ops = []
+    for _ in range(n):
+        r = rng.random()
+        if r < 0.03:
+            ops.append(("barrier", rng.randrange(2)))
+        elif r < 0.06:
+            ops.append(("session", rng.randrange(2)))
+        elif r < 0.08:
+            ops.append(("dormant", rng.randrange(2)))
+        else:
+            ops.append((rng.choice(("load", "load", "store")),
+                        rng.randrange(n_shells), rng.randrange(2),
+                        rng.randrange(256), float(rng.randrange(100))))
+    return ops
+
+
+def _drive(m, ops, fast):
+    """Apply ``ops`` to machine ``m`` one at a time, letting background
+    coherence work (prefetches, writebacks, invalidations) drain between
+    accesses.  ``fast=True`` goes through the shell's VM hooks and takes
+    the timed transaction only when they decline; ``fast=False`` drives
+    ``l1_probe``/``load``/``store`` through the engine for every access.
+    Returns per-access ``(handled synchronously?, cycles)``."""
+    ms, eng = m.memsys, m.engine
+    ahead = [False, False]                   # A-stream out of session?
+    dormant = [False, False]
+    out = []
+
+    def timed(gen):
+        t0 = eng.now
+        res = eng.run_process(gen)
+        return res, eng.now - t0
+
+    for op in ops:
+        if op[0] == "barrier":
+            ms.bump_epoch(op[1])
+            continue
+        if op[0] == "session":
+            ch = m.channels[op[1]]
+            if ahead[op[1]]:
+                ch.r_reached_barrier(0)      # R catches up
+            else:
+                ch.a_reached_barrier(0)      # A runs a session ahead
+            ahead[op[1]] = not ahead[op[1]]
+            continue
+        if op[0] == "dormant":
+            a = m.shells[2 + op[1]]
+            dormant[op[1]] = not dormant[op[1]]
+            a.control.directive(
+                "NONE" if dormant[op[1]] else "GLOBAL_SYNC", 0, True, False)
+            continue
+        kind, si, g, flat, value = op
+        sh = m.shells[si]
+        addr = m.gaddr(g, flat)
+        a_stream = sh.role == "A"
+        if fast:
+            if kind == "load":
+                v = sh._fast_read(g, flat)
+                sync = v is not MISS
+                if sync:
+                    assert v == m.store.read(g, flat)
+                else:
+                    _, cyc = timed(ms.load(sh.node, sh.cpu, addr, sh.role))
+            else:
+                sync = sh._fast_write(g, flat, value)
+                if not sync and a_stream:
+                    assert ms.prefetch_exclusive(sh.node, addr, "A")
+                    cyc = 1.0
+                elif not sync:
+                    _, cyc = timed(ms.store(sh.node, sh.cpu, addr, sh.role))
+                    m.store.write(g, flat, value)
+            if sync:
+                cyc, sh._debt = sh._debt, 0.0
+            assert sh._debt == 0.0
+        elif a_stream and (dormant[sh.node] or (
+                kind == "store" and ahead[sh.node])):
+            sync, cyc = True, 1.0            # touches no shared memory
+        elif kind == "load":
+            sync = ms.l1_probe(sh.node, sh.cpu, addr)
+            if sync:
+                cyc = float(m.cfg.l1.hit_cycles)
+            else:
+                res, cyc = timed(ms.load(sh.node, sh.cpu, addr, sh.role))
+                sync = res.level == "l2"
+        elif a_stream:
+            fired = ms.prefetch_exclusive(sh.node, addr, "A")
+            sync, cyc = not fired, 1.0
+        else:
+            res, cyc = timed(ms.store(sh.node, sh.cpu, addr, sh.role))
+            sync = res.level == "l2"
+            m.store.write(g, flat, value)
+        eng.run()                            # drain background work
+        out.append((sync, cyc))
+    return out
+
+
+def _cache_state(ms):
+    """Per-cache statistics plus resident lines in LRU victim order
+    (``lines()`` walks each set oldest-first), with the L2 lines'
+    coherence and classification metadata."""
+    state = []
+    for nm in ms.nodes:
+        for c in nm.l1s + [nm.l2]:
+            state.append((c.name, c.hits, c.misses, c.evictions,
+                          c.invalidations,
+                          [ln.line_addr for ln in c.lines()]))
+        state.append([(ln.line_addr, ln.state, ln.dirty, ln.fetcher,
+                       ln.fill_kind, ln.sibling_hit, ln.merged_late,
+                       ln.epoch) for ln in nm.l2.lines()])
+    return state
+
+
+@pytest.mark.parametrize("l1_hit_cycles", [1, 2])
+@pytest.mark.parametrize("seed", [5, 29])
+def test_hit_probes_match_engine_driven_accesses(seed, l1_hit_cycles):
+    """The synchronous hit path must be indistinguishable, in every
+    cache counter, LRU order, memory statistic and line classification,
+    from taking each access through the engine -- and the shell's
+    accounting over it (debt, ``fast_mem_cycles``, profiler level tags)
+    must charge exactly the hit latencies.  ``l1_hit_cycles=2`` runs
+    the ``lat > 1`` leg on L1 hits too."""
+    fast_m, ref_m = _probe_machine(l1_hit_cycles), _probe_machine(
+        l1_hit_cycles)
+    logs = []
+    for sh in fast_m.shells:
+        sh._prof = _FastLog()
+        logs.append(sh._prof.calls)
+    ops = _probe_ops(seed, len(fast_m.shells))
+    got = _drive(fast_m, ops, fast=True)
+    want = _drive(ref_m, ops, fast=False)
+    assert got == want
+    assert _cache_state(fast_m.memsys) == _cache_state(ref_m.memsys)
+    assert fast_m.memsys.machine_stats().as_dict() \
+        == ref_m.memsys.machine_stats().as_dict()
+    assert [a.tolist() for a in fast_m.store.arrays] \
+        == [a.tolist() for a in ref_m.store.arrays]
+    for m in (fast_m, ref_m):
+        m.memsys.finalize()
+    assert fast_m.memsys.classes.as_dict() == ref_m.memsys.classes.as_dict()
+    # The streams must actually have exercised every leg.
+    stats = fast_m.memsys.machine_stats()
+    assert stats.get("l2_hits") and stats.get("prefetch_ex")
+    assert any(nm.l2.evictions for nm in fast_m.memsys.nodes)
+    assert any(l1.evictions for nm in fast_m.memsys.nodes for l1 in nm.l1s)
+    # Shell accounting: every synchronous access was charged its hit
+    # latency as debt; the part beyond the 1-cycle access is memory
+    # stall, tagged with the level it was resolved at.
+    sync_cycles = [cyc for sync, cyc in want if sync]
+    tagged = [c for calls in logs for c in calls]
+    assert sorted(tagged) == sorted(
+        (1.0, cyc - 1.0, "l2" if cyc > 1.0 else "l1") for cyc in sync_cycles)
+    assert sum(sh.fast_mem_cycles for sh in fast_m.shells) \
+        == sum(cyc - 1.0 for cyc in sync_cycles)
+
+
+# ------------------------------------------------------- REPRO_HOTPATH
+
+def test_removed_mem_tier_is_refused_not_dropped(monkeypatch):
+    """``mem`` is no longer a tier: a stale ``REPRO_HOTPATH=mem`` used
+    to parse to the empty set (every tier off) without a word."""
+    assert HOTPATH_TIERS == ("engine", "fuse", "compile")
+    monkeypatch.setenv("REPRO_HOTPATH", "engine,mem")
+    with pytest.raises(ValueError) as err:
+        hotpath_tiers()
+    assert "mem" in str(err.value)
+    for tier in HOTPATH_TIERS:
+        assert tier in str(err.value)
+    monkeypatch.setenv("REPRO_HOTPATH", " engine , fuse ,")
+    assert hotpath_tiers() == {"engine", "fuse"}

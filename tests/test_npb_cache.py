@@ -70,17 +70,17 @@ def test_hotpath_tier_flags_change_key(monkeypatch):
     all-on, its semantic equivalent."""
     from repro.hotpath import reset_for_tests
     keys = {}
-    for tiers in ("engine,mem,fuse,compile", "engine,mem,fuse",
-                  "engine,mem,compile", "engine,mem", None):
+    for tiers in ("engine,fuse,compile", "engine,fuse",
+                  "engine,compile", "engine", None):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
             monkeypatch.setenv("REPRO_HOTPATH", tiers)
         reset_for_tests()
         keys[tiers] = CompileCache.key_for(SRC_A)
-    assert keys[None] == keys["engine,mem,fuse,compile"]
-    four = [keys[t] for t in ("engine,mem,fuse,compile", "engine,mem,fuse",
-                              "engine,mem,compile", "engine,mem")]
+    assert keys[None] == keys["engine,fuse,compile"]
+    four = [keys[t] for t in ("engine,fuse,compile", "engine,fuse",
+                              "engine,compile", "engine")]
     assert len(set(four)) == 4
 
 
