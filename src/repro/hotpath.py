@@ -4,8 +4,9 @@ The per-simulation critical path carries three independent
 optimizations, each provably cycle-exact but individually toggleable
 for attribution and for the regression gate's off/on diff:
 
-* ``engine``  -- the calendar/bucket scheduler queue in
-  :class:`repro.sim.Engine` (heapq fallback when off);
+* ``engine``  -- the calendar/bucket scheduler queue and its fused
+  drain loop in :class:`repro.sim.Engine` (off: the heapq queue,
+  resumed through the unfused ``Process`` methods);
 * ``fuse``    -- bytecode superinstruction fusion in
   :mod:`repro.compiler.optimize`;
 * ``compile`` -- per-function generated-code translation in

@@ -3,7 +3,7 @@
 from .address import (PRIVATE_BASE, PRIVATE_STRIDE, SHARED_BASE,
                       Placement, SharedAllocator, is_shared_addr,
                       private_base)
-from .cache import Cache, CacheLine, MESIState
+from .cache import Cache, CacheLine, L1Tags, MESIState
 from .directory import DirEntry, Directory, DirState
 from .memsys import (AccessResult, CoherentMemorySystem, NodeMemory,
                      PerfectMemory)
@@ -11,7 +11,7 @@ from .memsys import (AccessResult, CoherentMemorySystem, NodeMemory,
 __all__ = [
     "PRIVATE_BASE", "PRIVATE_STRIDE", "SHARED_BASE",
     "Placement", "SharedAllocator", "is_shared_addr", "private_base",
-    "Cache", "CacheLine", "MESIState",
+    "Cache", "CacheLine", "L1Tags", "MESIState",
     "DirEntry", "Directory", "DirState",
     "AccessResult", "CoherentMemorySystem", "NodeMemory", "PerfectMemory",
 ]

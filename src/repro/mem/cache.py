@@ -1,18 +1,20 @@
 """Set-associative caches with LRU replacement.
 
-One :class:`Cache` class serves both levels: per-CPU L1s (which only
-need presence/valid bits -- timing filters) and the per-CMP shared L2
-(whose lines carry coherence state plus the slipstream classification
-metadata used for the paper's Figures 3 and 5).
+Two tag stores over one geometry (:class:`_SetAssoc`): the per-CMP
+shared L2 is a :class:`Cache`, whose lines carry coherence state plus
+the slipstream classification metadata used for the paper's Figures 3
+and 5; the per-CPU L1s are timing filters that only ever need a
+presence bit, so they are :class:`L1Tags` -- the same sets, LRU order
+and statistics with no line objects behind the tags.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from ..config.machine import CacheConfig
 
-__all__ = ["CacheLine", "Cache", "MESIState"]
+__all__ = ["CacheLine", "Cache", "L1Tags", "MESIState"]
 
 
 class MESIState:
@@ -55,8 +57,109 @@ class CacheLine:
                 f"{MESIState.NAMES[self.state]}{'*' if self.dirty else ''})")
 
 
-class Cache:
-    """Tag store: set-associative, true-LRU, write-allocate.
+class _SetAssoc:
+    """Geometry, LRU representation and statistics shared by both tag
+    stores.
+
+    Each set is a dict keyed by line address.  Python dicts preserve
+    insertion order, so the dict doubles as the LRU chain (first key =
+    LRU victim, delete+reinsert = touch) while making the tag match
+    O(1) instead of an O(ways) scan on every L1/L2 access -- the
+    hottest lookup in the simulator.
+    """
+
+    def __init__(self, cfg: CacheConfig, name: str = ""):
+        self.cfg = cfg
+        self.name = name
+        self._sets: List[dict] = [{} for _ in range(cfg.num_sets)]
+        self._set_mask = cfg.num_sets - 1
+        self._line_shift = cfg.line_bytes.bit_length() - 1
+        # statistics
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        self.invalidations = 0
+
+    def line_addr(self, addr: int) -> int:
+        """Align an address down to its line base."""
+        return addr >> self._line_shift << self._line_shift
+
+    def _set_index(self, line_addr: int) -> int:
+        return (line_addr >> self._line_shift) & self._set_mask
+
+    def resident_count(self) -> int:
+        """Number of valid resident lines."""
+        return sum(len(s) for s in self._sets)
+
+    def clear(self) -> None:
+        """Drop every line (no callbacks)."""
+        for s in self._sets:
+            s.clear()
+
+    @property
+    def accesses(self) -> int:
+        """Total lookups (hits + misses)."""
+        return self.hits + self.misses
+
+    def hit_rate(self) -> float:
+        """Fraction of lookups that hit."""
+        return self.hits / self.accesses if self.accesses else 0.0
+
+
+class L1Tags(_SetAssoc):
+    """Tag-only L1: which lines are present, in LRU order, and nothing
+    else.  A resident tag is always valid (invalidation removes it), so
+    there is no line object and no state to test.  ``CoherentMemorySystem.
+    fast_paths`` open-codes :meth:`lookup` and :meth:`insert` on
+    ``_sets`` for the synchronous hit path; this class is their
+    reference and serves every other caller.
+    """
+
+    def lookup(self, addr: int) -> bool:
+        """Is the line containing ``addr`` resident?  Updates LRU order
+        and the hit/miss counters."""
+        shift = self._line_shift
+        la = addr >> shift << shift
+        s = self._sets[(la >> shift) & self._set_mask]
+        if la in s:
+            del s[la]                    # delete + reinsert = MRU
+            s[la] = None
+            self.hits += 1
+            return True
+        self.misses += 1
+        return False
+
+    def insert(self, addr: int) -> None:
+        """Fill the line containing ``addr`` (evicting the LRU victim
+        if the set is full); a resident line keeps its LRU position."""
+        la = self.line_addr(addr)
+        s = self._sets[self._set_index(la)]
+        if la in s:
+            return
+        if len(s) >= self.cfg.assoc:
+            del s[next(iter(s))]         # first key = LRU
+            self.evictions += 1
+        s[la] = None
+
+    def invalidate(self, addr: int) -> bool:
+        """Remove the line containing ``addr``; True if it was present."""
+        la = self.line_addr(addr)
+        s = self._sets[self._set_index(la)]
+        if la in s:
+            del s[la]
+            self.invalidations += 1
+            return True
+        return False
+
+    def lines(self) -> Iterator[int]:
+        """Resident line addresses, each set oldest (LRU victim) first."""
+        for s in self._sets:
+            yield from s
+
+
+class Cache(_SetAssoc):
+    """Tag store with line objects: set-associative, true-LRU,
+    write-allocate.
 
     Values are not stored -- the simulator tracks timing and coherence
     only; program values live in the interpreter's arrays (see
@@ -67,36 +170,12 @@ class Cache:
 
     def __init__(self, cfg: CacheConfig, name: str = "",
                  on_evict: Optional[Callable[[CacheLine], None]] = None):
-        self.cfg = cfg
-        self.name = name
+        super().__init__(cfg, name)
         self.on_evict = on_evict
-        # Per-set tag index: line_addr -> CacheLine.  Python dicts
-        # preserve insertion order, so the dict doubles as the LRU
-        # chain (first key = LRU victim, delete+reinsert = touch) while
-        # making the tag match O(1) instead of an O(ways) scan on every
-        # L1/L2 access -- the hottest lookup in the simulator.
-        self._sets: List[Dict[int, CacheLine]] = [
-            {} for _ in range(cfg.num_sets)]
-        self._set_mask = cfg.num_sets - 1
-        self._line_shift = cfg.line_bytes.bit_length() - 1
-        # statistics
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
-    # -- address helpers -----------------------------------------------------
-
-    def line_addr(self, addr: int) -> int:
-        """Align an address down to its line base."""
-        return addr >> self._line_shift << self._line_shift
-
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr >> self._line_shift) & self._set_mask
 
     # -- operations ----------------------------------------------------------
 
-    def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
+    def lookup(self, addr: int) -> Optional[CacheLine]:
         """Return the resident line containing ``addr`` (or None),
         updating LRU order and hit/miss counters."""
         shift = self._line_shift
@@ -104,11 +183,10 @@ class Cache:
         s = self._sets[(la >> shift) & self._set_mask]
         line = s.get(la)
         if line is not None and line.state != MESIState.INVALID:
-            if touch:
-                # Delete + reinsert moves the key to the MRU (last)
-                # position of the set's insertion-ordered dict.
-                del s[la]
-                s[la] = line
+            # Delete + reinsert moves the key to the MRU (last)
+            # position of the set's insertion-ordered dict.
+            del s[la]
+            s[la] = line
             self.hits += 1
             return line
         self.misses += 1
@@ -165,21 +243,3 @@ class Cache:
         """Iterate over all resident lines."""
         for s in self._sets:
             yield from s.values()
-
-    def resident_count(self) -> int:
-        """Number of valid resident lines."""
-        return sum(len(s) for s in self._sets)
-
-    def clear(self) -> None:
-        """Drop every line (no callbacks)."""
-        for s in self._sets:
-            s.clear()
-
-    @property
-    def accesses(self) -> int:
-        """Total lookups (hits + misses)."""
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups that hit."""
-        return self.hits / self.accesses if self.accesses else 0.0

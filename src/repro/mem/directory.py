@@ -76,6 +76,12 @@ class Directory:
             self.probe.count("dir.locks")
         return m
 
+    def is_locked(self, line_addr: int) -> bool:
+        """Is a coherence transaction holding this line's mutex (its
+        directory state is mid-flight)?"""
+        m = self._locks.get(line_addr)
+        return m is not None and m.count == 0
+
     # -- state transitions (zero simulated time; timing is charged by the
     # -- protocol engine around these calls) ----------------------------------
 

@@ -27,9 +27,9 @@ from ..config.machine import MachineConfig
 from ..obs import Counter, line_outcome, make_sink
 from ..obs.probe import NULL_PROBE, Probe
 from ..sim import Engine
-from ..sim.resources import Server
+from ..sim.resources import Server, serve_legs
 from .address import Placement, SharedAllocator, is_shared_addr
-from .cache import Cache, CacheLine, MESIState
+from .cache import Cache, CacheLine, L1Tags, MESIState
 from .directory import Directory, DirState
 
 __all__ = ["AccessResult", "NodeMemory", "CoherentMemorySystem",
@@ -69,8 +69,8 @@ class NodeMemory:
                  on_l2_evict, probe: Probe = NULL_PROBE,
                  stats: Optional[Counter] = None):
         self.node_id = node_id
-        self.l1s: List[Cache] = [
-            Cache(cfg.l1, name=f"n{node_id}.l1[{c}]")
+        self.l1s: List[L1Tags] = [
+            L1Tags(cfg.l1, name=f"n{node_id}.l1[{c}]")
             for c in range(cfg.cpus_per_cmp)]
         self.l2 = Cache(cfg.l2, name=f"n{node_id}.l2", on_evict=on_l2_evict)
         self.bus = Server(engine, f"n{node_id}.bus")
@@ -82,9 +82,21 @@ class NodeMemory:
         self.outstanding_prefetches = 0
         self.epoch = 0
         self.probe = probe
-        # The sink's counter bag for this track: reads through
-        # ``nm.stats`` see everything ``nm.probe.count`` recorded.
+        # The per-access counts are plain ints here and reach the sink
+        # through ``fold_counts``; every other count goes straight to
+        # ``probe.count``.  ``stats`` is the sink's counter bag for
+        # this track, so it shows the former only once they are folded.
+        self.counts = dict.fromkeys(
+            ("loads", "stores", "l2_hits", "mshr_merges",
+             "local", "remote", "remote3"), 0)
         self.stats = stats if stats is not None else Counter()
+
+    def fold_counts(self) -> None:
+        """Move the per-access counts into the sink's counters."""
+        for key, n in self.counts.items():
+            if n:
+                self.probe.count(key, n)
+                self.counts[key] = 0
 
 
 class CoherentMemorySystem:
@@ -161,11 +173,10 @@ class CoherentMemorySystem:
         return handler
 
     def _writeback(self, node: int, home: int):
-        yield from self.nodes[node].bus.serve(self.c_bus)
-        if home != node:
-            yield from self.nodes[node].ni_out.serve(self.c_nir)
-            yield self.c_net
-        yield from self.nodes[home].mem.serve(self.c_mem)
+        return serve_legs(
+            ((self.nodes[node].bus, self.c_bus),)
+            + (self._depart(node) if home != node else ())
+            + ((self.nodes[home].mem, self.c_mem),))
 
     def _finalize_line(self, line: CacheLine) -> None:
         if line.fetcher is not None:
@@ -198,79 +209,176 @@ class CoherentMemorySystem:
 
     def l1_probe(self, node: int, cpu: int, addr: int) -> bool:
         """Synchronous L1 load probe (caller charges the 1-cycle hit)."""
-        return self.nodes[node].l1s[cpu].lookup(addr) is not None
+        return self.nodes[node].l1s[cpu].lookup(addr)
 
-    def hit_probes(self, node: int, cpu: int, stream: str):
-        """The synchronous hit path of one CPU's stream, bound once (at
-        shell construction): returns ``(load_hit, store_hit)``.
+    def fast_paths(self, shell, gbase, arrays, miss):
+        """The synchronous hit path of one stream, built once per shell:
+        returns ``(fast_read, fast_write)``, the VM's two memory hooks.
 
-        Each takes an address and returns the hit latency in cycles, or
-        None when the access misses the CMP (the caller then takes the
-        timed ``load``/``store`` transaction).  Hits have no externally
-        visible contention, so they bypass the event engine entirely;
-        the L1 tag match is inlined (same statistics and LRU touch as
-        ``Cache.lookup``) so the common hit costs the caller one call.
+        ``fast_read(gidx, flat)`` returns the loaded value, or ``miss``
+        when the access leaves the CMP (the caller then takes the timed
+        ``l1_probe``/``load``); ``fast_write(gidx, flat, value)`` returns
+        True when the store is complete, False when the caller must take
+        the timed ``store`` (R-stream) or issue ``prefetch_exclusive``
+        (A-stream).  Hits have no externally visible contention, so they
+        bypass the event engine, and each costs the VM exactly one
+        Python call: the tag matches, LRU touches, reference records and
+        statistics of ``L1Tags.lookup``/``insert``, ``Cache.lookup``,
+        ``_touch`` and ``_store_update_l1s`` are open-coded here, with
+        the shell's accounting and the value access.  ``shell`` is the
+        stream's ``ThreadShell``: its ``_debt`` and ``fast_mem_cycles``
+        are charged, its ``_prof`` tagged, and an A-stream's session
+        state read.  An access that returns ``miss``/False has changed
+        nothing -- in particular its L1 miss is counted by the timed
+        path's own probe, not here.
         """
-        nm = self.nodes[node]
-        l1, l2 = nm.l1s[cpu], nm.l2
-        l1_sets, l1_mask, shift = l1._sets, l1._set_mask, l1._line_shift
-        c_l1, c_l2 = self.c_l1, self.c_l2
-        count = nm.probe.count
+        stream = shell.role
+        a_stream = stream == "A"
+        nm = self.nodes[shell.node]
+        l1, l2 = nm.l1s[shell.cpu], nm.l2
+        siblings = [c for c in nm.l1s if c is not l1]
+        l1_sets, l1_mask, l1_assoc = l1._sets, l1._set_mask, l1.cfg.assoc
+        l2_sets, l2_mask = l2._sets, l2._set_mask
+        shift = self._line_shift
+        mshrs = nm.mshrs
+        counts = nm.counts
+        engine = self.engine
+        max_prefetches = self.MAX_PREFETCHES
+        INVALID, EXCLUSIVE = MESIState.INVALID, MESIState.EXCLUSIVE
+        prof = shell._prof
+        debt_limit = shell.DEBT_LIMIT
+        # A hit is one busy cycle; latency beyond it is memory stall,
+        # tagged with the level that (by its latency) served it.
+        c_l2 = self.c_l2
+        l1_stall = self.c_l1 - 1.0 if self.c_l1 > 1.0 else 0.0
+        l2_stall = c_l2 - 1.0 if c_l2 > 1.0 else 0.0
+        l1_tag = "l2" if l1_stall else "l1"
+        l2_tag = "l2" if l2_stall else "l1"
+        store_stall = c_l2 - 1.0
 
-        def load_hit(addr: int):
-            la = addr >> shift << shift
+        def fast_read(gidx: int, flat: int):
+            if a_stream:
+                job = shell.current_job
+                if (job.slip_setting if shell.in_region and job is not None
+                        else shell.control.effective)[0] == "NONE":
+                    # Dormant: executes, touches no shared memory.
+                    shell._debt += 1.0
+                    if prof is not None:
+                        prof.fast(1.0, 0.0, "l1")
+                    return arrays[gidx].item(flat)
+            if shell._debt > debt_limit:
+                return miss
+            la = (gbase[gidx] + flat * 8) >> shift << shift
             s = l1_sets[(la >> shift) & l1_mask]
-            line = s.get(la)
-            if line is not None and line.state != MESIState.INVALID:
+            if la in s:
                 del s[la]                    # delete + reinsert = MRU
-                s[la] = line
+                s[la] = None
                 l1.hits += 1
-                return c_l1
+                shell._debt += 1.0
+                if l1_stall:
+                    shell.fast_mem_cycles += l1_stall
+                    shell._debt += l1_stall
+                if prof is not None:
+                    prof.fast(1.0, l1_stall, l1_tag)
+                return arrays[gidx].item(flat)
+            s2 = l2_sets[(la >> shift) & l2_mask]
+            line = s2.get(la)
+            if line is None or line.state == INVALID:
+                return miss
             l1.misses += 1
-            if l2.peek(la) is None:
-                return None
-            line = l2.lookup(la)             # hit statistics + LRU touch
-            self._touch(node, line, stream)
-            l1.insert(la, MESIState.SHARED)
-            count("l2_hits")
-            count("loads")
-            return c_l2
-
-        def store_hit(addr: int):
-            # Only an EXCLUSIVE L2 hit completes without coherence
-            # actions.
-            line = l2.peek(addr)
-            if line is None or line.state != MESIState.EXCLUSIVE:
-                return None
-            l2.lookup(addr)
-            self._touch(node, line, stream)
-            line.dirty = True
-            self._store_update_l1s(nm, cpu, line.line_addr)
-            count("l2_hits")
-            count("stores")
-            return c_l2
-
-        return load_hit, store_hit
-
-    def prefetch_would_fire(self, node: int, addr: int) -> bool:
-        """Cheap precheck mirroring prefetch_exclusive's drop rules (with
-        the same classification side effect on an already-owned line)."""
-        nm = self.nodes[node]
-        la = self.line_addr(addr)
-        line = nm.l2.peek(la)
-        if line is not None and line.state == MESIState.EXCLUSIVE:
-            if line.fetcher is not None and line.fetcher != "A":
+            del s2[la]
+            s2[la] = line
+            l2.hits += 1
+            line.last_ref_time = engine.now
+            line.epoch = nm.epoch
+            if line.fetcher is not None and line.fetcher != stream:
                 line.sibling_hit = True
-            return False
-        if la in nm.mshrs:
-            return False
-        return nm.outstanding_prefetches < self.MAX_PREFETCHES
+            if len(s) >= l1_assoc:
+                del s[next(iter(s))]         # first key = LRU
+                l1.evictions += 1
+            s[la] = None
+            counts["l2_hits"] += 1
+            counts["loads"] += 1
+            shell._debt += 1.0
+            if l2_stall:
+                shell.fast_mem_cycles += l2_stall
+                shell._debt += l2_stall
+            if prof is not None:
+                prof.fast(1.0, l2_stall, l2_tag)
+            return arrays[gidx].item(flat)
+
+        if a_stream:
+            def fast_write(gidx: int, flat: int, value) -> bool:
+                # An A-stream's shared store is skipped outright when it is
+                # dormant, when it is not in the same barrier-delimited
+                # session as its R-stream (store->prefetch conversion
+                # applies only there), or when the prefetch would be dropped
+                # anyway -- prefetch_exclusive's drop rules, with the same
+                # classification side effect on an already-owned line.
+                job = shell.current_job
+                ch = shell.channel
+                if ((job.slip_setting if shell.in_region and job is not None
+                     else shell.control.effective)[0] != "NONE"
+                        and ch is not None
+                        and len(ch.a_sites) == len(ch.r_sites)):
+                    la = (gbase[gidx] + flat * 8) >> shift << shift
+                    line = l2_sets[(la >> shift) & l2_mask].get(la)
+                    if line is not None and line.state == EXCLUSIVE:
+                        if line.fetcher is not None and line.fetcher != "A":
+                            line.sibling_hit = True
+                    elif (la not in mshrs
+                            and nm.outstanding_prefetches < max_prefetches):
+                        return False         # slow path issues the prefetch
+                shell._debt += 1.0
+                if prof is not None:
+                    prof.fast(1.0, 0.0, "l1")
+                return True
+        else:
+            def fast_write(gidx: int, flat: int, value) -> bool:
+                # Only an EXCLUSIVE L2 hit completes without coherence
+                # actions.
+                la = (gbase[gidx] + flat * 8) >> shift << shift
+                s2 = l2_sets[(la >> shift) & l2_mask]
+                line = s2.get(la)
+                if line is None or line.state != EXCLUSIVE:
+                    return False
+                del s2[la]
+                s2[la] = line
+                l2.hits += 1
+                line.last_ref_time = engine.now
+                line.epoch = nm.epoch
+                if line.fetcher is not None and line.fetcher != stream:
+                    line.sibling_hit = True
+                line.dirty = True
+                # Write-through: keep the writer's L1 copy, drop siblings'.
+                idx = (la >> shift) & l1_mask
+                for sib in siblings:
+                    ss = sib._sets[idx]
+                    if la in ss:
+                        del ss[la]
+                        sib.invalidations += 1
+                s = l1_sets[idx]
+                if la not in s:
+                    if len(s) >= l1_assoc:
+                        del s[next(iter(s))]
+                        l1.evictions += 1
+                    s[la] = None
+                counts["l2_hits"] += 1
+                counts["stores"] += 1
+                shell._debt += c_l2
+                shell.fast_mem_cycles += store_stall
+                if prof is not None:
+                    prof.fast(1.0, store_stall, l2_tag)
+                arrays[gidx][flat] = value
+                return True
+
+        return fast_read, fast_write
 
     def load(self, node: int, cpu: int, addr: int, stream: str = "R"):
         """Generator: an L1-missing shared load.  Returns AccessResult."""
         assert is_shared_addr(addr), hex(addr)
         nm = self.nodes[node]
-        nm.probe.count("loads")
+        nm.counts["loads"] += 1
         la = self.line_addr(addr)
         start = self.engine.now
         while True:
@@ -278,15 +386,15 @@ class CoherentMemorySystem:
             if line is not None:
                 yield self.c_l2
                 self._touch(node, line, stream)
-                nm.l1s[cpu].insert(la, MESIState.SHARED)
-                nm.probe.count("l2_hits")
+                nm.l1s[cpu].insert(la)
+                nm.counts["l2_hits"] += 1
                 return AccessResult("l2", self.engine.now - start)
             mshr = nm.mshrs.get(la)
             if mshr is not None:
                 # Merge onto the outstanding miss.
                 if stream != mshr.fetcher:
                     mshr.late = True
-                nm.probe.count("mshr_merges")
+                nm.counts["mshr_merges"] += 1
                 yield mshr.event
                 continue  # re-probe: the fill is now resident (usually)
             # Primary miss: run the GETS transaction.
@@ -294,15 +402,15 @@ class CoherentMemorySystem:
             line = nm.l2.peek(la)
             if line is not None:
                 self._touch(node, line, stream)
-            nm.l1s[cpu].insert(la, MESIState.SHARED)
-            nm.probe.count(level)
+            nm.l1s[cpu].insert(la)
+            nm.counts[level] += 1
             return AccessResult(level, self.engine.now - start)
 
     def store(self, node: int, cpu: int, addr: int, stream: str = "R"):
         """Generator: a shared store (write-through L1, allocate in L2)."""
         assert is_shared_addr(addr), hex(addr)
         nm = self.nodes[node]
-        nm.probe.count("stores")
+        nm.counts["stores"] += 1
         la = self.line_addr(addr)
         start = self.engine.now
         while True:
@@ -312,13 +420,13 @@ class CoherentMemorySystem:
                 self._touch(node, line, stream)
                 line.dirty = True
                 self._store_update_l1s(nm, cpu, la)
-                nm.probe.count("l2_hits")
+                nm.counts["l2_hits"] += 1
                 return AccessResult("l2", self.engine.now - start)
             mshr = nm.mshrs.get(la)
             if mshr is not None:
                 if stream != mshr.fetcher:
                     mshr.late = True
-                nm.probe.count("mshr_merges")
+                nm.counts["mshr_merges"] += 1
                 yield mshr.event
                 continue
             upgrade = line is not None  # resident SHARED: permission only
@@ -326,7 +434,7 @@ class CoherentMemorySystem:
                 self._touch(node, line, stream)
             level = yield from self._getx(node, la, stream, upgrade=upgrade)
             self._store_update_l1s(nm, cpu, la)
-            nm.probe.count(level)
+            nm.counts[level] += 1
             return AccessResult(level, self.engine.now - start)
 
     def _store_update_l1s(self, nm: NodeMemory, cpu: int, la: int) -> None:
@@ -334,7 +442,7 @@ class CoherentMemorySystem:
         for i, l1 in enumerate(nm.l1s):
             if i != cpu:
                 l1.invalidate(la)
-        nm.l1s[cpu].insert(la, MESIState.SHARED)
+        nm.l1s[cpu].insert(la)
 
     def prefetch_exclusive(self, node: int, addr: int, stream: str = "A") -> bool:
         """Non-binding prefetch-for-ownership: the A-stream's converted
@@ -369,20 +477,34 @@ class CoherentMemorySystem:
 
     # ------------------------------------------------------- transactions
 
+    # A message's trip is one ``serve_legs`` generator over the servers
+    # and wires it crosses; the helpers below build the leg tuples.
+
+    def _depart(self, node: int):
+        """Legs out of ``node``: NI egress, then the network."""
+        return ((self.nodes[node].ni_out, self.c_nir), (None, self.c_net))
+
+    def _arrive(self, node: int, wire: bool, ingress: bool):
+        """Legs into ``node``: the network, NI ingress, then its bus."""
+        nm = self.nodes[node]
+        legs = ((nm.bus, self.c_bus),)
+        if ingress:
+            legs = ((nm.ni_in, self.c_nir),) + legs
+        if wire:
+            legs = ((None, self.c_net),) + legs
+        return legs
+
     def _request_trip_out(self, node: int, home: int):
         """Requester -> home: bus, NI egress, network, home controller."""
-        yield from self.nodes[node].bus.serve(self.c_bus)
-        if home != node:
-            yield from self.nodes[node].ni_out.serve(self.c_nir)
-            yield self.c_net
-        yield from self.nodes[home].dirctrl.serve(self.c_nil)
+        return serve_legs(
+            ((self.nodes[node].bus, self.c_bus),)
+            + (self._depart(node) if home != node else ())
+            + ((self.nodes[home].dirctrl, self.c_nil),))
 
     def _reply_trip_back(self, node: int, home: int):
         """Home -> requester: network, NI ingress, requester bus fill."""
-        if home != node:
-            yield self.c_net
-            yield from self.nodes[node].ni_in.serve(self.c_nir)
-        yield from self.nodes[node].bus.serve(self.c_bus)
+        remote = home != node
+        return serve_legs(self._arrive(node, remote, remote))
 
     def _gets(self, node: int, la: int, stream: str):
         """Read miss transaction.  Returns the latency class name."""
@@ -402,26 +524,20 @@ class CoherentMemorySystem:
                     level = "remote3"
                     owner = entry.owner
                     # Intervention: home forwards to the owner...
-                    if owner != home:
-                        yield self.c_net
-                        yield from self.nodes[owner].ni_in.serve(self.c_nir)
-                    yield from self.nodes[owner].bus.serve(self.c_bus)
-                    oline = self.nodes[owner].l2.peek(la)
-                    if oline is not None:
-                        oline.state = MESIState.SHARED
-                        oline.dirty = False
+                    forwarded = owner != home
+                    yield from serve_legs(
+                        self._arrive(owner, forwarded, forwarded))
+                    self.nodes[owner].l2.downgrade(la)
                     # ...owner replies with data straight to the requester
                     # and writes back to home memory in the background.
                     if owner != node:
-                        yield from self.nodes[owner].ni_out.serve(self.c_nir)
-                        yield self.c_net
+                        yield from serve_legs(self._depart(owner))
                     self.engine.process(
                         self.nodes[home].mem.serve(self.c_mem),
                         name="3hop-wb")
                     self.directory.demote_to_shared(la, extra_sharer=node)
-                    if node != home:
-                        yield from self.nodes[node].ni_in.serve(self.c_nir)
-                    yield from self.nodes[node].bus.serve(self.c_bus)
+                    yield from serve_legs(
+                        self._arrive(node, False, node != home))
                 else:
                     yield from self.nodes[home].mem.serve(self.c_mem)
                     self.directory.add_sharer(la, node)
@@ -459,17 +575,13 @@ class CoherentMemorySystem:
                 if entry.state == DirState.EXCLUSIVE and entry.owner != node:
                     level = "remote3"
                     owner = entry.owner
-                    if owner != home:
-                        yield self.c_net
-                        yield from self.nodes[owner].ni_in.serve(self.c_nir)
-                    yield from self.nodes[owner].bus.serve(self.c_bus)
+                    forwarded = owner != home
+                    yield from serve_legs(
+                        self._arrive(owner, forwarded, forwarded))
                     self._invalidate_node_line(owner, la)
-                    if owner != node:
-                        yield from self.nodes[owner].ni_out.serve(self.c_nir)
-                        yield self.c_net
-                    if node != home:
-                        yield from self.nodes[node].ni_in.serve(self.c_nir)
-                    yield from self.nodes[node].bus.serve(self.c_bus)
+                    yield from serve_legs(
+                        (self._depart(owner) if owner != node else ())
+                        + self._arrive(node, False, node != home))
                 else:
                     # Invalidate all other sharers (concurrently) while
                     # memory is accessed (skipped on an upgrade:
@@ -505,12 +617,11 @@ class CoherentMemorySystem:
 
         def body():
             if sharer != home:
-                yield self.c_net
-                yield from self.nodes[sharer].ni_in.serve(self.c_nir)
+                yield from serve_legs(((None, self.c_net),
+                                       (self.nodes[sharer].ni_in, self.c_nir)))
             self._invalidate_node_line(sharer, la)
             if sharer != home:
-                yield from self.nodes[sharer].ni_out.serve(self.c_nir)
-                yield self.c_net
+                yield from serve_legs(self._depart(sharer))
             self.nodes[sharer].probe.instant(
                 "coh.inv", self.engine.now, {"addr": la})
             ack.fire()
@@ -544,8 +655,7 @@ class CoherentMemorySystem:
                 continue
             # Leave lines alone while a coherence transaction holds them
             # (their directory state is mid-flight).
-            lock = self.directory._locks.get(ln.line_addr)
-            if lock is not None and lock.count == 0:
+            if self.directory.is_locked(ln.line_addr):
                 continue
             if ln.line_addr in nm.mshrs:
                 continue
@@ -571,6 +681,7 @@ class CoherentMemorySystem:
         counter track (called once at collection time; the caches keep
         plain ints on their hot paths)."""
         for nm in self.nodes:
+            nm.fold_counts()
             count = nm.probe.count
             count("cache.l2.hits", nm.l2.hits)
             count("cache.l2.misses", nm.l2.misses)
@@ -585,6 +696,7 @@ class CoherentMemorySystem:
         """Aggregate per-node counters machine-wide."""
         agg = Counter()
         for nm in self.nodes:
+            nm.fold_counts()
             agg.merge(nm.stats)
         return agg
 
@@ -595,8 +707,8 @@ class PerfectMemory:
 
     Covers the timed entry points only (``l1_probe``, ``load``,
     ``store``, ``prefetch_exclusive`` and the epoch/teardown hooks); it
-    has no synchronous hit path (``hit_probes``,
-    ``prefetch_would_fire``), so a ``ThreadShell`` cannot run on it --
+    has no synchronous hit path (``fast_paths``), so a ``ThreadShell``
+    cannot run on it --
     functional runs use ``repro.interp.FunctionalRunner`` instead."""
 
     def __init__(self, engine: Engine, cfg: MachineConfig, sink=None):

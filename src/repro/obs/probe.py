@@ -127,14 +127,6 @@ class Probe:
         if self.prof is not None:
             self.prof.mem_level(level)
 
-    def mem_fast(self, busy: float, stall: float, level: str) -> None:
-        """Record a synchronous fast-path memory access at the current
-        source position (``busy`` access charge; ``stall`` cycles of
-        ``level``-hit latency that the shell will later reattribute
-        busy -> memory)."""
-        if self.prof is not None:
-            self.prof.fast(busy, stall, level)
-
     @property
     def depth(self) -> int:
         """Span-stack depth (0 when span collection is off)."""

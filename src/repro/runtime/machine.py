@@ -263,6 +263,7 @@ class Machine:
         """Master R-stream finished: stop the run."""
         self._done = True
         self._result = result
+        self.engine.stop()
 
     def log_recovery(self, shell: ThreadShell, reason: str,
                      site: Optional[int] = None) -> None:
@@ -297,19 +298,19 @@ class Machine:
             body = (shell.run_master() if shell.is_master
                     else shell.run_slave())
             shell.proc = self.engine.process(body, name=shell.name)
-        steps = 0
-        while not self._done:
-            if not self.engine.step():
+        # One entry into the engine's drain loop: it returns when the
+        # master R-stream stops it (master_done) or a budget runs out.
+        self.engine.run(until=max_cycles, max_steps=max_steps)
+        if not self._done:
+            pending = self.engine.next_time()
+            if pending is None:
                 raise self._hang_error("deadlock", "no runnable process")
-            steps += 1
-            if self.engine.now > max_cycles:
+            if pending > max_cycles:
                 raise self._hang_error(
                     "watchdog",
                     f"cycle budget max_cycles={max_cycles:g} exhausted")
-            if steps > max_steps:
-                raise self._hang_error(
-                    "watchdog",
-                    f"step budget max_steps={max_steps} exhausted")
+            raise self._hang_error(
+                "watchdog", f"step budget max_steps={max_steps} exhausted")
         end = self.engine.now
         for shell in self.shells:
             if shell.proc.alive:
@@ -345,6 +346,7 @@ class Machine:
 
     def _collect(self, end: float) -> RunResult:
         self.memsys.publish_cache_stats()
+        self.engine.publish_stats()
         self.team.publish_stats(self.obs.probe("team"))
         breakdowns = {}
         r_breakdown: Dict[str, float] = {}

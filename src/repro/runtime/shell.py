@@ -78,12 +78,7 @@ class ThreadShell:
         # from "busy" to "memory" when the run's breakdown is collected.
         self._debt = 0.0
         self.fast_mem_cycles = 0.0
-        # The hit path, bound once: this CPU's cache probes, the image's
-        # global base addresses and the shared value arrays.
-        self._load_hit, self._store_hit = machine.memsys.hit_probes(
-            node, cpu, role)
-        self._gbase = machine.gbase
-        self._arrays = machine.store.arrays
+        self._build_fast_paths()
 
     # ------------------------------------------------------------ accounting
 
@@ -180,69 +175,13 @@ class ThreadShell:
     #: stores with bounded timing skew.
     DEBT_LIMIT = 400.0
 
-    def _fast_read(self, gidx: int, flat: int):
-        """VM callback: synchronous load path for cache hits.  Runs
-        once per shared load, so the ``dormant`` test, the address and
-        the value read are inlined: a hit costs one call (the probe)."""
-        if self.role == "A":
-            job = self.current_job
-            if (job.slip_setting if self.in_region and job is not None
-                    else self.control.effective)[0] == "NONE":
-                self._debt += 1.0
-                if self._prof is not None:
-                    self._prof.fast(1.0, 0.0, "l1")
-                return self._arrays[gidx][flat].item()
-        if self._debt > self.DEBT_LIMIT:
-            return MISS
-        lat = self._load_hit(self._gbase[gidx] + flat * 8)
-        if lat is None:
-            return MISS
-        self._debt += 1.0
-        if lat > 1.0:
-            self.fast_mem_cycles += lat - 1.0
-            self._debt += lat - 1.0
-            if self._prof is not None:
-                self._prof.fast(1.0, lat - 1.0, "l2")
-        elif self._prof is not None:
-            self._prof.fast(1.0, 0.0, "l1")
-        return self._arrays[gidx][flat].item()
-
-    def _fast_write(self, gidx: int, flat: int, value) -> bool:
-        """VM callback: synchronous store path.  Returns True when fully
-        handled (A-stream skip without prefetch, or an exclusive hit)."""
-        if self.role == "A":
-            # Skip outright when dormant (``dormant``, inlined), when
-            # not in the same barrier-delimited session as the R-stream
-            # (store->prefetch conversion applies only there), or when
-            # the prefetch would be dropped anyway.
-            job = self.current_job
-            ch = self.channel
-            if ((job.slip_setting if self.in_region and job is not None
-                 else self.control.effective)[0] == "NONE"
-                    or ch is None or len(ch.a_sites) != len(ch.r_sites)
-                    or not self.machine.memsys.prefetch_would_fire(
-                        self.node, self._gbase[gidx] + flat * 8)):
-                self._debt += 1.0
-                if self._prof is not None:
-                    self._prof.fast(1.0, 0.0, "l1")
-                return True
-            return False               # slow path issues the prefetch
-        lat = self._store_hit(self._gbase[gidx] + flat * 8)
-        if lat is None:
-            return False
-        self._debt += lat
-        self.fast_mem_cycles += lat - 1.0
-        if self._prof is not None:
-            self._prof.fast(1.0, lat - 1.0,
-                            "l1" if lat <= 1.0 else "l2")
-        self._arrays[gidx][flat] = value
-        return True
-
-    def _flush_debt(self):
-        d = self._debt
-        if d:
-            self._debt = 0.0
-            yield d
+    def _build_fast_paths(self) -> None:
+        """Bind the VM's synchronous memory hooks for this stream: two
+        closures over this CPU's tag stores, the image's global base
+        addresses, the shared value arrays and this shell's accounting
+        (``_debt``, ``fast_mem_cycles``, ``_prof``)."""
+        self.fast_read, self.fast_write = self.machine.memsys.fast_paths(
+            self, self.machine.gbase, self.machine.store.arrays, MISS)
 
     def _mem_read(self, ev: MemRead):
         """Slow path: the access missed the CMP."""
@@ -268,8 +207,8 @@ class ThreadShell:
     def _vm_loop(self):
         """Run the current VM to completion, servicing its events."""
         vm = self.vm
-        vm.fast_read = self._fast_read
-        vm.fast_write = self._fast_write
+        vm.fast_read = self.fast_read
+        vm.fast_write = self.fast_write
         while True:
             try:
                 ev = vm.run()
@@ -284,8 +223,10 @@ class ThreadShell:
                     yield from self._park()
                     continue            # unreachable (park never returns)
                 raise
-            self._debt += vm.take_cycles()
-            yield from self._flush_debt()
+            debt = self._debt + vm.take_cycles()
+            if debt:
+                self._debt = 0.0
+                yield debt
             if self._faults is not None:
                 yield from self._inject_faults()
             k = type(ev)
@@ -295,7 +236,11 @@ class ThreadShell:
                 elif k is MemWrite:
                     yield from self._mem_write(ev)
                 elif k is RtCall:
-                    yield from self._rt(ev)
+                    handler = _RT_HANDLERS.get(ev.name)
+                    if handler is None:
+                        raise RuntimeError(
+                            f"unknown runtime call {ev.name!r}")
+                    yield from handler(self, ev)
                 elif k is IoOut:
                     yield from self._io_out(ev)
                 elif k is TimeSlice:
@@ -500,13 +445,10 @@ class ThreadShell:
             self._pop()
         self.machine.output.append(tuple(ev.values))
 
-    # ------------------------------------------------------- runtime dispatch
-
-    def _rt(self, ev: RtCall):
-        handler = getattr(self, "_rt_" + ev.name, None)
-        if handler is None:
-            raise RuntimeError(f"unknown runtime call {ev.name!r}")
-        yield from handler(ev)
+    # ------------------------------------------------------- runtime calls
+    #
+    # ``_rt_<name>`` services the runtime call ``<name>``; _vm_loop
+    # dispatches through _RT_HANDLERS (built below the class).
 
     # -- parallel region management -------------------------------------
 
@@ -966,6 +908,11 @@ class ThreadShell:
         (cond,) = ev.args
         self.control.directive(sync_type, tokens, bool(cond), region_scoped)
         yield 1.0
+
+
+#: Runtime-call name -> handler, for ``ThreadShell._vm_loop``.
+_RT_HANDLERS = {name[4:]: fn for name, fn in vars(ThreadShell).items()
+                if name.startswith("_rt_")}
 
 
 def _combine(op: str, a, b):

@@ -10,14 +10,16 @@ stack.
 Determinism: events scheduled for the same timestamp are processed in
 scheduling order, so repeated runs of the same configuration produce
 identical cycle counts.  Two queue disciplines implement that same
-total order (see ``Engine``): a calendar/bucket queue (the default)
-and a ``heapq`` of ``(time, seq, proc, value)`` tuples kept as the
-``REPRO_HOTPATH`` ablation reference.
+total order (see ``Engine``): a calendar/bucket queue (the default),
+drained by one fused loop, and a ``heapq`` of ``(time, seq, proc,
+value)`` tuples stepped through the unfused ``Process`` methods, kept
+as the ``REPRO_HOTPATH`` ablation and property-test reference.
 """
 
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..hotpath import hotpath_enabled
@@ -158,27 +160,34 @@ class Process:
             else:
                 cmd = self.gen.send(sendval)
         except StopIteration as stop:
-            self.alive = False
-            self.result = stop.value
-            self.done_event.fire(stop.value)
+            self._exit(stop.value)
             return
         except Interrupt:
             # Process chose not to handle its interrupt: it dies quietly.
-            self.alive = False
-            self.done_event.fire(None)
+            self._exit(None)
             return
         self._dispatch(cmd)
+
+    def _exit(self, result: Any) -> None:
+        self.alive = False
+        self.result = result
+        self.done_event.fire(result)
 
     def _dispatch(self, cmd: Any) -> None:
         if isinstance(cmd, SimEvent):
             self._waiting_on = cmd
             cmd._subscribe(self)
-        elif isinstance(cmd, (int, float)):
-            if cmd < 0:
-                raise SimulationError(f"negative delay {cmd!r} from {self.name}")
-            self.engine._schedule(self, float(cmd), None)
         elif cmd is None:
             self.engine._schedule(self, 0.0, None)
+        elif isinstance(cmd, (int, float)) and not isinstance(cmd, bool):
+            # One test refuses negative, infinite and NaN delays (every
+            # comparison with NaN is false): a NaN timestamp would
+            # silently poison the heap order of the queue.
+            if not 0 <= cmd < inf:
+                raise SimulationError(
+                    f"process {self.name!r} yielded illegal delay {cmd!r} "
+                    "(negative, infinite or NaN)")
+            self.engine._schedule(self, float(cmd), None)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported command {cmd!r}")
@@ -187,7 +196,7 @@ class Process:
 class _TimerFire:
     """Queue entry that fires an event when its time comes.
 
-    Duck-types the slice of :class:`Process` the drain loop touches
+    Duck-types the slice of :class:`Process` the drain loops touch
     (``alive``, ``name``, ``_step``), so ``Engine.timeout_event`` can
     place the fire directly in the queue instead of spawning a
     ``timer:`` shim process (and its generator) per timeout."""
@@ -215,10 +224,12 @@ class Engine:
       tuple comparison -- which is the common case on the simulator's
       zero-delay cascades; only the first entry per distinct timestamp
       pays a heap operation.  Non-integer times need no special case:
-      buckets are keyed by the exact float timestamp.
-    * **heapq fallback** (``REPRO_HOTPATH`` without ``engine``, or
+      buckets are keyed by the exact float timestamp.  One fused loop
+      (:meth:`_drain_buckets`) pops, resumes and reschedules.
+    * **heapq reference** (``REPRO_HOTPATH`` without ``engine``, or
       ``use_buckets=False``): the original ``(time, seq, proc, value)``
-      heap, kept as the ablation/property-test reference.
+      heap, resumed through ``Process._step`` / ``_dispatch`` /
+      ``_schedule``; the ablation and property-test reference.
 
     Both orders are "time, then scheduling order": a bucket's FIFO *is*
     seq order because ``_schedule`` appends monotonically.
@@ -228,7 +239,10 @@ class Engine:
                  use_buckets: Optional[bool] = None):
         self.now: float = 0.0
         self._seq = 0
+        # Work counts, folded into ``obs`` by publish_stats().
         self._nprocs = 0
+        self._nevents = 0
+        self._stopped = False
         self.obs = obs
         self.trace_hook: Optional[Callable[[float, Process], None]] = None
         if use_buckets is None:
@@ -245,14 +259,14 @@ class Engine:
             self._cur: Optional[list] = None
             self._cur_t: float = 0.0
             self._cur_i: int = 0
-            # Bind the hot entry points once; SimEvent.fire and
-            # Process._dispatch go through these attributes.
+            # Bind the discipline once; SimEvent.fire and
+            # Process._dispatch go through ``_schedule``.
             self._schedule = self._schedule_bucket
-            self.step = self._step_bucket
+            self._drain = self._drain_buckets
         else:
             self._queue: list = []       # (time, seq, proc, value)
             self._schedule = self._schedule_heap
-            self.step = self._step_heap
+            self._drain = self._drain_heap
 
     # -- process management -------------------------------------------------
 
@@ -262,13 +276,12 @@ class Engine:
         units from now (default: the current time)."""
         proc = Process(self, gen, name=name or f"proc{self._nprocs}")
         self._nprocs += 1
-        self.obs.count("engine.processes")
         self._schedule(proc, delay, None)
         return proc
 
     def event(self, name: str = "") -> SimEvent:
         """Create a fresh one-shot event."""
-        self.obs.count("engine.events")
+        self._nevents += 1
         return SimEvent(self, name=name)
 
     def timeout_event(self, delay: float, value: Any = None,
@@ -315,13 +328,14 @@ class Engine:
     # -- scheduling ---------------------------------------------------------
 
     def _schedule_bucket(self, proc, delay: float, value: Any) -> None:
-        # Innermost write of the whole simulator.  The common case --
-        # another entry already exists at this timestamp -- is one dict
-        # probe plus one list append; only a fresh timestamp pays a
-        # heap push, and nothing ever pays a tuple comparison.  The
-        # currently draining bucket is *not* in the dict, so same-time
-        # entries scheduled during a drain start a new bucket that is
-        # reached after it -- preserving scheduling order.
+        # The common case -- another entry already exists at this
+        # timestamp -- is one dict probe plus one list append; only a
+        # fresh timestamp pays a heap push, and nothing ever pays a
+        # tuple comparison.  The currently draining bucket is *not* in
+        # the dict, so same-time entries scheduled during a drain start
+        # a new bucket that is reached after it -- preserving
+        # scheduling order.  (_drain_buckets open-codes this for the
+        # resumptions it reschedules itself.)
         t = self.now + delay
         b = self._buckets.get(t)
         if b is None:
@@ -352,89 +366,153 @@ class Engine:
 
     # -- execution ----------------------------------------------------------
     #
-    # step() is THE drain loop (bound per-instance to the discipline's
-    # implementation); run() below layers the until=/max_steps bounds on
-    # top of it, so each discipline's pop logic exists exactly once.
+    # Each discipline has one drain loop holding its pop logic;
+    # step() and run() are that loop with a budget.
 
-    def _step_bucket(self) -> bool:
-        """Run one resumption.  Returns False when the queue is empty.
+    def _drain_buckets(self, until: Optional[float],
+                       max_steps: Optional[int]) -> bool:
+        """Resume queue entries in order until the queue is empty or
+        its next entry lies beyond ``until`` (returns True), or until
+        ``max_steps`` resumptions ran or :meth:`stop` was called
+        (returns False).
 
         The front bucket is detached from the dict/heap wholesale and
         walked by index -- one heap pop *per distinct timestamp*, one
-        index bump per resumption.  A dispatched process that schedules
-        at the current time cannot mutate the detached list (the dict
-        no longer holds it), so the walk is append-safe by construction.
+        index bump per resumption.  A resumed process that schedules at
+        the current time cannot mutate the detached list (the dict no
+        longer holds it), so the walk is append-safe by construction.
+
+        The common resumption is fused: ``Process._step``, the float
+        and ``SimEvent`` arms of ``Process._dispatch`` and
+        ``_schedule_bucket`` are open-coded below.  Everything else --
+        timer entries, pending interrupts, int/None yields, illegal
+        commands -- goes through those methods, which stay the
+        definition of what a resumption does.
         """
+        buckets = self._buckets
+        times = self._times
+        push = heapq.heappush
+        hook = self.trace_hook
+        horizon = inf if until is None else until
+        budget = -1 if max_steps is None else max_steps
         cur = self._cur
         i = self._cur_i
+        t = self._cur_t
+        if cur is not None and i >= len(cur):
+            cur = None
+        if budget == 0:
+            return False
         while True:
-            if cur is not None:
-                n = len(cur)
-                while i < n:
-                    proc, value = cur[i]
-                    i += 1
-                    if proc.alive:
-                        self._cur_i = i
-                        self.now = t = self._cur_t
-                        if self.trace_hook is not None:
-                            self.trace_hook(t, proc)
-                        proc._step(value)
-                        return True
-                self._cur = cur = None
-            times = self._times
-            if not times:
-                self._cur_i = 0
-                return False
-            t = heapq.heappop(times)
-            cur = self._buckets.pop(t)
-            self._cur = cur
-            self._cur_t = t
-            i = 0
+            if cur is None:
+                if not times or times[0] > horizon:
+                    self._cur = None
+                    self._cur_i = 0
+                    return True
+                t = heapq.heappop(times)
+                self._cur = cur = buckets.pop(t)
+                self._cur_t = t
+                i = 0
+            elif t > horizon:
+                return True
+            n = len(cur)
+            while i < n:
+                proc, value = cur[i]
+                i += 1
+                if not proc.alive:
+                    continue
+                budget -= 1
+                self._cur_i = i
+                self.now = t
+                if hook is not None:
+                    hook(t, proc)
+                if (proc.__class__ is not Process
+                        or proc._pending_interrupt is not None):
+                    proc._step(value)
+                else:
+                    proc._waiting_on = None
+                    try:
+                        cmd = proc.gen.send(value)
+                    except StopIteration as stop:
+                        proc._exit(stop.value)
+                    except Interrupt:
+                        proc._exit(None)
+                    else:
+                        kind = cmd.__class__
+                        if kind is float and 0.0 <= cmd < inf:
+                            at = t + cmd
+                            b = buckets.get(at)
+                            if b is None:
+                                buckets[at] = [(proc, None)]
+                                push(times, at)
+                            else:
+                                b.append((proc, None))
+                        elif kind is SimEvent:
+                            proc._waiting_on = cmd
+                            if cmd.fired:
+                                self._schedule_bucket(proc, 0.0, cmd.value)
+                            else:
+                                cmd._waiters.append(proc)
+                        else:
+                            proc._dispatch(cmd)
+                if budget == 0 or self._stopped:
+                    return False
+            cur = None
 
-    def _step_heap(self) -> bool:
-        """Run one resumption.  Returns False when the queue is empty."""
+    def _drain_heap(self, until: Optional[float],
+                    max_steps: Optional[int]) -> bool:
+        """The reference discipline's drain loop; same contract as
+        :meth:`_drain_buckets`, nothing fused."""
         queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            t, _seq, proc, value = pop(queue)
+        horizon = inf if until is None else until
+        budget = -1 if max_steps is None else max_steps
+        while budget != 0 and not self._stopped:
+            if not queue or queue[0][0] > horizon:
+                return True
+            t, _seq, proc, value = heapq.heappop(queue)
             if not proc.alive:
                 continue
+            budget -= 1
             self.now = t
             if self.trace_hook is not None:
                 self.trace_hook(t, proc)
             proc._step(value)
-            return True
         return False
+
+    def step(self) -> bool:
+        """Run one resumption.  Returns False when the queue is empty."""
+        self._stopped = False
+        return not self._drain(None, 1)
+
+    def stop(self) -> None:
+        """Make the :meth:`run` under way return once the resumption
+        that called this has been dispatched."""
+        self._stopped = True
 
     def run(self, until: Optional[float] = None,
             max_steps: Optional[int] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or ``max_steps``
-        resumptions executed.  Returns the final clock value.
+        """Run until the queue drains, ``until`` is reached, ``max_steps``
+        resumptions executed, or a process calls :meth:`stop`.  Returns
+        the final clock value.
 
-        With ``until=`` the clock always lands exactly on ``until`` --
-        including when the queue drains early (the pre-refactor loop
-        left ``now`` stale at the last resumption time in that case).
+        With ``until=`` the clock always lands exactly on ``until`` when
+        the run ends for lack of work up to it -- including when the
+        queue drains early.  When the step budget runs out or the run is
+        stopped, work is still pending and the clock stays at the last
+        resumption (time has not actually advanced to ``until``).
         """
-        if until is None and max_steps is None:
-            step = self.step
-            while step():
-                pass
-            return self.now
-        steps = 0
-        while True:
-            if max_steps is not None and steps >= max_steps:
-                # Step budget exhausted with work still pending: the
-                # clock stays at the last resumption (no clamp -- time
-                # has not actually advanced to ``until``).
-                return self.now
-            nt = self.next_time()
-            if nt is None or (until is not None and nt > until):
-                break
-            self.step()
-            steps += 1
-        if until is not None and self.now < until:
+        self._stopped = False
+        if self._drain(until, max_steps) and until is not None \
+                and self.now < until:
             self.now = until
         return self.now
+
+    def publish_stats(self) -> None:
+        """Fold the work counts into the engine's probe (called once,
+        when a run's statistics are collected)."""
+        if self._nprocs:
+            self.obs.count("engine.processes", self._nprocs)
+        if self._nevents:
+            self.obs.count("engine.events", self._nevents)
 
     def run_process(self, gen: Generator, name: str = "",
                     until: Optional[float] = None) -> Any:

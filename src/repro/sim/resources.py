@@ -6,6 +6,8 @@ Three shapes of contention appear in the simulated machine:
   a directory/memory controller).  A request occupies the server for a
   fixed service time; queueing delay is the contention the paper models
   "at the network inputs and outputs, and at the memory controller".
+  :func:`serve_legs` walks one message through several servers and wire
+  delays in a single generator.
 * :class:`Semaphore` -- counting semaphore; the substrate for the
   slipstream token semaphore and the syscall semaphore.
 * :class:`Mutex` -- binary convenience wrapper.
@@ -18,7 +20,7 @@ from typing import Deque, Optional
 
 from .engine import Engine, SimEvent, SimulationError
 
-__all__ = ["Server", "Semaphore", "Mutex"]
+__all__ = ["Server", "serve_legs", "Semaphore", "Mutex"]
 
 
 class Server:
@@ -31,8 +33,8 @@ class Server:
     """
 
     __slots__ = ("engine", "name", "units", "_busy", "_waiters",
-                 "total_requests", "total_service", "total_queue_wait",
-                 "max_queue_len", "faults")
+                 "_gate_name", "total_requests", "total_service",
+                 "total_queue_wait", "max_queue_len", "faults")
 
     def __init__(self, engine: Engine, name: str, units: int = 1):
         if units < 1:
@@ -42,6 +44,7 @@ class Server:
         self.units = units
         self._busy = 0
         self._waiters: Deque[SimEvent] = deque()
+        self._gate_name = f"{name}.q"
         self.total_requests = 0
         self.total_service = 0.0
         self.total_queue_wait = 0.0
@@ -53,38 +56,7 @@ class Server:
 
     def serve(self, duration: float):
         """Generator: acquire a unit, hold it for ``duration``, release."""
-        if self.faults is not None:
-            extra = self.faults.fire("net_jitter", self.name)
-            if extra is not None:
-                # Injected network jitter: the message is merely slower,
-                # never lost or reordered against the FIFO queue, so the
-                # coherence protocol's correctness is untouched.
-                duration += extra
-        self.total_requests += 1
-        start = self.engine.now
-        if self._busy >= self.units:
-            gate = self.engine.event(name=f"{self.name}.q")
-            self._waiters.append(gate)
-            self.max_queue_len = max(self.max_queue_len, len(self._waiters))
-            try:
-                yield gate
-            except BaseException:
-                # Interrupted while queued: withdraw the request -- or, if
-                # the unit was already handed to us, pass it on.
-                try:
-                    self._waiters.remove(gate)
-                except ValueError:
-                    self._release()
-                raise
-        else:
-            self._busy += 1
-        self.total_queue_wait += self.engine.now - start
-        try:
-            if duration > 0:
-                yield duration
-            self.total_service += duration
-        finally:
-            self._release()
+        return serve_legs(((self, duration),))
 
     def _release(self) -> None:
         if self._waiters:
@@ -104,6 +76,56 @@ class Server:
         if t <= 0:
             return 0.0
         return self.total_service / (t * self.units)
+
+
+def serve_legs(legs):
+    """Generator: take one message through ``legs`` in order.
+
+    A leg is ``(server, duration)`` -- occupy one unit of ``server``
+    for ``duration``, queueing FIFO behind earlier arrivals -- or
+    ``(None, delay)`` for time spent on a wire nobody contends for.
+    One generator serves the whole trip; :meth:`Server.serve` is the
+    one-leg case.
+    """
+    for server, duration in legs:
+        if server is None:
+            yield duration
+            continue
+        if server.faults is not None:
+            extra = server.faults.fire("net_jitter", server.name)
+            if extra is not None:
+                # Injected network jitter: the message is merely slower,
+                # never lost or reordered against the FIFO queue, so the
+                # coherence protocol's correctness is untouched.
+                duration += extra
+        server.total_requests += 1
+        if server._busy >= server.units:
+            engine = server.engine
+            start = engine.now
+            gate = engine.event(name=server._gate_name)
+            waiters = server._waiters
+            waiters.append(gate)
+            if len(waiters) > server.max_queue_len:
+                server.max_queue_len = len(waiters)
+            try:
+                yield gate
+            except BaseException:
+                # Interrupted while queued: withdraw the request -- or, if
+                # the unit was already handed to us, pass it on.
+                try:
+                    waiters.remove(gate)
+                except ValueError:
+                    server._release()
+                raise
+            server.total_queue_wait += engine.now - start
+        else:
+            server._busy += 1
+        try:
+            if duration > 0:
+                yield duration
+            server.total_service += duration
+        finally:
+            server._release()
 
 
 class Semaphore:

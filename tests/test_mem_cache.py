@@ -1,9 +1,11 @@
 """Tests for the set-associative LRU cache model."""
 
+import random
+
 import pytest
 
 from repro.config import CacheConfig
-from repro.mem import Cache, MESIState
+from repro.mem import Cache, L1Tags, MESIState
 
 
 def tiny_cache(assoc=2, sets=4, line=128, on_evict=None):
@@ -108,3 +110,70 @@ def test_hit_rate_and_clear():
     assert c.hit_rate() == pytest.approx(0.5)
     c.clear()
     assert c.resident_count() == 0
+
+
+# ------------------------------------------------------------ tag-only L1
+
+def tiny_tags(assoc=2, sets=4, line=128):
+    cfg = CacheConfig(size_bytes=assoc * sets * line, assoc=assoc,
+                      line_bytes=line, hit_cycles=1)
+    return L1Tags(cfg, name="tags")
+
+
+def test_l1_tags_eviction_follows_lru_order():
+    t = tiny_tags(assoc=2, sets=1)
+    t.insert(0x0000)
+    t.insert(0x0080)
+    assert t.lookup(0x0010)               # touch A: B becomes LRU
+    t.insert(0x0100)                      # evicts B
+    assert list(t.lines()) == [0x0000, 0x0100]
+    assert t.evictions == 1
+    t.insert(0x0000)                      # resident: LRU position kept
+    t.insert(0x0180)                      # so A is the victim now
+    assert list(t.lines()) == [0x0100, 0x0180]
+    assert not t.lookup(0x0000)
+    assert (t.hits, t.misses, t.evictions) == (1, 1, 2)
+
+
+def test_l1_tags_invalidate_count_and_clear():
+    t = tiny_tags()
+    t.insert(0x1000)
+    t.insert(0x2080)
+    assert t.resident_count() == 2
+    assert t.invalidate(0x1040) and not t.invalidate(0x1000)
+    assert t.invalidations == 1
+    assert list(t.lines()) == [0x2080]
+    t.clear()
+    assert t.resident_count() == 0 and list(t.lines()) == []
+    assert t.invalidations == 1           # clear() is not an invalidation
+
+
+@pytest.mark.parametrize("seed", [3, 17, 101])
+def test_l1_tags_match_line_backed_cache_on_random_accesses(seed):
+    """The tag-only L1 against the line-object ``Cache`` it replaced at
+    that level, on one random access string: same presence answers,
+    same resident lines in the same LRU victim order after every
+    operation, same four statistics."""
+    rng = random.Random(seed)
+    tags, ref = tiny_tags(assoc=2, sets=4), tiny_cache(assoc=2, sets=4)
+    lines = [i * 128 for i in range(24)]
+    for _ in range(2000):
+        addr = rng.choice(lines) + rng.randrange(128)
+        op = rng.random()
+        if op < 0.5:
+            assert tags.lookup(addr) == (ref.lookup(addr) is not None)
+        elif op < 0.85:
+            tags.insert(addr)
+            ref.insert(addr, MESIState.SHARED)
+        elif op < 0.99:
+            assert tags.invalidate(addr) == (ref.invalidate(addr) is not None)
+        else:
+            tags.clear()
+            ref.clear()
+        assert list(tags.lines()) == [ln.line_addr for ln in ref.lines()]
+        assert tags.resident_count() == ref.resident_count()
+    assert (tags.hits, tags.misses, tags.evictions, tags.invalidations) \
+        == (ref.hits, ref.misses, ref.evictions, ref.invalidations)
+    assert tags.evictions and tags.invalidations and tags.hits
+    assert tags.accesses == ref.accesses
+    assert tags.hit_rate() == ref.hit_rate()

@@ -93,3 +93,13 @@ def test_locks_are_per_line_and_cached(d):
     l2 = d.lock(0x1080)
     assert l1 is not l2
     assert d.lock(0x1000) is l1
+
+
+def test_is_locked_follows_the_line_mutex(d):
+    assert not d.is_locked(0x1000)           # never locked: no mutex yet
+    lock = d.lock(0x1000)
+    assert not d.is_locked(0x1000)           # mutex exists, free
+    assert lock.try_acquire()
+    assert d.is_locked(0x1000) and not d.is_locked(0x1080)
+    lock.release()
+    assert not d.is_locked(0x1000)

@@ -1,18 +1,22 @@
-"""The memory hot path after the forecast tier's removal: one miss
-implementation (the generator transaction) and one hit implementation
-(the per-CPU probes of ``CoherentMemorySystem.hit_probes``).
+"""The memory hot path: one miss implementation (the generator
+transaction) and one hit implementation (the per-shell closures of
+``CoherentMemorySystem.fast_paths``, installed as the VM's hooks).
 
 * the same-line / same-bus race cases the forecast tier had to get
   right, kept as cycle pins of the generator path;
 * the randomized contended-traffic property, as bucket-queue vs
   heapq-reference equality of *unsorted* completion traces and server
   statistics;
-* a differential test of the hit probes and the shell hooks over them
-  against driving ``l1_probe``/``load``/``store`` through the engine;
+* a differential test of the VM hooks, falling back to the shell's
+  timed accesses the way a run does, against driving
+  ``l1_probe``/``load``/``store`` through the engine;
+* every L1 miss of a run is counted once;
+* a structure guard: calls per hit and generators per miss stay flat;
 * a stale ``REPRO_HOTPATH=mem`` is refused, not silently dropped.
 """
 
 import random
+import sys
 
 import pytest
 
@@ -23,6 +27,7 @@ from repro.interp.interpreter import MISS
 from repro.mem import CoherentMemorySystem
 from repro.mem.address import SHARED_BASE
 from repro.runtime import Machine
+from repro.runtime.team import Job
 from repro.sim import Engine
 
 
@@ -222,8 +227,9 @@ def _probe_ops(seed, n_shells, n=700):
 def _drive(m, ops, fast):
     """Apply ``ops`` to machine ``m`` one at a time, letting background
     coherence work (prefetches, writebacks, invalidations) drain between
-    accesses.  ``fast=True`` goes through the shell's VM hooks and takes
-    the timed transaction only when they decline; ``fast=False`` drives
+    accesses.  ``fast=True`` goes through the shell's VM hooks and, when
+    they decline, the shell's timed access (``timed_load``/``timed_store``,
+    as ``_vm_loop`` does); ``fast=False`` drives
     ``l1_probe``/``load``/``store`` through the engine for every access.
     Returns per-access ``(handled synchronously?, cycles)``."""
     ms, eng = m.memsys, m.engine
@@ -260,19 +266,19 @@ def _drive(m, ops, fast):
         a_stream = sh.role == "A"
         if fast:
             if kind == "load":
-                v = sh._fast_read(g, flat)
+                v = sh.fast_read(g, flat)
                 sync = v is not MISS
                 if sync:
                     assert v == m.store.read(g, flat)
                 else:
-                    _, cyc = timed(ms.load(sh.node, sh.cpu, addr, sh.role))
+                    _, cyc = timed(sh.timed_load(addr))
             else:
-                sync = sh._fast_write(g, flat, value)
+                sync = sh.fast_write(g, flat, value)
                 if not sync and a_stream:
                     assert ms.prefetch_exclusive(sh.node, addr, "A")
                     cyc = 1.0
                 elif not sync:
-                    _, cyc = timed(ms.store(sh.node, sh.cpu, addr, sh.role))
+                    _, cyc = timed(sh.timed_store(addr))
                     m.store.write(g, flat, value)
             if sync:
                 cyc, sh._debt = sh._debt, 0.0
@@ -301,14 +307,14 @@ def _drive(m, ops, fast):
 
 def _cache_state(ms):
     """Per-cache statistics plus resident lines in LRU victim order
-    (``lines()`` walks each set oldest-first), with the L2 lines'
-    coherence and classification metadata."""
+    (``lines()`` walks each set oldest-first; an L1 yields bare tags),
+    with the L2 lines' coherence and classification metadata."""
     state = []
     for nm in ms.nodes:
         for c in nm.l1s + [nm.l2]:
             state.append((c.name, c.hits, c.misses, c.evictions,
                           c.invalidations,
-                          [ln.line_addr for ln in c.lines()]))
+                          [getattr(ln, "line_addr", ln) for ln in c.lines()]))
         state.append([(ln.line_addr, ln.state, ln.dirty, ln.fetcher,
                        ln.fill_kind, ln.sibling_hit, ln.merged_late,
                        ln.epoch) for ln in nm.l2.lines()])
@@ -323,12 +329,15 @@ def test_hit_probes_match_engine_driven_accesses(seed, l1_hit_cycles):
     from taking each access through the engine -- and the shell's
     accounting over it (debt, ``fast_mem_cycles``, profiler level tags)
     must charge exactly the hit latencies.  ``l1_hit_cycles=2`` runs
-    the ``lat > 1`` leg on L1 hits too."""
+    the ``lat > 1`` leg on L1 hits too.  A declined load goes on
+    through ``timed_load`` (whose ``l1_probe`` counts the miss), so a
+    miss counted on both sides of the hand-over shows here."""
     fast_m, ref_m = _probe_machine(l1_hit_cycles), _probe_machine(
         l1_hit_cycles)
     logs = []
     for sh in fast_m.shells:
         sh._prof = _FastLog()
+        sh._build_fast_paths()               # the hooks capture _prof
         logs.append(sh._prof.calls)
     ops = _probe_ops(seed, len(fast_m.shells))
     got = _drive(fast_m, ops, fast=True)
@@ -356,6 +365,87 @@ def test_hit_probes_match_engine_driven_accesses(seed, l1_hit_cycles):
         (1.0, cyc - 1.0, "l2" if cyc > 1.0 else "l1") for cyc in sync_cycles)
     assert sum(sh.fast_mem_cycles for sh in fast_m.shells) \
         == sum(cyc - 1.0 for cyc in sync_cycles)
+
+
+def test_every_l1_miss_of_a_run_is_counted_once():
+    """A shared load that misses its L1 goes on to the L2 -- the
+    synchronous hit or ``load()`` -- and both count it under ``loads``;
+    so over a whole run the L1s' miss tally equals ``loads``.  (A VM
+    load that left the CMP used to be counted by the synchronous probe
+    and again by ``timed_load``'s.)"""
+    from repro.harness import execute_spec, static_specs
+    cfg = PAPER_MACHINE.with_(n_cmps=4)
+    for spec in static_specs(cfg, "test", ("cg",), ("single", "G0")):
+        stats = execute_spec(spec).result.mem_stats
+        assert stats.get("cache.l1.misses") == stats.get("loads") > 0, spec
+    assert stats.get("cache.l1.hits") > stats.get("loads")
+
+
+# --------------------------------------------------------- structure guard
+
+def _python_calls(fn):
+    """Run ``fn()``; returns (result, Python-level calls made, distinct
+    generator objects run).  ``sys.setprofile`` reports a ``call`` for
+    every Python frame entered -- C functions come as ``c_call`` -- and a
+    generator's frame again each time it is resumed, so generators are
+    told apart by frame."""
+    calls, gens = [], {}
+
+    def hook(frame, event, arg):
+        if event == "call":
+            if frame.f_code.co_flags & 0x20:       # CO_GENERATOR
+                gens[id(frame)] = frame             # held: ids stay unique
+            else:
+                calls.append(frame.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(None)
+    return result, calls, len(gens)
+
+
+def test_hit_is_one_call_and_miss_a_handful_of_generators():
+    """What the flat hit path and the multi-leg trips bought, pinned so
+    that it cannot rot silently: from the VM an L1-hit load and an
+    exclusive-hit store are one Python call each (the hook itself --
+    no probe, cache or counter method under it), for an R-stream and
+    for an A-stream load inside a region alike (outside one the
+    A-stream asks ``SlipControl.effective``, a property); and an
+    uncontended remote read miss
+    runs in 7 generator objects (``timed_load``, ``load``, ``_gets``,
+    the request trip, the line lock, the memory controller, the reply
+    trip) where one per server crossed used to make it 12."""
+    prog = compile_source("double a[1024];\nvoid main() { }")   # two pages
+    m = Machine(prog, mode="slipstream", cfg=PAPER_MACHINE.with_(
+        n_cmps=2, placement="round_robin"))
+    eng, ms = m.engine, m.memsys
+    r, a = m.shells[0], m.shells[2]
+    assert (r.role, a.role, a.node) == ("R", "A", r.node)
+    local, remote = 0, 512
+    assert ms.placement.home(m.gaddr(0, local)) == r.node
+    assert ms.placement.home(m.gaddr(0, remote)) != r.node
+    eng.run_process(r.timed_store(m.gaddr(0, local)))   # own it, fill L1
+    eng.run_process(a.timed_load(m.gaddr(0, local)))    # fill the A's L1
+    a.current_job = Job(1, 0, (), ("GLOBAL_SYNC", 0))
+    a.in_region = True
+
+    for sh in (r, a):
+        hits = ms.nodes[sh.node].l1s[sh.cpu].hits
+        value, calls, gens = _python_calls(lambda: sh.fast_read(0, local))
+        assert value == 0.0 and (calls, gens) == (["<lambda>", "fast_read"], 0)
+        assert ms.nodes[sh.node].l1s[sh.cpu].hits == hits + 1
+    done, calls, gens = _python_calls(lambda: r.fast_write(0, local, 3.5))
+    assert done is True and (calls, gens) == (["<lambda>", "fast_write"], 0)
+    assert m.store.read(0, local) == 3.5
+
+    assert r.fast_read(0, remote) is MISS
+    t0 = eng.now
+    _, _, gens = _python_calls(
+        lambda: eng.run_process(r.timed_load(m.gaddr(0, remote))))
+    assert eng.now - t0 == remote_miss_cycles(ms)
+    assert gens <= 7
 
 
 # ------------------------------------------------------- REPRO_HOTPATH

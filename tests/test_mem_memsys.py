@@ -216,6 +216,47 @@ def test_epoch_self_invalidation_drops_stale_shared_lines():
     assert 0 not in ms.directory.entry(ms.line_addr(a1)).sharers
 
 
+def test_self_invalidation_leaves_lines_with_a_transaction_in_flight():
+    eng, ms, cfg = make()
+    a1 = addr_homed_at(cfg, 1)
+    run(eng, ms.load(0, 0, a1))
+    ms.bump_epoch(0)
+    lock = ms.directory.lock(ms.line_addr(a1))
+    assert lock.try_acquire()                  # mid-flight at the home
+    assert ms.self_invalidate_stale(0) == 0
+    lock.release()
+    assert ms.self_invalidate_stale(0) == 1
+
+
+def test_per_access_counts_are_ints_until_folded_and_null_sink_drops_them():
+    """The per-access counts (``loads``, ``l2_hits``, latency classes,
+    ...) are plain ints on the node, folded into the sink's counters on
+    demand; under ``NullSink`` the fold, like every ``probe.count``,
+    records nothing."""
+    for sink, kept in (("aggregate", True), ("null", False)):
+        cfg = PAPER_MACHINE.with_(n_cmps=4, placement="round_robin")
+        eng = Engine()
+        ms = CoherentMemorySystem(eng, cfg, sink=sink)
+        a = addr_homed_at(cfg, 1)
+        run(eng, ms.load(0, 0, a))
+        run(eng, ms.load(0, 1, a))             # sibling CPU: L2 hit
+        run(eng, ms.store(0, 0, a))
+        nm = ms.nodes[0]
+        want = {"loads": 2, "stores": 1, "l2_hits": 1, "remote": 2}
+        assert {k: n for k, n in nm.counts.items() if n} == want
+        assert all(type(n) is int for n in nm.counts.values())
+        assert nm.stats.as_dict() == {}        # nothing folded yet
+        assert ms.machine_stats().as_dict() == (want if kept else {})
+        assert not any(nm.counts.values())
+        assert ms.machine_stats().as_dict() == (want if kept else {})
+        ms.publish_cache_stats()
+        assert all(not c.as_dict() for c in ms.obs.counters.values()) \
+            == (not kept)
+        if kept:
+            assert nm.stats.get("cache.l2.misses") == 1
+            assert nm.stats.get("loads") == 2
+
+
 def test_perfect_memory_is_flat():
     eng = Engine()
     pm = PerfectMemory(eng, PAPER_MACHINE)

@@ -122,6 +122,26 @@ def test_negative_delay_rejected():
         eng.run()
 
 
+@pytest.mark.parametrize("use_buckets", [True, False])
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5, -1,
+                                   True, False])
+def test_illegal_delay_is_rejected_naming_the_process(use_buckets, delay):
+    """NaN compares false with everything, so ``cmd < 0`` let it through
+    and its timestamp then broke the queue's heap order silently; an
+    infinite delay and a ``bool`` are no delays either.  Both queue
+    disciplines refuse them through the same ``_dispatch``."""
+    eng = Engine(use_buckets=use_buckets)
+
+    def bad():
+        yield 1.0
+        yield delay
+
+    eng.process(bad(), name="culprit")
+    with pytest.raises(SimulationError, match="culprit"):
+        eng.run()
+    assert eng.now == 1.0
+
+
 def test_run_until_stops_clock():
     eng = Engine()
 

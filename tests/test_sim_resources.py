@@ -1,8 +1,11 @@
 """Unit tests for Server / Semaphore / Mutex contention primitives."""
 
+import random
+
 import pytest
 
-from repro.sim import Engine, Mutex, Semaphore, Server, SimulationError
+from repro.sim import (Engine, Interrupt, Mutex, Semaphore, Server,
+                       SimulationError, serve_legs)
 
 
 def test_server_serializes_requests():
@@ -53,6 +56,65 @@ def test_server_handoff_preserves_fifo():
     eng.process(client("z", 2))
     eng.run()
     assert order == ["x", "y", "z"]
+
+
+def _trip_workload(multi_leg, seed):
+    """Clients walk random trips over three contended servers and a
+    wire, some interrupted while queued or in service.  ``multi_leg``
+    runs a trip as one ``serve_legs`` generator, otherwise as one
+    ``serve()`` per server -- the same requests either way."""
+    eng = Engine()
+    rng = random.Random(seed)
+    servers = [Server(eng, f"s{i}", units=1 + (i == 2)) for i in range(3)]
+    trace, procs = [], []
+    eng.trace_hook = lambda t, proc: trace.append((t, proc.name))
+
+    def client(tag, trips):
+        for legs, gap in trips:
+            try:
+                yield gap
+                if multi_leg:
+                    yield from serve_legs(legs)
+                else:
+                    for server, duration in legs:
+                        if server is None:
+                            yield duration
+                        else:
+                            yield from server.serve(duration)
+                trace.append(("done", tag, eng.now))
+            except Interrupt:
+                trace.append(("intr", tag, eng.now))
+
+    def agitator(hits):
+        for gap, victim in hits:
+            yield gap
+            procs[victim].interrupt()
+
+    for c in range(6):
+        trips = [([rng.choice([(rng.choice(servers), float(rng.randrange(8))),
+                               (None, float(rng.randrange(1, 5)))])
+                   for _ in range(rng.randrange(1, 5))],
+                  float(rng.randrange(6)))
+                 for _ in range(8)]
+        procs.append(eng.process(client(c, trips), name=f"c{c}"))
+    eng.process(agitator([(float(rng.randrange(1, 9)), rng.randrange(6))
+                          for _ in range(10)]), name="agitator")
+    eng.run()
+    stats = [(s.total_requests, s.total_service, s.total_queue_wait,
+              s.max_queue_len, s._busy, s.queue_length) for s in servers]
+    return trace, eng.now, eng._nevents, stats
+
+
+@pytest.mark.parametrize("seed", [2, 9, 31])
+def test_multi_leg_trip_equals_one_serve_per_server(seed):
+    """One generator for a whole trip changes nothing observable: the
+    same resumptions in the same order, the same gate events, the same
+    server statistics, units returned after every interrupt."""
+    want = _trip_workload(False, seed)
+    assert _trip_workload(True, seed) == want
+    trace, _, gates, stats = want
+    assert gates and any(e[0] == "intr" for e in trace)
+    assert all(busy == 0 and queued == 0 for *_, busy, queued in stats)
 
 
 def test_server_zero_units_rejected():
