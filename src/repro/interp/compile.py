@@ -9,6 +9,22 @@ and driven by :meth:`VM._run_compiled`.  Straight-line bytecode becomes
 straight-line Python over height-indexed virtual stack registers
 (``s0, s1, ...``), so CPython's own bytecode does the dispatching.
 
+Control flow follows the loop nest.  The function is cut into basic
+blocks at every yield point and branch, numbered in pc order, and the
+current block id lives in the local ``b``.  A run of blocks is a
+*ladder* of sequential ``if b == k:`` guards in fall-through order, so
+a block that falls into the next one costs one compare.  Every natural
+loop (a backward ``jump`` or ``lcbsj`` and the id range it spans) is a
+native ``while lo <= b <= hi:`` around the ladder of its body: the back
+edge is the ``while`` test, an exit is ``b = target`` plus ``break``,
+and an iteration never looks at a block outside the loop.  A run of
+more than ``_LADDER_MAX`` sibling nodes is halved by ``if b < mid`` /
+``if b >= mid`` until it is short.  Around everything stays one
+``while 1:``: whatever the structure does not route directly -- a resume
+in the middle of a body, a range that does not nest, a loop past
+``_MAX_LOOP_NEST`` -- goes round it and finds its block from the top,
+so the structure decides speed and never results.
+
 Exactness contract (the golden tables must be bit-identical with the
 tier on or off):
 
@@ -29,9 +45,11 @@ tier on or off):
   interpreter would have left.
 * **resume** -- the generated function is re-entered through an
   ``_ENTRY`` table mapping resumable pcs (function entry, post-yield,
-  post-call, backward-jump targets) to prologue stubs that reload the
-  virtual registers from ``frame.stack``; an unknown pc returns the
-  ``_DEOPT`` sentinel and the VM transparently falls back to the
+  post-call, backward-jump targets) to the block id itself when the
+  operand stack is empty there, else to a stub id past the last block;
+  the stubs run once, before the ``while 1:``, reload the virtual
+  registers from ``frame.stack`` and set ``b``.  An unknown pc returns
+  the ``_DEOPT`` sentinel and the VM transparently falls back to the
   interpreter loop (restore/corrupt/armed-fault paths).
 
 Functions whose bytecode the translator cannot prove statically
@@ -72,9 +90,19 @@ def _strict() -> bool:
     return os.environ.get("REPRO_COMPILE_STRICT") == "1"
 
 
+def _no_fr(gidx, flat):
+    """Stands in for an absent ``vm.fast_read`` hook: always a miss."""
+    return MISS
+
+
+def _no_fw(gidx, flat, value):
+    """Stands in for an absent ``vm.fast_write`` hook: never absorbs."""
+    return False
+
+
 # Names the generated code resolves as globals of its exec namespace.
 _BASE_NS = {
-    "_MISS": MISS,
+    "_MISS": MISS, "_no_fr": _no_fr, "_no_fw": _no_fw,
     "_div": _op_div, "_mod": _op_mod,
     "_sqrt": _sqrt, "_exp": _exp, "_log": _log, "_pow": _pow,
     "_floor": math.floor,
@@ -92,6 +120,13 @@ _MEM_YIELDS = frozenset(("gload", "geload", "gstore", "gestore",
                          "ixge", "cblbge"))
 #: Ops that always leave the function (resumable at pc+1).
 _LEAVES = frozenset(("rt", "print", "call"))
+
+#: A run of sibling nodes longer than this is halved by ``if b < mid``.
+_LADDER_MAX = 8
+#: ``while`` loops nested deeper than this are laid out as plain blocks
+#: of the innermost emitted loop.  CPython allows 20 statically nested
+#: blocks; ``try`` and the catch-all ``while 1:`` take two of them.
+_MAX_LOOP_NEST = 8
 
 _TERMINAL = _MEM_YIELDS | _LEAVES | frozenset(
     ("jump", "jfalse", "jnone", "cjf", "lcjf", "lljf", "lcbsj", "ret"))
@@ -324,21 +359,18 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     leaders = _leader_pcs(instrs, depths, entries)
     blocks = {pc: _block_pcs(pc, instrs, leaders) for pc in leaders}
 
-    # Hot-first dispatch order: blocks in deeper loops get smaller ids
-    # so the linear if/elif scan touches inner-loop bodies first.
-    back_edges = []
-    for pc in depths:
+    # Blocks are numbered in pc order, so a loop is a contiguous id
+    # range [header, block ending in its last back edge].
+    order = sorted(leaders)
+    bid = {leader: i for i, leader in enumerate(order)}
+    loop_hi: Dict[int, int] = {}             # header id -> last id
+    for i, leader in enumerate(order):
+        pc = blocks[leader][-1]
         ins = instrs[pc]
         if ins[0] == "jump" and ins[1] < pc:
-            back_edges.append((pc, ins[1]))
+            loop_hi[bid[ins[1]]] = i
         elif ins[0] == "lcbsj" and ins[1][4] <= pc:
-            back_edges.append((pc, ins[1][4]))
-
-    def loop_depth(leader: int) -> int:
-        return sum(1 for (src, tgt) in back_edges if tgt <= leader <= src)
-
-    ordered = sorted(leaders, key=lambda l: (-loop_depth(l), l))
-    bid = {leader: i for i, leader in enumerate(ordered)}
+            loop_hi[bid[ins[1][4]]] = i
 
     consts: List = []
 
@@ -360,15 +392,19 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             return "()"
         return "(%s,)" % ", ".join(texts)
 
-    def emit_block(leader: int) -> List[Tuple[int, str]]:
-        out: List[Tuple[int, str]] = []
+    def emit_block(leader: int) -> List[Tuple[int, str, Optional[int]]]:
+        """Body lines as ``(indent, text, target)``; ``target`` is the
+        block id a ``b = N`` line transfers to (None on every other
+        line), so the assembler can tell a loop exit from a transfer
+        inside the loop."""
+        out: List[Tuple[int, str, Optional[int]]] = []
         pcs = blocks[leader]
         d = depths[leader]
         deferred: Optional[Tuple[str, str]] = None   # (value, truthiness)
         pend = 0.0
 
         def w(ind: int, text: str) -> None:
-            out.append((ind, text))
+            out.append((ind, text, None))
 
         def mat() -> None:
             nonlocal deferred
@@ -406,7 +442,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 w(0, "c = c + %r" % float(pend))
 
         def goto(ind: int, target_pc: int) -> None:
-            w(ind, "b = %d" % bid[target_pc])
+            out.append((ind, "b = %d" % bid[target_pc], bid[target_pc]))
 
         def cond_jump(cond: str, fall_pc: int, target_pc: int) -> None:
             # Truthy condition falls through, falsy jumps -- the shape
@@ -431,7 +467,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             # d is the depth after operand pops, before the result push;
             # the interpreter leaves exactly d entries on the stack when
             # it yields MemRead (push happens on resume via vm.push).
-            w(0, "v = _MISS if fr is None else fr(%d, %s)" % (gidx, flat))
+            w(0, "v = fr(%d, %s)" % (gidx, flat))
             w(0, "if v is _MISS:")
             w(1, "frame.pc = %d" % (pc + 1))
             w(1, sync(d))
@@ -443,7 +479,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             goto(0, pc + 1)
 
         def mem_store(pc: int, gidx: int, flat: str, val: str) -> None:
-            w(0, "if fw is None or not fw(%d, %s, %s):" % (gidx, flat, val))
+            w(0, "if not fw(%d, %s, %s):" % (gidx, flat, val))
             w(1, "frame.pc = %d" % (pc + 1))
             w(1, sync(d))
             w(1, "vm.pending_cycles = vm.pending_cycles + (%s)" % flushed())
@@ -670,26 +706,97 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             goto(0, pcs[-1] + 1)
         return out
 
-    bodies = {leader: emit_block(leader) for leader in ordered}
+    bodies = [emit_block(leader) for leader in order]
 
     # Entry stubs: reload the virtual registers from the synced stack,
     # then dispatch to the block.  Depth-0 entries need no prologue and
     # map straight to the block id.
     entry_map: Dict[int, int] = {}
     stubs: List[Tuple[int, int]] = []        # (stub id, entry pc)
-    next_id = len(ordered)
     for e in sorted(entries):
         if depths[e] == 0:
             entry_map[e] = bid[e]
         else:
-            entry_map[e] = next_id
-            stubs.append((next_id, e))
-            next_id += 1
+            entry_map[e] = len(order) + len(stubs)
+            stubs.append((entry_map[e], e))
+
+    # Loop nest over block ids.  A node is a block id or a loop
+    # ``(lo, hi, nodes)``.  A range that straddles the loop it starts in
+    # and a loop nested past the cap stay plain blocks of their parent:
+    # the enclosing ``while`` (at worst the outer ``while 1:``) carries
+    # their back edges, so structure only ever decides speed.
+    root: List = []
+    open_loops = [(len(order) - 1, root)]    # (hi, nodes), innermost last
+    placed = 0                               # ids below this are in the tree
+
+    def close_loops(below: int) -> None:
+        nonlocal placed
+        while open_loops and open_loops[-1][0] < below:
+            hi, nodes = open_loops.pop()
+            nodes.extend(range(placed, hi + 1))
+            placed = hi + 1
+
+    for lo, hi in sorted(loop_hi.items()):
+        close_loops(lo)
+        # open_loops holds the root and the loops around ``lo``.
+        if hi > open_loops[-1][0] or len(open_loops) > _MAX_LOOP_NEST:
+            continue
+        nodes = open_loops[-1][1]
+        nodes.extend(range(placed, lo))
+        placed = lo
+        inner: List = []
+        nodes.append((lo, hi, inner))
+        open_loops.append((hi, inner))
+    close_loops(len(order))
 
     lines: List[str] = []
 
     def w(ind: int, text: str) -> None:
-        lines.append("    " * ind + text)
+        lines.append(" " * ind + text)
+
+    def emit_stubs(ind: int, some: List[Tuple[int, int]]) -> None:
+        if len(some) > 1:
+            mid = len(some) // 2
+            w(ind, "if b < %d:" % some[mid][0])
+            emit_stubs(ind + 1, some[:mid])
+            w(ind, "else:")
+            emit_stubs(ind + 1, some[mid:])
+            return
+        e = some[0][1]
+        w(ind, "%s= S" % "".join("s%d, " % i for i in range(depths[e])))
+        w(ind, "b = %d" % bid[e])
+
+    def emit_nodes(ind: int, nodes: List, loop: Tuple[int, int]) -> None:
+        """A ladder of ``if b == k:`` guards in fall-through order; long
+        sibling runs are halved so reaching any node costs O(log n).
+        Both halves are guarded (no ``else``): the first falls into the
+        second.  ``loop`` is the id range of the innermost ``while``
+        around the nodes; a transfer out of it also breaks, which skips
+        the guards left in the ladder."""
+        if len(nodes) > _LADDER_MAX:
+            mid = len(nodes) // 2
+            node = nodes[mid]
+            pivot = node if isinstance(node, int) else node[0]
+            w(ind, "if b < %d:" % pivot)
+            emit_nodes(ind + 1, nodes[:mid], loop)
+            w(ind, "if b >= %d:" % pivot)
+            emit_nodes(ind + 1, nodes[mid:], loop)
+            return
+        for node in nodes:
+            if isinstance(node, int):
+                w(ind, "if b == %d:" % node)
+                for sub, text, target in bodies[node]:
+                    w(ind + 1 + sub, text)
+                    if (target is not None
+                            and not loop[0] <= target <= loop[1]):
+                        w(ind + 1 + sub, "break")
+            else:
+                lo, hi, inner = node
+                if lo == hi:
+                    w(ind, "while b == %d:" % lo)
+                else:
+                    w(ind, "while %d <= b <= %d:" % (lo, hi))
+                emit_nodes(ind + 1, inner, (lo, hi))
 
     w(0, "_ENTRY = {%s}" % ", ".join(
         "%d: %d" % (pc, i) for pc, i in sorted(entry_map.items())))
@@ -699,24 +806,16 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     w(2, "return _DEOPT, budget")
     w(1, "S = frame.stack")
     w(1, "L = frame.locals")
-    w(1, "fr = vm.fast_read")
-    w(1, "fw = vm.fast_write")
+    w(1, "fr = vm.fast_read or _no_fr")
+    w(1, "fw = vm.fast_write or _no_fw")
     w(1, "c = 0.0")
     w(1, "try:")
+    if stubs:
+        w(2, "if b >= %d:" % len(order))
+        emit_stubs(3, stubs)
     w(2, "while 1:")
-    kw = "if"
-    for leader in ordered:
-        w(3, "%s b == %d:" % (kw, bid[leader]))
-        kw = "elif"
-        for ind, text in bodies[leader]:
-            w(4 + ind, text)
-    for sid, e in stubs:
-        w(3, "elif b == %d:" % sid)
-        for i in range(depths[e]):
-            w(4, "s%d = S[%d]" % (i, i))
-        w(4, "b = %d" % bid[e])
-    w(3, "else:")
-    w(4, "return _DEOPT, budget")
+    # The catch-all spans every id, so nothing under it breaks out of it.
+    emit_nodes(3, root, (0, len(order) - 1))
     # Same wrap as the interpreter loop: a wild index (array op or a
     # fast-path callback's store access) surfaces as VMError either way.
     w(1, "except IndexError:")
@@ -767,7 +866,9 @@ def compiled_functions(program: CompiledProgram) -> Optional[List]:
         try:
             exec(compile(src, "<repro-compiled:%s>" % code.name,
                          "exec"), ns)
-        except SyntaxError:
+        except (SyntaxError, RecursionError):
+            # RecursionError: CPython's compiler gives up on statements
+            # nested too deep, as it rejects other source it cannot take.
             if _strict():
                 raise
             break

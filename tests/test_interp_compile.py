@@ -13,6 +13,8 @@ perturbing a single cycle.
 """
 
 import random
+import re
+import sys
 
 import pytest
 
@@ -68,16 +70,22 @@ def _dexpr(rng, depth, leaves=MAIN_LEAVES):
     return f"({a} {rng.choice(['+', '-', '*'])} {b})"
 
 
+def _clamp(e):
+    """Stored values stay bounded however often a nest repeats the
+    statement: no overflow to inf, so no NaN further on."""
+    return f"min(max({e}, -99.5), 99.5)"
+
+
 def _stmt(rng, depth=2):
     r = rng.random()
     if r < 0.2:
-        return f"x = {_dexpr(rng, depth)};"
+        return f"x = {_clamp(_dexpr(rng, depth))};"
     if r < 0.35:
-        return f"y = f0({_dexpr(rng, 1)}, {_dexpr(rng, 1)});"
+        return f"y = {_clamp(f'f0({_dexpr(rng, 1)}, {_dexpr(rng, 1)})')};"
     if r < 0.5:
-        return f"j = {_iexpr(rng, depth)};"
+        return f"j = {_iexpr(rng, depth)} % 1000;"
     if r < 0.65:
-        return f"arr[i % {N_ARR}] = {_dexpr(rng, depth)};"
+        return f"arr[i % {N_ARR}] = {_clamp(_dexpr(rng, depth))};"
     if r < 0.78:
         return f"ga = ga + {_dexpr(rng, 1)};"
     if r < 0.88:
@@ -87,20 +95,51 @@ def _stmt(rng, depth=2):
     return "gb = j;"
 
 
+LOOP_VARS = ("i", "k", "m")                 # one counter per nest level
+
+
+def _loop(rng, level=0, depth=1):
+    """One ``while`` or ``for`` loop over ``LOOP_VARS[level]`` with up to
+    ``depth`` levels in all, sometimes left early by ``break`` or cut
+    short by ``continue`` (which steps the counter first in a ``while``,
+    so every loop terminates)."""
+    v = LOOP_VARS[level]
+    use_for = rng.random() < 0.5
+    step = f"{v} = {v} + 1"
+    body = [_stmt(rng) for _ in range(rng.randint(1, 3))]
+    if depth > 1 and rng.random() < 0.7:
+        body.insert(rng.randint(0, len(body)),
+                    _loop(rng, level + 1, depth - 1))
+    r = rng.random()
+    if r < 0.2:
+        body.insert(rng.randint(0, len(body)),
+                    f"if ({v} == {rng.randint(1, 4)}) {{ break; }}")
+    elif r < 0.4:
+        skip = "continue;" if use_for else f"{step}; continue;"
+        body.insert(rng.randint(0, len(body)),
+                    f"if ({v} == {rng.randint(0, 3)}) {{ {skip} }}")
+    inner = "\n        ".join(body)
+    bound = rng.randint(2, 6)
+    if use_for:
+        return f"""
+    for ({v} = 0; {v} < {bound}; {step}) {{
+        {inner}
+    }}"""
+    return f"""
+    {v} = 0;
+    while ({v} < {bound}) {{
+        {inner}
+        {step};
+    }}"""
+
+
 def make_program(seed):
     rng = random.Random(seed)
     body = []
     for _ in range(rng.randint(2, 4)):
         body.append(_stmt(rng))
-    loops = []
-    for _ in range(rng.randint(1, 3)):
-        inner = "\n        ".join(_stmt(rng) for _ in range(rng.randint(1, 3)))
-        loops.append(f"""
-    i = 0;
-    while (i < {rng.randint(3, 9)}) {{
-        {inner}
-        i = i + 1;
-    }}""")
+    loops = [_loop(rng, depth=rng.randint(1, 3))
+             for _ in range(rng.choice((1, 2, 3, 3, 5, 9, 17, 40)))]
     return f"""
 double ga;
 int gb;
@@ -114,6 +153,8 @@ double f0(double a, double b) {{
 
 void main() {{
     int i;
+    int k;
+    int m;
     int j;
     double x;
     double y;
@@ -192,12 +233,14 @@ def drive(prog, compiled, fast=False):
 
 
 def assert_same_run(prog, fast=False):
+    """Returns the VM of the compiled run."""
     t_i, s_i, _ = drive(prog, compiled=False, fast=fast)
-    t_c, s_c, _ = drive(prog, compiled=True, fast=fast)
+    t_c, s_c, vm = drive(prog, compiled=True, fast=fast)
     for n, (a, b) in enumerate(zip(t_i, t_c)):
         assert a == b, f"event {n} diverged: interp {a} vs compiled {b}"
     assert len(t_i) == len(t_c)
     assert s_i == s_c
+    return vm
 
 
 # ------------------------------------------------------- property sweep
@@ -210,6 +253,21 @@ def test_random_programs_identical_streams(seed, monkeypatch):
     monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     prog = compile_source(src)
     assert all(f.gen_src is not None for f in prog.funcs)
+    assert_same_run(prog, fast=False)
+    assert_same_run(prog, fast=True)
+
+
+@pytest.mark.parametrize("max_slice", [3, 7, 11])
+@pytest.mark.parametrize("seed", range(30))
+def test_random_programs_identical_under_short_slices(seed, max_slice,
+                                                      monkeypatch):
+    """The same sweep with a slice budget of a few backward jumps, so
+    ``TimeSlice`` resumes land on every loop header of every nest, and
+    with the even-hit/odd-miss hooks, so memory resumes enter loop
+    bodies in the middle of a ladder."""
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
+    prog = compile_source(make_program(seed))
     assert_same_run(prog, fast=False)
     assert_same_run(prog, fast=True)
 
@@ -429,6 +487,163 @@ def test_division_trap_identical():
 
     assert crash(True) == crash(False)
     assert crash(True)[0] == "trap"
+
+
+# ------------------------------------------------ shape of the emitted code
+
+def _sibling_loops(n, trips=None):
+    """``n`` identical loops one after another in ``main``; ``trips``
+    maps a loop's position to its trip count (default 1)."""
+    trips = trips or {}
+    loops = "\n".join(
+        f"    i = 0; while (i < {trips.get(p, 1)}) "
+        f"{{ ga = ga + arr[i % {N_ARR}]; i = i + 1; }}" for p in range(n))
+    return (f"double ga;\ndouble arr[{N_ARR}];\n"
+            f"void main() {{\n    int i;\n{loops}\n    print(ga);\n}}\n")
+
+
+def _loop_nest(depth):
+    """``depth`` loops inside one another; every fourth one runs twice."""
+    vs = [f"i{d}" for d in range(depth)]
+    decl = " ".join(f"int {v};" for v in vs)
+    heads = " ".join(f"{v} = 0; while ({v} < {2 if d % 4 == 0 else 1}) {{"
+                     for d, v in enumerate(vs))
+    tails = " ".join(f"{v} = {v} + 1; }}" for v in reversed(vs))
+    return (f"double ga;\nvoid main() {{ {decl} {heads} ga = ga + 1.0; "
+            f"{tails} print(ga); }}\n")
+
+
+def _else_if_chain(arms):
+    chain = " else ".join(f"if (j == {a}) {{ ga = ga + {a}.0; }}"
+                          for a in range(arms))
+    return ("double ga;\nvoid main() { int i; int j; i = 0; "
+            f"while (i < 6) {{ j = i * 37; {chain} i = i + 1; }} "
+            "print(ga); }\n")
+
+
+@pytest.mark.parametrize("src", [
+    # 3 604 blocks in main: as one elif chain CPython's compiler hit its
+    # recursion limit and VM(...) raised instead of compiling.
+    pytest.param(_sibling_loops(600), id="600-sibling-loops"),
+    # More loops inside one another than CPython nests blocks (20).
+    pytest.param(_loop_nest(24), id="24-deep-nest"),
+    pytest.param(_else_if_chain(200), id="200-arm-else-if"),
+])
+def test_large_shapes_compile_and_run_generated(src, monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    prog = compile_source(src)
+    for fast in (False, True):
+        vm = assert_same_run(prog, fast=fast)
+        assert vm._cfns is not None         # ran generated to the end
+
+
+def test_source_cpython_cannot_compile_falls_back(monkeypatch):
+    """Source that CPython's compiler gives up on with RecursionError
+    (which depth does it depends on the version, so it is raised here)
+    is handled like a SyntaxError: interpreter, or a raise under
+    strict."""
+    import repro.interp.compile as tier
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded "
+                             "during compilation")
+    monkeypatch.setattr(tier, "compile", too_deep, raising=False)
+    monkeypatch.delenv("REPRO_COMPILE_STRICT", raising=False)
+    prog = compile_source(SRC_LOOP)
+    assert tier.compiled_functions(prog) is None
+    assert VM(prog, prog.main_index)._cfns is None
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    with pytest.raises(RecursionError):
+        tier.compiled_functions(compile_source(SRC_LOOP))
+
+
+_DISPATCH_LINE = re.compile(r"\s*(if|while) (\d+ <= )?b (==|<|>=|<=) \d+:")
+_BLOCK_GUARD = re.compile(r"\s*if b == \d+:")
+
+
+def _dispatch_counts(src):
+    """Run ``src`` generated with always-hit hooks under line tracing:
+    (dispatch lines executed, block bodies entered) inside ``main``."""
+    prog = compile_source(src)
+    main = prog.funcs[prog.main_index]
+    text = main.gen_src[0].split("\n")
+    vm = VM(prog, prog.main_index)
+    fn_code = vm._cfns[prog.main_index].__code__
+    store = new_store(prog)
+    vm.fast_read = lambda g, flat: (
+        store[g][flat] if isinstance(store[g], list) else store[g])
+
+    def fast_write(g, flat, val):
+        if isinstance(store[g], list):
+            store[g][flat] = val
+        else:
+            store[g] = val
+        return True
+    vm.fast_write = fast_write
+    hits = {}
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_lineno] = hits.get(frame.f_lineno, 0) + 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is fn_code else None
+
+    sys.settrace(tracer)
+    try:
+        while not isinstance(vm.run(), Done):
+            pass
+    finally:
+        sys.settrace(None)
+    dispatch = sum(n for ln, n in hits.items()
+                   if _DISPATCH_LINE.match(text[ln - 1]))
+    entered = sum(hits.get(ln + 1, 0) for ln in hits
+                  if _BLOCK_GUARD.match(text[ln - 1]))
+    return dispatch, entered
+
+
+def test_inner_loop_cost_is_independent_of_its_position(monkeypatch):
+    """An iteration of a loop stays inside that loop's ``while``: it
+    costs the same dispatch lines whether the loop is the 1st or the
+    200th of its siblings, and about one per block it runs."""
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    siblings = 200
+    per_iter = {}
+    for pos in (0, siblings - 1):
+        d_few, b_few = _dispatch_counts(_sibling_loops(siblings, {pos: 5}))
+        d_many, b_many = _dispatch_counts(_sibling_loops(siblings, {pos: 45}))
+        assert (d_many - d_few) % 40 == 0 and (b_many - b_few) % 40 == 0
+        per_iter[pos] = ((d_many - d_few) // 40, (b_many - b_few) // 40)
+    assert per_iter[0] == per_iter[siblings - 1]
+    dispatch, blocks = per_iter[0]
+    assert blocks >= 3
+    assert dispatch <= blocks + 2
+
+
+#: Bytes of generated source per image at the commit before the
+#: loop-ladder emitter (PR 14), all functions of the image together.
+_PARENT_SOURCE_BYTES = {
+    ("bt", "test"): 59162, ("bt", "bench"): 59168,
+    ("cg", "test"): 26628, ("cg", "bench"): 26632,
+    ("ep", "test"): 7031, ("ep", "bench"): 7032,
+    ("lu", "test"): 28846, ("lu", "bench"): 28846,
+    ("mg", "test"): 61552, ("mg", "bench"): 111479,
+    ("sp", "test"): 34635, ("sp", "bench"): 34641,
+}
+
+
+@pytest.mark.parametrize("bench,size", sorted(_PARENT_SOURCE_BYTES))
+def test_registry_kernels_compile_strict_and_stay_small(bench, size,
+                                                        monkeypatch):
+    from repro.interp.compile import compiled_functions
+    from repro.npb import REGISTRY
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    prog = compile_source(REGISTRY[bench].source(
+        **REGISTRY[bench].params(size)))
+    assert compiled_functions(prog) is not None
+    nbytes = sum(len(f.gen_src[0]) for f in prog.funcs)
+    assert nbytes <= _PARENT_SOURCE_BYTES[bench, size]
 
 
 # ------------------------------------------------- machine-level identity
