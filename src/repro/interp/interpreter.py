@@ -9,7 +9,8 @@ R-stream's architectural state.
 ``run()`` executes until the next externally-visible event (shared
 memory op, runtime call, I/O, or completion) and returns it; the busy
 cycles executed since the previous event accumulate in ``pending_cycles``
-and are drained by the hosting shell with ``take_cycles()``.
+and are drained by the host: ``take_cycles()``, or -- the shell's event
+loop -- reading and zeroing the attribute.
 """
 
 from __future__ import annotations

@@ -97,13 +97,10 @@ class Placement:
         self.limit = limit
         self._first_touch: Dict[int, int] = {}
 
-    def _page(self, addr: int) -> int:
-        return (addr - self.base) // self.page_bytes
-
     def home(self, addr: int, toucher: Optional[int] = None) -> int:
         """Home node of ``addr``.  ``toucher`` (a node id) establishes
         first-touch placement when the policy asks for it."""
-        page = self._page(addr)
+        page = (addr - self.base) // self.page_bytes
         if self.policy == "round_robin":
             return page % self.n_nodes
         if self.policy == "block":

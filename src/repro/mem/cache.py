@@ -84,9 +84,6 @@ class _SetAssoc:
         """Align an address down to its line base."""
         return addr >> self._line_shift << self._line_shift
 
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr >> self._line_shift) & self._set_mask
-
     def resident_count(self) -> int:
         """Number of valid resident lines."""
         return sum(len(s) for s in self._sets)
@@ -115,9 +112,12 @@ class L1Tags(_SetAssoc):
     reference and serves every other caller.
     """
 
-    def lookup(self, addr: int) -> bool:
-        """Is the line containing ``addr`` resident?  Updates LRU order
-        and the hit/miss counters."""
+    def hit(self, addr: int) -> bool:
+        """Is the line containing ``addr`` resident?  A resident line is
+        touched (LRU) and counted as a hit; an absent one changes
+        nothing, so the caller can hand the whole access on to a path
+        that does its own :meth:`lookup` (a spin poll to
+        ``timed_load``)."""
         shift = self._line_shift
         la = addr >> shift << shift
         s = self._sets[(la >> shift) & self._set_mask]
@@ -126,14 +126,21 @@ class L1Tags(_SetAssoc):
             s[la] = None
             self.hits += 1
             return True
+        return False
+
+    def lookup(self, addr: int) -> bool:
+        """:meth:`hit`, with an absent line counted as a miss."""
+        if self.hit(addr):
+            return True
         self.misses += 1
         return False
 
     def insert(self, addr: int) -> None:
         """Fill the line containing ``addr`` (evicting the LRU victim
         if the set is full); a resident line keeps its LRU position."""
-        la = self.line_addr(addr)
-        s = self._sets[self._set_index(la)]
+        shift = self._line_shift
+        la = addr >> shift << shift
+        s = self._sets[(la >> shift) & self._set_mask]
         if la in s:
             return
         if len(s) >= self.cfg.assoc:
@@ -143,8 +150,9 @@ class L1Tags(_SetAssoc):
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line containing ``addr``; True if it was present."""
-        la = self.line_addr(addr)
-        s = self._sets[self._set_index(la)]
+        shift = self._line_shift
+        la = addr >> shift << shift
+        s = self._sets[(la >> shift) & self._set_mask]
         if la in s:
             del s[la]
             self.invalidations += 1
@@ -205,8 +213,9 @@ class Cache(_SetAssoc):
         """Fill a new line (evicting the LRU victim if the set is full)
         and return it.  If the line is already resident its state is
         upgraded instead."""
-        la = self.line_addr(addr)
-        s = self._sets[self._set_index(la)]
+        shift = self._line_shift
+        la = addr >> shift << shift
+        s = self._sets[(la >> shift) & self._set_mask]
         existing = s.get(la)
         if existing is not None and existing.state != MESIState.INVALID:
             existing.state = max(existing.state, state)
@@ -222,8 +231,9 @@ class Cache(_SetAssoc):
 
     def invalidate(self, addr: int) -> Optional[CacheLine]:
         """Remove the line containing ``addr``; returns it if present."""
-        la = self.line_addr(addr)
-        s = self._sets[self._set_index(la)]
+        shift = self._line_shift
+        la = addr >> shift << shift
+        s = self._sets[(la >> shift) & self._set_mask]
         line = s.get(la)
         if line is not None and line.state != MESIState.INVALID:
             del s[la]

@@ -26,9 +26,9 @@ from typing import Dict, List, Optional
 from ..config.machine import MachineConfig
 from ..obs import Counter, line_outcome, make_sink
 from ..obs.probe import NULL_PROBE, Probe
-from ..sim import Engine
+from ..sim import Engine, SimEvent
 from ..sim.resources import Server, serve_legs
-from .address import Placement, SharedAllocator, is_shared_addr
+from .address import SHARED_BASE, SHARED_LIMIT, Placement, SharedAllocator
 from .cache import Cache, CacheLine, L1Tags, MESIState
 from .directory import Directory, DirState
 
@@ -36,7 +36,7 @@ __all__ = ["AccessResult", "NodeMemory", "CoherentMemorySystem",
            "PerfectMemory"]
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessResult:
     """Outcome of one shared-memory access, for the caller's accounting."""
 
@@ -49,17 +49,16 @@ class AccessResult:
         return self.level not in ("l1", "l2")
 
 
-class _Mshr:
-    """One outstanding L2 miss; secondary requesters merge onto it."""
+class _Mshr(SimEvent):
+    """One outstanding L2 miss, which is also the event its completion
+    fires: secondary requesters merge onto the miss by waiting on it."""
 
-    __slots__ = ("event", "fetcher", "kind", "late", "is_prefetch")
+    __slots__ = ("fetcher", "late")
 
-    def __init__(self, event, fetcher: str, kind: str, is_prefetch: bool):
-        self.event = event
-        self.fetcher = fetcher
-        self.kind = kind
+    def __init__(self, engine: Engine, name: str):
+        SimEvent.__init__(self, engine, name)
+        self.fetcher = None        # the stream ("R"/"A") that missed
         self.late = False          # a sibling-stream request merged in
-        self.is_prefetch = is_prefetch
 
 
 class NodeMemory:
@@ -131,6 +130,7 @@ class CoherentMemorySystem:
         self.c_l1 = float(cfg.l1.hit_cycles)
         self.c_l2 = float(cfg.l2.hit_cycles)
         self._line_shift = cfg.line_bytes.bit_length() - 1
+        self._build_routes()
         self.selfinv_drops = 0
         #: Addresses >= this are runtime-internal (locks, barrier words,
         #: job flags): they are timed like any shared line but excluded
@@ -159,36 +159,78 @@ class CoherentMemorySystem:
         """Align an address to its cache line."""
         return addr >> self._line_shift << self._line_shift
 
+    def _build_routes(self) -> None:
+        """The trips a message makes, as ``serve_legs`` leg tuples,
+        built once: a transaction indexes its legs by (node, home)
+        instead of putting them together on every trip.
+
+        * ``_request[node][home]``: requester -> home (bus, NI egress,
+          network, home directory controller);
+        * ``_reply[node][home]``: home -> ``node`` (network, NI ingress,
+          bus fill) -- the data reply, and with ``node`` = the owner the
+          forwarded intervention;
+        * ``_fill[node][home]``: the last legs of a 3-hop reply, off the
+          network into the requester (NI ingress, bus);
+        * by node: ``_depart`` (NI egress, network), ``_inv_in``
+          (network, NI ingress), ``_memory`` (the memory controller),
+          ``_bus``.
+
+        The legs between a node and itself as home are its bus alone:
+        no network interface, no wire.
+        """
+        nodes = self.nodes
+        c_nir = self.c_nir
+        wire = (None, self.c_net)
+        self._bus = [((nm.bus, self.c_bus),) for nm in nodes]
+        self._depart = [((nm.ni_out, c_nir), wire) for nm in nodes]
+        self._inv_in = [(wire, (nm.ni_in, c_nir)) for nm in nodes]
+        self._memory = [((nm.mem, self.c_mem),) for nm in nodes]
+        dirctrl = [((nm.dirctrl, self.c_nil),) for nm in nodes]
+        self._request, self._reply, self._fill = [], [], []
+        for n, nm in enumerate(nodes):
+            bus = self._bus[n]
+            out = bus + self._depart[n]
+            fill = ((nm.ni_in, c_nir),) + bus
+            reply = (wire,) + fill
+            self._request.append(
+                [(bus if h == n else out) + dirctrl[h]
+                 for h in range(len(nodes))])
+            self._reply.append([reply] * len(nodes))
+            self._fill.append([fill] * len(nodes))
+            self._reply[n][n] = self._fill[n][n] = bus
+        self._inv_names = [f"inv:n{n}" for n in range(len(nodes))]
+        self._pfx_names = [f"pfx:n{n}" for n in range(len(nodes))]
+
     def _make_evict_handler(self, node_id: int):
         def handler(line: CacheLine) -> None:
-            self._finalize_line(line)
+            if line.fetcher is not None:
+                self._finalize_line(line)
             self.directory.drop_node(line.line_addr, node_id)
             for l1 in self.nodes[node_id].l1s:
                 l1.invalidate(line.line_addr)
             if line.dirty:
                 # Background writeback: occupy the home memory controller.
                 home = self.placement.home(line.line_addr)
+                legs = self._bus[node_id]
+                if home != node_id:
+                    legs += self._depart[node_id]
                 self.engine.process(
-                    self._writeback(node_id, home), name="wb")
+                    serve_legs(legs + self._memory[home]), name="wb")
         return handler
 
-    def _writeback(self, node: int, home: int):
-        return serve_legs(
-            ((self.nodes[node].bus, self.c_bus),)
-            + (self._depart(node) if home != node else ())
-            + ((self.nodes[home].mem, self.c_mem),))
-
     def _finalize_line(self, line: CacheLine) -> None:
-        if line.fetcher is not None:
-            self.probe.classify(line.fetcher, line.fill_kind,
-                                line_outcome(line), self.engine.now)
-            line.fetcher = None
+        """Classify a fill whose record is complete (callers test
+        ``line.fetcher is not None`` first: runtime words carry none)."""
+        self.probe.classify(line.fetcher, line.fill_kind,
+                            line_outcome(line), self.engine.now)
+        line.fetcher = None
 
     def _set_record(self, line: CacheLine, fetcher: str, kind: str,
                     merged_late: bool) -> None:
         """Attach a fresh classification record to a line (finalizing any
         previous one, e.g. on a shared->exclusive upgrade)."""
-        self._finalize_line(line)
+        if line.fetcher is not None:
+            self._finalize_line(line)
         if (self.noclass_base is not None
                 and line.line_addr >= self.noclass_base):
             return
@@ -198,17 +240,20 @@ class CoherentMemorySystem:
         line.merged_late = merged_late
         line.fill_time = self.engine.now
 
-    def _touch(self, node: int, line: CacheLine, stream: str) -> None:
+    def _touch(self, nm: NodeMemory, line: CacheLine, stream: str) -> None:
         """Record a reference for classification + self-invalidation."""
         line.last_ref_time = self.engine.now
-        line.epoch = self.nodes[node].epoch
+        line.epoch = nm.epoch
         if line.fetcher is not None and stream != line.fetcher:
             line.sibling_hit = True
 
     # ------------------------------------------------------------ public API
 
     def l1_probe(self, node: int, cpu: int, addr: int) -> bool:
-        """Synchronous L1 load probe (caller charges the 1-cycle hit)."""
+        """Synchronous L1 load probe (caller charges the 1-cycle hit).
+        The public form of what ``ThreadShell.timed_load`` asks its own
+        ``l1`` directly; tests use it to write the reference
+        composition of a timed access."""
         return self.nodes[node].l1s[cpu].lookup(addr)
 
     def fast_paths(self, shell, gbase, arrays, miss):
@@ -216,8 +261,8 @@ class CoherentMemorySystem:
         returns ``(fast_read, fast_write)``, the VM's two memory hooks.
 
         ``fast_read(gidx, flat)`` returns the loaded value, or ``miss``
-        when the access leaves the CMP (the caller then takes the timed
-        ``l1_probe``/``load``); ``fast_write(gidx, flat, value)`` returns
+        when the access leaves the CMP (the caller then takes the
+        shell's ``timed_load``); ``fast_write(gidx, flat, value)`` returns
         True when the store is complete, False when the caller must take
         the timed ``store`` (R-stream) or issue ``prefetch_exclusive``
         (A-stream).  Hits have no externally visible contention, so they
@@ -375,67 +420,118 @@ class CoherentMemorySystem:
         return fast_read, fast_write
 
     def load(self, node: int, cpu: int, addr: int, stream: str = "R"):
-        """Generator: an L1-missing shared load.  Returns AccessResult."""
-        assert is_shared_addr(addr), hex(addr)
+        """Generator: an L1-missing shared load.  Returns AccessResult.
+
+        An L2 hit costs the L2 latency; a load that finds the line's
+        miss outstanding merges onto it and probes again; otherwise it
+        is the primary miss and runs the read (GETS) transaction here,
+        in this generator -- request trip, line lock at the home, the
+        memory access or the 3-hop intervention, reply trip, fill."""
+        if not SHARED_BASE <= addr < SHARED_LIMIT:
+            raise AssertionError(hex(addr))
         nm = self.nodes[node]
-        nm.counts["loads"] += 1
-        la = self.line_addr(addr)
-        start = self.engine.now
+        counts = nm.counts
+        counts["loads"] += 1
+        la = addr >> self._line_shift << self._line_shift
+        engine = self.engine
+        start = engine.now
+        l2, mshrs = nm.l2, nm.mshrs
         while True:
-            line = nm.l2.lookup(addr)
+            line = l2.lookup(la)
             if line is not None:
                 yield self.c_l2
-                self._touch(node, line, stream)
+                self._touch(nm, line, stream)
                 nm.l1s[cpu].insert(la)
-                nm.counts["l2_hits"] += 1
-                return AccessResult("l2", self.engine.now - start)
-            mshr = nm.mshrs.get(la)
-            if mshr is not None:
-                # Merge onto the outstanding miss.
-                if stream != mshr.fetcher:
-                    mshr.late = True
-                nm.counts["mshr_merges"] += 1
-                yield mshr.event
-                continue  # re-probe: the fill is now resident (usually)
-            # Primary miss: run the GETS transaction.
-            level = yield from self._gets(node, la, stream)
-            line = nm.l2.peek(la)
-            if line is not None:
-                self._touch(node, line, stream)
-            nm.l1s[cpu].insert(la)
-            nm.counts[level] += 1
-            return AccessResult(level, self.engine.now - start)
+                counts["l2_hits"] += 1
+                return AccessResult("l2", engine.now - start)
+            mshr = mshrs.get(la)
+            if mshr is None:
+                break
+            # Merge onto the outstanding miss, then re-probe: the fill
+            # is now resident (usually).
+            if stream != mshr.fetcher:
+                mshr.late = True
+            counts["mshr_merges"] += 1
+            yield mshr
+        mshr = mshrs[la] = engine.event(f"gets:{la:#x}", _Mshr)
+        mshr.fetcher = stream
+        try:
+            home = self.placement.home(la, node)
+            level = "local" if home == node else "remote"
+            yield from serve_legs(self._request[node][home])
+            entry = self.directory.entry(la)
+            lock = entry.lock or self.directory.lock(la)
+            if not lock.try_acquire():
+                yield from lock.acquire()
+            try:
+                if entry.state == DirState.EXCLUSIVE and entry.owner != node:
+                    level = "remote3"
+                    owner = entry.owner
+                    # Intervention: home forwards to the owner...
+                    yield from serve_legs(self._reply[owner][home])
+                    self.nodes[owner].l2.downgrade(la)
+                    # ...owner replies with data straight to the requester
+                    # and writes back to home memory in the background.
+                    yield from serve_legs(self._depart[owner])
+                    engine.process(serve_legs(self._memory[home]),
+                                   name="3hop-wb")
+                    entry.demote_to_shared(node)
+                    yield from serve_legs(self._fill[node][home])
+                else:
+                    yield from serve_legs(self._memory[home])
+                    entry.add_sharer(node)
+                    yield from serve_legs(self._reply[node][home])
+            finally:
+                lock.release()
+            line = l2.insert(la, MESIState.SHARED)
+            self._set_record(line, stream, "read", mshr.late)
+            if nm.probe.emitter is not None:
+                nm.probe.instant(
+                    "coh.gets", engine.now,
+                    {"addr": la, "level": level, "stream": stream})
+        finally:
+            # Runs on success AND on interruption (slipstream recovery can
+            # abort an A-stream mid-miss): release waiters either way.
+            if mshrs.get(la) is mshr:
+                del mshrs[la]
+            if not mshr.fired:
+                mshr.fire()
+        self._touch(nm, line, stream)
+        nm.l1s[cpu].insert(la)
+        counts[level] += 1
+        return AccessResult(level, engine.now - start)
 
     def store(self, node: int, cpu: int, addr: int, stream: str = "R"):
         """Generator: a shared store (write-through L1, allocate in L2)."""
-        assert is_shared_addr(addr), hex(addr)
+        if not SHARED_BASE <= addr < SHARED_LIMIT:
+            raise AssertionError(hex(addr))
         nm = self.nodes[node]
-        nm.counts["stores"] += 1
-        la = self.line_addr(addr)
+        counts = nm.counts
+        counts["stores"] += 1
+        la = addr >> self._line_shift << self._line_shift
         start = self.engine.now
         while True:
-            line = nm.l2.lookup(addr)
+            line = nm.l2.lookup(la)
             if line is not None and line.state == MESIState.EXCLUSIVE:
                 yield self.c_l2
-                self._touch(node, line, stream)
+                self._touch(nm, line, stream)
                 line.dirty = True
                 self._store_update_l1s(nm, cpu, la)
-                nm.counts["l2_hits"] += 1
+                counts["l2_hits"] += 1
                 return AccessResult("l2", self.engine.now - start)
             mshr = nm.mshrs.get(la)
-            if mshr is not None:
-                if stream != mshr.fetcher:
-                    mshr.late = True
-                nm.counts["mshr_merges"] += 1
-                yield mshr.event
-                continue
-            upgrade = line is not None  # resident SHARED: permission only
-            if line is not None:
-                self._touch(node, line, stream)
-            level = yield from self._getx(node, la, stream, upgrade=upgrade)
-            self._store_update_l1s(nm, cpu, la)
-            nm.counts[level] += 1
-            return AccessResult(level, self.engine.now - start)
+            if mshr is None:
+                break
+            if stream != mshr.fetcher:
+                mshr.late = True
+            counts["mshr_merges"] += 1
+            yield mshr
+        if line is not None:        # resident SHARED: an upgrade
+            self._touch(nm, line, stream)
+        level = yield from self._getx(node, la, stream)
+        self._store_update_l1s(nm, cpu, la)
+        counts[level] += 1
+        return AccessResult(level, self.engine.now - start)
 
     def _store_update_l1s(self, nm: NodeMemory, cpu: int, la: int) -> None:
         """Write-through: keep the writer's L1 copy, invalidate siblings'."""
@@ -448,9 +544,10 @@ class CoherentMemorySystem:
         """Non-binding prefetch-for-ownership: the A-stream's converted
         shared store.  Fire-and-forget; returns False if dropped (line
         already owned, already in flight, or MSHRs saturated)."""
-        assert is_shared_addr(addr), hex(addr)
+        if not SHARED_BASE <= addr < SHARED_LIMIT:
+            raise AssertionError(hex(addr))
         nm = self.nodes[node]
-        la = self.line_addr(addr)
+        la = addr >> self._line_shift << self._line_shift
         line = nm.l2.peek(la)
         if line is not None and line.state == MESIState.EXCLUSIVE:
             if line.fetcher is not None and stream != line.fetcher:
@@ -463,176 +560,103 @@ class CoherentMemorySystem:
             return False
         nm.outstanding_prefetches += 1
         nm.probe.count("prefetch_ex")
-        nm.probe.instant("coh.pfx", self.engine.now, {"addr": la})
-
-        def body():
-            try:
-                yield from self._getx(node, la, stream,
-                                      upgrade=nm.l2.peek(la) is not None)
-            finally:
-                nm.outstanding_prefetches -= 1
-
-        self.engine.process(body(), name=f"pfx:n{node}")
+        if nm.probe.emitter is not None:
+            nm.probe.instant("coh.pfx", self.engine.now, {"addr": la})
+        self.engine.process(self._getx(node, la, stream, prefetch=True),
+                            name=self._pfx_names[node])
         return True
 
     # ------------------------------------------------------- transactions
 
     # A message's trip is one ``serve_legs`` generator over the servers
-    # and wires it crosses; the helpers below build the leg tuples.
+    # and wires it crosses; ``_build_routes`` made the leg tuples.  The
+    # read transaction lives in ``load``, its only user.
 
-    def _depart(self, node: int):
-        """Legs out of ``node``: NI egress, then the network."""
-        return ((self.nodes[node].ni_out, self.c_nir), (None, self.c_net))
-
-    def _arrive(self, node: int, wire: bool, ingress: bool):
-        """Legs into ``node``: the network, NI ingress, then its bus."""
+    def _getx(self, node: int, la: int, stream: str, prefetch: bool = False):
+        """Write-ownership transaction (GETX, or an upgrade -- permission
+        only, no memory access -- when the line is resident SHARED as
+        the transaction starts): the miss of a ``store``, or -- with
+        ``prefetch`` -- a prefetch-exclusive running as its own process,
+        which gives its prefetch slot back when it ends."""
         nm = self.nodes[node]
-        legs = ((nm.bus, self.c_bus),)
-        if ingress:
-            legs = ((nm.ni_in, self.c_nir),) + legs
-        if wire:
-            legs = ((None, self.c_net),) + legs
-        return legs
-
-    def _request_trip_out(self, node: int, home: int):
-        """Requester -> home: bus, NI egress, network, home controller."""
-        return serve_legs(
-            ((self.nodes[node].bus, self.c_bus),)
-            + (self._depart(node) if home != node else ())
-            + ((self.nodes[home].dirctrl, self.c_nil),))
-
-    def _reply_trip_back(self, node: int, home: int):
-        """Home -> requester: network, NI ingress, requester bus fill."""
-        remote = home != node
-        return serve_legs(self._arrive(node, remote, remote))
-
-    def _gets(self, node: int, la: int, stream: str):
-        """Read miss transaction.  Returns the latency class name."""
-        nm = self.nodes[node]
-        evt = self.engine.event(name=f"gets:{la:#x}")
-        mshr = _Mshr(evt, stream, "read", is_prefetch=False)
-        nm.mshrs[la] = mshr
+        upgrade = nm.l2.peek(la) is not None
+        engine = self.engine
+        mshr = nm.mshrs[la] = engine.event(f"getx:{la:#x}", _Mshr)
+        mshr.fetcher = stream
         try:
-            home = self.placement.home(la, toucher=node)
+            home = self.placement.home(la, node)
             level = "local" if home == node else "remote"
-            yield from self._request_trip_out(node, home)
-            lock = self.directory.lock(la)
-            yield from lock.acquire()
+            yield from serve_legs(self._request[node][home])
+            entry = self.directory.entry(la)
+            lock = entry.lock or self.directory.lock(la)
+            if not lock.try_acquire():
+                yield from lock.acquire()
             try:
-                entry = self.directory.entry(la)
                 if entry.state == DirState.EXCLUSIVE and entry.owner != node:
                     level = "remote3"
                     owner = entry.owner
-                    # Intervention: home forwards to the owner...
-                    forwarded = owner != home
-                    yield from serve_legs(
-                        self._arrive(owner, forwarded, forwarded))
-                    self.nodes[owner].l2.downgrade(la)
-                    # ...owner replies with data straight to the requester
-                    # and writes back to home memory in the background.
-                    if owner != node:
-                        yield from serve_legs(self._depart(owner))
-                    self.engine.process(
-                        self.nodes[home].mem.serve(self.c_mem),
-                        name="3hop-wb")
-                    self.directory.demote_to_shared(la, extra_sharer=node)
-                    yield from serve_legs(
-                        self._arrive(node, False, node != home))
-                else:
-                    yield from self.nodes[home].mem.serve(self.c_mem)
-                    self.directory.add_sharer(la, node)
-                    yield from self._reply_trip_back(node, home)
-            finally:
-                lock.release()
-            line = nm.l2.insert(la, MESIState.SHARED)
-            self._set_record(line, stream, "read", merged_late=mshr.late)
-            nm.probe.instant("coh.gets", self.engine.now,
-                             {"addr": la, "level": level, "stream": stream})
-            return level
-        finally:
-            # Runs on success AND on interruption (slipstream recovery can
-            # abort an A-stream mid-miss): release waiters either way.
-            if nm.mshrs.get(la) is mshr:
-                del nm.mshrs[la]
-            if not evt.fired:
-                evt.fire()
-
-    def _getx(self, node: int, la: int, stream: str, upgrade: bool):
-        """Write-ownership transaction (GETX, or upgrade when the line is
-        already resident SHARED)."""
-        nm = self.nodes[node]
-        evt = self.engine.event(name=f"getx:{la:#x}")
-        mshr = _Mshr(evt, stream, "rdex", is_prefetch=False)
-        nm.mshrs[la] = mshr
-        try:
-            home = self.placement.home(la, toucher=node)
-            level = "local" if home == node else "remote"
-            yield from self._request_trip_out(node, home)
-            lock = self.directory.lock(la)
-            yield from lock.acquire()
-            try:
-                entry = self.directory.entry(la)
-                if entry.state == DirState.EXCLUSIVE and entry.owner != node:
-                    level = "remote3"
-                    owner = entry.owner
-                    forwarded = owner != home
-                    yield from serve_legs(
-                        self._arrive(owner, forwarded, forwarded))
+                    yield from serve_legs(self._reply[owner][home])
                     self._invalidate_node_line(owner, la)
                     yield from serve_legs(
-                        (self._depart(owner) if owner != node else ())
-                        + self._arrive(node, False, node != home))
+                        self._depart[owner] + self._fill[node][home])
                 else:
                     # Invalidate all other sharers (concurrently) while
                     # memory is accessed (skipped on an upgrade:
                     # permission only).
-                    sharers = self.directory.sharers_excluding(la, node)
+                    sharers = entry.sharers - {node}
                     acks = [self._spawn_inv(home, s, la) for s in sharers]
                     if sharers:
                         nm.probe.count("inv_rounds")
                         nm.probe.count("invs_sent", len(sharers))
                     if not upgrade:
-                        yield from self.nodes[home].mem.serve(self.c_mem)
+                        yield from serve_legs(self._memory[home])
                     if acks:
-                        yield self.engine.all_of(acks)
-                    yield from self._reply_trip_back(node, home)
-                self.directory.set_exclusive(la, node)
+                        yield engine.all_of(acks)
+                    yield from serve_legs(self._reply[node][home])
+                entry.set_exclusive(node)
             finally:
                 lock.release()
             line = nm.l2.insert(la, MESIState.EXCLUSIVE)
             line.state = MESIState.EXCLUSIVE
             line.dirty = True
-            self._set_record(line, stream, "rdex", merged_late=mshr.late)
-            nm.probe.instant("coh.getx", self.engine.now,
-                             {"addr": la, "level": level, "stream": stream})
+            self._set_record(line, stream, "rdex", mshr.late)
+            if nm.probe.emitter is not None:
+                nm.probe.instant(
+                    "coh.getx", engine.now,
+                    {"addr": la, "level": level, "stream": stream})
             return level
         finally:
             if nm.mshrs.get(la) is mshr:
                 del nm.mshrs[la]
-            if not evt.fired:
-                evt.fire()
+            if not mshr.fired:
+                mshr.fire()
+            if prefetch:
+                nm.outstanding_prefetches -= 1
 
     def _spawn_inv(self, home: int, sharer: int, la: int):
-        ack = self.engine.event(name=f"invack:{la:#x}")
-
-        def body():
-            if sharer != home:
-                yield from serve_legs(((None, self.c_net),
-                                       (self.nodes[sharer].ni_in, self.c_nir)))
-            self._invalidate_node_line(sharer, la)
-            if sharer != home:
-                yield from serve_legs(self._depart(sharer))
-            self.nodes[sharer].probe.instant(
-                "coh.inv", self.engine.now, {"addr": la})
-            ack.fire()
-
-        self.engine.process(body(), name=f"inv:n{sharer}")
+        """Start one sharer's invalidation; returns its ack event."""
+        engine = self.engine
+        ack = engine.event(f"invack:{la:#x}")
+        engine.process(self._inv(home, sharer, la, ack),
+                       name=self._inv_names[sharer])
         return ack
+
+    def _inv(self, home: int, sharer: int, la: int, ack):
+        remote = sharer != home
+        if remote:
+            yield from serve_legs(self._inv_in[sharer])
+        self._invalidate_node_line(sharer, la)
+        if remote:
+            yield from serve_legs(self._depart[sharer])
+        probe = self.nodes[sharer].probe
+        if probe.emitter is not None:
+            probe.instant("coh.inv", self.engine.now, {"addr": la})
+        ack.fire()
 
     def _invalidate_node_line(self, node: int, la: int) -> None:
         nm = self.nodes[node]
         line = nm.l2.invalidate(la)
-        if line is not None:
+        if line is not None and line.fetcher is not None:
             self._finalize_line(line)
         for l1 in nm.l1s:
             l1.invalidate(la)
@@ -665,7 +689,9 @@ class CoherentMemorySystem:
         self.selfinv_drops += dropped
         if dropped:
             nm.probe.count("selfinv_drops", dropped)
-            nm.probe.instant("selfinv", self.engine.now, {"dropped": dropped})
+            if nm.probe.emitter is not None:
+                nm.probe.instant("selfinv", self.engine.now,
+                                 {"dropped": dropped})
         return dropped
 
     # ------------------------------------------------------------ teardown
@@ -674,7 +700,8 @@ class CoherentMemorySystem:
         """Classify every still-resident fill at end of simulation."""
         for nm in self.nodes:
             for line in nm.l2.lines():
-                self._finalize_line(line)
+                if line.fetcher is not None:
+                    self._finalize_line(line)
 
     def publish_cache_stats(self) -> None:
         """Fold the caches' local hit/miss tallies into each node's

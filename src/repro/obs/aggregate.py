@@ -85,6 +85,8 @@ class TimeBreakdown:
 
     def __init__(self, start: float = 0.0):
         self._times: Dict[str, float] = {}
+        #: Open categories, innermost last.  Never rebound: the
+        #: track's ``Probe.spans`` is this very list.
         self._stack: List[str] = []
         self._last = start
         self._closed = False
@@ -108,13 +110,15 @@ class TimeBreakdown:
 
     def push(self, category: str, now: float) -> None:
         """Enter a category (settling elapsed time first)."""
-        self._check_open("push")
+        if self._closed:
+            raise ValueError("push on closed TimeBreakdown")
         self._settle(now)
         self._stack.append(category)
 
     def pop(self, now: float) -> str:
         """Leave the current category; returns its name."""
-        self._check_open("pop")
+        if self._closed:
+            raise ValueError("pop on closed TimeBreakdown")
         self._settle(now)
         if not self._stack:
             raise ValueError("pop on empty category stack")
@@ -133,7 +137,7 @@ class TimeBreakdown:
         """Finalize accounting at ``now`` (end of simulation)."""
         self._check_open("close")
         self._settle(now)
-        self._stack.clear()
+        self._stack.clear()     # in place: ``Probe.spans`` is this list
         self._closed = True
 
     def reattribute(self, src: str, dst: str, amount: float) -> None:

@@ -29,10 +29,15 @@ class Probe:
     (``None`` when the sink drops that facility); ``emitter`` is the
     timeline sink hook (``None`` unless a trace is being recorded);
     ``prof`` is the per-line profile recorder (``None`` unless a
-    :class:`~repro.obs.profile.ProfileSink` is live).
+    :class:`~repro.obs.profile.ProfileSink` is live).  ``spans`` is
+    the live stack of open spans, innermost last (the collector's own
+    list, to read only; empty for good when span collection is off):
+    a producer that asks "is a span open?" once per memory access
+    tests it directly.
     """
 
-    __slots__ = ("track", "bd", "counters", "classes", "emitter", "prof")
+    __slots__ = ("track", "bd", "counters", "classes", "emitter", "prof",
+                 "spans")
 
     def __init__(self, track: str,
                  bd: Optional[TimeBreakdown] = None,
@@ -45,6 +50,8 @@ class Probe:
         self.classes = classes
         self.emitter = emitter
         self.prof = prof
+        self.spans = (bd._stack if bd is not None
+                      else prof._stack if prof is not None else ())
 
     # -- counters ------------------------------------------------------------
 
@@ -71,7 +78,7 @@ class Probe:
         desynchronize span accounting -- so it raises."""
         if self.bd is None and self.prof is None:
             return None
-        if self.depth == 0:
+        if not self.spans:
             raise ValueError(
                 f"pop with no open span on track {self.track!r}")
         name = None
@@ -91,7 +98,7 @@ class Probe:
         live raises -- there is nothing to replace."""
         if self.bd is None and self.prof is None:
             return
-        if self.depth == 0:
+        if not self.spans:
             raise ValueError(
                 f"switch with no open span on track {self.track!r}")
         replaced = self.current
@@ -130,11 +137,7 @@ class Probe:
     @property
     def depth(self) -> int:
         """Span-stack depth (0 when span collection is off)."""
-        if self.bd is not None:
-            return self.bd.depth
-        if self.prof is not None:
-            return self.prof.depth
-        return 0
+        return len(self.spans)
 
     @property
     def current(self) -> str:

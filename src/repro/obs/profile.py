@@ -133,7 +133,7 @@ class TrackProfile:
         if self.closed:
             return
         self._settle(now)
-        self._stack.clear()
+        self._stack.clear()     # in place: ``Probe.spans`` is this list
         self.closed = True
 
     def mem_level(self, level: str) -> None:

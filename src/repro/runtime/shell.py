@@ -55,6 +55,13 @@ class ThreadShell:
         # Cached profile recorder (None unless a ProfileSink is live):
         # the memory fast paths test this once per access.
         self._prof = self.probe.prof
+        # What a timed access reads, bound once: this CPU's L1 tags and
+        # their hit latency (also read by ``words.spin_until``), the
+        # engine, the memory system.
+        self.engine = machine.engine
+        self.memsys = machine.memsys
+        self.l1 = machine.memsys.nodes[node].l1s[cpu]
+        self.l1_hit_cycles = float(machine.cfg.l1.hit_cycles)
         self.vm: Optional[VM] = None
         self.channel = None             # PairChannel, slipstream mode only
         self.pair: Optional["ThreadShell"] = None
@@ -141,34 +148,38 @@ class ThreadShell:
 
     def timed_load(self, addr: int):
         """Generator: timed shared load at this shell's CPU."""
-        ms = self.machine.memsys
-        if ms.l1_probe(self.node, self.cpu, addr):
-            yield float(self.machine.cfg.l1.hit_cycles)
+        if self.l1.lookup(addr):
+            yield self.l1_hit_cycles
             return
-        top = self.probe.depth == 0
+        # Time in the memory system is "memory" unless a runtime
+        # category (lock, barrier, ...) is already open.
+        probe = self.probe
+        top = not probe.spans
         if top:
-            self._push("memory")
+            probe.push("memory", self.engine.now)
         try:
-            res = yield from ms.load(self.node, self.cpu, addr, self.role)
-            if top and res is not None:
-                self.probe.mem_level(res.level)
+            res = yield from self.memsys.load(self.node, self.cpu, addr,
+                                              self.role)
+            if top and self._prof is not None:
+                probe.mem_level(res.level)
         finally:
             if top:
-                self._pop()
+                probe.pop(self.engine.now)
 
     def timed_store(self, addr: int):
         """Generator: timed shared store at this shell's CPU."""
-        top = self.probe.depth == 0
+        probe = self.probe
+        top = not probe.spans
         if top:
-            self._push("memory")
+            probe.push("memory", self.engine.now)
         try:
-            res = yield from self.machine.memsys.store(self.node, self.cpu,
-                                                       addr, self.role)
-            if top and res is not None:
-                self.probe.mem_level(res.level)
+            res = yield from self.memsys.store(self.node, self.cpu, addr,
+                                               self.role)
+            if top and self._prof is not None:
+                probe.mem_level(res.level)
         finally:
             if top:
-                self._pop()
+                probe.pop(self.engine.now)
 
     #: Force a slow (engine-visible) load once this much synchronous time
     #: has accumulated, so user-level spin loops observe other streams'
@@ -183,25 +194,6 @@ class ThreadShell:
         self.fast_read, self.fast_write = self.machine.memsys.fast_paths(
             self, self.machine.gbase, self.machine.store.arrays, MISS)
 
-    def _mem_read(self, ev: MemRead):
-        """Slow path: the access missed the CMP."""
-        addr = self.machine.gaddr(ev.gidx, ev.flat)
-        yield from self.timed_load(addr)
-        self.vm.push(self.machine.store.read(ev.gidx, ev.flat))
-
-    def _mem_write(self, ev: MemWrite):
-        if self.role == "A":
-            # In-session shared store converted to a non-binding
-            # prefetch-exclusive (§5.1: "converting some of the shared
-            # stores into prefetches").
-            addr = self.machine.gaddr(ev.gidx, ev.flat)
-            self.machine.memsys.prefetch_exclusive(self.node, addr, "A")
-            yield 1.0
-            return
-        addr = self.machine.gaddr(ev.gidx, ev.flat)
-        yield from self.timed_store(addr)
-        self.machine.store.write(ev.gidx, ev.flat, ev.value)
-
     # ------------------------------------------------------------- VM driving
 
     def _vm_loop(self):
@@ -209,6 +201,8 @@ class ThreadShell:
         vm = self.vm
         vm.fast_read = self.fast_read
         vm.fast_write = self.fast_write
+        gbase = self.machine.gbase
+        arrays = self.machine.store.arrays
         while True:
             try:
                 ev = vm.run()
@@ -223,18 +217,33 @@ class ThreadShell:
                     yield from self._park()
                     continue            # unreachable (park never returns)
                 raise
-            debt = self._debt + vm.take_cycles()
+            debt = self._debt + vm.pending_cycles
             if debt:
-                self._debt = 0.0
+                self._debt = vm.pending_cycles = 0.0
                 yield debt
             if self._faults is not None:
                 yield from self._inject_faults()
             k = type(ev)
             try:
                 if k is MemRead:
-                    yield from self._mem_read(ev)
+                    # The access missed the CMP (or the debt limit
+                    # forced it through the engine).
+                    gidx, flat = ev.gidx, ev.flat
+                    yield from self.timed_load(gbase[gidx] + flat * 8)
+                    vm.push(arrays[gidx].item(flat))
                 elif k is MemWrite:
-                    yield from self._mem_write(ev)
+                    gidx, flat = ev.gidx, ev.flat
+                    if self.role == "A":
+                        # In-session shared store converted to a
+                        # non-binding prefetch-exclusive (§5.1:
+                        # "converting some of the shared stores into
+                        # prefetches").
+                        self.memsys.prefetch_exclusive(
+                            self.node, gbase[gidx] + flat * 8, "A")
+                        yield 1.0
+                    else:
+                        yield from self.timed_store(gbase[gidx] + flat * 8)
+                        arrays[gidx][flat] = ev.value
                 elif k is RtCall:
                     handler = _RT_HANDLERS.get(ev.name)
                     if handler is None:
@@ -542,9 +551,6 @@ class ThreadShell:
 
     def _rt_barrier(self, ev: RtCall):
         site = ev.static[0]
-        yield from self._barrier(site)
-
-    def _barrier(self, site: int):
         if self.role == "R":
             if self.slipping:
                 ch = self.channel

@@ -70,10 +70,21 @@ def word_rmw(shell, word: RTWord, fn: Callable):
 def spin_until(shell, word: RTWord, pred: Callable[[object], bool],
                cap: float = SPIN_BACKOFF_CAP):
     """Test-loop on a shared word with exponential backoff.  Returns the
-    satisfying value."""
+    satisfying value.
+
+    Each poll is a ``word_load``; most hit the spinner's L1 (the word
+    stays there until the awaited store invalidates it), so the hit is
+    taken here, on the shell's tag store, and only a poll that misses
+    goes through ``timed_load``, which counts the miss itself."""
     backoff = SPIN_BACKOFF0
+    addr = word.addr
+    l1_hit, hit_cycles = shell.l1.hit, shell.l1_hit_cycles
     while True:
-        v = yield from word_load(shell, word)
+        if l1_hit(addr):
+            yield hit_cycles
+        else:
+            yield from shell.timed_load(addr)
+        v = word.value
         if pred(v):
             return v
         yield backoff

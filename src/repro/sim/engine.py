@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 from math import inf
+from operator import length_hint
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..hotpath import hotpath_enabled
@@ -112,7 +113,7 @@ class SimEvent:
 class Process:
     """A running generator coroutine inside the engine."""
 
-    __slots__ = ("engine", "gen", "name", "alive", "done_event", "result",
+    __slots__ = ("engine", "gen", "name", "alive", "_done_event", "result",
                  "_waiting_on", "_pending_interrupt")
 
     def __init__(self, engine: "Engine", gen: Generator, name: str = ""):
@@ -121,9 +122,26 @@ class Process:
         self.name = name
         self.alive = True
         self.result: Any = None
-        self.done_event = SimEvent(engine, name=f"done:{name}")
+        self._done_event: Optional[SimEvent] = None
         self._waiting_on: Optional[SimEvent] = None
         self._pending_interrupt: Optional[Interrupt] = None
+
+    @property
+    def done_event(self) -> SimEvent:
+        """Event fired with the process's result when it ends.
+
+        Made on first access -- most processes (invalidations,
+        prefetches, writebacks) are never joined.  Asked for after the
+        process ended, it comes back already fired, carrying
+        ``result``."""
+        evt = self._done_event
+        if evt is None:
+            evt = self._done_event = SimEvent(self.engine,
+                                              name=f"done:{self.name}")
+            if not self.alive:
+                evt.fired = True
+                evt.value = self.result
+        return evt
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
@@ -145,8 +163,9 @@ class Process:
             self._waiting_on.remove_waiter(self)
             self._waiting_on = None
         self.gen.close()
-        if not self.done_event.fired:
-            self.done_event.fire(None)
+        done = self._done_event
+        if done is not None and not done.fired:
+            done.fire(None)
 
     def _step(self, sendval: Any) -> None:
         if not self.alive:
@@ -171,7 +190,8 @@ class Process:
     def _exit(self, result: Any) -> None:
         self.alive = False
         self.result = result
-        self.done_event.fire(result)
+        if self._done_event is not None:
+            self._done_event.fire(result)
 
     def _dispatch(self, cmd: Any) -> None:
         if isinstance(cmd, SimEvent):
@@ -199,11 +219,14 @@ class _TimerFire:
     Duck-types the slice of :class:`Process` the drain loops touch
     (``alive``, ``name``, ``_step``), so ``Engine.timeout_event`` can
     place the fire directly in the queue instead of spawning a
-    ``timer:`` shim process (and its generator) per timeout."""
+    ``timer:`` shim process (and its generator) per timeout.  Its
+    ``_pending_interrupt`` is set for good: the fused loop's one test
+    for "not a plain resumption" then hands it to ``_step``."""
 
     __slots__ = ("evt", "name")
 
     alive = True
+    _pending_interrupt = True
 
     def __init__(self, evt: "SimEvent", name: str):
         self.evt = evt
@@ -251,14 +274,14 @@ class Engine:
         if use_buckets:
             self._buckets: dict = {}     # time -> list[(proc, value)]
             self._times: list = []       # heap of distinct bucket times
-            # The bucket being drained right now.  It is popped from
-            # ``_buckets``/``_times`` wholesale, then walked by index;
-            # entries scheduled *at* its timestamp while it drains land
-            # in a fresh dict bucket and are reached afterwards --
-            # exactly the (time, seq) order of the heap discipline.
-            self._cur: Optional[list] = None
-            self._cur_t: float = 0.0
-            self._cur_i: int = 0
+            # The bucket being drained right now: popped from
+            # ``_buckets``/``_times`` wholesale and walked through this
+            # iterator; entries scheduled *at* its timestamp while it
+            # drains land in a fresh dict bucket and are reached
+            # afterwards -- exactly the (time, seq) order of the heap
+            # discipline.
+            self._front = iter(())
+            self._front_t: float = 0.0
             # Bind the discipline once; SimEvent.fire and
             # Process._dispatch go through ``_schedule``.
             self._schedule = self._schedule_bucket
@@ -279,10 +302,13 @@ class Engine:
         self._schedule(proc, delay, None)
         return proc
 
-    def event(self, name: str = "") -> SimEvent:
-        """Create a fresh one-shot event."""
+    def event(self, name: str = "", cls=SimEvent) -> SimEvent:
+        """Create a fresh one-shot event, counted under
+        ``engine.events`` -- the one place that count is kept.  ``cls``
+        is ``SimEvent`` or a subclass built as ``cls(engine, name)``
+        (the memory system's MSHR is the event its miss fires)."""
         self._nevents += 1
-        return SimEvent(self, name=name)
+        return cls(self, name)
 
     def timeout_event(self, delay: float, value: Any = None,
                       name: str = "") -> SimEvent:
@@ -356,9 +382,8 @@ class Engine:
         the front may belong to a killed process that will be skipped.
         """
         if self.use_buckets:
-            cur = self._cur
-            if cur is not None and self._cur_i < len(cur):
-                return self._cur_t      # draining bucket still has entries
+            if length_hint(self._front):
+                return self._front_t    # draining bucket still has entries
             times = self._times
             return times[0] if times else None
         q = self._queue
@@ -377,63 +402,54 @@ class Engine:
         (returns False).
 
         The front bucket is detached from the dict/heap wholesale and
-        walked by index -- one heap pop *per distinct timestamp*, one
-        index bump per resumption.  A resumed process that schedules at
-        the current time cannot mutate the detached list (the dict no
-        longer holds it), so the walk is append-safe by construction.
+        walked through one list iterator (``_front``) -- one heap pop
+        and one clock store *per distinct timestamp*, no index
+        bookkeeping per resumption; the iterator is the whole resume
+        state, so a budget, a stop or an exception leaves the rest of
+        the bucket where the next call finds it.  A resumed process
+        that schedules at the current time cannot mutate the detached
+        list (the dict no longer holds it), so the walk is append-safe
+        by construction.
 
-        The common resumption is fused: ``Process._step``, the float
-        and ``SimEvent`` arms of ``Process._dispatch`` and
-        ``_schedule_bucket`` are open-coded below.  Everything else --
-        timer entries, pending interrupts, int/None yields, illegal
-        commands -- goes through those methods, which stay the
-        definition of what a resumption does.
+        The common resumption is fused: ``Process._step``, ``_exit``
+        on a normal return, the float and ``SimEvent`` arms of
+        ``Process._dispatch`` and ``_schedule_bucket`` are open-coded
+        below.  Everything else -- timer entries, pending interrupts,
+        int/None yields, illegal commands -- goes through those
+        methods, which stay the definition of what a resumption does.
         """
         buckets = self._buckets
         times = self._times
-        push = heapq.heappush
+        push, pop = heapq.heappush, heapq.heappop
         hook = self.trace_hook
         horizon = inf if until is None else until
         budget = -1 if max_steps is None else max_steps
-        cur = self._cur
-        i = self._cur_i
-        t = self._cur_t
-        if cur is not None and i >= len(cur):
-            cur = None
         if budget == 0:
             return False
-        while True:
-            if cur is None:
-                if not times or times[0] > horizon:
-                    self._cur = None
-                    self._cur_i = 0
-                    return True
-                t = heapq.heappop(times)
-                self._cur = cur = buckets.pop(t)
-                self._cur_t = t
-                i = 0
-            elif t > horizon:
+        front = self._front
+        t = self._front_t
+        if length_hint(front):
+            if t > horizon:
                 return True
-            n = len(cur)
-            while i < n:
-                proc, value = cur[i]
-                i += 1
+            self.now = t
+        while True:
+            for proc, value in front:
                 if not proc.alive:
                     continue
                 budget -= 1
-                self._cur_i = i
-                self.now = t
                 if hook is not None:
                     hook(t, proc)
-                if (proc.__class__ is not Process
-                        or proc._pending_interrupt is not None):
-                    proc._step(value)
+                if proc._pending_interrupt is not None:
+                    proc._step(value)       # an interrupt, or a timer
                 else:
                     proc._waiting_on = None
                     try:
                         cmd = proc.gen.send(value)
                     except StopIteration as stop:
-                        proc._exit(stop.value)
+                        proc.alive = False
+                        proc.result = stop.value
+                        if proc._done_event is not None:
+                            proc._done_event.fire(stop.value)
                     except Interrupt:
                         proc._exit(None)
                     else:
@@ -456,7 +472,11 @@ class Engine:
                             proc._dispatch(cmd)
                 if budget == 0 or self._stopped:
                     return False
-            cur = None
+            if not times or times[0] > horizon:
+                return True
+            t = pop(times)
+            self._front = front = iter(buckets.pop(t))
+            self._front_t = self.now = t
 
     def _drain_heap(self, until: Optional[float],
                     max_steps: Optional[int]) -> bool:

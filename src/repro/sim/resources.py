@@ -85,7 +85,9 @@ def serve_legs(legs):
     for ``duration``, queueing FIFO behind earlier arrivals -- or
     ``(None, delay)`` for time spent on a wire nobody contends for.
     One generator serves the whole trip; :meth:`Server.serve` is the
-    one-leg case.
+    one-leg case.  Taking and handing on a unit are open-coded here
+    (a trip is most of what the engine resumes); ``Server._release``
+    is the same hand-over for the interrupted-while-queued case.
     """
     for server, duration in legs:
         if server is None:
@@ -99,11 +101,11 @@ def serve_legs(legs):
                 # coherence protocol's correctness is untouched.
                 duration += extra
         server.total_requests += 1
+        waiters = server._waiters
         if server._busy >= server.units:
             engine = server.engine
             start = engine.now
-            gate = engine.event(name=server._gate_name)
-            waiters = server._waiters
+            gate = engine.event(server._gate_name)
             waiters.append(gate)
             if len(waiters) > server.max_queue_len:
                 server.max_queue_len = len(waiters)
@@ -125,7 +127,11 @@ def serve_legs(legs):
                 yield duration
             server.total_service += duration
         finally:
-            server._release()
+            if waiters:
+                # Hand the unit straight to the next waiter.
+                waiters.popleft().fire()
+            else:
+                server._busy -= 1
 
 
 class Semaphore:
@@ -199,13 +205,19 @@ class Semaphore:
 class Mutex(Semaphore):
     """Binary semaphore: one holder at a time."""
 
+    __slots__ = ()
+
     def __init__(self, engine: Engine, name: str, op_latency: float = 0.0):
         super().__init__(engine, name, initial=1, op_latency=op_latency)
 
     def release(self, n: int = 1) -> None:  # noqa: D102 - inherited docs
-        """Release the mutex (error if it was free)."""
+        """Release the mutex (error if it was free) and wake the first
+        waiter: ``Semaphore.release(1)``, on one level."""
         if n != 1:
             raise SimulationError("mutex releases exactly one unit")
         if self.count >= 1:
             raise SimulationError(f"mutex {self.name!r} released while free")
-        super().release(1)
+        self.count = 1
+        self.total_releases += 1
+        if self._waiters:
+            self._waiters.popleft().fire()

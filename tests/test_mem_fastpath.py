@@ -28,7 +28,8 @@ from repro.mem import CoherentMemorySystem
 from repro.mem.address import SHARED_BASE
 from repro.runtime import Machine
 from repro.runtime.team import Job
-from repro.sim import Engine
+from repro.runtime.words import spin_until
+from repro.sim import Engine, SimEvent
 
 
 def make(n_cmps=4, use_buckets=None, **kw):
@@ -384,11 +385,13 @@ def test_every_l1_miss_of_a_run_is_counted_once():
 # --------------------------------------------------------- structure guard
 
 def _python_calls(fn):
-    """Run ``fn()``; returns (result, Python-level calls made, distinct
-    generator objects run).  ``sys.setprofile`` reports a ``call`` for
-    every Python frame entered -- C functions come as ``c_call`` -- and a
-    generator's frame again each time it is resumed, so generators are
-    told apart by frame."""
+    """Run ``fn()``; returns (result, Python-level calls made, the
+    generator objects run, by function name).  ``sys.setprofile``
+    reports a ``call`` for every Python frame entered -- C functions
+    come as ``c_call`` -- and a generator's frame again each time it is
+    resumed, so generators are told apart by frame.  Calls are recorded
+    as code objects: compare ``co_name``, or count one function's
+    ``__code__`` (``_NEW_EVENT``)."""
     calls, gens = [], {}
 
     def hook(frame, event, arg):
@@ -396,27 +399,42 @@ def _python_calls(fn):
             if frame.f_code.co_flags & 0x20:       # CO_GENERATOR
                 gens[id(frame)] = frame             # held: ids stay unique
             else:
-                calls.append(frame.f_code.co_name)
+                calls.append(frame.f_code)
 
     sys.setprofile(hook)
     try:
         result = fn()
     finally:
         sys.setprofile(None)
-    return result, calls, len(gens)
+    return result, calls, sorted(f.f_code.co_name for f in gens.values())
+
+
+#: Every ``SimEvent`` (and subclass) construction runs this code.
+_NEW_EVENT = SimEvent.__init__.__code__
 
 
 def test_hit_is_one_call_and_miss_a_handful_of_generators():
-    """What the flat hit path and the multi-leg trips bought, pinned so
-    that it cannot rot silently: from the VM an L1-hit load and an
-    exclusive-hit store are one Python call each (the hook itself --
-    no probe, cache or counter method under it), for an R-stream and
-    for an A-stream load inside a region alike (outside one the
-    A-stream asks ``SlipControl.effective``, a property); and an
-    uncontended remote read miss
-    runs in 7 generator objects (``timed_load``, ``load``, ``_gets``,
-    the request trip, the line lock, the memory controller, the reply
-    trip) where one per server crossed used to make it 12."""
+    """What the flat hit path, the multi-leg trips and the flattened
+    timed path bought, pinned so that it cannot rot silently:
+
+    * from the VM an L1-hit load and an exclusive-hit store are one
+      Python call each (the hook itself -- no probe, cache or counter
+      method under it), for an R-stream and for an A-stream load inside
+      a region alike (outside one the A-stream asks
+      ``SlipControl.effective``, a property);
+    * an uncontended remote read miss runs in 5 generator objects --
+      ``timed_load``, ``load`` (the read transaction is its tail) and
+      one ``serve_legs`` each for the request trip, the memory
+      controller and the reply trip -- where it was 7 with ``_gets``
+      and the line lock's ``acquire`` as generators of their own, and
+      12 with one generator per server crossed; taking the free line
+      lock makes none;
+    * a spin poll that hits the L1 makes no generator beyond the
+      ``spin_until`` that is polling (``word_load`` and ``timed_load``
+      used to be made and thrown away per poll);
+    * a process nobody joins makes no ``SimEvent``: the done-event is
+      made for who asks.
+    """
     prog = compile_source("double a[1024];\nvoid main() { }")   # two pages
     m = Machine(prog, mode="slipstream", cfg=PAPER_MACHINE.with_(
         n_cmps=2, placement="round_robin"))
@@ -434,18 +452,42 @@ def test_hit_is_one_call_and_miss_a_handful_of_generators():
     for sh in (r, a):
         hits = ms.nodes[sh.node].l1s[sh.cpu].hits
         value, calls, gens = _python_calls(lambda: sh.fast_read(0, local))
-        assert value == 0.0 and (calls, gens) == (["<lambda>", "fast_read"], 0)
+        # the lambda here, and under it the hook alone
+        assert value == 0.0 and gens == []
+        assert [c.co_name for c in calls[1:]] == ["fast_read"]
         assert ms.nodes[sh.node].l1s[sh.cpu].hits == hits + 1
     done, calls, gens = _python_calls(lambda: r.fast_write(0, local, 3.5))
-    assert done is True and (calls, gens) == (["<lambda>", "fast_write"], 0)
+    assert done is True and gens == []
+    assert [c.co_name for c in calls[1:]] == ["fast_write"]
     assert m.store.read(0, local) == 3.5
 
     assert r.fast_read(0, remote) is MISS
     t0 = eng.now
-    _, _, gens = _python_calls(
+    _, calls, gens = _python_calls(
         lambda: eng.run_process(r.timed_load(m.gaddr(0, remote))))
     assert eng.now - t0 == remote_miss_cycles(ms)
-    assert gens <= 7
+    assert gens == ["load", "serve_legs", "serve_legs", "serve_legs",
+                    "timed_load"]
+    assert calls.count(_NEW_EVENT) == 1     # the MSHR, and no done-event
+
+    # A spin poll on a line the spinner's L1 holds.
+    word = m.rt_word("flag")
+    eng.run_process(r.timed_load(word.addr))            # fill the L1
+    l1 = ms.nodes[r.node].l1s[r.cpu]
+    hits, misses, t0 = l1.hits, l1.misses, eng.now
+
+    def setter():
+        yield 100.0
+        word.value = 1
+
+    eng.process(setter())
+    got, calls, gens = _python_calls(lambda: eng.run_process(
+        spin_until(r, word, lambda v: v == 1)))
+    assert got == 1 and gens == ["setter", "spin_until"]
+    # 20 + 40 + 80 cycles of backoff: four one-cycle polls, all hits.
+    assert (l1.hits - hits, l1.misses - misses) == (4, 0)
+    assert eng.now - t0 == 4 * m.cfg.l1.hit_cycles + 140
+    assert _NEW_EVENT not in calls
 
 
 # ------------------------------------------------------- REPRO_HOTPATH

@@ -254,6 +254,26 @@ def test_profile_only_probe_validates_like_bd():
     assert p.pop(3.0) == "lock"
 
 
+def test_probe_spans_is_the_collectors_live_stack():
+    """``Probe.spans`` aliases the collector's own list: it follows
+    every push/switch/pop and is emptied -- in place, never rebound --
+    by ``close``, for the breakdown and for a profile-only probe."""
+    from repro.obs import TrackProfile
+    for kw in ({"bd": TimeBreakdown(start=0.0)},
+               {"prof": TrackProfile("cpu0", start=0.0)}):
+        p = Probe("cpu0", **kw)
+        spans = p.spans
+        assert not spans and p.depth == 0
+        p.push("lock", 1.0)
+        p.push("memory", 2.0)
+        assert len(spans) == p.depth == 2
+        p.switch("idle", 3.0)
+        assert p.pop(4.0) == "idle" and len(spans) == 1
+        p.close(5.0)
+        assert p.spans is spans and not spans
+    assert NULL_PROBE.spans == () and NULL_PROBE.depth == 0
+
+
 def test_trace_sink_finalizes_unclosed_tracks():
     s = TraceSink()
     p = s.probe("mem", start=0.0)

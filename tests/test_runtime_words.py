@@ -9,8 +9,26 @@ from repro.runtime.words import (RTWord, SenseBarrier, SpinLock,
 from repro.sim import Engine
 
 
+class FakeL1:
+    """The tag store a spin poll probes: holds the lines it was told
+    to, counts the hits it served."""
+
+    def __init__(self):
+        self.resident = set()
+        self.hits = 0
+
+    def hit(self, addr):
+        if addr in self.resident:
+            self.hits += 1
+            return True
+        return False
+
+
 class FakeShell:
-    """Just enough shell surface for the words module."""
+    """Just enough shell surface for the words module: the timed
+    accesses, and what ``spin_until`` reads to take an L1-hit poll
+    itself (``l1.hit``, ``l1_hit_cycles``).  The fake L1 is empty
+    unless a test fills it, so every poll is a ``timed_load``."""
 
     def __init__(self, engine, load_lat=10.0, store_lat=20.0):
         self.engine = engine
@@ -19,6 +37,8 @@ class FakeShell:
         self.barrier_sense = 0
         self.loads = 0
         self.stores = 0
+        self.l1 = FakeL1()
+        self.l1_hit_cycles = 1.0
 
     def timed_load(self, addr):
         self.loads += 1
@@ -67,6 +87,29 @@ def test_spin_until_backoff_grows():
     # Backoff keeps probe counts low: ~500 cycles of waiting needs far
     # fewer probes than cycle-by-cycle polling would.
     assert sh.loads < 25
+
+
+def test_spin_poll_that_hits_the_l1_is_taken_in_place():
+    """A poll on a line the spinner's L1 holds costs the hit latency
+    and never reaches ``timed_load``; once the line is gone (the
+    awaited store invalidated it) the poll is a timed load again."""
+    eng = Engine()
+    sh = FakeShell(eng, load_lat=10.0)
+    w = RTWord(0x1000, 0, "flag")
+    sh.l1.resident.add(w.addr)
+
+    def setter():
+        yield 100
+        sh.l1.resident.discard(w.addr)      # the store's invalidation
+        w.value = 1
+
+    eng.process(setter())
+    p = eng.process(spin_until(sh, w, lambda v: v == 1), name="s")
+    eng.run()
+    # Polls at 0, 21, 62 hit (1 cycle + 20/40/80 backoff); the poll at
+    # 143 misses, loads for 10 cycles and sees the value.
+    assert p.result == 1 and (sh.l1.hits, sh.loads) == (3, 1)
+    assert eng.now == 153
 
 
 def test_spinlock_mutual_exclusion_and_stats():

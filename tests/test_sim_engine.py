@@ -334,3 +334,110 @@ def test_all_of_spawns_no_watcher_processes():
     eng.run()
     assert combined.fired and combined.value == list(range(8))
     assert eng._nprocs == before + 1      # just the single firing shim
+
+
+# ------------------------------------------------------ lazy done_event
+
+def test_done_event_asked_for_after_the_end_is_already_fired():
+    """``done_event`` is made on first access; a caller that comes
+    after the process ended gets an event that has already fired with
+    the result, and waiting on it resumes at once."""
+    eng = Engine()
+
+    def child():
+        yield 2
+        return "rv"
+
+    proc = eng.process(child())
+    eng.run()
+    assert not proc.alive
+    evt = proc.done_event
+    assert evt.fired and evt.value == "rv"
+    assert proc.done_event is evt               # made once
+    got = []
+
+    def late_joiner():
+        got.append(((yield proc.done_event), eng.now))
+
+    eng.process(late_joiner())
+    eng.run()
+    assert got == [("rv", 2.0)]
+
+
+def test_kill_and_exit_fire_done_event_only_where_one_exists():
+    """A process nobody joins never makes the event (ending it fires
+    nothing); one that is being joined fires it exactly once, on kill
+    with ``None``."""
+    eng = Engine()
+    made = []
+    real_init = SimEvent.__init__
+
+    def counting_init(self, engine, name=""):
+        made.append(name)
+        real_init(self, engine, name)
+
+    def forever():
+        while True:
+            yield 1
+
+    def brief():
+        yield 1
+        return 7
+
+    joined, unjoined, ends = (eng.process(forever(), name="joined"),
+                              eng.process(forever(), name="unjoined"),
+                              eng.process(brief(), name="brief"))
+    woken = []
+
+    def joiner():
+        woken.append(((yield joined.done_event), eng.now))
+
+    def killer():
+        yield 3
+        joined.kill()
+        unjoined.kill()
+        joined.kill()                           # second kill: no double fire
+
+    eng.process(joiner())
+    eng.process(killer())
+    SimEvent.__init__ = counting_init
+    try:
+        eng.run()
+    finally:
+        SimEvent.__init__ = real_init
+    assert made == ["done:joined"]              # the one somebody asked for
+    assert woken == [(None, 3.0)]
+    assert not unjoined.alive and not ends.alive
+    # Asked for afterwards, they report how each ended.
+    assert unjoined.done_event.fired and unjoined.done_event.value is None
+    assert ends.done_event.fired and ends.done_event.value == 7
+
+
+def test_all_of_over_done_events_of_finished_and_running_processes():
+    eng = Engine()
+
+    def child(delay, rv):
+        yield delay
+        return rv
+
+    early = eng.process(child(1, "early"))
+    eng.run()                                   # ``early`` has ended
+    late = eng.process(child(4, "late"))
+    victim = eng.process(child(100, "never"))
+    got = []
+
+    def parent():
+        got.append(((yield eng.all_of([early.done_event, late.done_event,
+                                       victim.done_event])), eng.now))
+
+    def killer():
+        yield 6
+        victim.kill()
+
+    eng.process(parent())
+    eng.process(killer())
+    eng.run()
+    assert got == [(["early", "late", None], 7.0)]
+    # All inputs already over: the combined event is born fired.
+    out = eng.all_of([early.done_event, late.done_event])
+    assert out.fired and out.value == ["early", "late"]
