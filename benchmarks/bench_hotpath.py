@@ -1,16 +1,14 @@
-"""Hot-path ablation benchmark: the three ``REPRO_HOTPATH`` tiers.
+"""Reference-vs-default benchmark: the ``REPRO_HOTPATH`` switch.
 
-Runs the test-size static suite serially under each tier combination
--- all off, each tier alone, compile+fuse, all on (the default) --
-**interleaved** and min-of-reps (CPU time) so host noise and cache
-drift hit every arm equally, then:
+Runs the test-size static suite serially on the reference interpreter
+(``REPRO_HOTPATH=``) and on generated code (``compile``, the default)
+-- **interleaved** and min-of-reps (CPU time) so host noise and cache
+drift hit both arms equally, then:
 
-* asserts the simulated cycle map is bit-identical across every arm
-  (the tiers' cycle-exactness contract);
-* records the per-tier and all-on speedups, how the default compares
-  with the fastest arm (recorded, not asserted: "the default is the
-  fastest configuration" as a number), and explanatory notes to
-  ``BENCH_hotpath.json`` at the repository root.
+* asserts the simulated cycle map is bit-identical across the two
+  (the cycle-exactness contract of the generated code);
+* records the speedup, on the suite and on a bare VM, and an
+  explanatory note to ``BENCH_hotpath.json`` at the repository root.
 
 The suite here is pinned to test size / 4 CMPs (the regress smoke
 scale) regardless of ``REPRO_BENCH_SIZE`` so the recorded trajectory
@@ -30,9 +28,8 @@ from repro.hotpath import reset_for_tests
 
 BASELINE_PATH = pathlib.Path(__file__).parent.parent / "BENCH_hotpath.json"
 
-#: The last arm is the default configuration (every tier on).
-DEFAULT_ARM = "engine,fuse,compile"
-ARMS = ("", "engine", "fuse", "compile", "compile,fuse", DEFAULT_ARM)
+#: ``REPRO_HOTPATH`` values: the reference interpreter, the default.
+ARMS = ("", "compile")
 REPS = int(os.environ.get("REPRO_BENCH_HOTPATH_REPS", "3"))
 
 
@@ -44,9 +41,9 @@ def _suite():
 def _vm_only_bench():
     """Dispatch-only microbenchmark: a compute-bound kernel driven as a
     bare VM (events serviced from a flat store), so the measurement
-    isolates what the ``compile``/``fuse`` tiers actually touch --
-    fetch/decode/dispatch -- from the memory-system and engine work
-    that dominates the machine-level suite."""
+    isolates what generated code actually touches -- fetch/decode/
+    dispatch -- from the memory-system and engine work that dominates
+    the machine-level suite."""
     from repro.compiler import compile_source
     from repro.interp import VM, Done, MemRead, MemWrite
     prog = compile_source("""
@@ -138,49 +135,28 @@ def _measure():
                 "vm_dispatch_speedup_vs_off": round(
                     vm_off / min(vm_cpu[tiers]), 3),
             }
-        best = min(ARMS, key=lambda tiers: min(cpu[tiers]))
         return {
             "sweep": {"suite": "static", "size": "test", "n_cmps": 4,
                       "runs": len(base), "reps": REPS,
                       "timer": "process_time, min of interleaved reps",
                       "vm_dispatch": "per-arm compute-bound bare-VM "
-                                     "microbenchmark isolating what the "
-                                     "fuse/compile tiers touch"},
+                                     "microbenchmark isolating what "
+                                     "generated code touches"},
             "cycles": base,
             "cycles_bit_identical_across_arms": True,
             "arms": arms_out,
-            "default_vs_best_arm": {
-                "default": DEFAULT_ARM,
-                "best_arm": best or "off",
-                "cpu_ratio": round(min(cpu[DEFAULT_ARM]) / min(cpu[best]),
-                                   3),
-            },
             "host": {"cpu_count": os.cpu_count(),
                      "platform": platform.platform(),
                      "python": platform.python_version()},
             "notes": {
-                "compile": "The generated-code tier removes dispatch "
-                           "outright (see vm_dispatch_speedup_vs_off on "
-                           "the compute-bound VM-only microbenchmark).  "
-                           "The suite-level gain is Amdahl-capped: with "
-                           "every tier off the interpreter is roughly "
-                           "half of suite CPU, the rest being the "
-                           "memory system, coherence bookkeeping and "
-                           "the event engine.",
-                "fuse": "Superinstruction fusion carries the "
-                        "interpreter-side speedup: it removes ~55% of "
-                        "VM dispatches on this suite (6.9M -> 3.0M).  "
-                        "Under the compile tier dispatch elimination "
-                        "subsumes its win (compare the compile and "
-                        "compile,fuse arms).",
-                "engine": "The bucket queue and its fused drain loop "
-                          "are about wall-clock parity with the heapq "
-                          "reference on this suite, alone and under "
-                          "compile (compare compile,fuse with the "
-                          "default): event times are mostly distinct "
-                          "floats, so bucketing saves few heap "
-                          "operations, and at 4 CMPs the engine is a "
-                          "small share of CPU.",
+                "compile": "Generated code removes dispatch outright "
+                           "(see vm_dispatch_speedup_vs_off on the "
+                           "compute-bound VM-only microbenchmark).  The "
+                           "suite-level gain is Amdahl-capped: the "
+                           "interpreter, running fused bytecode, is "
+                           "roughly half of the reference arm's CPU, "
+                           "the rest being the memory system, coherence "
+                           "bookkeeping and the event engine.",
             },
         }
     finally:
@@ -198,14 +174,13 @@ def test_hotpath_ablation(once):
             for tiers, d in data["arms"].items()]
     publish("hotpath_ablation", render_table(
         ["REPRO_HOTPATH", "cpu s (min)", "speedup vs off"], rows,
-        f"hot-path tier ablation, {data['sweep']['runs']}-run static "
-        f"suite (test size, 4 CMPs, {data['sweep']['reps']} interleaved "
-        f"reps)"))
+        f"reference interpreter (off) vs generated code, "
+        f"{data['sweep']['runs']}-run static suite (test size, 4 CMPs, "
+        f"{data['sweep']['reps']} interleaved reps)"))
     # The exactness contract is the hard gate; the wall-clock floors
     # sit deliberately below the recorded speedups so noisy hosts
     # don't flake.
     assert data["cycles_bit_identical_across_arms"]
-    assert data["arms"]["fuse"]["speedup_vs_off"] > 1.15, data["arms"]
     assert data["arms"]["compile"]["speedup_vs_off"] > 1.5, data["arms"]
     assert data["arms"]["compile"]["vm_dispatch_speedup_vs_off"] > 3.0, \
         data["arms"]

@@ -11,15 +11,14 @@ new index map rewrites every branch.  Mode-independence is unaffected
 -- the optimizer runs before the image is sealed, identically for every
 execution mode.
 
-A final *superinstruction fusion* pass (``REPRO_HOTPATH`` tier
-``fuse``) collapses the dominant stack-shuffle sequences of the NPB
-inner loops into single fused opcodes -- up to whole loop idioms like
-``i = i + 1`` (``lcbs``) and ``i < n`` (``lcjf``); see the table in
-``bytecode``.  Fusion is cycle-exact by construction:
-each fused op charges the exact sum of its parts, a window never
-contains a branch target past its first instruction, and -- so per-line
-profile totals cannot shift -- only instructions sharing one source
-line fuse.
+A final *superinstruction fusion* pass collapses the dominant
+stack-shuffle sequences of the NPB inner loops into single fused
+opcodes -- up to whole loop idioms like ``i = i + 1`` (``lcbs``) and
+``i < n`` (``lcjf``); see the table in ``bytecode``.  Fusion is
+cycle-exact by construction: each fused op charges the exact sum of
+its parts, a window never contains a branch target past its first
+instruction, and -- so per-line profile totals cannot shift -- only
+instructions sharing one source line fuse.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Set, Tuple
 
-from ..hotpath import hotpath_enabled
 from .bytecode import Code, CompiledProgram
 
 __all__ = ["optimize_code", "optimize_program", "fuse_code",
@@ -369,11 +367,7 @@ def fuse_program(program: CompiledProgram) -> int:
 def optimize_program(program: CompiledProgram) -> int:
     """Optimize every function; returns total instructions removed.
 
-    Superinstruction fusion runs last (over the fully peephole-
-    optimized stream) and only when the ``fuse`` hot-path tier is
-    enabled -- the flag is also folded into the compile-cache key, so
-    disk-cached images never cross tier configurations."""
+    Superinstruction fusion runs last, over the fully peephole-
+    optimized stream."""
     removed = sum(optimize_code(f) for f in program.funcs)
-    if hotpath_enabled("fuse"):
-        removed += fuse_program(program)
-    return removed
+    return removed + fuse_program(program)

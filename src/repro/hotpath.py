@@ -1,33 +1,25 @@
-"""Hot-path tier switches (``REPRO_HOTPATH``).
+"""The reference switch (``REPRO_HOTPATH``).
 
-The per-simulation critical path carries three independent
-optimizations, each provably cycle-exact but individually toggleable
-for attribution and for the regression gate's off/on diff:
+Simulations run generated code: every bytecode function is translated
+into one ``exec``-compiled Python function (the ``compile`` tier,
+:mod:`repro.interp.compile`).  The bytecode interpreter it replaces
+stays as the reference the generated code is checked against, and
+``REPRO_HOTPATH`` selects between the two and nothing else:
 
-* ``engine``  -- the calendar/bucket scheduler queue and its fused
-  drain loop in :class:`repro.sim.Engine` (off: the heapq queue,
-  resumed through the unfused ``Process`` methods);
-* ``fuse``    -- bytecode superinstruction fusion in
-  :mod:`repro.compiler.optimize`;
-* ``compile`` -- per-function generated-code translation in
-  :mod:`repro.interp.compile` (the bytecode dispatch loop is replaced
-  by an ``exec``-compiled Python function per ``Code`` object).
+* unset, or ``compile`` -- generated code (the default);
+* empty (``REPRO_HOTPATH=``) -- the reference interpreter.
 
-``REPRO_HOTPATH`` unset means *all tiers on* (the optimizations are
-bit-exact, so there is no reason to run without them); set, it is a
-comma-separated subset to enable -- ``REPRO_HOTPATH=`` (empty) turns
-everything off, ``REPRO_HOTPATH=engine,fuse`` leaves only the
-generated-code tier disabled.  A token that names no tier raises
-``ValueError`` (the CLI prints it on one line and exits 2): a stale
-setting must not silently run with that tier -- or every tier -- off.
+Both are bit-exact in cycles and events.  Any other token raises
+``ValueError`` (the CLI prints it on one line and exits 2) -- including
+the removed ``engine``, ``fuse`` and ``mem`` tiers: a stale setting
+must not silently run something other than what it names.
 
 The environment is consulted *once per process* -- the first
-:func:`hotpath_tiers` call latches the set, and construction/compile
-sites (engine ``__init__``, the compiler when an
-image is built, the VM when it adopts generated code) read that latch.
-Toggling the variable mid-run therefore has no effect and the hot
-loops carry no environment lookups.  Process-pool workers inherit the
-environment, keeping serial and pooled sweeps on the same tiers.
+:func:`hotpath_tiers` call latches the set, and the compiler (when an
+image is built) and the VM (when it adopts generated code) read that
+latch.  Toggling the variable mid-run therefore has no effect and the
+hot loops carry no environment lookups.  Process-pool workers inherit
+the environment, keeping serial and pooled sweeps on the same path.
 Tests that flip ``REPRO_HOTPATH`` must call :func:`reset_for_tests`
 after each change (the autouse fixture in ``tests/conftest.py`` resets
 around every test).
@@ -41,8 +33,8 @@ from typing import FrozenSet, Optional
 __all__ = ["HOTPATH_TIERS", "hotpath_tiers", "hotpath_enabled",
            "reset_for_tests"]
 
-#: Every known tier, in ablation-report order.
-HOTPATH_TIERS = ("engine", "fuse", "compile")
+#: Every valid token.
+HOTPATH_TIERS = ("compile",)
 
 _tiers: Optional[FrozenSet[str]] = None
 
@@ -60,7 +52,7 @@ def hotpath_tiers() -> FrozenSet[str]:
             if unknown:
                 raise ValueError(
                     f"REPRO_HOTPATH: unknown tier(s) "
-                    f"{', '.join(sorted(unknown))}; valid tiers are "
+                    f"{', '.join(sorted(unknown))}; the valid tier is "
                     f"{', '.join(HOTPATH_TIERS)}")
             _tiers = names
     return _tiers

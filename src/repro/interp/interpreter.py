@@ -359,6 +359,44 @@ def _translate(code: Code) -> List[Tuple]:
     return fast
 
 
+class _TallyingStream:
+    """The translated stream of one ``Code`` as a profiled ``VM.run``
+    fetches from it: ``stream[pc]`` is ``code._fast[pc]``, and the
+    fetch tallies that instruction's static cost -- and the +1 an
+    rt/print charges on its way out -- into the profile dict under its
+    (function name, source line) key.  The tally only *records*: the
+    dispatch loop sees the same tuples, so control flow, events and
+    ``pending_cycles`` are those of an unprofiled run.
+    """
+
+    __slots__ = ("fast", "lines", "fname", "prof", "line", "key")
+
+    def __init__(self, code: Code, fast: List[Tuple], prof: dict):
+        lines = getattr(code, "lines", None)
+        if not lines or len(lines) != len(fast):
+            lines = [0] * len(fast)
+        self.fast = fast
+        self.lines = lines
+        self.fname = code.name
+        self.prof = prof
+        self.line = self.key = None
+
+    def __getitem__(self, pc: int) -> Tuple:
+        ins = self.fast[pc]
+        ln = self.lines[pc]
+        if ln != self.line:
+            self.line = ln
+            self.key = (self.fname, ln)
+        key = self.key
+        prof = self.prof
+        num, _arg, cost = ins
+        if cost:
+            prof[key] = prof.get(key, 0.0) + cost
+        if num == _N_RT or num == _N_PRINT:
+            prof[key] = prof.get(key, 0.0) + 1.0
+        return ins
+
+
 class Frame:
     """One activation record: code, pc, operand stack, locals."""
     __slots__ = ("fidx", "code", "pc", "stack", "locals")
@@ -412,8 +450,9 @@ class VM:
         self.fast_write = None
         # Optional per-line cycle tally installed by a profiling probe:
         # a dict mapping (function name, source line) -> busy cycles.
-        # When set, run() takes the instrumented twin of the dispatch
-        # loop; when None (the default) the hot loop is untouched.
+        # When set, run() interprets -- generated code cannot attribute
+        # its folded charges -- and fetches through a _TallyingStream;
+        # when None (the default) the loop reads the plain list.
         self.profile = None
         # Generated-code tier (REPRO_HOTPATH "compile"): one exec'd
         # Python function per Code object, indexed by fidx.  None means
@@ -514,9 +553,8 @@ class VM:
         original string-dispatch loop because every instruction's full
         static cost is folded into its tuple at translation time.
         """
-        if self.profile is not None:
-            return self._run_profiled()
-        if self._cfns is not None:
+        prof = self.profile
+        if prof is None and self._cfns is not None:
             return self._run_compiled()
         if self.done:
             return Done(self.result)
@@ -533,6 +571,8 @@ class VM:
                 fi = code._fast
             except AttributeError:
                 fi = _translate(code)
+            if prof is not None:
+                fi = _TallyingStream(code, fi, prof)
             stack = frame.stack
             locs = frame.locals
             pc = frame.pc
@@ -577,13 +617,16 @@ class VM:
                         pc += 1
                     elif num == _N_GELOAD:
                         flat = stack.pop()
+                        # Synced before the hook, not only on the way
+                        # out: a profiling shell's hooks read
+                        # ``position()`` to charge a hit to its line.
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(arg, flat)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(arg, flat)
@@ -591,26 +634,26 @@ class VM:
                         a, k1, f1, b, f2, k2, f3, c, f4, g = arg
                         flat = f4(f3(f2(f1(locs[a], k1), locs[b]), k2),
                                   locs[c])
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(g, flat)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(g, flat)
                     elif num == _N_CBLBGE:
                         k, f1, b, f2, g = arg
                         flat = f2(f1(stack.pop(), k), locs[b])
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(g, flat)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(g, flat)
@@ -633,11 +676,11 @@ class VM:
                     elif num == _N_GESTORE:
                         v = stack.pop()
                         flat = stack.pop()
+                        frame.pc = pc + 1
                         if fast_write is not None and \
                                 fast_write(arg, flat, v):
                             pc += 1
                             continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         return MemWrite(arg, flat, v)
                     elif num == _N_LCBSJ:
@@ -698,23 +741,23 @@ class VM:
                         locs[arg][flat] = v
                         pc += 1
                     elif num == _N_GLOAD:
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(arg, 0)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(arg, 0)
                     elif num == _N_GSTORE:
                         v = stack.pop()
+                        frame.pc = pc + 1
                         if fast_write is not None and \
                                 fast_write(arg, 0, v):
                             pc += 1
                             continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         return MemWrite(arg, 0, v)
                     elif num == _N_NEG:
@@ -814,304 +857,3 @@ class VM:
                     self._cfns = None
                     return self.run()
                 return ev
-
-    def _run_profiled(self):
-        """Instrumented twin of :meth:`run` used when ``self.profile``
-        is set: identical dispatch, cycle accounting, and event order,
-        plus (a) every instruction's static cost -- and the +1 rt/print
-        surcharge -- is tallied into ``self.profile`` under its
-        (function name, source line) key, and (b) ``frame.pc`` is
-        synced before the fast_read/fast_write callbacks so the hosting
-        shell's profiling hooks can attribute fast-path memory charges
-        to the precise access site.  The tally only *records*; it never
-        feeds back into control flow or ``pending_cycles``, so cycles
-        stay bit-identical to the unprofiled loop.
-        """
-        if self.done:
-            return Done(self.result)
-        if self._pending_push:
-            raise VMError("event result was never pushed")
-        budget = self.MAX_SLICE
-        frames = self.frames
-        fast_read = self.fast_read
-        fast_write = self.fast_write
-        prof = self.profile
-        while True:
-            frame = frames[-1]
-            code = frame.code
-            try:
-                fi = code._fast
-            except AttributeError:
-                fi = _translate(code)
-            lines = getattr(code, "lines", None)
-            if not lines or len(lines) != len(fi):
-                lines = [0] * len(fi)
-            fname = code.name
-            cur_line = None
-            cur_key = None
-            stack = frame.stack
-            locs = frame.locals
-            pc = frame.pc
-            cycles = 0.0
-            try:
-                while True:
-                    num, arg, cost = fi[pc]
-                    cycles += cost
-                    ln = lines[pc]
-                    if ln != cur_line:
-                        cur_line = ln
-                        cur_key = (fname, ln)
-                    if cost:
-                        prof[cur_key] = prof.get(cur_key, 0.0) + cost
-                    # Same frequency-ordered dispatch as ``run`` -- see
-                    # the comment there.
-                    if num == _N_LB:
-                        stack[-1] = arg[1](stack[-1], locs[arg[0]])
-                        pc += 1
-                    elif num == _N_LCB:
-                        stack.append(arg[2](locs[arg[0]], arg[1]))
-                        pc += 1
-                    elif num == _N_CBLB:
-                        k, f1, b, f2 = arg
-                        stack[-1] = f2(f1(stack[-1], k), locs[b])
-                        pc += 1
-                    elif num == _N_LBCB:
-                        b, f1, k, f2 = arg
-                        stack[-1] = f2(f1(stack[-1], locs[b]), k)
-                        pc += 1
-                    elif num == _N_LCBLB:
-                        a, k, f1, b, f2 = arg
-                        stack.append(f2(f1(locs[a], k), locs[b]))
-                        pc += 1
-                    elif num == _N_BINOP:
-                        b = stack.pop()
-                        a = stack.pop()
-                        stack.append(arg(a, b))
-                        pc += 1
-                    elif num == _N_CONSTB:
-                        stack[-1] = arg[1](stack[-1], arg[0])
-                        pc += 1
-                    elif num == _N_CONST:
-                        stack.append(arg)
-                        pc += 1
-                    elif num == _N_GELOAD:
-                        flat = stack.pop()
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(arg, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(arg, flat)
-                    elif num == _N_IXGE:
-                        a, k1, f1, b, f2, k2, f3, c, f4, g = arg
-                        flat = f4(f3(f2(f1(locs[a], k1), locs[b]), k2),
-                                  locs[c])
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(g, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(g, flat)
-                    elif num == _N_CBLBGE:
-                        k, f1, b, f2, g = arg
-                        flat = f2(f1(stack.pop(), k), locs[b])
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(g, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(g, flat)
-                    elif num == _N_IX:
-                        a, k1, f1, b, f2, k2, f3, c, f4 = arg
-                        stack.append(f4(f3(f2(f1(locs[a], k1), locs[b]),
-                                           k2), locs[c]))
-                        pc += 1
-                    elif num == _N_JUMP:
-                        if arg < pc:
-                            budget -= 1
-                            if budget <= 0:
-                                frame.pc = arg
-                                self.pending_cycles += cycles
-                                return TimeSlice()
-                        pc = arg
-                    elif num == _N_GESTORE:
-                        v = stack.pop()
-                        flat = stack.pop()
-                        if fast_write is not None:
-                            frame.pc = pc + 1
-                            if fast_write(arg, flat, v):
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        return MemWrite(arg, flat, v)
-                    elif num == _N_LCBSJ:
-                        a, k, fn, d, t = arg
-                        locs[d] = fn(locs[a], k)
-                        if t <= pc:
-                            # Absorbed backward jump: same slice-budget
-                            # enforcement as the standalone _N_JUMP arm.
-                            budget -= 1
-                            if budget <= 0:
-                                frame.pc = t
-                                self.pending_cycles += cycles
-                                return TimeSlice()
-                        pc = t
-                    elif num == _N_LCJF:
-                        a, k, fn, t = arg
-                        pc = pc + 1 if fn(locs[a], k) else t
-                    elif num == _N_LCBS:
-                        a, k, fn, d = arg
-                        locs[d] = fn(locs[a], k)
-                        pc += 1
-                    elif num == _N_CS:
-                        locs[arg[1]] = arg[0]
-                        pc += 1
-                    elif num == _N_LSTORE:
-                        locs[arg] = stack.pop()
-                        pc += 1
-                    elif num == _N_JFALSE:
-                        pc = arg if not stack.pop() else pc + 1
-                    elif num == _N_LLOAD:
-                        stack.append(locs[arg])
-                        pc += 1
-                    elif num == _N_LL2B:
-                        a, b, fn = arg
-                        stack.append(fn(locs[a], locs[b]))
-                        pc += 1
-                    elif num == _N_LLBS:
-                        a, b, fn, d = arg
-                        locs[d] = fn(locs[a], locs[b])
-                        pc += 1
-                    elif num == _N_LLJF:
-                        a, b, fn, t = arg
-                        pc = pc + 1 if fn(locs[a], locs[b]) else t
-                    elif num == _N_CMPJF:
-                        b = stack.pop()
-                        a = stack.pop()
-                        pc = pc + 1 if arg[0](a, b) else arg[1]
-                    elif num == _N_LLST:
-                        locs[arg[1]] = locs[arg[0]]
-                        pc += 1
-                    elif num == _N_ALOAD:
-                        flat = stack.pop()
-                        stack.append(locs[arg][flat].item())
-                        pc += 1
-                    elif num == _N_ASTORE:
-                        v = stack.pop()
-                        flat = stack.pop()
-                        locs[arg][flat] = v
-                        pc += 1
-                    elif num == _N_GLOAD:
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(arg, 0)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(arg, 0)
-                    elif num == _N_GSTORE:
-                        v = stack.pop()
-                        if fast_write is not None:
-                            frame.pc = pc + 1
-                            if fast_write(arg, 0, v):
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        return MemWrite(arg, 0, v)
-                    elif num == _N_NEG:
-                        stack[-1] = -stack[-1]
-                        pc += 1
-                    elif num == _N_NOT:
-                        stack[-1] = 0 if stack[-1] else 1
-                        pc += 1
-                    elif num == _N_DUP:
-                        stack.append(stack[-1])
-                        pc += 1
-                    elif num == _N_POP:
-                        stack.pop()
-                        pc += 1
-                    elif num == _N_JNONE:
-                        if stack[-1] is None:
-                            stack.pop()
-                            pc = arg
-                        else:
-                            pc += 1
-                    elif num == _N_UNPACK2:
-                        a, b = stack.pop()
-                        stack.append(a)
-                        stack.append(b)
-                        pc += 1
-                    elif num == _N_ICALL1:
-                        stack.append(arg(stack.pop()))
-                        pc += 1
-                    elif num == _N_ICALL2:
-                        b = stack.pop()
-                        a = stack.pop()
-                        stack.append(arg(a, b))
-                        pc += 1
-                    elif num == _N_CALL:
-                        fidx, nargs = arg
-                        args = tuple(stack[len(stack) - nargs:])
-                        del stack[len(stack) - nargs:]
-                        frame.pc = pc + 1
-                        nf = Frame(fidx, self.program.funcs[fidx], args)
-                        frames.append(nf)
-                        break           # switch to the new frame
-                    elif num == _N_RET:
-                        rv = stack.pop() if stack else 0
-                        frames.pop()
-                        if not frames:
-                            self.done = True
-                            self.result = rv
-                            self.pending_cycles += cycles
-                            return Done(rv)
-                        frames[-1].stack.append(rv)
-                        break           # back to the caller's frame
-                    elif num == _N_RT:
-                        name, static, nargs = arg
-                        if nargs:
-                            args = tuple(stack[len(stack) - nargs:])
-                            del stack[len(stack) - nargs:]
-                        else:
-                            args = ()
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles + 1
-                        prof[cur_key] = prof.get(cur_key, 0.0) + 1.0
-                        return RtCall(name, static, args)
-                    elif num == _N_PRINT:
-                        vals = tuple(stack[len(stack) - arg:])
-                        del stack[len(stack) - arg:]
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles + 1
-                        prof[cur_key] = prof.get(cur_key, 0.0) + 1.0
-                        return IoOut(vals)
-                    else:
-                        raise VMError(f"unknown opcode number {num!r}")
-            except IndexError:
-                instrs = code.instrs
-                raise VMError(
-                    f"VM fault in {code.name} at pc={pc}: "
-                    f"{instrs[pc] if pc < len(instrs) else 'pc out of range'}"
-                ) from None
-            self.pending_cycles += cycles

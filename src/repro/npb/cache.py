@@ -110,18 +110,16 @@ class CompileCache:
     @staticmethod
     def key_for(source: str) -> str:
         """Content hash of a compile request: source + compiler version
-        + the optimizer configuration that shapes the opcode stream.
+        + whether the image carries generated code.
 
-        The superinstruction-fusion and generated-code tiers change
-        what ``compile_source`` emits without changing any compiler
-        source file, so both must be part of the key -- otherwise a
-        disk entry produced with a tier on would be served to a
-        ``REPRO_HOTPATH`` ablation run with it off (and vice versa:
-        an all-off image without ``gen_src`` would silently drop a
-        compile-tier process back to the interpreter)."""
+        ``REPRO_HOTPATH`` changes what ``compile_source`` emits without
+        changing any compiler source file, so it must be part of the
+        key -- otherwise a disk entry produced with generated code
+        would be served to a reference-interpreter run (and vice versa:
+        an image without ``gen_src`` would silently drop a default
+        process back to the interpreter)."""
         h = hashlib.sha256()
         h.update(compiler_fingerprint().encode())
-        h.update(b"fuse=1" if hotpath_enabled("fuse") else b"fuse=0")
         h.update(b"compile=1" if hotpath_enabled("compile")
                  else b"compile=0")
         h.update(source.encode())

@@ -4,10 +4,10 @@ Attributes **simulated** cycles -- exactly, not sampled -- to
 (function, SlipC source line, time category, memory level) tuples, per
 track.  Three information streams meet here:
 
-* the VM's instrumented dispatch loop tallies every instruction's
-  static cost (and the rt/print surcharge) under its (function, line)
-  key into ``TrackProfile.pending`` -- see
-  :meth:`repro.interp.interpreter.VM._run_profiled`;
+* the VM's dispatch loop, fetching through a tallying view of the
+  instruction stream, records every instruction's static cost (and the
+  rt/print surcharge) under its (function, line) key into
+  ``TrackProfile.pending`` -- see :meth:`repro.interp.interpreter.VM.run`;
 * the shell's synchronous memory fast paths report their per-access
   busy charge and L2-stall portion through :meth:`TrackProfile.fast`,
   keyed to the access site;
@@ -85,11 +85,11 @@ class TrackProfile:
 
         Setting ``vm.profile`` also takes precedence over the
         generated-code tier: ``VM.run()`` checks it before the
-        compiled-function table, so a profiled VM always executes the
-        line-attributing ``_run_profiled`` loop (the generated code
-        folds per-line charges into block accumulators and cannot
-        attribute them).  Cycle totals are identical either way --
-        asserted by ``tests/test_interp_compile.py``."""
+        compiled-function table, so a profiled VM always interprets,
+        tallying per line as it fetches (the generated code folds
+        per-line charges into block accumulators and cannot attribute
+        them).  Cycle totals are identical either way -- asserted by
+        ``tests/test_interp_compile.py``."""
         vm.profile = self.pending
         self.vm = vm
 

@@ -9,11 +9,10 @@ stack.
 
 Determinism: events scheduled for the same timestamp are processed in
 scheduling order, so repeated runs of the same configuration produce
-identical cycle counts.  Two queue disciplines implement that same
-total order (see ``Engine``): a calendar/bucket queue (the default),
-drained by one fused loop, and a ``heapq`` of ``(time, seq, proc,
-value)`` tuples stepped through the unfused ``Process`` methods, kept
-as the ``REPRO_HOTPATH`` ablation and property-test reference.
+identical cycle counts.  The queue is a calendar/bucket queue drained
+by one fused loop (see ``Engine``); the ``heapq`` of ``(time, seq,
+proc, value)`` tuples it must agree with lives in
+``tests/heap_engine.py``, where the property tests compare the two.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from math import inf
 from operator import length_hint
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..hotpath import hotpath_enabled
 from ..obs.probe import NULL_PROBE, Probe
 
 __all__ = ["SimEvent", "Process", "Engine", "SimulationError", "Interrupt"]
@@ -216,7 +214,7 @@ class Process:
 class _TimerFire:
     """Queue entry that fires an event when its time comes.
 
-    Duck-types the slice of :class:`Process` the drain loops touch
+    Duck-types the slice of :class:`Process` the drain loop touches
     (``alive``, ``name``, ``_step``), so ``Engine.timeout_event`` can
     place the fire directly in the queue instead of spawning a
     ``timer:`` shim process (and its generator) per timeout.  Its
@@ -239,57 +237,37 @@ class _TimerFire:
 class Engine:
     """The event loop: a clock plus an ordered queue of resumptions.
 
-    Two queue disciplines produce the identical resumption order:
+    The queue is a calendar/bucket queue: a dict of timestamp -> FIFO
+    bucket plus a small heap of *distinct* timestamps.  Same-time
+    entries append to an existing bucket for O(1) -- no heap push, no
+    tuple comparison -- which is the common case on the simulator's
+    zero-delay cascades; only the first entry per distinct timestamp
+    pays a heap operation.  Non-integer times need no special case:
+    buckets are keyed by the exact float timestamp.  One fused loop
+    (:meth:`_drain`) pops, resumes and reschedules.
 
-    * **calendar/bucket queue** (default): a dict of timestamp ->
-      FIFO bucket plus a small heap of *distinct* timestamps.  Same-time
-      entries append to an existing bucket for O(1) -- no heap push, no
-      tuple comparison -- which is the common case on the simulator's
-      zero-delay cascades; only the first entry per distinct timestamp
-      pays a heap operation.  Non-integer times need no special case:
-      buckets are keyed by the exact float timestamp.  One fused loop
-      (:meth:`_drain_buckets`) pops, resumes and reschedules.
-    * **heapq reference** (``REPRO_HOTPATH`` without ``engine``, or
-      ``use_buckets=False``): the original ``(time, seq, proc, value)``
-      heap, resumed through ``Process._step`` / ``_dispatch`` /
-      ``_schedule``; the ablation and property-test reference.
-
-    Both orders are "time, then scheduling order": a bucket's FIFO *is*
-    seq order because ``_schedule`` appends monotonically.
+    The order is "time, then scheduling order" -- that of a heap of
+    ``(time, seq, proc, value)`` tuples: a bucket's FIFO *is* seq order
+    because ``_schedule`` appends monotonically.
     """
 
-    def __init__(self, obs: Probe = NULL_PROBE,
-                 use_buckets: Optional[bool] = None):
+    def __init__(self, obs: Probe = NULL_PROBE):
         self.now: float = 0.0
-        self._seq = 0
         # Work counts, folded into ``obs`` by publish_stats().
         self._nprocs = 0
         self._nevents = 0
         self._stopped = False
         self.obs = obs
         self.trace_hook: Optional[Callable[[float, Process], None]] = None
-        if use_buckets is None:
-            use_buckets = hotpath_enabled("engine")
-        self.use_buckets = use_buckets
-        if use_buckets:
-            self._buckets: dict = {}     # time -> list[(proc, value)]
-            self._times: list = []       # heap of distinct bucket times
-            # The bucket being drained right now: popped from
-            # ``_buckets``/``_times`` wholesale and walked through this
-            # iterator; entries scheduled *at* its timestamp while it
-            # drains land in a fresh dict bucket and are reached
-            # afterwards -- exactly the (time, seq) order of the heap
-            # discipline.
-            self._front = iter(())
-            self._front_t: float = 0.0
-            # Bind the discipline once; SimEvent.fire and
-            # Process._dispatch go through ``_schedule``.
-            self._schedule = self._schedule_bucket
-            self._drain = self._drain_buckets
-        else:
-            self._queue: list = []       # (time, seq, proc, value)
-            self._schedule = self._schedule_heap
-            self._drain = self._drain_heap
+        self._buckets: dict = {}     # time -> list[(proc, value)]
+        self._times: list = []       # heap of distinct bucket times
+        # The bucket being drained right now: popped from
+        # ``_buckets``/``_times`` wholesale and walked through this
+        # iterator; entries scheduled *at* its timestamp while it
+        # drains land in a fresh dict bucket and are reached
+        # afterwards -- exactly the (time, seq) order of a heap.
+        self._front = iter(())
+        self._front_t: float = 0.0
 
     # -- process management -------------------------------------------------
 
@@ -353,14 +331,14 @@ class Engine:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule_bucket(self, proc, delay: float, value: Any) -> None:
+    def _schedule(self, proc, delay: float, value: Any) -> None:
         # The common case -- another entry already exists at this
         # timestamp -- is one dict probe plus one list append; only a
         # fresh timestamp pays a heap push, and nothing ever pays a
         # tuple comparison.  The currently draining bucket is *not* in
         # the dict, so same-time entries scheduled during a drain start
         # a new bucket that is reached after it -- preserving
-        # scheduling order.  (_drain_buckets open-codes this for the
+        # scheduling order.  (_drain open-codes this for the
         # resumptions it reschedules itself.)
         t = self.now + delay
         b = self._buckets.get(t)
@@ -370,32 +348,24 @@ class Engine:
         else:
             b.append((proc, value))
 
-    def _schedule_heap(self, proc, delay: float, value: Any) -> None:
-        # Reference discipline: one attribute store + one heap push.
-        self._seq = seq = self._seq + 1
-        heapq.heappush(self._queue, (self.now + delay, seq, proc, value))
-
     def next_time(self) -> Optional[float]:
         """Earliest queued resumption time (``None`` on an empty queue).
 
-        Dead entries count: like the queue head in the heap discipline,
-        the front may belong to a killed process that will be skipped.
+        Dead entries count: the front may belong to a killed process
+        that will be skipped.
         """
-        if self.use_buckets:
-            if length_hint(self._front):
-                return self._front_t    # draining bucket still has entries
-            times = self._times
-            return times[0] if times else None
-        q = self._queue
-        return q[0][0] if q else None
+        if length_hint(self._front):
+            return self._front_t        # draining bucket still has entries
+        times = self._times
+        return times[0] if times else None
 
     # -- execution ----------------------------------------------------------
     #
-    # Each discipline has one drain loop holding its pop logic;
-    # step() and run() are that loop with a budget.
+    # One drain loop holds the pop logic; step() and run() are that
+    # loop with a budget.
 
-    def _drain_buckets(self, until: Optional[float],
-                       max_steps: Optional[int]) -> bool:
+    def _drain(self, until: Optional[float],
+               max_steps: Optional[int]) -> bool:
         """Resume queue entries in order until the queue is empty or
         its next entry lies beyond ``until`` (returns True), or until
         ``max_steps`` resumptions ran or :meth:`stop` was called
@@ -413,7 +383,7 @@ class Engine:
 
         The common resumption is fused: ``Process._step``, ``_exit``
         on a normal return, the float and ``SimEvent`` arms of
-        ``Process._dispatch`` and ``_schedule_bucket`` are open-coded
+        ``Process._dispatch`` and ``_schedule`` are open-coded
         below.  Everything else -- timer entries, pending interrupts,
         int/None yields, illegal commands -- goes through those
         methods, which stay the definition of what a resumption does.
@@ -465,7 +435,7 @@ class Engine:
                         elif kind is SimEvent:
                             proc._waiting_on = cmd
                             if cmd.fired:
-                                self._schedule_bucket(proc, 0.0, cmd.value)
+                                self._schedule(proc, 0.0, cmd.value)
                             else:
                                 cmd._waiters.append(proc)
                         else:
@@ -477,26 +447,6 @@ class Engine:
             t = pop(times)
             self._front = front = iter(buckets.pop(t))
             self._front_t = self.now = t
-
-    def _drain_heap(self, until: Optional[float],
-                    max_steps: Optional[int]) -> bool:
-        """The reference discipline's drain loop; same contract as
-        :meth:`_drain_buckets`, nothing fused."""
-        queue = self._queue
-        horizon = inf if until is None else until
-        budget = -1 if max_steps is None else max_steps
-        while budget != 0 and not self._stopped:
-            if not queue or queue[0][0] > horizon:
-                return True
-            t, _seq, proc, value = heapq.heappop(queue)
-            if not proc.alive:
-                continue
-            budget -= 1
-            self.now = t
-            if self.trace_hook is not None:
-                self.trace_hook(t, proc)
-            proc._step(value)
-        return False
 
     def step(self) -> bool:
         """Run one resumption.  Returns False when the queue is empty."""

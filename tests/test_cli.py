@@ -181,13 +181,15 @@ def test_missing_file():
 
 
 def test_unknown_hotpath_tier_is_one_line_exit_2(demo, monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_HOTPATH", "mem")      # the removed tier
-    rc, out = run_cli(["run", demo, "--mode", "single", "--cmps", "4"])
-    assert rc == 2
-    assert out == ""
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert "REPRO_HOTPATH" in err and "engine, fuse, compile" in err
+    for stale in ("mem", "engine", "fuse", "engine,fuse,compile"):
+        monkeypatch.setenv("REPRO_HOTPATH", stale)  # the removed tiers
+        rc, out = run_cli(["run", demo, "--mode", "single", "--cmps", "4"])
+        assert rc == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "REPRO_HOTPATH" in err and stale.split(",")[0] in err
+        assert err.endswith("the valid tier is compile\n")
 
 
 def test_inputs_flag(tmp_path):

@@ -1,13 +1,14 @@
-"""Property tests for the bucket scheduler (hot-path tier ``engine``).
+"""Property tests for the bucket scheduler.
 
 The bucket queue and its fused drain loop must replay the heapq
-reference discipline *exactly*: time order first, scheduling (seq)
-order within a timestamp -- under mixed int/float/None yields,
-same-time collisions, zero-delay cascades, events fired before and
-after subscription, timers, ``all_of``, kills and interrupts landing
-mid-bucket.  Both engines run the identical randomized scenario and
-their full resumption traces are compared, however the run is driven
-(``run()``, ``step()``, ``run(until=)``, ``run(max_steps=)``).
+reference discipline (``tests/heap_engine.py``) *exactly*: time order
+first, scheduling (seq) order within a timestamp -- under mixed
+int/float/None yields, same-time collisions, zero-delay cascades,
+events fired before and after subscription, timers, ``all_of``, kills
+and interrupts landing mid-bucket.  Both engines run the identical
+randomized scenario and their full resumption traces are compared,
+however the run is driven (``run()``, ``step()``, ``run(until=)``,
+``run(max_steps=)``).
 """
 
 import random
@@ -15,6 +16,8 @@ import random
 import pytest
 
 from repro.sim import Engine, Interrupt
+
+from .heap_engine import HeapEngine
 
 # Delay palette: ints and floats that collide (1 vs 1.0), sub-cycle
 # fractions, and zero-delay cascades.
@@ -34,9 +37,8 @@ def _scenario(seed, n_workers=10, n_steps=25):
     return delays, chaos
 
 
-def _run(use_buckets, seed):
-    eng = Engine(use_buckets=use_buckets)
-    assert eng.use_buckets is use_buckets
+def _run(engine_cls, seed):
+    eng = engine_cls()
     trace = []
     eng.trace_hook = lambda t, proc: trace.append((t, proc.name))
     delays, chaos = _scenario(seed)
@@ -79,15 +81,15 @@ def _run(use_buckets, seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_bucket_order_matches_heap_reference(seed):
-    assert _run(True, seed) == _run(False, seed)
+    assert _run(Engine, seed) == _run(HeapEngine, seed)
 
 
 def test_same_time_collision_int_vs_float_keys():
     """1 and 1.0 must land in the same bucket (dict keys compare equal),
     preserving FIFO across the int/float boundary."""
     order_by_mode = {}
-    for use_buckets in (True, False):
-        eng = Engine(use_buckets=use_buckets)
+    for engine_cls in (Engine, HeapEngine):
+        eng = engine_cls()
         order = []
 
         def w(tag, d):
@@ -97,15 +99,16 @@ def test_same_time_collision_int_vs_float_keys():
         for tag, d in [("a", 1), ("b", 1.0), ("c", 1), ("d", 0.5)]:
             eng.process(w(tag, d), name=tag)
         eng.run()
-        order_by_mode[use_buckets] = order
-    assert order_by_mode[True] == order_by_mode[False] == ["d", "a", "b", "c"]
+        order_by_mode[engine_cls] = order
+    assert order_by_mode[Engine] == order_by_mode[HeapEngine] \
+        == ["d", "a", "b", "c"]
 
 
 def test_schedule_into_draining_bucket_preserves_seq_order():
     """A process that schedules a same-time resumption while its bucket
     drains must run after everything already queued at that time."""
-    for use_buckets in (True, False):
-        eng = Engine(use_buckets=use_buckets)
+    for engine_cls in (Engine, HeapEngine):
+        eng = engine_cls()
         order = []
 
         def spawner():
@@ -121,14 +124,14 @@ def test_schedule_into_draining_bucket_preserves_seq_order():
         eng.process(spawner(), name="s")
         eng.process(other(), name="o")
         eng.run()
-        assert order == ["spawner", "other", "spawner-again"], use_buckets
+        assert order == ["spawner", "other", "spawner-again"], engine_cls
 
 
 def test_run_until_mid_bucket_resumes_cleanly():
     """Stopping with ``until=`` between two same-time entries must not
     lose the rest of the bucket on the next run() call."""
-    for use_buckets in (True, False):
-        eng = Engine(use_buckets=use_buckets)
+    for engine_cls in (Engine, HeapEngine):
+        eng = engine_cls()
         order = []
 
         def w(tag):
@@ -139,9 +142,9 @@ def test_run_until_mid_bucket_resumes_cleanly():
             eng.process(w(tag), name=tag)
         # 3 steps start the processes at t=0; two more run a and b at t=5.
         eng.run(until=5, max_steps=5)
-        assert order == [("a", 5.0), ("b", 5.0)], use_buckets
+        assert order == [("a", 5.0), ("b", 5.0)], engine_cls
         eng.run()
-        assert order == [("a", 5.0), ("b", 5.0), ("c", 5.0)], use_buckets
+        assert order == [("a", 5.0), ("b", 5.0), ("c", 5.0)], engine_cls
 
 
 # ------------------------------------------------------------ process soup
@@ -176,10 +179,10 @@ def _soup_script(seed, n_workers=9, n_ops=18, n_events=6):
     return workers, chaos, n_events
 
 
-def _soup(use_buckets, seed, drive):
+def _soup(engine_cls, seed, drive):
     """Run the soup; returns the unsorted trace, the final clock and
     what ``drive`` observed along the way."""
-    eng = Engine(use_buckets=use_buckets)
+    eng = engine_cls()
     trace = []
     eng.trace_hook = lambda t, proc: trace.append((t, proc.name))
     workers, chaos, n_events = _soup_script(seed)
@@ -271,7 +274,7 @@ _DRIVERS = [_drive_run, _drive_step, _drive_until, _drive_max_steps]
 
 @pytest.mark.parametrize("seed", range(6))
 def test_process_soup_fused_loop_matches_heap_reference(seed):
-    ref = _soup(False, seed, _drive_run)
+    ref = _soup(HeapEngine, seed, _drive_run)
     trace, end, head, fates, _ = ref
     assert head is None
     # the soup exercised what it is for
@@ -280,13 +283,14 @@ def test_process_soup_fused_loop_matches_heap_reference(seed):
     assert any(not alive and res is not None for alive, res, _ in fates)
     assert all(fired for alive, _, fired in fates if not alive)
     for drive in _DRIVERS:
-        got = _soup(True, seed, drive)
-        want = ref if drive is _drive_run else _soup(False, seed, drive)
+        got = _soup(Engine, seed, drive)
+        want = ref if drive is _drive_run \
+            else _soup(HeapEngine, seed, drive)
         assert got == want, drive.__name__
         # however it is driven, the same resumptions in the same order
         assert got[0] == trace, drive.__name__
         assert got[3] == fates, drive.__name__
-    assert _soup(True, seed, _drive_step)[1] == end
+    assert _soup(Engine, seed, _drive_step)[1] == end
 
 
 def test_soup_has_unhandled_interrupt_deaths():
@@ -295,7 +299,7 @@ def test_soup_has_unhandled_interrupt_deaths():
     died = 0
     for seed in range(6):
         workers = _soup_script(seed)[0]
-        trace, _, _, fates, _ = _soup(True, seed, _drive_run)
+        trace, _, _, fates, _ = _soup(Engine, seed, _drive_run)
         for victim in (e[1] for e in trace if e[0] == "interrupt"):
             alive, result, _ = fates[victim]
             if not workers[victim][1] and not alive and result is None:
@@ -304,8 +308,8 @@ def test_soup_has_unhandled_interrupt_deaths():
 
 
 def test_stop_returns_after_the_resumption_that_asked():
-    for use_buckets in (True, False):
-        eng = Engine(use_buckets=use_buckets)
+    for engine_cls in (Engine, HeapEngine):
+        eng = engine_cls()
         order = []
 
         def w(tag, stop):
@@ -319,7 +323,7 @@ def test_stop_returns_after_the_resumption_that_asked():
         for tag in "abc":
             eng.process(w(tag, tag == "b"), name=tag)
         assert eng.run(until=100) == 5.0     # stopped: no clamp to until
-        assert order == ["a", "b"], use_buckets
+        assert order == ["a", "b"], engine_cls
         assert eng.next_time() == 5.0
         assert eng.run() == 6.0              # a fresh run() goes on
-        assert order == ["a", "b", "c", "a'", "b'", "c'"], use_buckets
+        assert order == ["a", "b", "c", "a'", "b'", "c'"], engine_cls

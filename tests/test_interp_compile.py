@@ -1,5 +1,6 @@
-"""Generated-code tier (hot-path tier ``compile``): the exec'd
-functions must be observationally identical to the interpreter loop.
+"""Generated code (``REPRO_HOTPATH`` token ``compile``, the default):
+the exec'd functions must be observationally identical to the reference
+interpreter loop.
 
 The contract under test is *bit-identity of the event/cycle stream*:
 for any program, driving a VM whose Codes run as generated Python
@@ -19,10 +20,12 @@ import sys
 import pytest
 
 from repro.compiler import compile_source
+from repro.compiler.optimize import optimize_code
 from repro.config import PAPER_MACHINE
 from repro.harness import RunSpec, execute_spec
 from repro.hotpath import reset_for_tests
 from repro.interp import VM, Done, IoOut, MemRead, MemWrite, RtCall
+from repro.interp.compile import attach_generated
 from repro.interp.events import TimeSlice
 from repro.interp.interpreter import MISS, VMError
 from repro.obs.profile import TrackProfile
@@ -232,15 +235,37 @@ def drive(prog, compiled, fast=False):
     raise AssertionError("program did not terminate")
 
 
+def assert_same_drive(run_a, run_b, a_vs_b):
+    """Two ``drive`` results: equal events and cycles, equal stores."""
+    (t_a, s_a, _), (t_b, s_b, _) = run_a, run_b
+    for n, (a, b) in enumerate(zip(t_a, t_b)):
+        assert a == b, f"event {n} diverged, {a_vs_b}: {a} vs {b}"
+    assert len(t_a) == len(t_b), a_vs_b
+    assert s_a == s_b, a_vs_b
+
+
 def assert_same_run(prog, fast=False):
     """Returns the VM of the compiled run."""
-    t_i, s_i, _ = drive(prog, compiled=False, fast=fast)
-    t_c, s_c, vm = drive(prog, compiled=True, fast=fast)
-    for n, (a, b) in enumerate(zip(t_i, t_c)):
-        assert a == b, f"event {n} diverged: interp {a} vs compiled {b}"
-    assert len(t_i) == len(t_c)
-    assert s_i == s_c
-    return vm
+    interp = drive(prog, compiled=False, fast=fast)
+    compiled = drive(prog, compiled=True, fast=fast)
+    assert_same_drive(interp, compiled, "interp vs compiled")
+    return compiled[2]
+
+
+def _ops(prog):
+    return {ins[0] for code in prog.funcs for ins in code.instrs}
+
+
+def compile_unfused(src):
+    """The image ``compile_source`` built before fusion existed: the
+    peephole pass alone, generated code attached over that stream."""
+    prog = compile_source(src, optimize=False)
+    unfused_ops = _ops(prog)
+    for code in prog.funcs:
+        optimize_code(code)
+    assert _ops(prog) <= unfused_ops        # no op codegen does not emit
+    assert attach_generated(prog)
+    return prog
 
 
 # ------------------------------------------------------- property sweep
@@ -274,16 +299,39 @@ def test_random_programs_identical_under_short_slices(seed, max_slice,
 
 @pytest.mark.parametrize("seed", [0, 3, 6, 9, 12])
 def test_random_programs_identical_without_fusion(seed, monkeypatch):
-    """Same property on unfused opcode streams (tier ``compile`` alone):
-    the generated code's cost folding must match the pre-fusion
-    translation too."""
-    monkeypatch.setenv("REPRO_HOTPATH", "compile")
+    """Same property on unfused opcode streams: the generated code's
+    cost folding must match the pre-fusion translation too."""
     monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    reset_for_tests()
-    prog = compile_source(make_program(seed))
+    prog = compile_unfused(make_program(seed))
     assert all(f.gen_src is not None for f in prog.funcs)
     assert_same_run(prog, fast=False)
     assert_same_run(prog, fast=True)
+
+
+_DEFAULT_SLICE = VM.MAX_SLICE
+
+
+@pytest.mark.parametrize("max_slice", [_DEFAULT_SLICE, 3, 7, 11])
+def test_fused_and_unfused_streams_agree_on_the_interpreter(max_slice,
+                                                            monkeypatch):
+    """Fusion exactness, on the reference interpreter: the same events
+    (``TimeSlice`` included), the same cycles between events (each
+    entry's ``take_cycles()`` reading) and the same final store from
+    the fused and the unfused image of one program -- at the default
+    slice budget and at budgets of a few backward jumps, where
+    ``lcbsj`` must spend the budget of the back edge it absorbed."""
+    monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
+    slices = 0
+    for seed in range(30):
+        src = make_program(seed)
+        fused, unfused = compile_source(src), compile_unfused(src)
+        assert "lcbsj" in _ops(fused) - _ops(unfused)
+        for fast in (False, True):
+            run = drive(fused, compiled=False, fast=fast)
+            assert_same_drive(run, drive(unfused, compiled=False, fast=fast),
+                              f"seed {seed}, fused vs unfused")
+            slices += sum(ev[0] == "TS" for ev in run[0])
+    assert (slices > 0) == (max_slice != _DEFAULT_SLICE)
 
 
 # -------------------------------------------------------- directed deopt
@@ -312,7 +360,7 @@ def test_compiled_tier_attaches_and_activates():
 
 
 def test_tier_off_means_no_gen_src_and_interpreter(monkeypatch):
-    monkeypatch.setenv("REPRO_HOTPATH", "engine,fuse")
+    monkeypatch.setenv("REPRO_HOTPATH", "")
     reset_for_tests()
     prog = compile_source(SRC_LOOP)
     assert all(f.gen_src is None for f in prog.funcs)
@@ -326,7 +374,7 @@ def test_image_without_gen_src_falls_back(monkeypatch):
     """A compile-tier process handed an image built with the tier off
     (stale pickle, foreign producer) must run it interpreted -- the
     all-or-nothing gate returns None, never a partial table."""
-    monkeypatch.setenv("REPRO_HOTPATH", "engine,fuse")
+    monkeypatch.setenv("REPRO_HOTPATH", "")
     reset_for_tests()
     prog = compile_source(SRC_LOOP)
     monkeypatch.delenv("REPRO_HOTPATH")
@@ -414,8 +462,8 @@ def test_corrupt_deopts():
 
 
 def test_profile_binding_takes_priority():
-    """A profiling VM must take ``_run_profiled`` even with compiled
-    functions attached -- and tally the same busy cycles."""
+    """A profiling VM must interpret even with compiled functions
+    attached -- and tally the same busy cycles."""
     prog = compile_source(SRC_LOOP)
     vm = VM(prog, prog.main_index)
     assert vm._cfns is not None
@@ -654,7 +702,7 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     results = {}
-    for tiers in (None, "engine,fuse"):
+    for tiers in (None, ""):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
@@ -662,11 +710,31 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
         reset_for_tests()
         run = execute_spec(RunSpec.make("cg", "G0", size="test", cfg=cfg))
         results[tiers] = run
-    on, off = results[None], results["engine,fuse"]
+    on, off = results[None], results[""]
     assert on.cycles == off.cycles
     assert on.result.rt_stats == off.result.rt_stats
     assert on.result.r_breakdown == off.result.r_breakdown
     assert on.result.classes.as_dict() == off.result.classes.as_dict()
+
+
+@pytest.mark.parametrize("bench", ["cg", "lu"])
+def test_benchmark_identical_with_fused_and_unfused_image(bench):
+    """Fusion exactness through a whole machine: one kernel's fused and
+    unfused image, in single and in G0 slipstream mode, spend the same
+    cycles and see the same memory traffic."""
+    from repro.npb import REGISTRY
+    from repro.runtime import RuntimeEnv, run_program
+    src = REGISTRY[bench].source(**REGISTRY[bench].params("test"))
+    fused, unfused = compile_source(src), compile_unfused(src)
+    assert _ops(fused) - _ops(unfused)
+    cfg = PAPER_MACHINE.with_(n_cmps=4)
+    g0 = RuntimeEnv(slipstream=("GLOBAL_SYNC", 0), slipstream_set=True)
+    for mode, env in (("single", None), ("slipstream", g0)):
+        a = run_program(fused, cfg=cfg, mode=mode, env=env)
+        b = run_program(unfused, cfg=cfg, mode=mode, env=env)
+        assert a.cycles == b.cycles, mode
+        assert a.mem_stats.as_dict() == b.mem_stats.as_dict(), mode
+        assert a.output == b.output, mode
 
 
 def test_fault_armed_shells_run_interpreted(monkeypatch):
@@ -677,7 +745,7 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     outcomes = {}
-    for tiers in (None, "engine,fuse"):
+    for tiers in (None, ""):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
@@ -689,4 +757,4 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
         r = execute_spec(spec).result
         outcomes[tiers] = (r.cycles, r.rt_stats, r.faults["fired"],
                            r.recoveries)
-    assert outcomes[None] == outcomes["engine,fuse"]
+    assert outcomes[None] == outcomes[""]

@@ -12,7 +12,8 @@ transaction) and one hit implementation (the per-shell closures of
   ``l1_probe``/``load``/``store`` through the engine;
 * every L1 miss of a run is counted once;
 * a structure guard: calls per hit and generators per miss stay flat;
-* a stale ``REPRO_HOTPATH=mem`` is refused, not silently dropped.
+* a stale ``REPRO_HOTPATH`` naming a removed tier (``mem``, ``engine``,
+  ``fuse``) is refused, not silently dropped.
 """
 
 import random
@@ -22,7 +23,7 @@ import pytest
 
 from repro import compile_source
 from repro.config import PAPER_MACHINE, CacheConfig
-from repro.hotpath import HOTPATH_TIERS, hotpath_tiers
+from repro.hotpath import HOTPATH_TIERS, hotpath_tiers, reset_for_tests
 from repro.interp.interpreter import MISS
 from repro.mem import CoherentMemorySystem
 from repro.mem.address import SHARED_BASE
@@ -31,10 +32,12 @@ from repro.runtime.team import Job
 from repro.runtime.words import spin_until
 from repro.sim import Engine, SimEvent
 
+from .heap_engine import HeapEngine
 
-def make(n_cmps=4, use_buckets=None, **kw):
+
+def make(n_cmps=4, engine_cls=Engine, **kw):
     cfg = PAPER_MACHINE.with_(n_cmps=n_cmps, placement="round_robin", **kw)
-    eng = Engine(use_buckets=use_buckets)
+    eng = engine_cls()
     return eng, CoherentMemorySystem(eng, cfg), cfg
 
 
@@ -54,15 +57,15 @@ def remote_miss_cycles(ms):
 
 # ------------------------------------------------------------- race pins
 
-@pytest.mark.parametrize("hotpath", ["engine", ""])
-def test_race_same_line_cycles_match_generator(hotpath, monkeypatch):
+@pytest.mark.parametrize("engine_cls", [
+    pytest.param(Engine, id="engine"), pytest.param(HeapEngine, id="heap")])
+def test_race_same_line_cycles_match_generator(engine_cls):
     """CPU on node 0 misses a line; a second CPU on node 1 wakes at the
     exact completion instant (earlier seq, so it runs first) and
     requests the *same directory line* while the leader's lock and fill
     leg are still outstanding.  Both resolve as uncontended misses,
-    under either queue discipline."""
-    monkeypatch.setenv("REPRO_HOTPATH", hotpath)
-    eng, ms, cfg = make()
+    under the bucket queue and under the heapq reference."""
+    eng, ms, cfg = make(engine_cls=engine_cls)
     a = addr_homed_at(cfg, 0)
     results = {}
 
@@ -76,7 +79,6 @@ def test_race_same_line_cycles_match_generator(hotpath, monkeypatch):
     eng.process(racer(), name="racer")       # created first: earlier seq
     eng.process(leader(), name="leader")
     eng.run()
-    assert eng.use_buckets == (hotpath == "engine")
     assert results["leader"].level == "local"
     assert results["leader"].cycles == local_miss_cycles(ms)
     # The racer's trip starts after the leader committed, so by its
@@ -121,13 +123,13 @@ def test_racer_queues_behind_held_fill_leg():
 
 # ---------------------------------------------------------------- property
 
-def _contended_workload(use_buckets, seed):
+def _contended_workload(engine_cls, seed):
     """Mixed random load/store/prefetch traffic from every CPU over a
     small shared line set -- dense same-line races, upgrades,
     invalidation rounds and 3-hop interventions.  Returns the engine
     end time, the full completion-ordered access trace and every
     server's statistics."""
-    eng, ms, cfg = make(use_buckets=use_buckets)
+    eng, ms, cfg = make(engine_cls=engine_cls)
     rng = random.Random(seed)
     lines = [addr_homed_at(cfg, n) + k * cfg.line_bytes
              for n in range(cfg.n_cmps) for k in range(3)]
@@ -156,7 +158,7 @@ def _contended_workload(use_buckets, seed):
                 s.total_queue_wait, s.max_queue_len)
                for nm in ms.nodes
                for s in (nm.bus, nm.ni_in, nm.ni_out, nm.dirctrl, nm.mem)]
-    # The trace is compared *unsorted*: both disciplines order events by
+    # The trace is compared *unsorted*: both queues order events by
     # (time, scheduling order), so even completions landing at the same
     # instant must appear in the same order.
     return eng.now, trace, servers
@@ -168,9 +170,9 @@ def test_forecast_bit_identical_on_contended_workload(seed):
     give bit-identical completion traces and server statistics on
     densely contended coherence traffic (the property the removed
     forecast tier was held to as a third arm, hence the name)."""
-    ref = _contended_workload(False, seed)
+    ref = _contended_workload(HeapEngine, seed)
     assert any(queued for *_, queued in ref[2]), "workload never queued"
-    assert _contended_workload(True, seed) == ref
+    assert _contended_workload(Engine, seed) == ref
 
 
 # ------------------------------------------------- hit-probe differential
@@ -493,14 +495,20 @@ def test_hit_is_one_call_and_miss_a_handful_of_generators():
 # ------------------------------------------------------- REPRO_HOTPATH
 
 def test_removed_mem_tier_is_refused_not_dropped(monkeypatch):
-    """``mem`` is no longer a tier: a stale ``REPRO_HOTPATH=mem`` used
-    to parse to the empty set (every tier off) without a word."""
-    assert HOTPATH_TIERS == ("engine", "fuse", "compile")
-    monkeypatch.setenv("REPRO_HOTPATH", "engine,mem")
-    with pytest.raises(ValueError) as err:
-        hotpath_tiers()
-    assert "mem" in str(err.value)
-    for tier in HOTPATH_TIERS:
-        assert tier in str(err.value)
-    monkeypatch.setenv("REPRO_HOTPATH", " engine , fuse ,")
-    assert hotpath_tiers() == {"engine", "fuse"}
+    """``mem``, ``engine`` and ``fuse`` are no longer tiers: a stale
+    ``REPRO_HOTPATH=mem`` used to parse to the empty set (the
+    interpreter) without a word."""
+    assert HOTPATH_TIERS == ("compile",)
+    for stale, named in [("mem", "mem"), ("engine", "engine"),
+                         ("fuse", "fuse"), ("compile,mem", "mem"),
+                         ("engine,fuse,compile", "engine, fuse")]:
+        monkeypatch.setenv("REPRO_HOTPATH", stale)
+        with pytest.raises(ValueError) as err:      # refused: no latch
+            hotpath_tiers()
+        assert "\n" not in str(err.value)
+        assert f"unknown tier(s) {named};" in str(err.value)
+        assert str(err.value).endswith("the valid tier is compile")
+    for raw, tiers in [(" compile ,", {"compile"}), (" , ", set())]:
+        monkeypatch.setenv("REPRO_HOTPATH", raw)
+        reset_for_tests()
+        assert hotpath_tiers() == tiers

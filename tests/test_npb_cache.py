@@ -64,24 +64,21 @@ def test_compiler_fingerprint_invalidates_key(monkeypatch):
 
 
 def test_hotpath_tier_flags_change_key(monkeypatch):
-    """The fuse and compile tiers shape the image (opcode stream /
-    ``gen_src``) without touching any compiler source, so each flag
-    combination must map to its own cache key -- and unset must alias
-    all-on, its semantic equivalent."""
+    """``REPRO_HOTPATH`` shapes the image (``gen_src`` or none) without
+    touching any compiler source, so generated-code and
+    reference-interpreter images must map to different cache keys --
+    and unset must alias ``compile``, its semantic equivalent."""
     from repro.hotpath import reset_for_tests
     keys = {}
-    for tiers in ("engine,fuse,compile", "engine,fuse",
-                  "engine,compile", "engine", None):
+    for tiers in ("compile", "", None):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
             monkeypatch.setenv("REPRO_HOTPATH", tiers)
         reset_for_tests()
         keys[tiers] = CompileCache.key_for(SRC_A)
-    assert keys[None] == keys["engine,fuse,compile"]
-    four = [keys[t] for t in ("engine,fuse,compile", "engine,fuse",
-                              "engine,compile", "engine")]
-    assert len(set(four)) == 4
+    assert keys[None] == keys["compile"]
+    assert keys["compile"] != keys[""]
 
 
 def test_fingerprint_is_stable_and_hexlike():

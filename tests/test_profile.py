@@ -15,13 +15,14 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.compiler import compile_source
-from repro.config import PAPER_MACHINE
+from repro.config import PAPER_MACHINE, CacheConfig
 from repro.harness import profile_table, run_benchmark
 from repro.obs import (AggregateSink, MEM_LEVELS, NullSink, Probe,
                        ProfileSink, Sink, TeeSink, TrackProfile,
                        collapsed_stacks, line_totals, make_sink,
                        profile_total, write_collapsed)
 from repro.runtime import run_program
+from repro.runtime.shell import ThreadShell
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -203,6 +204,95 @@ def test_profile_does_not_perturb_cycles():
     prof = run_program(image, cfg=CFG, mode="slipstream", obs="profile")
     assert prof.cycles == plain.cycles
     assert prof.r_breakdown == plain.r_breakdown
+
+
+# ------------------------------------- fast-path hits land on their line
+
+FAST_SOURCE = """
+double a[256];
+double b[256];
+double c[256];
+double s;
+void main() {
+    int i;
+    int k;
+    int r;
+    double x;
+    for (r = 0; r < 2; r = r + 1) {
+        for (i = 0; i < 256; i = i + 1) {
+            x = b[i];
+            a[i] = x;
+        }
+    }
+    for (i = 0; i < 64; i = i + 1) {
+        x = s;
+        s = x;
+    }
+    k = 0;
+    for (i = 0; i < 256; i = i + 1) {
+        x = c[(i + k) * 1 + k];
+        x = c[(i * 1 + k) * 1 + k];
+    }
+}
+"""
+
+
+def test_fast_path_hits_are_charged_to_the_line_of_the_access(monkeypatch):
+    """Every shared access of ``FAST_SOURCE`` sits on a line of its own,
+    one per VM access site (``geload``, ``gestore``, ``gload``,
+    ``gstore`` and the fused ``cblbge`` and ``ixge``), and what each
+    line must be charged follows from counting: a hit the VM's hooks
+    absorb is one busy cycle, plus -- a store, or a load that misses
+    the L1 -- the rest of the L2 latency as ``memory``/``l2``; a miss
+    is a timed access under a ``memory``/``local`` span.  The hooks
+    find the line through ``vm.position()``, so this holds only while
+    ``VM.run`` syncs ``frame.pc`` before calling them: a site that does
+    not charges its hits to the line of the access before it."""
+    # No forced timed loads (they would move single cycles about).
+    monkeypatch.setattr(ThreadShell, "DEBT_LIMIT", float("inf"))
+    # 8 L1 lines: the second pass over ``b`` misses the L1, hits the L2.
+    cfg = PAPER_MACHINE.with_(n_cmps=2, l1=CacheConfig(
+        size_bytes=1024, assoc=2, line_bytes=128, hit_cycles=1))
+    image = compile_source(FAST_SOURCE)
+    ops = {ins[0] for ins in image.funcs[image.main_index].instrs}
+    assert {"geload", "gestore", "gload", "gstore", "cblbge", "ixge"} <= ops
+    run = run_program(image, cfg=cfg, mode="single", obs="profile")
+
+    n_lines = 256 * 8 // cfg.line_bytes             # 16 lines an array
+    l2_stall = cfg.l2.hit_cycles - 1.0
+    miss = cfg.cycles(cfg.local_miss_ns)
+    upgrade = miss - cfg.cycles(cfg.mem_time_ns)    # line already resident
+    want = {
+        # geload, 2 x 256 trips of lload + lstore: a miss a line, then
+        # L1 hits; in the second pass an L2 hit a line, then L1 hits.
+        ("x = b[i];", "busy", ""): 2 * 512 + (512 - n_lines),
+        ("x = b[i];", "memory", "l2"): n_lines * l2_stall,
+        ("x = b[i];", "memory", "local"): n_lines * miss,
+        # gestore, 2 lloads a trip: a miss a line, every other store
+        # hits the exclusive L2 line.
+        ("a[i] = x;", "busy", ""): 2 * 512 + (512 - n_lines),
+        ("a[i] = x;", "memory", "l2"): (512 - n_lines) * l2_stall,
+        ("a[i] = x;", "memory", "local"): n_lines * miss,
+        # gload + lstore: one miss, 63 L1 hits.
+        ("x = s;", "busy", ""): 64 + 63,
+        ("x = s;", "memory", "local"): miss,
+        # lload + gstore: one upgrade, 63 exclusive hits.
+        ("s = x;", "busy", ""): 64 + 63,
+        ("s = x;", "memory", "l2"): 63 * l2_stall,
+        ("s = x;", "memory", "local"): upgrade,
+        # ll2b (3) + cblbge (4) + lstore: a miss a line, then L1 hits.
+        ("x = c[(i + k) * 1 + k];", "busy", ""): 8 * 256 + (256 - n_lines),
+        ("x = c[(i + k) * 1 + k];", "memory", "local"): n_lines * miss,
+        # ixge (9) + lstore: the element the line above just loaded.
+        ("x = c[(i * 1 + k) * 1 + k];", "busy", ""): 10 * 256 + 256,
+    }
+    source_lines = FAST_SOURCE.splitlines()
+    got = {}
+    for (func, line, cat, level), cycles in run.profile["R0@n0c0"].items():
+        text = source_lines[line - 1].strip()
+        if func == "main" and any(text == key[0] for key in want):
+            got[text, cat, level] = cycles
+    assert got == want
 
 
 # ------------------------------------------------- shaping and export

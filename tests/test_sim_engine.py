@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim import Engine, Interrupt, SimEvent, SimulationError
 
+from .heap_engine import HeapEngine
+
 
 def test_single_process_delays_advance_clock():
     eng = Engine()
@@ -122,15 +124,16 @@ def test_negative_delay_rejected():
         eng.run()
 
 
-@pytest.mark.parametrize("use_buckets", [True, False])
+@pytest.mark.parametrize("buckets", [True, False])
 @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -0.5, -1,
                                    True, False])
-def test_illegal_delay_is_rejected_naming_the_process(use_buckets, delay):
+def test_illegal_delay_is_rejected_naming_the_process(buckets, delay):
     """NaN compares false with everything, so ``cmd < 0`` let it through
     and its timestamp then broke the queue's heap order silently; an
-    infinite delay and a ``bool`` are no delays either.  Both queue
-    disciplines refuse them through the same ``_dispatch``."""
-    eng = Engine(use_buckets=use_buckets)
+    infinite delay and a ``bool`` are no delays either.  The bucket
+    queue and the heapq reference refuse them through the same
+    ``_dispatch``."""
+    eng = Engine() if buckets else HeapEngine()
 
     def bad():
         yield 1.0

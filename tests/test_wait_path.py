@@ -45,7 +45,9 @@ from repro.runtime import Machine
 from repro.runtime.words import (JOBWAIT_BACKOFF_CAP, SPIN_BACKOFF0,
                                  SPIN_BACKOFF_CAP, SenseBarrier, SpinLock,
                                  spin_until)
-from repro.sim import Interrupt
+from repro.sim import Engine, Interrupt
+
+from .heap_engine import HeapEngine
 
 ROUNDS = 6
 _PROG = compile_source("double a[512];\nvoid main() { }")      # 32 lines
@@ -353,22 +355,23 @@ def _run(ops, seed):
         "line_locks": sorted(
             (la, lk.total_acquires, lk.total_releases, lk.total_wait_time)
             for la, lk in locks.items()),
-        "engine": (eng._nevents, eng._nprocs, eng.use_buckets),
+        "engine": (eng._nevents, eng._nprocs, type(eng)),
         "sync": (lock.acquisitions, lock.contended, barrier.episodes,
                  flag.value),
         "classes": ms.classes.as_dict(),
     }
 
 
-@pytest.mark.parametrize("hotpath", ["engine", ""])
+@pytest.mark.parametrize("engine_cls", [
+    pytest.param(Engine, id="engine"), pytest.param(HeapEngine, id="heap")])
 @pytest.mark.parametrize("seed", [1, 16])
-def test_flat_wait_path_equals_the_composition_it_replaces(seed, hotpath,
+def test_flat_wait_path_equals_the_composition_it_replaces(seed, engine_cls,
                                                            monkeypatch):
-    monkeypatch.setenv("REPRO_HOTPATH", hotpath)
+    monkeypatch.setattr("repro.runtime.machine.Engine", engine_cls)
     flat, ref = _run(_Flat, seed), _run(_Ref, seed)
     for key in ref:
         assert flat[key] == ref[key], key
-    assert flat["engine"][2] == (hotpath == "engine")
+    assert flat["engine"][2] is engine_cls
     # The scenario did what it is for.
     assert flat["sync"][0] == 2 * ROUNDS and flat["sync"][1] > 0
     assert flat["sync"][2:] == (ROUNDS, ROUNDS)
@@ -383,13 +386,12 @@ def test_flat_wait_path_equals_the_composition_it_replaces(seed, hotpath,
 
 def test_queue_disciplines_agree_on_the_wait_path(monkeypatch):
     """The same scenario under the bucket queue and the heapq
-    reference: identical in everything but the discipline flag."""
+    reference: identical in everything but the engine's class."""
     runs = {}
-    for hotpath in ("engine", ""):
-        monkeypatch.setenv("REPRO_HOTPATH", hotpath)
-        from repro.hotpath import reset_for_tests
-        reset_for_tests()
-        runs[hotpath] = _run(_Flat, 10)
-    a, b = runs["engine"], runs[""]
+    for engine_cls in (Engine, HeapEngine):
+        monkeypatch.setattr("repro.runtime.machine.Engine", engine_cls)
+        runs[engine_cls] = _run(_Flat, 10)
+    a, b = runs[Engine], runs[HeapEngine]
+    assert (a["engine"][2], b["engine"][2]) == (Engine, HeapEngine)
     assert a.pop("engine")[:2] == b.pop("engine")[:2]
     assert a == b
