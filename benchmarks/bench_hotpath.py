@@ -10,9 +10,9 @@ drift hit both arms equally, then:
 * records the speedup, on the suite and on a bare VM, and an
   explanatory note to ``BENCH_hotpath.json`` at the repository root.
 
-The suite here is pinned to test size / 4 CMPs (the regress smoke
-scale) regardless of ``REPRO_BENCH_SIZE`` so the recorded trajectory
-stays comparable across hosts and PRs.
+The suite here is pinned to test size / 4 CMPs (the CI smoke scale)
+regardless of ``REPRO_BENCH_SIZE`` so the recorded trajectory stays
+comparable across hosts and PRs.
 """
 
 import json

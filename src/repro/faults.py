@@ -34,13 +34,93 @@ test -- the golden-cycle tables are bit-identical with injection off.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .obs.probe import NULL_PROBE, Probe
 
 __all__ = ["FAULT_KINDS", "FAULT_CLASSES", "CLASS_KINDS", "FaultConfig",
            "FaultPlan", "MAX_NET_JITTER"]
+
+
+# -- the seeded opportunity-indexed schedule ---------------------------------
+#
+# Shared with :mod:`repro.harness.hazards`, which injects into the
+# harness the way this module injects into the simulated machine: one
+# draw, one opportunity counter, two sets of kind/window/payload tables.
+
+@dataclass(frozen=True)
+class ScheduleConfig:
+    """Hashable, picklable description of one injection campaign: the
+    seed, the armed classes and the injections scheduled per kind.
+    Subclasses supply the kind tables (and the ``classes`` default)."""
+
+    seed: int
+    classes: Tuple[str, ...]
+    rate: int = 2                           # scheduled injections per kind
+
+    #: What error messages call one of these ("fault", "hazard").
+    NOUN: ClassVar[str]
+    #: Every injectable kind, in the fixed order schedules are drawn.
+    KINDS: ClassVar[Tuple[str, ...]]
+    #: Classes (CLI / matrix granularity) -> member kinds.
+    CLASS_KINDS: ClassVar[Dict[str, Tuple[str, ...]]]
+
+    def __post_init__(self):
+        bad = [c for c in self.classes if c not in self.CLASS_KINDS]
+        if bad:
+            raise ValueError(
+                f"unknown {self.NOUN} class(es) {bad}; known: "
+                f"{tuple(sorted(self.CLASS_KINDS))}")
+        if self.rate < 1:
+            raise ValueError(f"rate must be >= 1, got {self.rate}")
+        # Canonicalize so equal campaigns hash equal regardless of the
+        # order the caller listed classes in.
+        object.__setattr__(self, "classes",
+                           tuple(sorted(set(self.classes))))
+
+    @property
+    def kinds(self) -> Tuple[str, ...]:
+        """Armed kinds, in schedule-draw order."""
+        armed = {k for c in self.classes for k in self.CLASS_KINDS[c]}
+        return tuple(k for k in self.KINDS if k in armed)
+
+
+class Schedule:
+    """A campaign's materialized schedule and its opportunity counters.
+
+    ``schedule[kind]`` maps the drawn opportunity indices (``rate``
+    distinct ones from the kind's ``windows`` entry) to payloads from
+    ``draw_payload(kind, rng)``; ``_seen[kind]`` counts the
+    opportunities consumed so far.  Tests pin a scenario by overwriting
+    both attributes.
+    """
+
+    def __init__(self, config: ScheduleConfig,
+                 windows: Dict[str, Tuple[int, int]],
+                 draw_payload: Callable[[str, random.Random], object]):
+        self.config = config
+        rng = random.Random(config.seed)
+        self.schedule: Dict[str, Dict[int, object]] = {}
+        for kind in config.kinds:           # fixed order: deterministic
+            lo, hi = windows[kind]
+            n = min(config.rate, hi - lo)   # distinct indices: colliding
+            idxs = rng.sample(range(lo, hi), n)   # draws would silently
+            self.schedule[kind] = {         # lower the injection count
+                i: draw_payload(kind, rng) for i in idxs}
+        self._seen: Dict[str, int] = {k: 0 for k in self.schedule}
+
+    def _consume(self, kind: str):
+        """One opportunity of ``kind`` (the k-th since the plan was
+        built): the payload scheduled for it, ``None`` if none was drawn
+        or the kind is not armed."""
+        sched = self.schedule.get(kind)
+        if sched is None:
+            return None
+        idx = self._seen[kind]
+        self._seen[kind] = idx + 1
+        return sched.get(idx)
+
 
 #: Every injectable fault kind, in the fixed order schedules are drawn.
 FAULT_KINDS: Tuple[str, ...] = ("a_corrupt", "a_vmfault", "a_kill",
@@ -91,39 +171,23 @@ def _draw_payload(kind: str, rng: random.Random):
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(ScheduleConfig):
     """Hashable, picklable description of one fault campaign.
 
-    This is what travels inside a :class:`~repro.harness.exec.RunSpec`
+    This is what travels inside a :class:`~repro.harness.jobs.RunSpec`
     (frozen specs must stay hashable); the heavier :class:`FaultPlan`
     is rebuilt from it inside each worker, so serial and pooled runs
     derive identical schedules.
     """
 
-    seed: int
     classes: Tuple[str, ...] = FAULT_CLASSES
-    rate: int = 2                           # scheduled injections per kind
 
-    def __post_init__(self):
-        bad = [c for c in self.classes if c not in CLASS_KINDS]
-        if bad:
-            raise ValueError(
-                f"unknown fault class(es) {bad}; known: {FAULT_CLASSES}")
-        if self.rate < 1:
-            raise ValueError(f"rate must be >= 1, got {self.rate}")
-        # Canonicalize so equal campaigns hash equal regardless of the
-        # order the caller listed classes in.
-        object.__setattr__(self, "classes",
-                           tuple(sorted(set(self.classes))))
-
-    @property
-    def kinds(self) -> Tuple[str, ...]:
-        """Armed fault kinds, in schedule-draw order."""
-        armed = {k for c in self.classes for k in CLASS_KINDS[c]}
-        return tuple(k for k in FAULT_KINDS if k in armed)
+    NOUN = "fault"
+    KINDS = FAULT_KINDS
+    CLASS_KINDS = CLASS_KINDS
 
 
-class FaultPlan:
+class FaultPlan(Schedule):
     """A materialized injection schedule plus its firing record.
 
     Built once per :class:`~repro.runtime.machine.Machine` from a
@@ -133,20 +197,7 @@ class FaultPlan:
     """
 
     def __init__(self, config: FaultConfig):
-        self.config = config
-        rng = random.Random(config.seed)
-        self.schedule: Dict[str, Dict[int, object]] = {}
-        armed = config.kinds
-        for kind in FAULT_KINDS:            # fixed order: deterministic
-            if kind not in armed:
-                continue
-            lo, hi = _WINDOWS[kind]
-            n = min(config.rate, hi - lo)   # distinct indices: colliding
-            idxs = rng.sample(range(lo, hi), n)   # draws would silently
-            sched: Dict[int, object] = {    # lower the injection count
-                i: _draw_payload(kind, rng) for i in idxs}
-            self.schedule[kind] = sched
-        self._seen: Dict[str, int] = {k: 0 for k in self.schedule}
+        super().__init__(config, _WINDOWS, _draw_payload)
         self.fired: List[dict] = []
         self.engine = None
         self.probe: Probe = NULL_PROBE
@@ -164,14 +215,10 @@ class FaultPlan:
         recorded (kind, opportunity index, cycle, track) and counted on
         the fault probe so traces show injection instants.
         """
-        sched = self.schedule.get(kind)
-        if sched is None:
-            return None
-        idx = self._seen[kind]
-        self._seen[kind] = idx + 1
-        payload = sched.get(idx)
+        payload = self._consume(kind)
         if payload is None:
             return None
+        idx = self._seen[kind] - 1
         now = self.engine.now if self.engine is not None else 0.0
         self.fired.append({"kind": kind, "index": idx, "cycle": now,
                            "track": track})

@@ -24,8 +24,6 @@ from .integrity import (IntegrityError, atomic_pickle, gc_tmp,
                         load_verified)
 from ..obs.telemetry import (NULL_TELEMETRY, Telemetry, collect_status,
                              render_status, telemetry_area)
-from .exec import (ExecutionContext, ProcessPoolContext, SerialContext,
-                   make_context)
 from .chaos import (CHAOS_BENCHMARKS, ChaosOutcome, ChaosReport,
                     HarnessChaosOutcome, HarnessChaosReport, chaos_specs,
                     oracle_check, render_chaos, render_harness_chaos,
@@ -51,8 +49,6 @@ __all__ = [
     "IntegrityError", "atomic_pickle", "load_verified", "gc_tmp",
     "NULL_TELEMETRY", "Telemetry", "collect_status", "render_status",
     "telemetry_area",
-    "ExecutionContext", "ProcessPoolContext", "SerialContext",
-    "make_context",
     "CHAOS_BENCHMARKS", "ChaosOutcome", "ChaosReport", "chaos_specs",
     "oracle_check", "render_chaos", "run_chaos",
     "HarnessChaosOutcome", "HarnessChaosReport", "run_harness_chaos",

@@ -327,17 +327,15 @@ def run_chaos(specs: Sequence[RunSpec],
               context=None) -> ChaosReport:
     """Execute a fault matrix and classify every scenario.
 
-    ``context`` is anything with a submission-order ``run(specs)``
-    (an :class:`~repro.harness.pipeline.ExecutionPipeline` with any
-    transport/journal/memo combination, or a legacy exec context);
+    ``context`` is an :class:`~repro.harness.pipeline.
+    ExecutionPipeline` with any transport/journal/memo combination;
     default serial pipeline."""
     specs = list(specs)
     context = context or ExecutionPipeline()
     runs = context.run(specs)
     return ChaosReport(
         outcomes=[_classify(s, r) for s, r in zip(specs, runs)],
-        degraded=getattr(context, "degraded", False),
-        events=list(getattr(context, "events", [])))
+        degraded=context.degraded, events=list(context.events))
 
 
 def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..faults import Schedule, ScheduleConfig
 from ..obs.telemetry import NULL_TELEMETRY
 
 __all__ = ["HAZARD_KINDS", "HAZARD_CLASSES", "HAZARD_CLASS_KINDS",
@@ -109,7 +110,7 @@ def _draw_payload(kind: str, rng: random.Random):
 
 
 @dataclass(frozen=True)
-class HazardConfig:
+class HazardConfig(ScheduleConfig):
     """Hashable, picklable description of one hazard campaign.
 
     The heavier :class:`HazardPlan` is rebuilt from this in every
@@ -117,28 +118,14 @@ class HazardConfig:
     schedule from the seed alone.
     """
 
-    seed: int
     classes: Tuple[str, ...] = HAZARD_CLASSES
-    rate: int = 2                           # scheduled injections per kind
 
-    def __post_init__(self):
-        bad = [c for c in self.classes if c not in HAZARD_CLASS_KINDS]
-        if bad:
-            raise ValueError(
-                f"unknown hazard class(es) {bad}; known: {HAZARD_CLASSES}")
-        if self.rate < 1:
-            raise ValueError(f"rate must be >= 1, got {self.rate}")
-        object.__setattr__(self, "classes",
-                           tuple(sorted(set(self.classes))))
-
-    @property
-    def kinds(self) -> Tuple[str, ...]:
-        """Armed hazard kinds, in schedule-draw order."""
-        on = {k for c in self.classes for k in HAZARD_CLASS_KINDS[c]}
-        return tuple(k for k in HAZARD_KINDS if k in on)
+    NOUN = "hazard"
+    KINDS = HAZARD_KINDS
+    CLASS_KINDS = HAZARD_CLASS_KINDS
 
 
-class HazardPlan:
+class HazardPlan(Schedule):
     """A materialized hazard schedule plus its injection record.
 
     Sites call the ``on_publish`` / ``skew_claim_age`` /
@@ -152,22 +139,10 @@ class HazardPlan:
 
     def __init__(self, config: HazardConfig, state_dir=None,
                  telemetry=NULL_TELEMETRY, worker_side: bool = False):
-        self.config = config
+        super().__init__(config, _WINDOWS, _draw_payload)
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.telemetry = telemetry
         self.worker_side = worker_side
-        rng = random.Random(config.seed)
-        self.schedule: Dict[str, Dict[int, object]] = {}
-        on = config.kinds
-        for kind in HAZARD_KINDS:           # fixed order: deterministic
-            if kind not in on:
-                continue
-            lo, hi = _WINDOWS[kind]
-            n = min(config.rate, hi - lo)
-            idxs = rng.sample(range(lo, hi), n)
-            self.schedule[kind] = {i: _draw_payload(kind, rng)
-                                   for i in idxs}
-        self._seen: Dict[str, int] = {k: 0 for k in self.schedule}
         #: Applied injections (dicts: kind, site, index, ...).
         self.injected: List[dict] = []
 
@@ -176,12 +151,7 @@ class HazardPlan:
         payload exactly at drawn indices, None elsewhere.  Firing does
         *not* record -- sites record via :meth:`_record` only when the
         injection is actually applied (a kill may be token-starved)."""
-        sched = self.schedule.get(kind)
-        if sched is None:
-            return None
-        idx = self._seen[kind]
-        self._seen[kind] = idx + 1
-        return sched.get(idx)
+        return self._consume(kind)
 
     def _record(self, kind: str, site: str, **detail) -> None:
         rec = {"kind": kind, "site": site,

@@ -18,9 +18,7 @@ and every load verifies the frame before unpickling.  A file that
 fails verification is **quarantined** -- moved aside into a
 ``corrupt/`` sibling directory (never deleted: it is evidence) -- the
 failure is recorded as an ``integrity.corrupt`` telemetry event, and
-the caller sees a plain miss, never an exception.  Unframed legacy
-pickles (pre-framing spools) still load, so mixed-version fleets
-degrade gracefully rather than quarantining each other's output.
+the caller sees a plain miss, never an exception.
 
 :func:`atomic_pickle` is also the harness-hazard injection seam: an
 armed :mod:`repro.harness.hazards` plan may corrupt/truncate the
@@ -48,10 +46,7 @@ __all__ = ["MAGIC", "IntegrityError", "frame", "unframe", "atomic_pickle",
 
 _LOG = logging.getLogger("repro.harness.integrity")
 
-#: Frame marker.  Pickle streams start with ``\x80`` (protocol opcode),
-#: JSON with ``{`` or ``[`` -- nothing the harness ever published can
-#: collide with this prefix, which is what makes the legacy fallback
-#: in :func:`load_verified` sound.
+#: Frame marker.
 MAGIC = b"RPF1"
 
 _HEADER = struct.Struct(">4sQ")           # magic + payload length
@@ -128,7 +123,7 @@ def load_verified(path: Path, quarantine_to: Optional[Path] = None,
     ``quarantine_to`` (kept in place if no quarantine dir was given or
     the move fails), recorded as an ``integrity.corrupt`` event, and
     reported as a miss -- corruption must never be worse than
-    re-executing the unit.  Unframed legacy pickles still load.
+    re-executing the unit.
     """
     path = Path(path)
     try:
@@ -136,12 +131,7 @@ def load_verified(path: Path, quarantine_to: Optional[Path] = None,
     except OSError:
         return None
     try:
-        if data.startswith(MAGIC):
-            return pickle.loads(unframe(data))
-        # Legacy unframed entry (pre-integrity spool/journal): pickle
-        # streams never start with the frame magic, so this branch is
-        # unambiguous.  Still guarded -- garbage fails below.
-        return pickle.loads(data)
+        return pickle.loads(unframe(data))
     except Exception as exc:                # noqa: BLE001 - quarantined
         moved = quarantine_file(path, quarantine_to)
         telemetry.emit("integrity.corrupt", unit=unit, what=what,

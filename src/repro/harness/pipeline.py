@@ -22,8 +22,8 @@ Determinism contract, per stage: unit keys are pure functions of spec
 + code + tiers (jobs); transports may reorder completion but never
 results (merge is submission-ordered); journal/memo entries are only
 ever consulted under exactly the key that produced them -- so golden
-cycles, chaos-matrix outcomes and regress baselines are bit-identical
-through every transport and through any kill-and-resume.
+cycles and chaos-matrix outcomes are bit-identical through every
+transport and through any kill-and-resume.
 
 Effectiveness counters are recorded through the standard
 :class:`~repro.obs.probe.Probe` API on a ``pipeline`` track and

@@ -140,12 +140,10 @@ def run_static_suite(cfg: MachineConfig = PAPER_MACHINE,
                      **machine_kw) -> Dict[str, Dict[str, BenchRun]]:
     """All Figure-2/3 runs: {bench: {config: BenchRun}}.
 
-    ``context`` selects how the independent runs execute: anything
-    with a submission-order-preserving ``run(specs)`` -- an
+    ``context`` selects how the independent runs execute: an
     :class:`~repro.harness.pipeline.ExecutionPipeline` (serial by
     default; give it a pool or spool transport, a checkpoint journal,
-    a memo store) or a legacy :mod:`~repro.harness.exec` context.
-    Results are bit-identical through any of them."""
+    a memo store).  Results are bit-identical through any of them."""
     from .jobs import static_specs
     from .pipeline import ExecutionPipeline
     specs = static_specs(cfg, size, benchmarks, configs, verify=verify,

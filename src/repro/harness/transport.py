@@ -72,9 +72,8 @@ from ..obs.telemetry import (NULL_TELEMETRY, Telemetry, claim_is_stalled,
                              heartbeat_age, telemetry_area)
 from ..runtime import SimDeadlockError
 from . import hazards
-from .integrity import atomic_pickle as _integrity_pickle
+from .integrity import atomic_pickle, load_verified
 from .integrity import gc_tmp as _gc_tmp_dir
-from .integrity import load_verified
 from .jobs import WorkUnit, execute_spec, quarantined_run, unit_key
 
 __all__ = ["Transport", "SerialTransport", "PoolTransport",
@@ -174,6 +173,19 @@ class Transport:
         self.events.append(msg)
         _LOG.warning(msg)
 
+    def _run_inline(self, units: Sequence[WorkUnit],
+                    on_result: OnResult) -> None:
+        """Execute ``units`` in order in the driver process."""
+        tel = self.telemetry
+        t0 = time.perf_counter()
+        for unit in units:
+            # Queue wait for in-process execution is time spent behind
+            # earlier units of the same dispatch.
+            tel.observe("unit.queue_wait_s", time.perf_counter() - t0)
+            run = _telemetered(tel, unit.key, unit.spec,
+                               lambda spec=unit.spec: execute_spec(spec))
+            on_result(unit, run)
+
     def _quarantine(self, unit: WorkUnit, attempts: int,
                     on_result: OnResult) -> object:
         """Settle a poison unit with a loud placeholder result."""
@@ -199,15 +211,7 @@ class SerialTransport(Transport):
         self.events = []
         self.degraded = False
         self.quarantined = []
-        tel = self.telemetry
-        t0 = time.perf_counter()
-        for unit in units:
-            # Queue wait for a serial transport is time spent behind
-            # earlier units of the same dispatch.
-            tel.observe("unit.queue_wait_s", time.perf_counter() - t0)
-            run = _telemetered(tel, unit.key, unit.spec,
-                               lambda spec=unit.spec: execute_spec(spec))
-            on_result(unit, run)
+        self._run_inline(units, on_result)
 
 
 # -- local process pool ------------------------------------------------------
@@ -285,13 +289,7 @@ class PoolTransport(Transport):
         self._suspects = {}
         tel = self.telemetry
         if min(self.jobs, len(units)) <= 1:
-            t0 = time.perf_counter()
-            for unit in units:
-                tel.observe("unit.queue_wait_s", time.perf_counter() - t0)
-                run = _telemetered(tel, unit.key, unit.spec,
-                                   lambda spec=unit.spec:
-                                   execute_spec(spec))
-                on_result(unit, run)
+            self._run_inline(units, on_result)
             return
         done = [False] * len(units)
         pending = list(range(len(units)))
@@ -319,11 +317,7 @@ class PoolTransport(Transport):
             tel.count("pool.degraded")
             self._note(f"degrading to serial execution for "
                        f"{len(pending)} of {len(units)} unit(s)")
-            for i in pending:
-                run = _telemetered(tel, units[i].key, units[i].spec,
-                                   lambda spec=units[i].spec:
-                                   execute_spec(spec))
-                on_result(units[i], run)
+            self._run_inline([units[i] for i in pending], on_result)
 
     def _pool_pass(self, units: List[WorkUnit], done: List[bool],
                    pending: List[int], attempt: int,
@@ -416,12 +410,6 @@ class _UnitFailure:
         return RuntimeError(f"spool worker failure: {self._repr}")
 
 
-def _atomic_pickle(payload, path: Path, what: str = "result") -> None:
-    """Integrity-framed atomic publish (see :mod:`.integrity`); kept
-    as the spool's single write seam."""
-    _integrity_pickle(payload, path, what=what)
-
-
 class _Spool:
     """The on-disk protocol shared by driver and workers.
 
@@ -465,7 +453,7 @@ class _Spool:
         loss, since the driver can still execute the unit inline."""
         if self.has_result(key) or self.unit_path(key).is_file():
             return False
-        _atomic_pickle(spec, self.unit_path(key), what="unit")
+        atomic_pickle(spec, self.unit_path(key), what="unit")
         return True
 
     def unit_path(self, key: str) -> Path:
@@ -606,7 +594,7 @@ class _Spool:
         return self.result_path(key).is_file()
 
     def publish(self, key: str, payload) -> None:
-        _atomic_pickle(payload, self.result_path(key), what="result")
+        atomic_pickle(payload, self.result_path(key), what="result")
 
     def load_result(self, key: str):
         return load_verified(self.result_path(key),

@@ -13,7 +13,7 @@ source template, or the compiler itself is an automatic miss.
 Two layers:
 
 * an in-process dictionary (always on), shared by every run in a
-  process -- including a ``ProcessPoolContext`` worker, which compiles
+  process -- including a ``PoolTransport`` worker, which compiles
   each distinct kernel at most once over its lifetime;
 * an optional on-disk layer under ``~/.cache/repro/compile`` (override
   with ``REPRO_CACHE_DIR``; disable with ``REPRO_DISK_CACHE=0``) so

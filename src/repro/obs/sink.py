@@ -14,7 +14,7 @@ which facilities are live by what it places in the probe's slots:
   that additionally records a Chrome trace-event timeline.
 
 Sinks are cheap, single-process objects; results that must cross a
-process boundary (``ProcessPoolContext``) travel as plain data inside
+process boundary (``PoolTransport``) travel as plain data inside
 ``RunResult``, never as the sink itself.
 """
 

@@ -19,7 +19,7 @@ recording surfaces:
 The disabled path is :data:`NULL_TELEMETRY`, a shared do-nothing
 session: every call is one attribute lookup plus an empty method, the
 same zero-cost discipline as ``NullSink`` (guarded to <= 2% in
-``benchmarks/bench_parallel_runner.py``).  Telemetry never touches the
+``benchmarks/bench_overhead_guards.py``).  Telemetry never touches the
 simulation -- all recording happens between units in harness
 processes -- so golden cycles and the merge contract are bit-identical
 with telemetry on or off.

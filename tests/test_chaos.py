@@ -11,7 +11,8 @@ from repro.config import PAPER_MACHINE
 from repro.faults import FAULT_CLASSES, FaultConfig
 from repro.harness.chaos import (CHAOS_BENCHMARKS, chaos_specs,
                                  oracle_check, render_chaos, run_chaos)
-from repro.harness.exec import ProcessPoolContext, RunSpec, execute_spec
+from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
+                           execute_spec)
 
 SUBSET = ("cg", "mg")
 
@@ -63,8 +64,9 @@ def test_subset_matrix_holds_the_invariant(serial_report):
 
 
 def test_chaos_is_deterministic_across_contexts(serial_report):
-    pooled = run_chaos(_subset_specs(),
-                       context=ProcessPoolContext(jobs=2))
+    pooled = run_chaos(
+        _subset_specs(),
+        context=ExecutionPipeline(transport=PoolTransport(jobs=2)))
     key = lambda o: (o.bench, o.seed, o.classes, o.status, o.recoveries,
                      o.cycles, tuple(sorted(o.injected.items())),
                      tuple(o.recovery_sites))
@@ -83,24 +85,29 @@ def test_fault_counters_survive_pool_merge():
     """Probe counters (``fault.*`` on the faults track, ``a.faults`` on
     the channel tracks) and the recovery log must come back identical
     from a pool worker and from in-process execution."""
-    spec = RunSpec.make("cg", "G0", size="test", verify=True,
-                        faults=FaultConfig(4, classes=("vm", "kill")),
-                        timeout_cycles=5e6,
-                        cfg=PAPER_MACHINE.with_(n_cmps=8))
-    serial = execute_spec(spec).result
-    pooled = ProcessPoolContext(jobs=2).run([spec, spec])
-    for run in pooled:
-        r = run.result
+    specs = [RunSpec.make("cg", "G0", size="test", verify=True,
+                          faults=FaultConfig(seed, classes=("vm", "kill")),
+                          timeout_cycles=5e6,
+                          cfg=PAPER_MACHINE.with_(n_cmps=8))
+             for seed in (4, 5)]
+    pool = ExecutionPipeline(transport=PoolTransport(jobs=2))
+    pooled = pool.run(specs)
+    # Two distinct units: identical specs dedupe to one, and a one-unit
+    # batch runs inline in the driver, never reaching a worker.
+    assert pool.counters.get("unit.deduped") == 0
+    assert pool.counters.get("unit.executed") == 2
+    for spec, run in zip(specs, pooled):
+        serial, r = execute_spec(spec).result, run.result
         assert r.rt_stats == serial.rt_stats
         assert r.recoveries == serial.recoveries
         assert r.faults == serial.faults
-    fired = {f["kind"] for f in serial.faults["fired"]}
-    assert fired, "campaign must actually inject"
-    fault_counts = serial.rt_stats.get("faults", {})
-    assert {f"fault.{k}" for k in fired} <= set(fault_counts)
-    assert sum(fault_counts.values()) == len(serial.faults["fired"])
-    assert any("a.faults" in counts
-               for counts in serial.rt_stats.values())
+        fired = {f["kind"] for f in serial.faults["fired"]}
+        assert fired, "campaign must actually inject"
+        fault_counts = serial.rt_stats.get("faults", {})
+        assert {f"fault.{k}" for k in fired} <= set(fault_counts)
+        assert sum(fault_counts.values()) == len(serial.faults["fired"])
+        assert any("a.faults" in counts
+                   for counts in serial.rt_stats.values())
 
 
 # ---------------------------------------------------------------- oracle

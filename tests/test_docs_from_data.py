@@ -35,3 +35,31 @@ def test_readme_tier_table_matches_bench_hotpath_json():
             assert float(cell[:-1]) == two_digits(arms[arm][key]), \
                 f"README says {cell} for {arm} {key}, " \
                 f"BENCH_hotpath.json says {arms[arm][key]}"
+
+
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+PATH = re.compile(r"[\w./*-]+\.(?:py|json|md|yml|txt)(?:::\w+)?")
+#: Prose leaves these off: `harness/jobs.py`, `bench_scaling.py`,
+#: `quickstart.py`.
+PREFIXES = ("", "src", "src/repro", "benchmarks", "examples")
+NOT_IN_THE_TREE = {
+    "out.json",                         # the reader's own --trace output
+    "sim/stats.py", "mem/classify.py",  # DESIGN §6: "removed in PR 3"
+}
+
+
+def test_docs_name_files_and_tests_that_exist():
+    stale = []
+    for doc in DOCS:
+        prose = re.sub(r"```.*?```", "", (ROOT / doc).read_text(),
+                       flags=re.S)
+        for span in re.findall(r"`([^`\n]+)`", prose):
+            if not PATH.fullmatch(span) or span in NOT_IN_THE_TREE:
+                continue
+            path, _, test = span.partition("::")
+            found = [p for prefix in PREFIXES
+                     for p in (ROOT / prefix).glob(path)]
+            if not found or (test and f"def {test}("
+                             not in found[0].read_text()):
+                stale.append(f"{doc}: `{span}`")
+    assert not stale, stale

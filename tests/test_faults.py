@@ -51,6 +51,19 @@ def test_plan_schedule_is_seed_deterministic():
     assert a.schedule != c.schedule
 
 
+def test_seed_zero_schedule_is_pinned():
+    """Seed -> schedule, as literal values: a change to the draw (kind
+    order, window, payload) moves every recorded chaos matrix, and the
+    default and reference runs CI compares would move together."""
+    assert FaultPlan(FaultConfig(0)).schedule == {
+        "a_corrupt": {798: (663, -2147483648), 871: (8376, 0.0)},
+        "a_vmfault": {839: True, 631: True},
+        "a_kill": {1992: True, 1506: True},
+        "token_loss": {19: True, 7: True},
+        "mailbox_stale": {16: 2, 4: 1},
+        "net_jitter": {3145: 341.0, 438: 153.0}}
+
+
 def test_plan_draws_rate_entries_per_armed_kind():
     plan = FaultPlan(FaultConfig(3, rate=4))
     for kind in FAULT_KINDS:

@@ -12,9 +12,9 @@ import pickle
 import pytest
 
 from repro.config import PAPER_MACHINE
-from repro.harness import (ProcessPoolContext, RunSpec, SerialContext,
-                           execute_spec, make_context, run_static_suite)
-from repro.harness.exec import dynamic_specs, static_specs
+from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
+                           dynamic_specs, execute_spec, run_static_suite,
+                           static_specs)
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -60,19 +60,19 @@ def test_execute_spec_records_stage_timings():
     assert run.timing["total_s"] >= run.timing["sim_s"] > 0
 
 
-# ----------------------------------------------------- contexts/determinism
+# --------------------------------------------------- transports/determinism
 
 def test_serial_context_is_deterministic_across_repeats():
-    first = [_signature(r) for r in SerialContext().run(SMOKE)]
-    second = [_signature(r) for r in SerialContext().run(SMOKE)]
+    first = [_signature(r) for r in ExecutionPipeline().run(SMOKE)]
+    second = [_signature(r) for r in ExecutionPipeline().run(SMOKE)]
     assert first == second
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_pool_results_bit_identical_to_serial(jobs):
-    serial = [_signature(r) for r in SerialContext().run(SMOKE)]
-    pooled = [_signature(r)
-              for r in ProcessPoolContext(jobs=jobs).run(SMOKE)]
+    serial = [_signature(r) for r in ExecutionPipeline().run(SMOKE)]
+    pool = ExecutionPipeline(transport=PoolTransport(jobs=jobs))
+    pooled = [_signature(r) for r in pool.run(SMOKE)]
     assert pooled == serial
 
 
@@ -80,13 +80,13 @@ def test_pool_merges_in_submission_order_not_completion_order():
     # bt/single is the longest job in the batch by far; submitted first,
     # it finishes last under a 2-wide pool, so any completion-order
     # merge would visibly permute the output.
-    runs = ProcessPoolContext(jobs=2).run(SMOKE)
+    runs = ExecutionPipeline(transport=PoolTransport(jobs=2)).run(SMOKE)
     assert [(r.bench, r.config) for r in runs] \
         == [(s.bench, s.config) for s in SMOKE]
 
 
 def test_map_keys_results_by_spec():
-    out = SerialContext().map(SMOKE[:2])
+    out = ExecutionPipeline().map(SMOKE[:2])
     assert set(out) == {s.key for s in SMOKE[:2]}
     for s in SMOKE[:2]:
         assert out[s.key].bench == s.bench
@@ -96,10 +96,10 @@ def test_suite_via_pool_matches_serial_suite():
     serial = run_static_suite(cfg=CFG, size="test",
                               benchmarks=("bt", "cg"),
                               configs=("single", "G0"))
-    pooled = run_static_suite(cfg=CFG, size="test",
-                              benchmarks=("bt", "cg"),
-                              configs=("single", "G0"),
-                              context=ProcessPoolContext(jobs=2))
+    pooled = run_static_suite(
+        cfg=CFG, size="test", benchmarks=("bt", "cg"),
+        configs=("single", "G0"),
+        context=ExecutionPipeline(transport=PoolTransport(jobs=2)))
     assert {(b, c): run.cycles
             for b, row in serial.items() for c, run in row.items()} \
         == {(b, c): run.cycles
@@ -108,16 +108,9 @@ def test_suite_via_pool_matches_serial_suite():
 
 # ----------------------------------------------------------------- helpers
 
-def test_make_context_factory():
-    assert isinstance(make_context(None), SerialContext)
-    assert isinstance(make_context(1), SerialContext)
-    ctx = make_context(3)
-    assert isinstance(ctx, ProcessPoolContext) and ctx.jobs == 3
-
-
 def test_pool_rejects_bad_jobs():
     with pytest.raises(ValueError):
-        ProcessPoolContext(jobs=0)
+        PoolTransport(jobs=0)
 
 
 def test_spec_builders_cover_suite_order():
@@ -137,20 +130,18 @@ def test_spec_builders_cover_suite_order():
     reason="perf acceptance test: needs >= 4 cores and REPRO_PERF_TESTS=1")
 def test_pool_speedup_on_full_static_suite():
     """Acceptance: the full static suite (5 benchmarks x 4 configs)
-    under ProcessPoolContext(jobs=4) is >= 2.5x faster than serial on a
+    under PoolTransport(jobs=4) is >= 2.5x faster than serial on a
     4-core host, with bit-identical cycle counts.  Opt-in (wall-clock
-    measurements don't belong in the default unit run); the same
-    measurement is recorded in BENCH_parallel_runner.json by
-    benchmarks/bench_parallel_runner.py."""
+    measurements don't belong in the default unit run)."""
     import time
     specs = static_specs(CFG, "bench",
                          ("bt", "cg", "lu", "mg", "sp"),
                          ("single", "double", "G0", "L1"))
     t0 = time.perf_counter()
-    serial = SerialContext().run(specs)
+    serial = ExecutionPipeline().run(specs)
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
-    pooled = ProcessPoolContext(jobs=4).run(specs)
+    pooled = ExecutionPipeline(transport=PoolTransport(jobs=4)).run(specs)
     t_pool = time.perf_counter() - t0
     assert [r.cycles for r in pooled] == [r.cycles for r in serial]
     assert t_serial / t_pool >= 2.5, \

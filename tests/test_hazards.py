@@ -90,6 +90,21 @@ def test_schedule_is_a_pure_function_of_the_seed():
     assert any(o != a.schedule for o in others)
 
 
+def test_seed_zero_schedule_is_pinned():
+    """Seed -> schedule, as literal values (see the twin in
+    ``test_faults.py``: both plans draw through one algorithm)."""
+    assert HazardPlan(HazardConfig(0)).schedule == {
+        "pickle_corrupt": {12: (0.890243920837131, 11),
+                           15: (0.25891675029296335, 131)},
+        "pickle_truncate": {15: 0.8304991820173621, 6: 0.7553749681101427},
+        "publish_enospc": {15: True, 5: True},
+        "publish_eio": {6: True, 8: True},
+        "stale_claim": {2: 229.00171227400955, 7: 193.9679955119476},
+        "clock_skew": {26: 592.7377445888173, 9: 333.56127143046047},
+        "kill_worker": {2: True, 0: True},
+        "term_worker": {1: True, 0: True}}
+
+
 def test_fire_by_opportunity_index():
     plan = HazardPlan(HazardConfig(3, classes=("disk",), rate=1))
     (idx,) = plan.schedule["publish_enospc"]
@@ -139,25 +154,25 @@ def test_frame_roundtrip_and_tamper_detection():
 def test_load_verified_quarantines_and_logs(tmp_path):
     path = tmp_path / "entry.run"
     atomic_pickle({"ok": True}, path)
-    raw = bytearray(path.read_bytes())
-    raw[-3] ^= 0xFF                                     # rot the digest
-    path.write_bytes(bytes(raw))
+    good = path.read_bytes()
+    assert load_verified(path) == {"ok": True}
+    rotten = {
+        "digest": good[:-3] + bytes([good[-3] ^ 0xFF]) + good[-2:],
+        "magic": bytes([good[0] ^ 0x01]) + good[1:],    # one flipped bit
+        "unframed": pickle.dumps({"ok": True}),
+    }
     tel = Telemetry(root=tmp_path / "telemetry", role="driver")
-    got = load_verified(path, quarantine_to=tmp_path / "corrupt",
-                        telemetry=tel, what="result", unit="u1")
+    for n, (unit, data) in enumerate(rotten.items(), 1):
+        path.write_bytes(data)
+        got = load_verified(path, quarantine_to=tmp_path / "corrupt",
+                            telemetry=tel, what="result", unit=unit)
+        assert got is None, unit                        # a miss, not a crash
+        assert not path.exists(), unit                  # moved aside
+        assert len(list((tmp_path / "corrupt").iterdir())) == n
     tel.close()
-    assert got is None                                  # a miss, not a crash
-    assert not path.exists()                            # moved aside
-    assert len(list((tmp_path / "corrupt").iterdir())) == 1
     events = read_events(tmp_path / "telemetry")
-    assert any(e["event"] == "integrity.corrupt" and e.get("unit") == "u1"
-               for e in events)
-
-
-def test_load_verified_accepts_legacy_unframed_pickle(tmp_path):
-    path = tmp_path / "old.run"
-    path.write_bytes(pickle.dumps({"legacy": 1}))
-    assert load_verified(path) == {"legacy": 1}
+    assert [e.get("unit") for e in events
+            if e["event"] == "integrity.corrupt"] == list(rotten)
 
 
 # -- publish hazards (corrupt / disk-full) -----------------------------------

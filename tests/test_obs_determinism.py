@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.config import PAPER_MACHINE
-from repro.harness import (ProcessPoolContext, RunSpec, SerialContext,
+from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
                            run_benchmark, run_static_suite)
 from repro.obs import merge_traces, validate_trace
 
@@ -105,8 +105,9 @@ def test_profile_totals_match_breakdowns(runs):
 def test_pool_merge_matches_serial_with_profiling():
     kw = dict(cfg=CFG, size="test", benchmarks=("cg",),
               configs=("single", "G0"), obs="profile")
-    serial = run_static_suite(context=SerialContext(), **kw)
-    pooled = run_static_suite(context=ProcessPoolContext(jobs=2), **kw)
+    serial = run_static_suite(context=ExecutionPipeline(), **kw)
+    pooled = run_static_suite(
+        context=ExecutionPipeline(transport=PoolTransport(jobs=2)), **kw)
     for cfg_name in ("single", "G0"):
         s, p = serial["cg"][cfg_name], pooled["cg"][cfg_name]
         assert s.cycles == p.cycles
@@ -123,8 +124,9 @@ def test_runspec_with_sink_selection_pickles():
 def test_pool_merge_matches_serial_with_tracing():
     kw = dict(cfg=CFG, size="test", benchmarks=("cg",),
               configs=("single", "G0"), obs="trace")
-    serial = run_static_suite(context=SerialContext(), **kw)
-    pooled = run_static_suite(context=ProcessPoolContext(jobs=2), **kw)
+    serial = run_static_suite(context=ExecutionPipeline(), **kw)
+    pooled = run_static_suite(
+        context=ExecutionPipeline(transport=PoolTransport(jobs=2)), **kw)
 
     def merged(suite):
         return merge_traces(

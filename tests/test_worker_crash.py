@@ -8,7 +8,7 @@ import signal
 import pytest
 
 import repro.harness.transport as ht
-from repro.harness.exec import ProcessPoolContext, RunSpec, SerialContext
+from repro.harness import ExecutionPipeline, PoolTransport, RunSpec
 
 pytestmark = pytest.mark.skipif(
     "fork" not in __import__("multiprocessing").get_all_start_methods(),
@@ -46,7 +46,8 @@ def _specs():
 
 def test_persistent_crash_retries_once_then_degrades(monkeypatch):
     monkeypatch.setattr(ht, "_execute_indexed", _always_killer)
-    ctx = ProcessPoolContext(jobs=2, start_method="fork")
+    ctx = ExecutionPipeline(
+        transport=PoolTransport(jobs=2, start_method="fork"))
     runs = ctx.run(_specs())
     # the sweep still completed, in order, with real results
     assert [r.config for r in runs] == ["single", "G0"]
@@ -62,7 +63,8 @@ def test_persistent_crash_retries_once_then_degrades(monkeypatch):
 def test_transient_crash_recovers_on_the_retry(monkeypatch, tmp_path):
     monkeypatch.setattr(ht, "_execute_indexed", _once_killer)
     monkeypatch.setenv(_ONCE_ENV, str(tmp_path / "crashed.flag"))
-    ctx = ProcessPoolContext(jobs=2, start_method="fork")
+    ctx = ExecutionPipeline(
+        transport=PoolTransport(jobs=2, start_method="fork"))
     runs = ctx.run(_specs())
     assert all(r.result is not None for r in runs)
     assert not ctx.degraded                      # the retry succeeded
@@ -71,9 +73,10 @@ def test_transient_crash_recovers_on_the_retry(monkeypatch, tmp_path):
 
 def test_degraded_results_match_serial(monkeypatch):
     monkeypatch.setattr(ht, "_execute_indexed", _always_killer)
-    ctx = ProcessPoolContext(jobs=2, start_method="fork")
+    ctx = ExecutionPipeline(
+        transport=PoolTransport(jobs=2, start_method="fork"))
     degraded = ctx.run(_specs())
-    serial = SerialContext().run(_specs())
+    serial = ExecutionPipeline().run(_specs())
     assert [r.cycles for r in degraded] == [r.cycles for r in serial]
 
 
@@ -83,7 +86,8 @@ def test_spec_errors_still_propagate_from_the_pool():
     from repro.runtime import SimDeadlockError
     specs = [RunSpec.make("cg", c, size="test", verify=True,
                           timeout_cycles=300) for c in ("single", "G0")]
-    ctx = ProcessPoolContext(jobs=2, start_method="fork")
+    ctx = ExecutionPipeline(
+        transport=PoolTransport(jobs=2, start_method="fork"))
     with pytest.raises(SimDeadlockError):
         ctx.run(specs)
     assert not ctx.degraded
