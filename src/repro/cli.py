@@ -80,9 +80,6 @@ def _pipeline_args(p: argparse.ArgumentParser) -> None:
 
 
 def _verbosity_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-v", "--verbose", action="count", default=0,
-                   help="more console detail (-v per-unit progress, "
-                        "-vv debug)")
     p.add_argument("--quiet", action="store_true",
                    help="errors only on the console")
 
@@ -247,28 +244,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _setup_logging(args, default: int = logging.WARNING) -> None:
-    """Map --quiet/-v onto the ``repro`` logger tree.
+    """Map --quiet onto the ``repro`` logger tree.
 
     The worker verb defaults to per-unit INFO lines (its console
     output *is* the product); the sweep verbs default to warnings
     (retries, degradation, reaped leases) only.
     """
-    if getattr(args, "quiet", False):
-        level = logging.ERROR
-    elif getattr(args, "verbose", 0) >= 2:
-        level = logging.DEBUG
-    elif getattr(args, "verbose", 0) == 1:
-        level = logging.INFO
-    else:
-        level = default
     logging.basicConfig(stream=sys.stderr, format="%(message)s")
-    logging.getLogger("repro").setLevel(level)
+    logging.getLogger("repro").setLevel(
+        logging.ERROR if args.quiet else default)
     if args.cmd == "worker":
         # run_worker mirrors this logger to the CLI's stdout; leave it
         # chatty unless the user explicitly quieted it.
         logging.getLogger("repro.worker").setLevel(
-            level if (getattr(args, "quiet", False)
-                      or getattr(args, "verbose", 0)) else logging.INFO)
+            logging.ERROR if args.quiet else logging.INFO)
 
 
 def _telemetry_from_args(args):
@@ -387,6 +376,9 @@ def _cmd_run(args, out) -> int:
                 print(f"  {kind:<5} fills: {row}", file=out)
             if result.recoveries:
                 print(f"  recoveries: {len(result.recoveries)}", file=out)
+            if args.selfinv:
+                print("  selfinv_drops: "
+                      f"{result.mem_stats.get('selfinv_drops')}", file=out)
     return 0
 
 

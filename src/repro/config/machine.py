@@ -70,6 +70,8 @@ class MachineConfig:
     def __post_init__(self):
         if self.l1.line_bytes != self.l2.line_bytes:
             raise ValueError("L1 and L2 must share a line size")
+        if self.l1.line_bytes < 8:
+            raise ValueError("a line must hold at least one 8-byte word")
         if self.placement not in ("round_robin", "first_touch", "block"):
             raise ValueError(f"unknown placement {self.placement!r}")
         if self.cpus_per_cmp < 1:

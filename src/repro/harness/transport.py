@@ -866,7 +866,7 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
         log.propagate = False
     if log.level == logging.NOTSET and log.getEffectiveLevel() > logging.INFO:
         # Default to per-unit lines unless verbosity was configured
-        # explicitly (repro worker --quiet sets this logger WARNING).
+        # explicitly (repro worker --quiet sets this logger ERROR).
         log.setLevel(logging.INFO)
 
     tel = Telemetry(root=telemetry_area(root), role="worker")

@@ -10,6 +10,7 @@ computes -- and a convenient way to run SlipC programs for their output.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,7 +24,16 @@ __all__ = ["GlobalStore", "FunctionalRunner"]
 
 
 class GlobalStore:
-    """The program's shared data: one numpy array per global."""
+    """The program's shared data: one numpy array per global.
+
+    Loads go through :attr:`views`, one buffer view per array over the
+    same storage: indexing a ``memoryview`` gives the Python ``float``
+    or ``int`` that ``ndarray.item`` gives, with the same wrap-around
+    of a negative index and the same ``IndexError`` beyond the end, at
+    a third of the cost.  Stores go to the arrays (NumPy truncates a
+    ``double`` stored into an ``int`` global; a typed view would
+    raise).
+    """
 
     def __init__(self, program: CompiledProgram):
         self.program = program
@@ -35,9 +45,24 @@ class GlobalStore:
                 arr[0] = g.init
             self.arrays.append(arr)
 
+    @cached_property
+    def views(self) -> List[memoryview]:
+        """The arrays as buffer views, made on first use: the one way a
+        shared value is read (the hit closures and the shell hold this
+        list and index it as ``views[gidx][flat]``)."""
+        return [memoryview(a) for a in self.arrays]
+
+    def __getstate__(self):
+        # A RunResult's store crosses the pool and the spool as a
+        # pickle, and a memoryview cannot be pickled: the views stay
+        # behind and the next read makes them again.
+        state = self.__dict__.copy()
+        state.pop("views", None)
+        return state
+
     def read(self, gidx: int, flat: int):
         """Read one element of a shared global."""
-        return self.arrays[gidx][flat].item()
+        return self.views[gidx][flat]
 
     def write(self, gidx: int, flat: int, value) -> None:
         """Write one element of a shared global."""
@@ -53,7 +78,7 @@ class GlobalStore:
         g = self.program.global_named(name)
         if g.dims:
             return self.array(name)
-        return self.arrays[g.index][0].item()
+        return self.read(g.index, 0)
 
 
 class FunctionalRunner:

@@ -4,8 +4,10 @@ Two tag stores over one geometry (:class:`_SetAssoc`): the per-CMP
 shared L2 is a :class:`Cache`, whose lines carry coherence state plus
 the slipstream classification metadata used for the paper's Figures 3
 and 5; the per-CPU L1s are timing filters that only ever need a
-presence bit, so they are :class:`L1Tags` -- the same sets, LRU order
-and statistics with no line objects behind the tags.
+presence bit, so they are :class:`L1Tags` -- the same geometry, LRU
+order and statistics with no line objects behind the tags, each set
+laid out for the access that dominates a run: a load that hits the
+way it hit last.
 """
 
 from __future__ import annotations
@@ -58,20 +60,12 @@ class CacheLine:
 
 
 class _SetAssoc:
-    """Geometry, LRU representation and statistics shared by both tag
-    stores.
-
-    Each set is a dict keyed by line address.  Python dicts preserve
-    insertion order, so the dict doubles as the LRU chain (first key =
-    LRU victim, delete+reinsert = touch) while making the tag match
-    O(1) instead of an O(ways) scan on every L1/L2 access -- the
-    hottest lookup in the simulator.
-    """
+    """Geometry and statistics shared by both tag stores; how a set is
+    represented is the subclass's business."""
 
     def __init__(self, cfg: CacheConfig, name: str = ""):
         self.cfg = cfg
         self.name = name
-        self._sets: List[dict] = [{} for _ in range(cfg.num_sets)]
         self._set_mask = cfg.num_sets - 1
         self._line_shift = cfg.line_bytes.bit_length() - 1
         # statistics
@@ -83,15 +77,6 @@ class _SetAssoc:
     def line_addr(self, addr: int) -> int:
         """Align an address down to its line base."""
         return addr >> self._line_shift << self._line_shift
-
-    def resident_count(self) -> int:
-        """Number of valid resident lines."""
-        return sum(len(s) for s in self._sets)
-
-    def clear(self) -> None:
-        """Drop every line (no callbacks)."""
-        for s in self._sets:
-            s.clear()
 
     @property
     def accesses(self) -> int:
@@ -106,11 +91,31 @@ class _SetAssoc:
 class L1Tags(_SetAssoc):
     """Tag-only L1: which lines are present, in LRU order, and nothing
     else.  A resident tag is always valid (invalidation removes it), so
-    there is no line object and no state to test.  ``CoherentMemorySystem.
-    fast_paths`` open-codes :meth:`lookup` and :meth:`insert` on
-    ``_sets`` for the synchronous hit path; this class is their
-    reference and serves every other caller.
+    there is no line object and no state to test.
+
+    Each set is a list of exactly ``assoc`` line *numbers* (address >>
+    line shift), most recently used first, ``None`` for an empty way
+    and the empty ways at the tail.  A hit on the MRU way -- nine loads
+    in ten of a paper-scale run -- is then ``s[0] == ln`` and writes
+    nothing to the tag store, since touching the MRU line leaves the
+    LRU order as it was; any other hit is ``remove`` + ``insert(0)``, a
+    fill ``insert(0)`` + ``pop()`` (the tail is the LRU victim, or an
+    empty way), an invalidation ``remove`` + ``append(None)``.  The
+    scan a list costs over a dict's O(1) match is over one or two ways.
+    The empty mark is not an integer because every integer is a line
+    number some access can ask for: an A-stream running ahead on stale
+    data computes wild indices, negative ones included, and a way
+    marked ``-1`` would answer the one that lands on line -1.
+
+    ``CoherentMemorySystem.fast_paths`` open-codes :meth:`lookup` and
+    :meth:`insert` on ``_sets`` for the synchronous hit path; this class
+    is their reference and serves every other caller.
     """
+
+    def __init__(self, cfg: CacheConfig, name: str = ""):
+        super().__init__(cfg, name)
+        self._sets: List[List[Optional[int]]] = [
+            [None] * cfg.assoc for _ in range(cfg.num_sets)]
 
     def hit(self, addr: int) -> bool:
         """Is the line containing ``addr`` resident?  A resident line is
@@ -118,15 +123,15 @@ class L1Tags(_SetAssoc):
         nothing, so the caller can hand the whole access on to a path
         that does its own :meth:`lookup` (a spin poll to
         ``timed_load``)."""
-        shift = self._line_shift
-        la = addr >> shift << shift
-        s = self._sets[(la >> shift) & self._set_mask]
-        if la in s:
-            del s[la]                    # delete + reinsert = MRU
-            s[la] = None
-            self.hits += 1
-            return True
-        return False
+        ln = addr >> self._line_shift
+        s = self._sets[ln & self._set_mask]
+        if s[0] != ln:
+            if ln not in s:
+                return False
+            s.remove(ln)
+            s.insert(0, ln)
+        self.hits += 1
+        return True
 
     def lookup(self, addr: int) -> bool:
         """:meth:`hit`, with an absent line counted as a miss."""
@@ -138,36 +143,52 @@ class L1Tags(_SetAssoc):
     def insert(self, addr: int) -> None:
         """Fill the line containing ``addr`` (evicting the LRU victim
         if the set is full); a resident line keeps its LRU position."""
-        shift = self._line_shift
-        la = addr >> shift << shift
-        s = self._sets[(la >> shift) & self._set_mask]
-        if la in s:
+        ln = addr >> self._line_shift
+        s = self._sets[ln & self._set_mask]
+        if ln in s:
             return
-        if len(s) >= self.cfg.assoc:
-            del s[next(iter(s))]         # first key = LRU
+        s.insert(0, ln)
+        if s.pop() is not None:          # the tail: LRU way, or empty
             self.evictions += 1
-        s[la] = None
 
     def invalidate(self, addr: int) -> bool:
         """Remove the line containing ``addr``; True if it was present."""
-        shift = self._line_shift
-        la = addr >> shift << shift
-        s = self._sets[(la >> shift) & self._set_mask]
-        if la in s:
-            del s[la]
+        ln = addr >> self._line_shift
+        s = self._sets[ln & self._set_mask]
+        if ln in s:
+            s.remove(ln)
+            s.append(None)
             self.invalidations += 1
             return True
         return False
 
     def lines(self) -> Iterator[int]:
         """Resident line addresses, each set oldest (LRU victim) first."""
+        shift = self._line_shift
         for s in self._sets:
-            yield from s
+            for ln in reversed(s):
+                if ln is not None:
+                    yield ln << shift
+
+    def resident_count(self) -> int:
+        """Number of resident lines."""
+        return sum(len(s) - s.count(None) for s in self._sets)
+
+    def clear(self) -> None:
+        """Drop every line (no callbacks)."""
+        for s in self._sets:
+            s[:] = [None] * len(s)
 
 
 class Cache(_SetAssoc):
     """Tag store with line objects: set-associative, true-LRU,
     write-allocate.
+
+    Each set is a dict from line address to :class:`CacheLine`.  Python
+    dicts preserve insertion order, so the dict doubles as the LRU chain
+    (first key = LRU victim, delete + reinsert = touch) and the tag
+    match is O(1) however many ways there are -- the L2 is 4-way, has
+    to hand back a line object anyway, and sees one load in thirty.
 
     Values are not stored -- the simulator tracks timing and coherence
     only; program values live in the interpreter's arrays (see
@@ -179,7 +200,17 @@ class Cache(_SetAssoc):
     def __init__(self, cfg: CacheConfig, name: str = "",
                  on_evict: Optional[Callable[[CacheLine], None]] = None):
         super().__init__(cfg, name)
+        self._sets: List[dict] = [{} for _ in range(cfg.num_sets)]
         self.on_evict = on_evict
+
+    def resident_count(self) -> int:
+        """Number of valid resident lines."""
+        return sum(len(s) for s in self._sets)
+
+    def clear(self) -> None:
+        """Drop every line (no callbacks)."""
+        for s in self._sets:
+            s.clear()
 
     # -- operations ----------------------------------------------------------
 

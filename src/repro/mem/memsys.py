@@ -256,7 +256,7 @@ class CoherentMemorySystem:
         composition of a timed access."""
         return self.nodes[node].l1s[cpu].lookup(addr)
 
-    def fast_paths(self, shell, gbase, arrays, miss):
+    def fast_paths(self, shell, gbase, store, miss):
         """The synchronous hit path of one stream, built once per shell:
         returns ``(fast_read, fast_write)``, the VM's two memory hooks.
 
@@ -266,25 +266,40 @@ class CoherentMemorySystem:
         True when the store is complete, False when the caller must take
         the timed ``store`` (R-stream) or issue ``prefetch_exclusive``
         (A-stream).  Hits have no externally visible contention, so they
-        bypass the event engine, and each costs the VM exactly one
-        Python call: the tag matches, LRU touches, reference records and
-        statistics of ``L1Tags.lookup``/``insert``, ``Cache.lookup``,
-        ``_touch`` and ``_store_update_l1s`` are open-coded here, with
-        the shell's accounting and the value access.  ``shell`` is the
-        stream's ``ThreadShell``: its ``_debt`` and ``fast_mem_cycles``
-        are charged, its ``_prof`` tagged, and an A-stream's session
-        state read.  An access that returns ``miss``/False has changed
-        nothing -- in particular its L1 miss is counted by the timed
-        path's own probe, not here.
+        bypass the event engine: the tag matches, LRU touches, reference
+        records and statistics of ``L1Tags.lookup``/``insert``,
+        ``Cache.lookup``, ``_touch`` and ``_store_update_l1s`` are
+        open-coded here, with the shell's accounting and the value
+        access.
+
+        Each hook is built for the stream's role, so an R-stream never
+        evaluates an A-stream's session state.  A load that hits the
+        most recently used way of its L1 set -- which changes no LRU
+        order, so it writes nothing to the tag store -- costs the VM
+        one Python call, the hook; every other synchronous outcome of a
+        load (a hit on another way, an L2 hit, a decline) is the hook
+        plus ``read_rest``, the one remainder both roles share; a store
+        is one call.  ``shell`` is the stream's ``ThreadShell``: its
+        ``_debt`` and ``fast_mem_cycles`` are charged, its ``_prof``
+        tagged, and an A-stream's session state read.  ``store`` is the
+        image's ``GlobalStore``: values are loaded through its buffer
+        views and stored into its arrays.  An access that returns
+        ``miss``/False has changed nothing -- in particular its L1 miss
+        is counted by the timed path's own probe, not here.
         """
         stream = shell.role
-        a_stream = stream == "A"
         nm = self.nodes[shell.node]
         l1, l2 = nm.l1s[shell.cpu], nm.l2
         siblings = [c for c in nm.l1s if c is not l1]
-        l1_sets, l1_mask, l1_assoc = l1._sets, l1._set_mask, l1.cfg.assoc
+        l1_sets, l1_mask = l1._sets, l1._set_mask
         l2_sets, l2_mask = l2._sets, l2._set_mask
         shift = self._line_shift
+        # Globals are arrays of 8-byte words on line-aligned bases, so
+        # an element's line number is its word number shifted: no byte
+        # address is made (``MachineConfig`` holds lines to >= 8 bytes).
+        wbase = [b >> 3 for b in gbase]
+        wshift = shift - 3
+        views, arrays = store.views, store.arrays
         mshrs = nm.mshrs
         counts = nm.counts
         engine = self.engine
@@ -301,23 +316,11 @@ class CoherentMemorySystem:
         l2_tag = "l2" if l2_stall else "l1"
         store_stall = c_l2 - 1.0
 
-        def fast_read(gidx: int, flat: int):
-            if a_stream:
-                job = shell.current_job
-                if (job.slip_setting if shell.in_region and job is not None
-                        else shell.control.effective)[0] == "NONE":
-                    # Dormant: executes, touches no shared memory.
-                    shell._debt += 1.0
-                    if prof is not None:
-                        prof.fast(1.0, 0.0, "l1")
-                    return arrays[gidx].item(flat)
-            if shell._debt > debt_limit:
-                return miss
-            la = (gbase[gidx] + flat * 8) >> shift << shift
-            s = l1_sets[(la >> shift) & l1_mask]
-            if la in s:
-                del s[la]                    # delete + reinsert = MRU
-                s[la] = None
+        def read_rest(gidx: int, flat: int, ln: int, s: list):
+            # A load that did not hit the MRU way of its L1 set ``s``.
+            if ln in s:
+                s.remove(ln)                 # remove + insert(0) = MRU
+                s.insert(0, ln)
                 l1.hits += 1
                 shell._debt += 1.0
                 if l1_stall:
@@ -325,23 +328,23 @@ class CoherentMemorySystem:
                     shell._debt += l1_stall
                 if prof is not None:
                     prof.fast(1.0, l1_stall, l1_tag)
-                return arrays[gidx].item(flat)
-            s2 = l2_sets[(la >> shift) & l2_mask]
+                return views[gidx][flat]
+            la = ln << shift
+            s2 = l2_sets[ln & l2_mask]
             line = s2.get(la)
             if line is None or line.state == INVALID:
                 return miss
             l1.misses += 1
-            del s2[la]
+            del s2[la]                       # delete + reinsert = MRU
             s2[la] = line
             l2.hits += 1
             line.last_ref_time = engine.now
             line.epoch = nm.epoch
             if line.fetcher is not None and line.fetcher != stream:
                 line.sibling_hit = True
-            if len(s) >= l1_assoc:
-                del s[next(iter(s))]         # first key = LRU
+            s.insert(0, ln)
+            if s.pop() is not None:          # the tail: LRU way, or empty
                 l1.evictions += 1
-            s[la] = None
             counts["l2_hits"] += 1
             counts["loads"] += 1
             shell._debt += 1.0
@@ -350,9 +353,34 @@ class CoherentMemorySystem:
                 shell._debt += l2_stall
             if prof is not None:
                 prof.fast(1.0, l2_stall, l2_tag)
-            return arrays[gidx].item(flat)
+            return views[gidx][flat]
 
-        if a_stream:
+        if stream == "A":
+            def fast_read(gidx: int, flat: int):
+                job = shell.current_job
+                if (job.slip_setting if shell.in_region and job is not None
+                        else shell.control.effective)[0] == "NONE":
+                    # Dormant: executes, touches no shared memory.
+                    shell._debt += 1.0
+                    if prof is not None:
+                        prof.fast(1.0, 0.0, "l1")
+                    return views[gidx][flat]
+                debt = shell._debt
+                if debt > debt_limit:
+                    return miss
+                ln = (wbase[gidx] + flat) >> wshift
+                s = l1_sets[ln & l1_mask]
+                if s[0] != ln:
+                    return read_rest(gidx, flat, ln, s)
+                l1.hits += 1
+                shell._debt = debt + 1.0
+                if l1_stall:
+                    shell.fast_mem_cycles += l1_stall
+                    shell._debt += l1_stall
+                if prof is not None:
+                    prof.fast(1.0, l1_stall, l1_tag)
+                return views[gidx][flat]
+
             def fast_write(gidx: int, flat: int, value) -> bool:
                 # An A-stream's shared store is skipped outright when it is
                 # dormant, when it is not in the same barrier-delimited
@@ -366,8 +394,9 @@ class CoherentMemorySystem:
                      else shell.control.effective)[0] != "NONE"
                         and ch is not None
                         and len(ch.a_sites) == len(ch.r_sites)):
-                    la = (gbase[gidx] + flat * 8) >> shift << shift
-                    line = l2_sets[(la >> shift) & l2_mask].get(la)
+                    ln = (wbase[gidx] + flat) >> wshift
+                    la = ln << shift
+                    line = l2_sets[ln & l2_mask].get(la)
                     if line is not None and line.state == EXCLUSIVE:
                         if line.fetcher is not None and line.fetcher != "A":
                             line.sibling_hit = True
@@ -379,11 +408,29 @@ class CoherentMemorySystem:
                     prof.fast(1.0, 0.0, "l1")
                 return True
         else:
+            def fast_read(gidx: int, flat: int):
+                debt = shell._debt
+                if debt > debt_limit:
+                    return miss
+                ln = (wbase[gidx] + flat) >> wshift
+                s = l1_sets[ln & l1_mask]
+                if s[0] != ln:
+                    return read_rest(gidx, flat, ln, s)
+                l1.hits += 1
+                shell._debt = debt + 1.0
+                if l1_stall:
+                    shell.fast_mem_cycles += l1_stall
+                    shell._debt += l1_stall
+                if prof is not None:
+                    prof.fast(1.0, l1_stall, l1_tag)
+                return views[gidx][flat]
+
             def fast_write(gidx: int, flat: int, value) -> bool:
                 # Only an EXCLUSIVE L2 hit completes without coherence
                 # actions.
-                la = (gbase[gidx] + flat * 8) >> shift << shift
-                s2 = l2_sets[(la >> shift) & l2_mask]
+                ln = (wbase[gidx] + flat) >> wshift
+                la = ln << shift
+                s2 = l2_sets[ln & l2_mask]
                 line = s2.get(la)
                 if line is None or line.state != EXCLUSIVE:
                     return False
@@ -396,18 +443,18 @@ class CoherentMemorySystem:
                     line.sibling_hit = True
                 line.dirty = True
                 # Write-through: keep the writer's L1 copy, drop siblings'.
-                idx = (la >> shift) & l1_mask
+                idx = ln & l1_mask
                 for sib in siblings:
                     ss = sib._sets[idx]
-                    if la in ss:
-                        del ss[la]
+                    if ln in ss:
+                        ss.remove(ln)
+                        ss.append(None)
                         sib.invalidations += 1
                 s = l1_sets[idx]
-                if la not in s:
-                    if len(s) >= l1_assoc:
-                        del s[next(iter(s))]
+                if ln not in s:
+                    s.insert(0, ln)
+                    if s.pop() is not None:
                         l1.evictions += 1
-                    s[la] = None
                 counts["l2_hits"] += 1
                 counts["stores"] += 1
                 shell._debt += c_l2

@@ -189,10 +189,10 @@ class ThreadShell:
     def _build_fast_paths(self) -> None:
         """Bind the VM's synchronous memory hooks for this stream: two
         closures over this CPU's tag stores, the image's global base
-        addresses, the shared value arrays and this shell's accounting
+        addresses, the shared value store and this shell's accounting
         (``_debt``, ``fast_mem_cycles``, ``_prof``)."""
         self.fast_read, self.fast_write = self.machine.memsys.fast_paths(
-            self, self.machine.gbase, self.machine.store.arrays, MISS)
+            self, self.machine.gbase, self.machine.store, MISS)
 
     # ------------------------------------------------------------- VM driving
 
@@ -202,7 +202,8 @@ class ThreadShell:
         vm.fast_read = self.fast_read
         vm.fast_write = self.fast_write
         gbase = self.machine.gbase
-        arrays = self.machine.store.arrays
+        store = self.machine.store
+        views, arrays = store.views, store.arrays
         while True:
             try:
                 ev = vm.run()
@@ -230,7 +231,7 @@ class ThreadShell:
                     # forced it through the engine).
                     gidx, flat = ev.gidx, ev.flat
                     yield from self.timed_load(gbase[gidx] + flat * 8)
-                    vm.push(arrays[gidx].item(flat))
+                    vm.push(views[gidx][flat])
                 elif k is MemWrite:
                     gidx, flat = ev.gidx, ev.flat
                     if self.role == "A":

@@ -168,6 +168,119 @@ def test_worker_on_empty_spool(tmp_path):
     assert "0 unit(s) executed" in out
 
 
+def _spooled_cg(tmp_path):
+    """A spool holding the four test-size ``cg`` units, none run."""
+    from repro.config import PAPER_MACHINE
+    from repro.harness.jobs import SweepPlan, static_specs
+    from repro.harness.transport import _Spool
+
+    spool = _Spool(tmp_path / "spool")
+    spool.ensure()
+    for u in SweepPlan(static_specs(
+            PAPER_MACHINE.with_(n_cmps=4), "test", ("cg",),
+            ("single", "double", "G0", "L1"))).distinct():
+        spool.enqueue(u.key, u.spec)
+    return spool
+
+
+def test_worker_max_units_stops_after_that_many(tmp_path):
+    spool = _spooled_cg(tmp_path)
+    rc, out = run_cli(["worker", str(spool.root), "--max-units", "1"])
+    assert rc == 0
+    assert "done, 1 unit(s) executed" in out
+    assert len(list(spool.results.glob("*.run"))) == 1
+    assert len(spool.pending_keys()) == 3
+
+
+def test_worker_poll_is_the_idle_sleep(tmp_path, monkeypatch):
+    """With every pending unit leased to someone else the worker sleeps
+    ``--poll`` seconds between scans."""
+    import repro.harness.transport as transport
+
+    spool = _spooled_cg(tmp_path)
+    for key in spool.pending_keys():
+        assert spool.try_claim(key, worker="someone-else")
+    naps = []
+
+    def nap(seconds):                    # the other worker goes away
+        naps.append(seconds)
+        for key in spool.pending_keys():
+            spool.release(key)
+
+    monkeypatch.setattr(transport.time, "sleep", nap)
+    rc, out = run_cli(["worker", str(spool.root), "--poll", "0.37",
+                       "--max-units", "1"])
+    assert rc == 0 and "done, 1 unit(s) executed" in out
+    assert naps == [0.37]
+
+
+def test_worker_quiet_prints_errors_only(tmp_path):
+    import logging
+    try:
+        rc, out = run_cli(["worker", str(tmp_path / "spool"), "--quiet"])
+    finally:                             # logger levels outlive the call
+        logging.getLogger("repro.worker").setLevel(logging.NOTSET)
+        logging.getLogger("repro").setLevel(logging.NOTSET)
+    assert rc == 0
+    assert out == ""                     # no "0 unit(s) executed" line
+
+
+def test_num_threads_narrows_the_team(tmp_path):
+    f = tmp_path / "team.c"
+    f.write_text("""
+double a[64];
+int n, i;
+void main() {
+    #pragma omp parallel
+    {
+        #pragma omp master
+        n = omp_get_num_threads();
+        #pragma omp for
+        for (i = 0; i < 64; i = i + 1) a[i] = i * 1.0;
+    }
+    print("team", n);
+}
+""")
+    rc, wide = run_cli(["run", str(f), "--cmps", "4"])
+    assert rc == 0 and "team 4\n" in wide
+    rc, narrow = run_cli(["run", str(f), "--cmps", "4",
+                          "--num-threads", "2"])
+    assert rc == 0 and "team 2\n" in narrow
+    assert wide.splitlines()[-1] != narrow.splitlines()[-1]   # the cycles
+
+
+def test_selfinv_drops_stale_lines(tmp_path):
+    """``--selfinv`` self-invalidates, at each barrier the A-stream
+    passes, the shared lines its CMP did not touch since the one
+    before; ``--stats`` says how many."""
+    f = tmp_path / "phases.c"
+    f.write_text("""
+double b[512];
+double c[512];
+double s;
+int i;
+void main() {
+    #pragma omp parallel
+    {
+        #pragma omp for
+        for (i = 0; i < 512; i = i + 1) b[i] = i * 1.0;
+        #pragma omp for
+        for (i = 0; i < 512; i = i + 1) c[i] = b[511 - i] + 1.0;
+        #pragma omp for reduction(+: s)
+        for (i = 0; i < 512; i = i + 1) s = s + c[511 - i];
+    }
+    print("s", s);
+}
+""")
+    argv = ["run", str(f), "--mode", "slipstream", "--cmps", "4", "--stats"]
+    rc, off = run_cli(argv)
+    assert rc == 0 and "selfinv_drops" not in off
+    rc, on = run_cli(argv + ["--selfinv"])
+    assert rc == 0 and "s 131328.0\n" in on
+    drops = [ln for ln in on.splitlines() if "selfinv_drops" in ln]
+    assert len(drops) == 1 and int(drops[0].split(":")[1]) > 0
+
+
 def test_compile_error_reported(tmp_path):
     f = tmp_path / "bad.c"
     f.write_text("void main() { x = 1; }")

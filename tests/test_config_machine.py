@@ -60,6 +60,13 @@ def test_machine_line_size_must_match():
             l2=CacheConfig(1024 * 1024, 4, 128, 10))
 
 
+def test_machine_line_holds_at_least_one_word():
+    # the hit path takes a line number from a word number by a shift
+    with pytest.raises(ValueError, match="8-byte word"):
+        MachineConfig(l1=CacheConfig(64, 2, 4, 1), l2=CacheConfig(256, 4, 4, 10))
+    MachineConfig(l1=CacheConfig(64, 2, 8, 1), l2=CacheConfig(256, 4, 8, 10))
+
+
 def test_with_replaces_fields():
     small = PAPER_MACHINE.with_(n_cmps=4)
     assert small.n_cmps == 4

@@ -1,5 +1,7 @@
 """Tests for the functional reference executor."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,42 @@ void main() { m[1][1] = 7.0; }
     assert arr.shape == (2, 2)
     store.write(img.global_named("m").index, 3, 9.0)
     assert store.array("m")[1, 1] == 9.0
+
+
+def test_global_store_reads_through_views_and_survives_pickle():
+    """Loads go through buffer views over the arrays' own storage: same
+    Python types, wrap-around and ``IndexError`` as ``ndarray.item``,
+    and a store made through the array shows in the next load.  A
+    ``memoryview`` cannot be pickled, and a ``RunResult``'s store
+    crosses the pool and the spool as a pickle: the views are dropped
+    on the way out and made again on first use."""
+    img = compile_source("""
+int n = 3;
+double m[4];
+void main() { }
+""")
+    store = GlobalStore(img)
+    n, m = img.global_named("n").index, img.global_named("m").index
+    store.write(m, 3, 2.5)
+    store.write(n, 0, 7.9)                 # NumPy truncates into an int
+    assert store.read(m, 3) == 2.5         # the views exist from here on
+    clone = pickle.loads(pickle.dumps(store))
+    assert "views" in vars(store) and "views" not in vars(clone)
+    for s in (store, clone):
+        got = [s.read(m, 3), s.read(m, -1), s.read(n, 0), s.value("n")]
+        assert got == [2.5, 2.5, 7, 7]
+        assert [type(v) for v in got] == [float, float, int, int]
+        assert got[:3] == [s.arrays[m].item(3), s.arrays[m].item(-1),
+                           s.arrays[n].item(0)]
+        with pytest.raises(IndexError):
+            s.read(m, 4)
+        with pytest.raises(TypeError):
+            s.read(m, 1.0)
+        s.array("m")[0] = 1.25             # same storage, not a copy
+        assert s.read(m, 0) == 1.25
+    assert store.read(m, 0) == 1.25 and store.views is store.views
+    with pytest.raises(TypeError):
+        pickle.dumps(store.views[m])
 
 
 def test_int_arrays_are_integer_typed():

@@ -9,7 +9,8 @@ transaction) and one hit implementation (the per-shell closures of
   statistics;
 * a differential test of the VM hooks, falling back to the shell's
   timed accesses the way a run does, against driving
-  ``l1_probe``/``load``/``store`` through the engine;
+  ``l1_probe``/``load``/``store`` through the engine, at three L1
+  associativities and with every leg of the hooks shown taken;
 * every L1 miss of a run is counted once;
 * a structure guard: calls per hit and generators per miss stay flat;
 * a stale ``REPRO_HOTPATH`` naming a removed tier (``mem``, ``engine``,
@@ -18,6 +19,7 @@ transaction) and one hit implementation (the per-shell closures of
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -194,23 +196,28 @@ class _FastLog:
         self.calls.append((busy, stall, level))
 
 
-def _probe_machine(l1_hit_cycles):
+def _probe_machine(l1_hit_cycles, l1_assoc):
     """Two CMPs in slipstream mode with caches small enough that a few
     hundred accesses over 32 lines evict at both levels."""
     cfg = PAPER_MACHINE.with_(
         n_cmps=2, placement="round_robin",
-        l1=CacheConfig(size_bytes=1024, assoc=2, line_bytes=128,
+        l1=CacheConfig(size_bytes=1024, assoc=l1_assoc, line_bytes=128,
                        hit_cycles=l1_hit_cycles),
         l2=CacheConfig(size_bytes=2048, assoc=2, line_bytes=128,
                        hit_cycles=10))
     return Machine(_PROBE_PROG, cfg=cfg, mode="slipstream")
 
 
-def _probe_ops(seed, n_shells, n=700):
+def _probe_ops(seed, n_shells, n=900):
     """Seeded access stream over every shell, with barriers (reference
     epochs), A-streams running ahead of / rejoining their R-stream's
-    session, and A-streams going dormant and back."""
+    session, A-streams going dormant and back, and loads issued with
+    the stream's synchronous debt over its limit (``forced``).  Half the
+    accesses go to the line the pair touched last (shells ``i`` and
+    ``i + 2`` are the R- and the A-stream of CMP ``i``): the two streams
+    of a pair run the same program."""
     rng = random.Random(seed)
+    last = [0, 0]
     ops = []
     for _ in range(n):
         r = rng.random()
@@ -221,9 +228,15 @@ def _probe_ops(seed, n_shells, n=700):
         elif r < 0.08:
             ops.append(("dormant", rng.randrange(2)))
         else:
-            ops.append((rng.choice(("load", "load", "store")),
-                        rng.randrange(n_shells), rng.randrange(2),
-                        rng.randrange(256), float(rng.randrange(100))))
+            si = rng.randrange(n_shells)
+            if rng.random() < 0.5:
+                g, flat = divmod(last[si % 2] + rng.randrange(16), 256)
+            else:
+                g, flat = rng.randrange(2), rng.randrange(256)
+            last[si % 2] = (g * 256 + flat) & ~15
+            ops.append((rng.choice(("load", "load", "load", "forced",
+                                    "store", "store")),
+                        si, g, flat, float(rng.randrange(100))))
     return ops
 
 
@@ -234,11 +247,15 @@ def _drive(m, ops, fast):
     they decline, the shell's timed access (``timed_load``/``timed_store``,
     as ``_vm_loop`` does); ``fast=False`` drives
     ``l1_probe``/``load``/``store`` through the engine for every access.
-    Returns per-access ``(handled synchronously?, cycles)``."""
+    Returns per-access ``(handled synchronously?, cycles)`` -- a forced
+    load reads ``None`` in the first place: the hook must decline it
+    whatever the caches hold, so only its cycles compare -- and, from
+    the hooks' side, how many accesses took each leg, by role."""
     ms, eng = m.memsys, m.engine
     ahead = [False, False]                   # A-stream out of session?
     dormant = [False, False]
     out = []
+    legs = Counter()
 
     def timed(gen):
         t0 = eng.now
@@ -267,14 +284,33 @@ def _drive(m, ops, fast):
         sh = m.shells[si]
         addr = m.gaddr(g, flat)
         a_stream = sh.role == "A"
+        asleep = a_stream and dormant[sh.node]
+        forced = kind == "forced" and not asleep
+        if kind == "forced":
+            kind = "load"
         if fast:
+            l1s = ms.nodes[sh.node].l1s
+            l1 = l1s[sh.cpu]
+            before = (l1.evictions,
+                      sum(c.invalidations for c in l1s if c is not l1))
+            debt = sh._debt = sh.DEBT_LIMIT + 1.0 if forced else 0.0
             if kind == "load":
+                la = ms.line_addr(addr)
+                # this set's ways, oldest first, by the public walk
+                span = m.cfg.l1.num_sets * m.cfg.line_bytes
+                ways = [w for w in l1.lines() if (w - la) % span == 0]
                 v = sh.fast_read(g, flat)
                 sync = v is not MISS
                 if sync:
                     assert v == m.store.read(g, flat)
                 else:
                     _, cyc = timed(sh.timed_load(addr))
+                leg = ("forced" if forced else "dormant" if asleep
+                       else "decline" if not sync
+                       else "mru" if ways and ways[-1] == la
+                       else "other_way" if la in ways
+                       else "l2_evict" if l1.evictions > before[0] else "l2")
+                assert not (forced and sync)
             else:
                 sync = sh.fast_write(g, flat, value)
                 if not sync and a_stream:
@@ -283,11 +319,17 @@ def _drive(m, ops, fast):
                 elif not sync:
                     _, cyc = timed(sh.timed_store(addr))
                     m.store.write(g, flat, value)
+                leg = "store" if sync else "store_decline"
+                if sync and sum(c.invalidations for c in l1s
+                                if c is not l1) > before[1]:
+                    leg = "store_inv_sibling"
+            legs[sh.role, leg] += 1
             if sync:
-                cyc, sh._debt = sh._debt, 0.0
-            assert sh._debt == 0.0
-        elif a_stream and (dormant[sh.node] or (
-                kind == "store" and ahead[sh.node])):
+                cyc = sh._debt
+            else:
+                assert sh._debt == debt      # declined: nothing charged
+            sh._debt = 0.0
+        elif asleep or (a_stream and kind == "store" and ahead[sh.node]):
             sync, cyc = True, 1.0            # touches no shared memory
         elif kind == "load":
             sync = ms.l1_probe(sh.node, sh.cpu, addr)
@@ -304,8 +346,8 @@ def _drive(m, ops, fast):
             sync = res.level == "l2"
             m.store.write(g, flat, value)
         eng.run()                            # drain background work
-        out.append((sync, cyc))
-    return out
+        out.append((None if forced else sync, cyc))
+    return out, legs
 
 
 def _cache_state(ms):
@@ -324,6 +366,15 @@ def _cache_state(ms):
     return state
 
 
+#: What one op stream must show taken, per role: every leg of the
+#: load hook -- hit on the MRU way, hit on another way (2+ ways only),
+#: L2 hit that evicts an L1 way, decline, debt-forced decline -- the
+#: A-stream's dormant load, and both outcomes of the store hook.
+_LEGS = [(role, leg) for role in "RA" for leg in (
+    "mru", "other_way", "l2_evict", "decline", "forced", "store",
+    "store_decline")] + [("A", "dormant"), ("R", "store_inv_sibling")]
+
+
 @pytest.mark.parametrize("l1_hit_cycles", [1, 2])
 @pytest.mark.parametrize("seed", [5, 29])
 def test_hit_probes_match_engine_driven_accesses(seed, l1_hit_cycles):
@@ -331,43 +382,48 @@ def test_hit_probes_match_engine_driven_accesses(seed, l1_hit_cycles):
     cache counter, LRU order, memory statistic and line classification,
     from taking each access through the engine -- and the shell's
     accounting over it (debt, ``fast_mem_cycles``, profiler level tags)
-    must charge exactly the hit latencies.  ``l1_hit_cycles=2`` runs
-    the ``lat > 1`` leg on L1 hits too.  A declined load goes on
-    through ``timed_load`` (whose ``l1_probe`` counts the miss), so a
-    miss counted on both sides of the hand-over shows here."""
-    fast_m, ref_m = _probe_machine(l1_hit_cycles), _probe_machine(
-        l1_hit_cycles)
-    logs = []
-    for sh in fast_m.shells:
-        sh._prof = _FastLog()
-        sh._build_fast_paths()               # the hooks capture _prof
-        logs.append(sh._prof.calls)
-    ops = _probe_ops(seed, len(fast_m.shells))
-    got = _drive(fast_m, ops, fast=True)
-    want = _drive(ref_m, ops, fast=False)
-    assert got == want
-    assert _cache_state(fast_m.memsys) == _cache_state(ref_m.memsys)
-    assert fast_m.memsys.machine_stats().as_dict() \
-        == ref_m.memsys.machine_stats().as_dict()
-    assert [a.tolist() for a in fast_m.store.arrays] \
-        == [a.tolist() for a in ref_m.store.arrays]
-    for m in (fast_m, ref_m):
-        m.memsys.finalize()
-    assert fast_m.memsys.classes.as_dict() == ref_m.memsys.classes.as_dict()
-    # The streams must actually have exercised every leg.
-    stats = fast_m.memsys.machine_stats()
-    assert stats.get("l2_hits") and stats.get("prefetch_ex")
-    assert any(nm.l2.evictions for nm in fast_m.memsys.nodes)
-    assert any(l1.evictions for nm in fast_m.memsys.nodes for l1 in nm.l1s)
-    # Shell accounting: every synchronous access was charged its hit
-    # latency as debt; the part beyond the 1-cycle access is memory
-    # stall, tagged with the level it was resolved at.
-    sync_cycles = [cyc for sync, cyc in want if sync]
-    tagged = [c for calls in logs for c in calls]
-    assert sorted(tagged) == sorted(
-        (1.0, cyc - 1.0, "l2" if cyc > 1.0 else "l1") for cyc in sync_cycles)
-    assert sum(sh.fast_mem_cycles for sh in fast_m.shells) \
-        == sum(cyc - 1.0 for cyc in sync_cycles)
+    must charge exactly the hit latencies -- with a direct-mapped, a
+    2-way and a 4-way L1.  ``l1_hit_cycles=2`` runs the ``lat > 1`` leg
+    on L1 hits too.  A declined load goes on through ``timed_load``
+    (whose ``l1_probe`` counts the miss), so a miss counted on both
+    sides of the hand-over shows here."""
+    for l1_assoc in (1, 2, 4):
+        fast_m, ref_m = (_probe_machine(l1_hit_cycles, l1_assoc)
+                         for _ in range(2))
+        logs = []
+        for sh in fast_m.shells:
+            sh._prof = _FastLog()
+            sh._build_fast_paths()           # the hooks capture _prof
+            logs.append(sh._prof.calls)
+        ops = _probe_ops(seed, len(fast_m.shells))
+        got, legs = _drive(fast_m, ops, fast=True)
+        want, _ = _drive(ref_m, ops, fast=False)
+        assert got == want
+        assert _cache_state(fast_m.memsys) == _cache_state(ref_m.memsys)
+        assert fast_m.memsys.machine_stats().as_dict() \
+            == ref_m.memsys.machine_stats().as_dict()
+        assert [a.tolist() for a in fast_m.store.arrays] \
+            == [a.tolist() for a in ref_m.store.arrays]
+        for m in (fast_m, ref_m):
+            m.memsys.finalize()
+        assert fast_m.memsys.classes.as_dict() \
+            == ref_m.memsys.classes.as_dict()
+        # The streams must actually have exercised every leg.
+        assert [leg for leg in _LEGS if not legs[leg]] == [
+            (role, "other_way") for role in "RA" if l1_assoc == 1]
+        stats = fast_m.memsys.machine_stats()
+        assert stats.get("l2_hits") and stats.get("prefetch_ex")
+        assert any(nm.l2.evictions for nm in fast_m.memsys.nodes)
+        # Shell accounting: every synchronous access was charged its hit
+        # latency as debt; the part beyond the 1-cycle access is memory
+        # stall, tagged with the level it was resolved at.
+        sync_cycles = [cyc for sync, cyc in want if sync]
+        tagged = [c for calls in logs for c in calls]
+        assert sorted(tagged) == sorted(
+            (1.0, cyc - 1.0, "l2" if cyc > 1.0 else "l1")
+            for cyc in sync_cycles)
+        assert sum(sh.fast_mem_cycles for sh in fast_m.shells) \
+            == sum(cyc - 1.0 for cyc in sync_cycles)
 
 
 def test_every_l1_miss_of_a_run_is_counted_once():
@@ -382,6 +438,22 @@ def test_every_l1_miss_of_a_run_is_counted_once():
         stats = execute_spec(spec).result.mem_stats
         assert stats.get("cache.l1.misses") == stats.get("loads") > 0, spec
     assert stats.get("cache.l1.hits") > stats.get("loads")
+
+
+def test_wild_index_onto_line_minus_one_finds_no_empty_way():
+    """An A-stream running ahead on stale data computes wild indices,
+    and nothing bounds them before the hook: every integer is a line
+    number some load can ask for.  The one that lands on line -1 must
+    be declined like any other absent line -- an empty way is not
+    marked with an integer."""
+    m = _probe_machine(1, 2)
+    for sh in m.shells:
+        l1 = m.memsys.nodes[sh.node].l1s[sh.cpu]
+        flat = -(m.gaddr(0, 0) // 8) - 1             # the word before 0
+        assert m.gaddr(0, flat) == -8
+        assert sh.fast_read(0, flat) is MISS
+        assert not l1.hit(-8) and not l1.invalidate(-8)
+        assert (l1.hits, sh._debt, list(l1.lines())) == (0, 0.0, [])
 
 
 # --------------------------------------------------------- structure guard
@@ -419,11 +491,15 @@ def test_hit_is_one_call_and_miss_a_handful_of_generators():
     """What the flat hit path, the multi-leg trips and the flattened
     timed path bought, pinned so that it cannot rot silently:
 
-    * from the VM an L1-hit load and an exclusive-hit store are one
-      Python call each (the hook itself -- no probe, cache or counter
-      method under it), for an R-stream and for an A-stream load inside
-      a region alike (outside one the A-stream asks
-      ``SlipControl.effective``, a property);
+    * from the VM a load that hits the most recently used way of its
+      L1 set and an exclusive-hit store are one Python call each (the
+      hook itself -- no probe, cache or counter method under it), for
+      an R-stream and for an A-stream load inside a region alike
+      (outside one the A-stream asks ``SlipControl.effective``, a
+      property); every other synchronous outcome of a load -- a hit on
+      another way, an L2 hit, a decline -- is at most two, the hook and
+      the one remainder the roles share, and a load declined for the
+      stream's debt is the hook alone again;
     * an uncontended remote read miss runs in 5 generator objects --
       ``timed_load``, ``load`` (the read transaction is its tail) and
       one ``serve_legs`` each for the request trip, the memory
@@ -437,31 +513,56 @@ def test_hit_is_one_call_and_miss_a_handful_of_generators():
     * a process nobody joins makes no ``SimEvent``: the done-event is
       made for who asks.
     """
-    prog = compile_source("double a[1024];\nvoid main() { }")   # two pages
+    prog = compile_source("double a[2048];\nvoid main() { }")  # four pages
     m = Machine(prog, mode="slipstream", cfg=PAPER_MACHINE.with_(
         n_cmps=2, placement="round_robin"))
     eng, ms = m.engine, m.memsys
     r, a = m.shells[0], m.shells[2]
     assert (r.role, a.role, a.node) == ("R", "A", r.node)
+    # ``local`` and ``conflict`` are homed here and share an L1 set;
+    # ``remote`` is homed elsewhere.
     local, remote = 0, 512
-    assert ms.placement.home(m.gaddr(0, local)) == r.node
+    conflict = m.cfg.l1.num_sets * m.cfg.line_bytes // 8
+    for flat in (local, conflict):
+        assert ms.placement.home(m.gaddr(0, flat)) == r.node
     assert ms.placement.home(m.gaddr(0, remote)) != r.node
     eng.run_process(r.timed_store(m.gaddr(0, local)))   # own it, fill L1
     eng.run_process(a.timed_load(m.gaddr(0, local)))    # fill the A's L1
     a.current_job = Job(1, 0, (), ("GLOBAL_SYNC", 0))
     a.in_region = True
 
+    def hooks(fn):
+        """(result, names of the Python functions run under ``fn``)"""
+        value, calls, gens = _python_calls(fn)
+        assert gens == []
+        return value, [c.co_name for c in calls[1:]]    # [0]: the lambda
+
     for sh in (r, a):
-        hits = ms.nodes[sh.node].l1s[sh.cpu].hits
-        value, calls, gens = _python_calls(lambda: sh.fast_read(0, local))
-        # the lambda here, and under it the hook alone
-        assert value == 0.0 and gens == []
-        assert [c.co_name for c in calls[1:]] == ["fast_read"]
-        assert ms.nodes[sh.node].l1s[sh.cpu].hits == hits + 1
-    done, calls, gens = _python_calls(lambda: r.fast_write(0, local, 3.5))
-    assert done is True and gens == []
-    assert [c.co_name for c in calls[1:]] == ["fast_write"]
+        l1 = ms.nodes[sh.node].l1s[sh.cpu]
+        hits, misses = l1.hits, l1.misses
+        assert hooks(lambda: sh.fast_read(0, local)) == (0.0, ["fast_read"])
+        assert l1.hits == hits + 1
+        # a line the sibling stream brought into the CMP's L2: an L2 hit
+        sibling, l2_only = (a, 16) if sh is r else (r, 32)
+        eng.run_process(sibling.timed_load(m.gaddr(0, l2_only)))
+        assert hooks(lambda: sh.fast_read(0, l2_only)) \
+            == (0.0, ["fast_read", "read_rest"])
+        # ``conflict`` takes the MRU way, so ``local`` hits the other one
+        eng.run_process(sh.timed_load(m.gaddr(0, conflict)))
+        assert hooks(lambda: sh.fast_read(0, local)) \
+            == (0.0, ["fast_read", "read_rest"])
+        assert hooks(lambda: sh.fast_read(0, local)) == (0.0, ["fast_read"])
+        assert hooks(lambda: sh.fast_read(0, remote)) \
+            == (MISS, ["fast_read", "read_rest"])
+        sh._debt = sh.DEBT_LIMIT + 1.0
+        assert hooks(lambda: sh.fast_read(0, local)) == (MISS, ["fast_read"])
+        sh._debt = 0.0
+        # three hits; the L2 hit and the timed fill are the misses
+        assert (l1.hits, l1.misses) == (hits + 3, misses + 2)
+    assert hooks(lambda: r.fast_write(0, local, 3.5)) \
+        == (True, ["fast_write"])
     assert m.store.read(0, local) == 3.5
+    r._debt = a._debt = 0.0
 
     assert r.fast_read(0, remote) is MISS
     t0 = eng.now

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from repro.config import CacheConfig, PAPER_MACHINE
 from repro.interp.interpreter import _binop
-from repro.mem import (Cache, MESIState, Placement,
+from repro.mem import (Cache, L1Tags, MESIState, Placement,
                        SharedAllocator, is_shared_addr)
 from repro.mem.address import SHARED_BASE
 from repro.obs import ClassStats, TimeBreakdown
+
+from .dict_l1 import DictL1Tags
 
 # --------------------------------------------------------------------- cache
 
@@ -62,6 +64,44 @@ def test_cache_accounting_consistency(addrs):
         if c.lookup(a) is None:
             c.insert(a, MESIState.SHARED)
     assert c.hits + c.misses == len(addrs)
+
+
+# ------------------------------------------------------------- tag-only L1
+
+#: Twelve lines over a 2-set store, so every set sees conflict at any
+#: associativity; ``clear`` is rare enough for the sets to fill.
+_tag_op = st.tuples(
+    st.sampled_from(("hit",) * 3 + ("lookup",) * 6 + ("insert",) * 6
+                    + ("invalidate",) * 3 + ("clear",)),
+    st.integers(min_value=0, max_value=12 * 128 - 1))
+
+
+@given(st.sampled_from((1, 2, 4, 8)),
+       st.lists(_tag_op, min_size=30, max_size=300))
+@settings(max_examples=100, deadline=None)
+def test_l1_tags_replay_the_dict_lru_model(assoc, ops):
+    """``L1Tags`` keeps each set as a fixed-length MRU-first list of
+    line numbers; the model is the insertion-ordered dict it replaced
+    (``tests/dict_l1.py``).  After every operation of any stream: the
+    same return value, the same resident lines in the same victim
+    order, the same four counters -- and the list is well formed: no
+    tag twice, ``assoc`` ways, tags of this set only, empties at the
+    tail."""
+    cfg = CacheConfig(size_bytes=assoc * 2 * 128, assoc=assoc,
+                      line_bytes=128, hit_cycles=1)
+    tags, ref = L1Tags(cfg), DictL1Tags(cfg)
+    for op, addr in ops:                 # line number 0 is a line too
+        args = () if op == "clear" else (addr,)
+        assert getattr(tags, op)(*args) == getattr(ref, op)(*args)
+        assert list(tags.lines()) == list(ref.lines())
+        assert tags.resident_count() == ref.resident_count()
+        assert (tags.hits, tags.misses, tags.evictions, tags.invalidations) \
+            == (ref.hits, ref.misses, ref.evictions, ref.invalidations)
+        for idx, s in enumerate(tags._sets):
+            valid = [ln for ln in s if ln is not None]
+            assert len(s) == assoc and s == valid + [None] * (assoc - len(valid))
+            assert len(set(valid)) == len(valid)
+            assert all(ln & 1 == idx for ln in valid)
 
 
 # ----------------------------------------------------------------- allocator
