@@ -25,32 +25,64 @@ in the middle of a body, a range that does not nest, a loop past
 ``_MAX_LOOP_NEST`` -- goes round it and finds its block from the top,
 so the structure decides speed and never results.
 
+Three mechanisms keep a path through private variables -- the paper's
+"control flow and address generation rely mostly on private variables",
+which the simulator charges a fixed hit and never simulates -- off the
+frame and off the ladder:
+
+* **write-through locals** -- slot *k* of ``frame.locals`` is read as
+  the Python local ``l<k>`` and written as ``L[k] = l<k> = expr``.  The
+  frame is never stale, so no exit writes anything back, there is no
+  dirty set, and a trap in the middle of a block leaves the locals the
+  interpreter would have left.  (Writing back at exits instead is
+  cheaper per store, but needs a may-dirty set per exit and definite
+  assignment for every write-back, and leaves the frame stale at a
+  mid-block trap; DESIGN.md section 6 has the sizes.)  What a function
+  needs bound on entry comes from a backward liveness pass over the
+  block CFG (``_live_in`` over the per-opcode ``_LOCAL_RW`` table).
+* **single-predecessor merging** -- a block that no resume enters and
+  exactly one edge reaches is emitted where that edge is: inside the
+  ``if``/``else`` arm, or after the forward ``jump``.  Its id leaves
+  the ladder, and the static charge the predecessor has not yet added
+  to ``c`` is carried into it, so a path pays one ``c = c + ...``
+  instead of one per block.  ``_MAX_MERGE_NEST`` bounds the nest; the
+  block after the cap goes back to the ladder.
+* **collapsed loops** -- a loop whose blocks all merged into its header
+  is ``while b == lo:`` with the header's body directly under it: no
+  guard inside, and the back edge is ``continue`` (``b`` never left
+  ``lo``).
+
 Exactness contract (the golden tables must be bit-identical with the
 tier on or off):
 
 * **cycles** -- every instruction's static charge (``OP_COST`` plus the
   per-operator ``BINOP_COST`` / per-intrinsic ``ICALL_COST``, exactly
   as :func:`~repro.interp.interpreter._translate` folds them) is
-  constant-folded into per-block accumulator updates ``c = c + <sum>``;
-  event returns flush ``vm.pending_cycles += c + <tail>`` just like the
+  constant-folded into accumulator updates ``c = c + <sum>``, one per
+  ladder block and path through what merged under it (the charges are
+  integers, so the sum does not depend on how it is split); event
+  returns flush ``vm.pending_cycles += c + <tail>`` just like the
   interpreter flushes its local ``cycles``.  An exception mid-block
   discards the local accumulator in both worlds.
 * **yield points** -- shared-memory ops, runtime calls and prints
   return the same event objects in the same order, trying the shell's
   ``fast_read``/``fast_write`` callbacks first; backward jumps decrement
   the same ``MAX_SLICE`` budget and yield ``TimeSlice`` on exhaustion.
-* **state sync** -- ``frame.pc``/``frame.stack`` are written back at
-  every exit (event return, call/ret frame switch), so snapshots taken
-  at barriers and every shell-side observer see exactly the state the
-  interpreter would have left.
+* **state sync** -- ``frame.locals`` is current after every store
+  (write-through); ``frame.pc``/``frame.stack`` are written back at
+  every exit (event return, call/ret frame switch).  Snapshots taken at
+  barriers, ``clone``, ``restore``/``corrupt`` and every shell-side
+  observer see exactly the state the interpreter would have left.
 * **resume** -- the generated function is re-entered through an
   ``_ENTRY`` table mapping resumable pcs (function entry, post-yield,
   post-call, backward-jump targets) to the block id itself when the
-  operand stack is empty there, else to a stub id past the last block;
-  the stubs run once, before the ``while 1:``, reload the virtual
-  registers from ``frame.stack`` and set ``b``.  An unknown pc returns
-  the ``_DEOPT`` sentinel and the VM transparently falls back to the
-  interpreter loop (restore/corrupt/armed-fault paths).
+  operand stack is empty there and no local is live into the block,
+  else to a stub id past the last block; the stubs run once, before the
+  ``while 1:``, reload the virtual registers from ``frame.stack`` and
+  the live locals from ``frame.locals`` (``l0, l2 = L[0], L[2]``) and
+  set ``b``.  An unknown pc returns the ``_DEOPT`` sentinel and the VM
+  transparently falls back to the interpreter loop
+  (restore/corrupt/armed-fault paths).
 
 Functions whose bytecode the translator cannot prove statically
 well-shaped (unreachable-depth conflicts, unknown ops -- in practice
@@ -127,6 +159,10 @@ _LADDER_MAX = 8
 #: of the innermost emitted loop.  CPython allows 20 statically nested
 #: blocks; ``try`` and the catch-all ``while 1:`` take two of them.
 _MAX_LOOP_NEST = 8
+#: Blocks merged under one ladder block nest at most this deep; the next
+#: one goes back to the ladder.  Each level indents by at most one, and
+#: CPython's tokenizer stops at 100 levels of indentation.
+_MAX_MERGE_NEST = 32
 
 _TERMINAL = _MEM_YIELDS | _LEAVES | frozenset(
     ("jump", "jfalse", "jnone", "cjf", "lcjf", "lljf", "lcbsj", "ret"))
@@ -261,6 +297,32 @@ def _succ(ins: Tuple, pc: int, d: int) -> List[Tuple[int, int]]:
     raise NotCompilable("unknown opcode %r" % (op,))
 
 
+#: Frame-local slots an instruction names: op -> (operand positions
+#: read, operand positions written); a scalar operand is position 0, and
+#: an instruction reads before it writes.  Every op the emitter spells
+#: with an ``l<k>`` name is here (tests/test_interp_compile.py walks
+#: them): liveness is only as good as this table.
+_LOCAL_RW = {
+    "lload": ((0,), ()), "lstore": ((), (0,)),
+    "aload": ((0,), ()), "astore": ((0,), ()),   # the array reference
+    "llst": ((0,), (1,)), "cs": ((), (1,)),
+    "ll2b": ((0, 1), ()), "lcb": ((0,), ()), "lb": ((0,), ()),
+    "lcbs": ((0,), (3,)), "llbs": ((0, 1), (3,)),
+    "lcjf": ((0,), ()), "lljf": ((0, 1), ()), "lcbsj": ((0,), (3,)),
+    "cblb": ((2,), ()), "lbcb": ((0,), ()), "lcblb": ((0, 3), ()),
+    "ix": ((0, 3, 7), ()), "ixge": ((0, 3, 7), ()), "cblbge": ((2,), ()),
+}
+
+
+def _local_rw(ins: Tuple) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """(slots read, slots written) by one instruction."""
+    rw = _LOCAL_RW.get(ins[0])
+    if rw is None:
+        return (), ()
+    arg = ins[1] if isinstance(ins[1], tuple) else (ins[1],)
+    return tuple(arg[i] for i in rw[0]), tuple(arg[i] for i in rw[1])
+
+
 def _analyze(instrs: List[Tuple]) -> Dict[int, int]:
     """Reachable pc -> operand-stack depth before the instruction.
 
@@ -339,6 +401,39 @@ def _block_pcs(start: int, instrs: List[Tuple],
         pc += 1
 
 
+def _live_in(instrs: List[Tuple], blocks: Dict[int, List[int]],
+             succs: Dict[int, List[int]]) -> Dict[int, int]:
+    """Backward liveness over the block CFG: leader pc -> bitmask of the
+    frame-local slots some path from the top of the block reads before
+    it writes them.  Round-robin in reverse pc order over int masks; a
+    pass per loop-nest level reaches the fixed point."""
+    use: Dict[int, int] = {}
+    defs: Dict[int, int] = {}
+    for leader, pcs in blocks.items():
+        u = d = 0
+        for pc in pcs:
+            reads, writes = _local_rw(instrs[pc])
+            for k in reads:
+                u |= (1 << k) & ~d
+            for k in writes:
+                d |= 1 << k
+        use[leader], defs[leader] = u, d
+    live = dict.fromkeys(blocks, 0)
+    backward = sorted(blocks, reverse=True)
+    changed = True
+    while changed:
+        changed = False
+        for leader in backward:
+            out = 0
+            for t in succs[leader]:
+                out |= live[t]
+            new = use[leader] | (out & ~defs[leader])
+            if new != live[leader]:
+                live[leader] = new
+                changed = True
+    return live
+
+
 # --------------------------------------------------------------- emission
 
 def generate_source(code: Code) -> Tuple[str, Tuple]:
@@ -350,6 +445,13 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     hoisted and injected into the exec namespace as ``_K<i>``.
     Raises :class:`NotCompilable` for bytecode the static analysis
     cannot shape.
+
+    A frame local is read as the Python local ``l<k>``, which the entry
+    stubs bind from the liveness of the block they enter.  A slot the
+    liveness misses is an ``UnboundLocalError`` out of ``vm.run()``:
+    the generated code catches ``IndexError`` only and the shell's
+    A-stream net does not list ``NameError``, so a hole in
+    ``_LOCAL_RW`` is a crash, never a silent deopt or a recovery.
     """
     instrs = code.instrs
     if not instrs:
@@ -364,6 +466,8 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     order = sorted(leaders)
     bid = {leader: i for i, leader in enumerate(order)}
     loop_hi: Dict[int, int] = {}             # header id -> last id
+    succs: Dict[int, List[int]] = {}         # leader -> successor leaders
+    npred = dict.fromkeys(leaders, 0)
     for i, leader in enumerate(order):
         pc = blocks[leader][-1]
         ins = instrs[pc]
@@ -371,6 +475,13 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             loop_hi[bid[ins[1]]] = i
         elif ins[0] == "lcbsj" and ins[1][4] <= pc:
             loop_hi[bid[ins[1][4]]] = i
+        succs[leader] = [t for t, _d in _succ(ins, pc, depths[pc])]
+        for t in succs[leader]:
+            npred[t] += 1
+    live = _live_in(instrs, blocks, succs)
+    # A block one edge reaches and no resume enters is emitted where
+    # that edge is (``goto``); its id never shows in the ladder.
+    inline = {pc for pc in leaders if npred[pc] == 1 and pc not in entries}
 
     consts: List = []
 
@@ -392,19 +503,32 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             return "()"
         return "(%s,)" % ", ".join(texts)
 
-    def emit_block(leader: int) -> List[Tuple[int, str, Optional[int]]]:
-        """Body lines as ``(indent, text, target)``; ``target`` is the
-        block id a ``b = N`` line transfers to (None on every other
-        line), so the assembler can tell a loop exit from a transfer
-        inside the loop."""
-        out: List[Tuple[int, str, Optional[int]]] = []
+    def ld(k: int) -> str:
+        return "l%d" % k
+
+    def st(k: int, expr: str) -> str:
+        # Write-through: the frame is never stale, so no exit, trap or
+        # snapshot has anything to write back.
+        return "L[%d] = l%d = %s" % (k, k, expr)
+
+    bodies: Dict[int, List[Tuple[int, str, Optional[int]]]] = {}
+    roots = [pc for pc in order if pc not in inline]
+
+    def emit_block(leader: int, out: List[Tuple[int, str, Optional[int]]],
+                   ind: int, nest: int, pend: float) -> None:
+        """Append the block's lines to ``out`` as ``(indent, text,
+        target)``; ``target`` is the block id a ``b = N`` line transfers
+        to (None on every other line), so the assembler can tell a loop
+        exit from a transfer inside the loop.  ``pend`` is the static
+        charge of the blocks this one was merged under (``nest`` of
+        them), not yet added to ``c``."""
         pcs = blocks[leader]
         d = depths[leader]
-        deferred: Optional[Tuple[str, str]] = None   # (value, truthiness)
-        pend = 0.0
+        # (value, truthiness, is a literal or a local name)
+        deferred: Optional[Tuple[str, str, bool]] = None
 
-        def w(ind: int, text: str) -> None:
-            out.append((ind, text, None))
+        def w(i: int, text: str) -> None:
+            out.append((ind + i, text, None))
 
         def mat() -> None:
             nonlocal deferred
@@ -412,10 +536,11 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 w(0, "s%d = %s" % (d - 1, deferred[0]))
                 deferred = None
 
-        def push(full: str, cond: Optional[str] = None) -> None:
+        def push(full: str, cond: Optional[str] = None,
+                 atom: bool = False) -> None:
             nonlocal d, deferred
             assert deferred is None
-            deferred = (full, cond if cond is not None else full)
+            deferred = (full, cond if cond is not None else full, atom)
             d += 1
 
         def pop1() -> Tuple[str, str, bool]:
@@ -437,31 +562,42 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             tot = pend + extra
             return "c" if tot == 0 else "c + %r" % float(tot)
 
-        def flush_c() -> None:
+        def flush(i: int) -> None:
             if pend:
-                w(0, "c = c + %r" % float(pend))
+                w(i, "c = c + %r" % float(pend))
 
-        def goto(ind: int, target_pc: int) -> None:
-            out.append((ind, "b = %d" % bid[target_pc], bid[target_pc]))
+        def transfer(i: int, target_pc: int) -> None:
+            out.append((ind + i, "b = %d" % bid[target_pc], bid[target_pc]))
+
+        def goto(i: int, target_pc: int) -> None:
+            """Continue at a block: in place when this is the one edge
+            into it, carrying the charge not yet added, so that a path
+            pays one ``c = c + ...`` and no dispatch for it."""
+            if target_pc in inline:
+                if nest < _MAX_MERGE_NEST:
+                    emit_block(target_pc, out, ind + i, nest + 1, pend)
+                    return
+                roots.append(target_pc)      # too deep: a ladder block
+            flush(i)
+            transfer(i, target_pc)
 
         def cond_jump(cond: str, fall_pc: int, target_pc: int) -> None:
             # Truthy condition falls through, falsy jumps -- the shape
             # of every jfalse-family op.
-            flush_c()
             w(0, "if %s:" % cond)
             goto(1, fall_pc)
             w(0, "else:")
             goto(1, target_pc)
 
         def back_jump(target_pc: int) -> None:
-            flush_c()
+            flush(0)
             w(0, "budget = budget - 1")
             w(0, "if budget <= 0:")
             w(1, "frame.pc = %d" % target_pc)
             w(1, sync(d))
             w(1, "vm.pending_cycles = vm.pending_cycles + c")
             w(1, "return _TimeSlice(), budget")
-            goto(0, target_pc)
+            transfer(0, target_pc)           # a resume point: never merged
 
         def mem_load(pc: int, gidx: int, flat: str) -> None:
             # d is the depth after operand pops, before the result push;
@@ -475,7 +611,6 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             w(1, "vm._pending_push = True")
             w(1, "return _MemRead(%d, %s), budget" % (gidx, flat))
             w(0, "s%d = v" % d)
-            flush_c()
             goto(0, pc + 1)
 
         def mem_store(pc: int, gidx: int, flat: str, val: str) -> None:
@@ -484,7 +619,6 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             w(1, sync(d))
             w(1, "vm.pending_cycles = vm.pending_cycles + (%s)" % flushed())
             w(1, "return _MemWrite(%d, %s, %s), budget" % (gidx, flat, val))
-            flush_c()
             goto(0, pc + 1)
 
         for pc in pcs:
@@ -495,19 +629,19 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
 
             if op == "const":
                 mat()
-                push(lit(arg))
+                push(lit(arg), atom=True)
             elif op == "lload":
                 mat()
-                push("L[%d]" % arg)
+                push(ld(arg), atom=True)
             elif op == "lstore":
                 t, _c, _df = pop1()
-                w(0, "L[%d] = %s" % (arg, t))
+                w(0, st(arg, t))
             elif op == "llst":
                 mat()
-                w(0, "L[%d] = L[%d]" % (arg[1], arg[0]))
+                w(0, st(arg[1], ld(arg[0])))
             elif op == "cs":
                 mat()
-                w(0, "L[%d] = %s" % (arg[1], lit(arg[0])))
+                w(0, st(arg[1], lit(arg[0])))
             elif op == "dup":
                 mat()
                 push("s%d" % (d - 1))
@@ -535,7 +669,11 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             elif op == "icall":
                 name, n = arg
                 if name in ("min", "max"):
-                    mat()
+                    # Both operands are named twice.  A literal or a
+                    # local is pure text; anything else goes through a
+                    # stack register first.
+                    if deferred is not None and not deferred[2]:
+                        mat()
                     a_t, b_t = pop_vals(2)
                     o = "<" if name == "min" else ">"
                     push("(%s if %s %s %s else %s)" % (a_t, a_t, o, b_t, b_t))
@@ -545,50 +683,48 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                     raise NotCompilable("unknown intrinsic %r" % (name,))
             elif op == "aload":
                 t, _c, _df = pop1()
-                push("L[%d][%s].item()" % (arg, t))
+                push("%s[%s].item()" % (ld(arg), t))
             elif op == "astore":
                 vals = pop_vals(2)           # [flat, value]; only the
-                w(0, "L[%d][%s] = %s" % (arg, vals[0], vals[1]))
+                w(0, "%s[%s] = %s" % (ld(arg), vals[0], vals[1]))
                 # value can be deferred, and Python evaluates the RHS
                 # before the subscripted store -- interpreter order.
             elif op == "ll2b":
                 mat()
-                push(*_bexpr(arg[2], "L[%d]" % arg[0], "L[%d]" % arg[1]))
+                push(*_bexpr(arg[2], ld(arg[0]), ld(arg[1])))
             elif op == "cb":
                 t, _c, _df = pop1()
                 push(*_bexpr(arg[1], t, lit(arg[0])))
             elif op == "lcb":
                 mat()
-                push(*_bexpr(arg[2], "L[%d]" % arg[0], lit(arg[1])))
+                push(*_bexpr(arg[2], ld(arg[0]), lit(arg[1])))
             elif op == "lb":
                 t, _c, _df = pop1()
-                push(*_bexpr(arg[1], t, "L[%d]" % arg[0]))
+                push(*_bexpr(arg[1], t, ld(arg[0])))
             elif op == "lcbs":
                 mat()
-                e = _bexpr(arg[2], "L[%d]" % arg[0], lit(arg[1]))[0]
-                w(0, "L[%d] = %s" % (arg[3], e))
+                w(0, st(arg[3], _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[0]))
             elif op == "llbs":
                 mat()
-                e = _bexpr(arg[2], "L[%d]" % arg[0], "L[%d]" % arg[1])[0]
-                w(0, "L[%d] = %s" % (arg[3], e))
+                w(0, st(arg[3], _bexpr(arg[2], ld(arg[0]), ld(arg[1]))[0]))
             elif op == "cblb":
                 t, _c, _df = pop1()
                 e1 = _bexpr(arg[1], t, lit(arg[0]))[0]
-                push(*_bexpr(arg[3], e1, "L[%d]" % arg[2]))
+                push(*_bexpr(arg[3], e1, ld(arg[2])))
             elif op == "lbcb":
                 t, _c, _df = pop1()
-                e1 = _bexpr(arg[1], t, "L[%d]" % arg[0])[0]
+                e1 = _bexpr(arg[1], t, ld(arg[0]))[0]
                 push(*_bexpr(arg[3], e1, lit(arg[2])))
             elif op == "lcblb":
                 mat()
-                e1 = _bexpr(arg[2], "L[%d]" % arg[0], lit(arg[1]))[0]
-                push(*_bexpr(arg[4], e1, "L[%d]" % arg[3]))
+                e1 = _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[0]
+                push(*_bexpr(arg[4], e1, ld(arg[3])))
             elif op in ("ix", "ixge"):
                 a, k1, o1, b, o2, k2, o3, cslot, o4 = arg[:9]
-                e = _bexpr(o1, "L[%d]" % a, lit(k1))[0]
-                e = _bexpr(o2, e, "L[%d]" % b)[0]
+                e = _bexpr(o1, ld(a), lit(k1))[0]
+                e = _bexpr(o2, e, ld(b))[0]
                 e = _bexpr(o3, e, lit(k2))[0]
-                e = _bexpr(o4, e, "L[%d]" % cslot)[0]
+                e = _bexpr(o4, e, ld(cslot))[0]
                 if op == "ix":
                     mat()
                     push(e)
@@ -606,7 +742,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             elif op == "cblbge":
                 t, _c, _df = pop1()
                 e1 = _bexpr(arg[1], t, lit(arg[0]))[0]
-                e = _bexpr(arg[3], e1, "L[%d]" % arg[2])[0]
+                e = _bexpr(arg[3], e1, ld(arg[2]))[0]
                 w(0, "x = %s" % e)
                 mem_load(pc, arg[4], "x")
             elif op == "gstore":
@@ -622,14 +758,12 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 if arg < pc:
                     back_jump(arg)
                 else:
-                    flush_c()
                     goto(0, arg)
             elif op == "jfalse":
                 _t, cond, _df = pop1()
                 cond_jump(cond, pc + 1, arg)
             elif op == "jnone":
                 mat()
-                flush_c()
                 w(0, "if s%d is None:" % (d - 1))
                 goto(1, arg)
                 w(0, "else:")
@@ -639,21 +773,18 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 cond_jump(_bexpr(arg[0], a_t, b_t)[1], pc + 1, arg[1])
             elif op == "lcjf":
                 mat()
-                cond = _bexpr(arg[2], "L[%d]" % arg[0], lit(arg[1]))[1]
+                cond = _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[1]
                 cond_jump(cond, pc + 1, arg[3])
             elif op == "lljf":
                 mat()
-                cond = _bexpr(arg[2], "L[%d]" % arg[0],
-                              "L[%d]" % arg[1])[1]
+                cond = _bexpr(arg[2], ld(arg[0]), ld(arg[1]))[1]
                 cond_jump(cond, pc + 1, arg[3])
             elif op == "lcbsj":
                 mat()
-                e = _bexpr(arg[2], "L[%d]" % arg[0], lit(arg[1]))[0]
-                w(0, "L[%d] = %s" % (arg[3], e))
+                w(0, st(arg[3], _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[0]))
                 if arg[4] <= pc:
                     back_jump(arg[4])
                 else:
-                    flush_c()
                     goto(0, arg[4])
             elif op == "call":
                 mat()
@@ -702,39 +833,46 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         if instrs[pcs[-1]][0] not in _TERMINAL:
             # Plain fall-through into the next leader.
             mat()
-            flush_c()
             goto(0, pcs[-1] + 1)
-        return out
 
-    bodies = [emit_block(leader) for leader in order]
+    # ``roots`` grows while it is walked: a block the nest cap kept out
+    # of its arm joins the ladder.
+    for leader in roots:
+        bodies[bid[leader]] = out = []
+        emit_block(leader, out, 0, 0, 0.0)
 
-    # Entry stubs: reload the virtual registers from the synced stack,
-    # then dispatch to the block.  Depth-0 entries need no prologue and
-    # map straight to the block id.
+    # Entry stubs: reload the virtual registers from the synced stack
+    # and the locals live into the block from the frame, then dispatch
+    # to the block.  An entry that needs neither maps straight to the
+    # block id.
     entry_map: Dict[int, int] = {}
     stubs: List[Tuple[int, int]] = []        # (stub id, entry pc)
     for e in sorted(entries):
-        if depths[e] == 0:
+        if depths[e] == 0 and not live[e]:
             entry_map[e] = bid[e]
         else:
             entry_map[e] = len(order) + len(stubs)
             stubs.append((entry_map[e], e))
 
-    # Loop nest over block ids.  A node is a block id or a loop
-    # ``(lo, hi, nodes)``.  A range that straddles the loop it starts in
-    # and a loop nested past the cap stay plain blocks of their parent:
-    # the enclosing ``while`` (at worst the outer ``while 1:``) carries
-    # their back edges, so structure only ever decides speed.
+    # Loop nest over the ids left in the ladder.  A node is a block id
+    # or a loop ``(lo, hi, nodes)``.  A range that straddles the loop it
+    # starts in and a loop nested past the cap stay plain blocks of
+    # their parent: the enclosing ``while`` (at worst the outer
+    # ``while 1:``) carries their back edges, so structure only ever
+    # decides speed.
     root: List = []
     open_loops = [(len(order) - 1, root)]    # (hi, nodes), innermost last
     placed = 0                               # ids below this are in the tree
 
-    def close_loops(below: int) -> None:
+    def place(nodes: List, upto: int) -> None:
         nonlocal placed
+        nodes.extend(i for i in range(placed, upto) if i in bodies)
+        placed = upto
+
+    def close_loops(below: int) -> None:
         while open_loops and open_loops[-1][0] < below:
             hi, nodes = open_loops.pop()
-            nodes.extend(range(placed, hi + 1))
-            placed = hi + 1
+            place(nodes, hi + 1)
 
     for lo, hi in sorted(loop_hi.items()):
         close_loops(lo)
@@ -742,8 +880,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         if hi > open_loops[-1][0] or len(open_loops) > _MAX_LOOP_NEST:
             continue
         nodes = open_loops[-1][1]
-        nodes.extend(range(placed, lo))
-        placed = lo
+        place(nodes, lo)
         inner: List = []
         nodes.append((lo, hi, inner))
         open_loops.append((hi, inner))
@@ -763,16 +900,35 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             emit_stubs(ind + 1, some[mid:])
             return
         e = some[0][1]
-        w(ind, "%s= S" % "".join("s%d, " % i for i in range(depths[e])))
+        if depths[e]:
+            w(ind, "%s= S" % "".join("s%d, " % i for i in range(depths[e])))
+        slots = [k for k in range(live[e].bit_length()) if live[e] >> k & 1]
+        if slots:
+            w(ind, "%s = %s" % (", ".join(ld(k) for k in slots),
+                                ", ".join("L[%d]" % k for k in slots)))
         w(ind, "b = %d" % bid[e])
+
+    def emit_body(ind: int, node: int, loop: Tuple[int, int]) -> None:
+        """One ladder block with everything merged under it.  ``loop``
+        is the id range of the innermost ``while`` around it: a transfer
+        out of that range also breaks, which skips the guards left in
+        the ladder.  A range of the block alone is a collapsed loop:
+        ``b`` never leaves the header's id, so the back edge is a bare
+        ``continue``."""
+        collapsed = loop == (node, node)
+        for sub, text, target in bodies[node]:
+            if collapsed and target == node:
+                w(ind + sub, "continue")
+                continue
+            w(ind + sub, text)
+            if target is not None and not loop[0] <= target <= loop[1]:
+                w(ind + sub, "break")
 
     def emit_nodes(ind: int, nodes: List, loop: Tuple[int, int]) -> None:
         """A ladder of ``if b == k:`` guards in fall-through order; long
         sibling runs are halved so reaching any node costs O(log n).
         Both halves are guarded (no ``else``): the first falls into the
-        second.  ``loop`` is the id range of the innermost ``while``
-        around the nodes; a transfer out of it also breaks, which skips
-        the guards left in the ladder."""
+        second."""
         if len(nodes) > _LADDER_MAX:
             mid = len(nodes) // 2
             node = nodes[mid]
@@ -785,17 +941,16 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         for node in nodes:
             if isinstance(node, int):
                 w(ind, "if b == %d:" % node)
-                for sub, text, target in bodies[node]:
-                    w(ind + 1 + sub, text)
-                    if (target is not None
-                            and not loop[0] <= target <= loop[1]):
-                        w(ind + 1 + sub, "break")
+                emit_body(ind + 1, node, loop)
+                continue
+            lo, hi, inner = node
+            if inner == [lo]:
+                # Everything the loop runs merged into its header: the
+                # ``while`` test is the only dispatch of an iteration.
+                w(ind, "while b == %d:" % lo)
+                emit_body(ind + 1, lo, (lo, lo))
             else:
-                lo, hi, inner = node
-                if lo == hi:
-                    w(ind, "while b == %d:" % lo)
-                else:
-                    w(ind, "while %d <= b <= %d:" % (lo, hi))
+                w(ind, "while %d <= b <= %d:" % (lo, hi))
                 emit_nodes(ind + 1, inner, (lo, hi))
 
     w(0, "_ENTRY = {%s}" % ", ".join(

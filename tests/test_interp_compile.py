@@ -7,28 +7,37 @@ for any program, driving a VM whose Codes run as generated Python
 functions must produce exactly the same sequence of events -- same
 types, same payloads, and same ``take_cycles()`` reading at every
 yield point -- as the tuple-dispatch interpreter, plus the same final
-memory image.  A seeded random-program sweep covers the combinatorial
-space; directed tests pin the deopt edges (restore, corrupt, armed
-faults, profiling, wild pc) where the tier must step aside without
-perturbing a single cycle.
+memory image and, at every event, the same frames (pc, operand stack,
+locals: generated code keeps locals in Python locals and writes every
+store through to the frame).  A seeded random-program sweep covers the
+combinatorial space; directed tests pin liveness (what a resume must
+reload), the deopt edges (restore, corrupt, armed faults, profiling,
+wild pc) where the tier must step aside without perturbing a single
+cycle, and the shape of the emitted code.
 """
 
 import random
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from repro.compiler import compile_source
+from repro.compiler.bytecode import OP_COST, Code
 from repro.compiler.optimize import optimize_code
 from repro.config import PAPER_MACHINE
 from repro.harness import RunSpec, execute_spec
 from repro.hotpath import reset_for_tests
-from repro.interp import VM, Done, IoOut, MemRead, MemWrite, RtCall
-from repro.interp.compile import attach_generated
+from repro.interp import (VM, Done, FunctionalRunner, IoOut, MemRead,
+                          MemWrite, RtCall)
+from repro.interp.compile import (_LOCAL_RW, NotCompilable, _local_rw,
+                                  attach_generated, generate_source)
 from repro.interp.events import TimeSlice
 from repro.interp.interpreter import MISS, VMError
 from repro.obs.profile import TrackProfile
+
+from .test_examples_sources import EXAMPLES, load
 
 # ------------------------------------------------------------ random SlipC
 
@@ -181,62 +190,86 @@ def new_store(prog):
     return store
 
 
-def drive(prog, compiled, fast=False):
-    """Run to Done, logging every (event, cycles) pair; optionally with
-    fast-path hooks that hit on even flat indices and miss on odd."""
+class DictStore:
+    """``new_store``'s dict behind ``GlobalStore``'s ``read``/``write``,
+    so the functional runner's team-of-one runtime can serve ``drive``."""
+
+    def __init__(self, prog):
+        self.data = new_store(prog)
+
+    def read(self, g, flat):
+        v = self.data[g]
+        return v[flat] if isinstance(v, list) else v
+
+    def write(self, g, flat, val):
+        v = self.data[g]
+        if isinstance(v, list):
+            v[flat] = val
+        else:
+            self.data[g] = val
+
+
+def frame_state(vm):
+    """Every live frame as plain values: ``(fidx, pc, stack, locals)``,
+    private arrays by value."""
+    return tuple(
+        (f.fidx, f.pc, tuple(f.stack),
+         tuple(v.tolist() if isinstance(v, np.ndarray) else v
+               for v in f.locals))
+        for f in vm.frames)
+
+
+def drive(prog, compiled, fast=False, frames=True):
+    """Run to Done, logging every event with its cycles and -- unless
+    the runs compared are of two different images -- the state of every
+    frame at the event; optionally with fast-path hooks that hit on even
+    flat indices and miss on odd.  Runtime calls are served as a team of
+    one by the functional runner."""
     vm = VM(prog, prog.main_index)
     if not compiled:
         vm.disable_compiled()
-    store = new_store(prog)
+    rt = FunctionalRunner(prog)
+    rt.store = store = DictStore(prog)
     if fast:
         def fast_read(g, flat):
-            if flat % 2 == 0:
-                v = store[g]
-                return v[flat] if isinstance(v, list) else v
-            return MISS
+            return store.read(g, flat) if flat % 2 == 0 else MISS
 
         def fast_write(g, flat, val):
             if flat % 2:
                 return False
-            v = store[g]
-            if isinstance(v, list):
-                v[flat] = val
-            else:
-                store[g] = val
+            store.write(g, flat, val)
             return True
         vm.fast_read = fast_read
         vm.fast_write = fast_write
     trace = []
     for _ in range(200_000):
         ev = vm.run()
-        c = vm.take_cycles()
+        at = (vm.take_cycles(),)
+        if frames:
+            at += (frame_state(vm),)
         k = type(ev)
         if k is MemRead:
-            trace.append(("R", ev.gidx, ev.flat, c))
-            v = store[ev.gidx]
-            vm.push(v[ev.flat] if isinstance(v, list) else v)
+            trace.append(("R", ev.gidx, ev.flat) + at)
+            vm.push(store.read(ev.gidx, ev.flat))
         elif k is MemWrite:
-            trace.append(("W", ev.gidx, ev.flat, ev.value, c))
-            v = store[ev.gidx]
-            if isinstance(v, list):
-                v[ev.flat] = ev.value
-            else:
-                store[ev.gidx] = ev.value
+            trace.append(("W", ev.gidx, ev.flat, ev.value) + at)
+            store.write(ev.gidx, ev.flat, ev.value)
         elif k is IoOut:
-            trace.append(("IO", ev.values, c))
+            trace.append(("IO", ev.values) + at)
         elif k is TimeSlice:
-            trace.append(("TS", c))
+            trace.append(("TS",) + at)
         elif k is RtCall:
-            trace.append(("RT", ev.name, ev.args, c))
-            vm.push(0)
+            trace.append(("RT", ev.name, ev.args) + at)
+            rt._rt(vm, ev, 0)
         elif k is Done:
-            trace.append(("DONE", ev.value, c))
-            return trace, store, vm
+            trace.append(("DONE", ev.value) + at)
+            return trace, store.data, vm
     raise AssertionError("program did not terminate")
 
 
 def assert_same_drive(run_a, run_b, a_vs_b):
-    """Two ``drive`` results: equal events and cycles, equal stores."""
+    """Two ``drive`` results: equal events, cycles and frames, equal
+    stores."""
     (t_a, s_a, _), (t_b, s_b, _) = run_a, run_b
     for n, (a, b) in enumerate(zip(t_a, t_b)):
         assert a == b, f"event {n} diverged, {a_vs_b}: {a} vs {b}"
@@ -327,8 +360,9 @@ def test_fused_and_unfused_streams_agree_on_the_interpreter(max_slice,
         fused, unfused = compile_source(src), compile_unfused(src)
         assert "lcbsj" in _ops(fused) - _ops(unfused)
         for fast in (False, True):
-            run = drive(fused, compiled=False, fast=fast)
-            assert_same_drive(run, drive(unfused, compiled=False, fast=fast),
+            run = drive(fused, compiled=False, fast=fast, frames=False)
+            assert_same_drive(run, drive(unfused, compiled=False, fast=fast,
+                                         frames=False),
                               f"seed {seed}, fused vs unfused")
             slices += sum(ev[0] == "TS" for ev in run[0])
     assert (slices > 0) == (max_slice != _DEFAULT_SLICE)
@@ -424,6 +458,10 @@ def test_restore_deopts_and_replays_exactly():
     ref.disable_compiled()
     ref_store = new_store(prog)
     _run_to_nth_write(ref, ref_store, 5)
+    # Generated code wrote every local through: the snapshot it was
+    # interrupted for holds what the interpreter's holds.
+    assert ([(f.pc, f.stack, f.locals) for f in snap]
+            == [(f.pc, f.stack, f.locals) for f in ref.snapshot()])
     ref.restore(ref.snapshot())
 
     def finish(v, st):
@@ -469,7 +507,7 @@ def test_profile_binding_takes_priority():
     assert vm._cfns is not None
     TrackProfile("T0").bind_vm(vm)
     t_p, s_p, _ = _drive_bound(vm, prog)
-    t_c, s_c, _ = drive(prog, compiled=True)
+    t_c, s_c, _ = drive(prog, compiled=True, frames=False)
     assert t_p == t_c and s_p == s_c
     assert vm.profile and sum(vm.profile.values()) > 0
 
@@ -512,29 +550,192 @@ def test_wild_pc_faults_like_interpreter():
             vm.run()
 
 
+def _crash(prog, compiled):
+    """Run until the VM traps: the message, and (exception type, cycles
+    flushed, the top frame's locals as the trap left them)."""
+    vm = VM(prog, prog.main_index)
+    if not compiled:
+        vm.disable_compiled()
+    store = DictStore(prog)
+    try:
+        while True:
+            ev = vm.run()
+            if isinstance(ev, MemRead):
+                vm.push(store.read(ev.gidx, ev.flat))
+            elif isinstance(ev, MemWrite):
+                store.write(ev.gidx, ev.flat, ev.value)
+            elif isinstance(ev, Done):
+                raise AssertionError("ran to Done")
+    except VMError as e:
+        return str(e), (type(e), vm.pending_cycles, frame_state(vm)[-1][3])
+
+
 def test_division_trap_identical():
-    src = "int z;\nvoid main() { int a; a = 7; z = 0; a = a / z; }"
+    """``a = 9`` and the trapping division run in one block, after the
+    resume from the load of ``z``: the frame must hold the 9 at the trap
+    (generated code writes stores through; writing back at exits would
+    leave the 7)."""
+    src = ("int z;\nvoid main() { int a; int b; a = 7; z = 0; b = z; "
+           "a = 9; a = a / b; }")
     prog = compile_source(src)
+    assert _crash(prog, True) == _crash(prog, False)
+    message, (_kind, _cycles, locs) = _crash(prog, True)
+    assert "division by zero" in message and locs == (9, 0)
 
-    def crash(compiled):
-        vm = VM(prog, prog.main_index)
-        if not compiled:
-            vm.disable_compiled()
-        store = {0: 0}
+
+def test_wild_index_trap_identical():
+    """A private-array index past the end is an ``IndexError`` inside
+    both loops and a ``VMError`` out of both (each with its own
+    message), with ``x = 3.5`` -- stored earlier in the trapping block
+    -- in the frame."""
+    src = ("int z;\nvoid main() { int i; double x; double p[4]; x = 1.5; "
+           "i = z; x = 3.5; p[i + 100] = x; }")
+    prog = compile_source(src)
+    state = _crash(prog, True)[1]
+    assert state == _crash(prog, False)[1]
+    assert state[0] is VMError and state[2] == (0, 3.5, [0.0] * 4)
+
+
+# ------------------------------------------------------------- liveness
+#
+# Generated code reads a frame local as the Python local ``l<k>``, bound
+# by the entry stub of the block a resume enters from that block's live
+# set.  The odd-index misses of ``drive(fast=True)`` put resumes in the
+# middle of a chain, so a slot the liveness pass lost is an
+# ``UnboundLocalError`` here (nothing on the way catches it), and a slot
+# it reloads stale is a frame or event mismatch.
+
+_LIVENESS_CASES = {
+    # t is read before any write while i <= 2: the frame's initial 0.
+    "read-before-write-on-one-path": """
+        int i; int t;
+        i = 0;
+        while (i < 6) {
+            if (i > 2) { t = i * 3; }
+            ga = ga + arr[i] + t;
+            i = i + 1;
+        }
+        print(ga, t);""",
+    # x is written in one arm only; the join is followed by a load that
+    # misses on odd i, and x is read after the resume.
+    "written-in-one-arm-read-after-a-missed-access": """
+        int i; double x; double y;
+        i = 0; x = 0.25;
+        while (i < 6) {
+            if (i % 3 == 0) { x = arr[i] + i; }
+            y = arr[i + 1];
+            ga = ga + x * y;
+            arr[i] = x + 1.0;
+            i = i + 1;
+        }
+        print(ga, x);""",
+    "live-across-a-call-and-a-barrier": """
+        int i; double x; double y;
+        x = 1.5; i = 3;
+        y = f0(x, 2.0) + x;
+        #pragma omp barrier
+        ga = ga + x + y + i;
+        y = f0(y, x);
+        #pragma omp barrier
+        print(ga, x, y, i);""",
+    # lcbs / lcbsj read the slot they write.
+    "increment-of-one-slot": """
+        int i; int n;
+        n = 0;
+        for (i = 0; i < 5; i = i + 1) {
+            n = n + 1;
+            arr[i] = n;
+            n = n + 2;
+        }
+        print(n, i);""",
+    # aload / astore read the array reference out of the slot.
+    "private-array": """
+        int i; double p[4];
+        for (i = 0; i < 9; i = i + 1) {
+            p[i % 4] = p[(i + 1) % 4] + arr[i];
+            ga = ga + p[i % 4];
+        }
+        print(ga, p[0], p[3]);""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LIVENESS_CASES))
+def test_liveness_directed(case, monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    prog = compile_source(f"""
+double ga;
+double arr[{N_ARR}];
+double f0(double a, double b) {{ double r; r = a * b; return r + min(a, b); }}
+void main() {{
+    #pragma omp parallel
+    {{{_LIVENESS_CASES[case]}
+    }}
+}}
+""")
+    for fast in (False, True):
+        vm = assert_same_run(prog, fast=fast)
+        assert vm._cfns is not None         # ran generated to the end
+
+
+#: One instruction per opcode, every local slot a different number >= 10
+#: and no other operand that large; ``_T`` stands for a jump target.
+_T = "target"
+_OP_TEMPLATES = {
+    "const": 1, "lload": 10, "lstore": 10, "gload": 0, "gstore": 0,
+    "geload": 0, "gestore": 0, "aload": 10, "astore": 10, "binop": "+",
+    "unop": "-", "dup": None, "pop": None, "jump": _T, "jfalse": _T,
+    "jnone": _T, "unpack2": None, "call": (0, 0), "icall": ("fabs", 1),
+    "rt": ("barrier", (1,), 0), "print": 1, "ret": None,
+    "ll2b": (10, 11, "+"), "lcb": (10, 2, "+"), "lb": (10, "+"),
+    "cb": (2, "+"), "llst": (10, 11), "cjf": ("<", _T),
+    "lcbs": (10, 2, "+", 11), "llbs": (10, 11, "+", 12),
+    "lcjf": (10, 2, "<", _T), "lljf": (10, 11, "<", _T), "cs": (2, 10),
+    "cblb": (2, "+", 10, "+"), "lbcb": (10, "+", 2, "+"),
+    "lcblb": (10, 2, "+", 11, "+"), "lcbsj": (10, 2, "+", 11, _T),
+    "ix": (10, 2, "*", 11, "+", 3, "*", 12, "+"),
+    "ixge": (10, 2, "*", 11, "+", 3, "*", 12, "+", 0),
+    "cblbge": (2, "*", 10, "+", 0),
+}
+
+
+def _emitted_alone(op, arg):
+    """``(instruction, generated text)`` of a Code that is the one
+    instruction under as many pushes as it pops, a ``ret`` on each edge
+    out of it (jumps go to the second)."""
+    for pushes in range(3):
+        # A tuple below a scalar suits every op, unpack2 included.
+        instrs = [("const", (1, 1)), ("const", 1)][2 - pushes:]
+        target = len(instrs) + 2
+        if arg is None:
+            ins = (op,)
+        elif isinstance(arg, tuple):
+            ins = (op, tuple(target if a is _T else a for a in arg))
+        else:
+            ins = (op, target if arg is _T else arg)
+        code = Code("t", [], instrs + [ins, ("ret",), ("ret",)], n_locals=13)
         try:
-            while True:
-                ev = vm.run()
-                if isinstance(ev, MemRead):
-                    vm.push(store.get(ev.gidx, 0))
-                elif isinstance(ev, MemWrite):
-                    store[ev.gidx] = ev.value
-                elif isinstance(ev, Done):
-                    return ("done",)
-        except VMError as e:
-            return ("trap", str(e), vm.pending_cycles)
+            return ins, generate_source(code)[0]
+        except NotCompilable:               # stack underflow: push more
+            pass
+    raise AssertionError(f"no stack depth suits {op}")
 
-    assert crash(True) == crash(False)
-    assert crash(True)[0] == "trap"
+
+def test_read_write_table_covers_every_local_the_emitter_names():
+    """The liveness pass sees an instruction through ``_LOCAL_RW`` only.
+    Emit each opcode alone and read the ``l<k>`` names out of the text:
+    the table must list exactly those slots, and the stores as writes."""
+    assert set(_OP_TEMPLATES) == set(OP_COST)
+    assert set(_LOCAL_RW) <= set(OP_COST)
+    for op, arg in _OP_TEMPLATES.items():
+        ins, text = _emitted_alone(op, arg)
+        body = text[text.index("while 1:"):]            # past the stubs
+        named = {int(k) for k in re.findall(r"\bl(\d+)\b", body)}
+        stored = {int(k) for k in re.findall(r"L\[(\d+)\] = l\1 = ", body)}
+        loaded = {int(k) for k in re.findall(r"\bl(\d+)\b(?! = )", body)}
+        reads, writes = _local_rw(ins)
+        assert named == set(reads) | set(writes), (op, text)
+        assert stored == set(writes), (op, text)
+        assert loaded == set(reads), (op, text)
 
 
 # ------------------------------------------------ shape of the emitted code
@@ -606,26 +807,25 @@ def test_source_cpython_cannot_compile_falls_back(monkeypatch):
 
 
 _DISPATCH_LINE = re.compile(r"\s*(if|while) (\d+ <= )?b (==|<|>=|<=) \d+:")
-_BLOCK_GUARD = re.compile(r"\s*if b == \d+:")
+#: What a block body sits under: its ladder guard, or the ``while`` of a
+#: loop whose blocks all merged into the header.
+_BLOCK_GUARD = re.compile(r"\s*(if|while) b == \d+:")
+_LOCAL_STORE = re.compile(r"\s*L\[(\d+)\] = l\1 = ")
 
 
-def _dispatch_counts(src):
+def _line_hits(src):
     """Run ``src`` generated with always-hit hooks under line tracing:
-    (dispatch lines executed, block bodies entered) inside ``main``."""
+    (source lines of ``main``, line number -> times executed)."""
     prog = compile_source(src)
     main = prog.funcs[prog.main_index]
     text = main.gen_src[0].split("\n")
     vm = VM(prog, prog.main_index)
     fn_code = vm._cfns[prog.main_index].__code__
-    store = new_store(prog)
-    vm.fast_read = lambda g, flat: (
-        store[g][flat] if isinstance(store[g], list) else store[g])
+    store = DictStore(prog)
+    vm.fast_read = store.read
 
     def fast_write(g, flat, val):
-        if isinstance(store[g], list):
-            store[g][flat] = val
-        else:
-            store[g] = val
+        store.write(g, flat, val)
         return True
     vm.fast_write = fast_write
     hits = {}
@@ -644,11 +844,32 @@ def _dispatch_counts(src):
             pass
     finally:
         sys.settrace(None)
+    return text, hits
+
+
+def _dispatch_counts(src):
+    """(dispatch lines executed, block bodies entered) inside ``main``."""
+    text, hits = _line_hits(src)
     dispatch = sum(n for ln, n in hits.items()
                    if _DISPATCH_LINE.match(text[ln - 1]))
     entered = sum(hits.get(ln + 1, 0) for ln in hits
                   if _BLOCK_GUARD.match(text[ln - 1]))
     return dispatch, entered
+
+
+def _lines_of_one_iteration(make_src, extra=40):
+    """The generated lines one more trip of a loop executes, each as
+    often as it runs in that trip: ``make_src(trips)`` traced at two
+    trip counts ``extra`` apart."""
+    text, few = _line_hits(make_src(5))
+    text_many, many = _line_hits(make_src(5 + extra))
+    assert len(text) == len(text_many)      # the trip count is a literal
+    per_trip = []
+    for ln, n in sorted(many.items()):
+        more = n - few.get(ln, 0)
+        assert more % extra == 0
+        per_trip += [text_many[ln - 1]] * (more // extra)
+    return per_trip
 
 
 def test_inner_loop_cost_is_independent_of_its_position(monkeypatch):
@@ -667,6 +888,57 @@ def test_inner_loop_cost_is_independent_of_its_position(monkeypatch):
     dispatch, blocks = per_iter[0]
     assert blocks >= 3
     assert dispatch <= blocks + 2
+
+
+def _dense_loop(trips):
+    """The loop of the ``vm_dense`` benchmark workload: private scalars
+    only, ``min``/``max``/``fabs`` arithmetic, one shared store after
+    the loop."""
+    return f"""
+double out[4];
+void main() {{
+    int i; int k; double x; double y;
+    i = 1;
+    x = 1.25 + i * 0.015;
+    y = 0.5;
+    k = 0;
+    while (k < {trips}) {{
+        x = min(max(x * 1.1 + y, -3.0), 3.0);
+        y = fabs(y - x * 0.5) * 0.5 + 0.125;
+        k = k + 1;
+    }}
+    out[i] = x + y;
+}}
+"""
+
+
+def test_private_scalar_loop_runs_on_python_locals(monkeypatch):
+    """What the ``vm_dense`` claim rests on: a trip of a loop over
+    private scalars is one dispatch (the ``while`` of the collapsed
+    loop), one charge, and no frame access but the write-through
+    stores; ``min``/``max`` name their literal operand in place."""
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    trip = _lines_of_one_iteration(_dense_loop)
+    dispatch = [t for t in trip if _DISPATCH_LINE.match(t)]
+    assert len(dispatch) == 1 and re.match(r"\s*while b == \d+:", dispatch[0])
+    assert sum(t.lstrip().startswith("c = c + ") for t in trip) == 1
+    assert [t for t in trip if "L[" in t and not _LOCAL_STORE.match(t)] == []
+    assert sum(bool(_LOCAL_STORE.match(t)) for t in trip) == 3      # x y k
+    assert any("if s0 > -3.0 else -3.0" in t for t in trip)
+    assert any("if s0 < 3.0 else 3.0" in t for t in trip)
+    assert not any(re.match(r"\s*s\d+ = -?3\.0$", t) for t in trip)
+
+
+def test_loop_with_shared_accesses_dispatches_once_per_access(monkeypatch):
+    """A resume may land behind every shared access, so each one ends a
+    ladder block; a trip pays the ``while`` and one guard per block."""
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    trip = _lines_of_one_iteration(lambda n: _sibling_loops(1, {0: n}))
+    accesses = sum("fr(" in t or "fw(" in t for t in trip)
+    assert accesses == 3                    # ga, arr[...], ga =
+    dispatch = [t for t in trip if _DISPATCH_LINE.match(t)]
+    assert len(dispatch) <= accesses + 2
+    assert sum(t.lstrip().startswith("while ") for t in dispatch) == 1
 
 
 #: Bytes of generated source per image at the commit before the
@@ -692,6 +964,81 @@ def test_registry_kernels_compile_strict_and_stay_small(bench, size,
     assert compiled_functions(prog) is not None
     nbytes = sum(len(f.gen_src[0]) for f in prog.funcs)
     assert nbytes <= _PARENT_SOURCE_BYTES[bench, size]
+    # One emitter: locals are Python locals everywhere past the entry
+    # stubs, and no collapsed loop kept the guard of its header.
+    for f in prog.funcs:
+        text = f.gen_src[0]
+        lines = text[text.index("  while 1:"):].split("\n")
+        for above, line in zip(lines, lines[1:]):
+            assert "L[" not in line or _LOCAL_STORE.match(line), line
+            assert not (re.match(r"\s*while b == \d+:", above)
+                        and re.match(r"\s*if b == \d+:", line)), line
+
+
+#: Worksharing, reductions, ``schedule(runtime)``, a barrier under a
+#: branch and regions under a shared loop counter, at a size ``drive``
+#: logs in a second: (file, constant, (extent in the file, here)...).
+_EXAMPLE_SHAPES = [
+    ("jacobi.c", None, ("8192", "96"), ("8191", "95")),
+    ("quickstart.py", "SOURCE", ("8192", "96"), ("8191", "95")),
+    ("scheduling_comparison.py", "SOURCE", ("512", "24")),
+    ("divergence_recovery.py", "INJECTED", ("512", "40")),
+    ("divergence_recovery.py", "ORGANIC", ("256", "40"), ("255", "39")),
+]
+
+#: What the examples leave out: sections, a critical section, a call in
+#: a worksharing loop, ``single`` and a ``max`` reduction.
+_CONSTRUCTS = """
+double a[24];
+double total;
+double peak;
+int hits;
+int i;
+double scale(double v, int by) { double r; r = v * by; return r + 0.5; }
+void main() {
+    #pragma omp parallel
+    {
+        double mine;
+        mine = 0.0;
+        #pragma omp sections
+        {
+            #pragma omp section
+            { a[0] = scale(1.5, 2); }
+            #pragma omp section
+            { a[1] = scale(2.5, 3); mine = a[1]; }
+        }
+        #pragma omp for reduction(max: peak)
+        for (i = 2; i < 24; i = i + 1) {
+            a[i] = scale(a[i - 1], i % 3) - a[i - 2];
+            peak = max(peak, a[i]);
+        }
+        #pragma omp critical
+        { total = total + mine + a[23]; hits = hits + 1; }
+        #pragma omp single
+        { print(total, peak, hits); }
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("shape", _EXAMPLE_SHAPES + [None], ids=lambda s: (
+    "constructs" if s is None else f"{s[0]}:{s[1]}"))
+def test_examples_identical_under_strict_mode(shape, monkeypatch):
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    if shape is None:
+        src = _CONSTRUCTS
+    else:
+        path, constant = shape[:2]
+        src = (getattr(load(path), constant) if constant
+               else (EXAMPLES / path).read_text())
+        for extent, here in shape[2:]:
+            assert extent in src
+            src = src.replace(extent, here)
+    prog = compile_source(src)
+    assert all(f.gen_src is not None for f in prog.funcs)
+    for fast in (False, True):
+        vm = assert_same_run(prog, fast=fast)
+        assert vm._cfns is not None         # ran generated to the end
 
 
 # ------------------------------------------------- machine-level identity
