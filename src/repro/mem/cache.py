@@ -12,11 +12,15 @@ way it hit last.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from types import MappingProxyType
+from typing import Callable, Iterator, List, Mapping, Optional
 
 from ..config.machine import CacheConfig
 
 __all__ = ["CacheLine", "Cache", "L1Tags", "MESIState"]
+
+#: An L2 set nothing was filled into: empty, read-only, one object for all.
+_NO_LINES: Mapping = MappingProxyType({})
 
 
 class MESIState:
@@ -184,11 +188,12 @@ class Cache(_SetAssoc):
     """Tag store with line objects: set-associative, true-LRU,
     write-allocate.
 
-    Each set is a dict from line address to :class:`CacheLine`.  Python
-    dicts preserve insertion order, so the dict doubles as the LRU chain
-    (first key = LRU victim, delete + reinsert = touch) and the tag
-    match is O(1) however many ways there are -- the L2 is 4-way, has
-    to hand back a line object anyway, and sees one load in thirty.
+    Each set is an insertion-ordered dict from line address to
+    :class:`CacheLine` (first key = LRU victim, delete + reinsert =
+    touch, tag match O(1) at any associativity), made by the first
+    :meth:`insert` into it: until then its slot holds the shared
+    ``_NO_LINES``, so 2 048 sets cost what a run fills.  The L2 is 4-way,
+    has to hand back a line object anyway, and sees one load in thirty.
 
     Values are not stored -- the simulator tracks timing and coherence
     only; program values live in the interpreter's arrays (see
@@ -200,7 +205,7 @@ class Cache(_SetAssoc):
     def __init__(self, cfg: CacheConfig, name: str = "",
                  on_evict: Optional[Callable[[CacheLine], None]] = None):
         super().__init__(cfg, name)
-        self._sets: List[dict] = [{} for _ in range(cfg.num_sets)]
+        self._sets: List[Mapping] = [_NO_LINES] * cfg.num_sets
         self.on_evict = on_evict
 
     def resident_count(self) -> int:
@@ -209,8 +214,7 @@ class Cache(_SetAssoc):
 
     def clear(self) -> None:
         """Drop every line (no callbacks)."""
-        for s in self._sets:
-            s.clear()
+        self._sets[:] = [_NO_LINES] * len(self._sets)
 
     # -- operations ----------------------------------------------------------
 
@@ -257,6 +261,8 @@ class Cache(_SetAssoc):
             if self.on_evict is not None:
                 self.on_evict(victim)
         line = CacheLine(la, state)
+        if s is _NO_LINES:
+            s = self._sets[(la >> shift) & self._set_mask] = {}
         s[la] = line
         return line
 
@@ -281,6 +287,6 @@ class Cache(_SetAssoc):
         return line
 
     def lines(self) -> Iterator[CacheLine]:
-        """Iterate over all resident lines."""
-        for s in self._sets:
+        """Resident lines: set index ascending, each set oldest first."""
+        for s in filter(None, self._sets):
             yield from s.values()

@@ -400,8 +400,13 @@ def run_program(program: CompiledProgram,
                 max_cycles: float = 2e9,
                 max_steps: int = 200_000_000,
                 **kw) -> RunResult:
-    """Convenience: build a machine and run the image once.
-    ``max_cycles``/``max_steps`` bound the watchdog (a hang raises a
-    structured :class:`SimDeadlockError` instead of running forever)."""
-    return Machine(program, cfg, mode, env, **kw).run(
-        inputs=inputs, max_cycles=max_cycles, max_steps=max_steps)
+    """Convenience: build a machine, run the image once, and release its
+    L2 lines and directory entries by reference count (no caller can see
+    it; its cycles would keep them until a full collection).  A hang
+    raises :class:`SimDeadlockError` at ``max_cycles``/``max_steps``."""
+    m = Machine(program, cfg, mode, env, **kw)
+    result = m.run(inputs=inputs, max_cycles=max_cycles, max_steps=max_steps)
+    for nm in m.memsys.nodes:
+        nm.l2.clear()
+    m.memsys.directory._entries.clear()
+    return result

@@ -63,3 +63,28 @@ def test_docs_name_files_and_tests_that_exist():
                              not in found[0].read_text()):
                 stale.append(f"{doc}: `{span}`")
     assert not stale, stale
+
+
+WORDS = ("none", "one", "two", "three", "four", "five")
+GAIN_ROW = re.compile(r"^\| (?P<bench>[A-Z]{2}) \|[^|]*\| \*\*"
+                      r"(?P<gain>[+−-]\d+\.\d)%\*\*", re.M)
+
+
+def test_fig2_sentence_counts_the_in_band_rows_of_its_own_table():
+    """EXPERIMENTS.md, Figure 2: the sentence under the headline table
+    says how many measured gains sit inside the paper's 5-20 % band;
+    the measured-gain column of that table has to say the same."""
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text[text.index("## Figure 2"):text.index("## Figure 3")]
+    gains = {m["bench"]: float(m["gain"].replace("−", "-"))
+             for m in GAIN_ROW.finditer(section)}
+    assert sorted(gains) == ["BT", "CG", "LU", "MG", "SP"]
+    in_band = sum(5.0 <= g <= 20.0 for g in gains.values())
+    said = re.search(r"(\w+) of the five gains inside the paper's "
+                     r"5–20% band", section)
+    assert said is not None, "the Figure 2 sentence lost its count"
+    assert said[1] == WORDS[in_band], \
+        f"sentence says {said[1]}, the table has {in_band} rows in band"
+    for bench, g in gains.items():          # a row out of band is named
+        if not 5.0 <= g <= 20.0:
+            assert f"{bench}'s is {g:+.1f}%" in section

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.config import CacheConfig
+from repro.config import CacheConfig, PAPER_MACHINE
 from repro.mem import Cache, L1Tags, MESIState
 
 
@@ -110,6 +110,58 @@ def test_hit_rate_and_clear():
     assert c.hit_rate() == pytest.approx(0.5)
     c.clear()
     assert c.resident_count() == 0
+
+
+# ------------------------------------------- sets that exist once filled
+
+def test_fresh_paper_l2_is_one_shared_empty_set():
+    """2 048 slots, one object behind them: building an L2 allocates
+    the slot list and nothing per set."""
+    c = Cache(PAPER_MACHINE.l2)
+    assert len(c._sets) == PAPER_MACHINE.l2.num_sets == 2048
+    assert len({id(s) for s in c._sets}) == 1
+    assert c.resident_count() == 0 and list(c.lines()) == []
+    assert c.lookup(0x1000) is None and c.peek(0x1000) is None
+    assert c.invalidate(0x1000) is None and c.downgrade(0x1000) is None
+
+
+def test_the_shared_empty_set_cannot_be_written():
+    """A writer that bypasses ``insert`` (the one place a new key enters
+    a set) fails loudly instead of filling every untouched set at once."""
+    c = tiny_cache()
+    with pytest.raises(TypeError):
+        c._sets[0][0x1000] = object()
+    assert c.resident_count() == 0
+
+
+def test_first_fill_makes_the_set_and_clear_shares_it_again():
+    c = tiny_cache(assoc=2, sets=4)
+    empty = c._sets[0]
+    c.insert(0x0080, MESIState.SHARED)            # set 1
+    c.insert(0x0280, MESIState.SHARED)            # set 1 again
+    assert [type(s) is dict for s in c._sets] == [False, True, False, False]
+    assert c.invalidate(0x0080) and c.invalidate(0x0280)
+    c.insert(0x0480, MESIState.SHARED)            # emptied, not unmade
+    assert c._sets[1] == {0x0480: c.peek(0x0480)}
+    c.clear()
+    assert all(s is empty for s in c._sets) and c.resident_count() == 0
+
+
+def test_lines_come_back_by_set_then_age():
+    """``self_invalidate_stale`` issues its invalidations and
+    ``directory.drop_node`` calls, and ``finalize`` classifies, in this
+    order: set index ascending whatever order the sets were first
+    filled in, LRU to MRU inside a set."""
+    c = Cache(PAPER_MACHINE.l2)
+    stride = 2048 * 128                           # same set, next tag
+    for s in (5, 1, 3):
+        c.insert(s * 128, MESIState.SHARED)
+        c.insert(s * 128 + stride, MESIState.EXCLUSIVE)
+    c.lookup(3 * 128)                             # set 3: first fill is MRU
+    assert [ln.line_addr for ln in c.lines()] == [
+        1 * 128, 1 * 128 + stride,
+        3 * 128 + stride, 3 * 128,
+        5 * 128, 5 * 128 + stride]
 
 
 # ------------------------------------------------------------ tag-only L1

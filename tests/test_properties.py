@@ -7,6 +7,8 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, rule)
 
 from repro.config import CacheConfig, PAPER_MACHINE
 from repro.interp.interpreter import _binop
@@ -15,6 +17,7 @@ from repro.mem import (Cache, L1Tags, MESIState, Placement,
 from repro.mem.address import SHARED_BASE
 from repro.obs import ClassStats, TimeBreakdown
 
+from .dense_l2 import DenseCache
 from .dict_l1 import DictL1Tags
 
 # --------------------------------------------------------------------- cache
@@ -64,6 +67,103 @@ def test_cache_accounting_consistency(addrs):
         if c.lookup(a) is None:
             c.insert(a, MESIState.SHARED)
     assert c.hits + c.misses == len(addrs)
+
+
+# ------------------------------------------------- sparse L2 vs dense model
+
+def _seen(line):
+    return line and (line.line_addr, line.state, line.dirty)
+
+
+class SparseL2ReplaysDense(RuleBasedStateMachine):
+    """``Cache`` makes a set's dict on the first fill into it and shares
+    one read-only empty mapping among the rest; the model is the cache
+    whose sets all exist from construction (``tests/dense_l2.py``).
+    After every operation of any sequence: the same line (address,
+    state, dirty) returned, the same four counters, the same residents
+    in the same ``lines()`` order -- the order ``self_invalidate_stale``
+    and ``finalize`` consume -- and the same ``on_evict`` victims."""
+
+    #: Set picks that collide at 4 sets and stay apart at 2 048; six
+    #: tags a set, so a 4-way set evicts; any offset inside the line.
+    addrs = st.tuples(st.sampled_from((0, 1, 3, 5, 2047)),
+                      st.integers(0, 5), st.integers(0, 127))
+
+    @initialize(n_sets=st.sampled_from((4, PAPER_MACHINE.l2.num_sets)))
+    def build(self, n_sets):
+        cfg = CacheConfig(size_bytes=n_sets * 4 * 128, assoc=4,
+                          line_bytes=128, hit_cycles=1)
+        self.n_sets = n_sets
+        self.victims, self.ref_victims = [], []
+        self.cache = Cache(cfg, on_evict=self.victims.append)
+        self.ref = DenseCache(cfg, on_evict=self.ref_victims.append)
+
+    def addr(self, where):
+        pick, tag, off = where
+        return ((tag * self.n_sets + pick % self.n_sets) << 7) + off
+
+    def both(self, op, where, *args):
+        addr = self.addr(where)
+        assert _seen(getattr(self.cache, op)(addr, *args)) \
+            == _seen(getattr(self.ref, op)(addr, *args))
+
+    @rule(where=addrs)
+    def lookup(self, where):
+        self.both("lookup", where)
+
+    @rule(where=addrs)
+    def peek(self, where):
+        self.both("peek", where)
+
+    @rule(where=addrs, state=st.sampled_from(
+        (MESIState.SHARED, MESIState.EXCLUSIVE)))
+    def insert(self, where, state):
+        self.both("insert", where, state)
+
+    @rule(where=addrs)
+    def invalidate(self, where):
+        self.both("invalidate", where)
+
+    @rule(where=addrs)
+    def downgrade(self, where):
+        self.both("downgrade", where)
+
+    @rule(where=addrs)
+    def write(self, where):
+        """What a store does to a resident line, so that ``dirty`` is
+        worth comparing and ``downgrade`` has something to clear."""
+        for c in (self.cache, self.ref):
+            line = c.peek(self.addr(where))
+            if line is not None:
+                line.dirty = True
+
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        self.ref.clear()
+
+    @invariant()
+    def same_contents_and_counts(self):
+        c, ref = self.cache, self.ref
+        assert [_seen(ln) for ln in c.lines()] \
+            == [_seen(ln) for ln in ref.lines()]
+        assert c.resident_count() == ref.resident_count()
+        assert (c.hits, c.misses, c.evictions, c.invalidations) \
+            == (ref.hits, ref.misses, ref.evictions, ref.invalidations)
+        assert [_seen(v) for v in self.victims] \
+            == [_seen(v) for v in self.ref_victims]
+        # a slot that holds anything is a dict of that set's own lines
+        for idx, s in enumerate(c._sets):
+            if s:
+                assert type(s) is dict
+                assert all(k == ln.line_addr
+                           and (k >> 7) & c._set_mask == idx
+                           for k, ln in s.items())
+
+
+SparseL2ReplaysDense.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=50, deadline=None)
+test_sparse_l2_replays_the_dense_model = SparseL2ReplaysDense.TestCase
 
 
 # ------------------------------------------------------------- tag-only L1

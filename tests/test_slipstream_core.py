@@ -320,8 +320,7 @@ void main() {
     assert r.store.array("a").shape == (64,)
 
 
-def test_selfinv_option_runs_and_stays_correct():
-    src = """
+SELFINV_SRC = """
 double a[2048];
 double b[2048];
 int i;
@@ -337,10 +336,38 @@ void main() {
     }
 }
 """
-    img = compile_source(src)
+
+
+def test_selfinv_option_runs_and_stays_correct():
+    img = compile_source(SELFINV_SRC)
     base = run_program(img, cfg=CFG4, mode="slipstream", selfinv=False)
     si = run_program(img, cfg=CFG4, mode="slipstream", selfinv=True)
     assert np.allclose(base.store.array("a"), si.store.array("a"))
+
+
+def test_selfinv_walk_drops_the_same_lines_at_the_same_instants():
+    """``self_invalidate_stale`` walks ``list(nm.l2.lines())`` at every
+    barrier of every node and issues its invalidations and directory
+    drops in that order.  The walk now skips sets nothing was filled
+    into; the literals were recorded while it still visited all 2 048
+    (4 CMPs, one-token global sync): cycles, total drops, and every
+    ``selfinv`` trace instant as (cycle, track, lines dropped)."""
+    env = RuntimeEnv(slipstream=("GLOBAL_SYNC", 1), slipstream_set=True)
+    r = run_program(compile_source(SELFINV_SRC), cfg=CFG4,
+                    mode="slipstream", env=env, selfinv=True, obs="trace")
+    assert r.cycles == 108278.0
+    assert r.mem_stats.get("selfinv_drops") == 112
+    assert [(e["ts"], e["tid"], e["args"]["dropped"])
+            for e in r.trace if e.get("name") == "selfinv"] == [
+        (7220.0, 3, 5), (17343.0, 6, 3), (17596.0, 4, 3), (17848.0, 5, 3),
+        (30011.0, 3, 5), (33844.0, 5, 1), (33873.0, 4, 1), (35370.0, 6, 1),
+        (40886.0, 6, 4), (41378.0, 4, 7), (41570.0, 5, 6), (41786.0, 3, 3),
+        (50813.0, 3, 5), (54142.0, 4, 1), (54665.0, 5, 1), (56256.0, 6, 1),
+        (61763.0, 6, 4), (61979.0, 4, 3), (62171.0, 3, 2), (62351.0, 5, 4),
+        (74097.0, 3, 5), (78123.0, 4, 1), (78306.0, 5, 1), (79813.0, 6, 1),
+        (85329.0, 6, 4), (85585.0, 3, 4), (85857.0, 5, 6), (85953.0, 4, 7),
+        (94612.0, 3, 5), (98759.0, 4, 1), (100711.0, 6, 1), (100875.0, 5, 1),
+        (106374.0, 5, 4), (106651.0, 4, 3), (106869.0, 6, 4), (107109.0, 3, 1)]
 
 
 def test_a_exec_critical_ablation_correct():
