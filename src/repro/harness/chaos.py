@@ -192,7 +192,7 @@ def oracle_check(spec: RunSpec, result) -> Optional[str]:
     anchor = _serial_anchor(spec, base_output)
     if anchor is not None:
         return anchor
-    for gidx, g in enumerate(result.store.program.globals):
+    for gidx, g in enumerate(result.store.globals):
         got = result.store.arrays[gidx]
         want = base_arrays[gidx]
         close = np.isclose(got, want, rtol=_ORACLE_RTOL,

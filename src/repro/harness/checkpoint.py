@@ -24,30 +24,33 @@ simulation results.  The two differ only in scope and lifetime:
   result bit-identical to a fresh run.
 
 Durability rules: entries publish through
-:func:`repro.harness.integrity.atomic_pickle` -- ``os.replace`` so
+:func:`repro.harness.integrity.publish_frame` -- ``os.replace`` so
 readers (other workers, a concurrent resume) never observe a torn
 write, plus a sha256 integrity frame so a corrupt entry (bit rot, a
 writer SIGKILLed mid-temp-write, an operator truncation) is *detected*
 on load, quarantined into ``<root>/corrupt/`` as evidence, recorded as
 an ``integrity.corrupt`` telemetry event, and served as a miss --
-never an error, and never a silently-wrong memo hit.  Failed runs are
-journaled (a resume must not redo a 5e6-cycle hang) but only
-*deterministic* failures are memoized: ``hang`` and ``wrong-output``
-replay identically, while a ``crash`` may be environmental (OOM, a
-signal) and must stay retryable -- as must a ``quarantined`` poison
-placeholder.
+never an error, and never a silently-wrong memo hit.  The pipeline
+journals a memo hit as the frame it just verified (``get_framed`` ->
+``put_framed``): the journal's copy is the memo's, byte for byte.
+Failed runs are journaled (a resume must not redo a 5e6-cycle hang)
+but only *deterministic* failures are memoized: ``hang`` and
+``wrong-output`` replay identically, while a ``crash`` may be
+environmental (OOM, a signal) and must stay retryable -- as must a
+``quarantined`` poison placeholder.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..npb.cache import cache_root
 from ..obs.telemetry import NULL_TELEMETRY
-from .integrity import atomic_pickle, load_verified
+from .integrity import frame, publish_frame, read_verified
 from .runner import BenchRun
 
 __all__ = ["ResultStore", "CheckpointJournal", "MemoStore",
@@ -77,11 +80,12 @@ class ResultStore:
         #: pipeline attaches its own; default is the null session).
         self.telemetry = NULL_TELEMETRY
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}{self.suffix}"
+    def _path(self, key: str) -> str:
+        return f"{self.root}{os.sep}{key}{self.suffix}"
 
-    def get(self, key: str) -> Optional[BenchRun]:
-        """The verified stored payload for ``key``, or None (miss).
+    def get_framed(self, key: str) -> Optional[Tuple[BenchRun, bytes]]:
+        """The verified stored payload for ``key`` and the frame it was
+        read from, or None (miss).
 
         An entry that fails the integrity check is quarantined into
         ``<root>/corrupt/`` (a logged miss, so the unit simply
@@ -89,28 +93,37 @@ class ResultStore:
         """
         t0 = time.perf_counter()
         try:
-            payload = load_verified(
-                self._path(key), quarantine_to=self.root / "corrupt",
-                telemetry=self.telemetry, what=self.metric_prefix,
-                unit=key)
+            got = read_verified(
+                self._path(key), f"{self.root}{os.sep}corrupt",
+                self.telemetry, self.metric_prefix, key)
         finally:
             self.telemetry.observe(f"{self.metric_prefix}.lookup_s",
                                    time.perf_counter() - t0)
-        return payload if isinstance(payload, BenchRun) else None
+        return got if got and isinstance(got[0], BenchRun) else None
 
-    def put(self, key: str, run: BenchRun) -> bool:
-        """Atomically publish ``run`` under ``key`` (integrity-framed);
+    def get(self, key: str) -> Optional[BenchRun]:
+        """The verified stored payload for ``key``, or None (miss)."""
+        got = self.get_framed(key)
+        return got[0] if got else None
+
+    def put_framed(self, key: str, data: bytes) -> bool:
+        """Atomically publish an already framed payload under ``key``;
         False if the store is unwritable (the sweep proceeds without
         durability)."""
         t0 = time.perf_counter()
         try:
-            atomic_pickle(run, self._path(key), what=self.metric_prefix)
+            publish_frame(data, self._path(key), self.metric_prefix)
             return True
         except OSError:
             return False
         finally:
             self.telemetry.observe(f"{self.metric_prefix}.store_s",
                                    time.perf_counter() - t0)
+
+    def put(self, key: str, run: BenchRun) -> bool:
+        """Pickle, frame and :meth:`put_framed` ``run``."""
+        return self.put_framed(key, frame(
+            pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)))
 
     def keys(self) -> List[str]:
         """Keys currently published (sorted, for determinism)."""
@@ -120,7 +133,7 @@ class ResultStore:
                       for p in self.root.glob(f"*{self.suffix}"))
 
     def __contains__(self, key: str) -> bool:
-        return self._path(key).is_file()
+        return os.path.isfile(self._path(key))
 
     def __len__(self) -> int:
         return len(self.keys())

@@ -20,7 +20,16 @@ fails verification is **quarantined** -- moved aside into a
 failure is recorded as an ``integrity.corrupt`` telemetry event, and
 the caller sees a plain miss, never an exception.
 
-:func:`atomic_pickle` is also the harness-hazard injection seam: an
+Framed bytes are the currency: :func:`publish_frame` is the one
+function that writes a frame to disk, :func:`read_verified` the one
+that reads and verifies one -- it returns the object *and* its frame,
+so a verified entry is copied to another store without a second pickle
+or digest.  :func:`atomic_pickle` and :func:`load_verified` wrap them
+for callers with an object to store or no use for the frame.  Paths
+are ``str``: naming each entry through :mod:`pathlib` cost more than
+the system calls did.
+
+:func:`publish_frame` is also the harness-hazard injection seam: an
 armed :mod:`repro.harness.hazards` plan may corrupt/truncate the
 framed bytes or fail the publish with ENOSPC/EIO at deterministic
 opportunity indices (zero cost when disarmed -- one module-attribute
@@ -30,19 +39,20 @@ test).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import os
 import pickle
 import struct
-import tempfile
 import time
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..obs.telemetry import NULL_TELEMETRY
 
 __all__ = ["MAGIC", "IntegrityError", "frame", "unframe", "atomic_pickle",
-           "load_verified", "quarantine_file", "gc_tmp"]
+           "publish_frame", "load_verified", "read_verified",
+           "quarantine_file", "gc_tmp"]
 
 _LOG = logging.getLogger("repro.harness.integrity")
 
@@ -51,6 +61,8 @@ MAGIC = b"RPF1"
 
 _HEADER = struct.Struct(">4sQ")           # magic + payload length
 _DIGEST_LEN = hashlib.sha256().digest_size
+_TMP_FLAGS = os.O_CREAT | os.O_EXCL | os.O_WRONLY
+_tmp_serial = itertools.count()           # with the pid: one name per publish
 
 
 class IntegrityError(ValueError):
@@ -83,26 +95,39 @@ def unframe(data: bytes) -> bytes:
     return payload
 
 
-def atomic_pickle(obj, path: Path, what: str = "entry") -> None:
-    """Frame-pickle ``obj`` and atomically publish it at ``path``.
+def atomic_pickle(obj, path, what: str = "entry") -> None:
+    """Frame-pickle ``obj`` and atomically publish it at ``path`` (a
+    ``str`` or a ``Path``) through :func:`publish_frame`."""
+    publish_frame(frame(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)),
+                  os.fspath(path), what)
 
-    Same-directory temp file + ``os.replace``; the temp file is
-    unlinked on any failure so a failing publish never litters.
+
+def publish_frame(data: bytes, path: str, what: str = "entry") -> None:
+    """Atomically publish already framed bytes at ``path``.
+
+    Exclusive create of ``<path>.<pid>.<n>.tmp`` beside the target
+    (a leftover of that name is an error, never appended to), write,
+    close, ``os.replace``; the temp file is unlinked on any failure so
+    a failing publish never litters.  The directory is made when the
+    create finds it missing, not before every entry, and the file gets
+    the mode the umask allows, like claims and event logs.
     ``what`` labels the publish site for hazard injection ("unit" /
     "result" / "journal" / "memo") -- an armed hazard plan may rewrite
     the bytes or raise ``OSError`` here, which propagates to the
     caller exactly like a real full disk.
     """
     from . import hazards                   # local: hazards has no deps on us
-    path = Path(path)
-    data = frame(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
     plan = hazards.current()
     if plan is not None:
         data = plan.on_publish(what, path, data)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = f"{path}.{os.getpid()}.{next(_tmp_serial)}.tmp"
     try:
-        with os.fdopen(fd, "wb") as fh:
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(tmp, _TMP_FLAGS, 0o666)
+    try:
+        with open(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -113,10 +138,11 @@ def atomic_pickle(obj, path: Path, what: str = "entry") -> None:
         raise
 
 
-def load_verified(path: Path, quarantine_to: Optional[Path] = None,
+def read_verified(path: str, quarantine_to: Optional[Path] = None,
                   telemetry=NULL_TELEMETRY, what: str = "entry",
-                  unit: Optional[str] = None):
-    """Load a framed pickle, verifying integrity; None on miss.
+                  unit: Optional[str] = None) -> Optional[Tuple]:
+    """Read a framed pickle and verify it: ``(object, frame)``, or
+    None on a miss.
 
     A missing file is a plain miss.  A present-but-unverifiable file
     (truncated, bit-flipped, not a pickle at all) is moved into
@@ -125,22 +151,32 @@ def load_verified(path: Path, quarantine_to: Optional[Path] = None,
     reported as a miss -- corruption must never be worse than
     re-executing the unit.
     """
-    path = Path(path)
     try:
-        data = path.read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError:
         return None
     try:
-        return pickle.loads(unframe(data))
+        return pickle.loads(unframe(data)), data
     except Exception as exc:                # noqa: BLE001 - quarantined
-        moved = quarantine_file(path, quarantine_to)
+        moved = quarantine_file(Path(path), quarantine_to)
+        name = os.path.basename(path)
         telemetry.emit("integrity.corrupt", unit=unit, what=what,
-                       file=path.name, error=f"{exc}"[:200],
+                       file=name, error=f"{exc}"[:200],
                        quarantined=str(moved) if moved else None)
         telemetry.count("integrity.corrupt")
-        _LOG.warning("integrity: corrupt %s %s (%s)%s", what, path.name,
+        _LOG.warning("integrity: corrupt %s %s (%s)%s", what, name,
                      exc, f" -> quarantined to {moved}" if moved else "")
         return None
+
+
+def load_verified(path, quarantine_to: Optional[Path] = None,
+                  telemetry=NULL_TELEMETRY, what: str = "entry",
+                  unit: Optional[str] = None):
+    """:func:`read_verified` for a caller that wants the object only
+    (``path`` a ``str`` or a ``Path``); None on a miss."""
+    got = read_verified(os.fspath(path), quarantine_to, telemetry, what, unit)
+    return None if got is None else got[0]
 
 
 def quarantine_file(path: Path, root: Optional[Path]) -> Optional[Path]:
@@ -164,8 +200,8 @@ def quarantine_file(path: Path, root: Optional[Path]) -> Optional[Path]:
 
 
 def gc_tmp(directory: Path, older_than_s: float = 0.0) -> List[Path]:
-    """Collect ``*.tmp`` litter a writer killed between ``mkstemp``
-    and ``os.replace`` left behind.
+    """Collect ``*.tmp`` litter a writer killed between create and
+    ``os.replace`` left behind.
 
     Only files older than ``older_than_s`` are removed (a live
     writer's in-flight temp file must survive); readers never match

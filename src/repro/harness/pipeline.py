@@ -135,16 +135,17 @@ class ExecutionPipeline:
             for unit in units:
                 if unit.key in results:
                     continue
-                hit = self.memo.get(unit.key)
-                if hit is not None:
+                got = self.memo.get_framed(unit.key)
+                if got is not None:
                     hits += 1
-                    results[unit.key] = hit
+                    results[unit.key], framed = got
                     self.probe.count("memo.hit")
                     tel.emit("memo.hit", unit=unit.key, spec=unit.spec)
                     # A memo hit is durable progress this sweep can
-                    # resume from too.
+                    # resume from too: journal the frame just verified
+                    # (no second pickle, no second digest).
                     if self.journal is not None:
-                        self.journal.record(unit.key, hit)
+                        self.journal.put_framed(unit.key, framed)
                 else:
                     self.probe.count("memo.miss")
                     tel.emit("memo.miss", unit=unit.key, spec=unit.spec)

@@ -66,7 +66,7 @@ import pickle
 import signal
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.telemetry import (NULL_TELEMETRY, Telemetry, claim_is_stalled,
                              heartbeat_age, telemetry_area)
@@ -410,6 +410,16 @@ class _UnitFailure:
         return RuntimeError(f"spool worker failure: {self._repr}")
 
 
+def _listed(directory, suffix: str) -> Set[str]:
+    """Keys of the ``<key><suffix>`` files in ``directory``, if any."""
+    try:
+        with os.scandir(directory) as entries:
+            return {e.name[:-len(suffix)] for e in entries
+                    if e.name.endswith(suffix)}
+    except OSError:
+        return set()
+
+
 class _Spool:
     """The on-disk protocol shared by driver and workers.
 
@@ -426,7 +436,9 @@ class _Spool:
                             verification (kept as evidence).
 
     All payload files are integrity-framed; loads verify and treat a
-    corrupt file as a quarantined miss.
+    corrupt file as a quarantined miss.  What is published is asked of
+    the directory (:meth:`published_keys`), not of each pending unit; a
+    listing keeps ``<key>.run`` names, so a ``*.tmp`` shows once renamed.
     """
 
     def __init__(self, root, telemetry=NULL_TELEMETRY):
@@ -451,21 +463,19 @@ class _Spool:
         exists; True if this call created it.  May raise ``OSError``
         (disk full) -- callers treat that as a non-fatal durability
         loss, since the driver can still execute the unit inline."""
-        if self.has_result(key) or self.unit_path(key).is_file():
+        path = self.unit_path(key)
+        if self.has_result(key) or os.path.isfile(path):
             return False
-        atomic_pickle(spec, self.unit_path(key), what="unit")
+        atomic_pickle(spec, path, what="unit")
         return True
 
-    def unit_path(self, key: str) -> Path:
-        return self.units / f"{key}.spec"
+    def unit_path(self, key: str) -> str:
+        return f"{self.units}{os.sep}{key}.spec"
 
     def pending_keys(self) -> List[str]:
         """Enqueued units without a published result, sorted for a
         deterministic claim scan order."""
-        if not self.units.is_dir():
-            return []
-        return sorted(p.name[:-5] for p in self.units.glob("*.spec")
-                      if not self.has_result(p.name[:-5]))
+        return sorted(_listed(self.units, ".spec") - self.published_keys())
 
     def load_spec(self, key: str):
         return load_verified(self.unit_path(key),
@@ -486,7 +496,7 @@ class _Spool:
         """
         try:
             fd = os.open(self.claim_path(key),
-                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         except FileExistsError:
             return False
         except OSError:
@@ -587,11 +597,15 @@ class _Spool:
 
     # -- results -------------------------------------------------------------
 
-    def result_path(self, key: str) -> Path:
-        return self.results / f"{key}.run"
+    def result_path(self, key: str) -> str:
+        return f"{self.results}{os.sep}{key}.run"
 
     def has_result(self, key: str) -> bool:
-        return self.result_path(key).is_file()
+        return os.path.isfile(self.result_path(key))
+
+    def published_keys(self) -> Set[str]:
+        """Keys with a published result (one listing of ``results/``)."""
+        return _listed(self.results, ".run")
 
     def publish(self, key: str, payload) -> None:
         atomic_pickle(payload, self.result_path(key), what="result")
@@ -682,7 +696,8 @@ class DirQueueTransport(Transport):
             # last look (the driver's own inline results are delivered
             # directly, so a failed publish cannot lose them).
             harvested = False
-            for key in list(pending):
+            published = self.spool.published_keys()
+            for key in [k for k in pending if k in published]:
                 payload = self.spool.load_result(key)
                 if payload is None:
                     continue
@@ -743,7 +758,8 @@ class DirQueueTransport(Transport):
             self.spool.record_attempt(key)
             tel.emit("unit.claimed", unit=key, spec=unit.spec)
             try:
-                wait = time.time() - self.spool.unit_path(key).stat().st_mtime
+                wait = (time.time()
+                        - os.stat(self.spool.unit_path(key)).st_mtime)
                 tel.observe("unit.queue_wait_s", max(0.0, wait))
             except OSError:
                 pass
@@ -936,7 +952,7 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
                 tel.emit("unit.claimed", unit=key, spec=spec)
                 try:
                     wait = (time.time()
-                            - spool.unit_path(key).stat().st_mtime)
+                            - os.stat(spool.unit_path(key)).st_mtime)
                     tel.observe("unit.queue_wait_s", max(0.0, wait))
                 except OSError:
                     pass

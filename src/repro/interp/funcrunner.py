@@ -36,9 +36,11 @@ class GlobalStore:
     """
 
     def __init__(self, program: CompiledProgram):
-        self.program = program
+        #: The declarations, not the program: a store is pickled into
+        #: every journal, memo and spool entry of its run.
+        self.globals = program.globals
         self.arrays: List[np.ndarray] = []
-        for g in program.globals:
+        for g in self.globals:
             dtype = np.int64 if g.typ == "int" else np.float64
             arr = np.zeros(g.size, dtype=dtype)
             if g.init is not None:
@@ -68,14 +70,20 @@ class GlobalStore:
         """Write one element of a shared global."""
         self.arrays[gidx][flat] = value
 
+    def _named(self, name: str):
+        for g in self.globals:
+            if g.name == name:
+                return g
+        raise KeyError(name)
+
     def array(self, name: str) -> np.ndarray:
         """The named global as a shaped NumPy view."""
-        g = self.program.global_named(name)
+        g = self._named(name)
         return self.arrays[g.index].reshape(g.dims or (1,))
 
     def value(self, name: str):
         """Scalar value (or array view) of the named global."""
-        g = self.program.global_named(name)
+        g = self._named(name)
         if g.dims:
             return self.array(name)
         return self.read(g.index, 0)

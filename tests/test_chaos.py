@@ -116,12 +116,12 @@ def test_oracle_detects_tampered_results():
     spec = RunSpec.make("cg", "G0", size="test", verify=True)
     result = execute_spec(spec).result
     assert oracle_check(spec, result) is None
-    gidx = next(i for i, g in enumerate(result.store.program.globals)
+    gidx = next(i for i, g in enumerate(result.store.globals)
                 if result.store.arrays[i].size)
     result.store.arrays[gidx][0] += 1.0           # simulate a leak
     mismatch = oracle_check(spec, result)
     assert mismatch is not None
-    assert result.store.program.globals[gidx].name in mismatch
+    assert result.store.globals[gidx].name in mismatch
 
 
 # ------------------------------------------------------ captured failures

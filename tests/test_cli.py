@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import io
+import os
 
 import pytest
 
@@ -136,7 +137,7 @@ def test_bench_spool_quarantine_exits_5(tmp_path):
     key = next(k for k in (p.name[:-4]
                            for p in sorted(spool.results.glob("*.run")))
                if spool.load_spec(k).config == "G0")
-    spool.result_path(key).unlink()
+    os.unlink(spool.result_path(key))
     for _ in range(3):
         spool.record_attempt(key)
 

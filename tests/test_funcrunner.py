@@ -1,12 +1,17 @@
 """Tests for the functional reference executor."""
 
+import io
 import pickle
+import pickletools
 
 import numpy as np
 import pytest
 
 from repro.compiler import compile_source
+from repro.config import PAPER_MACHINE
+from repro.harness.jobs import RunSpec, execute_spec
 from repro.interp import FunctionalRunner, GlobalStore
+from repro.npb import REGISTRY
 
 
 def run(src, inputs=None):
@@ -61,6 +66,45 @@ void main() { }
     assert store.read(m, 0) == 1.25 and store.views is store.views
     with pytest.raises(TypeError):
         pickle.dumps(store.views[m])
+
+
+@pytest.mark.parametrize("bench", sorted(REGISTRY))
+def test_stored_run_holds_the_numbers_not_the_program(bench):
+    """A ``BenchRun`` is pickled on every journal, memo, spool and pool
+    hop.  Its store keeps the global declarations (to answer ``array``
+    and ``value``), never the compiled program: no bytecode, no
+    generated source, and no more than 4 KB beside the arrays."""
+    spec = RunSpec.make(bench, "G0", size="test",
+                        cfg=PAPER_MACHINE.with_(n_cmps=4))
+    run = execute_spec(spec)
+    blob = pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)
+    classes = set()
+
+    class Recorder(pickle.Unpickler):
+        def find_class(self, module, name):
+            classes.add((module, name))
+            return super().find_class(module, name)
+
+    back = Recorder(io.BytesIO(blob)).load()
+    assert {c for c in classes if c[0].startswith("repro.compiler")} == {
+        ("repro.compiler.bytecode", "GlobalDecl")}
+    strings = [arg for _, arg, _ in pickletools.genops(blob)
+               if isinstance(arg, str)]
+    assert not {"CompiledProgram", "Code"} & set(strings)
+    assert not [t for t in strings if "\n" in t or "def " in t]
+    arrays = pickle.dumps(run.result.store.arrays,
+                          protocol=pickle.HIGHEST_PROTOCOL)
+    assert len(blob) <= len(arrays) + 4096
+    # the round-tripped store still answers by name, and still verifies
+    store = back.result.store
+    for g in run.result.store.globals:
+        assert np.array_equal(store.array(g.name),
+                              run.result.store.array(g.name))
+        assert np.array_equal(store.value(g.name),
+                              run.result.store.value(g.name))
+    REGISTRY[bench].verify(store, "test")
+    with pytest.raises(KeyError):
+        store.array("no_such_global")
 
 
 def test_int_arrays_are_integer_typed():

@@ -216,6 +216,56 @@ def test_lease_hazards_stale_claim_and_clock_skew(tmp_path):
                                                   "clock_skew"]
 
 
+@pytest.mark.parametrize("kind,payload", [
+    ("pickle_corrupt", (0.5, 0xFF)), ("pickle_truncate", 0.4),
+    ("publish_enospc", True)])
+def test_memo_hit_journal_publish_is_a_hazard_site(golden, tmp_path, kind,
+                                                   payload):
+    """A memo hit journals the frame it verified without pickling it
+    again, and that publish is still one opportunity of the ``journal``
+    site: the hazard armed for the second one hits the second hit's
+    journal copy (the memo's stays good), the next resume quarantines
+    what was corrupted, serves that unit from the memo once more and
+    heals the journal."""
+    from repro.harness.checkpoint import CheckpointJournal, MemoStore
+    specs = _specs()
+    ExecutionPipeline(memo=MemoStore(tmp_path / "memo")).run(specs)
+    keys = SweepPlan(specs).keys
+
+    def pipeline():
+        return ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j"),
+                                 memo=MemoStore(tmp_path / "memo"))
+
+    plan = hazards.arm(HazardConfig(0, classes=("corrupt", "disk")))
+    plan.schedule = {k: {} for k in plan.schedule}
+    plan.schedule[kind] = {1: payload}
+    plan._seen = {k: 0 for k in plan.schedule}
+    warm = pipeline()
+    runs = warm.run(specs)
+    hazards.disarm()
+    assert {r.config: r.cycles for r in runs} == golden
+    assert warm.counters.get("memo.hit") == 2
+    (hit,) = plan.injected
+    assert (hit["kind"], hit["site"], hit["index"], hit["file"]) \
+        == (kind, "publish.journal", 1, f"{keys[1]}.run")
+    lost = kind == "publish_enospc"
+    assert warm.journal.keys() == sorted(keys[:1] if lost else keys)
+
+    again = pipeline()
+    runs = again.run(specs)
+    assert {r.config: r.cycles for r in runs} == golden
+    assert again.counters.get("unit.resumed") == 1
+    assert again.counters.get("memo.hit") == 1
+    assert again.counters.get("unit.executed") == 0
+    rotten = tmp_path / "j" / "corrupt"
+    assert (sorted(p.name for p in rotten.iterdir())
+            if rotten.exists() else []) \
+        == ([] if lost else [f"{keys[1]}.run"])
+    for key in keys:
+        assert open(again.journal._path(key), "rb").read() \
+            == open(again.memo._path(key), "rb").read()
+
+
 # -- tmp litter: ignored by readers, GC'd ------------------------------------
 
 def test_gc_tmp_collects_only_stale_litter(tmp_path):

@@ -3,6 +3,10 @@ invariants: cache/LRU behaviour, allocator and placement, scheduler
 coverage, classification accounting, and VM arithmetic semantics."""
 
 import math
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from repro.config import CacheConfig, PAPER_MACHINE
+from repro.harness.checkpoint import ResultStore
+from repro.harness.runner import BenchRun
 from repro.interp.interpreter import _binop
 from repro.mem import (Cache, L1Tags, MESIState, Placement,
                        SharedAllocator, is_shared_addr)
@@ -19,6 +25,7 @@ from repro.obs import ClassStats, TimeBreakdown
 
 from .dense_l2 import DenseCache
 from .dict_l1 import DictL1Tags
+from .pathlib_store import PathlibStore
 
 # --------------------------------------------------------------------- cache
 
@@ -164,6 +171,105 @@ class SparseL2ReplaysDense(RuleBasedStateMachine):
 SparseL2ReplaysDense.TestCase.settings = settings(
     max_examples=40, stateful_step_count=50, deadline=None)
 test_sparse_l2_replays_the_dense_model = SparseL2ReplaysDense.TestCase
+
+
+# ------------------------------------------ result store vs pathlib model
+
+class StrPathStoreReplaysPathlib(RuleBasedStateMachine):
+    """``ResultStore`` publishes through ``os.open`` on ``str`` paths,
+    makes its directory when a create finds it missing and names its
+    temp files itself; the model is the store that went through
+    ``pathlib``, ``mkdir`` and ``mkstemp`` for every entry
+    (``tests/pathlib_store.py``).  The same puts, gets, rot and
+    deletions on both: every return value equal, and after every step
+    the same keys, the same names under ``corrupt/``, the same bytes in
+    every surviving entry, and no temp file left by either."""
+
+    keys = st.sampled_from(("a", "b", "c"))
+
+    @initialize()
+    def build(self):
+        self.tmp = Path(tempfile.mkdtemp(prefix="store-diff-"))
+        self.new = ResultStore(self.tmp / "new" / "store")
+        self.ref = PathlibStore(self.tmp / "ref" / "store", BenchRun)
+
+    def teardown(self):
+        shutil.rmtree(self.tmp, ignore_errors=True)
+
+    def paths(self, key):
+        return [Path(self.new._path(key)), Path(self.ref._path(key))]
+
+    @rule(key=keys, n=st.integers(0, 3), kind=st.sampled_from(
+        (BenchRun, dict)))
+    def put(self, key, n, kind):
+        """A run, or a payload that verifies and is not a run."""
+        run = BenchRun("cg", "G0", None, {"n": n})
+        run = run if kind is BenchRun else vars(run)
+        assert self.new.put(key, run) == self.ref.put(key, run)
+
+    @rule(key=keys)
+    def get(self, key):
+        assert self.new.get(key) == self.ref.get(key)
+        assert (key in self.new) == (key in self.ref)
+
+    @rule(key=keys, where=st.integers(0, 255), mask=st.integers(1, 255))
+    def flip_a_bit(self, key, where, mask):
+        for path in self.paths(key):
+            if path.is_file() and path.stat().st_size:
+                raw = bytearray(path.read_bytes())
+                raw[where % len(raw)] ^= mask
+                path.write_bytes(bytes(raw))
+
+    @rule(key=keys, keep=st.floats(0, 1, exclude_max=True))
+    def truncate(self, key, keep):
+        for path in self.paths(key):
+            if path.is_file():
+                raw = path.read_bytes()
+                path.write_bytes(raw[:int(keep * len(raw))])
+
+    @rule(key=keys)
+    def block(self, key):
+        """A directory where the entry goes: the rename fails, the
+        publish says so and takes its temp file with it."""
+        for path in self.paths(key):
+            if path.parent.is_dir() and not path.exists():
+                path.mkdir()
+
+    @rule(key=keys)
+    def delete_entry(self, key):
+        for path in self.paths(key):
+            if path.is_dir():
+                path.rmdir()
+            elif path.exists():
+                path.unlink()
+
+    @rule()
+    def delete_directory(self):
+        for store in (self.new, self.ref):
+            shutil.rmtree(store.root, ignore_errors=True)
+
+    @invariant()
+    def same_entries_same_bytes_no_litter(self):
+        assert self.new.keys() == self.ref.keys()
+        for key in self.new.keys():
+            new, ref = self.paths(key)
+            assert new.is_file() == ref.is_file()
+            if new.is_file():
+                assert new.read_bytes() == ref.read_bytes()
+        listing = [sorted(os.listdir(s.root)) if s.root.is_dir() else None
+                   for s in (self.new, self.ref)]
+        assert listing[0] == listing[1]
+        assert not [n for n in listing[0] or () if n.endswith(".tmp")]
+        rotten = [sorted(os.listdir(s.root / "corrupt"))
+                  if (s.root / "corrupt").is_dir() else []
+                  for s in (self.new, self.ref)]
+        assert rotten[0] == rotten[1]
+
+
+StrPathStoreReplaysPathlib.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=40, deadline=None)
+test_str_path_store_replays_the_pathlib_model = \
+    StrPathStoreReplaysPathlib.TestCase
 
 
 # ------------------------------------------------------------- tag-only L1

@@ -4,11 +4,16 @@ journal with a bit-identical merged cycle map and without re-executing
 completed units.  Plus the journal/memo store semantics those
 guarantees rest on."""
 
+import itertools
 import os
+import pickle
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
@@ -169,8 +174,7 @@ def test_result_store_roundtrip_and_corruption(tmp_path):
     assert "k" in store and store.keys() == ["k"]
     assert isinstance(store.get("k"), BenchRun)
     # a torn/corrupt entry is a miss, never an error
-    store._path("bad").parent.mkdir(parents=True, exist_ok=True)
-    store._path("bad").write_bytes(b"\x00not a pickle")
+    Path(store._path("bad")).write_bytes(b"\x00not a pickle")
     assert store.get("bad") is None
 
 
@@ -221,11 +225,11 @@ def test_second_sweep_is_served_from_the_memo(tmp_path):
 def _rot_entries(store, keys):
     """Hand-damage journal/memo entries on disk: bit-flip the first
     key's payload, truncate the second's file mid-frame."""
-    flip = store._path(keys[0])
+    flip = Path(store._path(keys[0]))
     raw = bytearray(flip.read_bytes())
     raw[len(raw) // 2] ^= 0xFF
     flip.write_bytes(bytes(raw))
-    trunc = store._path(keys[1])
+    trunc = Path(store._path(keys[1]))
     trunc.write_bytes(trunc.read_bytes()[:20])
 
 
@@ -283,3 +287,163 @@ def test_memo_respects_code_and_spec_identity(tmp_path):
     memo = MemoStore(tmp_path / "m")
     memo.put(unit_key(a), _fake_run())
     assert memo.get(unit_key(b)) is None
+
+
+# -- what a stored result costs: counted, not timed ---------------------------
+
+def test_memo_hit_journals_the_frame_it_verified(tmp_path, monkeypatch):
+    """A sweep served from a warm memo into a fresh journal pickles
+    nothing: each hit is one read, one digest, one ``loads`` and one
+    write of the bytes just verified, so the journal's copy is the
+    memo's, byte for byte -- and a resume over it is bit-identical."""
+    specs = _specs(("single", "double", "G0"))
+    cold = ExecutionPipeline(memo=MemoStore(tmp_path / "memo"))
+    want = [r.cycles for r in cold.run(specs)]
+
+    real, calls = pickle.dumps, []
+    monkeypatch.setattr(pickle, "dumps",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    warm = ExecutionPipeline(journal=CheckpointJournal(tmp_path / "journal"),
+                             memo=MemoStore(tmp_path / "memo"))
+    assert [r.cycles for r in warm.run(specs)] == want
+    monkeypatch.undo()
+    assert warm.counters.get("memo.hit") == len(specs)
+    assert calls == []
+    keys = warm.journal.keys()
+    assert keys == sorted(SweepPlan(specs).keys)
+    for key in keys:
+        assert Path(warm.journal._path(key)).read_bytes() \
+            == Path(warm.memo._path(key)).read_bytes()
+    resumed = ExecutionPipeline(
+        journal=CheckpointJournal(tmp_path / "journal"))
+    assert [r.cycles for r in resumed.run(specs)] == want
+    assert resumed.counters.get("unit.resumed") == len(specs)
+
+
+def test_second_publish_makes_no_directory_and_no_mkstemp(tmp_path,
+                                                          monkeypatch):
+    """The directory is made when the first create finds it missing,
+    not before every entry, and the temp file is named by the store:
+    ``integrity.py`` does not know ``tempfile``."""
+    from repro.harness import integrity
+    store = ResultStore(tmp_path / "deep" / "store")
+    assert store.put("first", _fake_run())           # makes both levels
+    calls = []
+    for mod, name in ((os, "mkdir"), (os, "makedirs"),
+                      (tempfile, "mkstemp")):
+        monkeypatch.setattr(mod, name,
+                            lambda *a, _n=name, **kw: calls.append(_n))
+    assert store.put("second", _fake_run())
+    monkeypatch.undo()
+    assert calls == [] and store.keys() == ["first", "second"]
+    source = Path(integrity.__file__).read_text()
+    assert "mkstemp" not in source and "tempfile" not in source
+
+
+# -- a writer that dies between create and rename ------------------------------
+
+def _visible(store, spool, key):
+    """Every way a reader can come to see an entry."""
+    return (store.keys(), key in store, store.get(key),
+            spool.pending_keys(), spool.published_keys(),
+            spool.has_result(key), spool.load_result(key))
+
+
+def test_writer_dying_before_the_rename_leaves_nothing_visible(
+        tmp_path, monkeypatch):
+    """``os.replace`` never happens (an interrupt, the worst case a
+    handler can see): the failure leg unlinks its own temp file, and no
+    reader -- ``keys``, ``in``, ``get``, the spool's listing of
+    ``results/`` and its ``pending_keys`` -- sees an entry."""
+    from repro.harness.transport import _Spool
+    store = ResultStore(tmp_path / "store")
+    spool = _Spool(tmp_path / "spool")
+    spool.ensure()
+
+    def dies(src, dst):
+        assert src.startswith(dst + f".{os.getpid()}.")
+        assert src.endswith(".tmp") and os.path.isfile(src)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", dies)
+    for publish in (lambda: store.put("k", _fake_run()),
+                    lambda: spool.publish("k", _fake_run()),
+                    lambda: spool.enqueue("k", "spec")):
+        with pytest.raises(KeyboardInterrupt):
+            publish()
+    monkeypatch.undo()
+    assert _visible(store, spool, "k") \
+        == ([], False, None, [], set(), False, None)
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+
+def test_stranded_temp_is_invisible_and_collected_once_stale(tmp_path):
+    """What a SIGKILL between create and rename leaves, made by hand:
+    ``<key>.run.<pid>.<n>.tmp``.  No reader matches it; ``gc_tmp``
+    collects it once it is older than the lease and spares a young
+    one (a live writer's)."""
+    from repro.harness.integrity import gc_tmp
+    from repro.harness.transport import _Spool
+    store = ResultStore(tmp_path / "store")
+    spool = _Spool(tmp_path / "spool")
+    spool.ensure()
+    store.root.mkdir()
+    old = [Path(store._path("k") + ".4242.0.tmp"),
+           Path(spool.result_path("k") + ".4242.1.tmp")]
+    young = Path(spool.result_path("k") + ".4242.2.tmp")
+    then = time.time() - 3600
+    for path in old + [young]:
+        path.write_bytes(b"RPF1 half a frame")
+    for path in old:
+        os.utime(path, times=(then, then))
+    spool.enqueue("k", "spec")
+    assert _visible(store, spool, "k") \
+        == ([], False, None, ["k"], set(), False, None)
+    assert gc_tmp(store.root, older_than_s=60.0) == [old[0]]
+    assert spool.gc_tmp(older_than_s=60.0) == [old[1]]
+    assert young.exists() and not any(p.exists() for p in old)
+
+
+def test_leftover_temp_of_the_same_name_fails_the_publish_loudly(
+        golden, tmp_path, monkeypatch):
+    """The temp file is created exclusively: one already there under
+    the very name the next publish would use (a recycled pid) is an
+    ``OSError`` -- ``put`` says False and the sweep goes on -- never a
+    file to append to or to unlink on the way out."""
+    from repro.harness import integrity
+    specs = _specs(("single", "G0"))
+    journal = CheckpointJournal(tmp_path / "j")
+    journal.root.mkdir()
+    first = SweepPlan(specs).keys[0]
+    squatter = Path(f"{journal._path(first)}.{os.getpid()}.7.tmp")
+    squatter.write_bytes(b"someone else's bytes")
+    monkeypatch.setattr(integrity, "_tmp_serial", itertools.count(7))
+    pipe = ExecutionPipeline(journal=journal)
+    runs = pipe.run(specs)
+    assert {r.config: r.cycles for r in runs} \
+        == {c: golden[c] for c in ("single", "G0")}
+    assert journal.keys() == sorted(SweepPlan(specs).keys[1:])
+    assert squatter.read_bytes() == b"someone else's bytes"
+
+
+def test_journal_directory_removed_mid_sweep_is_recreated(golden, tmp_path):
+    """``rm -rf`` of the journal between two units: the next publish
+    finds the directory missing, makes it again and lands; the sweep
+    merges bit-identical."""
+
+    class Vanishing(CheckpointJournal):
+        def record(self, key, run):
+            done = super().record(key, run)
+            if len(self.keys()) == 1 and not hasattr(self, "gone"):
+                shutil.rmtree(self.root)
+                self.gone = True
+            return done
+
+    specs = _specs(("single", "G0"))
+    journal = Vanishing(tmp_path / "j")
+    runs = ExecutionPipeline(journal=journal).run(specs)
+    assert {r.config: r.cycles for r in runs} \
+        == {c: golden[c] for c in ("single", "G0")}
+    assert journal.gone
+    assert journal.keys() == [SweepPlan(specs).keys[1]]
+    assert isinstance(journal.get(SweepPlan(specs).keys[1]), BenchRun)

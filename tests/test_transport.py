@@ -2,6 +2,7 @@
 bit-for-bit, and the spool protocol (claim files, published results,
 worker key checks) must hold up under cooperating processes."""
 
+import os
 import pickle
 
 import pytest
@@ -76,7 +77,7 @@ def test_worker_skips_key_mismatched_unit(tmp_path):
     out.close()
     assert "skipping" in (tmp_path / "w.log").read_text()
     assert not spool.has_result("0" * 64)
-    assert spool.unit_path("0" * 64).is_file()   # left for inspection
+    assert os.path.isfile(spool.unit_path("0" * 64))   # left for inspection
 
 
 def test_spool_spec_errors_propagate(tmp_path):
@@ -118,7 +119,7 @@ def test_enqueue_is_idempotent(tmp_path):
     assert spool.enqueue(key, spec)
     assert not spool.enqueue(key, spec)      # already enqueued
     spool.publish(key, "done")
-    spool.unit_path(key).unlink()
+    os.unlink(spool.unit_path(key))
     assert not spool.enqueue(key, spec)      # already resulted
 
 
@@ -137,3 +138,62 @@ def test_unit_failure_roundtrips_exceptions():
     clone = pickle.loads(pickle.dumps(wrapped))
     exc = clone.unwrap()
     assert isinstance(exc, ValueError) and "boom" in str(exc)
+
+
+def test_spool_driver_asks_the_directory_not_every_pending_unit(
+        tmp_path, monkeypatch):
+    """One listing of ``results/`` a loop iteration tells the driver
+    what is published; ``load_result`` runs only for those keys.  40
+    units, half of them published by a worker beforehand, the rest
+    executed inline (execution stubbed out): at most one load a unit,
+    where trying every pending key before each inline unit made
+    40 + 20 + 19 + ... + 1 = 250."""
+    import repro.harness.transport as ht
+    from repro.harness.runner import BenchRun
+    specs = [RunSpec.make("ep", "single", size="test", cfg=CFG,
+                          params=dict(n=48 + i)) for i in range(40)]
+    canned = {s: BenchRun("ep", "single", None, dict(s.params))
+              for s in specs}
+    monkeypatch.setattr(ht, "execute_spec", canned.__getitem__)
+    spool = _Spool(tmp_path / "sp")
+    spool.ensure()
+    units = SweepPlan(specs).distinct()
+    for u in units[::2]:
+        spool.publish(u.key, canned[u.spec])
+    loads = []
+    real = _Spool.load_result
+    monkeypatch.setattr(_Spool, "load_result",
+                        lambda self, key: loads.append(key)
+                        or real(self, key))
+    pipe = ExecutionPipeline(transport=DirQueueTransport(tmp_path / "sp"))
+    assert pipe.run(specs) == [canned[s] for s in specs]
+    assert loads == [u.key for u in units[::2]]      # pending order
+    assert len(loads) <= len(units)
+    assert spool.published_keys() == {u.key for u in units}
+    assert spool.pending_keys() == []
+
+
+@pytest.mark.parametrize("umask", (0o022, 0o077), ids=("022", "077"))
+def test_entries_are_readable_by_whoever_may_read_the_directory(
+        tmp_path, umask):
+    """Specs, results, journal and memo entries get the mode the
+    process umask allows -- the mode of a claim made beside them -- so
+    a ``repro worker`` under another uid on a shared spool can read
+    the specs of the units it may claim (``mkstemp`` made every entry
+    ``0600`` whatever the umask)."""
+    from repro.harness.checkpoint import ResultStore
+    old = os.umask(umask)
+    try:
+        spool = _Spool(tmp_path / "sp")
+        spool.ensure()
+        spool.enqueue("k", "spec")
+        spool.publish("k", "run")
+        assert spool.try_claim("k")
+        store = ResultStore(tmp_path / "store")
+        assert store.put("k", "run")
+    finally:
+        os.umask(old)
+    modes = {path: os.stat(path).st_mode & 0o777
+             for path in (spool.unit_path("k"), spool.result_path("k"),
+                          store._path("k"), spool.claim_path("k"))}
+    assert set(modes.values()) == {0o666 & ~umask}, modes
