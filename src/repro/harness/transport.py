@@ -12,7 +12,7 @@ dispatch mechanism pluggable:
 * :class:`PoolTransport` -- a hardened local ``multiprocessing`` pool:
   a killed or crashed worker costs bounded retries on fresh pools
   (seeded-jitter backoff between passes), a unit that breaks the pool
-  ``poison_threshold`` times is **quarantined** (a loud placeholder
+  :data:`POISON_AFTER` times is **quarantined** (a loud placeholder
   result, never an infinite retry), and the remainder degrades
   (loudly, never silently) to in-process serial execution;
 * :class:`DirQueueTransport` -- units leased through a shared **spool
@@ -43,9 +43,12 @@ Crash-consistency (the harness-hazard hardening, proven by
 * ``*.tmp`` litter from a writer SIGKILLed between temp write and
   rename is garbage-collected once older than the lease (readers
   never match it in the first place);
-* a unit whose execution *process* dies ``quarantine_after`` times
+* a unit whose execution *process* dies :data:`POISON_AFTER` times
   (tracked in an ``attempts/`` ledger) is quarantined with a
   placeholder result instead of wedging the fleet;
+* what happens to a leased unit is written once
+  (:meth:`_Spool.settle`): the driver and :func:`run_worker` differ
+  only in how they come by a lease and what they do with the outcome;
 * :func:`run_worker` drains gracefully on SIGTERM: the in-flight unit
   finishes, publishes, and releases its claim before exit.
 
@@ -83,6 +86,14 @@ _LOG = logging.getLogger("repro.harness.transport")
 
 #: Driver callback: one finished unit, invoked in the driver process.
 OnResult = Callable[[WorkUnit, object], None]
+
+#: Dead executions (spool ledger bytes, broken pool passes) after which
+#: a unit is quarantined as poison rather than tried again.
+POISON_AFTER = 3
+
+#: First-retry delay of the seeded-jitter backoff (pool respawn, reaped
+#: lease); doubles per retry, see :func:`~repro.harness.hazards.backoff_s`.
+BACKOFF_BASE = 0.05
 
 
 def _telemetered(tel, key: str, spec, fn):
@@ -137,16 +148,24 @@ def _emit_terminal(tel, key: str, spec, run, wall_s) -> None:
         tel.emit("unit.finished", unit=key, spec=spec, **fields)
 
 
+def _quarantined(tel, key: str, spec, attempts: int):
+    """A poison unit's loud placeholder result, announced on ``tel``
+    (``unit.quarantined`` event + count) -- pool and spool alike."""
+    tel.emit("unit.quarantined", unit=key, spec=spec, attempts=attempts)
+    tel.count("unit.quarantined")
+    return quarantined_run(spec, attempts)
+
+
 class Transport:
     """How distinct work units execute (see module docstring).
 
-    Subclasses implement :meth:`run`, calling ``on_result(unit, run)``
-    once per unit as results become available (any order).  A spec
-    that *raises* (verification failure without ``capture_errors``,
-    watchdog expiry) propagates out of :meth:`run` on every transport;
-    only worker-process loss is retried/degraded -- and a unit whose
-    process dies persistently is quarantined (see
-    :attr:`quarantined`), never retried forever.
+    Subclasses implement :meth:`_dispatch`, which :meth:`run` wraps,
+    calling ``on_result(unit, run)`` once per unit as results become
+    available (any order).  A spec that *raises* (verification failure
+    without ``capture_errors``, watchdog expiry) propagates out of
+    :meth:`run` on every transport; only worker-process loss is
+    retried/degraded -- and a unit whose process dies persistently is
+    quarantined (``error_kind == "quarantined"``), never retried forever.
     """
 
     name = "transport"
@@ -156,13 +175,16 @@ class Transport:
         self.events: List[str] = []
         #: True when any unit of the last run() fell back to serial.
         self.degraded = False
-        #: Unit keys quarantined as poison during the last run().
-        self.quarantined: List[str] = []
         #: Telemetry session the driver records through (the pipeline
         #: attaches a live one; default is the zero-cost null session).
         self.telemetry = NULL_TELEMETRY
 
     def run(self, units: Sequence[WorkUnit], on_result: OnResult) -> None:
+        self.events = []
+        self.degraded = False
+        self._dispatch(list(units), on_result)
+
+    def _dispatch(self, units: List[WorkUnit], on_result: OnResult) -> None:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -186,32 +208,19 @@ class Transport:
                                lambda spec=unit.spec: execute_spec(spec))
             on_result(unit, run)
 
-    def _quarantine(self, unit: WorkUnit, attempts: int,
-                    on_result: OnResult) -> object:
-        """Settle a poison unit with a loud placeholder result."""
-        run = quarantined_run(unit.spec, attempts)
-        tel = self.telemetry
-        tel.emit("unit.quarantined", unit=unit.key, spec=unit.spec,
-                 attempts=attempts)
-        tel.count("unit.quarantined")
-        self.quarantined.append(unit.key)
-        self._note(f"QUARANTINED poison unit {unit.key[:12]} ({unit.spec}):"
-                   f" {attempts} execution attempt(s) died without a "
-                   f"result")
+    def _deliver(self, unit: WorkUnit, run, on_result: OnResult) -> None:
+        """Hand ``run`` to the driver -- a poison placeholder, loudly."""
+        if getattr(run, "error_kind", None) == "quarantined":
+            self._note(f"QUARANTINED {unit.key[:12]} ({unit.spec}): "
+                       f"{run.error}")
         on_result(unit, run)
-        return run
 
 
 class SerialTransport(Transport):
     """Execute units one after another in the driver process."""
 
     name = "serial"
-
-    def run(self, units: Sequence[WorkUnit], on_result: OnResult) -> None:
-        self.events = []
-        self.degraded = False
-        self.quarantined = []
-        self._run_inline(units, on_result)
+    _dispatch = Transport._run_inline
 
 
 # -- local process pool ------------------------------------------------------
@@ -242,14 +251,14 @@ class PoolTransport(Transport):
     Crash handling: a killed or crashed worker (``BrokenProcessPool``)
     costs bounded retries of the unfinished units on fresh pools, with
     seeded-jitter backoff between passes so a respawning fleet doesn't
-    stampede.  A unit still unfinished after ``poison_threshold``
+    stampede.  A unit still unfinished after :data:`POISON_AFTER`
     broken passes is *quarantined* -- it gets a loud placeholder
     result (``error_kind == "quarantined"``) instead of being handed
     to the serial fallback, where a poison spec would take the driver
     down with it.  The rest degrades gracefully to in-process serial
     execution.  Neither path is silent: both are logged and recorded
-    on :attr:`events` / :attr:`degraded` / :attr:`quarantined` for
-    callers (the CLI turns them into non-zero exits).
+    on :attr:`events` / :attr:`degraded` for callers (the CLI turns
+    them into non-zero exits).
     """
 
     name = "pool"
@@ -259,9 +268,7 @@ class PoolTransport(Transport):
 
     def __init__(self, jobs: Optional[int] = None,
                  start_method: Optional[str] = None,
-                 max_pool_attempts: Optional[int] = None,
-                 poison_threshold: int = 3,
-                 backoff_base: float = 0.05):
+                 max_pool_attempts: Optional[int] = None):
         super().__init__()
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -271,28 +278,19 @@ class PoolTransport(Transport):
             if max_pool_attempts < 1:
                 raise ValueError("max_pool_attempts must be >= 1")
             self.max_pool_attempts = max_pool_attempts
-        if poison_threshold < 1:
-            raise ValueError("poison_threshold must be >= 1")
-        self.poison_threshold = poison_threshold
-        self.backoff_base = backoff_base
-        #: Per-unit-index count of pool passes that lost the unit.
-        self._suspects: Dict[int, int] = {}
 
     def describe(self) -> str:
         return f"pool(jobs={self.jobs})"
 
-    def run(self, units: Sequence[WorkUnit], on_result: OnResult) -> None:
-        units = list(units)
-        self.events = []
-        self.degraded = False
-        self.quarantined = []
-        self._suspects = {}
+    def _dispatch(self, units: List[WorkUnit], on_result: OnResult) -> None:
         tel = self.telemetry
         if min(self.jobs, len(units)) <= 1:
             self._run_inline(units, on_result)
             return
         done = [False] * len(units)
         pending = list(range(len(units)))
+        #: Per unit index, the pool passes that lost it: poison suspects.
+        suspects: Dict[int, int] = {}
         for attempt in range(self.max_pool_attempts):
             if not pending:
                 break
@@ -300,16 +298,15 @@ class PoolTransport(Transport):
                 # Seeded-jitter backoff before respawning the pool, so
                 # a crash loop doesn't hot-spin fork/exec.
                 time.sleep(hazards.backoff_s("pool-pass", attempt,
-                                             self.backoff_base))
+                                             BACKOFF_BASE))
             pending = self._pool_pass(units, done, pending, attempt,
                                       on_result)
-        if pending:
-            poison = [i for i in pending
-                      if self._suspects.get(i, 0) >= self.poison_threshold]
-            if poison:
-                for i in poison:
-                    self._quarantine(units[i], self._suspects[i], on_result)
-                pending = [i for i in pending if i not in set(poison)]
+            for i in pending:
+                suspects[i] = suspects.get(i, 0) + 1
+        for i in [i for i in pending if suspects[i] >= POISON_AFTER]:
+            pending.remove(i)
+            self._deliver(units[i], _quarantined(
+                tel, units[i].key, units[i].spec, suspects[i]), on_result)
         if pending:
             self.degraded = True
             tel.emit("pool.degraded", n_pending=len(pending),
@@ -369,10 +366,6 @@ class PoolTransport(Transport):
             broken = True
         remaining = [i for i in pending if not done[i]]
         if remaining:
-            for i in remaining:
-                # Every unit a broken pass lost is a poison suspect;
-                # crossing poison_threshold quarantines it in run().
-                self._suspects[i] = self._suspects.get(i, 0) + 1
             what = ("retrying once on a fresh pool"
                     if attempt + 1 < self.max_pool_attempts
                     else "falling back to serial execution")
@@ -392,16 +385,24 @@ class _UnitFailure:
     forever across the fleet); they publish the failure as the unit's
     result and move on, and the driver raises it at harvest -- the
     same "spec errors propagate" contract the other transports keep.
+    The process that caught the exception gets the same object back
+    from :meth:`unwrap`, traceback and all; only a copy is pickled.
     """
 
     def __init__(self, exc: BaseException):
+        self._exc = exc
         try:
             self._pickled = pickle.dumps(exc)
         except Exception:
             self._pickled = None
         self._repr = f"{type(exc).__name__}: {exc}"
 
+    def __getstate__(self):
+        return {"_pickled": self._pickled, "_repr": self._repr}
+
     def unwrap(self) -> BaseException:
+        if "_exc" in self.__dict__:
+            return self._exc
         if self._pickled is not None:
             try:
                 return pickle.loads(self._pickled)
@@ -439,6 +440,10 @@ class _Spool:
     corrupt file as a quarantined miss.  What is published is asked of
     the directory (:meth:`published_keys`), not of each pending unit; a
     listing keeps ``<key>.run`` names, so a ``*.tmp`` shows once renamed.
+
+    What happens to a unit between winning its lease and giving it up
+    is :meth:`settle`; what a process does when every unit is leased
+    elsewhere is :meth:`idle`.  Driver and worker call both.
     """
 
     def __init__(self, root, telemetry=NULL_TELEMETRY):
@@ -497,9 +502,7 @@ class _Spool:
         try:
             fd = os.open(self.claim_path(key),
                          os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
-        except FileExistsError:
-            return False
-        except OSError:
+        except OSError:                     # FileExistsError: lost the race
             return False
         with os.fdopen(fd, "w") as fh:
             json.dump({"pid": os.getpid(), "time": time.time(),
@@ -567,11 +570,13 @@ class _Spool:
 
     def record_attempt(self, key: str) -> int:
         """Record that an execution attempt is starting (one appended
-        byte; crash-safe across SIGKILL); returns total attempts."""
+        byte; crash-safe across SIGKILL); returns total attempts.  The
+        ledger gets a claim's mode: whoever may claim the unit on a
+        shared spool must be able to count its own dead executions."""
         try:
             self.attempts.mkdir(parents=True, exist_ok=True)
             fd = os.open(self.attempt_path(key),
-                         os.O_CREAT | os.O_APPEND | os.O_WRONLY, 0o644)
+                         os.O_CREAT | os.O_APPEND | os.O_WRONLY, 0o666)
             try:
                 os.write(fd, b".")
             finally:
@@ -627,6 +632,67 @@ class _Spool:
         return removed
 
 
+    # -- a leased unit, start to finish ---------------------------------------
+
+    def settle(self, key: str, spec, execute) -> Tuple[object, bool]:
+        """Settle a unit whose lease the caller holds -- the one path
+        from claim to release.  Returns ``(payload, published)``.
+
+        A ledger at :data:`POISON_AFTER` yields the quarantine
+        placeholder, unexecuted.  Otherwise: one ledger byte,
+        ``unit.claimed``, the queue wait (spec file age), ``execute()``
+        under :func:`_telemetered`; what it raises is the payload, as a
+        :class:`_UnitFailure`.  A publish that fails (ENOSPC/EIO) is
+        counted and returned, never raised: what a lost spool copy
+        means is the caller's call.  Only a real result that reached
+        the disk clears the ledger (*consecutive* dead executions are
+        what counts); the lease is released whatever happened.
+        """
+        tel = self.telemetry
+        attempts = self.attempt_count(key)
+        if attempts >= POISON_AFTER:
+            payload = _quarantined(tel, key, spec, attempts)
+        else:
+            self.record_attempt(key)
+            tel.emit("unit.claimed", unit=key, spec=spec)
+            try:
+                wait = time.time() - os.stat(self.unit_path(key)).st_mtime
+                tel.observe("unit.queue_wait_s", max(0.0, wait))
+            except OSError:
+                pass
+            try:
+                payload = _telemetered(tel, key, spec, execute)
+            except Exception as e:          # noqa: BLE001 - republished
+                payload = _UnitFailure(e)
+        try:
+            self.publish(key, payload)
+            published = True
+        except OSError as e:
+            published = False
+            tel.count("publish.failed")
+            _LOG.warning("publish failed for unit %s (%s); lease released "
+                         "without a spool copy", key[:12], e)
+        if (published and attempts < POISON_AFTER
+                and not isinstance(payload, _UnitFailure)):
+            self.clear_attempts(key)
+        self.release(key)
+        return payload, published
+
+    def idle(self, keys, lease_s: float) -> List[str]:
+        """Every unit in ``keys`` is leased elsewhere: reap the stalled
+        leases (owners' heartbeats are in this spool's telemetry
+        area), a ``lease.reaped`` event and count for each, or --
+        nothing to reap -- collect tmp litter.  Returns the reaped."""
+        reaped = self.reap_stale(
+            keys, lease_s, heartbeats=telemetry_area(self.root) / "heartbeats")
+        for key in reaped:
+            self.telemetry.emit("lease.reaped", unit=key, lease_s=lease_s)
+            self.telemetry.count("lease.reaped")
+        if not reaped:
+            self.gc_tmp(older_than_s=lease_s)
+        return reaped
+
+
 class DirQueueTransport(Transport):
     """Lease units through a shared spool directory (see module
     docstring).  The driver enqueues every unit, then alternates
@@ -641,64 +707,48 @@ class DirQueueTransport(Transport):
     reaped, and the reaped unit is retried after a seeded-jitter
     exponential backoff rather than instantly (a crash-looping unit
     must not hot-spin the fleet).  A unit whose attempts ledger shows
-    ``quarantine_after`` dead executions is quarantined with a
+    :data:`POISON_AFTER` dead executions is quarantined with a
     placeholder result.
     """
 
     name = "spool"
 
-    def __init__(self, root, lease_s: float = 60.0, poll_s: float = 0.05,
-                 quarantine_after: int = 3, backoff_base: float = 0.05):
+    def __init__(self, root, lease_s: float = 60.0, poll_s: float = 0.05):
         super().__init__()
         self.spool = _Spool(root)
         self.lease_s = lease_s
         self.poll_s = poll_s
-        if quarantine_after < 1:
-            raise ValueError("quarantine_after must be >= 1")
-        self.quarantine_after = quarantine_after
-        self.backoff_base = backoff_base
-        self._not_before: Dict[str, float] = {}
-        self._reaps: Dict[str, int] = {}
 
     def describe(self) -> str:
         return f"spool({self.spool.root})"
 
-    def _heartbeats_dir(self) -> Path:
-        """Where every session attached to this spool heartbeats."""
-        return telemetry_area(self.spool.root) / "heartbeats"
-
-    def run(self, units: Sequence[WorkUnit], on_result: OnResult) -> None:
-        self.events = []
-        self.degraded = False
-        self.quarantined = []
-        self._not_before = {}
-        self._reaps = {}
-        self.spool.ensure()
-        tel = self.telemetry
-        self.spool.telemetry = tel
-        litter = self.spool.gc_tmp(older_than_s=self.lease_s)
+    def _dispatch(self, units: List[WorkUnit], on_result: OnResult) -> None:
+        spool, tel = self.spool, self.telemetry
+        spool.ensure()
+        spool.telemetry = tel
+        litter = spool.gc_tmp(older_than_s=self.lease_s)
         if litter:
             self._note(f"collected {len(litter)} leftover tmp file(s) "
                        f"from a dead writer")
         pending = {u.key: u for u in units}
         n_total = len(pending)
+        #: Reaped units: how often, and the earliest next claim.
+        reaps: Dict[str, int] = {}
+        not_before: Dict[str, float] = {}
         for u in units:
             try:
-                self.spool.enqueue(u.key, u.spec)
+                spool.enqueue(u.key, u.spec)
             except OSError as e:
                 tel.count("publish.failed")
                 self._note(f"enqueue failed for unit {u.key[:12]} ({e}); "
                            f"driver will execute it inline")
         while pending:
-            tel.heartbeat(state="driving",
-                          done=n_total - len(pending))
-            # Harvest everything attached workers published since the
-            # last look (the driver's own inline results are delivered
-            # directly, so a failed publish cannot lose them).
+            tel.heartbeat(state="driving", done=n_total - len(pending))
+            # Harvest what attached workers published since last look.
             harvested = False
-            published = self.spool.published_keys()
+            published = spool.published_keys()
             for key in [k for k in pending if k in published]:
-                payload = self.spool.load_result(key)
+                payload = spool.load_result(key)
                 if payload is None:
                     continue
                 harvested = True
@@ -706,135 +756,56 @@ class DirQueueTransport(Transport):
                 if isinstance(payload, _UnitFailure):
                     raise payload.unwrap()
                 tel.count("unit.harvested")
-                on_result(unit, payload)
+                self._deliver(unit, payload, on_result)
             if not pending or harvested:
                 continue
-            # Work inline: lease the first claimable unit and run it.
-            if self._work_one(pending, on_result):
+            # Work inline: lease the first unit that nobody holds and
+            # that is not backing off after a reap.
+            plan, now = hazards.current(), time.monotonic()
+            for key, unit in pending.items():
+                if now < not_before.get(key, 0.0):
+                    continue
+                if plan is not None:
+                    plan.maybe_stale_claim(spool, key)
+                if (spool.claim_age(key) is None
+                        and spool.try_claim(key, worker=tel.worker)):
+                    break
+            else:
+                # None (all leased out or backing off): reap the
+                # stalled and back their units off, or wait briefly.
+                reaped = spool.idle(pending, self.lease_s)
+                for key in reaped:
+                    n = reaps[key] = reaps.get(key, 0) + 1
+                    delay = hazards.backoff_s(key, n, BACKOFF_BASE)
+                    not_before[key] = time.monotonic() + delay
+                    self._note(f"reaped stalled lease on unit "
+                               f"{key[:12]} (> {self.lease_s:g}s); retry "
+                               f"backoff {delay:.3f}s")
+                if not reaped:
+                    time.sleep(self.poll_s)
                 continue
-            # Everything is leased out (or backing off): reap the
-            # stalled, collect litter, wait briefly.
-            reaped = self.spool.reap_stale(pending, self.lease_s,
-                                           heartbeats=self._heartbeats_dir())
-            for key in reaped:
-                tel.emit("lease.reaped", unit=key,
-                         lease_s=self.lease_s)
-                tel.count("lease.reaped")
-                n = self._reaps[key] = self._reaps.get(key, 0) + 1
-                delay = hazards.backoff_s(key, n, self.backoff_base)
-                self._not_before[key] = time.monotonic() + delay
-                self._note(f"reaped stalled lease on unit "
-                           f"{key[:12]} (> {self.lease_s:g}s); retry "
-                           f"backoff {delay:.3f}s")
-            if not reaped:
-                self.spool.gc_tmp(older_than_s=self.lease_s)
-                time.sleep(self.poll_s)
+            # Settle it and deliver from memory: a failed publish costs
+            # attached workers the spool copy, never the driver a result.
+            del pending[key]
+            payload, published = spool.settle(
+                key, unit.spec, lambda: execute_spec(unit.spec))
+            if not published:
+                self._note(f"publish failed for unit {key[:12]}; result "
+                           f"kept in memory, spool copy skipped")
+            if isinstance(payload, _UnitFailure):
+                # Published so attached workers stop re-trying the
+                # unit; surfaced exactly like the other transports.
+                raise payload.unwrap()
+            self._deliver(unit, payload, on_result)
         tel.heartbeat(state="idle", done=n_total, force=True)
-
-    def _work_one(self, pending, on_result: OnResult) -> bool:
-        """Claim + execute one unit inline, delivering the result
-        directly to the driver (publish is best-effort durability for
-        attached workers); False when every pending unit is currently
-        leased by someone else or backing off."""
-        tel = self.telemetry
-        plan = hazards.current()
-        now = time.monotonic()
-        for key, unit in list(pending.items()):
-            if now < self._not_before.get(key, 0.0):
-                continue
-            if plan is not None:
-                plan.maybe_stale_claim(self.spool, key)
-            if self.spool.claim_age(key) is not None:
-                continue
-            if not self.spool.try_claim(key, worker=tel.worker):
-                continue
-            attempts = self.spool.attempt_count(key)
-            if attempts >= self.quarantine_after:
-                run = self._quarantine(unit, attempts, on_result)
-                self._publish_safe(key, run)
-                self.spool.release(key)
-                pending.pop(key)
-                return True
-            self.spool.record_attempt(key)
-            tel.emit("unit.claimed", unit=key, spec=unit.spec)
-            try:
-                wait = (time.time()
-                        - os.stat(self.spool.unit_path(key)).st_mtime)
-                tel.observe("unit.queue_wait_s", max(0.0, wait))
-            except OSError:
-                pass
-            try:
-                payload = _telemetered(tel, key, unit.spec,
-                                       lambda: execute_spec(unit.spec))
-            except Exception as e:          # noqa: BLE001 - republished
-                # Publish so attached workers stop re-trying the unit,
-                # then surface it exactly like the other transports.
-                self._publish_safe(key, _UnitFailure(e))
-                self.spool.release(key)
-                raise
-            self.spool.clear_attempts(key)
-            self._publish_safe(key, payload)
-            self.spool.release(key)
-            pending.pop(key)
-            on_result(unit, payload)
-            return True
-        return False
-
-    def _publish_safe(self, key: str, payload) -> bool:
-        """Best-effort spool publish: an ENOSPC/EIO here costs
-        durability for attached workers (they may re-execute the
-        unit), never the driver's in-memory result."""
-        try:
-            self.spool.publish(key, payload)
-            return True
-        except OSError as e:
-            self.telemetry.count("publish.failed")
-            self._note(f"publish failed for unit {key[:12]} ({e}); "
-                       f"result kept in memory, spool copy skipped")
-            return False
 
 
 _WORKER_LOG = logging.getLogger("repro.worker")
 
 
-class _GracefulDrain:
-    """SIGTERM -> drain: finish the in-flight unit, publish, release
-    the claim, then exit cleanly.
-
-    The handler only flips a flag -- no I/O, no telemetry from signal
-    context -- and the worker loop checks it at every unit boundary.
-    """
-
-    def __init__(self):
-        self.requested = False
-        self._old = None
-        self._installed = False
-
-    def _handle(self, signum, frame):      # pragma: no cover - signal ctx
-        self.requested = True
-
-    def install(self) -> "_GracefulDrain":
-        try:
-            self._old = signal.signal(signal.SIGTERM, self._handle)
-            self._installed = True
-        except ValueError:
-            # Not the main thread (embedded/test use): run without a
-            # handler; SIGTERM keeps its default disposition.
-            self._installed = False
-        return self
-
-    def restore(self) -> None:
-        if self._installed:
-            try:
-                signal.signal(signal.SIGTERM, self._old)
-            except (ValueError, TypeError):
-                pass
-            self._installed = False
-
-
 def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
                max_units: Optional[int] = None, drain: bool = True,
-               out=None, quarantine_after: int = 3) -> int:
+               out=None) -> int:
     """Worker loop for ``repro worker DIR``: lease, execute, publish.
 
     Attaches to the spool at ``root`` and keeps winning claimable
@@ -847,7 +818,9 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
 
     Robustness contract:
 
-    * **SIGTERM drains**: the in-flight unit finishes, publishes, and
+    * **SIGTERM drains**: the handler only flips a flag (no I/O, no
+      telemetry from signal context) that the loop checks at every
+      unit boundary, so the in-flight unit finishes, publishes, and
       releases its claim before the loop exits (``worker.stopped``
       carries ``reason="sigterm"``); only SIGKILL abandons work, and
       that is exactly what lease reaping recovers.
@@ -855,7 +828,7 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
       :func:`~repro.obs.telemetry.claim_is_stalled` predicate) and a
       publish that fails (disk full) releases the claim so another
       process retries -- the worker never wedges on a bad disk.
-    * A unit whose attempts ledger shows ``quarantine_after`` dead
+    * A unit whose attempts ledger shows :data:`POISON_AFTER` dead
       executions is quarantined (placeholder result published) rather
       than executed again.
     * Failing specs are published as failure records for the driver to
@@ -888,8 +861,6 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
     tel = Telemetry(root=telemetry_area(root), role="worker")
     spool = _Spool(root, telemetry=tel)
     spool.ensure()
-    heartbeats = telemetry_area(root) / "heartbeats"
-    stop = _GracefulDrain().install()
     plan = hazards.current(telemetry=tel)
     litter = spool.gc_tmp(older_than_s=lease_s)
     if litter:
@@ -899,9 +870,13 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
     t_attach = time.perf_counter()
     executed = 0
     skipped = set()
+    stop = []                               # SIGTERM appends: drain, exit
     try:
-        while ((max_units is None or executed < max_units)
-               and not stop.requested):
+        old_term = signal.signal(signal.SIGTERM, lambda *_: stop.append(1))
+    except ValueError:                      # not the main thread: no handler
+        old_term = None
+    try:
+        while (max_units is None or executed < max_units) and not stop:
             if plan is not None:
                 plan.boundary("worker.scan")
             pending = [k for k in spool.pending_keys() if k not in skipped]
@@ -913,13 +888,10 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
                 continue
             progressed = False
             for key in pending:
-                if max_units is not None and executed >= max_units:
+                if (max_units is not None and executed >= max_units) or stop:
                     break
-                if stop.requested:
-                    break
-                if spool.claim_age(key) is not None:
-                    continue
-                if not spool.try_claim(key, worker=tel.worker):
+                if (spool.claim_age(key) is not None
+                        or not spool.try_claim(key, worker=tel.worker)):
                     continue
                 spec = spool.load_spec(key)
                 if spec is None or unit_key(spec) != key:
@@ -931,88 +903,50 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
                                 "foreign key -- code/tier mismatch?)",
                                 key[:12])
                     continue
-                attempts = spool.attempt_count(key)
-                if attempts >= quarantine_after:
-                    run = quarantined_run(spec, attempts)
-                    tel.emit("unit.quarantined", unit=key, spec=spec,
-                             attempts=attempts)
-                    tel.count("unit.quarantined")
-                    published = True
-                    try:
-                        spool.publish(key, run)
-                    except OSError:
-                        published = False
-                    spool.release(key)
-                    progressed = published
-                    log.warning("worker: QUARANTINED poison unit %s "
-                                "(%d dead execution attempts)",
-                                key[:12], attempts)
-                    continue
-                spool.record_attempt(key)
-                tel.emit("unit.claimed", unit=key, spec=spec)
-                try:
-                    wait = (time.time()
-                            - os.stat(spool.unit_path(key)).st_mtime)
-                    tel.observe("unit.queue_wait_s", max(0.0, wait))
-                except OSError:
-                    pass
-                tel.heartbeat(state="running", unit=key, done=executed,
-                              force=True)
-                if plan is not None:
-                    plan.boundary("worker.claimed")
+
+                def execute():
+                    tel.heartbeat(state="running", unit=key, done=executed,
+                                  force=True)
+                    if plan is not None:
+                        plan.boundary("worker.claimed")
+                    return _run_spec(spec)
+
                 t0 = time.perf_counter()
-                try:
-                    payload = _telemetered(tel, key, spec,
-                                           lambda: _run_spec(spec))
-                except Exception as e:      # noqa: BLE001 - republished
-                    payload = _UnitFailure(e)
-                try:
-                    spool.publish(key, payload)
-                except OSError as e:
-                    # Disk full / I/O error: release so another
-                    # process (or this one, later) re-executes; the
-                    # attempts ledger keeps its entry -- a publish
-                    # failure is not a dead execution, but the re-run
-                    # will record its own attempt.
-                    spool.release(key)
-                    tel.count("publish.failed")
-                    log.warning("worker: publish failed for unit %s "
-                                "(%s); claim released for retry",
-                                key[:12], e)
-                    progressed = True
-                    continue
-                if not isinstance(payload, _UnitFailure):
-                    spool.clear_attempts(key)
-                spool.release(key)
-                executed += 1
-                progressed = True
-                tel.heartbeat(state="idle", done=executed)
-                status = ("FAILED" if isinstance(payload, _UnitFailure)
-                          else f"{payload.cycles:,.0f} cycles")
-                log.info("worker: %s -> %s [%.2fs] (%s)", spec, status,
-                         time.perf_counter() - t0, key[:12])
-            if not progressed and not stop.requested:
-                # Everything pending is leased elsewhere: reap stalled
-                # claims (heartbeat-aware), then wait for publishes or
-                # lease expiry.
-                reaped = spool.reap_stale(pending, lease_s,
-                                          heartbeats=heartbeats)
+                payload, published = spool.settle(key, spec, execute)
+                progressed = progressed or published
+                if not published:
+                    # Disk full / I/O error: whoever claims the unit
+                    # next re-executes it and records its own attempt.
+                    log.warning("worker: publish failed for unit %s; "
+                                "claim released for retry", key[:12])
+                elif getattr(payload, "error_kind", None) == "quarantined":
+                    log.warning("worker: QUARANTINED %s (%s)", key[:12],
+                                payload.error)
+                else:
+                    executed += 1
+                    tel.heartbeat(state="idle", done=executed)
+                    status = ("FAILED" if isinstance(payload, _UnitFailure)
+                              else f"{payload.cycles:,.0f} cycles")
+                    log.info("worker: %s -> %s [%.2fs] (%s)", spec, status,
+                             time.perf_counter() - t0, key[:12])
+            if not progressed and not stop:
+                # Nothing published this scan (all leased elsewhere,
+                # or the disk refuses writes): reap stalled claims, or
+                # wait for publishes and lease expiry.
+                reaped = spool.idle(pending, lease_s)
                 for key in reaped:
-                    tel.emit("lease.reaped", unit=key, lease_s=lease_s)
                     log.warning("worker: reaped stalled lease on unit "
                                 "%s (> %gs)", key[:12], lease_s)
                 if not reaped:
-                    spool.gc_tmp(older_than_s=lease_s)
                     tel.heartbeat(state="waiting", done=executed)
                     time.sleep(poll_s)
         attached_s = time.perf_counter() - t_attach
         if attached_s > 0:
             tel.gauge("worker.units_per_s", executed / attached_s)
-        reason = "sigterm" if stop.requested else "done"
         tel.emit("worker.stopped", executed=executed,
                  skipped=len(skipped), attached_s=round(attached_s, 6),
-                 reason=reason)
-        if stop.requested:
+                 reason="sigterm" if stop else "done")
+        if stop:
             log.info("worker: SIGTERM received -- drained in-flight "
                      "unit, %d unit(s) executed, exiting cleanly",
                      executed)
@@ -1022,7 +956,8 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
         else:
             log.info("worker: done, %d unit(s) executed", executed)
     finally:
-        stop.restore()
+        if old_term is not None:
+            signal.signal(signal.SIGTERM, old_term)
         tel.close()
         if handler is not None:
             log.removeHandler(handler)

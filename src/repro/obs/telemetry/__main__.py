@@ -9,7 +9,7 @@ every claimed/started unit must reach a terminal event, abandoned
 executions must be explained by lease reaps/retries), and exits 1 on
 any problem.  ``--trace OUT.json`` additionally exports the wall-clock
 Chrome trace, which ``python -m repro.obs.trace OUT.json`` can then
-verify -- the pairing CI's resume-smoke job runs.
+verify -- the pairing CI's harness-smoke job runs.
 """
 
 from __future__ import annotations

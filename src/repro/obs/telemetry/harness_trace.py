@@ -74,10 +74,9 @@ def harness_trace_events(records: Iterable[dict]) -> List[dict]:
     def stamp(tid: int, ts: float) -> float:
         """Microseconds since sweep start, clamped monotonic per track
         (merged multi-writer clocks can jitter by a few us)."""
-        us = (ts - t0) * 1e6
-        us = max(us, last_ts.get(tid, 0.0))
+        us = round(max((ts - t0) * 1e6, last_ts.get(tid, 0.0)), 3)
         last_ts[tid] = us
-        return round(us, 3)
+        return us
 
     def args_of(rec: dict) -> dict:
         return {k: v for k, v in rec.items()

@@ -335,7 +335,7 @@ def test_sigkill_between_tmp_write_and_rename(golden, tmp_path):
 # -- poison-unit quarantine --------------------------------------------------
 
 def test_spool_quarantines_poison_unit(golden, tmp_path):
-    """A unit whose attempts ledger shows ``quarantine_after`` dead
+    """A unit whose attempts ledger shows ``POISON_AFTER`` dead
     executions settles as a loud placeholder instead of crash-looping
     the fleet; the rest of the sweep is unaffected."""
     root = tmp_path / "spool"
@@ -348,8 +348,7 @@ def test_spool_quarantines_poison_unit(golden, tmp_path):
         spool.record_attempt(poison.key)
     tel = Telemetry(root=telemetry_area(root), role="driver")
     pipe = ExecutionPipeline(
-        transport=DirQueueTransport(root, lease_s=5.0, poll_s=0.02,
-                                    quarantine_after=3),
+        transport=DirQueueTransport(root, lease_s=5.0, poll_s=0.02),
         telemetry=tel)
     runs = {r.config: r for r in pipe.run(specs)}
     tel.close()
@@ -378,10 +377,10 @@ def test_pool_quarantines_poison_unit(golden, tmp_path, monkeypatch):
         return real(spec)
 
     monkeypatch.setattr(ht, "_run_spec", killer)
+    monkeypatch.setattr(ht, "BACKOFF_BASE", 0.01)
     specs = _specs()
     pipe = ExecutionPipeline(transport=PoolTransport(
-        jobs=2, start_method="fork", max_pool_attempts=5,
-        poison_threshold=3, backoff_base=0.01))
+        jobs=2, start_method="fork", max_pool_attempts=5))
     runs = {r.config: r for r in pipe.run(specs)}
     assert runs["single"].cycles == golden["single"]
     assert runs["G0"].error_kind == "quarantined"

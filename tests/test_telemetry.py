@@ -297,6 +297,10 @@ def test_harness_trace_closes_sigkilled_spans():
          "event": "unit.finished", "unit": "k" * 64, "wall_s": 0.9},
     ]
     assert validate_trace(harness_trace_events(records)) == []
+    # ...also when the open span's last stamp rounds *up*: the closing
+    # E is stamped as the B was, not 0.4 ns before it.
+    records[1]["ts"] = 10.5 + 6e-10
+    assert validate_trace(harness_trace_events(records)) == []
 
 
 def test_checker_cli_validates_and_exports(tmp_path, capsys):

@@ -2,16 +2,26 @@
 bit-for-bit, and the spool protocol (claim files, published results,
 worker key checks) must hold up under cooperating processes."""
 
+import ast
+import errno
+import inspect
 import os
 import pickle
+import signal
+import traceback
+from pathlib import Path
 
 import pytest
 
 from repro.config import PAPER_MACHINE
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
 from repro.harness.pipeline import ExecutionPipeline
-from repro.harness.transport import (DirQueueTransport, PoolTransport,
-                                     SerialTransport, _Spool, run_worker)
+from repro.harness.transport import (POISON_AFTER, DirQueueTransport,
+                                     PoolTransport, SerialTransport,
+                                     Transport, _Spool, _UnitFailure,
+                                     run_worker)
+from repro.obs.telemetry import (Telemetry, read_events, telemetry_area,
+                                 validate_events)
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -173,14 +183,18 @@ def test_spool_driver_asks_the_directory_not_every_pending_unit(
     assert spool.pending_keys() == []
 
 
-@pytest.mark.parametrize("umask", (0o022, 0o077), ids=("022", "077"))
+@pytest.mark.parametrize("umask", (0o002, 0o022, 0o077),
+                         ids=("002", "022", "077"))
 def test_entries_are_readable_by_whoever_may_read_the_directory(
         tmp_path, umask):
     """Specs, results, journal and memo entries get the mode the
     process umask allows -- the mode of a claim made beside them -- so
     a ``repro worker`` under another uid on a shared spool can read
     the specs of the units it may claim (``mkstemp`` made every entry
-    ``0600`` whatever the umask)."""
+    ``0600`` whatever the umask).  The attempts ledger too: a worker
+    that may claim a unit (umask ``002``, a group-shared spool) must be
+    able to append its own dead executions, or a poison unit is never
+    quarantined (the ledger was ``0644`` whatever the umask)."""
     from repro.harness.checkpoint import ResultStore
     old = os.umask(umask)
     try:
@@ -189,11 +203,232 @@ def test_entries_are_readable_by_whoever_may_read_the_directory(
         spool.enqueue("k", "spec")
         spool.publish("k", "run")
         assert spool.try_claim("k")
+        assert spool.record_attempt("k") == 1
         store = ResultStore(tmp_path / "store")
         assert store.put("k", "run")
     finally:
         os.umask(old)
-    modes = {path: os.stat(path).st_mode & 0o777
+    modes = {str(path): os.stat(path).st_mode & 0o777
              for path in (spool.unit_path("k"), spool.result_path("k"),
-                          store._path("k"), spool.claim_path("k"))}
+                          store._path("k"), spool.attempt_path("k"),
+                          spool.claim_path("k"))}
     assert set(modes.values()) == {0o666 & ~umask}, modes
+
+
+# -- one way to settle a leased unit ------------------------------------------
+
+def _tiny(n=48, **kw):
+    return RunSpec.make("ep", "single", size="test", cfg=CFG,
+                        params=dict(n=n), **kw)
+
+
+def _enospc(*_args, **_kw):
+    raise OSError(errno.ENOSPC, "no space left on device (injected)")
+
+
+#: Event types that tell one unit's story in the shared log.
+_LIFECYCLE = ("unit.claimed", "unit.started", "unit.finished",
+              "unit.failed", "unit.quarantined")
+
+#: How a leased unit can end -> what whoever settled it must leave
+#: behind: (type of the published result or None, its error_kind,
+#: ledger bytes, the unit's lifecycle events in order) and the
+#: error_kind of the run the sweep is handed (raises: it raises).
+_ENDINGS = {
+    "good": ("BenchRun", None, 0,
+             ["unit.claimed", "unit.started", "unit.finished"], None),
+    "raises": ("_UnitFailure", None, 1,
+               ["unit.claimed", "unit.started", "unit.failed"], None),
+    "poison": ("BenchRun", "quarantined", POISON_AFTER,
+               ["unit.quarantined"], "quarantined"),
+    "enospc": (None, None, 1,
+               ["unit.claimed", "unit.started", "unit.finished"], None),
+}
+
+
+@pytest.mark.parametrize("ending", sorted(_ENDINGS))
+@pytest.mark.parametrize("who", ("driver", "worker"))
+def test_driver_and_worker_settle_a_leased_unit_alike(
+        tmp_path, monkeypatch, who, ending):
+    """The four ways a leased unit ends, settled by the driver working
+    inline (no worker attached) and by ``run_worker`` (the driver only
+    harvesting): both must leave the same spool -- result and its
+    type, claim released, ledger cleared or kept -- and the same event
+    types for the unit in a log that validates.  What reaches the
+    sweep is the same too: the result, the quarantine placeholder, or
+    the spec's own exception type."""
+    from repro.runtime import SimDeadlockError
+    root = tmp_path / "sp"
+    spec = _tiny(timeout_cycles=300) if ending == "raises" else _tiny()
+    (unit,) = SweepPlan([spec]).distinct()
+    spool = _Spool(root)
+    spool.ensure()
+    spool.enqueue(unit.key, unit.spec)
+    if ending == "poison":
+        for _ in range(POISON_AFTER):
+            spool.record_attempt(unit.key)
+    if ending == "enospc":
+        monkeypatch.setattr(_Spool, "publish", _enospc)
+
+    def drive():
+        transport = DirQueueTransport(root, poll_s=0.01)
+        transport.telemetry = Telemetry(root=telemetry_area(root))
+        got = []
+        try:
+            transport.run([unit], lambda u, run: got.append(run))
+        finally:
+            transport.telemetry.close()
+        return got
+
+    if who == "worker":
+        if ending == "enospc":
+            # The unit stays unpublished, so the worker would try it
+            # again: the operator's SIGTERM ends it after this one.
+            monkeypatch.setattr(
+                _Spool, "publish",
+                lambda *a: signal.raise_signal(signal.SIGTERM) or _enospc())
+        with open(tmp_path / "w.log", "w") as out:
+            executed = run_worker(root, max_units=1, poll_s=0.01, out=out)
+        assert executed == (1 if ending in ("good", "raises") else 0)
+    result_type, error_kind, ledger, lifecycle, delivered = _ENDINGS[ending]
+    if ending == "raises":
+        with pytest.raises(SimDeadlockError):
+            drive()
+    elif who == "driver" or ending != "enospc":     # else: nothing to harvest
+        (run,) = drive()
+        assert run.error_kind == delivered
+        assert (run.cycles == run.cycles) == (delivered is None)
+    monkeypatch.undo()
+    result = spool.load_result(unit.key) if spool.has_result(unit.key) \
+        else None
+    assert (type(result).__name__ if result is not None else None) \
+        == result_type
+    assert getattr(result, "error_kind", None) == error_kind
+    assert spool.claim_age(unit.key) is None            # lease released
+    assert spool.attempt_count(unit.key) == ledger
+    records = read_events(telemetry_area(root))
+    assert [r["event"] for r in records
+            if r["event"] in _LIFECYCLE] == lifecycle
+    assert validate_events(records) == []
+
+
+def test_driver_publish_enospc_keeps_the_ledger_and_the_result(tmp_path):
+    """A driver whose first result publish hits injected ENOSPC still
+    delivers that result from memory and completes the sweep; the
+    unit's ledger entry stays (it ran but is not on the spool, so it
+    will run again), the published unit's ledger is cleared."""
+    from repro.harness import hazards
+    from repro.harness.hazards import HazardConfig
+    specs = [_tiny(), _tiny(n=49)]
+    lost, kept = SweepPlan(specs).distinct()
+    spool = _Spool(tmp_path / "sp")
+    spool.ensure()
+    for u in (lost, kept):
+        spool.enqueue(u.key, u.spec)        # before arming: not a hazard site
+    tel = Telemetry()
+    pipe = ExecutionPipeline(transport=DirQueueTransport(tmp_path / "sp"),
+                             telemetry=tel)
+    plan = hazards.arm(HazardConfig(0, classes=("disk",)))
+    plan.schedule = {"publish_enospc": {0: True}, "publish_eio": {}}
+    plan._seen = {k: 0 for k in plan.schedule}
+    try:
+        runs = pipe.run(specs)
+    finally:
+        hazards.disarm()
+    assert plan.summary() == {"publish_enospc": 1}
+    assert [r.error for r in runs] == [None, None]
+    assert runs[0].cycles == runs[0].cycles             # a real result
+    assert not spool.has_result(lost.key) and spool.has_result(kept.key)
+    assert spool.attempt_count(lost.key) == 1
+    assert spool.attempt_count(kept.key) == 0
+    assert tel.metrics.counters.get("publish.failed") == 1
+    assert any("publish failed" in e for e in pipe.events)
+    assert not list(spool.claims.iterdir())
+
+
+@pytest.mark.parametrize("who", ("driver", "worker"))
+def test_a_reap_is_counted_by_whoever_does_it(tmp_path, monkeypatch, who):
+    """A dead worker's lease is reaped by the driver or by another
+    worker, whoever idles first; either way the reaper's own metrics
+    count ``lease.reaped`` beside the event."""
+    import repro.harness.transport as ht
+    root = tmp_path / "sp"
+    (unit,) = SweepPlan([_tiny()]).distinct()
+    spool = _Spool(root)
+    spool.ensure()
+    spool.enqueue(unit.key, unit.spec)
+    assert spool.try_claim(unit.key)        # a "worker" that died here
+    sessions = []
+
+    class Spy(Telemetry):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            sessions.append(self)
+
+    if who == "driver":
+        transport = DirQueueTransport(root, lease_s=0.1, poll_s=0.01)
+        transport.telemetry = Spy(root=telemetry_area(root))
+        transport.run([unit], lambda u, run: None)
+        transport.telemetry.close()
+    else:
+        monkeypatch.setattr(ht, "Telemetry", Spy)
+        with open(tmp_path / "w.log", "w") as out:
+            assert run_worker(root, lease_s=0.1, poll_s=0.01, out=out) == 1
+    (session,) = sessions
+    assert session.metrics.counters.get("lease.reaped") == 1
+    records = read_events(telemetry_area(root))
+    assert [r["event"] for r in records
+            if r["event"] == "lease.reaped"] == ["lease.reaped"]
+    assert spool.has_result(unit.key)
+    assert validate_events(records) == []
+
+
+def test_failing_spec_traceback_points_into_execute_spec(tmp_path):
+    """The driver re-raises the exception it caught, not a pickled
+    copy: the traceback still ends inside ``execute_spec``."""
+    from repro.runtime import SimDeadlockError
+    pipe = ExecutionPipeline(transport=DirQueueTransport(tmp_path / "sp"))
+    with pytest.raises(SimDeadlockError) as caught:
+        pipe.run([_tiny(timeout_cycles=300)])
+    frames = [f.name for f in traceback.extract_tb(caught.value.__traceback__)]
+    assert "execute_spec" in frames
+    assert frames.index("settle") < frames.index("execute_spec")
+    failure = _Spool(tmp_path / "sp").load_result(
+        unit_key(_tiny(timeout_cycles=300)))
+    assert isinstance(failure, _UnitFailure)            # the copy is on disk
+    assert isinstance(failure.unwrap(), SimDeadlockError)
+
+
+# -- structure: written once, nothing to set ----------------------------------
+
+def test_the_settle_path_is_written_once():
+    """Guards that count: one call site each for the ledger writes,
+    the placeholder and ``unit.claimed`` under the spool half of
+    ``transport.py``; no ``run`` but ``Transport.run``; the removed
+    knobs on no signature; no dead ``quarantined`` list."""
+    import repro.harness.transport as ht
+    source = Path(ht.__file__).read_text()
+    tree = ast.parse(source)
+    calls = [n.func.attr if isinstance(n.func, ast.Attribute) else
+             getattr(n.func, "id", None)
+             for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    for name in ("record_attempt", "clear_attempts", "quarantined_run"):
+        assert calls.count(name) == 1, name
+    assert calls.count("settle") == 2                   # driver + worker
+    assert calls.count("idle") == 2
+    spool_half = source[source.index("class _UnitFailure"):]
+    assert spool_half.count('"unit.claimed"') == 1
+    assert spool_half.count('"unit.quarantined"') == 0  # the shared helper
+    assert source.count('emit("unit.quarantined"') == 1
+    assert source.count("self.degraded = False") == 2   # __init__ and run
+    runs = [cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef) and fn.name == "run"]
+    assert runs == ["Transport"]
+    for fn in (PoolTransport, DirQueueTransport, run_worker):
+        assert not {"poison_threshold", "quarantine_after",
+                    "backoff_base"} & set(inspect.signature(fn).parameters)
+    assert not hasattr(Transport(), "quarantined")
+    assert len(inspect.signature(PoolTransport).parameters) == 3
+    assert len(inspect.signature(DirQueueTransport).parameters) == 3
+    assert len(inspect.signature(run_worker).parameters) == 6
