@@ -3,8 +3,8 @@
    example, as a standalone SlipC file for the CLI:
 
        python -m repro run examples/jacobi.c --mode slipstream
-       python -m repro profile run examples/jacobi.c --mode slipstream \
-           --top 15 --collapsed jacobi.folded
+       python -m repro run examples/jacobi.c --mode slipstream \
+           --profile jacobi.folded
 */
 double a[8192];
 double b[8192];

@@ -8,7 +8,7 @@ Usage (also via ``python -m repro``)::
     python -m repro compile prog.c --disasm
     python -m repro check prog.c          # shared/private classification
     python -m repro bench cg mg --size test --cmps 4
-    python -m repro profile run prog.c --mode slipstream --top 10
+    python -m repro run prog.c --mode slipstream --profile prog.folded
     python -m repro chaos --seeds 2 -j 2 --report chaos.json
     python -m repro chaos --harness       # pipeline crash-consistency
     python -m repro status /tmp/sweep     # live fleet health of a spool
@@ -71,12 +71,9 @@ def _pipeline_args(p: argparse.ArgumentParser) -> None:
                    help="record the wall-clock telemetry event log, "
                         "metrics and heartbeats under DIR (a spool "
                         "sweep records under SPOOL/telemetry "
-                        "automatically)")
-    p.add_argument("--harness-trace", metavar="OUT.json", default=None,
-                   help="export the sweep's wall-clock timeline as "
-                        "Chrome trace JSON (one track per worker; "
-                        "view in Perfetto, check with "
-                        "'python -m repro.obs.trace')")
+                        "automatically; 'python -m repro.obs.telemetry "
+                        "DIR --trace OUT.json' exports its wall-clock "
+                        "timeline)")
 
 
 def _verbosity_args(p: argparse.ArgumentParser) -> None:
@@ -120,31 +117,11 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--trace", metavar="OUT.json",
                       help="write a Chrome trace-event timeline of the "
                            "run (open in Perfetto / chrome://tracing)")
+    runp.add_argument("--profile", metavar="OUT.folded",
+                      help="profile the run cycle-exactly per source "
+                           "line; write collapsed stacks (flamegraph.pl "
+                           "input) to OUT and print the hot-line table")
     _chaos_args(runp)
-
-    prof = sub.add_parser("profile",
-                          help="cycle-exact source-line profiling")
-    psub = prof.add_subparsers(dest="profile_cmd", required=True)
-    prun = psub.add_parser(
-        "run", help="compile, simulate, and print a per-line profile")
-    prun.add_argument("file")
-    prun.add_argument("--mode", default="single",
-                      choices=["single", "double", "slipstream"])
-    _machine_args(prun)
-    prun.add_argument("--slipstream", metavar="TYPE[,TOKENS]",
-                      help="OMP_SLIPSTREAM value (e.g. LOCAL_SYNC,1)")
-    prun.add_argument("--schedule", metavar="KIND[,CHUNK]",
-                      help="OMP_SCHEDULE value (for schedule(runtime))")
-    prun.add_argument("--num-threads", type=int, help="OMP_NUM_THREADS")
-    prun.add_argument("--inputs", type=float, nargs="*", default=None,
-                      help="values consumed by read_input()")
-    prun.add_argument("--top", type=int, default=20, metavar="N",
-                      help="rows in the hot-line table (default 20)")
-    prun.add_argument("--collapsed", metavar="OUT.txt",
-                      help="write Brendan-Gregg collapsed stacks "
-                           "(flamegraph.pl input)")
-    prun.add_argument("--csv", metavar="OUT.csv",
-                      help="write the full per-line profile as CSV")
 
     comp = sub.add_parser("compile", help="compile only; report the image")
     comp.add_argument("file")
@@ -210,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cha.add_argument("names", nargs="*", default=[],
                      help="benchmarks (default: cg lu mg)")
     cha.add_argument("--size", default="test", choices=["test", "bench"])
-    cha.add_argument("--seeds", type=int, default=2, metavar="N",
+    cha.add_argument("--seeds", type=int, default=None, metavar="N",
                      help="fault seeds per benchmark/scenario (default 2)")
     cha.add_argument("--chaos-seed", type=int, default=0, metavar="SEED",
                      help="base seed the matrix seeds derive from")
@@ -262,23 +239,20 @@ def _setup_logging(args, default: int = logging.WARNING) -> None:
 
 def _telemetry_from_args(args):
     """The telemetry session a sweep verb asked for: an explicit
-    --telemetry DIR, the spool's shared area (spool sweeps are always
-    recorded -- attached workers already write there), or an in-memory
-    session just big enough to feed --harness-trace."""
+    --telemetry DIR, or the spool's shared area (spool sweeps are always
+    recorded -- attached workers already write there)."""
     from .harness import Telemetry, telemetry_area
-    if getattr(args, "telemetry", None):
+    if args.telemetry:
         return Telemetry(root=args.telemetry)
     if args.spool:
         return Telemetry(root=telemetry_area(args.spool))
-    if getattr(args, "harness_trace", None):
-        return Telemetry()
     return None
 
 
 def _pipeline_from_args(args):
     """Build the execution pipeline a sweep verb asked for: transport
     from --spool/--jobs, checkpoint journal from --resume, memo store
-    from --memo, telemetry from --telemetry/--spool/--harness-trace."""
+    from --memo, telemetry from --telemetry/--spool."""
     from .harness import (CheckpointJournal, DirQueueTransport,
                           ExecutionPipeline, MemoStore, PoolTransport,
                           SerialTransport)
@@ -295,24 +269,35 @@ def _pipeline_from_args(args):
         telemetry=_telemetry_from_args(args))
 
 
-def _finish_telemetry(args, context, out) -> None:
-    """End-of-sweep telemetry wrap-up: final heartbeat + log close,
-    then the --harness-trace export (from the shared on-disk area when
-    one exists -- it includes attached workers' records -- else from
-    the driver's in-memory session)."""
-    tel = context.telemetry
-    if not tel.enabled:
-        return
-    tel.close()
-    path = getattr(args, "harness_trace", None)
-    if not path:
-        return
-    from .obs import harness_trace_events, read_events, write_trace
-    records = read_events(tel.dir) if tel.dir is not None else tel.records
-    events = harness_trace_events(records)
-    write_trace(path, events)
-    print(f"harness trace written to {path} ({len(events)} events)",
-          file=out)
+def _reject_unread(args, flags, path: str) -> bool:
+    """True -- after one line on stderr naming them -- when any of
+    ``flags`` was given although ``path`` never reads it (the caller
+    exits 2: a silently ignored flag is a wrong answer in waiting)."""
+    given = [f for f in flags
+             if getattr(args, f[2:].replace("-", "_")) not in (None, False)]
+    if given:
+        print(f"error: {path} does not read {', '.join(given)}",
+              file=sys.stderr)
+    return bool(given)
+
+
+def _write_profile(path: str, profiles, title: str, out) -> None:
+    """The one profile output of ``run`` and ``bench``: collapsed
+    stacks (flamegraph.pl input) of every profile in ``profiles``
+    ({label: profile}, the label as root frame) written to ``path``,
+    and the top-20 hot-line table over all of them on ``out``."""
+    from .harness import profile_table
+    from .obs import collapsed_stacks, write_collapsed
+    combined = {}
+    stacks = []
+    for label, profile in profiles.items():
+        stacks.extend(collapsed_stacks(profile, label=label))
+        for track, data in profile.items():
+            combined[f"{label}:{track}"] = data
+    write_collapsed(path, stacks)
+    print(profile_table(combined, title=title), file=out)
+    print(f"collapsed stacks written to {path} ({len(stacks)} lines, "
+          f"{len(profiles)} run(s))", file=out)
 
 
 def _env_from_args(args) -> RuntimeEnv:
@@ -333,9 +318,10 @@ def _cmd_run(args, out) -> int:
     source = open(args.file).read()
     image = compile_source(source)
     if args.mode == "functional":
-        if args.trace or args.chaos_seed is not None:
-            print("--trace/--chaos-seed require a simulated mode "
-                  "(single/double/slipstream)", file=sys.stderr)
+        if _reject_unread(args, ("--slipstream", "--schedule",
+                                 "--num-threads", "--stats", "--selfinv",
+                                 "--trace", "--profile", "--timeout-cycles",
+                                 "--chaos-seed"), "--mode functional"):
             return 2
         runner = FunctionalRunner(image, inputs=args.inputs).run()
         for row in runner.output:
@@ -351,7 +337,9 @@ def _cmd_run(args, out) -> int:
     result = run_program(image, cfg=cfg, mode=args.mode,
                          env=_env_from_args(args), inputs=args.inputs,
                          selfinv=args.selfinv,
-                         obs="trace" if args.trace else "aggregate", **kw)
+                         obs=("trace" if args.trace else
+                              "profile" if args.profile else "aggregate"),
+                         **kw)
     for row in result.output:
         print(*row, file=out)
     if args.trace:
@@ -361,6 +349,9 @@ def _cmd_run(args, out) -> int:
               f"({len(result.trace)} events)", file=out)
     print(f"[{args.mode}] {result.cycles:,.0f} cycles on {args.cmps} CMPs",
           file=out)
+    if args.profile:
+        _write_profile(args.profile, {args.mode: result.profile},
+                       f"hot lines ({args.file})", out)
     if result.faults is not None:
         print(f"  chaos: seed {args.chaos_seed}, "
               f"{len(result.faults['fired'])} injection(s), "
@@ -379,37 +370,6 @@ def _cmd_run(args, out) -> int:
             if args.selfinv:
                 print("  selfinv_drops: "
                       f"{result.mem_stats.get('selfinv_drops')}", file=out)
-    return 0
-
-
-def _cmd_profile_run(args, out) -> int:
-    source = open(args.file).read()
-    image = compile_source(source)
-    cfg = PAPER_MACHINE.with_(n_cmps=args.cmps)
-    result = run_program(image, cfg=cfg, mode=args.mode,
-                         env=_env_from_args(args), inputs=args.inputs,
-                         obs="profile")
-    for row in result.output:
-        print(*row, file=out)
-    print(f"[{args.mode}] {result.cycles:,.0f} cycles on {args.cmps} CMPs",
-          file=out)
-    from .harness import profile_table, profile_to_csv
-    from .obs import profile_total
-    print(profile_table(result.profile, top=args.top,
-                        title=f"hot lines ({args.file})"), file=out)
-    print(f"total profiled: {profile_total(result.profile):,.0f} "
-          f"simulated cycles across {len(result.profile)} tracks",
-          file=out)
-    if args.collapsed:
-        from .obs import collapsed_stacks, write_collapsed
-        stacks = collapsed_stacks(result.profile, label=args.mode)
-        write_collapsed(args.collapsed, stacks)
-        print(f"collapsed stacks written to {args.collapsed} "
-              f"({len(stacks)} lines)", file=out)
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(profile_to_csv(result.profile))
-        print(f"per-line CSV written to {args.csv}", file=out)
     return 0
 
 
@@ -460,10 +420,6 @@ def _cmd_bench(args, out) -> int:
         print(f"unknown benchmark(s): {bad}", file=sys.stderr)
         return 2
     cfg = PAPER_MACHINE.with_(n_cmps=args.cmps)
-    if args.trace and args.profile:
-        print("--trace and --profile are mutually exclusive",
-              file=sys.stderr)
-        return 2
     kw = {}
     if args.trace:
         kw["obs"] = "trace"
@@ -480,8 +436,7 @@ def _cmd_bench(args, out) -> int:
     print(render_speedups(
         suite, title=f"mini-NPB ({args.size} size, {args.cmps} CMPs)"),
         file=out)
-    from .harness import render_pipeline
-    print(render_pipeline(context), file=out)
+    print(context.summary(), file=out)
     if args.trace:
         from .obs import merge_traces, write_trace
         items = [(f"{bench}:{cfg_name}", run.result.trace)
@@ -493,27 +448,13 @@ def _cmd_bench(args, out) -> int:
         print(f"trace written to {args.trace} ({len(merged)} events, "
               f"{len(items)} runs)", file=out)
     if args.profile:
-        from .harness import profile_table
-        from .obs import collapsed_stacks, write_collapsed
-        combined = {}
-        stacks = []
-        n_runs = 0
-        for bench, runs in suite.items():
-            for cfg_name, run in runs.items():
-                p = run.result.profile
-                if not p:
-                    continue
-                n_runs += 1
-                stacks.extend(
-                    collapsed_stacks(p, label=f"{bench}:{cfg_name}"))
-                for track, data in p.items():
-                    combined[f"{bench}:{cfg_name}:{track}"] = data
-        write_collapsed(args.profile, stacks)
-        print(profile_table(combined, title="hot lines (all runs)"),
-              file=out)
-        print(f"collapsed stacks written to {args.profile} "
-              f"({len(stacks)} lines, {n_runs} runs)", file=out)
-    _finish_telemetry(args, context, out)
+        _write_profile(args.profile,
+                       {f"{bench}:{cfg_name}": run.result.profile
+                        for bench, runs in suite.items()
+                        for cfg_name, run in runs.items()
+                        if run.result.profile},
+                       "hot lines (all runs)", out)
+    context.telemetry.close()
     return _report_health(context)
 
 
@@ -569,6 +510,9 @@ def _cmd_chaos(args, out) -> int:
     _setup_logging(args)
     if args.harness:
         return _cmd_harness_chaos(args, out)
+    if _reject_unread(args, ("--workdir", "--transports"),
+                      "the fault matrix (no --harness)"):
+        return 2
     names = tuple(args.names) or CHAOS_BENCHMARKS
     bad = [n for n in names if n not in REGISTRY]
     if bad:
@@ -583,7 +527,8 @@ def _cmd_chaos(args, out) -> int:
                   f"{', '.join(FAULT_CLASSES)})", file=sys.stderr)
             return 2
     specs = chaos_specs(
-        benchmarks=names, seeds=args.seeds, base_seed=args.chaos_seed,
+        benchmarks=names, seeds=2 if args.seeds is None else args.seeds,
+        base_seed=args.chaos_seed,
         classes=classes, size=args.size,
         cfg=PAPER_MACHINE.with_(n_cmps=args.cmps),
         timeout_cycles=args.timeout_cycles or DEFAULT_TIMEOUT_CYCLES)
@@ -591,14 +536,13 @@ def _cmd_chaos(args, out) -> int:
     report = run_chaos(specs, context=context)
     print(render_chaos(report, title=f"chaos matrix ({args.size} size, "
                                      f"{args.cmps} CMPs)"), file=out)
-    from .harness import render_pipeline
-    print(render_pipeline(context), file=out)
+    print(context.summary(), file=out)
     if args.report:
         import json
         with open(args.report, "w") as fh:
             json.dump(report.to_json(), fh, indent=2)
         print(f"report written to {args.report}", file=out)
-    _finish_telemetry(args, context, out)
+    context.telemetry.close()
     if not report.ok:
         failed = [o for o in report.outcomes if not o.ok]
         print(f"error: {len(failed)} of {len(report.outcomes)} scenarios "
@@ -621,6 +565,10 @@ def _cmd_harness_chaos(args, out) -> int:
                                 run_harness_chaos)
     from .harness.hazards import HAZARD_CLASSES
     from .npb import REGISTRY
+    if _reject_unread(args, ("--seeds", "--timeout-cycles", "--resume",
+                             "--memo", "--spool", "--telemetry"),
+                      "chaos --harness"):
+        return 2
     names = tuple(args.names) or ("cg",)
     bad = [n for n in names if n not in REGISTRY]
     if bad:
@@ -676,11 +624,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if getattr(args, "trace", None) and getattr(args, "profile", None):
+        print("--trace and --profile are mutually exclusive",
+              file=sys.stderr)
+        return 2
     try:
         if args.cmd == "run":
             return _cmd_run(args, out)
-        if args.cmd == "profile":
-            return _cmd_profile_run(args, out)
         if args.cmd == "compile":
             return _cmd_compile(args, out)
         if args.cmd == "check":

@@ -4,10 +4,9 @@ checkpoint -> merge), paper-figure runners and renderers."""
 from .figures import (BREAKDOWN_CATEGORIES, benchmark_inventory,
                       breakdown_table, classification_table,
                       render_breakdowns, render_classification,
-                      render_pipeline, render_speedups, render_table,
-                      speedup_table, summary_gains)
-from .report import (classification_to_csv, profile_table, profile_to_csv,
-                     suite_to_csv, suite_to_markdown)
+                      render_speedups, render_table, speedup_table,
+                      summary_gains)
+from .report import profile_table
 from .runner import (DYNAMIC_BENCHMARKS, SLIP_CONFIGS, STATIC_BENCHMARKS,
                      BenchRun, dynamic_chunk, run_benchmark,
                      run_dynamic_suite, run_static_suite)
@@ -32,12 +31,10 @@ from .chaos import (CHAOS_BENCHMARKS, ChaosOutcome, ChaosReport,
 __all__ = [
     "BREAKDOWN_CATEGORIES", "benchmark_inventory", "breakdown_table",
     "classification_table", "render_breakdowns", "render_classification",
-    "render_pipeline", "render_speedups", "render_table", "speedup_table",
-    "summary_gains",
+    "render_speedups", "render_table", "speedup_table", "summary_gains",
     "DYNAMIC_BENCHMARKS", "SLIP_CONFIGS", "STATIC_BENCHMARKS", "BenchRun",
     "dynamic_chunk", "run_benchmark", "run_dynamic_suite",
-    "run_static_suite", "classification_to_csv", "profile_table",
-    "profile_to_csv", "suite_to_csv", "suite_to_markdown",
+    "run_static_suite", "profile_table",
     "RunSpec", "SweepPlan", "WorkUnit", "code_fingerprint",
     "dynamic_specs", "execute_spec", "failure_run", "quarantined_run",
     "static_specs", "unit_key",

@@ -27,7 +27,7 @@ __all__ = [
     "BREAKDOWN_CATEGORIES", "speedup_table", "breakdown_table",
     "classification_table", "summary_gains", "render_table",
     "render_speedups", "render_breakdowns", "render_classification",
-    "render_pipeline", "benchmark_inventory",
+    "benchmark_inventory",
 ]
 
 #: Paper Figure 2/4 time categories, in display order.  "jobwait" is the
@@ -151,13 +151,6 @@ def render_speedups(suite, base: str = "single", title: str = "") -> str:
                 + ["" for _ in configs[:-1]]
                 + [f"avg {sum(gains.values()) / len(gains):.3f}"])
     return render_table(["bench"] + configs, rows, title)
-
-
-def render_pipeline(pipeline) -> str:
-    """Sweep-summary line for an execution pipeline: unit counts,
-    transport, checkpoint resumes and memo hit/miss effectiveness --
-    the harness-side analogue of a run's ``rt_stats``."""
-    return pipeline.summary()
 
 
 def render_breakdowns(suite, base: str = "single", title: str = "") -> str:

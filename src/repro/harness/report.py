@@ -1,62 +1,19 @@
-"""Result export: CSV and Markdown renderings of suite results.
+"""Per-source-line profile rendering: the hot-line table.
 
 The ASCII tables in ``figures.py`` match the paper's presentation; this
-module adds machine-readable CSV and Markdown for downstream analysis
-and documentation.
+module renders the one view of a line profile that is read on the
+console (``repro run --profile`` / ``repro bench --profile``), next to
+the collapsed stacks those verbs write for flame graphs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import Dict, Sequence
+from typing import Dict
 
 from ..obs import MEM_LEVELS, line_totals, profile_total
-from .figures import (BREAKDOWN_CATEGORIES, breakdown_table,
-                      classification_table, render_table, speedup_table,
-                      summary_gains)
-from .runner import BenchRun
+from .figures import render_table
 
-__all__ = ["suite_to_csv", "suite_to_markdown", "classification_to_csv",
-           "profile_table", "profile_to_csv"]
-
-
-def suite_to_csv(suite: Dict[str, Dict[str, BenchRun]]) -> str:
-    """One row per (benchmark, configuration) with cycles, speedup, and
-    the full time breakdown."""
-    out = io.StringIO()
-    cats = list(BREAKDOWN_CATEGORIES) + ["other"]
-    w = csv.writer(out)
-    w.writerow(["benchmark", "config", "cycles", "speedup_vs_single"]
-               + [f"t_{c}" for c in cats])
-    speeds = speedup_table(suite)
-    brk = breakdown_table(suite)
-    for bench, runs in suite.items():
-        for cfg, run in runs.items():
-            row = brk[bench][cfg]
-            w.writerow([bench, cfg, f"{run.cycles:.0f}",
-                        f"{speeds[bench][cfg]:.4f}"]
-                       + [f"{row[c]:.4f}" for c in cats])
-    return out.getvalue()
-
-
-def classification_to_csv(suite: Dict[str, Dict[str, BenchRun]],
-                          configs: Sequence[str] = ("G0", "L1")) -> str:
-    """CSV rows of the Figure-3/5 classification per benchmark/config."""
-    out = io.StringIO()
-    w = csv.writer(out)
-    labels = ["A-Timely", "A-Late", "A-Only",
-              "R-Timely", "R-Late", "R-Only"]
-    w.writerow(["benchmark", "config", "kind"] + labels + ["rdex_coverage"])
-    tbl = classification_table(suite, configs)
-    for bench, cfgs in tbl.items():
-        for cfg, kinds in cfgs.items():
-            cov = suite[bench][cfg].result.classes.coverage("rdex")
-            for kind, row in kinds.items():
-                w.writerow([bench, cfg, kind]
-                           + [f"{row[l]:.4f}" for l in labels]
-                           + [f"{cov:.4f}"])
-    return out.getvalue()
+__all__ = ["profile_table"]
 
 
 def profile_table(profile: Dict[str, Dict], top: int = 20,
@@ -86,42 +43,3 @@ def profile_table(profile: Dict[str, Dict], top: int = 20,
             row += [f"{r['streams']['R']:.0f}", f"{r['streams']['A']:.0f}"]
         table.append(row)
     return render_table(headers, table, title)
-
-
-def profile_to_csv(profile: Dict[str, Dict]) -> str:
-    """Full per-line profile as CSV (every line, every bucket)."""
-    out = io.StringIO()
-    w = csv.writer(out)
-    w.writerow(["function", "line", "total", "busy"]
-               + list(MEM_LEVELS) + ["r_cycles", "a_cycles"])
-    rows = line_totals(profile)
-    for (func, line), r in sorted(rows.items(),
-                                  key=lambda kv: (-kv[1]["total"], kv[0])):
-        w.writerow([func, line, f"{r['total']:.1f}", f"{r['busy']:.1f}"]
-                   + [f"{r['levels'].get(lv, 0.0):.1f}"
-                      for lv in MEM_LEVELS]
-                   + [f"{r['streams']['R']:.1f}",
-                      f"{r['streams']['A']:.1f}"])
-    return out.getvalue()
-
-
-def suite_to_markdown(suite: Dict[str, Dict[str, BenchRun]],
-                      title: str = "") -> str:
-    """A Markdown speedup table with the headline gains column."""
-    speeds = speedup_table(suite)
-    gains = summary_gains(suite)
-    configs = list(next(iter(speeds.values())))
-    lines = []
-    if title:
-        lines += [f"### {title}", ""]
-    lines.append("| bench | " + " | ".join(configs)
-                 + " | best-slip gain |")
-    lines.append("|" + "---|" * (len(configs) + 2))
-    for bench in sorted(speeds):
-        cells = " | ".join(f"{speeds[bench][c]:.3f}" for c in configs)
-        lines.append(f"| {bench.upper()} | {cells} "
-                     f"| {gains[bench]:.3f} |")
-    avg = sum(gains.values()) / len(gains)
-    lines.append(f"| **average** | " + " | ".join("" for _ in configs)
-                 + f" | **{avg:.3f}** |")
-    return "\n".join(lines)

@@ -26,9 +26,10 @@ Where the facts go is decided once per run by the :class:`Sink`:
 * :class:`TraceSink` aggregates *and* records a Chrome trace-event
   timeline (one track per simulated processor) viewable in Perfetto or
   ``chrome://tracing``;
-* :class:`ProfileSink` (usually behind a :class:`TeeSink` with the
-  aggregate, the ``"profile"`` spec) attributes every simulated cycle
-  to a (function, source line, category, memory level) bucket.
+* :class:`ProfileSink` (the ``"profile"`` spec) aggregates *and*
+  attributes every simulated cycle to a (function, source line,
+  category, memory level) bucket: each track's breakdown is a
+  :class:`TrackProfile`, so one settle clock feeds both.
 
 Invariant: probes only ever *record*; no sink interacts with the event
 engine, so simulated cycle counts are bit-identical whichever sink is
@@ -47,7 +48,7 @@ from .probe import NULL_PROBE, Probe
 from .profile import (MEM_LEVELS, ProfileSink, TrackProfile,
                       collapsed_stacks, line_totals, profile_total,
                       write_collapsed)
-from .sink import AggregateSink, NullSink, Sink, TeeSink, make_sink
+from .sink import AggregateSink, NullSink, Sink, make_sink
 from .telemetry import (NULL_TELEMETRY, MetricsRegistry, NullTelemetry,
                         Telemetry, collect_status, harness_trace_events,
                         read_events, render_status, validate_events)
@@ -58,7 +59,7 @@ __all__ = [
     "CATEGORIES", "ClassStats", "Counter", "FETCHERS", "KINDS",
     "OUTCOMES", "TimeBreakdown", "line_outcome",
     "NULL_PROBE", "Probe",
-    "AggregateSink", "NullSink", "Sink", "TeeSink", "make_sink",
+    "AggregateSink", "NullSink", "Sink", "make_sink",
     "TraceSink", "merge_traces", "trace_json", "validate_trace",
     "write_trace",
     "MEM_LEVELS", "ProfileSink", "TrackProfile", "collapsed_stacks",

@@ -6,11 +6,13 @@ surface -- counters, exclusive time-category spans, instant events,
 classification records.  Which of those are actually retained is
 decided by the :class:`~repro.obs.sink.Sink` that minted the probe: it
 fills (or leaves ``None``) the probe's collector slots, so a disabled
-facility costs one attribute test per call and no allocation.
+facility costs one attribute test per call and no allocation.  Spans
+have one collector, the track's time breakdown (``bd``); a line
+profile is that breakdown's subclass, never a second clock beside it.
 
 Probes must never touch the simulation engine: every method is pure
 recording, which is what keeps simulated cycle counts bit-identical
-whether observability is off, aggregating, or tracing.
+whether observability is off, aggregating, tracing or profiling.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ class Probe:
     """Per-track recording front end (see module docstring).
 
     ``bd`` / ``counters`` / ``classes`` are the aggregate collectors
-    (``None`` when the sink drops that facility); ``emitter`` is the
-    timeline sink hook (``None`` unless a trace is being recorded);
-    ``prof`` is the per-line profile recorder (``None`` unless a
-    :class:`~repro.obs.profile.ProfileSink` is live).  ``spans`` is
-    the live stack of open spans, innermost last (the collector's own
-    list, to read only; empty for good when span collection is off):
-    a producer that asks "is a span open?" once per memory access
-    tests it directly.
+    (``None`` when the sink drops that facility); ``bd`` is the one
+    span collector.  ``emitter`` is the timeline sink hook (``None``
+    unless a trace is being recorded).  ``prof`` is ``bd`` itself when
+    that is a :class:`~repro.obs.profile.TrackProfile` (the
+    ``"profile"`` sink spec), else ``None``: the handle VMs are bound
+    through and the memory fast paths test.  ``spans`` is the live
+    stack of open spans, innermost last (``bd``'s own list, to read
+    only; empty for good when span collection is off): a producer that
+    asks "is a span open?" once per memory access tests it directly.
     """
 
     __slots__ = ("track", "bd", "counters", "classes", "emitter", "prof",
@@ -50,8 +53,7 @@ class Probe:
         self.classes = classes
         self.emitter = emitter
         self.prof = prof
-        self.spans = (bd._stack if bd is not None
-                      else prof._stack if prof is not None else ())
+        self.spans = bd._stack if bd is not None else ()
 
     # -- counters ------------------------------------------------------------
 
@@ -66,46 +68,35 @@ class Probe:
         """Enter a time category (exclusive-span semantics)."""
         if self.bd is not None:
             self.bd.push(category, now)
-        if self.prof is not None:
-            self.prof.push(category, now)
         if self.emitter is not None:
             self.emitter.emit_begin(self.track, category, now)
 
     def pop(self, now: float) -> Optional[str]:
         """Leave the current category; returns its name (None when
-        span collection is off).  Popping with no open span while any
-        collector is live is always a producer bug -- it would silently
+        span collection is off).  Popping with no open span while span
+        collection is on is always a producer bug -- it would silently
         desynchronize span accounting -- so it raises."""
-        if self.bd is None and self.prof is None:
+        if self.bd is None:
             return None
         if not self.spans:
             raise ValueError(
                 f"pop with no open span on track {self.track!r}")
-        name = None
-        if self.bd is not None:
-            name = self.bd.pop(now)
-        if self.prof is not None:
-            pname = self.prof.pop(now)
-            if name is None:
-                name = pname
-        if self.emitter is not None and name is not None:
+        name = self.bd.pop(now)
+        if self.emitter is not None:
             self.emitter.emit_end(self.track, name, now)
         return name
 
     def switch(self, category: str, now: float) -> None:
         """Replace the top category (settling time first).  Like
-        :meth:`pop`, switching with no open span while a collector is
-        live raises -- there is nothing to replace."""
-        if self.bd is None and self.prof is None:
+        :meth:`pop`, switching with no open span while span collection
+        is on raises -- there is nothing to replace."""
+        if self.bd is None:
             return
         if not self.spans:
             raise ValueError(
                 f"switch with no open span on track {self.track!r}")
-        replaced = self.current
-        if self.bd is not None:
-            self.bd.switch(category, now)
-        if self.prof is not None:
-            self.prof.switch(category, now)
+        replaced = self.bd.current
+        self.bd.switch(category, now)
         if self.emitter is not None:
             self.emitter.emit_end(self.track, replaced, now)
             self.emitter.emit_begin(self.track, category, now)
@@ -117,8 +108,6 @@ class Probe:
             self.bd.close(now)
             if self.emitter is not None:
                 self.emitter.emit_close(self.track, open_cats, now)
-        if self.prof is not None:
-            self.prof.close(now)
 
     def transfer(self, src: str, dst: str, amount: float) -> None:
         """Post-hoc reattribution of span time (aggregate totals only;
@@ -142,21 +131,13 @@ class Probe:
     @property
     def current(self) -> str:
         """Innermost active category ('busy' when off or at depth 0)."""
-        if self.bd is not None:
-            return self.bd.current
-        if self.prof is not None:
-            return self.prof.current
-        return "busy"
+        return self.bd.current if self.bd is not None else "busy"
 
     @property
     def closed(self) -> bool:
         """Span accounting finalized?  (True when collection is off,
         so collectors can skip their close-if-open step.)"""
-        if self.bd is not None:
-            return self.bd.closed
-        if self.prof is not None:
-            return self.prof.closed
-        return True
+        return self.bd.closed if self.bd is not None else True
 
     def get(self, category: str) -> float:
         """Aggregated time in one category (0.0 when off)."""

@@ -11,10 +11,11 @@ track.  Three information streams meet here:
 * the shell's synchronous memory fast paths report their per-access
   busy charge and L2-stall portion through :meth:`TrackProfile.fast`,
   keyed to the access site;
-* the probe's span push/pop/switch/close calls drive a settle clock
-  identical to :class:`~repro.obs.aggregate.TimeBreakdown`'s, so every
-  elapsed simulated interval lands in exactly one (line, category,
-  level) bucket and the per-line totals sum to the track's breakdown.
+* the probe's span push/pop/switch/close calls drive the track's one
+  settle clock -- :class:`TrackProfile` *is* the track's
+  :class:`~repro.obs.aggregate.TimeBreakdown` -- so every elapsed
+  simulated interval lands in exactly one (line, category, level)
+  bucket and the per-line totals sum to the track's breakdown.
 
 At a depth-0 settle (the interval was "busy" time) the pending VM
 tally and fast-path charges are drained first -- each capped by the
@@ -36,8 +37,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from .aggregate import TimeBreakdown
 from .probe import Probe
-from .sink import Sink
+from .sink import AggregateSink
 
 __all__ = ["TrackProfile", "ProfileSink", "LineKey", "line_totals",
            "collapsed_stacks", "write_collapsed", "profile_total",
@@ -53,29 +55,33 @@ LineKey = Tuple[str, int, str, str]
 _NOPOS = ("", 0)
 
 
-class TrackProfile:
-    """Live per-track recorder behind a profiling probe.
+class TrackProfile(TimeBreakdown):
+    """A track's :class:`~repro.obs.aggregate.TimeBreakdown` that also
+    attributes every interval it settles to a source line.
 
-    ``data`` maps (func, line, category, level) -> simulated cycles;
-    ``pending`` is the (func, line) -> busy-cycles dict the VM tallies
-    into (shared by identity with ``vm.profile``); ``pending_fast``
-    holds fast-path L2 stalls awaiting the next depth-0 settle.
+    The base keeps the one settle clock -- category stack, closed and
+    time-went-backwards checks, category totals.  What is the
+    profile's own: ``_at``, the (function, line) each open span was
+    entered at (parallel to the category stack); ``data``, (func,
+    line, category, level) -> simulated cycles; ``pending``, the
+    (func, line) -> busy-cycles dict the VM tallies into (shared by
+    identity with ``vm.profile``); ``pending_fast``, fast-path L2
+    stalls awaiting the next depth-0 settle.
     """
 
-    __slots__ = ("track", "vm", "data", "pending", "pending_fast",
-                 "_stack", "_last", "_mem_level", "_lastpos", "closed")
+    __slots__ = ("track", "vm", "data", "pending", "pending_fast", "_at",
+                 "_mem_level", "_lastpos")
 
     def __init__(self, track: str, start: float = 0.0):
+        super().__init__(start)
         self.track = track
         self.vm = None
         self.data: Dict[LineKey, float] = {}
         self.pending: Dict[Tuple[str, int], float] = {}
         self.pending_fast: Dict[Tuple[Tuple[str, int], str], float] = {}
-        self._stack: List[Tuple[str, Tuple[str, int]]] = []
-        self._last = start
+        self._at: List[Tuple[str, int]] = []
         self._mem_level: Optional[str] = None
         self._lastpos: Tuple[str, int] = _NOPOS
-        self.closed = False
 
     # -- wiring ----------------------------------------------------------
 
@@ -106,35 +112,32 @@ class TrackProfile:
                 self._lastpos = (code.name, line)
         return self._lastpos
 
-    # -- recording hooks (driven by Probe) -------------------------------
+    # -- the span clock, plus entry positions ------------------------------
 
     def push(self, category: str, now: float) -> None:
-        self._settle(now)
-        self._stack.append((category, self._pos()))
+        super().push(category, now)
+        self._at.append(self._pos())
 
     def pop(self, now: float) -> str:
-        self._settle(now)
-        cat, _ = self._stack.pop()
+        cat = super().pop(now)
+        self._at.pop()
         if cat == "memory":
             self._mem_level = None
         return cat
 
     def switch(self, category: str, now: float) -> None:
-        self._settle(now)
-        if self._stack:
-            old, _ = self._stack[-1]
-            if old == "memory":
-                self._mem_level = None
-            self._stack[-1] = (category, self._pos())
+        replaced = self.current
+        super().switch(category, now)
+        if replaced == "memory":
+            self._mem_level = None
+        if self._at:
+            self._at[-1] = self._pos()
         else:
-            self._stack.append((category, self._pos()))
+            self._at.append(self._pos())
 
     def close(self, now: float) -> None:
-        if self.closed:
-            return
-        self._settle(now)
-        self._stack.clear()     # in place: ``Probe.spans`` is this list
-        self.closed = True
+        super().close(now)
+        self._at.clear()
 
     def mem_level(self, level: str) -> None:
         """Tag the open "memory" span with its resolution level."""
@@ -153,7 +156,7 @@ class TrackProfile:
             pf = self.pending_fast
             pf[key] = pf.get(key, 0.0) + stall
 
-    # -- the settle clock -------------------------------------------------
+    # -- per-line attribution of each settled interval ---------------------
 
     def _add(self, pos: Tuple[str, int], cat: str, level: str,
              dt: float) -> None:
@@ -162,17 +165,13 @@ class TrackProfile:
 
     def _settle(self, now: float) -> None:
         dt = now - self._last
-        if dt < 0:
-            raise ValueError(
-                f"profile time went backwards on track {self.track!r} "
-                f"({self._last} -> {now})")
-        self._last = now
+        super()._settle(now)
         if self._stack:
             if dt:
-                cat, pos = self._stack[-1]
+                cat = self._stack[-1]
                 level = (self._mem_level or "merged") \
                     if cat == "memory" else ""
-                self._add(pos, cat, level, dt)
+                self._add(self._at[-1], cat, level, dt)
             return
         # Depth 0: the interval is busy time.  Drain the fast-path
         # stalls and the VM tally -- each capped by what actually
@@ -211,40 +210,26 @@ class TrackProfile:
         if avail:
             self._add(self._pos(), "busy", "", avail)
 
-    # -- queries ----------------------------------------------------------
 
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
+class ProfileSink(AggregateSink):
+    """The ``"profile"`` sink spec: an :class:`AggregateSink` whose
+    per-track breakdowns are :class:`TrackProfile` s.
 
-    @property
-    def current(self) -> str:
-        return self._stack[-1][0] if self._stack else "busy"
-
-
-class ProfileSink(Sink):
-    """Per-track cycle-exact line profiles and nothing else.
-
-    Usually composed with an :class:`~repro.obs.sink.AggregateSink`
-    through a :class:`~repro.obs.sink.TeeSink` (the ``"profile"`` sink
-    spec), so the historical aggregate outputs stay available while
-    the profile is recorded alongside.
+    A profiled run loses no aggregate output, and each line profile is
+    settled by the very clock that totals the track's breakdown.
     """
 
-    def __init__(self):
-        super().__init__()
-        self.profiles: Dict[str, TrackProfile] = {}
-
     def _make_probe(self, track: str, start: float) -> Probe:
-        tp = self.profiles[track] = TrackProfile(track, start)
-        return Probe(track, prof=tp)
+        tp = self.breakdowns[track] = TrackProfile(track, start)
+        return Probe(track, bd=tp, counters=self.counter(track),
+                     classes=self.classes, prof=tp)
 
     def profile_data(self) -> Dict[str, Dict[LineKey, float]]:
         """Plain-data snapshot (picklable, deterministically ordered):
         track -> {(func, line, category, level): cycles}, empty tracks
         omitted."""
         return {track: dict(tp.data)
-                for track, tp in self.profiles.items() if tp.data}
+                for track, tp in self.breakdowns.items() if tp.data}
 
 
 # ----------------------------------------------------------- shaping

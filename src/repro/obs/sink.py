@@ -11,7 +11,13 @@ which facilities are live by what it places in the probe's slots:
 * :class:`NullSink` -- observability off; every probe is the shared
   do-nothing :data:`~repro.obs.probe.NULL_PROBE`.
 * :class:`~repro.obs.trace.TraceSink` -- an :class:`AggregateSink`
-  that additionally records a Chrome trace-event timeline.
+  that additionally records a Chrome trace-event timeline;
+* :class:`~repro.obs.profile.ProfileSink` -- an :class:`AggregateSink`
+  whose per-track breakdowns also attribute every cycle to a source
+  line.
+
+A richer view is one more :class:`AggregateSink` subclass: sinks do
+not compose.
 
 Sinks are cheap, single-process objects; results that must cross a
 process boundary (``PoolTransport``) travel as plain data inside
@@ -25,7 +31,7 @@ from typing import Dict, List, Optional, Union
 from .aggregate import ClassStats, Counter, TimeBreakdown
 from .probe import NULL_PROBE, Probe
 
-__all__ = ["Sink", "NullSink", "AggregateSink", "TeeSink", "make_sink"]
+__all__ = ["Sink", "NullSink", "AggregateSink", "make_sink"]
 
 
 class Sink:
@@ -108,69 +114,20 @@ class AggregateSink(Sink):
         return None
 
 
-class TeeSink(Sink):
-    """Compose several sinks behind one probe per track.
-
-    Each child mints its own probe for a track; the tee then hands out
-    a single :class:`Probe` carrying the union of the children's
-    collector slots (first child providing a facility wins), so
-    producers record once and every child sees it.  The run-wide query
-    surface (``classes`` / ``counters`` / ``breakdowns``) aliases the
-    first child's collectors, which keeps consumers written against
-    :class:`AggregateSink` working unchanged when it is the primary.
-    """
-
-    _SLOTS = ("bd", "counters", "classes", "emitter", "prof")
-
-    def __init__(self, *children: Sink):
-        if not children:
-            raise ValueError("TeeSink needs at least one child sink")
-        super().__init__()
-        self.children = children
-        primary = children[0]
-        self.classes = primary.classes
-        self.counters = primary.counters
-        self.breakdowns = primary.breakdowns
-
-    def _make_probe(self, track: str, start: float) -> Probe:
-        probes = [c.probe(track, start) for c in self.children]
-        slots = {}
-        for name in self._SLOTS:
-            slots[name] = next(
-                (getattr(p, name) for p in probes
-                 if getattr(p, name) is not None), None)
-        return Probe(track, **slots)
-
-    def trace_events(self) -> Optional[List[dict]]:
-        for c in self.children:
-            events = c.trace_events()
-            if events is not None:
-                return events
-        return None
-
-    def profile_data(self) -> Optional[Dict[str, dict]]:
-        for c in self.children:
-            data = c.profile_data()
-            if data is not None:
-                return data
-        return None
-
-
 def make_sink(spec: Union[None, str, Sink] = None) -> Sink:
-    """Resolve a sink selection: None / "aggregate" (default),
-    "null"/"off", "trace", "profile", or an already-built
-    :class:`Sink`."""
+    """Resolve a sink selection: None / "aggregate" (default), "null",
+    "trace", "profile", or an already-built :class:`Sink`."""
     if isinstance(spec, Sink):
         return spec
     if spec is None or spec == "aggregate":
         return AggregateSink()
-    if spec in ("null", "off", "none"):
+    if spec == "null":
         return NullSink()
     if spec == "trace":
         from .trace import TraceSink  # deferred: trace builds on this module
         return TraceSink()
     if spec == "profile":
         from .profile import ProfileSink  # deferred, like trace
-        return TeeSink(AggregateSink(), ProfileSink())
+        return ProfileSink()
     raise ValueError(f"unknown sink spec {spec!r} (expected 'aggregate', "
                      "'null', 'trace', 'profile', or a Sink)")

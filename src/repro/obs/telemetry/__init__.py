@@ -12,8 +12,9 @@ whether the fleet is healthy.  Four surfaces, one session object
   folded into ``ExecutionPipeline.rt_stats`` (:mod:`.metrics`);
 * **heartbeats + fleet status** -- ``repro status DIR``
   (:mod:`.status`);
-* **wall-clock Chrome trace** -- ``repro bench --harness-trace``
-  (:mod:`.harness_trace`).
+* **wall-clock Chrome trace** -- one track per worker, exported from
+  an event log (live or finished) by the checker below with
+  ``--trace OUT.json`` (:mod:`.harness_trace`).
 
 Disabled is the default and costs one no-op call per record site
 (:data:`NULL_TELEMETRY`); enabling never perturbs the simulation, so

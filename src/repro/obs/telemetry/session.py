@@ -101,8 +101,8 @@ class Telemetry(NullTelemetry):
 
     ``root`` is the shared telemetry area (``<spool>/telemetry`` for
     spool sweeps, any directory otherwise); ``None`` keeps events
-    in memory only -- enough for metrics, ``rt_stats`` folding and the
-    ``--harness-trace`` exporter, with nothing written to disk.
+    in memory only -- enough for metrics and ``rt_stats`` folding, with
+    nothing written to disk.
     """
 
     enabled = True

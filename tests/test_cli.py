@@ -316,3 +316,55 @@ void main() { x = read_input(); print("x", x * 2.0); }
                        "--inputs", "21"])
     assert rc == 0
     assert "x 42.0" in out
+
+
+class _CleanMatrix:
+    """What a chaos matrix that found nothing returns."""
+    ok = True
+    total_quarantined = 0
+    outcomes = []
+
+
+#: (verb prefix, the flag its path never reads, that flag's arguments)
+_UNREAD = [
+    (["run", "{demo}", "--mode", "functional"], "--slipstream", ["G0"]),
+    (["run", "{demo}", "--mode", "functional"], "--schedule", ["dynamic"]),
+    (["run", "{demo}", "--mode", "functional"], "--num-threads", ["2"]),
+    (["run", "{demo}", "--mode", "functional"], "--stats", []),
+    (["run", "{demo}", "--mode", "functional"], "--selfinv", []),
+    (["run", "{demo}", "--mode", "functional"], "--timeout-cycles", ["9"]),
+    (["run", "{demo}", "--mode", "functional"], "--profile", ["{tmp}/p"]),
+    (["chaos", "--harness"], "--seeds", ["3"]),
+    (["chaos", "--harness"], "--timeout-cycles", ["9"]),
+    (["chaos", "--harness"], "--resume", ["{tmp}/j"]),
+    (["chaos", "--harness"], "--memo", []),
+    (["chaos", "--harness"], "--spool", ["{tmp}/s"]),
+    (["chaos", "--harness"], "--telemetry", ["{tmp}/t"]),
+    (["chaos"], "--workdir", ["{tmp}/w"]),
+    (["chaos"], "--transports", ["serial"]),
+]
+
+
+@pytest.mark.parametrize(
+    "prefix, flag, values", _UNREAD,
+    ids=[" ".join([a for a in p if "{" not in a] + [f])
+         for p, f, _ in _UNREAD])
+def test_flag_the_chosen_path_never_reads_exits_2(prefix, flag, values, demo,
+                                                  tmp_path, monkeypatch,
+                                                  capsys):
+    """A flag the chosen path would silently ignore -- functional runs
+    read no simulator option, the harness matrix no sweep option, the
+    fault matrix no harness option -- is one line on stderr and exit
+    2, before anything runs."""
+    import repro.harness.chaos as chaos
+    monkeypatch.setenv("REPRO_MEMO_DIR", str(tmp_path / "memo"))
+    for name in ("run_chaos", "run_harness_chaos"):
+        monkeypatch.setattr(chaos, name, lambda *a, **k: _CleanMatrix())
+    for name in ("render_chaos", "render_harness_chaos"):
+        monkeypatch.setattr(chaos, name, lambda *a, **k: "")
+    argv = [a.format(demo=demo, tmp=tmp_path)
+            for a in prefix + [flag] + values]
+    rc, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1 and flag in err

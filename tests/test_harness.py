@@ -107,22 +107,3 @@ def test_benchmark_inventory_lists_all():
     rows = benchmark_inventory()
     assert [r["benchmark"] for r in rows] == ["BT", "CG", "LU", "MG", "SP"]
     assert all(r["description"] for r in rows)
-
-
-def test_csv_export(small_suite):
-    from repro.harness.report import classification_to_csv, suite_to_csv
-    csv_text = suite_to_csv(small_suite)
-    lines = csv_text.strip().splitlines()
-    assert lines[0].startswith("benchmark,config,cycles")
-    assert len(lines) == 1 + 4            # header + 4 configs
-    cls_text = classification_to_csv(small_suite)
-    assert "rdex_coverage" in cls_text.splitlines()[0]
-    assert len(cls_text.strip().splitlines()) == 1 + 2 * 2  # 2 cfg x 2 kinds
-
-
-def test_markdown_export(small_suite):
-    from repro.harness.report import suite_to_markdown
-    md = suite_to_markdown(small_suite, title="Demo")
-    assert md.startswith("### Demo")
-    assert "| CG |" in md
-    assert "**average**" in md

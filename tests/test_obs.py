@@ -165,7 +165,6 @@ def test_make_sink_resolution():
     assert isinstance(make_sink(), AggregateSink)
     assert isinstance(make_sink("aggregate"), AggregateSink)
     assert isinstance(make_sink("null"), NullSink)
-    assert isinstance(make_sink("off"), NullSink)
     assert isinstance(make_sink("trace"), TraceSink)
     s = NullSink()
     assert make_sink(s) is s
@@ -240,28 +239,14 @@ def test_probe_pop_and_switch_on_empty_stack_raise():
     assert p.as_dict() == {"busy": 7.0, "lock": 1.0, "memory": 2.0}
 
 
-def test_profile_only_probe_validates_like_bd():
-    """The empty-stack guard must hold when the profiler is the only
-    live collector (bd is None)."""
-    from repro.obs import TrackProfile
-    p = Probe("cpu0", prof=TrackProfile("cpu0", start=0.0))
-    with pytest.raises(ValueError, match="pop with no open span"):
-        p.pop(1.0)
-    with pytest.raises(ValueError, match="switch with no open span"):
-        p.switch("idle", 1.0)
-    p.push("lock", 2.0)
-    assert p.depth == 1
-    assert p.pop(3.0) == "lock"
-
-
 def test_probe_spans_is_the_collectors_live_stack():
     """``Probe.spans`` aliases the collector's own list: it follows
     every push/switch/pop and is emptied -- in place, never rebound --
-    by ``close``, for the breakdown and for a profile-only probe."""
+    by ``close``, for the breakdown and for a line profile (which is
+    one)."""
     from repro.obs import TrackProfile
-    for kw in ({"bd": TimeBreakdown(start=0.0)},
-               {"prof": TrackProfile("cpu0", start=0.0)}):
-        p = Probe("cpu0", **kw)
+    for bd in (TimeBreakdown(start=0.0), TrackProfile("cpu0", start=0.0)):
+        p = Probe("cpu0", bd=bd)
         spans = p.spans
         assert not spans and p.depth == 0
         p.push("lock", 1.0)

@@ -3,20 +3,25 @@
 Simulated cycle counts (the golden table of ``test_determinism.py``)
 must be bit-identical whether observability is off (NullSink), totals
 only (AggregateSink, the default), fully traced (TraceSink), or
-line-profiled (ProfileSink behind a TeeSink) -- probes record, they
-never touch the engine.  And specs carrying a sink selection must
+line-profiled (ProfileSink, whose breakdowns are the line profiles) --
+probes record, they never touch the engine.  And specs carrying a sink selection must
 survive the process-pool path with results identical to serial
 execution.
 """
 
+import hashlib
 import pickle
+from pathlib import Path
 
 import pytest
 
+from repro.compiler import compile_source
 from repro.config import PAPER_MACHINE
 from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
-                           run_benchmark, run_static_suite)
+                           dynamic_specs, execute_spec, run_benchmark,
+                           run_static_suite)
 from repro.obs import merge_traces, validate_trace
+from repro.runtime import run_program
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -30,6 +35,19 @@ GOLDEN_CLASSES = {"A-rdex-late": 10, "A-rdex-only": 1, "A-rdex-timely": 62,
                   "A-read-late": 10, "A-read-timely": 2, "R-rdex-late": 3,
                   "R-rdex-only": 23, "R-rdex-timely": 10, "R-read-late": 36,
                   "R-read-only": 15}
+
+#: sha256 of every track's ``sorted(profile[track].items())``, tracks in
+#: sorted order -- captured from the pre-refactor profiler (two settle
+#: clocks a track); one cycle moved to another source line changes it.
+PROFILE_DIGESTS = {
+    "cg/G0/static":
+        "00afeb7c844efc2bd3d0a7db09d2ab877d4748c7ec099f0efd96d6ca317a95e1",
+    "mg/G0/dynamic":
+        "eb625290c05ea5bd2d8ff690775456a3dceb8f428a2b73fcb80129a2dbce0800",
+    "jacobi/slipstream":
+        "95f811b5c9c294e7fcff921992822bfeed29228d327895ee85c4e57604b4fe3e",
+}
+JACOBI = Path(__file__).resolve().parents[1] / "examples" / "jacobi.c"
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +118,35 @@ def test_profile_totals_match_breakdowns(runs):
         for (_f, _l, cat, _lv), c in per_track.items():
             by_cat[cat] = by_cat.get(cat, 0.0) + c
         assert by_cat == {k: v for k, v in bd.items() if v}, track
+
+
+def _profile_digest(profile):
+    h = hashlib.sha256()
+    for track in sorted(profile):
+        h.update(repr((track, sorted(profile[track].items()))).encode())
+    return h.hexdigest()
+
+
+def test_profile_itself_is_pinned(runs):
+    """Not just the sums: the per-line profile of cg G0 (static) and mg
+    G0 (dynamic) at test size on 4 CMPs and of ``examples/jacobi.c``
+    in slipstream mode hash to the recorded digests, and a profiled
+    unit's aggregates are an ``"aggregate"`` run's."""
+    mg = {obs: execute_spec(dynamic_specs(CFG, "test", ("mg",), ("G0",),
+                                          obs=obs)[0]).result
+          for obs in ("aggregate", "profile")}
+    cg = {obs: runs[obs].result for obs in ("aggregate", "profile")}
+    for name, pair in (("cg/G0/static", cg), ("mg/G0/dynamic", mg)):
+        agg, pr = pair["aggregate"], pair["profile"]
+        assert _profile_digest(pr.profile) == PROFILE_DIGESTS[name], name
+        assert pr.cycles == agg.cycles, name
+        assert pr.breakdowns == agg.breakdowns, name
+        assert pr.rt_stats == agg.rt_stats, name
+        assert pr.classes.as_dict() == agg.classes.as_dict(), name
+    jacobi = run_program(compile_source(JACOBI.read_text()), cfg=CFG,
+                         mode="slipstream", obs="profile")
+    assert (_profile_digest(jacobi.profile)
+            == PROFILE_DIGESTS["jacobi/slipstream"])
 
 
 def test_pool_merge_matches_serial_with_profiling():

@@ -4,8 +4,8 @@ Covers the whole chain: the compiler's per-instruction ``lines`` table
 (including the peephole optimizer keeping it in sync and the compile
 cache carrying it), the ``TrackProfile`` settle clock, sum-to-busy
 exactness against the breakdowns, the collapsed-stack export format,
-``TeeSink`` composition, and the ``repro profile run`` / ``repro bench
---profile`` CLI verbs.
+the ``"profile"`` sink spec, and the ``repro run --profile`` /
+``repro bench --profile`` CLI flags.
 """
 
 import io
@@ -17,10 +17,9 @@ from repro.cli import main as cli_main
 from repro.compiler import compile_source
 from repro.config import PAPER_MACHINE, CacheConfig
 from repro.harness import profile_table, run_benchmark
-from repro.obs import (AggregateSink, MEM_LEVELS, NullSink, Probe,
-                       ProfileSink, Sink, TeeSink, TrackProfile,
-                       collapsed_stacks, line_totals, make_sink,
-                       profile_total, write_collapsed)
+from repro.obs import (AggregateSink, MEM_LEVELS, ProfileSink, TimeBreakdown,
+                       TrackProfile, collapsed_stacks, line_totals,
+                       make_sink, profile_total, write_collapsed)
 from repro.runtime import run_program
 from repro.runtime.shell import ThreadShell
 
@@ -123,40 +122,54 @@ def test_track_profile_time_backwards_raises():
         tp.push("lock", 4.0)
 
 
-# ----------------------------------------------------- sinks / TeeSink
+def test_track_profile_is_the_tracks_one_clock():
+    """A ``TrackProfile`` is a ``TimeBreakdown``: its category totals
+    are the base's, and the base's checks are the only ones."""
+    tp = TrackProfile("t", start=0.0)
+    assert isinstance(tp, TimeBreakdown)
+    tp.push("memory", 1.0)
+    tp.mem_level("l2")
+    tp.switch("lock", 3.0)
+    tp.pop(6.0)
+    tp.close(7.0)
+    assert tp.as_dict() == {"busy": 2.0, "memory": 2.0, "lock": 3.0}
+    assert tp.data == {("", 0, "busy", ""): 2.0,
+                       ("", 0, "memory", "l2"): 2.0,
+                       ("", 0, "lock", ""): 3.0}
+    with pytest.raises(ValueError, match="closed"):
+        tp.push("io", 8.0)
+
+
+# ------------------------------------------------------------- the sink
 
 def test_make_sink_profile_is_tee_with_aggregate_primary():
+    """The ``"profile"`` spec still feeds both outputs with the aggregate
+    as primary, but by being an :class:`AggregateSink` rather than by
+    teeing one: the probe's breakdown and profile are one object."""
     s = make_sink("profile")
-    assert isinstance(s, TeeSink)
-    assert isinstance(s.children[0], AggregateSink)
-    assert isinstance(s.children[1], ProfileSink)
+    assert isinstance(s, ProfileSink) and isinstance(s, AggregateSink)
     p = s.probe("cpu0", start=0.0)
-    assert p.bd is not None and p.prof is not None
+    assert p.prof is p.bd is s.breakdowns["cpu0"]
     p.push("lock", 1.0)
     p.pop(3.0)
     p.close(4.0)
     assert s.breakdowns["cpu0"].as_dict() == {"busy": 2.0, "lock": 2.0}
-    assert s.profile_data()["cpu0"][("", 0, "lock", "")] == 2.0
-
-
-def test_tee_sink_requires_children_and_first_provider_wins():
-    with pytest.raises(ValueError, match="at least one child"):
-        TeeSink()
-    tee = TeeSink(NullSink(), AggregateSink())
-    p = tee.probe("t")
-    assert p.bd is not None       # the aggregate's, despite null first
-    assert tee.profile_data() is None
+    assert s.profile_data() == {"cpu0": {("", 0, "busy", ""): 2.0,
+                                         ("", 0, "lock", ""): 2.0}}
 
 
 def test_profile_sink_alone_mints_profile_only_probes():
+    """A ``ProfileSink`` built directly needs no partner sink: each probe
+    it mints carries the line profile, whose clock is the breakdown's."""
     s = ProfileSink()
     p = s.probe("cpu0", start=0.0)
-    assert p.bd is None and p.prof is not None
+    assert p.prof is not None and p.bd is p.prof
     p.push("io", 1.0)
     p.pop(2.0)
     p.close(2.0)
     assert s.profile_data() == {"cpu0": {("", 0, "busy", ""): 1.0,
                                          ("", 0, "io", ""): 1.0}}
+    assert s.breakdowns["cpu0"].as_dict() == {"busy": 1.0, "io": 1.0}
 
 
 # ------------------------------------------- end-to-end cycle exactness
@@ -347,16 +360,18 @@ def run_cli(argv):
 
 def test_cli_profile_run(demo, tmp_path):
     folded = tmp_path / "out.folded"
-    csv_path = tmp_path / "out.csv"
-    rc, out = run_cli(["profile", "run", demo, "--mode", "slipstream",
-                       "--cmps", "4", "--top", "5",
-                       "--collapsed", str(folded), "--csv", str(csv_path)])
+    rc, out = run_cli(["run", demo, "--mode", "slipstream", "--cmps", "4",
+                       "--profile", str(folded)])
     assert rc == 0
     assert "hot lines" in out and "cycles on 4 CMPs" in out
-    assert folded.exists() and csv_path.exists()
+    assert "collapsed stacks written" in out
     stacks = folded.read_text().splitlines()
     assert stacks and all(len(s.split(";")) == 3 for s in stacks)
-    assert csv_path.read_text().startswith("function,line,total,busy")
+    assert {s.split(";")[0] for s in stacks} == {"slipstream"}
+    # Exclusive with --trace, as on bench.
+    rc, _ = run_cli(["run", demo, "--cmps", "4", "--profile", str(folded),
+                     "--trace", str(tmp_path / "t.json")])
+    assert rc == 2
 
 
 def test_cli_bench_profile(tmp_path):
