@@ -21,7 +21,6 @@ Exit codes (scripts and CI key off these)::
     0  success
     1  failure (compile error, oracle violation, failed chaos matrix)
     2  bad arguments / missing file / unknown benchmark or class
-    3  sweep completed but the process pool degraded to serial
     4  watchdog deadlock (SimDeadlockError; see --timeout-cycles)
     5  sweep completed with quarantined poison units (their rows are
        loud placeholder failures, not results)
@@ -225,7 +224,7 @@ def _setup_logging(args, default: int = logging.WARNING) -> None:
 
     The worker verb defaults to per-unit INFO lines (its console
     output *is* the product); the sweep verbs default to warnings
-    (retries, degradation, reaped leases) only.
+    (reaped leases, dead workers, quarantines) only.
     """
     logging.basicConfig(stream=sys.stderr, format="%(message)s")
     logging.getLogger("repro").setLevel(
@@ -459,27 +458,20 @@ def _cmd_bench(args, out) -> int:
 
 
 def _report_health(context) -> int:
-    """Surface transport health as distinct exit codes (see the module
+    """Surface transport health as an exit code (see the module
     docstring's table): 5 when the sweep completed with quarantined
     poison units -- their merged rows are loud placeholder failures,
-    not results -- and 3 for pool degradation (every result produced,
-    -j parallelism lost).  Quarantine wins: lost results outrank lost
-    parallelism."""
-    quarantined = getattr(context, "quarantined", False)
-    degraded = getattr(context, "degraded", False)
-    if not (quarantined or degraded):
+    not results.  A worker lost on the way costs a re-execution, not a
+    result, so it only shows in the transport's notes."""
+    if not getattr(context, "quarantined", False):
         return 0
     for ev in getattr(context, "events", []):
         print(f"warning: {ev}", file=sys.stderr)
-    if quarantined:
-        units = getattr(context, "quarantined_units", [])
-        print(f"warning: sweep completed with {len(units) or 'some'} "
-              f"quarantined poison unit(s); their rows are placeholder "
-              f"failures, not results", file=sys.stderr)
-        return 5
-    print("warning: process pool degraded to serial execution; results "
-          "are complete but -j parallelism was lost", file=sys.stderr)
-    return 3
+    units = getattr(context, "quarantined_units", [])
+    print(f"warning: sweep completed with {len(units) or 'some'} "
+          f"quarantined poison unit(s); their rows are placeholder "
+          f"failures, not results", file=sys.stderr)
+    return 5
 
 
 def _cmd_worker(args, out) -> int:

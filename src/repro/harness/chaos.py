@@ -255,7 +255,6 @@ class ChaosReport:
     """A whole matrix's outcomes plus harness-health notes."""
 
     outcomes: List[ChaosOutcome]
-    degraded: bool = False
     events: List[str] = field(default_factory=list)
 
     @property
@@ -293,7 +292,6 @@ class ChaosReport:
                             "statuses": self.status_counts(),
                             "recoveries": self.total_recoveries,
                             "class_recovery": self.class_recovery()},
-                "degraded": self.degraded,
                 "events": list(self.events),
                 "scenarios": [o.to_json() for o in self.outcomes]}
 
@@ -335,7 +333,7 @@ def run_chaos(specs: Sequence[RunSpec],
     runs = context.run(specs)
     return ChaosReport(
         outcomes=[_classify(s, r) for s, r in zip(specs, runs)],
-        degraded=context.degraded, events=list(context.events))
+        events=list(context.events))
 
 
 def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
@@ -491,11 +489,7 @@ def _build_harness_pipeline(transport: str, sdir: Path, spool_dir: Path,
     if transport == "serial":
         t = SerialTransport()
     elif transport == "pool":
-        # Extra pool passes so a kill-armed fleet (at most rate deaths
-        # per kill kind, budgeted by on-disk tokens) runs out of tokens
-        # before the transport runs out of retries -- without crossing
-        # the poison threshold.
-        t = PoolTransport(jobs=jobs, max_pool_attempts=4)
+        t = PoolTransport(jobs=jobs)
     elif transport == "spool":
         t = DirQueueTransport(spool_dir, lease_s=lease_s, poll_s=0.02)
     else:

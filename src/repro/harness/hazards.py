@@ -83,8 +83,8 @@ _WINDOWS: Dict[str, Tuple[int, int]] = {
     "publish_eio": (0, 16),
     "stale_claim": (0, 8),
     "clock_skew": (1, 30),
-    # Kill boundaries are scarce in a short sweep (a pool child may
-    # see exactly one), so the window is tight: a kill-armed process
+    # Kill boundaries are scarce in a short sweep (a worker sees one a
+    # scan and one a unit), so the window is tight: a kill-armed process
     # dies within its first few boundaries or not at all.
     "kill_worker": (0, 3),
     "term_worker": (0, 3),

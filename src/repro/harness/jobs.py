@@ -207,8 +207,8 @@ class SweepPlan:
         """Reassemble transport results into submission order.
 
         ``results`` maps unit key -> finished run; a missing key means
-        the transport lost a unit, which is always a harness bug (the
-        hardened transports retry or degrade rather than drop), so it
+        the transport lost a unit, which is always a harness bug (a
+        lost executor's unit runs again, it is never dropped), so it
         raises instead of returning a short list.
         """
         missing = [u for u in self.units if u.key not in results]
@@ -266,7 +266,7 @@ def quarantined_run(spec: RunSpec, attempts: int) -> BenchRun:
     """The stand-in result for a poison unit.
 
     A unit whose execution *process* died ``attempts`` times in a row
-    (worker SIGKILLed mid-unit, pool repeatedly broken) without ever
+    (a spool or pool worker SIGKILLed mid-unit) without ever
     publishing a result is quarantined rather than retried forever:
     the sweep completes, the merge carries this loud placeholder
     (``error_kind == "quarantined"``), and the CLI exits 5.  Never

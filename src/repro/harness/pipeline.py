@@ -237,16 +237,11 @@ class ExecutionPipeline:
     # -- transport health (CLI exit-code plumbing) ---------------------------
 
     @property
-    def degraded(self) -> bool:
-        """Did the transport lose workers and fall back to serial?"""
-        return self.transport.degraded
-
-    @property
     def quarantined(self) -> bool:
         """Did the last sweep complete with poison units quarantined?"""
         return bool(self.quarantined_units)
 
     @property
     def events(self) -> List[str]:
-        """Transport retry/degradation notes (last run)."""
+        """Transport notes: reaps, dead workers, quarantines (last run)."""
         return self.transport.events

@@ -9,12 +9,11 @@ merge restores submission order -- which is precisely what makes the
 dispatch mechanism pluggable:
 
 * :class:`SerialTransport` -- units in order, in process;
-* :class:`PoolTransport` -- a hardened local ``multiprocessing`` pool:
-  a killed or crashed worker costs bounded retries on fresh pools
-  (seeded-jitter backoff between passes), a unit that breaks the pool
-  :data:`POISON_AFTER` times is **quarantined** (a loud placeholder
-  result, never an infinite retry), and the remainder degrades
-  (loudly, never silently) to in-process serial execution;
+* :class:`PoolTransport` -- the spool below, made private to one
+  dispatch and worked by the driver plus ``jobs - 1`` forked
+  :func:`run_worker` children: one failure model for every parallel
+  run (a dead child's lease is released at once and the unit runs
+  again; a unit that keeps killing its executors is quarantined);
 * :class:`DirQueueTransport` -- units leased through a shared **spool
   directory**: job files under ``units/``, exclusive-create claim
   files under ``claims/``, atomically-published results under
@@ -66,8 +65,11 @@ import json
 import logging
 import os
 import pickle
+import shutil
 import signal
+import tempfile
 import time
+from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -87,12 +89,12 @@ _LOG = logging.getLogger("repro.harness.transport")
 #: Driver callback: one finished unit, invoked in the driver process.
 OnResult = Callable[[WorkUnit, object], None]
 
-#: Dead executions (spool ledger bytes, broken pool passes) after which
-#: a unit is quarantined as poison rather than tried again.
+#: Dead executions (spool ledger bytes) after which a unit is
+#: quarantined as poison rather than tried again.
 POISON_AFTER = 3
 
-#: First-retry delay of the seeded-jitter backoff (pool respawn, reaped
-#: lease); doubles per retry, see :func:`~repro.harness.hazards.backoff_s`.
+#: First-retry delay of the seeded-jitter backoff after a reaped
+#: lease; doubles per retry, see :func:`~repro.harness.hazards.backoff_s`.
 BACKOFF_BASE = 0.05
 
 
@@ -128,8 +130,8 @@ def _telemetered(tel, key: str, spec, fn):
 
 def _emit_terminal(tel, key: str, spec, run, wall_s) -> None:
     """The terminal event for a finished BenchRun (shared by the
-    inline execution path and pool/spool result arrival, where the
-    wall time is the worker-recorded ``run.timing['total_s']``)."""
+    inline execution path and a pool child's harvested result, where
+    the wall time is the child-recorded ``run.timing['total_s']``)."""
     error = getattr(run, "error", None)
     fields = {}
     if wall_s is not None:
@@ -150,7 +152,7 @@ def _emit_terminal(tel, key: str, spec, run, wall_s) -> None:
 
 def _quarantined(tel, key: str, spec, attempts: int):
     """A poison unit's loud placeholder result, announced on ``tel``
-    (``unit.quarantined`` event + count) -- pool and spool alike."""
+    (``unit.quarantined`` event + count) -- driver and worker alike."""
     tel.emit("unit.quarantined", unit=key, spec=spec, attempts=attempts)
     tel.count("unit.quarantined")
     return quarantined_run(spec, attempts)
@@ -163,25 +165,23 @@ class Transport:
     calling ``on_result(unit, run)`` once per unit as results become
     available (any order).  A spec that *raises* (verification failure
     without ``capture_errors``, watchdog expiry) propagates out of
-    :meth:`run` on every transport; only worker-process loss is
-    retried/degraded -- and a unit whose process dies persistently is
-    quarantined (``error_kind == "quarantined"``), never retried forever.
+    :meth:`run` on every transport; only executor-process loss is
+    recovered -- the unit runs again -- and a unit whose process dies
+    persistently is quarantined (``error_kind == "quarantined"``),
+    never retried forever.
     """
 
     name = "transport"
 
     def __init__(self):
-        #: Human-readable record of retries/degradation (last run()).
+        #: Human-readable record of reaps, deaths, quarantines (last run()).
         self.events: List[str] = []
-        #: True when any unit of the last run() fell back to serial.
-        self.degraded = False
         #: Telemetry session the driver records through (the pipeline
         #: attaches a live one; default is the zero-cost null session).
         self.telemetry = NULL_TELEMETRY
 
     def run(self, units: Sequence[WorkUnit], on_result: OnResult) -> None:
         self.events = []
-        self.degraded = False
         self._dispatch(list(units), on_result)
 
     def _dispatch(self, units: List[WorkUnit], on_result: OnResult) -> None:
@@ -221,159 +221,6 @@ class SerialTransport(Transport):
 
     name = "serial"
     _dispatch = Transport._run_inline
-
-
-# -- local process pool ------------------------------------------------------
-
-def _run_spec(spec):
-    """Worker-side execution seam (module-level for picklability; the
-    crash tests monkeypatch this to kill workers mid-unit).  Also a
-    hazard kill boundary: an armed worker-side plan may SIGKILL or
-    SIGTERM the process here, *before* execution starts."""
-    plan = hazards.current()
-    if plan is not None:
-        plan.boundary("pool.unit")
-    return execute_spec(spec)
-
-
-def _execute_indexed(item: Tuple[int, object]) -> Tuple[int, object]:
-    """Pool worker entry point."""
-    index, spec = item
-    return index, _run_spec(spec)
-
-
-class PoolTransport(Transport):
-    """Fan units out over a process pool, hardened against worker loss.
-
-    ``jobs`` defaults to the host's CPU count.  Batches of one unit
-    (or ``jobs=1``) run inline: a pool would only add fork overhead.
-
-    Crash handling: a killed or crashed worker (``BrokenProcessPool``)
-    costs bounded retries of the unfinished units on fresh pools, with
-    seeded-jitter backoff between passes so a respawning fleet doesn't
-    stampede.  A unit still unfinished after :data:`POISON_AFTER`
-    broken passes is *quarantined* -- it gets a loud placeholder
-    result (``error_kind == "quarantined"``) instead of being handed
-    to the serial fallback, where a poison spec would take the driver
-    down with it.  The rest degrades gracefully to in-process serial
-    execution.  Neither path is silent: both are logged and recorded
-    on :attr:`events` / :attr:`degraded` for callers (the CLI turns
-    them into non-zero exits).
-    """
-
-    name = "pool"
-
-    #: Pool passes before degrading to serial (initial try + 1 retry).
-    max_pool_attempts = 2
-
-    def __init__(self, jobs: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 max_pool_attempts: Optional[int] = None):
-        super().__init__()
-        if jobs is not None and jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs or os.cpu_count() or 1
-        self.start_method = start_method
-        if max_pool_attempts is not None:
-            if max_pool_attempts < 1:
-                raise ValueError("max_pool_attempts must be >= 1")
-            self.max_pool_attempts = max_pool_attempts
-
-    def describe(self) -> str:
-        return f"pool(jobs={self.jobs})"
-
-    def _dispatch(self, units: List[WorkUnit], on_result: OnResult) -> None:
-        tel = self.telemetry
-        if min(self.jobs, len(units)) <= 1:
-            self._run_inline(units, on_result)
-            return
-        done = [False] * len(units)
-        pending = list(range(len(units)))
-        #: Per unit index, the pool passes that lost it: poison suspects.
-        suspects: Dict[int, int] = {}
-        for attempt in range(self.max_pool_attempts):
-            if not pending:
-                break
-            if attempt > 0:
-                # Seeded-jitter backoff before respawning the pool, so
-                # a crash loop doesn't hot-spin fork/exec.
-                time.sleep(hazards.backoff_s("pool-pass", attempt,
-                                             BACKOFF_BASE))
-            pending = self._pool_pass(units, done, pending, attempt,
-                                      on_result)
-            for i in pending:
-                suspects[i] = suspects.get(i, 0) + 1
-        for i in [i for i in pending if suspects[i] >= POISON_AFTER]:
-            pending.remove(i)
-            self._deliver(units[i], _quarantined(
-                tel, units[i].key, units[i].spec, suspects[i]), on_result)
-        if pending:
-            self.degraded = True
-            tel.emit("pool.degraded", n_pending=len(pending),
-                     n_units=len(units))
-            tel.count("pool.degraded")
-            self._note(f"degrading to serial execution for "
-                       f"{len(pending)} of {len(units)} unit(s)")
-            self._run_inline([units[i] for i in pending], on_result)
-
-    def _pool_pass(self, units: List[WorkUnit], done: List[bool],
-                   pending: List[int], attempt: int,
-                   on_result: OnResult) -> List[int]:
-        """One pool attempt over ``pending``; returns what's still
-        unfinished (non-empty only after a worker crash)."""
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-        from concurrent.futures.process import BrokenProcessPool
-        ctx = mp.get_context(self.start_method)
-        tel = self.telemetry
-        broken = False
-        submitted = time.perf_counter()
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=min(self.jobs, len(pending)),
-                    mp_context=ctx) as pool:
-                futures = {
-                    pool.submit(_execute_indexed, (i, units[i].spec)): i
-                    for i in pending}
-                for i in pending:
-                    # Pool workers are uninstrumented; claimed-at-
-                    # submit plus the terminal at arrival brackets each
-                    # unit's pool residence on the driver's track.
-                    tel.emit("unit.claimed", unit=units[i].key,
-                             spec=units[i].spec, attempt=attempt + 1)
-                    if attempt > 0:
-                        tel.emit("unit.retried", unit=units[i].key,
-                                 spec=units[i].spec, attempt=attempt + 1)
-                        tel.count("unit.retries")
-                for fut in as_completed(futures):
-                    try:
-                        index, run = fut.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        continue
-                    done[index] = True
-                    timing = getattr(run, "timing", None) or {}
-                    wall = timing.get("total_s")
-                    if wall is not None:
-                        tel.observe("unit.exec_s", wall)
-                    tel.observe("unit.queue_wait_s",
-                                max(0.0, time.perf_counter() - submitted
-                                    - (wall or 0.0)))
-                    _emit_terminal(tel, units[index].key,
-                                   units[index].spec, run, wall)
-                    on_result(units[index], run)
-        except BrokenProcessPool:
-            broken = True
-        remaining = [i for i in pending if not done[i]]
-        if remaining:
-            what = ("retrying once on a fresh pool"
-                    if attempt + 1 < self.max_pool_attempts
-                    else "falling back to serial execution")
-            why = ("pool worker crashed" if broken
-                   else "pool lost results")
-            self._note(f"{why}: {len(remaining)} of {len(units)} unit(s) "
-                       f"unfinished after attempt {attempt + 1}; {what}")
-        return remaining
 
 
 # -- shared spool directory --------------------------------------------------
@@ -509,19 +356,33 @@ class _Spool:
                        "worker": worker}, fh)
         return True
 
+    def lease(self, key: str, worker: Optional[str] = None) -> bool:
+        """Lease a unit that is still unsettled -- the one way driver
+        and worker come by a lease.  Unclaimed, won by exclusive
+        create, and still without a published result once the claim is
+        held: a settler publishes before it releases, so a unit settled
+        after the caller listed it is let go here, never run twice."""
+        if self.claim_age(key) is not None or not self.try_claim(key, worker):
+            return False
+        if self.has_result(key):
+            self.release(key)
+            return False
+        return True
+
     def release(self, key: str) -> None:
         try:
             self.claim_path(key).unlink()
         except OSError:
             pass
 
-    def claim_owner(self, key: str) -> Optional[str]:
-        """The telemetry worker id recorded in a claim, if any."""
+    def claim_owner(self, key: str, field: str = "worker"):
+        """A field of a claim's record, if any: the telemetry worker id
+        by default, or the claiming process's ``"pid"``."""
         try:
             body = json.loads(self.claim_path(key).read_text())
         except (OSError, ValueError):
             return None
-        return body.get("worker") if isinstance(body, dict) else None
+        return body.get(field) if isinstance(body, dict) else None
 
     def claim_age(self, key: str) -> Optional[float]:
         """Seconds since the unit was claimed (None = unclaimed).
@@ -755,8 +616,7 @@ class DirQueueTransport(Transport):
                 unit = pending.pop(key)
                 if isinstance(payload, _UnitFailure):
                     raise payload.unwrap()
-                tel.count("unit.harvested")
-                self._deliver(unit, payload, on_result)
+                self._harvest(unit, payload, on_result)
             if not pending or harvested:
                 continue
             # Work inline: lease the first unit that nobody holds and
@@ -767,13 +627,12 @@ class DirQueueTransport(Transport):
                     continue
                 if plan is not None:
                     plan.maybe_stale_claim(spool, key)
-                if (spool.claim_age(key) is None
-                        and spool.try_claim(key, worker=tel.worker)):
+                if spool.lease(key, worker=tel.worker):
                     break
             else:
                 # None (all leased out or backing off): reap the
                 # stalled and back their units off, or wait briefly.
-                reaped = spool.idle(pending, self.lease_s)
+                reaped = self._idle(pending)
                 for key in reaped:
                     n = reaps[key] = reaps.get(key, 0) + 1
                     delay = hazards.backoff_s(key, n, BACKOFF_BASE)
@@ -799,8 +658,114 @@ class DirQueueTransport(Transport):
             self._deliver(unit, payload, on_result)
         tel.heartbeat(state="idle", done=n_total, force=True)
 
+    def _harvest(self, unit: WorkUnit, run, on_result: OnResult) -> None:
+        """Deliver a result another process published (its own log,
+        in the spool's shared area, tells how it ran)."""
+        self.telemetry.count("unit.harvested")
+        self._deliver(unit, run, on_result)
+
+    def _idle(self, pending) -> List[str]:
+        """The driver's idle step, every pending unit leased out or
+        backing off: :meth:`_Spool.idle`.  Returns the reaped."""
+        return self.spool.idle(pending, self.lease_s)
+
+
+class PoolTransport(DirQueueTransport):
+    """The spool, private to one dispatch and worked by the driver plus
+    ``jobs - 1`` forked :func:`run_worker` children (``jobs`` defaults
+    to the CPU count; a single unit or ``jobs=1`` runs inline).  It
+    fails the way the spool does: a dead child's lease is released at
+    once (:meth:`_idle`) and its unit runs again, the ledger
+    quarantines a unit that keeps killing its executors, a spec error
+    propagates, and no child outlives the dispatch."""
+
+    name = "pool"
+
+    def __init__(self, jobs: Optional[int] = None,
+                 start_method: Optional[str] = None):
+        Transport.__init__(self)        # the spool is made per dispatch
+        if jobs is not None and jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs or os.cpu_count() or 1
+        self.start_method = start_method
+        # A private local spool is cheap to poll, and the sweep's tail
+        # waits up to one interval for the last child's result.
+        self.lease_s, self.poll_s = 60.0, 0.01
+        self._children: Dict[int, object] = {}
+
+    def describe(self) -> str:
+        return f"pool(jobs={self.jobs})"
+
+    def _dispatch(self, units: List[WorkUnit], on_result: OnResult) -> None:
+        n = min(self.jobs, len(units))
+        if n <= 1:
+            self._run_inline(units, on_result)
+            return
+        import multiprocessing as mp
+        ctx = mp.get_context(self.start_method)
+        root = tempfile.mkdtemp(prefix="repro-pool-")
+        self.spool, self._children = _Spool(root), {}
+        try:
+            # Enqueued before the children start (a draining worker
+            # leaves an empty spool); the driver's enqueue notes errors.
+            self.spool.ensure()
+            for u in units:
+                with suppress(OSError):
+                    self.spool.enqueue(u.key, u.spec)
+            for _ in range(n - 1):
+                child = ctx.Process(target=_pool_worker,
+                                    args=(root, self.poll_s), daemon=True)
+                child.start()
+                self._children[child.pid] = child
+            DirQueueTransport._dispatch(self, units, on_result)
+        finally:
+            # The driver holds every result or is raising: nothing a
+            # killed child leaves behind outlives the private spool.
+            for child in self._children.values():
+                child.kill()
+                child.join()
+            shutil.rmtree(root, ignore_errors=True)
+
+    def _harvest(self, unit: WorkUnit, run, on_result: OnResult) -> None:
+        """A child's log goes with the private spool: record the unit
+        on the driver's track instead, timed by the child."""
+        tel, wall = self.telemetry, run.timing.get("total_s")
+        tel.emit("unit.claimed", unit=unit.key, spec=unit.spec)
+        if wall is not None:
+            tel.observe("unit.exec_s", wall)
+        _emit_terminal(tel, unit.key, unit.spec, run, wall)
+        super()._harvest(unit, run, on_result)
+
+    def _idle(self, pending) -> List[str]:
+        """Every claim on a private spool is the driver's or a child's:
+        release those of children that exited non-zero, a
+        ``lease.reaped`` each (no lease to wait out, no backoff), then
+        the spool's own idle step."""
+        dead = {pid for pid, child in self._children.items()
+                if child.exitcode not in (None, 0)}
+        for key in pending if dead else ():
+            pid = self.spool.claim_owner(key, "pid")
+            if pid in dead:
+                self.spool.release(key)
+                self._note(f"worker {pid} died holding unit {key[:12]}")
+                self.telemetry.emit("lease.reaped", unit=key,
+                                    lease_s=self.lease_s)
+                self.telemetry.count("lease.reaped")
+        return super()._idle(pending)
+
 
 _WORKER_LOG = logging.getLogger("repro.worker")
+
+
+def _pool_worker(root: str, poll_s: float) -> None:
+    """A :class:`PoolTransport` child: :func:`run_worker` draining the
+    private spool, per-unit lines off (the driver reports the sweep),
+    an armed hazard campaign resolved first so that its injections are
+    logged with the campaign's, not in the private spool."""
+    _WORKER_LOG.setLevel(max(logging.WARNING,
+                             _WORKER_LOG.getEffectiveLevel()))
+    hazards.current()
+    run_worker(root, poll_s=poll_s)
 
 
 def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
@@ -890,8 +855,7 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
             for key in pending:
                 if (max_units is not None and executed >= max_units) or stop:
                     break
-                if (spool.claim_age(key) is not None
-                        or not spool.try_claim(key, worker=tel.worker)):
+                if not spool.lease(key, worker=tel.worker):
                     continue
                 spec = spool.load_spec(key)
                 if spec is None or unit_key(spec) != key:
@@ -909,7 +873,7 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
                                   force=True)
                     if plan is not None:
                         plan.boundary("worker.claimed")
-                    return _run_spec(spec)
+                    return execute_spec(spec)
 
                 t0 = time.perf_counter()
                 payload, published = spool.settle(key, spec, execute)

@@ -10,18 +10,12 @@ fingerprint of the compiler's own sources -- so a sweep compiles each
 kernel exactly once, and any change to a kernel parameter, a kernel
 source template, or the compiler itself is an automatic miss.
 
-Two layers:
-
-* an in-process dictionary (always on), shared by every run in a
-  process -- including a ``PoolTransport`` worker, which compiles
-  each distinct kernel at most once over its lifetime;
-* an optional on-disk layer under ``~/.cache/repro/compile`` (override
-  with ``REPRO_CACHE_DIR``; disable with ``REPRO_DISK_CACHE=0``) so
-  repeated *invocations* -- and sibling pool workers -- share compiles.
-  Disk entries are pickled :class:`CompiledProgram` images named by
-  their content hash; a hash collision is impossible to observe in
-  practice and a corrupt/unreadable entry silently falls back to a
-  fresh compile.
+The cache is an in-process dictionary, shared by every run in a
+process -- including a ``PoolTransport`` child, which forks with the
+driver's compiled images and compiles each new kernel at most once
+over its lifetime.  It has no disk layer: a fresh process recompiles
+(tens of milliseconds an image), and the harness's result memo store
+is what spares repeated *invocations* their simulations.
 
 Determinism note: compilation is a pure function of the source text, so
 serving a cached image cannot change simulated cycle counts -- the same
@@ -32,8 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -45,7 +37,7 @@ __all__ = ["CompileCache", "COMPILE_CACHE", "compiler_fingerprint",
 
 #: Modules whose sources determine what the compiler produces.  Any
 #: edit to one of them changes the fingerprint and invalidates every
-#: cached image (memory and disk alike).
+#: cached image.
 _COMPILER_PACKAGES = ("lang", "compiler")
 
 #: Individual extra files that shape the image beyond the compiler
@@ -76,33 +68,22 @@ def compiler_fingerprint() -> str:
 
 
 def cache_root() -> Path:
-    """Root of every on-disk content-addressed layer: compiled images
-    live under ``<root>/compile``, the harness's run-result memo store
-    (:class:`repro.harness.checkpoint.MemoStore`) under
-    ``<root>/results``.  ``REPRO_CACHE_DIR`` overrides the default
-    ``~/.cache/repro``."""
+    """Root of the on-disk content-addressed store: the harness's
+    run-result memo store (:class:`repro.harness.checkpoint.MemoStore`)
+    lives under ``<root>/results``.  ``REPRO_CACHE_DIR`` overrides the
+    default ``~/.cache/repro``."""
     base = os.environ.get("REPRO_CACHE_DIR")
     if base:
         return Path(base)
     return Path.home() / ".cache" / "repro"
 
 
-def _disk_dir() -> Optional[Path]:
-    """Resolved on-disk compile-cache directory, or None when disabled."""
-    if os.environ.get("REPRO_DISK_CACHE", "1") == "0":
-        return None
-    return cache_root() / "compile"
-
-
 class CompileCache:
-    """Two-layer (memory + optional disk) compile cache."""
+    """In-memory compile cache keyed by content."""
 
-    def __init__(self, disk_dir: Optional[Path] = None, disk: bool = True):
+    def __init__(self):
         self._mem: Dict[str, CompiledProgram] = {}
-        self._disk_dir = disk_dir
-        self._disk = disk
         self.hits = 0            # served from memory
-        self.disk_hits = 0       # served from disk (and promoted)
         self.misses = 0          # compiled fresh
 
     # -- keys ----------------------------------------------------------------
@@ -114,8 +95,8 @@ class CompileCache:
 
         ``REPRO_HOTPATH`` changes what ``compile_source`` emits without
         changing any compiler source file, so it must be part of the
-        key -- otherwise a disk entry produced with generated code
-        would be served to a reference-interpreter run (and vice versa:
+        key -- otherwise an image produced with generated code would
+        be served to a reference-interpreter run (and vice versa:
         an image without ``gen_src`` would silently drop a default
         process back to the interpreter)."""
         h = hashlib.sha256()
@@ -124,11 +105,6 @@ class CompileCache:
                  else b"compile=0")
         h.update(source.encode())
         return h.hexdigest()
-
-    def _dir(self) -> Optional[Path]:
-        if not self._disk:
-            return None
-        return self._disk_dir if self._disk_dir is not None else _disk_dir()
 
     # -- operations ----------------------------------------------------------
 
@@ -139,65 +115,22 @@ class CompileCache:
         if image is not None:
             self.hits += 1
             return image
-        image = self._load_disk(key)
-        if image is not None:
-            self.disk_hits += 1
-            self._mem[key] = image
-            return image
         self.misses += 1
         image = compile_source(source)
         self._mem[key] = image
-        self._store_disk(key, image)
         return image
 
-    def clear(self, disk: bool = False) -> None:
-        """Drop the in-memory layer (and optionally the disk layer)."""
+    def clear(self) -> None:
+        """Drop every cached image."""
         self._mem.clear()
-        if disk:
-            d = self._dir()
-            if d is not None and d.is_dir():
-                for p in d.glob("*.img"):
-                    try:
-                        p.unlink()
-                    except OSError:
-                        pass
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss counters (for tests and the perf baseline)."""
-        return {"hits": self.hits, "disk_hits": self.disk_hits,
+        """Hit/miss counters (for tests and the perf baseline).
+        ``disk_hits`` is always 0, there being no disk layer; it stays
+        in the map because the end-to-end benchmark's hit fraction
+        sums it."""
+        return {"hits": self.hits, "disk_hits": 0,
                 "misses": self.misses, "entries": len(self._mem)}
-
-    # -- disk layer ----------------------------------------------------------
-
-    def _load_disk(self, key: str) -> Optional[CompiledProgram]:
-        d = self._dir()
-        if d is None:
-            return None
-        path = d / f"{key}.img"
-        try:
-            with open(path, "rb") as fh:
-                image = pickle.load(fh)
-        # pickle.load on a corrupt entry raises essentially anything
-        # (ValueError, IndexError, ... depending on the bytes); a broken
-        # cache file must never be worse than a cache miss.
-        except Exception:
-            return None
-        return image if isinstance(image, CompiledProgram) else None
-
-    def _store_disk(self, key: str, image: CompiledProgram) -> None:
-        d = self._dir()
-        if d is None:
-            return
-        try:
-            d.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: never expose a half-written entry to a
-            # concurrently reading pool worker.
-            fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(image, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, d / f"{key}.img")
-        except OSError:
-            pass                 # unwritable cache dir: stay memory-only
 
 
 #: Process-wide cache used by :meth:`KernelSpec.compile`.
@@ -209,6 +142,6 @@ def cache_stats() -> Dict[str, int]:
     return COMPILE_CACHE.stats()
 
 
-def clear_cache(disk: bool = False) -> None:
-    """Reset the process-wide cache (tests; ``disk=True`` wipes files)."""
-    COMPILE_CACHE.clear(disk=disk)
+def clear_cache() -> None:
+    """Reset the process-wide cache (tests)."""
+    COMPILE_CACHE.clear()

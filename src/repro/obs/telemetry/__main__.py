@@ -6,7 +6,7 @@
 Reads every ``events-*.jsonl`` slice, runs the schema + lifecycle
 validation (:func:`~repro.obs.telemetry.events.validate_events` --
 every claimed/started unit must reach a terminal event, abandoned
-executions must be explained by lease reaps/retries), and exits 1 on
+executions must be explained by lease reaps), and exits 1 on
 any problem.  ``--trace OUT.json`` additionally exports the wall-clock
 Chrome trace, which ``python -m repro.obs.trace OUT.json`` can then
 verify -- the pairing CI's harness-smoke job runs.

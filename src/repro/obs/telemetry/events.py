@@ -22,7 +22,7 @@ tolerate.  :func:`read_events` merges every per-worker file into one
 demands that every unit a worker *started* reaches a terminal event
 (``unit.finished`` / ``unit.failed``), and that every abandoned
 execution (a SIGKILLed worker's half-run) is explained by a
-``lease.reaped`` or ``unit.retried`` record.
+``lease.reaped`` record.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ SCHEMA_VERSION = 1
 #: Every event type a telemetry session may emit.  The ``unit.*`` set
 #: is the work-unit lifecycle; ``sweep.*`` / ``stage.*`` bracket the
 #: driver's pipeline stages; ``worker.*`` bracket a spool worker's
-#: attach/detach; the rest are health facts (reaped leases, pool
-#: degradation, watchdog deadlock reports).
+#: attach/detach; the rest are health facts (reaped leases, watchdog
+#: deadlock reports, injected hazards, corrupt files).
 EVENT_TYPES = frozenset({
     "sweep.started", "sweep.finished",
     "stage.started", "stage.finished",
@@ -53,9 +53,9 @@ EVENT_TYPES = frozenset({
     "unit.resumed",
     "unit.claimed", "unit.started",
     "unit.finished", "unit.failed",
-    "unit.retried", "unit.skipped",
+    "unit.skipped",
     "unit.quarantined",
-    "pool.degraded", "lease.reaped",
+    "lease.reaped",
     "watchdog.deadlock",
     "hazard.injected", "integrity.corrupt",
 })
@@ -159,7 +159,7 @@ def validate_events(records: Iterable[dict]) -> List[str]:
     Lifecycle: a unit that any worker ``unit.started`` must reach a
     terminal event (``unit.finished`` / ``unit.failed``), and abandoned
     executions beyond the terminals (started N times, finished M < N)
-    must be covered by ``lease.reaped`` / ``unit.retried`` records --
+    must be covered by ``lease.reaped`` records --
     i.e. a SIGKILLed worker's half-run is only acceptable when the
     harness *noticed* and re-dispatched.
     """
@@ -207,7 +207,7 @@ def validate_events(records: Iterable[dict]) -> List[str]:
             claimed_only[unit] = claimed_only.get(unit, 0) + 1
         elif event in TERMINAL_EVENTS:
             terminals[unit] = terminals.get(unit, 0) + 1
-        elif event in ("lease.reaped", "unit.retried"):
+        elif event == "lease.reaped":
             explained[unit] = explained.get(unit, 0) + 1
 
     for unit in sorted(set(starts) | set(claimed_only)):
@@ -220,6 +220,6 @@ def validate_events(records: Iterable[dict]) -> List[str]:
             problems.append(
                 f"unit {unit[:12]}: {n_started} execution(s) but only "
                 f"{n_done} terminal(s) and "
-                f"{explained.get(unit, 0)} lease_reaped/retried "
+                f"{explained.get(unit, 0)} lease.reaped "
                 f"record(s) to explain the rest")
     return problems

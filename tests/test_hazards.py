@@ -8,7 +8,6 @@ import errno
 import json
 import os
 import pickle
-import signal
 import subprocess
 import sys
 import time
@@ -23,8 +22,7 @@ from repro.harness.integrity import (IntegrityError, atomic_pickle, frame,
                                      gc_tmp, load_verified, unframe)
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
 from repro.harness.pipeline import ExecutionPipeline
-from repro.harness.transport import (DirQueueTransport, PoolTransport,
-                                     _Spool)
+from repro.harness.transport import DirQueueTransport, _Spool
 from repro.obs.telemetry import (Telemetry, claim_is_stalled, collect_status,
                                  heartbeat_age, read_events, telemetry_area)
 
@@ -361,34 +359,6 @@ def test_spool_quarantines_poison_unit(golden, tmp_path):
                for e in events)
 
 
-def test_pool_quarantines_poison_unit(golden, tmp_path, monkeypatch):
-    """A unit that SIGKILLs its pool child on every attempt crosses the
-    poison threshold and is quarantined; the healthy unit's result is
-    untouched."""
-    import repro.harness.transport as ht
-    real = ht._run_spec
-
-    def killer(spec):
-        if spec.config == "G0":
-            # let co-scheduled healthy units finish before the pool
-            # breaks, so only the poison unit accumulates suspicion
-            time.sleep(1.0)
-            os.kill(os.getpid(), signal.SIGKILL)
-        return real(spec)
-
-    monkeypatch.setattr(ht, "_run_spec", killer)
-    monkeypatch.setattr(ht, "BACKOFF_BASE", 0.01)
-    specs = _specs()
-    pipe = ExecutionPipeline(transport=PoolTransport(
-        jobs=2, start_method="fork", max_pool_attempts=5))
-    runs = {r.config: r for r in pipe.run(specs)}
-    assert runs["single"].cycles == golden["single"]
-    assert runs["G0"].error_kind == "quarantined"
-    poison = next(u for u in SweepPlan(specs).distinct()
-                  if u.spec.config == "G0")
-    assert pipe.quarantined_units == [poison.key]
-
-
 # -- graceful SIGTERM drain --------------------------------------------------
 
 def test_worker_sigterm_drains_in_flight_unit(tmp_path):
@@ -405,11 +375,11 @@ def test_worker_sigterm_drains_in_flight_unit(tmp_path):
     # stretch the unit so SIGTERM reliably lands mid-execution
     script = ("import sys, time\n"
               "import repro.harness.transport as ht\n"
-              "_real = ht._run_spec\n"
+              "_real = ht.execute_spec\n"
               "def slow(spec):\n"
               "    time.sleep(1.5)\n"
               "    return _real(spec)\n"
-              "ht._run_spec = slow\n"
+              "ht.execute_spec = slow\n"
               "ht.run_worker(sys.argv[1], drain=False, poll_s=0.05)\n")
     proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
                             env=_env(), stdout=subprocess.DEVNULL,

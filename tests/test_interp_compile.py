@@ -1046,7 +1046,6 @@ def test_examples_identical_under_strict_mode(shape, monkeypatch):
 def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
     """Full runtime path (slipstream shells, rt ops, faults disarmed):
     cycles, rt_stats and breakdowns are tier-invariant."""
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     results = {}
     for tiers in (None, ""):
@@ -1089,7 +1088,6 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
     live Frame state) -- and the campaign's results are tier-invariant
     because only disarmed A-streams ever ran compiled."""
     from repro.faults import FaultConfig
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     outcomes = {}
     for tiers in (None, ""):

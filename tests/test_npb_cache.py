@@ -6,7 +6,7 @@ import pytest
 
 from repro.npb import COMPILE_CACHE, REGISTRY, CompileCache
 from repro.npb import cache as cache_mod
-from repro.npb.cache import compiler_fingerprint
+from repro.npb.cache import cache_root, compiler_fingerprint
 
 SRC_A = """
 double x;
@@ -21,8 +21,8 @@ SRC_B = SRC_A.replace("1.5", "2.5")
 
 @pytest.fixture
 def mem_cache():
-    """A fresh cache with the disk layer off."""
-    return CompileCache(disk=False)
+    """A fresh cache."""
+    return CompileCache()
 
 
 def test_repeat_compile_hits(mem_cache):
@@ -42,8 +42,7 @@ def test_source_change_misses(mem_cache):
 
 def test_kernel_param_change_misses():
     def fresh_compiles():
-        s = COMPILE_CACHE.stats()
-        return s["misses"] + s["disk_hits"]   # i.e. not in memory
+        return COMPILE_CACHE.stats()["misses"]
 
     first = REGISTRY["cg"].compile("test")
     before = fresh_compiles()
@@ -87,63 +86,28 @@ def test_fingerprint_is_stable_and_hexlike():
     assert len(fp) == 64 and int(fp, 16) >= 0
 
 
-def test_disk_layer_round_trip(tmp_path):
-    writer = CompileCache(disk_dir=tmp_path)
-    image = writer.get_or_compile(SRC_A)
-    assert len(list(tmp_path.glob("*.img"))) == 1
-    reader = CompileCache(disk_dir=tmp_path)    # cold in-memory layer
-    loaded = reader.get_or_compile(SRC_A)
-    assert reader.stats() == {"hits": 0, "disk_hits": 1, "misses": 0,
-                              "entries": 1}
-    assert loaded.n_instructions == image.n_instructions
-    assert [c.instrs for c in loaded.funcs] == [c.instrs for c in image.funcs]
-
-
-# b"not a pickle" raises UnpicklingError, b"garbage\n" ValueError --
-# corruption must fall back to a compile whatever pickle throws.
-@pytest.mark.parametrize("junk", [b"not a pickle", b"garbage\n", b""])
-def test_corrupt_disk_entry_falls_back_to_compile(tmp_path, junk):
-    writer = CompileCache(disk_dir=tmp_path)
-    writer.get_or_compile(SRC_A)
-    entry = next(tmp_path.glob("*.img"))
-    entry.write_bytes(junk)
-    reader = CompileCache(disk_dir=tmp_path)
-    image = reader.get_or_compile(SRC_A)
-    assert reader.stats()["misses"] == 1 and reader.stats()["disk_hits"] == 0
-    assert image.n_instructions > 0
-
-
-def test_disk_layer_disabled_by_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    c = CompileCache()
-    c.get_or_compile(SRC_A)
-    assert list(tmp_path.rglob("*.img")) == []
-
-
 def test_cache_dir_env_respected(tmp_path, monkeypatch):
-    monkeypatch.delenv("REPRO_DISK_CACHE", raising=False)
+    """``REPRO_CACHE_DIR`` moves the on-disk root the memo store lives
+    under; compiling writes nothing there (the cache is memory only)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert cache_root() == tmp_path
     CompileCache().get_or_compile(SRC_A)
-    assert len(list((tmp_path / "compile").glob("*.img"))) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_clear_drops_memory_and_optionally_disk(tmp_path):
-    c = CompileCache(disk_dir=tmp_path)
-    c.get_or_compile(SRC_A)
-    c.clear()
-    assert c.stats()["entries"] == 0
-    assert len(list(tmp_path.glob("*.img"))) == 1   # disk survives
-    c.clear(disk=True)
-    assert list(tmp_path.glob("*.img")) == []
+def test_clear_drops_memory(mem_cache):
+    mem_cache.get_or_compile(SRC_A)
+    mem_cache.clear()
+    assert mem_cache.stats()["entries"] == 0
+    mem_cache.get_or_compile(SRC_A)
+    assert mem_cache.stats()["misses"] == 2
 
 
-def test_pickled_image_excludes_translation_cache(tmp_path):
-    """Disk entries must not carry the interpreter's per-Code fast
+def test_pickled_image_excludes_translation_cache(mem_cache):
+    """A pickled image must not carry the interpreter's per-Code fast
     stream (derived state, rebuilt on first execution)."""
     from repro.interp.interpreter import _translate
-    c = CompileCache(disk_dir=tmp_path)
-    image = c.get_or_compile(SRC_A)
+    image = mem_cache.get_or_compile(SRC_A)
     _translate(image.funcs[0])                  # populate the cache...
     assert hasattr(image.funcs[0], "_fast")
     clone = pickle.loads(pickle.dumps(image))   # ...and it doesn't travel

@@ -67,12 +67,9 @@ def test_rt_stats_shape():
     assert stats["pipeline"]["unit.executed"] == 1
 
 
-def test_events_and_degraded_mirror_transport():
+def test_events_mirror_transport():
     pipe = ExecutionPipeline(transport=SerialTransport())
     pipe.run([_spec()])
     assert pipe.events == []
-    assert pipe.degraded is False
     pipe.transport.events.append("synthetic note")
-    pipe.transport.degraded = True
     assert pipe.events == ["synthetic note"]
-    assert pipe.degraded is True

@@ -75,7 +75,7 @@ def test_sigkilled_spool_worker_resumes_bit_identical(golden, tmp_path):
     # SIGKILL mid-simulation leaves behind, made deterministic.
     script = ("import sys, time\n"
               "import repro.harness.transport as ht\n"
-              "ht._run_spec = lambda spec: time.sleep(3600)\n"
+              "ht.execute_spec = lambda spec: time.sleep(3600)\n"
               "ht.run_worker(sys.argv[1], drain=False)\n")
     proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
                             env=_env(), stdout=subprocess.DEVNULL,
@@ -127,9 +127,11 @@ def test_sigkilled_pooled_driver_resumes_without_reexecution(
         "ExecutionPipeline(transport=PoolTransport(jobs=2),\n"
         "                  journal=CheckpointJournal(sys.argv[1])\n"
         "                  ).run(specs)\n")
+    # The killed driver's private pool spool is left where TMPDIR says.
     proc = subprocess.Popen([sys.executable, "-c", script,
                              str(journal_dir)],
-                            env=_env(), start_new_session=True,
+                            env=dict(_env(), TMPDIR=str(tmp_path)),
+                            start_new_session=True,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     try:

@@ -401,11 +401,44 @@ def test_failing_spec_traceback_points_into_execute_spec(tmp_path):
 
 # -- structure: written once, nothing to set ----------------------------------
 
+def test_an_attached_worker_never_runs_a_settled_unit(tmp_path):
+    """A driver and one forked ``run_worker`` over 40 units: every unit
+    executes once.  The worker leases from the list its scan began
+    with, so a unit the driver has settled since (published, lease
+    released) must be let go, not run a second time."""
+    import multiprocessing
+    specs = [_tiny(n=48 + i) for i in range(40)]
+    units = SweepPlan(specs).distinct()
+    root = tmp_path / "sp"
+    spool = _Spool(root)
+    spool.ensure()
+    for u in units:
+        spool.enqueue(u.key, u.spec)
+    worker = multiprocessing.get_context("fork").Process(
+        target=run_worker, args=(root,), kwargs=dict(poll_s=0.01))
+    worker.start()
+    tel = Telemetry()
+    try:
+        pipe = ExecutionPipeline(
+            transport=DirQueueTransport(root, poll_s=0.01), telemetry=tel)
+        assert len(pipe.run(specs)) == len(units)
+    finally:
+        worker.join(timeout=60)
+    assert worker.exitcode == 0
+    inline = [r for r in tel.records if r["event"] == "unit.started"]
+    remote = [r for r in read_events(telemetry_area(root))
+              if r["event"] == "unit.finished"]
+    assert len(inline) + len(remote) == len(units), (len(inline),
+                                                     len(remote))
+
+
 def test_the_settle_path_is_written_once():
-    """Guards that count: one call site each for the ledger writes,
-    the placeholder and ``unit.claimed`` under the spool half of
-    ``transport.py``; no ``run`` but ``Transport.run``; the removed
-    knobs on no signature; no dead ``quarantined`` list."""
+    """Guards that count: one call site each for the ledger writes and
+    the placeholder, ``unit.claimed`` under the spool half of
+    ``transport.py`` only where a unit is settled or a pool child's
+    result harvested; one way to lease; no ``run`` but
+    ``Transport.run``; the removed knobs on no signature; no dead
+    ``quarantined`` list."""
     import repro.harness.transport as ht
     source = Path(ht.__file__).read_text()
     tree = ast.parse(source)
@@ -415,12 +448,13 @@ def test_the_settle_path_is_written_once():
     for name in ("record_attempt", "clear_attempts", "quarantined_run"):
         assert calls.count(name) == 1, name
     assert calls.count("settle") == 2                   # driver + worker
+    assert calls.count("lease") == 2                    # driver + worker
     assert calls.count("idle") == 2
     spool_half = source[source.index("class _UnitFailure"):]
-    assert spool_half.count('"unit.claimed"') == 1
+    # settle, and the pool driver's record of a child's harvested unit
+    assert spool_half.count('"unit.claimed"') == 2
     assert spool_half.count('"unit.quarantined"') == 0  # the shared helper
     assert source.count('emit("unit.quarantined"') == 1
-    assert source.count("self.degraded = False") == 2   # __init__ and run
     runs = [cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for fn in cls.body
             if isinstance(fn, ast.FunctionDef) and fn.name == "run"]
@@ -429,6 +463,6 @@ def test_the_settle_path_is_written_once():
         assert not {"poison_threshold", "quarantine_after",
                     "backoff_base"} & set(inspect.signature(fn).parameters)
     assert not hasattr(Transport(), "quarantined")
-    assert len(inspect.signature(PoolTransport).parameters) == 3
+    assert len(inspect.signature(PoolTransport).parameters) == 2
     assert len(inspect.signature(DirQueueTransport).parameters) == 3
     assert len(inspect.signature(run_worker).parameters) == 6
