@@ -59,20 +59,33 @@ def _deaths(ctx):
     return [e for e in ctx.events if "died holding unit" in e]
 
 
-def test_every_worker_killed_completes_like_serial(monkeypatch):
-    """Every forked worker dies on its first unit: the driver releases
-    each dead worker's lease and runs the unit itself."""
+def test_persistent_crash_retries_once_then_degrades(monkeypatch):
+    """Every forked worker dies on its first unit: each dead worker's
+    lease is released, its unit runs once more, and with no worker left
+    the sweep falls to the driver alone -- visibly, not silently."""
     monkeypatch.setattr(ht, "execute_spec", _always_killer)
-    specs = _specs(("single", "G0", "L1", "double"))
-    ctx, tel, runs = _pool_run(specs, jobs=4)
-    serial = ExecutionPipeline().run(specs)
-    assert [r.cycles for r in runs] == [r.cycles for r in serial]
+    ctx, tel, runs = _pool_run(_specs(("single", "G0", "L1", "double")),
+                               jobs=4)
+    # the sweep still completed, in order, with real results
+    assert [r.config for r in runs] == ["single", "G0", "L1", "double"]
     assert all(r.result is not None for r in runs)
+    assert runs[0].cycles > runs[1].cycles        # G0 beats single
     deaths = _deaths(ctx)
     assert deaths                                 # not silent...
     assert tel.metrics.counters.get("lease.reaped") == len(deaths)
     pids = {int(e.split()[1]) for e in deaths}
     assert pids <= set(ctx.transport._children)   # ...and named
+
+
+def test_degraded_results_match_serial(monkeypatch):
+    """The units the driver ran after its workers died are bit-identical
+    to a serial sweep."""
+    monkeypatch.setattr(ht, "execute_spec", _always_killer)
+    specs = _specs(("single", "G0", "L1", "double"))
+    ctx, _, degraded = _pool_run(specs, jobs=4)
+    serial = ExecutionPipeline().run(specs)
+    assert _deaths(ctx)
+    assert [r.cycles for r in degraded] == [r.cycles for r in serial]
 
 
 def test_transient_crash_recovers_on_the_retry(monkeypatch, tmp_path):
