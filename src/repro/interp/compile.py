@@ -35,11 +35,12 @@ frame and off the ladder:
   frame is never stale, so no exit writes anything back, there is no
   dirty set, and a trap in the middle of a block leaves the locals the
   interpreter would have left.  (Writing back at exits instead is
-  cheaper per store, but needs a may-dirty set per exit and definite
-  assignment for every write-back, and leaves the frame stale at a
-  mid-block trap; DESIGN.md section 6 has the sizes.)  What a function
-  needs bound on entry comes from a backward liveness pass over the
-  block CFG (``_live_in`` over the per-opcode ``_LOCAL_RW`` table).
+  cheaper per store, but in general needs a may-dirty set per exit and
+  definite assignment for every write-back, and leaves the frame stale
+  at a mid-block trap; DESIGN.md section 6 has the sizes.)  What a
+  function needs bound on entry comes from a backward liveness pass
+  over the block CFG (``_live_in`` over the per-opcode ``_LOCAL_RW``
+  table).  Collapsed loops are the one exception, below.
 * **single-predecessor merging** -- a block that no resume enters and
   exactly one edge reaches is emitted where that edge is: inside the
   ``if``/``else`` arm, or after the forward ``jump``.  Its id leaves
@@ -48,9 +49,20 @@ frame and off the ladder:
   instead of one per block.  ``_MAX_MERGE_NEST`` bounds the nest; the
   block after the cap goes back to the ladder.
 * **collapsed loops** -- a loop whose blocks all merged into its header
-  is ``while b == lo:`` with the header's body directly under it: no
-  guard inside, and the back edge is ``continue`` (``b`` never left
-  ``lo``).
+  is ``if b == lo:`` over ``while 1:`` with the header's body directly
+  under it: the back edge is ``continue`` (``b`` never left ``lo``) and
+  ``b`` changes only right before a ``break``, so nothing re-tests it.
+  Such a loop keeps its *resident* slots -- those it writes that are
+  live at its header -- in Python locals only, and writes them to the
+  frame in one line before every ``return`` and ``break`` and in an
+  ``except BaseException:`` handler around the ``while 1:``.  A slot
+  live at the header is bound at every point inside (liveness made a
+  stub or a store bind it before the header), the exits are the loop's
+  own lines, and a trap leaves through the handler, so the frame holds
+  what write-through would have left wherever anything can look at it:
+  a trip makes no call, and the ``fr``/``fw`` hooks never see a frame.
+  A slot the loop writes but that is not live at its header may be
+  unbound at an exit and stays write-through.
 
 Exactness contract (the golden tables must be bit-identical with the
 tier on or off):
@@ -69,10 +81,11 @@ tier on or off):
   ``fast_read``/``fast_write`` callbacks first; backward jumps decrement
   the same ``MAX_SLICE`` budget and yield ``TimeSlice`` on exhaustion.
 * **state sync** -- ``frame.locals`` is current after every store
-  (write-through); ``frame.pc``/``frame.stack`` are written back at
-  every exit (event return, call/ret frame switch).  Snapshots taken at
-  barriers, ``clone``, ``restore``/``corrupt`` and every shell-side
-  observer see exactly the state the interpreter would have left.
+  (write-through) and at every exit from a collapsed loop (write-back);
+  ``frame.pc``/``frame.stack`` are written back at every exit (event
+  return, call/ret frame switch).  Snapshots taken at barriers,
+  ``clone``, ``restore``/``corrupt`` and every shell-side observer see
+  exactly the state the interpreter would have left.
 * **resume** -- the generated function is re-entered through an
   ``_ENTRY`` table mapping resumable pcs (function entry, post-yield,
   post-call, backward-jump targets) to the block id itself when the
@@ -101,6 +114,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..compiler.bytecode import (BINOP_COST, ICALL_COST, OP_COST,
@@ -157,7 +171,8 @@ _LEAVES = frozenset(("rt", "print", "call"))
 _LADDER_MAX = 8
 #: ``while`` loops nested deeper than this are laid out as plain blocks
 #: of the innermost emitted loop.  CPython allows 20 statically nested
-#: blocks; ``try`` and the catch-all ``while 1:`` take two of them.
+#: blocks; ``try`` and the catch-all ``while 1:`` take two of them, and
+#: a collapsed loop's ``try`` one more.
 _MAX_LOOP_NEST = 8
 #: Blocks merged under one ladder block nest at most this deep; the next
 #: one goes back to the ladder.  Each level indents by at most one, and
@@ -166,6 +181,10 @@ _MAX_MERGE_NEST = 32
 
 _TERMINAL = _MEM_YIELDS | _LEAVES | frozenset(
     ("jump", "jfalse", "jnone", "cjf", "lcjf", "lljf", "lcbsj", "ret"))
+
+#: A write-through store as the emitter spells it; group 2 is what a
+#: collapsed loop keeps of a store to a resident slot.
+_STORE = re.compile(r"L\[(\d+)\] = (l\1 = )")
 
 
 def _bexpr(o: str, a: str, b: str) -> Tuple[str, str]:
@@ -908,21 +927,57 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                                 ", ".join("L[%d]" % k for k in slots)))
         w(ind, "b = %d" % bid[e])
 
-    def emit_body(ind: int, node: int, loop: Tuple[int, int]) -> None:
+    def write_back(slots: Tuple[int, ...]) -> str:
+        return "%s = %s" % (", ".join("L[%d]" % k for k in slots),
+                            ", ".join(ld(k) for k in slots))
+
+    def emit_body(ind: int, node: int, loop: Tuple[int, int],
+                  resident: Tuple[int, ...] = ()) -> None:
         """One ladder block with everything merged under it.  ``loop``
         is the id range of the innermost ``while`` around it: a transfer
         out of that range also breaks, which skips the guards left in
         the ladder.  A range of the block alone is a collapsed loop:
         ``b`` never leaves the header's id, so the back edge is a bare
-        ``continue``."""
+        ``continue``; its stores to ``resident`` slots skip the frame,
+        which gets them back before every ``return`` and ``break``."""
         collapsed = loop == (node, node)
+        back = write_back(resident) if resident else None
         for sub, text, target in bodies[node]:
             if collapsed and target == node:
                 w(ind + sub, "continue")
                 continue
+            if back:
+                store = _STORE.match(text)
+                if store and int(store.group(1)) in resident:
+                    text = text[store.start(2):]
+                elif text.startswith("return "):
+                    w(ind + sub, back)
             w(ind + sub, text)
             if target is not None and not loop[0] <= target <= loop[1]:
+                if back:
+                    w(ind + sub, back)
                 w(ind + sub, "break")
+
+    def emit_collapsed(ind: int, lo: int) -> None:
+        """A loop whose blocks all merged into its header: ``b`` is
+        tested once on the way in, and the slots live at the header
+        that the loop writes stay Python locals until it exits (or
+        traps: the handler writes them back and re-raises)."""
+        written = {int(store.group(1)) for _sub, text, _t in bodies[lo]
+                   if (store := _STORE.match(text))}
+        resident = tuple(k for k in sorted(written)
+                         if live[order[lo]] >> k & 1)
+        w(ind, "if b == %d:" % lo)
+        if not resident:
+            w(ind + 1, "while 1:")
+            emit_body(ind + 2, lo, (lo, lo))
+            return
+        w(ind + 1, "try:")
+        w(ind + 2, "while 1:")
+        emit_body(ind + 3, lo, (lo, lo), resident)
+        w(ind + 1, "except BaseException:")
+        w(ind + 2, write_back(resident))
+        w(ind + 2, "raise")
 
     def emit_nodes(ind: int, nodes: List, loop: Tuple[int, int]) -> None:
         """A ladder of ``if b == k:`` guards in fall-through order; long
@@ -945,10 +1000,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 continue
             lo, hi, inner = node
             if inner == [lo]:
-                # Everything the loop runs merged into its header: the
-                # ``while`` test is the only dispatch of an iteration.
-                w(ind, "while b == %d:" % lo)
-                emit_body(ind + 1, lo, (lo, lo))
+                emit_collapsed(ind, lo)
             else:
                 w(ind, "while %d <= b <= %d:" % (lo, hi))
                 emit_nodes(ind + 1, inner, (lo, hi))

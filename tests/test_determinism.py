@@ -14,6 +14,9 @@ on a 4-CMP machine -- every execution mode, both A-R synchronization
 policies, and both scheduling styles.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import PAPER_MACHINE
@@ -52,6 +55,18 @@ GOLDEN_CYCLES = {
     ("dynamic", "sp", "single"): 251695.0,
     ("dynamic", "sp", "G0"): 204586.0,
 }
+
+
+def test_bench_hotpath_cycles_are_the_golden_static_cycles():
+    """``BENCH_hotpath.json`` records the test-size sweep it timed; its
+    cycle map is the static half of the table above, not a third copy
+    that may drift."""
+    cycles = json.loads((Path(__file__).resolve().parents[1]
+                         / "BENCH_hotpath.json").read_text())["cycles"]
+    assert len(cycles) == 20
+    assert {("static",) + tuple(k.split("/")): v
+            for k, v in cycles.items()} == {
+        k: v for k, v in GOLDEN_CYCLES.items() if k[0] == "static"}
 
 
 @pytest.fixture(scope="module")

@@ -88,3 +88,30 @@ def test_fig2_sentence_counts_the_in_band_rows_of_its_own_table():
     for bench, g in gains.items():          # a row out of band is named
         if not 5.0 <= g <= 20.0:
             assert f"{bench}'s is {g:+.1f}%" in section
+
+
+AVERAGE_ROW = re.compile(r"^\| \*\*average\*\* \|[^|]*\| \*\*"
+                         r"(?P<gain>[+−-]\d+\.\d)%\*\*", re.M)
+
+
+def test_fig4_gains_are_the_committed_table_at_one_decimal():
+    """EXPERIMENTS.md, Figure 4: the measured-gain column and its average
+    are ``benchmarks/results/fig4_dynamic.txt``'s slipstream gains as
+    percentages, to one decimal."""
+    table = (ROOT / "benchmarks" / "results" / "fig4_dynamic.txt").read_text()
+
+    def line(label):
+        return next(ln for ln in table.splitlines() if ln.startswith(label))
+
+    def pct(gain):
+        return f"{(float(gain) - 1) * 100:+.1f}"
+
+    want = {b: pct(g) for b, g in re.findall(
+        r"(\w+)=([\d.]+)", line("per-benchmark slipstream gain:"))}
+    want["average"] = pct(line("average gain:").split()[-1])
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text[text.index("## Figure 4"):text.index("## Figure 5")]
+    said = {m["bench"]: m["gain"].replace("−", "-")
+            for m in GAIN_ROW.finditer(section)}
+    said["average"] = AVERAGE_ROW.search(section)["gain"].replace("−", "-")
+    assert said == want

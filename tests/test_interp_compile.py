@@ -9,11 +9,12 @@ types, same payloads, and same ``take_cycles()`` reading at every
 yield point -- as the tuple-dispatch interpreter, plus the same final
 memory image and, at every event, the same frames (pc, operand stack,
 locals: generated code keeps locals in Python locals and writes every
-store through to the frame).  A seeded random-program sweep covers the
-combinatorial space; directed tests pin liveness (what a resume must
-reload), the deopt edges (restore, corrupt, armed faults, profiling,
-wild pc) where the tier must step aside without perturbing a single
-cycle, and the shape of the emitted code.
+store through to the frame, except that a collapsed loop writes its
+resident slots back where it exits).  A seeded random-program sweep
+covers the combinatorial space; directed tests pin liveness (what a
+resume must reload), the deopt edges (restore, corrupt, armed faults,
+profiling, wild pc) where the tier must step aside without perturbing
+a single cycle, and the shape of the emitted code.
 """
 
 import random
@@ -596,6 +597,23 @@ def test_wild_index_trap_identical():
     assert state[0] is VMError and state[2] == (0, 3.5, [0.0] * 4)
 
 
+def test_trap_mid_trip_of_a_collapsed_loop_identical():
+    """An int division by a private that reaches 0 traps in the third
+    trip of a loop over private scalars, after ``a`` and ``d`` were
+    written earlier in that trip.  The loop keeps them in Python locals
+    only; the handler around it writes them back before the trap leaves,
+    so the frame holds what the interpreter's holds, not their values
+    from before the loop."""
+    src = ("int z;\nvoid main() { int a; int d; int k; int q; a = 1; d = 3; "
+           "k = 0; q = 0; z = 0; while (k < 9) { a = a + 5; d = d - 1; "
+           "q = q + 12 / d; k = k + 1; } z = q; }")
+    prog = compile_source(src)
+    assert "except BaseException:" in prog.funcs[prog.main_index].gen_src[0]
+    assert _crash(prog, True) == _crash(prog, False)
+    message, (_kind, _cycles, locs) = _crash(prog, True)
+    assert "division by zero" in message and locs == (16, 0, 2, 18)
+
+
 # ------------------------------------------------------------- liveness
 #
 # Generated code reads a frame local as the Python local ``l<k>``, bound
@@ -648,6 +666,33 @@ _LIVENESS_CASES = {
             n = n + 2;
         }
         print(n, i);""",
+    # t is written before any read in a trip, so it is not live at the
+    # header of the collapsed loop and stays write-through there; the
+    # loop leaves through a shared store that misses, and t is read
+    # after the resume.
+    "written-in-a-collapsed-loop-read-after-it": """
+        int i; double t; double x;
+        i = 0; x = 0.5;
+        for (;;) {
+            t = x * 2.0;
+            x = t - x * 0.75;
+            i = i + 1;
+            if (i >= 5) { break; }
+        }
+        arr[3] = x + t;
+        print(t, x, i);""",
+    # The same loop shape run for no trip: t is never bound, so a
+    # write-back that named it would raise at the exit.
+    "written-in-a-collapsed-loop-that-runs-no-trip": """
+        int i; double t; double x;
+        i = 7; x = 0.5;
+        while (i < 5) {
+            t = x * 2.0;
+            x = t - x * 0.75;
+            i = i + 1;
+        }
+        arr[3] = x;
+        print(x, i);""",
     # aload / astore read the array reference out of the slot.
     "private-array": """
         int i; double p[4];
@@ -807,10 +852,14 @@ def test_source_cpython_cannot_compile_falls_back(monkeypatch):
 
 
 _DISPATCH_LINE = re.compile(r"\s*(if|while) (\d+ <= )?b (==|<|>=|<=) \d+:")
-#: What a block body sits under: its ladder guard, or the ``while`` of a
+#: What a block body sits under: its ladder guard, or the guard of a
 #: loop whose blocks all merged into the header.
-_BLOCK_GUARD = re.compile(r"\s*(if|while) b == \d+:")
+_BLOCK_GUARD = re.compile(r"\s*if b == \d+:")
 _LOCAL_STORE = re.compile(r"\s*L\[(\d+)\] = l\1 = ")
+#: A collapsed loop's resident slots going back to the frame at an exit.
+_WRITE_BACK = re.compile(r"\s*L\[(\d+)\](, L\[\d+\])* = l\1(, l\d+)*$")
+#: The header of a collapsed loop, with or without a resident set.
+_COLLAPSED = re.compile(r"( *)if b == \d+:\n\1 (try:\n\1  )?while 1:\n")
 
 
 def _line_hits(src):
@@ -914,16 +963,15 @@ void main() {{
 
 def test_private_scalar_loop_runs_on_python_locals(monkeypatch):
     """What the ``vm_dense`` claim rests on: a trip of a loop over
-    private scalars is one dispatch (the ``while`` of the collapsed
-    loop), one charge, and no frame access but the write-through
-    stores; ``min``/``max`` name their literal operand in place."""
+    private scalars is no dispatch (the collapsed loop tests ``b`` once
+    on the way in), one charge, and no frame access at all -- x, y and
+    k are resident and reach the frame where the loop exits;
+    ``min``/``max`` name their literal operand in place."""
     monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     trip = _lines_of_one_iteration(_dense_loop)
-    dispatch = [t for t in trip if _DISPATCH_LINE.match(t)]
-    assert len(dispatch) == 1 and re.match(r"\s*while b == \d+:", dispatch[0])
+    assert [t for t in trip if _DISPATCH_LINE.match(t)] == []
     assert sum(t.lstrip().startswith("c = c + ") for t in trip) == 1
-    assert [t for t in trip if "L[" in t and not _LOCAL_STORE.match(t)] == []
-    assert sum(bool(_LOCAL_STORE.match(t)) for t in trip) == 3      # x y k
+    assert [t for t in trip if "L[" in t] == []
     assert any("if s0 > -3.0 else -3.0" in t for t in trip)
     assert any("if s0 < 3.0 else 3.0" in t for t in trip)
     assert not any(re.match(r"\s*s\d+ = -?3\.0$", t) for t in trip)
@@ -939,6 +987,17 @@ def test_loop_with_shared_accesses_dispatches_once_per_access(monkeypatch):
     dispatch = [t for t in trip if _DISPATCH_LINE.match(t)]
     assert len(dispatch) <= accesses + 2
     assert sum(t.lstrip().startswith("while ") for t in dispatch) == 1
+
+
+def test_random_programs_exercise_collapsed_loops():
+    """The random-program sweeps (every slice budget, both hook modes)
+    run the collapsed-loop emitter and its resident sets: a third of the
+    seeds emit at least one collapsed loop."""
+    seeds = sum(
+        any(_COLLAPSED.search(f.gen_src[0])
+            for f in compile_source(make_program(seed)).funcs)
+        for seed in range(30))
+    assert seeds >= 10
 
 
 #: Bytes of generated source per image at the commit before the
@@ -965,13 +1024,17 @@ def test_registry_kernels_compile_strict_and_stay_small(bench, size,
     nbytes = sum(len(f.gen_src[0]) for f in prog.funcs)
     assert nbytes <= _PARENT_SOURCE_BYTES[bench, size]
     # One emitter: locals are Python locals everywhere past the entry
-    # stubs, and no collapsed loop kept the guard of its header.
+    # stubs, written through or written back over a collapsed loop's
+    # resident set, and no collapsed loop re-tests or keeps the guard of
+    # its header (the catch-all ``while 1:`` is the first line).
     for f in prog.funcs:
         text = f.gen_src[0]
         lines = text[text.index("  while 1:"):].split("\n")
-        for above, line in zip(lines, lines[1:]):
-            assert "L[" not in line or _LOCAL_STORE.match(line), line
-            assert not (re.match(r"\s*while b == \d+:", above)
+        for above, line in zip(lines[1:], lines[2:]):
+            assert ("L[" not in line or _LOCAL_STORE.match(line)
+                    or _WRITE_BACK.match(line)), line
+            assert not re.match(r"\s*while b == \d+:", line), line
+            assert not (above.strip() == "while 1:"
                         and re.match(r"\s*if b == \d+:", line)), line
 
 

@@ -1,8 +1,10 @@
 """The paper's qualitative results, asserted over the committed tables.
 
-``benchmarks/results/fig{2,3,4}_*.txt`` are paper scale (16 CMPs,
-``bench`` size) and are rewritten by ``benchmarks/bench_fig*.py``; this
-module runs no simulation, it reads them.  A refactor that re-records a
+``benchmarks/results/fig{2,3,4}_*.txt``, ``ablation_latency.txt``,
+``ablation_chunksize.txt`` and ``scaling.txt`` are paper scale (16 CMPs,
+``bench`` size; scaling also at 4 and 8) and are rewritten by the
+``benchmarks/bench_*.py`` of the same name; this module runs no
+simulation, it reads them.  A refactor that re-records a
 table keeps passing only while the table still says what the paper
 says.  The claim is the bench-size one: at 4 CMPs test size ``double``
 still scales and slipstream's static average is below 1.
@@ -35,18 +37,24 @@ def _gains(text, label):
     return {b: float(g) for b, g in re.findall(r"(\w+)=([\d.]+)", line)}
 
 
-def _rows(text, header):
-    """Rows ({column: cell}) of the table whose header line starts with
-    ``header``, up to the first blank line."""
+def _cells(text, header):
+    """(header line, rows as lists of cells) of the table whose header
+    line starts with ``header``, up to the first blank line."""
     lines = text.splitlines()
     start = next(i for i, ln in enumerate(lines) if ln.startswith(header))
-    names = lines[start].split()
     rows = []
     for ln in lines[start + 2:]:          # skip the header and its rule
         if not ln.strip():
             break
-        rows.append(dict(zip(names, ln.split())))
-    return rows
+        rows.append(ln.split())
+    return lines[start], rows
+
+
+def _rows(text, header):
+    """Rows ({column: cell}) of a table whose column names are one word
+    each."""
+    head, rows = _cells(text, header)
+    return [dict(zip(head.split(), row)) for row in rows]
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +105,37 @@ def test_sp_gains_most_under_dynamic_scheduling():
     assert max(gains, key=gains.get) == "SP", (
         f"§5.2 (Fig 4): SP must gain most under dynamic scheduling; "
         f"gains {gains}")
+
+
+def test_slipstream_gain_rises_with_interconnect_latency():
+    head, rows = _cells(_text("ablation_latency.txt"), "NetTime scale")
+    assert head.split()[-2:] == ["slip", "gain"]
+    assert [row[0] for row in rows] == ["0.5x", "1.0x", "2.0x"]
+    gains = [float(row[-1]) for row in rows]
+    assert gains[0] < gains[1] < gains[2], (
+        f"§1: slipstream pays off where communication dominates, so its "
+        f"gain on SP must rise as NetTime grows; gains {gains}")
+
+
+def test_scheduling_fraction_falls_as_the_chunk_grows():
+    # Only the chunk and the single-mode fraction are read: the slip-G0
+    # cell of the chunk-128 row is the one exhibit cell that drifted
+    # (ROADMAP item 1(a)).
+    head, rows = _cells(_text("ablation_chunksize.txt"), "chunk")
+    assert head.rstrip().endswith("sched fraction (single)")
+    assert [int(row[0]) for row in rows] == [16, 32, 128]
+    fracs = [float(row[-1]) for row in rows]
+    assert fracs[0] > fracs[1] > fracs[2], (
+        f"§3.2.2: a chunk carrying more work must spend a smaller share "
+        f"of CG's time scheduling; fractions {fracs}")
+
+
+def test_slipstream_is_the_best_configuration_at_16_cmps():
+    _head, rows = _cells(_text("scaling.txt"), "CMPs")
+    assert [row[0] for row in rows] == ["4", "8", "16"]
+    single, double, slip = (int(c) for c in rows[-1][1:4])
+    assert slip < double < single, (
+        f"§1: at 16 CMPs CG is past its scaling knee, where a second "
+        f"task per CMP barely helps and slipstream is the best use of "
+        f"the second processor; cycles single {single}, double {double}, "
+        f"slipstream {slip}")
