@@ -8,7 +8,9 @@ drift hit both arms equally, then:
 * asserts the simulated cycle map is bit-identical across the two
   (the cycle-exactness contract of the generated code);
 * records the speedup, on the suite and on a bare VM, and an
-  explanatory note to ``BENCH_hotpath.json`` at the repository root.
+  explanatory note to ``BENCH_hotpath.json`` at the repository root,
+  and prints the table (host timings stay out of
+  ``benchmarks/results/``, which holds deterministic numbers only).
 
 The suite here is pinned to test size / 4 CMPs (the CI smoke scale)
 regardless of ``REPRO_BENCH_SIZE`` so the recorded trajectory stays
@@ -21,7 +23,6 @@ import pathlib
 import platform
 import time
 
-from conftest import publish
 from repro.config import PAPER_MACHINE
 from repro.harness import render_table, run_static_suite
 from repro.hotpath import reset_for_tests
@@ -172,7 +173,7 @@ def test_hotpath_ablation(once):
     BASELINE_PATH.write_text(json.dumps(data, indent=2) + "\n")
     rows = [[tiers, f"{d['cpu_min_s']:.2f}", f"{d['speedup_vs_off']:.3f}"]
             for tiers, d in data["arms"].items()]
-    publish("hotpath_ablation", render_table(
+    print("\n" + render_table(
         ["REPRO_HOTPATH", "cpu s (min)", "speedup vs off"], rows,
         f"reference interpreter (off) vs generated code, "
         f"{data['sweep']['runs']}-run static suite (test size, 4 CMPs, "

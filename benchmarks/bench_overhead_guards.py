@@ -19,15 +19,16 @@ and ``MIN_ARM_S`` of CPU in each arm, and bounds the median of the
 pairs' off/on ratios.
 
 The sweep is pinned to test size / 4 CMPs regardless of
-``REPRO_BENCH_SIZE`` so the tables under ``benchmarks/results/`` stay
-comparable across hosts and PRs.  Wall-clock of the harness itself is
-``benchmarks/e2e``'s ``harness_roundtrip`` workload, not this file.
+``REPRO_BENCH_SIZE`` so the printed tables stay comparable across
+hosts and PRs.  They are host timings, so they are printed, not written
+under ``benchmarks/results/`` (which holds deterministic numbers only).
+Wall-clock of the harness itself is ``benchmarks/e2e``'s
+``harness_roundtrip`` workload, not this file.
 """
 
 import statistics
 import time
 
-from conftest import publish
 from repro.config import PAPER_MACHINE
 from repro.harness import (CheckpointJournal, ExecutionPipeline, HazardConfig,
                            MemoStore, Telemetry, hazards, render_table,
@@ -74,9 +75,9 @@ def _interleave(off, on):
     return statistics.median(ratios), total[off], total[on]
 
 
-def _guard(once, name, title, column, off_label, on_label, off, on):
+def _guard(once, title, column, off_label, on_label, off, on):
     ratio, off_s, on_s = once(_interleave, off, on)
-    publish(name, render_table(
+    print("\n" + render_table(
         [column, "cpu s", "vs on (median of pairs)"],
         [[off_label, f"{off_s:.2f}", f"{ratio:.3f}"],
          [on_label, f"{on_s:.2f}", "1.000"]],
@@ -89,7 +90,7 @@ def test_null_sink_overhead(once):
     # observability may not cost more than the default AggregateSink
     # (in practice it is faster -- no span/counter bookkeeping).
     aggregate, null = _specs(), _specs(obs="null")
-    _guard(once, "null_sink_overhead", "observability-off cost, 8-run static sweep", "sink",
+    _guard(once, "observability-off cost, 8-run static sweep", "sink",
            "null (observability off)", "aggregate (default)",
            off=lambda tag: ExecutionPipeline().run(null),
            on=lambda tag: ExecutionPipeline().run(aggregate))
@@ -108,8 +109,7 @@ def test_telemetry_overhead(once, tmp_path):
         finally:
             tel.close()
 
-    _guard(once, "telemetry_overhead",
-           "harness-telemetry cost, 8-run static sweep", "telemetry",
+    _guard(once, "harness-telemetry cost, 8-run static sweep", "telemetry",
            "off (default)", "on (event log + metrics)",
            off=lambda tag: ExecutionPipeline().run(specs), on=live)
 
@@ -141,7 +141,7 @@ def test_hazards_disarmed_overhead(once, tmp_path):
         finally:
             hazards.disarm()
 
-    _guard(once, "hazards_disarmed_overhead",
-           "hazard-site cost, 8-run checkpointed sweep", "hazard sites",
+    _guard(once, "hazard-site cost, 8-run checkpointed sweep",
+           "hazard sites",
            "disarmed (default)", "armed, empty schedule",
            off=disarmed, on=armed)

@@ -16,7 +16,9 @@ Environment knobs (for quicker exploratory runs):
   figure code rather than the simulator).
 
 Rendered outputs are also written to ``benchmarks/results/*.txt`` so
-EXPERIMENTS.md can reference a stable artifact.
+EXPERIMENTS.md can reference a stable artifact.  That directory holds
+deterministic numbers only: host-timing tables are printed, not
+published.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from typing import List, Optional
 from .compiler import compile_source, disassemble
 from .config import PAPER_MACHINE
 from .harness import render_speedups, run_static_suite
+from .harness.transport import LEASE_S
 from .hotpath import hotpath_tiers
 from .interp import FunctionalRunner
 from .lang import analyze, parse
@@ -158,9 +159,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "the driving sweep)")
     wrk.add_argument("--poll", type=float, default=0.1, metavar="S",
                      help="seconds between scans when idle (default 0.1)")
-    wrk.add_argument("--lease", type=float, default=60.0, metavar="S",
+    wrk.add_argument("--lease", type=float, default=LEASE_S, metavar="S",
                      help="reap another worker's claim after S seconds "
-                          "(default 60; set above the longest unit)")
+                          "(default %(default)g; set above the longest "
+                          "unit)")
     wrk.add_argument("--max-units", type=int, default=None, metavar="N",
                      help="exit after executing N units")
     wrk.add_argument("--wait", action="store_true",
@@ -173,9 +175,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="render the live fleet state of a spool sweep")
     sta.add_argument("dir", help="spool directory of the sweep "
                                  "(the --spool DIR)")
-    sta.add_argument("--stall", type=float, default=30.0, metavar="S",
+    sta.add_argument("--stall", type=float, default=LEASE_S, metavar="S",
                      help="treat a claim or worker silent for more "
-                          "than S seconds as stalled (default 30)")
+                          "than S seconds as stalled (default "
+                          "%(default)g, the worker's --lease)")
     sta.add_argument("--json", action="store_true",
                      help="emit the machine-readable snapshot instead "
                           "of the report")

@@ -14,15 +14,15 @@ from .jobs import (RunSpec, SweepPlan, WorkUnit, code_fingerprint,
                    dynamic_specs, execute_spec, failure_run,
                    quarantined_run, static_specs, unit_key)
 from .transport import (DirQueueTransport, PoolTransport, SerialTransport,
-                        Transport, run_worker)
+                        Transport, run_worker, telemetry_area)
+from .status import collect_status, render_status
 from .checkpoint import CheckpointJournal, MemoStore, default_memo_dir
 from .pipeline import ExecutionPipeline
 from .hazards import (HAZARD_CLASS_KINDS, HAZARD_CLASSES, HAZARD_KINDS,
                       HazardConfig, HazardPlan, backoff_s)
 from .integrity import (IntegrityError, atomic_pickle, gc_tmp,
                         load_verified)
-from ..obs.telemetry import (NULL_TELEMETRY, Telemetry, collect_status,
-                             render_status, telemetry_area)
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .chaos import (CHAOS_BENCHMARKS, ChaosOutcome, ChaosReport,
                     HarnessChaosOutcome, HarnessChaosReport, chaos_specs,
                     oracle_check, render_chaos, render_harness_chaos,

@@ -48,14 +48,14 @@ from ..config.machine import MachineConfig, PAPER_MACHINE
 from ..faults import CLASS_KINDS, FAULT_CLASSES, FaultConfig
 from ..interp.funcrunner import FunctionalRunner
 from ..npb import REGISTRY
-from ..obs.telemetry import (Telemetry, read_events, telemetry_area,
-                             validate_events)
+from ..obs.telemetry import Telemetry, read_events, validate_events
 from . import hazards
 from .checkpoint import CheckpointJournal, MemoStore
 from .jobs import RunSpec, execute_spec
 from .pipeline import ExecutionPipeline
 from .runner import BenchRun
-from .transport import DirQueueTransport, PoolTransport, SerialTransport
+from .transport import (DirQueueTransport, PoolTransport, SerialTransport,
+                        telemetry_area)
 
 __all__ = ["CHAOS_BENCHMARKS", "SCENARIO_CLASS_SETS", "ChaosOutcome",
            "ChaosReport", "chaos_specs", "run_chaos", "oracle_check",

@@ -58,10 +58,6 @@ class BenchRun:
             return float("nan")
         return self.result.cycles
 
-    def speedup_over(self, base: "BenchRun") -> float:
-        """This run's speedup relative to a baseline run."""
-        return base.cycles / self.cycles
-
 
 def _env_for(config: str, schedule=None) -> Optional[RuntimeEnv]:
     kw = {}

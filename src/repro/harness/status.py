@@ -1,81 +1,39 @@
-"""Fleet status: render a live spool sweep from its on-disk traces.
+"""Fleet status: a live spool sweep, read through the spool's protocol.
 
 ``repro status DIR`` calls :func:`collect_status` on a spool root and
-prints :func:`render_status`.  Everything is derived from files other
-processes already maintain -- no RPC, no cooperation needed from a
-wedged fleet:
+prints :func:`render_status`.  Nothing is asked of the fleet (no RPC: a
+wedged fleet still reports), and every reading goes through
+:class:`~repro.harness.transport._Spool`, the one owner of the layout:
 
-* the spool itself (``units/*.spec``, ``claims/*.claim``,
-  ``results/*.run``) gives queued / claimed / done counts and per-claim
-  ages (a claim file's mtime is its lease start);
-* worker **heartbeats** (``telemetry/heartbeats/*.json``, written
-  atomically every second by live sessions) give per-worker last-seen,
-  role, and progress;
-* the **event log** (``telemetry/events-*.jsonl``) gives failure kinds
-  and the mean unit wall time the ETA estimate uses.
+* pending and published units give queued / claimed / done counts;
+* a claimed unit is a straggler under :meth:`_Spool.stall` at
+  :data:`~repro.harness.transport.LEASE_S` -- the rule and the
+  threshold the lease reaper applies, so the claim flagged here is the
+  claim the reaper would take;
+* the sessions' heartbeats give each one's last-seen, role and
+  progress;
+* the event log gives failure kinds and the mean unit wall time the ETA
+  extrapolates.
 
-The module reads the spool layout directly rather than importing
-:mod:`repro.harness` (harness modules import ``repro.obs``; keeping
-this one-way avoids an import cycle).  A fleet is **stalled** when
-work remains but nothing is moving: a claim is stalled under
-:func:`claim_is_stalled` -- the one shared heartbeat-aware predicate
-both this status view and ``DirQueueTransport`` lease reaping apply,
-so the claim ``repro status`` flags as a straggler is exactly the
-claim the transport would reap -- or there are pending units with no
-live worker and no fresh claim.  ``repro status`` exits nonzero on a
-stalled fleet so scripts can alarm on it.
+Claim ages are read unskewed: status is no hazard site, so it never
+arms a hazard plan or uses up an opportunity.  A fleet is **stalled**
+when work remains and nothing moves -- a straggler, or pending units
+with no live worker and no fresh claim -- and ``repro status`` exits 1
+on it so scripts can alarm.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import List, Optional, Union
 
-from .events import TERMINAL_EVENTS, read_events
+from ..obs.telemetry import TERMINAL_EVENTS, read_events
+from .transport import LEASE_S, _Spool
 
 __all__ = ["WorkerStatus", "FleetStatus", "collect_status",
-           "render_status", "claim_is_stalled", "heartbeat_age",
-           "DEFAULT_STALL_S"]
-
-#: A claim or heartbeat older than this is considered stuck/dead.
-DEFAULT_STALL_S = 30.0
-
-
-def claim_is_stalled(claim_age_s: Optional[float],
-                     heartbeat_age_s: Optional[float],
-                     stall_s: float) -> bool:
-    """The one definition of a stalled (reapable) claim, shared by
-    ``repro status`` stall detection and ``DirQueueTransport`` /
-    ``run_worker`` lease reaping.
-
-    A claim is stalled when it has outlived ``stall_s`` **and** its
-    owner shows no fresh heartbeat: a live worker grinding through a
-    long unit keeps heartbeating, so its old claim is a straggler to
-    watch, not a lease to steal.  No heartbeat at all (``None``) means
-    presumed dead -- claims planted without telemetry, or by a worker
-    SIGKILLed before its first beat, still reap by age alone.
-    """
-    if claim_age_s is None or claim_age_s <= stall_s:
-        return False
-    return heartbeat_age_s is None or heartbeat_age_s > stall_s
-
-
-def heartbeat_age(heartbeats_dir: Union[str, Path, None],
-                  worker: Optional[str],
-                  _now: Optional[float] = None) -> Optional[float]:
-    """Seconds since ``worker`` last heartbeat (file mtime), or None
-    when unknown (no dir, no owner recorded, no beat written yet)."""
-    if heartbeats_dir is None or not worker:
-        return None
-    try:
-        mtime = (Path(heartbeats_dir) / f"{worker}.json").stat().st_mtime
-    except OSError:
-        return None
-    now = time.time() if _now is None else _now
-    return max(0.0, now - mtime)
+           "render_status"]
 
 
 @dataclass
@@ -133,19 +91,15 @@ class FleetStatus:
         }
 
 
-def _read_heartbeats(area: Path, stall_s: float) -> List[WorkerStatus]:
+def _read_heartbeats(spool: _Spool, stall_s: float) -> List[WorkerStatus]:
     beats: List[WorkerStatus] = []
-    hb_dir = area / "heartbeats"
-    if not hb_dir.is_dir():
-        return beats
-    now = time.time()
-    for path in sorted(hb_dir.glob("*.json")):
+    for path in sorted(spool.heartbeats.glob("*.json")):
         try:
             body = json.loads(path.read_text())
-            age = max(0.0, now - path.stat().st_mtime)
         except (OSError, ValueError):
             continue
-        if not isinstance(body, dict):
+        age = spool.file_age(path)
+        if age is None or not isinstance(body, dict):
             continue
         state = str(body.get("state", "?"))
         beats.append(WorkerStatus(
@@ -162,66 +116,42 @@ def _read_heartbeats(area: Path, stall_s: float) -> List[WorkerStatus]:
 
 
 def collect_status(spool_root: Union[str, Path],
-                   stall_s: float = DEFAULT_STALL_S) -> FleetStatus:
+                   stall_s: float = LEASE_S) -> FleetStatus:
     """Assemble a :class:`FleetStatus` for the spool at ``spool_root``.
 
     Raises :class:`FileNotFoundError` when the directory does not look
     like a spool (no ``units/`` and no ``telemetry/`` area).
     """
-    root = Path(spool_root)
-    units_dir = root / "units"
-    area = root / "telemetry"
-    if not units_dir.is_dir() and not area.is_dir():
+    spool = _Spool(spool_root)
+    if not spool.units.is_dir() and not spool.area.is_dir():
         raise FileNotFoundError(
-            f"{root}: not a spool directory (no units/ or telemetry/)")
+            f"{spool.root}: not a spool directory (no units/ or telemetry/)")
 
-    status = FleetStatus(root=str(root))
-    now = time.time()
-
-    keys = (sorted(p.name[:-5] for p in units_dir.glob("*.spec"))
-            if units_dir.is_dir() else [])
-    results_dir = root / "results"
-    claims_dir = root / "claims"
-    hb_dir = area / "heartbeats"
-    status.units_total = len(keys)
-    for key in keys:
-        if (results_dir / f"{key}.run").is_file():
-            status.units_done += 1
-            continue
-        claim = claims_dir / f"{key}.claim"
-        owner = None
-        try:
-            claim_age = max(0.0, now - claim.stat().st_mtime)
-        except OSError:
-            claim_age = None
-        if claim_age is not None:
-            try:
-                body = json.loads(claim.read_text())
-                if isinstance(body, dict):
-                    owner = body.get("worker")
-            except (OSError, ValueError):
-                pass
-        if claim_age is None:
+    status = FleetStatus(root=str(spool.root))
+    # Results only ever appear, so a unit pending in the later listing
+    # was not published in the earlier one: the two never overlap.
+    status.units_done = len(spool.published_keys())
+    pending = spool.pending_keys()
+    status.units_total = status.units_done + len(pending)
+    for key in pending:
+        age = spool.file_age(spool.claim_path(key))
+        if age is None:
             status.units_queued += 1
-        else:
-            status.units_claimed += 1
-            hb_age = heartbeat_age(hb_dir, owner, _now=now)
-            if claim_is_stalled(claim_age, hb_age, stall_s):
-                status.stragglers.append(
-                    {"unit": key, "claim_age_s": round(claim_age, 3),
-                     "owner": owner,
-                     "heartbeat_age_s": (round(hb_age, 3)
-                                         if hb_age is not None else None)})
+            continue
+        status.units_claimed += 1
+        evidence = spool.stall(key, age, stall_s)
+        if evidence is not None:
+            status.stragglers.append(evidence)
 
-    status.workers = _read_heartbeats(area, stall_s)
+    status.workers = _read_heartbeats(spool, stall_s)
 
     # Event log: failure kinds + the mean wall time ETA extrapolates.
     wall: List[float] = []
     failed = set()
     quarantined = set()
     corrupt = 0
-    if area.is_dir():
-        for rec in read_events(area):
+    if spool.area.is_dir():
+        for rec in read_events(spool.area):
             ev = rec.get("event")
             if ev in TERMINAL_EVENTS and isinstance(
                     rec.get("wall_s"), (int, float)):

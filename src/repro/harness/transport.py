@@ -21,13 +21,13 @@ dispatch mechanism pluggable:
   (``repro worker DIR`` -- see :func:`run_worker`) may attach to the
   same spool, on this host or any host sharing the filesystem; the
   driver itself works inline, so a sweep completes even with zero
-  external workers.  Stalled leases (a worker SIGKILLed mid-unit) are
-  reaped under the shared heartbeat-aware
-  :func:`~repro.obs.telemetry.claim_is_stalled` predicate -- a live
-  worker grinding a long unit keeps its lease; a dead one loses it --
-  and the unit is re-executed after a seeded-jitter backoff.
-  Determinism makes duplicated execution harmless (last atomic
-  publish wins with identical content).
+  external workers.  A claim older than the lease whose owner's last
+  heartbeat is older too is reaped (:meth:`_Spool.stall`), and the
+  unit is re-executed after a seeded-jitter backoff.  A session heartbeats
+  only between units, so a live worker whose unit outlasts the lease
+  loses it as a dead one does, and the unit runs again elsewhere.
+  Determinism makes duplicated execution harmless (same key, same
+  bytes; the last atomic publish wins).
 
 Crash-consistency (the harness-hazard hardening, proven by
 ``repro chaos --harness``):
@@ -73,8 +73,7 @@ from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..obs.telemetry import (NULL_TELEMETRY, Telemetry, claim_is_stalled,
-                             heartbeat_age, telemetry_area)
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..runtime import SimDeadlockError
 from . import hazards
 from .integrity import atomic_pickle, load_verified
@@ -82,7 +81,7 @@ from .integrity import gc_tmp as _gc_tmp_dir
 from .jobs import WorkUnit, execute_spec, quarantined_run, unit_key
 
 __all__ = ["Transport", "SerialTransport", "PoolTransport",
-           "DirQueueTransport", "run_worker"]
+           "DirQueueTransport", "run_worker", "telemetry_area", "LEASE_S"]
 
 _LOG = logging.getLogger("repro.harness.transport")
 
@@ -92,6 +91,11 @@ OnResult = Callable[[WorkUnit, object], None]
 #: Dead executions (spool ledger bytes) after which a unit is
 #: quarantined as poison rather than tried again.
 POISON_AFTER = 3
+
+#: Seconds a claim may stand before it can be reaped: the one default
+#: of the driver, ``repro worker --lease`` and ``repro status --stall``.
+#: Set it above the longest unit (see :meth:`_Spool.stall`).
+LEASE_S = 60.0
 
 #: First-retry delay of the seeded-jitter backoff after a reaped
 #: lease; doubles per retry, see :func:`~repro.harness.hazards.backoff_s`.
@@ -281,7 +285,9 @@ class _Spool:
                             execution -- the poison-unit ledger (file
                             size = attempts survived so far);
     ``corrupt/``            quarantined files that failed integrity
-                            verification (kept as evidence).
+                            verification (kept as evidence);
+    ``telemetry/``          the shared telemetry area: event logs, and
+                            ``heartbeats/<worker>.json`` per session.
 
     All payload files are integrity-framed; loads verify and treat a
     corrupt file as a quarantined miss.  What is published is asked of
@@ -290,7 +296,8 @@ class _Spool:
 
     What happens to a unit between winning its lease and giving it up
     is :meth:`settle`; what a process does when every unit is leased
-    elsewhere is :meth:`idle`.  Driver and worker call both.
+    elsewhere is :meth:`idle`.  Driver and worker call both.  Whether a
+    claim is stalled is :meth:`stall`, and taking it back :meth:`reap`.
     """
 
     def __init__(self, root, telemetry=NULL_TELEMETRY):
@@ -300,6 +307,8 @@ class _Spool:
         self.results = self.root / "results"
         self.corrupt = self.root / "corrupt"
         self.attempts = self.root / "attempts"
+        self.area = self.root / "telemetry"
+        self.heartbeats = self.area / "heartbeats"
         #: Session integrity problems are reported through (attached
         #: by the transport / worker that owns this spool handle).
         self.telemetry = telemetry
@@ -384,6 +393,14 @@ class _Spool:
             return None
         return body.get(field) if isinstance(body, dict) else None
 
+    @staticmethod
+    def file_age(path) -> Optional[float]:
+        """Seconds since ``path`` was last written (None = missing)."""
+        try:
+            return max(0.0, time.time() - os.stat(path).st_mtime)
+        except OSError:
+            return None
+
     def claim_age(self, key: str) -> Optional[float]:
         """Seconds since the unit was claimed (None = unclaimed).
 
@@ -391,36 +408,55 @@ class _Spool:
         reaper's clock drifts), which must only ever cause a harmless
         duplicate execution, never a lost or wrong result.
         """
-        try:
-            age = max(0.0, time.time()
-                      - self.claim_path(key).stat().st_mtime)
-        except OSError:
+        age = self.file_age(self.claim_path(key))
+        if age is None:
             return None
         plan = hazards.current()
         if plan is not None:
             age = plan.skew_claim_age(age)
         return age
 
-    def reap_stale(self, keys, lease_s: float,
-                   heartbeats=None) -> List[str]:
-        """Drop stalled claims so their units can be re-won.
+    def stall(self, key: str, age: Optional[float],
+              lease_s: float) -> Optional[dict]:
+        """The one rule for a stalled claim -- what the reaper takes and
+        ``repro status`` flags: the claim on ``key``, ``age`` seconds
+        old, has outlived ``lease_s`` and so has its owner's last
+        heartbeat.  Returns the evidence (unit, claim age, owner, the
+        owner's heartbeat age), or None for a claim that stands.
 
-        Stalled is the shared heartbeat-aware predicate
-        (:func:`~repro.obs.telemetry.claim_is_stalled`): a claim past
-        the lease whose owner still heartbeats is a live straggler and
-        keeps its lease; one whose owner is silent (or anonymous) is
-        reaped.  The dead worker's half-run is simply abandoned; if it
-        was merely slow and publishes later, the atomic result replace
-        is idempotent (deterministic content).
+        The age is checked first: a claim inside its lease costs no
+        read.  An owner without a heartbeat (an anonymous claim, a
+        worker killed before its first beat) is silent.  A session
+        heartbeats only between units, so the owner of a unit that
+        outlasts the lease is silent too: that unit is reaped and runs
+        again elsewhere -- the same key, the same bytes.
         """
+        if age is None or age <= lease_s:
+            return None
+        owner = self.claim_owner(key)
+        beat = self.file_age(self.heartbeats / f"{owner}.json") \
+            if owner else None
+        if beat is not None and beat <= lease_s:
+            return None
+        return {"unit": key, "claim_age_s": round(age, 3), "owner": owner,
+                "heartbeat_age_s": None if beat is None else round(beat, 3)}
+
+    def reap(self, key: str, lease_s: float) -> None:
+        """Take a lease back -- the one way a claim is reaped: release
+        it, one ``lease.reaped`` event and one count.  Whatever the
+        holder was running is abandoned; if it publishes later, the
+        atomic replace writes the same bytes."""
+        self.release(key)
+        self.telemetry.emit("lease.reaped", unit=key, lease_s=lease_s)
+        self.telemetry.count("lease.reaped")
+
+    def reap_stale(self, keys, lease_s: float) -> List[str]:
+        """Reap the stalled claims among ``keys`` (:meth:`stall` on one
+        :meth:`claim_age` reading each); returns the reaped."""
         reaped = []
         for key in keys:
-            age = self.claim_age(key)
-            if age is None:
-                continue
-            hb_age = heartbeat_age(heartbeats, self.claim_owner(key))
-            if claim_is_stalled(age, hb_age, lease_s):
-                self.release(key)
+            if self.stall(key, self.claim_age(key), lease_s):
+                self.reap(key, lease_s)
                 reaped.append(key)
         return reaped
 
@@ -516,11 +552,9 @@ class _Spool:
         else:
             self.record_attempt(key)
             tel.emit("unit.claimed", unit=key, spec=spec)
-            try:
-                wait = time.time() - os.stat(self.unit_path(key)).st_mtime
-                tel.observe("unit.queue_wait_s", max(0.0, wait))
-            except OSError:
-                pass
+            wait = self.file_age(self.unit_path(key))
+            if wait is not None:
+                tel.observe("unit.queue_wait_s", wait)
             try:
                 payload = _telemetered(tel, key, spec, execute)
             except Exception as e:          # noqa: BLE001 - republished
@@ -541,17 +575,17 @@ class _Spool:
 
     def idle(self, keys, lease_s: float) -> List[str]:
         """Every unit in ``keys`` is leased elsewhere: reap the stalled
-        leases (owners' heartbeats are in this spool's telemetry
-        area), a ``lease.reaped`` event and count for each, or --
-        nothing to reap -- collect tmp litter.  Returns the reaped."""
-        reaped = self.reap_stale(
-            keys, lease_s, heartbeats=telemetry_area(self.root) / "heartbeats")
-        for key in reaped:
-            self.telemetry.emit("lease.reaped", unit=key, lease_s=lease_s)
-            self.telemetry.count("lease.reaped")
+        leases or -- nothing to reap -- collect tmp litter.  Returns
+        the reaped."""
+        reaped = self.reap_stale(keys, lease_s)
         if not reaped:
             self.gc_tmp(older_than_s=lease_s)
         return reaped
+
+
+def telemetry_area(spool_root) -> Path:
+    """The shared telemetry directory of a spool sweep."""
+    return _Spool(spool_root).area
 
 
 class DirQueueTransport(Transport):
@@ -562,19 +596,21 @@ class DirQueueTransport(Transport):
     external workers existing.
 
     ``lease_s`` bounds how long a crashed worker can pin a unit; set
-    it above the longest expected single-unit wall time.  Reaping is
-    heartbeat-aware: a merely-slow worker that still heartbeats keeps
-    its lease past ``lease_s``; one with a stale (or no) heartbeat is
-    reaped, and the reaped unit is retried after a seeded-jitter
-    exponential backoff rather than instantly (a crash-looping unit
-    must not hot-spin the fleet).  A unit whose attempts ledger shows
+    it above the longest expected single-unit wall time.  A claim past
+    ``lease_s`` whose owner's last heartbeat is older too is reaped
+    (:meth:`_Spool.stall`).  Sessions heartbeat only between units, so
+    a live worker still running a unit past ``lease_s`` loses it too
+    and the unit runs again elsewhere (same key, same bytes).  A
+    reaped unit is retried after a seeded-jitter exponential backoff
+    rather than instantly (a crash-looping unit must not hot-spin the
+    fleet).  A unit whose attempts ledger shows
     :data:`POISON_AFTER` dead executions is quarantined with a
     placeholder result.
     """
 
     name = "spool"
 
-    def __init__(self, root, lease_s: float = 60.0, poll_s: float = 0.05):
+    def __init__(self, root, lease_s: float = LEASE_S, poll_s: float = 0.05):
         super().__init__()
         self.spool = _Spool(root)
         self.lease_s = lease_s
@@ -690,7 +726,7 @@ class PoolTransport(DirQueueTransport):
         self.start_method = start_method
         # A private local spool is cheap to poll, and the sweep's tail
         # waits up to one interval for the last child's result.
-        self.lease_s, self.poll_s = 60.0, 0.01
+        self.lease_s, self.poll_s = LEASE_S, 0.01
         self._children: Dict[int, object] = {}
 
     def describe(self) -> str:
@@ -746,11 +782,8 @@ class PoolTransport(DirQueueTransport):
         for key in pending if dead else ():
             pid = self.spool.claim_owner(key, "pid")
             if pid in dead:
-                self.spool.release(key)
+                self.spool.reap(key, self.lease_s)
                 self._note(f"worker {pid} died holding unit {key[:12]}")
-                self.telemetry.emit("lease.reaped", unit=key,
-                                    lease_s=self.lease_s)
-                self.telemetry.count("lease.reaped")
         return super()._idle(pending)
 
 
@@ -768,7 +801,7 @@ def _pool_worker(root: str, poll_s: float) -> None:
     run_worker(root, poll_s=poll_s)
 
 
-def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
+def run_worker(root, poll_s: float = 0.1, lease_s: float = LEASE_S,
                max_units: Optional[int] = None, drain: bool = True,
                out=None) -> int:
     """Worker loop for ``repro worker DIR``: lease, execute, publish.
@@ -789,10 +822,10 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
       releases its claim before the loop exits (``worker.stopped``
       carries ``reason="sigterm"``); only SIGKILL abandons work, and
       that is exactly what lease reaping recovers.
-    * Lease reaping is heartbeat-aware (shared
-      :func:`~repro.obs.telemetry.claim_is_stalled` predicate) and a
-      publish that fails (disk full) releases the claim so another
-      process retries -- the worker never wedges on a bad disk.
+    * Another process's stalled lease (:meth:`_Spool.stall`) is
+      reaped, and a publish that fails (disk full) releases the claim
+      so another process retries -- the worker never wedges on a bad
+      disk.
     * A unit whose attempts ledger shows :data:`POISON_AFTER` dead
       executions is quarantined (placeholder result published) rather
       than executed again.
@@ -823,8 +856,8 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = 60.0,
         # explicitly (repro worker --quiet sets this logger ERROR).
         log.setLevel(logging.INFO)
 
-    tel = Telemetry(root=telemetry_area(root), role="worker")
-    spool = _Spool(root, telemetry=tel)
+    spool = _Spool(root)
+    tel = spool.telemetry = Telemetry(root=spool.area, role="worker")
     spool.ensure()
     plan = hazards.current(telemetry=tel)
     litter = spool.gc_tmp(older_than_s=lease_s)

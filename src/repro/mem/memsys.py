@@ -32,8 +32,7 @@ from .address import SHARED_BASE, SHARED_LIMIT, Placement, SharedAllocator
 from .cache import Cache, CacheLine, L1Tags, MESIState
 from .directory import Directory, DirState
 
-__all__ = ["AccessResult", "NodeMemory", "CoherentMemorySystem",
-           "PerfectMemory"]
+__all__ = ["AccessResult", "NodeMemory", "CoherentMemorySystem"]
 
 
 @dataclass(slots=True)
@@ -42,11 +41,6 @@ class AccessResult:
 
     level: str          # "l1" | "l2" | "local" | "remote" | "remote3" | "merged"
     cycles: float       # total latency the caller experienced
-
-    @property
-    def was_miss(self) -> bool:
-        """True when the access left the CMP."""
-        return self.level not in ("l1", "l2")
 
 
 class _Mshr(SimEvent):
@@ -774,68 +768,3 @@ class CoherentMemorySystem:
             agg.merge(nm.stats)
         return agg
 
-
-class PerfectMemory:
-    """Flat memory model for engine-level tests: every access costs one
-    cycle and always 'hits'.
-
-    Covers the timed entry points only (``l1_probe``, ``load``,
-    ``store``, ``prefetch_exclusive`` and the epoch/teardown hooks); it
-    has no synchronous hit path (``fast_paths``), so a ``ThreadShell``
-    cannot run on it --
-    functional runs use ``repro.interp.FunctionalRunner`` instead."""
-
-    def __init__(self, engine: Engine, cfg: MachineConfig, sink=None):
-        self.engine = engine
-        self.cfg = cfg
-        self.obs = make_sink(sink)
-        self.allocator = SharedAllocator()
-        self.accesses = 0
-
-    @property
-    def classes(self):
-        """Empty classification collector (nothing misses here)."""
-        return self.obs.classes
-
-    def publish_cache_stats(self) -> None:
-        """No caches to publish."""
-        pass
-
-    def l1_probe(self, node: int, cpu: int, addr: int) -> bool:
-        """Always hits (flat memory)."""
-        self.accesses += 1
-        return True
-
-    def load(self, node: int, cpu: int, addr: int, stream: str = "R"):
-        """One-cycle load."""
-        self.accesses += 1
-        yield 1.0
-        return AccessResult("l1", 1.0)
-
-    def store(self, node: int, cpu: int, addr: int, stream: str = "R"):
-        """One-cycle store."""
-        self.accesses += 1
-        yield 1.0
-        return AccessResult("l1", 1.0)
-
-    def prefetch_exclusive(self, node: int, addr: int, stream: str = "A") -> bool:
-        """No-op (nothing to prefetch into)."""
-        return False
-
-    def bump_epoch(self, node: int) -> None:
-        """No-op."""
-        pass
-
-    def self_invalidate_stale(self, node: int) -> int:
-        """No-op; returns 0."""
-        return 0
-
-    def finalize(self) -> None:
-        """No-op."""
-        pass
-
-    def machine_stats(self) -> Counter:
-        """Access count only."""
-        c = Counter()
-        c.add("accesses", self.accesses)
-        return c

@@ -3,15 +3,16 @@
 Where :mod:`repro.obs` proper observes *simulated* time inside a run,
 this package observes the *harness* around runs: which worker executed
 which unit when, how long queue wait / execution / memo lookups took,
-whether the fleet is healthy.  Four surfaces, one session object
-(:class:`Telemetry`):
+and whether each process is still alive.  Four surfaces, one session
+object (:class:`Telemetry`):
 
 * **event log** -- versioned JSONL lifecycle records, one file per
   writer in a shared ``telemetry/`` area (:mod:`.events`);
 * **metrics** -- counters/gauges/histograms with exact p50/p90/p99,
   folded into ``ExecutionPipeline.rt_stats`` (:mod:`.metrics`);
-* **heartbeats + fleet status** -- ``repro status DIR``
-  (:mod:`.status`);
+* **heartbeats** -- one small liveness file per session, which the
+  fleet status view ``repro status DIR`` (:mod:`repro.harness.status`)
+  reads;
 * **wall-clock Chrome trace** -- one track per worker, exported from
   an event log (live or finished) by the checker below with
   ``--trace OUT.json`` (:mod:`.harness_trace`).
@@ -30,19 +31,12 @@ from .events import (EVENT_TYPES, SCHEMA_VERSION, TERMINAL_EVENTS, EventLog,
                      event_files, read_events, validate_events)
 from .harness_trace import harness_trace_events
 from .metrics import Histogram, MetricsRegistry
-from .session import (NULL_TELEMETRY, NullTelemetry, Telemetry,
-                      telemetry_area, worker_id)
-from .status import (DEFAULT_STALL_S, FleetStatus, WorkerStatus,
-                     claim_is_stalled, collect_status, heartbeat_age,
-                     render_status)
+from .session import NULL_TELEMETRY, NullTelemetry, Telemetry, worker_id
 
 __all__ = [
     "SCHEMA_VERSION", "EVENT_TYPES", "TERMINAL_EVENTS",
     "EventLog", "event_files", "read_events", "validate_events",
     "Histogram", "MetricsRegistry",
     "Telemetry", "NullTelemetry", "NULL_TELEMETRY", "worker_id",
-    "telemetry_area",
-    "FleetStatus", "WorkerStatus", "collect_status", "render_status",
-    "claim_is_stalled", "heartbeat_age", "DEFAULT_STALL_S",
     "harness_trace_events",
 ]

@@ -38,8 +38,7 @@ from typing import List, Optional, Union
 from .events import EVENT_TYPES, SCHEMA_VERSION, EventLog
 from .metrics import MetricsRegistry
 
-__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "worker_id",
-           "telemetry_area"]
+__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "worker_id"]
 
 #: Seconds between heartbeat writes (unforced beats are throttled).
 HEARTBEAT_S = 1.0
@@ -54,11 +53,6 @@ def worker_id() -> str:
     """
     host = socket.gethostname().split(".")[0]
     return f"{host}-{os.getpid()}-{os.urandom(3).hex()}"
-
-
-def telemetry_area(spool_root: Union[str, Path]) -> Path:
-    """The shared telemetry directory of a spool sweep."""
-    return Path(spool_root) / "telemetry"
 
 
 class NullTelemetry:

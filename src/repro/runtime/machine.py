@@ -69,11 +69,6 @@ class RunResult:
     #: the fired injections.  None unless a plan was armed.
     faults: Optional[dict] = None
 
-    @property
-    def time_ns(self) -> float:
-        """Wall-clock nanoseconds at the paper's 1.2 GHz clock."""
-        return self.cycles / 1.2     # informational; harness uses cycles
-
     def breakdown_fractions(self) -> Dict[str, float]:
         """Machine-wide R-stream time breakdown, normalized to 1."""
         tot = sum(self.r_breakdown.values())

@@ -226,6 +226,74 @@ def test_worker_quiet_prints_errors_only(tmp_path):
     assert out == ""                     # no "0 unit(s) executed" line
 
 
+@pytest.fixture
+def finished_spool(tmp_path):
+    """A spool whose sweep of one tiny unit ran to the end, recorded."""
+    from repro.config import PAPER_MACHINE
+    from repro.harness import (DirQueueTransport, ExecutionPipeline,
+                               RunSpec, Telemetry, telemetry_area)
+    root = tmp_path / "spool"
+    tel = Telemetry(root=telemetry_area(root))
+    spec = RunSpec.make("ep", "single", size="test",
+                        cfg=PAPER_MACHINE.with_(n_cmps=4),
+                        params=dict(n=48))
+    ExecutionPipeline(transport=DirQueueTransport(root, poll_s=0.01),
+                      telemetry=tel).run([spec])
+    tel.close()
+    return str(root)
+
+
+@pytest.fixture
+def stalled_spool(tmp_path):
+    """A spool whose one unit a silent worker claimed 120 s ago."""
+    from repro.harness.transport import _Spool
+    spool = _Spool(tmp_path / "spool")
+    spool.ensure()
+    spool.enqueue("unit-a", "spec")
+    assert spool.try_claim("unit-a", worker="gone")
+    old = os.path.getmtime(spool.claim_path("unit-a")) - 120
+    os.utime(spool.claim_path("unit-a"), (old, old))
+    return str(spool.root)
+
+
+def test_status_of_a_finished_spool(finished_spool):
+    rc, out = run_cli(["status", finished_spool])
+    assert rc == 0
+    assert out.splitlines()[-1] == "  complete"
+    assert "units: 1/1 done (100%)" in out
+
+
+def test_status_json(finished_spool):
+    import json
+    rc, out = run_cli(["status", finished_spool, "--json"])
+    assert rc == 0
+    snap = json.loads(out)
+    assert snap["units"]["total"] == snap["units"]["done"] == 1
+    assert snap["stalled"] is False
+    assert [w["role"] for w in snap["workers"]] == ["driver"]
+
+
+def test_status_of_a_stalled_claim_exits_1(stalled_spool):
+    rc, out = run_cli(["status", stalled_spool])
+    assert rc == 1
+    assert "straggler: unit unit-a claimed 120" in out
+    assert "STALLED: 1 claim(s) older than 60s" in out
+
+
+def test_status_reads_stall(stalled_spool):
+    rc, out = run_cli(["status", stalled_spool, "--stall", "600"])
+    assert rc == 0
+    assert "STALLED" not in out and "1 claimed" in out
+
+
+def test_status_of_a_non_spool_is_one_line_exit_2(tmp_path, capsys):
+    rc, out = run_cli(["status", str(tmp_path)])
+    assert rc == 2 and out == ""
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == f"error: {tmp_path}: not a spool directory " \
+                   f"(no units/ or telemetry/)"
+
+
 def test_num_threads_narrows_the_team(tmp_path):
     f = tmp_path / "team.c"
     f.write_text("""

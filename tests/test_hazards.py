@@ -1,10 +1,12 @@
 """Harness hazard injection and the crash-consistency hardening it
 gates: seeded deterministic schedules, integrity framing, poison-unit
-quarantine, graceful SIGTERM drain, heartbeat-aware lease reaping, and
-the shared stalled-claim predicate (``repro status`` and the spool
-reaper must agree on what "stalled" means)."""
+quarantine, graceful SIGTERM drain, lease reaping, and the one
+stalled-claim rule (``repro status`` and the spool reaper must agree on
+what "stalled" means, at the same lease)."""
 
 import errno
+import inspect
+import io
 import json
 import os
 import pickle
@@ -22,9 +24,9 @@ from repro.harness.integrity import (IntegrityError, atomic_pickle, frame,
                                      gc_tmp, load_verified, unframe)
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
 from repro.harness.pipeline import ExecutionPipeline
-from repro.harness.transport import DirQueueTransport, _Spool
-from repro.obs.telemetry import (Telemetry, claim_is_stalled, collect_status,
-                                 heartbeat_age, read_events, telemetry_area)
+from repro.harness.status import collect_status
+from repro.harness.transport import DirQueueTransport, _Spool, telemetry_area
+from repro.obs.telemetry import Telemetry, read_events
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -401,48 +403,74 @@ def test_worker_sigterm_drains_in_flight_unit(tmp_path):
     assert stops and stops[-1].get("reason") == "sigterm"
 
 
-# -- the one shared "stalled" definition -------------------------------------
+# -- the one "stalled" rule and the one lease threshold --------------------
 
-def test_claim_is_stalled_truth_table():
-    # fresh claim: never stalled, whatever the heartbeat says
-    assert not claim_is_stalled(1.0, None, 30.0)
-    assert not claim_is_stalled(None, None, 30.0)
-    # old claim + fresh heartbeat: live straggler, keeps its lease
-    assert not claim_is_stalled(100.0, 2.0, 30.0)
-    # old claim + stale or missing heartbeat: reapable
-    assert claim_is_stalled(100.0, 100.0, 30.0)
-    assert claim_is_stalled(100.0, None, 30.0)
-
-
-def test_status_and_reaper_agree_on_stalled(tmp_path):
-    """Satellite pin: ``repro status`` straggler detection and
-    ``_Spool.reap_stale`` apply the same heartbeat-aware predicate --
-    a claim is flagged as a straggler iff the reaper would steal it."""
-    root = tmp_path / "spool"
+def _claimed_unit(root, age_s, worker="w1"):
+    """A spool holding one unit, claimed by ``worker`` ``age_s`` ago."""
     spool = _Spool(root)
     spool.ensure()
     spool.enqueue("unit-a", {"spec": "placeholder"})
-    assert spool.try_claim("unit-a", worker="w1")
-    hb_dir = telemetry_area(root) / "heartbeats"
-    hb_dir.mkdir(parents=True, exist_ok=True)
-    hb = hb_dir / "w1.json"
-    hb.write_text(json.dumps({"worker": "w1", "role": "worker",
+    assert spool.try_claim("unit-a", worker=worker)
+    then = time.time() - age_s
+    os.utime(spool.claim_path("unit-a"), times=(then, then))
+    return spool
+
+
+def _beat(spool, worker, age_s):
+    """Write ``worker``'s heartbeat, ``age_s`` old."""
+    spool.heartbeats.mkdir(parents=True, exist_ok=True)
+    hb = spool.heartbeats / f"{worker}.json"
+    hb.write_text(json.dumps({"worker": worker, "role": "worker",
                               "state": "running"}))
+    then = time.time() - age_s
+    os.utime(hb, times=(then, then))
+    return hb
+
+
+def test_stall_truth_table(tmp_path, monkeypatch):
+    spool = _claimed_unit(tmp_path / "spool", 100.0)
+    # unclaimed, or inside the lease: standing, and nothing is read
+    monkeypatch.setattr(spool, "claim_owner", lambda *a: pytest.fail("read"))
+    assert spool.stall("unit-a", None, 30.0) is None
+    assert spool.stall("unit-a", 1.0, 30.0) is None
+    monkeypatch.undo()
+    # old claim, no heartbeat at all: presumed dead
+    assert spool.stall("unit-a", 100.0, 30.0) == {
+        "unit": "unit-a", "claim_age_s": 100.0, "owner": "w1",
+        "heartbeat_age_s": None}
+    # old claim, fresh heartbeat: the owner stands
+    hb = _beat(spool, "w1", 2.0)
+    assert spool.stall("unit-a", 100.0, 30.0) is None
+    # old claim, old heartbeat: stalled, with the heartbeat's age
+    os.utime(hb, times=(time.time() - 100.0,) * 2)
+    evidence = spool.stall("unit-a", 100.0, 30.0)
+    assert evidence["owner"] == "w1"
+    assert 99.0 < evidence["heartbeat_age_s"] < 110.0
+
+
+def test_status_and_reaper_agree_on_stalled(tmp_path):
+    """``repro status`` flags a claim as a straggler iff the reaper
+    takes it: both ask :meth:`_Spool.stall`, with the same evidence."""
+    root = tmp_path / "spool"
+    spool = _claimed_unit(root, 0.0)
+    hb = _beat(spool, "w1", 0.0)
     then = time.time() - 100.0
 
     def snapshot():
         st = collect_status(root, stall_s=30.0)
-        flagged = [s["unit"] for s in st.stragglers]
-        reapable = spool.reap_stale(["unit-a"], lease_s=30.0,
-                                    heartbeats=hb_dir)
+        flagged = [(s["unit"], s["owner"]) for s in st.stragglers]
+        evidence = spool.stall("unit-a", spool.claim_age("unit-a"), 30.0)
+        reapable = spool.reap_stale(["unit-a"], lease_s=30.0)
+        assert flagged == ([(evidence["unit"], evidence["owner"])]
+                           if evidence else [])
         for k in reapable:                  # undo: reap_stale releases
             assert spool.try_claim(k, worker="w1")
             os.utime(spool.claim_path(k), times=(then, then))
-        return flagged, reapable
+        return [unit for unit, _ in flagged], reapable
 
     # fresh claim, fresh heartbeat -> neither flags it
     assert snapshot() == ([], [])
-    # old claim, fresh heartbeat -> live straggler: both leave it alone
+    # old claim, fresh heartbeat -> the owner stands: both leave it alone
     os.utime(spool.claim_path("unit-a"), times=(then, then))
     assert snapshot() == ([], [])
     # old claim, old heartbeat -> both call it stalled
@@ -450,8 +478,56 @@ def test_status_and_reaper_agree_on_stalled(tmp_path):
     assert snapshot() == (["unit-a"], ["unit-a"])
     # old claim, no heartbeat at all -> presumed dead, both agree
     hb.unlink()
-    assert heartbeat_age(hb_dir, "w1") is None
     assert snapshot() == (["unit-a"], ["unit-a"])
+
+
+def test_status_and_reaper_share_one_lease_at_the_defaults(tmp_path):
+    """No threshold passed to either side: a 45 s claim without a
+    heartbeat is neither flagged nor reaped, a 61 s one is both -- every
+    default (driver, pool, worker, ``--lease``, ``--stall``) is
+    :data:`LEASE_S`."""
+    from repro.cli import _build_parser
+    from repro.cli import main as cli_main
+    from repro.harness.transport import LEASE_S, PoolTransport, run_worker
+
+    def status_exit():
+        return cli_main(["status", str(root)], out=io.StringIO())
+
+    root = tmp_path / "spool"
+    spool = _claimed_unit(root, 45.0)
+    driver = DirQueueTransport(root)
+    assert collect_status(root).stragglers == []
+    assert status_exit() == 0
+    assert driver._idle(["unit-a"]) == []
+    assert spool.claim_age("unit-a") is not None          # still held
+
+    os.utime(spool.claim_path("unit-a"), times=(time.time() - 61.0,) * 2)
+    assert [s["unit"] for s in collect_status(root).stragglers] == ["unit-a"]
+    assert status_exit() == 1
+    assert driver._idle(["unit-a"]) == ["unit-a"]
+    assert spool.claim_age("unit-a") is None              # reaped
+
+    parser = _build_parser()
+    assert {driver.lease_s, PoolTransport().lease_s,
+            inspect.signature(run_worker).parameters["lease_s"].default,
+            parser.parse_args(["worker", "d"]).lease,
+            parser.parse_args(["status", "d"]).stall} == {LEASE_S}
+
+
+def test_status_never_touches_a_hazard_plan(tmp_path, monkeypatch):
+    """Status is no hazard site: an armed plan keeps its opportunities,
+    and a process with a campaign in its environment stays unarmed."""
+    _claimed_unit(tmp_path / "spool", 100.0)
+    plan = hazards.arm(HazardConfig(0, classes=("lease",)))
+    plan.schedule = {"stale_claim": {}, "clock_skew": {0: 100.0}}
+    plan._seen = {k: 0 for k in plan.schedule}
+    assert collect_status(tmp_path / "spool").stalled
+    assert plan._seen == {"stale_claim": 0, "clock_skew": 0}
+    assert plan.injected == []
+    hazards.export_env(HazardConfig(0, classes=("lease",)))
+    monkeypatch.setattr(hazards, "_ACTIVE_PID", None)
+    collect_status(tmp_path / "spool")
+    assert hazards._ACTIVE_PID is None                    # never resolved
 
 
 # -- the harness chaos matrix (smoke; CI runs the full default one) ----------

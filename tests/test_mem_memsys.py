@@ -4,7 +4,7 @@ MSHR merging, classification, prefetch-exclusive, self-invalidation."""
 import pytest
 
 from repro.config import PAPER_MACHINE
-from repro.mem import CoherentMemorySystem, MESIState, PerfectMemory
+from repro.mem import CoherentMemorySystem, MESIState
 from repro.mem.address import SHARED_BASE
 from repro.sim import Engine
 
@@ -255,15 +255,6 @@ def test_per_access_counts_are_ints_until_folded_and_null_sink_drops_them():
         if kept:
             assert nm.stats.get("cache.l2.misses") == 1
             assert nm.stats.get("loads") == 2
-
-
-def test_perfect_memory_is_flat():
-    eng = Engine()
-    pm = PerfectMemory(eng, PAPER_MACHINE)
-    res = eng.run_process(pm.load(0, 0, SHARED_BASE))
-    assert res.cycles == 1.0
-    assert pm.l1_probe(0, 0, SHARED_BASE)
-    assert pm.prefetch_exclusive(0, SHARED_BASE) is False
 
 
 def test_concurrent_writers_serialize_on_directory_lock():

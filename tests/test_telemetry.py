@@ -11,13 +11,14 @@ from repro.cli import main
 from repro.config import PAPER_MACHINE
 from repro.harness.jobs import RunSpec, SweepPlan
 from repro.harness.pipeline import ExecutionPipeline
+from repro.harness.status import collect_status, render_status
 from repro.harness.transport import (DirQueueTransport, PoolTransport,
-                                     SerialTransport, _Spool, run_worker)
+                                     SerialTransport, _Spool, run_worker,
+                                     telemetry_area)
 from repro.obs.telemetry import (EVENT_TYPES, NULL_TELEMETRY, EventLog,
                                  Histogram, MetricsRegistry, Telemetry,
-                                 collect_status, harness_trace_events,
-                                 read_events, render_status,
-                                 telemetry_area, validate_events)
+                                 harness_trace_events, read_events,
+                                 validate_events)
 from repro.obs.telemetry.__main__ import main as telemetry_main
 from repro.obs.trace import validate_trace
 

@@ -8,6 +8,7 @@ import inspect
 import os
 import pickle
 import signal
+import time
 import traceback
 from pathlib import Path
 
@@ -19,9 +20,8 @@ from repro.harness.pipeline import ExecutionPipeline
 from repro.harness.transport import (POISON_AFTER, DirQueueTransport,
                                      PoolTransport, SerialTransport,
                                      Transport, _Spool, _UnitFailure,
-                                     run_worker)
-from repro.obs.telemetry import (Telemetry, read_events, telemetry_area,
-                                 validate_events)
+                                     run_worker, telemetry_area)
+from repro.obs.telemetry import Telemetry, read_events, validate_events
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -383,6 +383,59 @@ def test_a_reap_is_counted_by_whoever_does_it(tmp_path, monkeypatch, who):
     assert validate_events(records) == []
 
 
+def _slow_worker(root, sleep_s):
+    """``run_worker`` whose units each sleep ``sleep_s`` first (a forked
+    child: the patch stays in it)."""
+    import repro.harness.transport as ht
+    real = ht.execute_spec
+
+    def slow(spec):
+        time.sleep(sleep_s)
+        return real(spec)
+
+    ht.execute_spec = slow
+    ht.run_worker(root, poll_s=0.01)
+
+
+def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
+    """A session heartbeats only between units: a live worker still
+    running a unit past the lease looks silent, so the driver reaps it
+    and runs the unit again itself -- the same key, the same bytes, and
+    the merged result is the serial one."""
+    import multiprocessing
+    spec = _tiny()
+    (unit,) = SweepPlan([spec]).distinct()
+    root = tmp_path / "sp"
+    spool = _Spool(root)
+    spool.ensure()
+    spool.enqueue(unit.key, unit.spec)
+    worker = multiprocessing.get_context("fork").Process(
+        target=_slow_worker, args=(root, 2.5))
+    worker.start()
+    try:
+        deadline = time.monotonic() + 60
+        while spool.claim_age(unit.key) is None:
+            assert time.monotonic() < deadline, "worker never claimed"
+            time.sleep(0.01)
+        tel = Telemetry(root=telemetry_area(root))
+        pipe = ExecutionPipeline(
+            transport=DirQueueTransport(root, lease_s=1.0, poll_s=0.02),
+            telemetry=tel)
+        (run,) = pipe.run([spec])
+        tel.close()
+    finally:
+        worker.join(timeout=60)
+    assert worker.exitcode == 0
+    (serial,) = ExecutionPipeline().run([spec])
+    assert (run.cycles, run.result.output) == (serial.cycles,
+                                                serial.result.output)
+    assert [r["event"] for r in tel.records if r["event"] in (
+        "lease.reaped", "unit.started")] == ["lease.reaped", "unit.started"]
+    records = read_events(telemetry_area(root))
+    assert sum(r["event"] == "unit.started" for r in records) == 2
+    assert validate_events(records) == []
+
+
 def test_failing_spec_traceback_points_into_execute_spec(tmp_path):
     """The driver re-raises the exception it caught, not a pickled
     copy: the traceback still ends inside ``execute_spec``."""
@@ -466,3 +519,49 @@ def test_the_settle_path_is_written_once():
     assert len(inspect.signature(PoolTransport).parameters) == 2
     assert len(inspect.signature(DirQueueTransport).parameters) == 3
     assert len(inspect.signature(run_worker).parameters) == 6
+
+
+def test_stalled_and_reaped_are_each_decided_once():
+    """One definition of ``_Spool.stall``, asked by the reaper and by
+    ``repro status`` only; one ``lease.reaped`` event and one count
+    under ``src/``; the reaper and lease read a claim's age once each
+    (the ``clock_skew`` schedule depends on it); the predicate and the
+    threshold it replaced are gone, and no module of ``repro.obs``
+    names a spool path."""
+    import re
+
+    import repro
+    import repro.obs
+    import repro.obs.telemetry
+    src = Path(repro.__file__).parent
+    sources = {p: p.read_text() for p in sorted(src.rglob("*.py"))}
+    defs, callers, ages = [], [], []
+    for path, text in sources.items():
+        for fn in ast.walk(ast.parse(text)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            if fn.name == "stall":
+                defs.append(path.name)
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Call) and isinstance(
+                        n.func, ast.Attribute):
+                    if n.func.attr == "stall":
+                        callers.append(fn.name)
+                    elif n.func.attr == "claim_age":
+                        ages.append(fn.name)
+    assert defs == ["transport.py"]
+    assert sorted(callers) == ["collect_status", "reap_stale"]
+    assert sorted(ages) == ["lease", "reap_stale"]
+    text = "".join(sources.values())
+    assert text.count('emit("lease.reaped"') == 1
+    assert text.count('count("lease.reaped")') == 1
+    assert not re.search(
+        r"\b(claim_is_stalled|heartbeat_age|DEFAULT_STALL_S)\b", text)
+    obs = "".join(t for p, t in sources.items()
+                  if "obs" in p.relative_to(src).parts)
+    assert not re.search(r'"(units|claims|results|telemetry)"'
+                         r'|\.(spec|claim)\b', obs)
+    gone = {"claim_is_stalled", "heartbeat_age", "DEFAULT_STALL_S",
+            "FleetStatus", "WorkerStatus", "collect_status",
+            "render_status", "telemetry_area"}
+    assert not gone & set(repro.obs.__all__ + repro.obs.telemetry.__all__)
