@@ -13,8 +13,7 @@ drift hit both arms equally, then:
   ``benchmarks/results/``, which holds deterministic numbers only).
 
 The suite here is pinned to test size / 4 CMPs (the CI smoke scale)
-regardless of ``REPRO_BENCH_SIZE`` so the recorded trajectory stays
-comparable across hosts and PRs.
+so the recorded trajectory stays comparable across hosts and PRs.
 """
 
 import json

@@ -18,9 +18,8 @@ process; who goes first alternates -- until it has ``PAIRS`` of them
 and ``MIN_ARM_S`` of CPU in each arm, and bounds the median of the
 pairs' off/on ratios.
 
-The sweep is pinned to test size / 4 CMPs regardless of
-``REPRO_BENCH_SIZE`` so the printed tables stay comparable across
-hosts and PRs.  They are host timings, so they are printed, not written
+The sweep is pinned to test size / 4 CMPs so the printed tables stay
+comparable across hosts and PRs.  They are host timings, so they are printed, not written
 under ``benchmarks/results/`` (which holds deterministic numbers only).
 Wall-clock of the harness itself is ``benchmarks/e2e``'s
 ``harness_roundtrip`` workload, not this file.

@@ -4,8 +4,8 @@ All latencies in Table 1 are given in nanoseconds; the simulator's clock
 unit is one *processor cycle* at ``clock_ghz`` (1.2 GHz in the paper), so
 ``MachineConfig.cycles(ns)`` converts.  The two derived figures the paper
 quotes -- 170 ns minimum local L2-miss latency and 290 ns minimum remote
-(clean two-hop) latency -- are exposed as properties and validated by
-``benchmarks/bench_table1_latencies.py``.
+(clean two-hop) latency -- are exposed as properties and measured by
+Table 1's probe in ``benchmarks/exhibits.py``.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ class RunSpec:
     """
 
     bench: str
-    config: str                               # "single"|"double"|"G0"|"L1"
+    config: str                               # "single"|"double"|"G<n>"|"L<n>"
     size: str = "bench"
     schedule: Optional[Tuple[str, Optional[int]]] = None
     params: Tuple[Tuple[str, int], ...] = ()

@@ -4,11 +4,12 @@ configurations and collects the data behind each figure.
 Terminology follows §5: *single* = one task per CMP (second CPU idle);
 *double* = two tasks per CMP; *slipstream* runs are named by their A-R
 synchronization -- ``G0`` (zero-token global) and ``L1`` (one-token
-local), the two policies of Figure 2.
+local) are the two policies of Figure 2, ``G<n>``/``L<n>`` any other.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -38,7 +39,7 @@ class BenchRun:
     """One benchmark executed under one configuration."""
 
     bench: str
-    config: str                  # "single" | "double" | "G0" | "L1" | ...
+    config: str                  # "single" | "double" | "G<n>" | "L<n>"
     result: Optional[RunResult]
     params: Dict[str, int] = field(default_factory=dict)
     #: wall-clock stage split recorded by the execution layer
@@ -59,12 +60,23 @@ class BenchRun:
         return self.result.cycles
 
 
+_SYNC = {"G": "GLOBAL_SYNC", "L": "LOCAL_SYNC"}
+
+
 def _env_for(config: str, schedule=None) -> Optional[RuntimeEnv]:
+    """Runtime environment of a configuration.  A slipstream
+    configuration is ``G<n>`` or ``L<n>``: n initial tokens, inserted
+    at barrier exit (global) or entry (local); ``G0`` and ``L1`` are
+    :data:`SLIP_CONFIGS`."""
     kw = {}
     if schedule is not None:
         kw["schedule"] = schedule
-    if config in SLIP_CONFIGS:
-        kw["slipstream"] = SLIP_CONFIGS[config]
+    if config not in ("single", "double"):
+        m = re.fullmatch(r"([GL])([0-9]+)", config)
+        if m is None:
+            raise ValueError(f"unknown run configuration {config!r}: want "
+                             f"single, double, G<tokens> or L<tokens>")
+        kw["slipstream"] = (_SYNC[m[1]], int(m[2]))
         kw["slipstream_set"] = True
     return RuntimeEnv(**kw) if kw else None
 

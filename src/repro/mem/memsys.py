@@ -3,7 +3,7 @@
 This is the substitute for SimOS's NUMA memory model.  Latencies compose
 from the paper's Table-1 parameters (see ``MachineConfig``): an
 uncontended local L2 miss costs 170 ns and a remote clean miss 290 ns,
-both validated by ``benchmarks/bench_table1_latencies.py``.  Contention
+both measured by Table 1's probe in ``benchmarks/exhibits.py``.  Contention
 is modelled -- as in the paper -- at the network inputs and outputs
 (``ni_in``/``ni_out``), at the home directory/memory controller
 (``dirctrl``/``mem``), and on each CMP's local bus.

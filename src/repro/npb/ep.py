@@ -6,9 +6,9 @@ paper singles this class out in §3.2.2: "Cache affinity is not a
 problem for embarrassingly parallel applications.  For this class of
 application, dynamic scheduling is apparently advantageous" -- unlike
 the iterative benchmarks, whose data reuse dynamic scheduling destroys.
-Mini-EP exists to test exactly that claim (see
-``benchmarks/bench_ablation_ep_affinity.py``); it is not part of the
-paper's five-benchmark evaluation suite.
+Mini-EP exists to test exactly that claim (``ablation_ep_affinity`` in
+``benchmarks/exhibits.py``); it is not part of the paper's
+five-benchmark evaluation suite.
 
 Each iteration seeds a per-sample LCG from the sample index (so any
 schedule computes the identical result), walks it ``steps`` times, and

@@ -215,9 +215,9 @@ class _TimerFire:
     """Queue entry that fires an event when its time comes.
 
     Duck-types the slice of :class:`Process` the drain loop touches
-    (``alive``, ``name``, ``_step``), so ``Engine.timeout_event`` can
-    place the fire directly in the queue instead of spawning a
-    ``timer:`` shim process (and its generator) per timeout.  Its
+    (``alive``, ``name``, ``_step``), so ``Engine.timeout_event`` and
+    ``Engine.all_of`` can place the fire directly in the queue instead
+    of spawning a shim process (and its generator) per fire.  Its
     ``_pending_interrupt`` is set for good: the fused loop's one test
     for "not a plain resumption" then hands it to ``_step``."""
 
@@ -271,13 +271,11 @@ class Engine:
 
     # -- process management -------------------------------------------------
 
-    def process(self, gen: Generator, name: str = "",
-                delay: float = 0.0) -> Process:
-        """Register a generator as a process, starting ``delay`` time
-        units from now (default: the current time)."""
+    def process(self, gen: Generator, name: str = "") -> Process:
+        """Register a generator as a process, starting at the current time."""
         proc = Process(self, gen, name=name or f"proc{self._nprocs}")
         self._nprocs += 1
-        self._schedule(proc, delay, None)
+        self._schedule(proc, 0.0, None)
         return proc
 
     def event(self, name: str = "", cls=SimEvent) -> SimEvent:
@@ -306,10 +304,10 @@ class Engine:
 
         Tracked with direct subscriber callbacks -- O(1) bookkeeping
         per input event instead of one watcher process each.  Fire
-        ordering is preserved: when the last input fires, a single shim
-        process is scheduled at that firing's resume time (exactly
-        where the last watcher's resumption used to sit in the queue),
-        and the output event fires when it runs."""
+        ordering is the watchers': when the last input fires, one
+        :class:`_TimerFire` entry is queued at that firing's resume
+        time (exactly where the last watcher's resumption sat), and the
+        output event fires on that turn, not one turn later."""
         events = list(events)
         out = self.event(name=name or "all_of")
         pending = [e for e in events if not e.fired]
@@ -321,9 +319,8 @@ class Engine:
         def on_fire(_value, delay):
             remaining[0] -= 1
             if remaining[0] == 0:
-                self.process(
-                    _fire_later(out, 0.0, [e.value for e in events]),
-                    name="all_of.fire", delay=delay)
+                self._schedule(_TimerFire(out, "all_of.fire"), delay,
+                               [e.value for e in events])
 
         for e in pending:
             e.add_callback(on_fire)
@@ -493,8 +490,3 @@ class Engine:
             raise SimulationError(
                 f"process {name!r} did not finish (deadlock or until= hit)")
         return proc.result
-
-
-def _fire_later(evt: SimEvent, delay: float, value: Any):
-    yield delay
-    evt.fire(value)

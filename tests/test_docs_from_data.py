@@ -1,12 +1,16 @@
 """Documentation tables that quote a BENCH file must agree with it.
 
 The README's reference-vs-default row is ``BENCH_hotpath.json`` at two
-significant digits; a regenerated JSON (or a typed-in number) that no
-longer matches fails here instead of going stale in prose."""
+significant digits, and EXPERIMENTS.md's measured numbers are the
+committed ``benchmarks/results`` tables; a regenerated file (or a
+typed-in number) that no longer matches fails here instead of going
+stale in prose."""
 
 import json
 import pathlib
 import re
+
+from .test_paper_claims import _table, _text
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 ROW = re.compile(
@@ -115,3 +119,35 @@ def test_fig4_gains_are_the_committed_table_at_one_decimal():
             for m in GAIN_ROW.finditer(section)}
     said["average"] = AVERAGE_ROW.search(section)["gain"].replace("−", "-")
     assert said == want
+
+
+def _section(start, end):
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    return text[text.index(start):text.index(end)]
+
+
+def test_ablation_numbers_are_their_tables():
+    """EXPERIMENTS.md, Ablations: the measured numbers typed into the
+    EP-affinity, latency and scaling bullets."""
+    prose = _section("## Ablations", "### The chunk-128 cell")
+    ratio = {r["bench"]: float(r["dynamic/static"])
+             for r in _table(_text("ablation_ep_affinity.txt"), "bench")}
+    assert f"measured {ratio['EP']:.2f}x vs {ratio['CG']:.2f}x" in prose
+    gains = [r["slip gain"]
+             for r in _table(_text("ablation_latency.txt"), "NetTime scale")]
+    assert "measured " + " → ".join(gains) + ";" in prose
+    at16 = _table(_text("scaling.txt"), "CMPs")[-1]
+    assert (f"({int(at16['double']):,} vs single's "
+            f"{int(at16['single']):,} cycles;") in prose
+
+
+def test_table1_row_states_the_one_dirty_miss_the_probe_measures():
+    """EXPERIMENTS.md, Table 1: the 3-hop row quotes the one placement
+    ``table1_parameters.txt`` measures, not a range it does not."""
+    value = {r["parameter"]: r["value"]
+             for r in _table(_text("table1_parameters.txt"), "parameter")}
+    row = next(ln for ln in _section("## Table 1", "## Table 2").splitlines()
+               if ln.startswith("| remote dirty (3-hop) miss |"))
+    measured = row.split("|")[3]
+    assert re.findall(r"[\d.]+ ns", measured) == [
+        f"{value['measured remote dirty (3-hop) miss']} ns"], measured

@@ -1,14 +1,19 @@
 """Tests for the experiment harness (runner + figure extractors)."""
 
+import re
+
 import pytest
 
 from repro.config import PAPER_MACHINE
-from repro.harness import (BREAKDOWN_CATEGORIES, benchmark_inventory,
-                           breakdown_table, classification_table,
-                           dynamic_chunk, render_breakdowns,
-                           render_classification, render_speedups,
-                           render_table, run_benchmark, run_dynamic_suite,
-                           run_static_suite, speedup_table, summary_gains)
+from repro.harness import (BREAKDOWN_CATEGORIES, SLIP_CONFIGS,
+                           benchmark_inventory, breakdown_table,
+                           classification_table, dynamic_chunk,
+                           render_breakdowns, render_classification,
+                           render_speedups, render_table, run_benchmark,
+                           run_dynamic_suite, run_static_suite,
+                           speedup_table, summary_gains)
+from repro.harness.runner import _env_for
+from repro.runtime import RuntimeEnv
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -31,6 +36,25 @@ def test_run_benchmark_param_overrides():
     run = run_benchmark("cg", "single", cfg=CFG, size="test",
                         params=dict(n=128))
     assert run.params["n"] == 128
+
+
+def test_config_names_parse_to_token_policies():
+    for name, slip in SLIP_CONFIGS.items():
+        assert _env_for(name) == RuntimeEnv(slipstream=slip,
+                                            slipstream_set=True)
+    assert _env_for("G2").slipstream == ("GLOBAL_SYNC", 2)
+    assert _env_for("L4", ("dynamic", 8)) == RuntimeEnv(
+        schedule=("dynamic", 8), slipstream=("LOCAL_SYNC", 4),
+        slipstream_set=True)
+    assert _env_for("single") is None
+
+
+@pytest.mark.parametrize("name", ["G", "Gx", "X1", "g0", "L-1", "G0 "])
+def test_a_malformed_config_name_is_refused_by_name(name):
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        _env_for(name)
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        run_benchmark("cg", name, cfg=CFG, size="test")
 
 
 def test_speedup_table_normalizes_to_base(small_suite):

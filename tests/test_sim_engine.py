@@ -336,7 +336,38 @@ def test_all_of_spawns_no_watcher_processes():
         e.fire(i)
     eng.run()
     assert combined.fired and combined.value == list(range(8))
-    assert eng._nprocs == before + 1      # just the single firing shim
+    assert eng._nprocs == before          # the fire is a queue entry
+
+
+def test_all_of_fires_on_the_turn_its_last_input_wakes():
+    # The watcher design resumed the last watcher where the last
+    # input's firing put it and fired the output on that turn.  A shim
+    # process that first yields 0 takes a second turn at the same
+    # instant, so a process woken in between runs both its steps
+    # first: on CG dynamic chunk 128 (16 CMPs, bench size) that moved
+    # slip-G0 from 1 449 387 to 1 432 879 cycles.
+    eng = Engine()
+    last = eng.event()
+    order = []
+
+    def waiter():
+        yield eng.all_of([last])
+        order.append("all_of")
+
+    def bystander():
+        order.append("bystander 1")
+        yield 0.0
+        order.append("bystander 2")
+
+    def firer():
+        yield 1
+        last.fire()
+        eng.process(bystander())
+
+    eng.process(waiter())
+    eng.process(firer())
+    eng.run()
+    assert order == ["bystander 1", "all_of", "bystander 2"]
 
 
 # ------------------------------------------------------ lazy done_event
