@@ -197,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="restrict to one scenario arming exactly these "
                           "fault classes (default: one scenario per class "
                           "plus all classes together)")
-    cha.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    cha.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
                      help="process-pool workers (default serial)")
     cha.add_argument("--timeout-cycles", type=float, default=None,
                      metavar="N",
@@ -213,9 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cha.add_argument("--workdir", metavar="DIR", default=None,
                      help="(--harness) scenario working directory "
                           "(default: a fresh temp dir)")
-    cha.add_argument("--transports", metavar="T1,T2", default=None,
-                     help="(--harness) restrict to these transports "
-                          "(serial,pool,spool; default all)")
     _machine_args(cha)
     _pipeline_args(cha)
     _verbosity_args(cha)
@@ -505,7 +502,7 @@ def _cmd_chaos(args, out) -> int:
     _setup_logging(args)
     if args.harness:
         return _cmd_harness_chaos(args, out)
-    if _reject_unread(args, ("--workdir", "--transports"),
+    if _reject_unread(args, ("--workdir",),
                       "the fault matrix (no --harness)"):
         return 2
     names = tuple(args.names) or CHAOS_BENCHMARKS
@@ -556,25 +553,17 @@ def _cmd_harness_chaos(args, out) -> int:
     import json
     import tempfile
 
-    from .harness.chaos import (HARNESS_TRANSPORTS, render_harness_chaos,
-                                run_harness_chaos)
+    from .harness.chaos import render_harness_chaos, run_harness_chaos
     from .harness.hazards import HAZARD_CLASSES
     from .npb import REGISTRY
-    if _reject_unread(args, ("--seeds", "--timeout-cycles", "--resume",
-                             "--memo", "--spool", "--telemetry"),
+    if _reject_unread(args, ("--seeds", "--jobs", "--timeout-cycles",
+                             "--resume", "--memo", "--spool", "--telemetry"),
                       "chaos --harness"):
         return 2
     names = tuple(args.names) or ("cg",)
     bad = [n for n in names if n not in REGISTRY]
     if bad:
         print(f"unknown benchmark(s): {bad}", file=sys.stderr)
-        return 2
-    transports = (tuple(t.strip() for t in args.transports.split(","))
-                  if args.transports else HARNESS_TRANSPORTS)
-    bad_t = [t for t in transports if t not in HARNESS_TRANSPORTS]
-    if bad_t:
-        print(f"unknown transport(s): {bad_t} (choose from "
-              f"{', '.join(HARNESS_TRANSPORTS)})", file=sys.stderr)
         return 2
     classes = ([tuple(args.classes.split(","))] if args.classes else None)
     if classes:
@@ -587,9 +576,8 @@ def _cmd_harness_chaos(args, out) -> int:
         prefix="repro-harness-chaos-")
     report = run_harness_chaos(
         workdir, benchmarks=names, size=args.size,
-        cfg=PAPER_MACHINE.with_(n_cmps=args.cmps),
-        transports=transports, classes=classes,
-        base_seed=args.chaos_seed, jobs=max(args.jobs, 2))
+        cfg=PAPER_MACHINE.with_(n_cmps=args.cmps), classes=classes,
+        base_seed=args.chaos_seed)
     print(render_harness_chaos(
         report, title=f"harness chaos matrix ({args.size} size, "
                       f"{args.cmps} CMPs)"), file=out)

@@ -19,7 +19,7 @@ from .status import collect_status, render_status
 from .checkpoint import CheckpointJournal, MemoStore, default_memo_dir
 from .pipeline import ExecutionPipeline
 from .hazards import (HAZARD_CLASS_KINDS, HAZARD_CLASSES, HAZARD_KINDS,
-                      HazardConfig, HazardPlan, backoff_s)
+                      HazardConfig, HazardPlan)
 from .integrity import (IntegrityError, atomic_pickle, gc_tmp,
                         load_verified)
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -42,7 +42,7 @@ __all__ = [
     "run_worker", "CheckpointJournal", "MemoStore", "default_memo_dir",
     "ExecutionPipeline",
     "HAZARD_KINDS", "HAZARD_CLASSES", "HAZARD_CLASS_KINDS",
-    "HazardConfig", "HazardPlan", "backoff_s",
+    "HazardConfig", "HazardPlan",
     "IntegrityError", "atomic_pickle", "load_verified", "gc_tmp",
     "NULL_TELEMETRY", "Telemetry", "collect_status", "render_status",
     "telemetry_area",

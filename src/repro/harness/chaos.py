@@ -26,10 +26,11 @@ The second half of this module is the **harness** chaos matrix
 adversarial discipline pointed at the execution pipeline itself.
 Seeded :class:`~repro.harness.hazards.HazardConfig` campaigns corrupt
 published pickles, fail publishes with ENOSPC/EIO, plant stale claims,
-skew lease clocks and kill workers, across the serial / pool / spool
-transports -- and every scenario must still merge cycles bit-identical
-to a hazard-free sweep, with the telemetry event log validating and
-every anomaly explained by a ``hazard.injected`` record.
+skew lease clocks and kill workers, on a spool sweep with an attached
+``repro worker`` -- the one transport that has every hazard site -- and
+every scenario must still merge cycles bit-identical to a hazard-free
+sweep, with the telemetry event log validating and every anomaly
+explained by a ``hazard.injected`` record.
 """
 
 from __future__ import annotations
@@ -54,13 +55,11 @@ from .checkpoint import CheckpointJournal, MemoStore
 from .jobs import RunSpec, execute_spec
 from .pipeline import ExecutionPipeline
 from .runner import BenchRun
-from .transport import (DirQueueTransport, PoolTransport, SerialTransport,
-                        telemetry_area)
+from .transport import DirQueueTransport, telemetry_area
 
 __all__ = ["CHAOS_BENCHMARKS", "SCENARIO_CLASS_SETS", "ChaosOutcome",
            "ChaosReport", "chaos_specs", "run_chaos", "oracle_check",
-           "render_chaos",
-           "HARNESS_TRANSPORTS", "HARNESS_CLASS_SETS",
+           "render_chaos", "HARNESS_CLASS_SETS",
            "HarnessChaosOutcome", "HarnessChaosReport",
            "run_harness_chaos", "render_harness_chaos"]
 
@@ -369,10 +368,13 @@ def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
 # -- harness chaos matrix (``repro chaos --harness``) ------------------------
 #
 # The pipeline-side mirror of the fault matrix above.  Each scenario
-# arms a seeded hazard campaign (:mod:`repro.harness.hazards`) over one
-# transport, runs the same small sweep twice -- a **cold** leg with
-# hazards firing (corrupted publishes, ENOSPC, stale claims, killed
-# workers), then a disarmed **resume** leg over the surviving
+# arms a seeded hazard campaign (:mod:`repro.harness.hazards`) over a
+# spool sweep worked by the driver and one attached ``repro worker``:
+# the transport with every hazard site (a serial sweep's publishes are
+# a subset of its sites, and a pool is the same spool worked by forked
+# children).  It runs the same small sweep twice -- a **cold** leg
+# with hazards firing (corrupted publishes, ENOSPC, stale claims,
+# killed workers), then a disarmed **resume** leg over the surviving
 # journal/memo/spool state -- and demands:
 #
 # * both legs' merged cycle vectors are *bit-identical* to a
@@ -387,25 +389,22 @@ def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
 # cold leg corrupted must be quarantined into ``corrupt/`` and
 # recomputed, never crash the driver or leak wrong bytes into a merge.
 
-HARNESS_TRANSPORTS: Tuple[str, ...] = ("serial", "pool", "spool")
+#: One scenario per hazard class plus an everything-armed scenario.
+HARNESS_CLASS_SETS: Tuple[Tuple[str, ...], ...] = (
+    ("corrupt",), ("disk",), ("lease",), ("kill",), hazards.HAZARD_CLASSES)
 
-#: Hazard-class scenario sets per transport: only the classes whose
-#: injection sites the transport actually has (a serial sweep holds no
-#: leases and kills no workers), plus an everything-armed scenario on
-#: the spool -- the transport with the most moving parts.
-HARNESS_CLASS_SETS: Dict[str, Tuple[Tuple[str, ...], ...]] = {
-    "serial": (("corrupt",), ("disk",)),
-    "pool": (("corrupt",), ("disk",), ("kill",)),
-    "spool": (("corrupt",), ("disk",), ("lease",), ("kill",),
-              hazards.HAZARD_CLASSES),
-}
+#: Configurations each benchmark of the scenario sweep runs.
+_HARNESS_CONFIGS = ("single", "G0")
+
+#: The scenario spool's lease: short, so the units of a killed worker
+#: are reaped within the sweep.
+_HARNESS_LEASE_S = 2.0
 
 
 @dataclass
 class HarnessChaosOutcome:
     """One harness-chaos scenario's verdict."""
 
-    transport: str
     classes: Tuple[str, ...]
     seed: int
     #: hazard kind -> times applied (from ``hazard.injected`` events).
@@ -425,8 +424,7 @@ class HarnessChaosOutcome:
                 and not self.telemetry_problems)
 
     def to_json(self) -> dict:
-        return {"transport": self.transport,
-                "classes": list(self.classes), "seed": self.seed,
+        return {"classes": list(self.classes), "seed": self.seed,
                 "injected": dict(self.injected),
                 "cycles_identical": self.cycles_identical,
                 "reexecuted": self.reexecuted,
@@ -483,25 +481,17 @@ def _cycles_equal(got: Sequence[float], want: Sequence[float]) -> bool:
             and all(a == b for a, b in zip(got, want)))
 
 
-def _build_harness_pipeline(transport: str, sdir: Path, spool_dir: Path,
-                            jobs: int, lease_s: float,
-                            tel) -> ExecutionPipeline:
-    if transport == "serial":
-        t = SerialTransport()
-    elif transport == "pool":
-        t = PoolTransport(jobs=jobs)
-    elif transport == "spool":
-        t = DirQueueTransport(spool_dir, lease_s=lease_s, poll_s=0.02)
-    else:
-        raise ValueError(f"unknown transport {transport!r}; known: "
-                         f"{HARNESS_TRANSPORTS}")
-    return ExecutionPipeline(transport=t,
-                             journal=CheckpointJournal(sdir / "journal"),
-                             memo=MemoStore(sdir / "memo"),
-                             telemetry=tel)
+def _scenario_pipeline(sdir: Path, tel) -> ExecutionPipeline:
+    """The scenario's sweep: the spool under ``sdir`` plus a journal
+    and a memo store beside it, recorded in the spool's telemetry."""
+    return ExecutionPipeline(
+        transport=DirQueueTransport(sdir / "spool", lease_s=_HARNESS_LEASE_S,
+                                    poll_s=0.02),
+        journal=CheckpointJournal(sdir / "journal"),
+        memo=MemoStore(sdir / "memo"), telemetry=tel)
 
 
-def _spawn_spool_worker(spool_dir: Path, lease_s: float):
+def _spawn_spool_worker(spool_dir: Path):
     """An external ``repro worker`` attached to the scenario spool; it
     inherits ``REPRO_HAZARDS`` from the environment, so it arms itself
     worker-side (kill hazards may SIGKILL/SIGTERM it mid-sweep)."""
@@ -510,7 +500,7 @@ def _spawn_spool_worker(spool_dir: Path, lease_s: float):
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "worker", str(spool_dir),
-         "--wait", "--poll", "0.05", "--lease", str(lease_s)],
+         "--wait", "--poll", "0.05", "--lease", str(_HARNESS_LEASE_S)],
         env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
 
@@ -526,38 +516,33 @@ def _stop_worker(proc) -> None:
         proc.wait(timeout=15)
 
 
-def _run_harness_scenario(transport: str, cls: Tuple[str, ...], seed: int,
+def _run_harness_scenario(cls: Tuple[str, ...], seed: int,
                           specs: Sequence[RunSpec],
                           baseline: Sequence[float], workdir: Path,
-                          rate: int, jobs: int, lease_s: float,
                           spawn_worker: bool) -> HarnessChaosOutcome:
-    sdir = Path(workdir) / f"{transport}-{'+'.join(cls)}-s{seed}"
-    spool_dir = sdir / "spool"
-    tel_root = (telemetry_area(spool_dir) if transport == "spool"
-                else sdir / "telemetry")
-    config = hazards.HazardConfig(seed, classes=cls, rate=rate)
-    outcome = HarnessChaosOutcome(transport=transport, classes=tuple(cls),
-                                  seed=seed)
+    sdir = Path(workdir) / f"{'+'.join(cls)}-s{seed}"
+    tel_root = telemetry_area(sdir / "spool")
+    config = hazards.HazardConfig(seed, classes=cls)
+    outcome = HarnessChaosOutcome(classes=tuple(cls), seed=seed)
     proc = None
     try:
-        # Leg A (cold): armed driver; subprocess workers and pool
-        # children arm themselves worker-side from the environment.
+        # Leg A (cold): armed driver; the attached worker arms itself
+        # worker-side from the environment.
         hazards.export_env(config, state_dir=sdir / "hazard-state",
                            telemetry_root=tel_root)
         tel = Telemetry(root=tel_root, role="driver")
         plan = hazards.arm(config, state_dir=sdir / "hazard-state",
                            telemetry=tel)
         try:
-            if transport == "spool" and spawn_worker:
-                proc = _spawn_spool_worker(spool_dir, lease_s)
+            if spawn_worker:
+                proc = _spawn_spool_worker(sdir / "spool")
                 if "kill" in cls:
                     # Head start: the worker must attach (and start
                     # hitting kill boundaries) before the driver can
                     # drain the spool inline, or the scenario is
                     # vacuously kill-free.
                     time.sleep(1.0)
-            pipe = _build_harness_pipeline(transport, sdir, spool_dir,
-                                           jobs, lease_s, tel)
+            pipe = _scenario_pipeline(sdir, tel)
             cold = [r.cycles for r in pipe.run(specs)]
             outcome.quarantined += len(pipe.quarantined_units)
         finally:
@@ -571,8 +556,7 @@ def _run_harness_scenario(transport: str, cls: Tuple[str, ...], seed: int,
         # miss and recompute to the identical result.
         tel = Telemetry(root=tel_root, role="driver")
         try:
-            pipe = _build_harness_pipeline(transport, sdir, spool_dir,
-                                           jobs, lease_s, tel)
+            pipe = _scenario_pipeline(sdir, tel)
             resumed = [r.cycles for r in pipe.run(specs)]
             outcome.reexecuted = int(pipe.counters.get("unit.executed"))
             outcome.quarantined += len(pipe.quarantined_units)
@@ -608,44 +592,33 @@ def _run_harness_scenario(transport: str, cls: Tuple[str, ...], seed: int,
 
 def run_harness_chaos(workdir,
                       benchmarks: Sequence[str] = ("cg",),
-                      configs: Sequence[str] = ("single", "G0"),
                       size: str = "test",
                       cfg: MachineConfig = PAPER_MACHINE,
-                      transports: Sequence[str] = HARNESS_TRANSPORTS,
                       classes: Optional[Sequence[Sequence[str]]] = None,
-                      base_seed: int = 0, rate: int = 2, jobs: int = 2,
-                      lease_s: float = 2.0,
+                      base_seed: int = 0,
                       spawn_worker: bool = True) -> HarnessChaosReport:
     """Run the seeded hazard matrix over the execution pipeline.
 
-    Per ``(transport, class set)`` scenario: a cold hazardous sweep,
-    then a disarmed resume sweep over the surviving state, both checked
+    Per class-set scenario: a cold hazardous spool sweep, then a
+    disarmed resume sweep over the surviving state, both checked
     bit-identical against one hazard-free serial baseline (see the
-    section comment).  ``classes`` overrides the per-transport default
-    scenario sets (:data:`HARNESS_CLASS_SETS`); ``rate`` is injections
-    scheduled per hazard kind -- it is also the kill-token budget per
-    kill kind, sized so a kill-armed fleet always runs out of kills
-    before a unit crosses the poison threshold.
+    section comment).  ``classes`` overrides the default scenario sets
+    (:data:`HARNESS_CLASS_SETS`).  Each campaign schedules the default
+    two injections per hazard kind, which is also the kill-token budget
+    per kill kind: a kill-armed fleet runs out of kills before a unit
+    crosses the poison threshold.
     """
     workdir = Path(workdir)
     specs = [RunSpec.make(b, c, size=size, cfg=cfg)
-             for b in benchmarks for c in configs]
+             for b in benchmarks for c in _HARNESS_CONFIGS]
     if hazards.current() is not None:
         raise RuntimeError(
             "refusing to measure the baseline with hazards armed")
     baseline = [r.cycles for r in ExecutionPipeline().run(specs)]
-    outcomes: List[HarnessChaosOutcome] = []
-    for ti, transport in enumerate(transports):
-        if transport not in HARNESS_CLASS_SETS:
-            raise ValueError(f"unknown transport {transport!r}; known: "
-                             f"{HARNESS_TRANSPORTS}")
-        sets = ([tuple(c) for c in classes] if classes is not None
-                else HARNESS_CLASS_SETS[transport])
-        for ci, cls in enumerate(sets):
-            seed = base_seed * 10_000 + ti * 100 + ci
-            outcomes.append(_run_harness_scenario(
-                transport, tuple(cls), seed, specs, baseline, workdir,
-                rate, jobs, lease_s, spawn_worker))
+    sets = classes if classes is not None else HARNESS_CLASS_SETS
+    outcomes = [_run_harness_scenario(tuple(cls), base_seed * 10_000 + ci,
+                                      specs, baseline, workdir, spawn_worker)
+                for ci, cls in enumerate(sets)]
     return HarnessChaosReport(baseline=list(baseline), outcomes=outcomes)
 
 
@@ -656,7 +629,7 @@ def render_harness_chaos(report: HarnessChaosReport,
              f"{'scenario':<18} {'classes':<28} {'fired':>5} "
              f"{'re-ex':>5} {'quar':>4}  verdict"]
     for o in report.outcomes:
-        name = f"{o.transport} seed={o.seed}"
+        name = f"seed={o.seed}"
         fired = sum(o.injected.values())
         verdict = "ok" if o.ok else "** FAILED **"
         lines.append(f"{name:<18} {','.join(o.classes):<28} {fired:>5} "

@@ -31,11 +31,10 @@ kind                      injection point                        class
 ========================  =====================================  =========
 
 Kill hazards only fire in processes armed as *worker-side* (spool
-workers, pool children -- armed through the ``REPRO_HAZARDS``
-environment variable so they survive fork/spawn), never in the
-driver, and are budgeted through on-disk ``O_EXCL`` kill tokens in a
-shared state directory: a fleet whose workers respawn with fresh
-opportunity counters would otherwise kill itself forever.
+workers, armed through the ``REPRO_HAZARDS`` environment variable),
+never in the driver, and are budgeted through on-disk ``O_EXCL`` kill
+tokens in a shared state directory: a fleet whose workers respawn with
+fresh opportunity counters would otherwise kill itself forever.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from ..obs.telemetry import NULL_TELEMETRY
 
 __all__ = ["HAZARD_KINDS", "HAZARD_CLASSES", "HAZARD_CLASS_KINDS",
            "HazardConfig", "HazardPlan", "arm", "disarm", "armed",
-           "current", "export_env", "clear_env", "backoff_s", "ENV_VAR"]
+           "current", "export_env", "clear_env", "ENV_VAR"]
 
 #: Every injectable hazard kind, in the fixed order schedules are drawn.
 HAZARD_KINDS: Tuple[str, ...] = (
@@ -91,7 +90,7 @@ _WINDOWS: Dict[str, Tuple[int, int]] = {
 }
 
 #: Environment variable carrying an armed campaign into subprocesses
-#: (spool workers, spawned pool children).
+#: (spool workers).
 ENV_VAR = "REPRO_HAZARDS"
 
 
@@ -114,8 +113,8 @@ class HazardConfig(ScheduleConfig):
     """Hashable, picklable description of one hazard campaign.
 
     The heavier :class:`HazardPlan` is rebuilt from this in every
-    process (driver, worker, pool child), so each derives an identical
-    schedule from the seed alone.
+    process (driver, worker), so each derives an identical schedule
+    from the seed alone.
     """
 
     classes: Tuple[str, ...] = HAZARD_CLASSES
@@ -339,9 +338,9 @@ def _rearm_from_env(telemetry=None) -> Optional[HazardPlan]:
 
 def export_env(config: HazardConfig, state_dir=None,
                telemetry_root=None) -> None:
-    """Publish a campaign to ``REPRO_HAZARDS`` so subprocesses (spool
-    workers, pool children) arm themselves worker-side; kill hazards
-    require ``state_dir`` for the shared token budget."""
+    """Publish a campaign to ``REPRO_HAZARDS`` so spool worker
+    subprocesses arm themselves worker-side; kill hazards require
+    ``state_dir`` for the shared token budget."""
     os.environ[ENV_VAR] = json.dumps({
         "seed": config.seed, "classes": list(config.classes),
         "rate": config.rate,
@@ -351,20 +350,3 @@ def export_env(config: HazardConfig, state_dir=None,
 
 def clear_env() -> None:
     os.environ.pop(ENV_VAR, None)
-
-
-# -- retry pacing ------------------------------------------------------------
-
-def backoff_s(token: str, attempt: int, base: float = 0.05,
-              cap: float = 2.0) -> float:
-    """Deterministic seeded-jitter exponential backoff.
-
-    ``base * 2^(attempt-1)``, capped, scaled by a jitter factor in
-    [0.5, 1.5) drawn from ``Random(token:attempt)`` -- deterministic
-    for a given (token, attempt) so tests can pin it, decorrelated
-    across units so a reaped fleet doesn't re-stampede the same claim.
-    """
-    if attempt < 1:
-        return 0.0
-    rng = random.Random(f"{token}:{attempt}")
-    return min(cap, base * (2.0 ** (attempt - 1))) * (0.5 + rng.random())

@@ -23,9 +23,9 @@ dispatch mechanism pluggable:
   driver itself works inline, so a sweep completes even with zero
   external workers.  A claim older than the lease whose owner's last
   heartbeat is older too is reaped (:meth:`_Spool.stall`), and the
-  unit is re-executed after a seeded-jitter backoff.  A session heartbeats
-  only between units, so a live worker whose unit outlasts the lease
-  loses it as a dead one does, and the unit runs again elsewhere.
+  unit runs again.  A session heartbeats only between units, so a live
+  worker whose unit outlasts the lease loses it as a dead one does, and
+  the unit runs again elsewhere.
   Determinism makes duplicated execution harmless (same key, same
   bytes; the last atomic publish wins).
 
@@ -97,54 +97,46 @@ POISON_AFTER = 3
 #: Set it above the longest unit (see :meth:`_Spool.stall`).
 LEASE_S = 60.0
 
-#: First-retry delay of the seeded-jitter backoff after a reaped
-#: lease; doubles per retry, see :func:`~repro.harness.hazards.backoff_s`.
-BACKOFF_BASE = 0.05
-
 
 def _telemetered(tel, key: str, spec, fn):
     """Execute one unit under telemetry: ``unit.started`` -> run ``fn``
-    -> terminal (``unit.finished``/``unit.failed``), recording the
-    execution wall time and surfacing watchdog deadlocks as typed
-    ``watchdog.deadlock`` events.  Captured failures (``BenchRun.error``
-    set) terminate as ``unit.failed`` too -- the event log explains
-    every outcome, not only raised ones.  Exceptions propagate after
-    the terminal event is written."""
+    -> :func:`_emit_terminal` on what it returned or raised.
+    Exceptions propagate after the terminal event is written."""
     tel.emit("unit.started", unit=key, spec=spec)
     t0 = time.perf_counter()
     try:
         run = fn()
     except BaseException as e:
-        dt = time.perf_counter() - t0
-        tel.observe("unit.exec_s", dt)
-        if isinstance(e, SimDeadlockError):
-            tel.emit("watchdog.deadlock", unit=key, spec=spec,
-                     summary=e.summary)
-        tel.emit("unit.failed", unit=key, spec=spec,
-                 wall_s=round(dt, 6),
-                 error=f"{type(e).__name__}: {e}"[:300],
-                 error_kind=("hang" if isinstance(e, SimDeadlockError)
-                             else "crash"))
+        _emit_terminal(tel, key, spec, e, time.perf_counter() - t0)
         raise
-    dt = time.perf_counter() - t0
-    tel.observe("unit.exec_s", dt)
-    _emit_terminal(tel, key, spec, run, dt)
+    _emit_terminal(tel, key, spec, run, time.perf_counter() - t0)
     return run
 
 
 def _emit_terminal(tel, key: str, spec, run, wall_s) -> None:
-    """The terminal event for a finished BenchRun (shared by the
-    inline execution path and a pool child's harvested result, where
-    the wall time is the child-recorded ``run.timing['total_s']``)."""
-    error = getattr(run, "error", None)
+    """The one writer of a unit's terminal event and its execution
+    time.  ``run`` is the BenchRun an execution returned -- inline, or a
+    pool child's harvested result, timed by the child's
+    ``run.timing['total_s']`` -- or the exception it raised.  A failure,
+    captured (``BenchRun.error`` set) or raised, is ``unit.failed``,
+    after a typed ``watchdog.deadlock`` for a hang: the event log
+    explains every outcome, not only raised ones."""
     fields = {}
     if wall_s is not None:
+        tel.observe("unit.exec_s", wall_s)
         fields["wall_s"] = round(wall_s, 6)
-    if error is not None:
+    if isinstance(run, BaseException):
+        kind = "hang" if isinstance(run, SimDeadlockError) else "crash"
+        error = f"{type(run).__name__}: {run}"
+        summary = run.summary if kind == "hang" else None
+    else:
+        error = getattr(run, "error", None)
         kind = getattr(run, "error_kind", None)
+        summary = str(error)[:300]
+    if error is not None:
         if kind == "hang":
             tel.emit("watchdog.deadlock", unit=key, spec=spec,
-                     summary=str(error)[:300])
+                     summary=summary)
         tel.emit("unit.failed", unit=key, spec=spec,
                  error=str(error)[:300], error_kind=kind, **fields)
     else:
@@ -600,12 +592,10 @@ class DirQueueTransport(Transport):
     ``lease_s`` whose owner's last heartbeat is older too is reaped
     (:meth:`_Spool.stall`).  Sessions heartbeat only between units, so
     a live worker still running a unit past ``lease_s`` loses it too
-    and the unit runs again elsewhere (same key, same bytes).  A
-    reaped unit is retried after a seeded-jitter exponential backoff
-    rather than instantly (a crash-looping unit must not hot-spin the
-    fleet).  A unit whose attempts ledger shows
-    :data:`POISON_AFTER` dead executions is quarantined with a
-    placeholder result.
+    and the unit runs again elsewhere (same key, same bytes).  A unit
+    whose attempts ledger shows :data:`POISON_AFTER` dead executions
+    is quarantined with a placeholder result, so a crash-looping unit
+    stops after that many reaps.
     """
 
     name = "spool"
@@ -629,9 +619,6 @@ class DirQueueTransport(Transport):
                        f"from a dead writer")
         pending = {u.key: u for u in units}
         n_total = len(pending)
-        #: Reaped units: how often, and the earliest next claim.
-        reaps: Dict[str, int] = {}
-        not_before: Dict[str, float] = {}
         for u in units:
             try:
                 spool.enqueue(u.key, u.spec)
@@ -655,27 +642,19 @@ class DirQueueTransport(Transport):
                 self._harvest(unit, payload, on_result)
             if not pending or harvested:
                 continue
-            # Work inline: lease the first unit that nobody holds and
-            # that is not backing off after a reap.
-            plan, now = hazards.current(), time.monotonic()
+            # Work inline: lease the first unit that nobody holds.
+            plan = hazards.current()
             for key, unit in pending.items():
-                if now < not_before.get(key, 0.0):
-                    continue
                 if plan is not None:
                     plan.maybe_stale_claim(spool, key)
                 if spool.lease(key, worker=tel.worker):
                     break
             else:
-                # None (all leased out or backing off): reap the
-                # stalled and back their units off, or wait briefly.
+                # All leased out: reap the stalled, or wait briefly.
                 reaped = self._idle(pending)
                 for key in reaped:
-                    n = reaps[key] = reaps.get(key, 0) + 1
-                    delay = hazards.backoff_s(key, n, BACKOFF_BASE)
-                    not_before[key] = time.monotonic() + delay
                     self._note(f"reaped stalled lease on unit "
-                               f"{key[:12]} (> {self.lease_s:g}s); retry "
-                               f"backoff {delay:.3f}s")
+                               f"{key[:12]} (> {self.lease_s:g}s)")
                 if not reaped:
                     time.sleep(self.poll_s)
                 continue
@@ -701,8 +680,8 @@ class DirQueueTransport(Transport):
         self._deliver(unit, run, on_result)
 
     def _idle(self, pending) -> List[str]:
-        """The driver's idle step, every pending unit leased out or
-        backing off: :meth:`_Spool.idle`.  Returns the reaped."""
+        """The driver's idle step, every pending unit leased out:
+        :meth:`_Spool.idle`.  Returns the reaped."""
         return self.spool.idle(pending, self.lease_s)
 
 
@@ -765,18 +744,17 @@ class PoolTransport(DirQueueTransport):
     def _harvest(self, unit: WorkUnit, run, on_result: OnResult) -> None:
         """A child's log goes with the private spool: record the unit
         on the driver's track instead, timed by the child."""
-        tel, wall = self.telemetry, run.timing.get("total_s")
+        tel = self.telemetry
         tel.emit("unit.claimed", unit=unit.key, spec=unit.spec)
-        if wall is not None:
-            tel.observe("unit.exec_s", wall)
-        _emit_terminal(tel, unit.key, unit.spec, run, wall)
+        _emit_terminal(tel, unit.key, unit.spec, run,
+                       run.timing.get("total_s"))
         super()._harvest(unit, run, on_result)
 
     def _idle(self, pending) -> List[str]:
         """Every claim on a private spool is the driver's or a child's:
         release those of children that exited non-zero, a
-        ``lease.reaped`` each (no lease to wait out, no backoff), then
-        the spool's own idle step."""
+        ``lease.reaped`` each (no lease to wait out), then the spool's
+        own idle step."""
         dead = {pid for pid, child in self._children.items()
                 if child.exitcode not in (None, 0)}
         for key in pending if dead else ():
@@ -792,12 +770,9 @@ _WORKER_LOG = logging.getLogger("repro.worker")
 
 def _pool_worker(root: str, poll_s: float) -> None:
     """A :class:`PoolTransport` child: :func:`run_worker` draining the
-    private spool, per-unit lines off (the driver reports the sweep),
-    an armed hazard campaign resolved first so that its injections are
-    logged with the campaign's, not in the private spool."""
+    private spool, per-unit lines off (the driver reports the sweep)."""
     _WORKER_LOG.setLevel(max(logging.WARNING,
                              _WORKER_LOG.getEffectiveLevel()))
-    hazards.current()
     run_worker(root, poll_s=poll_s)
 
 

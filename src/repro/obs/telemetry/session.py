@@ -102,14 +102,12 @@ class Telemetry(NullTelemetry):
     enabled = True
 
     def __init__(self, root: Union[str, Path, None] = None,
-                 worker: Optional[str] = None, role: str = "driver",
-                 heartbeat_s: float = HEARTBEAT_S):
+                 worker: Optional[str] = None, role: str = "driver"):
         self.dir = Path(root) if root is not None else None
         self.worker = worker or worker_id()
         self.role = role
         self.records: List[dict] = []
         self.metrics = MetricsRegistry()
-        self.heartbeat_s = heartbeat_s
         self._log = (EventLog(self.dir, self.worker)
                      if self.dir is not None else None)
         self._seq = 0
@@ -160,7 +158,7 @@ class Telemetry(NullTelemetry):
                   done: Optional[int] = None, force: bool = False) -> None:
         """Refresh this session's liveness file (atomic replace).
 
-        Throttled to one write per ``heartbeat_s`` unless ``force``;
+        Throttled to one write per :data:`HEARTBEAT_S` unless ``force``;
         the file's mtime is the last-seen signal ``repro status``
         reads, its body the progress snapshot.
         """
@@ -169,7 +167,7 @@ class Telemetry(NullTelemetry):
         now = time.time()
         if done is not None:
             self._done = done
-        if not force and now - self._last_beat < self.heartbeat_s:
+        if not force and now - self._last_beat < HEARTBEAT_S:
             return
         self._last_beat = now
         payload = {"v": SCHEMA_VERSION, "worker": self.worker,

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..compiler.bytecode import CompiledProgram
 from ..config.machine import MachineConfig, PAPER_MACHINE
-from ..faults import FaultConfig, FaultPlan
+from ..faults import CLASS_KINDS, FaultConfig, FaultPlan
 from ..interp.funcrunner import GlobalStore
 from ..mem.address import SHARED_BASE, SHARED_LIMIT
 from ..mem.memsys import CoherentMemorySystem
@@ -39,6 +39,10 @@ MODES = ("single", "double", "slipstream")
 #: Runtime-internal words live in the top half of the shared segment so
 #: they can be excluded from the Figure-3/5 shared-data classification.
 RT_WORD_BASE = SHARED_BASE + (SHARED_LIMIT - SHARED_BASE) // 2
+
+#: Fault kinds an A-stream shell injects itself (the rest fire in
+#: channels and network interfaces).
+_SHELL_KINDS = frozenset(CLASS_KINDS["vm"] + CLASS_KINDS["kill"])
 
 
 @dataclass
@@ -194,16 +198,19 @@ class Machine:
         # hook.  Armed hooks only ever touch A-streams, channels, and
         # protocol-legal NI delays -- never R-stream state -- so a
         # faulted run must still produce correct output (the paper's
-        # invariant the chaos harness asserts).
+        # invariant the chaos harness asserts).  A-stream shells are
+        # armed only when the plan schedules one of their kinds: an
+        # armed shell runs interpreted.
         self.fault_plan: Optional[FaultPlan] = None
         if faults is not None:
             plan = self.fault_plan = FaultPlan(faults)
             plan.bind(self.engine, self.obs.probe("faults"))
             for ch in self.channels.values():
                 ch.faults = plan
-            for shell in self.shells:
-                if shell.role == "A":
-                    shell.arm_faults(plan)
+            if _SHELL_KINDS & set(plan.schedule):
+                for shell in self.shells:
+                    if shell.role == "A":
+                        shell.arm_faults(plan)
             self.memsys.arm_faults(plan)
 
     # ------------------------------------------------------------- topology

@@ -150,17 +150,11 @@ def test_chaos_harness_subcommand(tmp_path):
     """`repro chaos --harness` runs the execution-layer hazard matrix
     and exits 0 when every scenario merges bit-identical."""
     rc, out = run_cli(["chaos", "--harness", "cg", "--cmps", "4",
-                       "--transports", "serial", "--classes", "corrupt",
+                       "--classes", "corrupt",
                        "--workdir", str(tmp_path / "wd")])
     assert rc == 0
     assert "harness chaos matrix" in out
     assert "harness verdict: OK" in out
-
-
-def test_chaos_harness_rejects_bad_transport(tmp_path):
-    rc, _ = run_cli(["chaos", "--harness", "--transports", "nosuch",
-                     "--workdir", str(tmp_path / "wd")])
-    assert rc == 2
 
 
 def test_worker_on_empty_spool(tmp_path):
@@ -403,13 +397,13 @@ _UNREAD = [
     (["run", "{demo}", "--mode", "functional"], "--timeout-cycles", ["9"]),
     (["run", "{demo}", "--mode", "functional"], "--profile", ["{tmp}/p"]),
     (["chaos", "--harness"], "--seeds", ["3"]),
+    (["chaos", "--harness"], "--jobs", ["2"]),
     (["chaos", "--harness"], "--timeout-cycles", ["9"]),
     (["chaos", "--harness"], "--resume", ["{tmp}/j"]),
     (["chaos", "--harness"], "--memo", []),
     (["chaos", "--harness"], "--spool", ["{tmp}/s"]),
     (["chaos", "--harness"], "--telemetry", ["{tmp}/t"]),
     (["chaos"], "--workdir", ["{tmp}/w"]),
-    (["chaos"], "--transports", ["serial"]),
 ]
 
 

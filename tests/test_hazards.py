@@ -19,7 +19,7 @@ import pytest
 from repro.config import PAPER_MACHINE
 from repro.harness import hazards
 from repro.harness.chaos import run_harness_chaos
-from repro.harness.hazards import HazardConfig, HazardPlan, backoff_s
+from repro.harness.hazards import HazardConfig, HazardPlan
 from repro.harness.integrity import (IntegrityError, atomic_pickle, frame,
                                      gc_tmp, load_verified, unframe)
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
@@ -112,15 +112,6 @@ def test_fire_by_opportunity_index():
     assert hits == [idx]
     # unknown/unarmed kinds never fire
     assert plan.fire("kill_worker") is None
-
-
-def test_backoff_is_deterministic_capped_and_jittered():
-    assert backoff_s("u", 0) == 0.0
-    assert backoff_s("u", 3) == backoff_s("u", 3)
-    assert backoff_s("u", 3) != backoff_s("v", 3)       # decorrelated
-    for attempt in range(1, 12):
-        d = backoff_s("u", attempt, base=0.05, cap=2.0)
-        assert 0.0 < d <= 2.0 * 1.5
 
 
 def test_disarmed_sites_are_noops(tmp_path):
@@ -536,7 +527,7 @@ def test_harness_chaos_smoke_spool(tmp_path):
     """One armed spool scenario end to end: corrupt + lease hazards,
     driver-only (no external worker), cold leg + disarmed resume leg
     both bit-identical to the hazard-free baseline, telemetry valid."""
-    report = run_harness_chaos(tmp_path / "wd", transports=("spool",),
+    report = run_harness_chaos(tmp_path / "wd",
                                classes=(("corrupt", "lease"),),
                                spawn_worker=False)
     (outcome,) = report.outcomes

@@ -1166,3 +1166,42 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
         outcomes[tiers] = (r.cycles, r.rt_stats, r.faults["fired"],
                            r.recoveries)
     assert outcomes[None] == outcomes[""]
+
+
+@pytest.mark.parametrize("classes, schedule", [
+    (("net",), None), (("channel",), ("dynamic", 4))],
+    ids=["net", "channel"])
+def test_plans_without_a_stream_kinds_keep_generated_code(monkeypatch,
+                                                          classes, schedule):
+    """A plan that schedules no A-stream kind -- ``net`` jitter fires in
+    the network interfaces, ``channel`` faults in the pair channel --
+    arms no shell, so no VM is sent to the interpreter; the campaign's
+    cycles, firings and recoveries are those of interpreting
+    everything."""
+    from repro.faults import FaultConfig
+    interpreted = []
+    real = VM.disable_compiled
+
+    def spy(vm):
+        interpreted.append(vm)
+        real(vm)
+
+    monkeypatch.setattr(VM, "disable_compiled", spy)
+    outcomes = {}
+    for tiers in (None, ""):
+        if tiers is None:
+            monkeypatch.delenv("REPRO_HOTPATH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_HOTPATH", tiers)
+        reset_for_tests()
+        # The default 16 CMPs: at 4, CG serves too few NI requests to
+        # reach the jitter window.
+        spec = RunSpec.make("cg", "G0", size="test", schedule=schedule,
+                            verify=True, timeout_cycles=5e6,
+                            faults=FaultConfig(4, classes=classes))
+        r = execute_spec(spec).result
+        outcomes[tiers] = (r.cycles, r.rt_stats, r.faults["fired"],
+                           r.recoveries)
+    assert interpreted == []
+    assert outcomes[None][2], "the campaign fired nothing"
+    assert outcomes[None] == outcomes[""]

@@ -97,6 +97,30 @@ def test_static_scheduling_time_is_negligible(fig2):
             f"reads {row['scheduling']}")
 
 
+#: The paper's average gains (§5.1 Fig 2, §5.2 Fig 4), in percent, and
+#: how many points the measured averages may sit from them.
+PAPER_AVERAGE_GAIN = {"fig2_static.txt": 13.5, "fig4_dynamic.txt": 12.0}
+PAPER_GAP_PTS = 5.0
+
+
+def test_average_gains_sit_within_five_points_of_the_papers():
+    gaps = {}
+    for name, paper in PAPER_AVERAGE_GAIN.items():
+        line = next(ln for ln in _text(name).splitlines()
+                    if ln.startswith("average gain:"))
+        gaps[name] = paper - (float(line.split()[-1]) - 1) * 100
+        assert abs(gaps[name]) <= PAPER_GAP_PTS, (
+            f"§5: the average gain in {name} is {gaps[name]:.1f} points "
+            f"off the paper's +{paper}%")
+    # EXPERIMENTS.md's Figure 2 text states its gap to half a point.
+    text = (RESULTS.parents[1] / "EXPERIMENTS.md").read_text()
+    section = text[text.index("## Figure 2"):text.index("## Figure 3")]
+    said = float(re.search(r"average within ([\d.]+) points of the "
+                           r"paper's", section)[1])
+    assert abs(gaps["fig2_static.txt"]) <= said \
+        < abs(gaps["fig2_static.txt"]) + 0.5, said
+
+
 @pytest.fixture(scope="module")
 def fig3_averages():
     """G0's and L1's read averages and G0's rdex coverage, from the

@@ -489,9 +489,9 @@ def test_the_settle_path_is_written_once():
     """Guards that count: one call site each for the ledger writes and
     the placeholder, ``unit.claimed`` under the spool half of
     ``transport.py`` only where a unit is settled or a pool child's
-    result harvested; one way to lease; no ``run`` but
-    ``Transport.run``; the removed knobs on no signature; no dead
-    ``quarantined`` list."""
+    result harvested; one writer of ``unit.failed``; one way to lease;
+    no ``run`` but ``Transport.run``; the removed knobs on no signature
+    and no reap backoff; no dead ``quarantined`` list."""
     import repro.harness.transport as ht
     source = Path(ht.__file__).read_text()
     tree = ast.parse(source)
@@ -508,6 +508,7 @@ def test_the_settle_path_is_written_once():
     assert spool_half.count('"unit.claimed"') == 2
     assert spool_half.count('"unit.quarantined"') == 0  # the shared helper
     assert source.count('emit("unit.quarantined"') == 1
+    assert source.count('emit("unit.failed"') == 1      # _emit_terminal
     runs = [cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
             for fn in cls.body
             if isinstance(fn, ast.FunctionDef) and fn.name == "run"]
@@ -516,6 +517,7 @@ def test_the_settle_path_is_written_once():
         assert not {"poison_threshold", "quarantine_after",
                     "backoff_base"} & set(inspect.signature(fn).parameters)
     assert not hasattr(Transport(), "quarantined")
+    assert not hasattr(ht, "BACKOFF_BASE")
     assert len(inspect.signature(PoolTransport).parameters) == 2
     assert len(inspect.signature(DirQueueTransport).parameters) == 3
     assert len(inspect.signature(run_worker).parameters) == 6
