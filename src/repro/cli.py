@@ -11,7 +11,6 @@ Usage (also via ``python -m repro``)::
     python -m repro run prog.c --mode slipstream --profile prog.folded
     python -m repro chaos --seeds 2 -j 2 --report chaos.json
     python -m repro chaos --harness       # pipeline crash-consistency
-    python -m repro status /tmp/sweep     # live fleet health of a spool
 
 This is the analogue of driving the paper's toolchain: one compiled
 image, execution mode and slipstream policy chosen at run time.
@@ -36,7 +35,6 @@ from typing import List, Optional
 from .compiler import compile_source, disassemble
 from .config import PAPER_MACHINE
 from .harness import render_speedups, run_static_suite
-from .harness.transport import LEASE_S
 from .hotpath import hotpath_tiers
 from .interp import FunctionalRunner
 from .lang import analyze, parse
@@ -63,17 +61,11 @@ def _pipeline_args(p: argparse.ArgumentParser) -> None:
                         "faults) runs from the content-addressed "
                         "run-result memo store (REPRO_MEMO_DIR, default "
                         "~/.cache/repro/results)")
-    p.add_argument("--spool", metavar="DIR", default=None,
-                   help="dispatch units through a shared spool "
-                        "directory; attach extra workers with "
-                        "'repro worker DIR' (overrides --jobs)")
     p.add_argument("--telemetry", metavar="DIR", default=None,
-                   help="record the wall-clock telemetry event log, "
-                        "metrics and heartbeats under DIR (a spool "
-                        "sweep records under SPOOL/telemetry "
-                        "automatically; 'python -m repro.obs.telemetry "
-                        "DIR --trace OUT.json' exports its wall-clock "
-                        "timeline)")
+                   help="record the wall-clock telemetry event log and "
+                        "metrics under DIR ('python -m "
+                        "repro.obs.telemetry DIR --trace OUT.json' "
+                        "exports its wall-clock timeline)")
 
 
 def _verbosity_args(p: argparse.ArgumentParser) -> None:
@@ -152,37 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _pipeline_args(ben)
     _verbosity_args(ben)
 
-    wrk = sub.add_parser(
-        "worker",
-        help="attach a work-unit worker to a shared spool directory")
-    wrk.add_argument("dir", help="spool directory (the --spool DIR of "
-                                 "the driving sweep)")
-    wrk.add_argument("--poll", type=float, default=0.1, metavar="S",
-                     help="seconds between scans when idle (default 0.1)")
-    wrk.add_argument("--lease", type=float, default=LEASE_S, metavar="S",
-                     help="reap another worker's claim after S seconds "
-                          "(default %(default)g; set above the longest "
-                          "unit)")
-    wrk.add_argument("--max-units", type=int, default=None, metavar="N",
-                     help="exit after executing N units")
-    wrk.add_argument("--wait", action="store_true",
-                     help="keep polling for new units instead of "
-                          "exiting when the spool is drained")
-    _verbosity_args(wrk)
-
-    sta = sub.add_parser(
-        "status",
-        help="render the live fleet state of a spool sweep")
-    sta.add_argument("dir", help="spool directory of the sweep "
-                                 "(the --spool DIR)")
-    sta.add_argument("--stall", type=float, default=LEASE_S, metavar="S",
-                     help="treat a claim or worker silent for more "
-                          "than S seconds as stalled (default "
-                          "%(default)g, the worker's --lease)")
-    sta.add_argument("--json", action="store_true",
-                     help="emit the machine-readable snapshot instead "
-                          "of the report")
-
     cha = sub.add_parser(
         "chaos",
         help="run a seeded fault-injection matrix with the output oracle")
@@ -219,53 +180,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _setup_logging(args, default: int = logging.WARNING) -> None:
-    """Map --quiet onto the ``repro`` logger tree.
-
-    The worker verb defaults to per-unit INFO lines (its console
-    output *is* the product); the sweep verbs default to warnings
-    (reaped leases, dead workers, quarantines) only.
-    """
+def _setup_logging(args) -> None:
+    """Map --quiet onto the ``repro`` logger tree: the sweep verbs
+    print warnings (reaped leases, dead workers, quarantines) unless
+    quieted to errors."""
     logging.basicConfig(stream=sys.stderr, format="%(message)s")
     logging.getLogger("repro").setLevel(
-        logging.ERROR if args.quiet else default)
-    if args.cmd == "worker":
-        # run_worker mirrors this logger to the CLI's stdout; leave it
-        # chatty unless the user explicitly quieted it.
-        logging.getLogger("repro.worker").setLevel(
-            logging.ERROR if args.quiet else logging.INFO)
-
-
-def _telemetry_from_args(args):
-    """The telemetry session a sweep verb asked for: an explicit
-    --telemetry DIR, or the spool's shared area (spool sweeps are always
-    recorded -- attached workers already write there)."""
-    from .harness import Telemetry, telemetry_area
-    if args.telemetry:
-        return Telemetry(root=args.telemetry)
-    if args.spool:
-        return Telemetry(root=telemetry_area(args.spool))
-    return None
+        logging.ERROR if args.quiet else logging.WARNING)
 
 
 def _pipeline_from_args(args):
     """Build the execution pipeline a sweep verb asked for: transport
-    from --spool/--jobs, checkpoint journal from --resume, memo store
-    from --memo, telemetry from --telemetry/--spool."""
-    from .harness import (CheckpointJournal, DirQueueTransport,
-                          ExecutionPipeline, MemoStore, PoolTransport,
-                          SerialTransport)
-    if args.spool:
-        transport = DirQueueTransport(args.spool)
-    elif args.jobs and args.jobs > 1:
-        transport = PoolTransport(jobs=args.jobs)
-    else:
-        transport = SerialTransport()
+    from --jobs, checkpoint journal from --resume, memo store from
+    --memo, telemetry from --telemetry."""
+    from .harness import (CheckpointJournal, ExecutionPipeline, MemoStore,
+                          PoolTransport, SerialTransport, Telemetry)
     return ExecutionPipeline(
-        transport=transport,
+        transport=(PoolTransport(jobs=args.jobs)
+                   if args.jobs and args.jobs > 1 else SerialTransport()),
         journal=CheckpointJournal(args.resume) if args.resume else None,
         memo=MemoStore() if args.memo else None,
-        telemetry=_telemetry_from_args(args))
+        telemetry=Telemetry(root=args.telemetry) if args.telemetry else None)
 
 
 def _reject_unread(args, flags, path: str) -> bool:
@@ -474,27 +409,6 @@ def _report_health(context) -> int:
     return 5
 
 
-def _cmd_worker(args, out) -> int:
-    from .harness import run_worker
-    _setup_logging(args)
-    run_worker(args.dir, poll_s=args.poll, lease_s=args.lease,
-               max_units=args.max_units, drain=not args.wait, out=out)
-    return 0
-
-
-def _cmd_status(args, out) -> int:
-    """Render fleet state from a spool's on-disk traces; exit 1 when
-    the fleet is stalled so scripts/watchdogs can alarm on it."""
-    from .harness import collect_status, render_status
-    status = collect_status(args.dir, stall_s=args.stall)
-    if args.json:
-        import json
-        print(json.dumps(status.to_json(), indent=2), file=out)
-    else:
-        print(render_status(status), file=out)
-    return 1 if status.stalled else 0
-
-
 def _cmd_chaos(args, out) -> int:
     from .harness.chaos import (CHAOS_BENCHMARKS, DEFAULT_TIMEOUT_CYCLES,
                                 chaos_specs, render_chaos, run_chaos)
@@ -557,7 +471,7 @@ def _cmd_harness_chaos(args, out) -> int:
     from .harness.hazards import HAZARD_CLASSES
     from .npb import REGISTRY
     if _reject_unread(args, ("--seeds", "--jobs", "--timeout-cycles",
-                             "--resume", "--memo", "--spool", "--telemetry"),
+                             "--resume", "--memo", "--telemetry"),
                       "chaos --harness"):
         return 2
     names = tuple(args.names) or ("cg",)
@@ -620,10 +534,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             return _cmd_check(args, out)
         if args.cmd == "bench":
             return _cmd_bench(args, out)
-        if args.cmd == "worker":
-            return _cmd_worker(args, out)
-        if args.cmd == "status":
-            return _cmd_status(args, out)
         if args.cmd == "chaos":
             return _cmd_chaos(args, out)
     except CompileError as e:

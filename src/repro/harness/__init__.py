@@ -14,8 +14,7 @@ from .jobs import (RunSpec, SweepPlan, WorkUnit, code_fingerprint,
                    dynamic_specs, execute_spec, failure_run,
                    quarantined_run, static_specs, unit_key)
 from .transport import (DirQueueTransport, PoolTransport, SerialTransport,
-                        Transport, run_worker, telemetry_area)
-from .status import collect_status, render_status
+                        Transport, run_worker)
 from .checkpoint import CheckpointJournal, MemoStore, default_memo_dir
 from .pipeline import ExecutionPipeline
 from .hazards import (HAZARD_CLASS_KINDS, HAZARD_CLASSES, HAZARD_KINDS,
@@ -44,8 +43,7 @@ __all__ = [
     "HAZARD_KINDS", "HAZARD_CLASSES", "HAZARD_CLASS_KINDS",
     "HazardConfig", "HazardPlan",
     "IntegrityError", "atomic_pickle", "load_verified", "gc_tmp",
-    "NULL_TELEMETRY", "Telemetry", "collect_status", "render_status",
-    "telemetry_area",
+    "NULL_TELEMETRY", "Telemetry",
     "CHAOS_BENCHMARKS", "ChaosOutcome", "ChaosReport", "chaos_specs",
     "oracle_check", "render_chaos", "run_chaos",
     "HarnessChaosOutcome", "HarnessChaosReport", "run_harness_chaos",

@@ -26,19 +26,15 @@ The second half of this module is the **harness** chaos matrix
 adversarial discipline pointed at the execution pipeline itself.
 Seeded :class:`~repro.harness.hazards.HazardConfig` campaigns corrupt
 published pickles, fail publishes with ENOSPC/EIO, plant stale claims,
-skew lease clocks and kill workers, on a spool sweep with an attached
-``repro worker`` -- the one transport that has every hazard site -- and
-every scenario must still merge cycles bit-identical to a hazard-free
-sweep, with the telemetry event log validating and every anomaly
-explained by a ``hazard.injected`` record.
+skew lease clocks and kill workers, on a ``-j 2`` pool sweep -- the
+spool, worked by the driver and a forked worker, has every hazard site
+-- and every scenario must still merge cycles bit-identical to a
+hazard-free sweep, with the telemetry event log validating and every
+anomaly explained by a ``hazard.injected`` record.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -55,7 +51,7 @@ from .checkpoint import CheckpointJournal, MemoStore
 from .jobs import RunSpec, execute_spec
 from .pipeline import ExecutionPipeline
 from .runner import BenchRun
-from .transport import DirQueueTransport, telemetry_area
+from .transport import PoolTransport
 
 __all__ = ["CHAOS_BENCHMARKS", "SCENARIO_CLASS_SETS", "ChaosOutcome",
            "ChaosReport", "chaos_specs", "run_chaos", "oracle_check",
@@ -369,21 +365,23 @@ def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
 #
 # The pipeline-side mirror of the fault matrix above.  Each scenario
 # arms a seeded hazard campaign (:mod:`repro.harness.hazards`) over a
-# spool sweep worked by the driver and one attached ``repro worker``:
-# the transport with every hazard site (a serial sweep's publishes are
-# a subset of its sites, and a pool is the same spool worked by forked
-# children).  It runs the same small sweep twice -- a **cold** leg
-# with hazards firing (corrupted publishes, ENOSPC, stale claims,
-# killed workers), then a disarmed **resume** leg over the surviving
-# journal/memo/spool state -- and demands:
+# ``-j 2`` pool sweep: the spool, worked by the driver and one forked
+# ``run_worker`` child that arms itself from ``REPRO_HAZARDS`` -- the
+# transport with every hazard site (a serial sweep's publishes are a
+# subset of its sites).  It runs the same small sweep twice -- a
+# **cold** leg with hazards firing (corrupted publishes, ENOSPC, stale
+# claims, killed workers), then a disarmed **resume** leg over the
+# surviving journal/memo state -- and demands:
 #
 # * both legs' merged cycle vectors are *bit-identical* to a
 #   hazard-free serial baseline (zero silent data loss, zero wrong
 #   results);
-# * the shared telemetry event log validates (every started unit
+# * the scenario's telemetry event log validates (every started unit
 #   reaches a terminal, every abandoned execution is explained);
 # * every driver-side injection shows up as a ``hazard.injected``
-#   event (each observed anomaly is explained by the log).
+#   event (each observed anomaly is explained by the log).  The
+#   child's plan logs its own injections there too; the rest of the
+#   child's session goes with the pool's private spool.
 #
 # The resume leg is what proves corrupt-entry recovery: entries the
 # cold leg corrupted must be quarantined into ``corrupt/`` and
@@ -396,10 +394,6 @@ HARNESS_CLASS_SETS: Tuple[Tuple[str, ...], ...] = (
 #: Configurations each benchmark of the scenario sweep runs.
 _HARNESS_CONFIGS = ("single", "G0")
 
-#: The scenario spool's lease: short, so the units of a killed worker
-#: are reaped within the sweep.
-_HARNESS_LEASE_S = 2.0
-
 
 @dataclass
 class HarnessChaosOutcome:
@@ -411,8 +405,8 @@ class HarnessChaosOutcome:
     injected: Dict[str, int] = field(default_factory=dict)
     #: Both legs merged bit-identical to the hazard-free baseline?
     cycles_identical: bool = False
-    #: Units the resume leg had to deliver again (re-executions plus
-    #: spool harvests) -- nonzero whenever corruption landed.
+    #: Units the resume leg had to execute again -- nonzero whenever
+    #: corruption landed where no other copy serves the resume.
     reexecuted: int = 0
     quarantined: int = 0
     telemetry_problems: List[str] = field(default_factory=list)
@@ -482,79 +476,42 @@ def _cycles_equal(got: Sequence[float], want: Sequence[float]) -> bool:
 
 
 def _scenario_pipeline(sdir: Path, tel) -> ExecutionPipeline:
-    """The scenario's sweep: the spool under ``sdir`` plus a journal
-    and a memo store beside it, recorded in the spool's telemetry."""
+    """The scenario's sweep: a ``-j 2`` pool plus a journal and a memo
+    store under ``sdir``, recorded in the scenario's telemetry."""
     return ExecutionPipeline(
-        transport=DirQueueTransport(sdir / "spool", lease_s=_HARNESS_LEASE_S,
-                                    poll_s=0.02),
+        transport=PoolTransport(jobs=2),
         journal=CheckpointJournal(sdir / "journal"),
         memo=MemoStore(sdir / "memo"), telemetry=tel)
 
 
-def _spawn_spool_worker(spool_dir: Path):
-    """An external ``repro worker`` attached to the scenario spool; it
-    inherits ``REPRO_HAZARDS`` from the environment, so it arms itself
-    worker-side (kill hazards may SIGKILL/SIGTERM it mid-sweep)."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", str(spool_dir),
-         "--wait", "--poll", "0.05", "--lease", str(_HARNESS_LEASE_S)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def _stop_worker(proc) -> None:
-    """SIGTERM (graceful drain), escalating to SIGKILL only if the
-    worker fails to exit -- which would itself be a drain bug."""
-    if proc.poll() is None:
-        proc.terminate()
-    try:
-        proc.wait(timeout=15)
-    except subprocess.TimeoutExpired:    # pragma: no cover - drain bug
-        proc.kill()
-        proc.wait(timeout=15)
-
-
 def _run_harness_scenario(cls: Tuple[str, ...], seed: int,
                           specs: Sequence[RunSpec],
-                          baseline: Sequence[float], workdir: Path,
-                          spawn_worker: bool) -> HarnessChaosOutcome:
+                          baseline: Sequence[float],
+                          workdir: Path) -> HarnessChaosOutcome:
     sdir = Path(workdir) / f"{'+'.join(cls)}-s{seed}"
-    tel_root = telemetry_area(sdir / "spool")
+    tel_root = sdir / "telemetry"
     config = hazards.HazardConfig(seed, classes=cls)
     outcome = HarnessChaosOutcome(classes=tuple(cls), seed=seed)
-    proc = None
     try:
-        # Leg A (cold): armed driver; the attached worker arms itself
-        # worker-side from the environment.
+        # Leg A (cold): armed driver; the pool's forked child arms
+        # itself worker-side from the environment.
         hazards.export_env(config, state_dir=sdir / "hazard-state",
                            telemetry_root=tel_root)
-        tel = Telemetry(root=tel_root, role="driver")
+        tel = Telemetry(root=tel_root)
         plan = hazards.arm(config, state_dir=sdir / "hazard-state",
                            telemetry=tel)
         try:
-            if spawn_worker:
-                proc = _spawn_spool_worker(sdir / "spool")
-                if "kill" in cls:
-                    # Head start: the worker must attach (and start
-                    # hitting kill boundaries) before the driver can
-                    # drain the spool inline, or the scenario is
-                    # vacuously kill-free.
-                    time.sleep(1.0)
             pipe = _scenario_pipeline(sdir, tel)
             cold = [r.cycles for r in pipe.run(specs)]
             outcome.quarantined += len(pipe.quarantined_units)
         finally:
             hazards.disarm()
             hazards.clear_env()
-            if proc is not None:
-                _stop_worker(proc)
             tel.close()
-        # Leg B (resume, disarmed): same journal/memo/spool.  Every
+        # Leg B (resume, disarmed): same journal/memo.  Every
         # entry the cold leg corrupted must quarantine as a logged
         # miss and recompute to the identical result.
-        tel = Telemetry(root=tel_root, role="driver")
+        tel = Telemetry(root=tel_root)
         try:
             pipe = _scenario_pipeline(sdir, tel)
             resumed = [r.cycles for r in pipe.run(specs)]
@@ -585,8 +542,6 @@ def _run_harness_scenario(cls: Tuple[str, ...], seed: int,
     finally:
         hazards.disarm()
         hazards.clear_env()
-        if proc is not None:
-            _stop_worker(proc)
     return outcome
 
 
@@ -595,17 +550,16 @@ def run_harness_chaos(workdir,
                       size: str = "test",
                       cfg: MachineConfig = PAPER_MACHINE,
                       classes: Optional[Sequence[Sequence[str]]] = None,
-                      base_seed: int = 0,
-                      spawn_worker: bool = True) -> HarnessChaosReport:
+                      base_seed: int = 0) -> HarnessChaosReport:
     """Run the seeded hazard matrix over the execution pipeline.
 
-    Per class-set scenario: a cold hazardous spool sweep, then a
+    Per class-set scenario: a cold hazardous pool sweep, then a
     disarmed resume sweep over the surviving state, both checked
     bit-identical against one hazard-free serial baseline (see the
     section comment).  ``classes`` overrides the default scenario sets
     (:data:`HARNESS_CLASS_SETS`).  Each campaign schedules the default
     two injections per hazard kind, which is also the kill-token budget
-    per kill kind: a kill-armed fleet runs out of kills before a unit
+    per kill kind: a kill-armed sweep runs out of kills before a unit
     crosses the poison threshold.
     """
     workdir = Path(workdir)
@@ -617,7 +571,7 @@ def run_harness_chaos(workdir,
     baseline = [r.cycles for r in ExecutionPipeline().run(specs)]
     sets = classes if classes is not None else HARNESS_CLASS_SETS
     outcomes = [_run_harness_scenario(tuple(cls), base_seed * 10_000 + ci,
-                                      specs, baseline, workdir, spawn_worker)
+                                      specs, baseline, workdir)
                 for ci, cls in enumerate(sets)]
     return HarnessChaosReport(baseline=list(baseline), outcomes=outcomes)
 

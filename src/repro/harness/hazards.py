@@ -2,7 +2,7 @@
 
 :mod:`repro.faults` (PR 4) corrupts the simulated machine;
 this module corrupts the machinery *around* it -- the spool, the
-checkpoint stores, the worker fleet -- to prove the execution
+checkpoint stores, a pool's forked workers -- to prove the execution
 pipeline's crash-consistency story the same way the fault injector
 proves the paper's recovery story.  Same discipline throughout:
 
@@ -30,11 +30,12 @@ kind                      injection point                        class
 ``term_worker``           worker SIGTERMs itself at a boundary   ``kill``
 ========================  =====================================  =========
 
-Kill hazards only fire in processes armed as *worker-side* (spool
-workers, armed through the ``REPRO_HAZARDS`` environment variable),
-never in the driver, and are budgeted through on-disk ``O_EXCL`` kill
-tokens in a shared state directory: a fleet whose workers respawn with
-fresh opportunity counters would otherwise kill itself forever.
+Kill hazards only fire in processes armed as *worker-side* (a pool's
+forked children, armed through the ``REPRO_HAZARDS`` environment
+variable), never in the driver, and are budgeted through on-disk
+``O_EXCL`` kill tokens in a shared state directory: workers that
+respawn with fresh opportunity counters would otherwise kill
+themselves forever.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ _WINDOWS: Dict[str, Tuple[int, int]] = {
     "term_worker": (0, 3),
 }
 
-#: Environment variable carrying an armed campaign into subprocesses
-#: (spool workers).
+#: Environment variable carrying an armed campaign into a pool's forked
+#: workers.
 ENV_VAR = "REPRO_HAZARDS"
 
 
@@ -199,12 +200,13 @@ class HazardPlan(Schedule):
         return age_s + float(skew)
 
     def maybe_stale_claim(self, spool, key: str) -> None:
-        """Plant a back-dated claim by a phantom worker on an unclaimed
-        unit, forcing the lease-reaping path to run."""
+        """Plant a back-dated claim on an unclaimed unit, as a worker
+        that died holding it would leave, forcing the lease-reaping
+        path to run."""
         age = self.fire("stale_claim")
         if age is None:
             return
-        if not spool.try_claim(key, worker="hazard-phantom"):
+        if not spool.try_claim(key):
             return
         then = time.time() - float(age)
         try:
@@ -220,7 +222,7 @@ class HazardPlan(Schedule):
         Only fires worker-side and only while kill tokens remain in
         the shared state directory -- respawned workers re-derive the
         same schedule with reset counters, so without an on-disk
-        budget a kill-armed fleet would never finish.
+        budget a kill-armed sweep would never finish.
         """
         if not self.worker_side:
             return
@@ -299,7 +301,7 @@ def armed(config: HazardConfig, state_dir=None, telemetry=NULL_TELEMETRY,
         disarm()
 
 
-def current(telemetry=None) -> Optional[HazardPlan]:
+def current() -> Optional[HazardPlan]:
     """This process's armed plan, or None.
 
     First call in any process (including a fresh fork/spawn child that
@@ -309,10 +311,12 @@ def current(telemetry=None) -> Optional[HazardPlan]:
     """
     if _ACTIVE_PID == os.getpid():
         return ACTIVE
-    return _rearm_from_env(telemetry)
+    return _rearm_from_env()
 
 
-def _rearm_from_env(telemetry=None) -> Optional[HazardPlan]:
+def _rearm_from_env() -> Optional[HazardPlan]:
+    """A worker-side plan from ``REPRO_HAZARDS``, recording its
+    injections under the campaign's ``"tel"`` directory (if any)."""
     global ACTIVE, _ACTIVE_PID
     plan = None
     raw = os.environ.get(ENV_VAR)
@@ -322,13 +326,12 @@ def _rearm_from_env(telemetry=None) -> Optional[HazardPlan]:
             config = HazardConfig(int(body["seed"]),
                                   classes=tuple(body["classes"]),
                                   rate=int(body["rate"]))
-            tel = telemetry
-            if tel is None and body.get("tel"):
+            tel = NULL_TELEMETRY
+            if body.get("tel"):
                 from ..obs.telemetry import Telemetry
-                tel = Telemetry(root=body["tel"], role="hazard")
+                tel = Telemetry(root=body["tel"])
             plan = HazardPlan(config, state_dir=body.get("state") or None,
-                              telemetry=tel or NULL_TELEMETRY,
-                              worker_side=True)
+                              telemetry=tel, worker_side=True)
         except Exception:                   # noqa: BLE001 - stay disarmed
             plan = None
     ACTIVE = plan
@@ -338,9 +341,10 @@ def _rearm_from_env(telemetry=None) -> Optional[HazardPlan]:
 
 def export_env(config: HazardConfig, state_dir=None,
                telemetry_root=None) -> None:
-    """Publish a campaign to ``REPRO_HAZARDS`` so spool worker
-    subprocesses arm themselves worker-side; kill hazards require
-    ``state_dir`` for the shared token budget."""
+    """Publish a campaign to ``REPRO_HAZARDS`` so a pool's forked
+    workers arm themselves worker-side, recording under
+    ``telemetry_root``; kill hazards require ``state_dir`` for the
+    shared token budget."""
     os.environ[ENV_VAR] = json.dumps({
         "seed": config.seed, "classes": list(config.classes),
         "rate": config.rate,

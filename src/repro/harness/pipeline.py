@@ -70,8 +70,8 @@ class ExecutionPipeline:
         #: Effectiveness counters (memo.hit/memo.miss/unit.resumed/
         #: unit.executed/unit.deduped), recorded via the Probe API.
         self.probe = Probe("pipeline", counters=self.counters)
-        #: Wall-clock telemetry session (event log, metrics,
-        #: heartbeats); default is the zero-cost null session.  The
+        #: Wall-clock telemetry session (event log, metrics); default
+        #: is the zero-cost null session.  The
         #: same session is attached to every stage so one record
         #: stream covers the whole sweep.
         self.telemetry = telemetry or NULL_TELEMETRY
@@ -179,7 +179,6 @@ class ExecutionPipeline:
         tel.emit("sweep.finished",
                  wall_s=round(time.perf_counter() - t_sweep, 6),
                  n_executed=int(self.counters.get("unit.executed")))
-        tel.heartbeat(state="idle", done=len(units), force=True)
         return merged
 
     def _stage_start(self, stage: str) -> float:

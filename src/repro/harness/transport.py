@@ -14,18 +14,13 @@ dispatch mechanism pluggable:
   :func:`run_worker` children: one failure model for every parallel
   run (a dead child's lease is released at once and the unit runs
   again; a unit that keeps killing its executors is quarantined);
-* :class:`DirQueueTransport` -- units leased through a shared **spool
+* :class:`DirQueueTransport` -- units leased through a **spool
   directory**: job files under ``units/``, exclusive-create claim
   files under ``claims/``, atomically-published results under
-  ``results/``.  Any number of independent worker processes
-  (``repro worker DIR`` -- see :func:`run_worker`) may attach to the
-  same spool, on this host or any host sharing the filesystem; the
-  driver itself works inline, so a sweep completes even with zero
-  external workers.  A claim older than the lease whose owner's last
-  heartbeat is older too is reaped (:meth:`_Spool.stall`), and the
-  unit runs again.  A session heartbeats only between units, so a live
-  worker whose unit outlasts the lease loses it as a dead one does, and
-  the unit runs again elsewhere.
+  ``results/``.  The driver works it inline, so a sweep completes with
+  no other process attached; a pool's forked children are the only
+  other processes that work a spool.  A claim older than the lease is
+  reaped (:meth:`_Spool.stall`) and the unit runs again.
   Determinism makes duplicated execution harmless (same key, same
   bytes; the last atomic publish wins).
 
@@ -44,19 +39,18 @@ Crash-consistency (the harness-hazard hardening, proven by
   never match it in the first place);
 * a unit whose execution *process* dies :data:`POISON_AFTER` times
   (tracked in an ``attempts/`` ledger) is quarantined with a
-  placeholder result instead of wedging the fleet;
+  placeholder result instead of wedging the sweep;
 * what happens to a leased unit is written once
   (:meth:`_Spool.settle`): the driver and :func:`run_worker` differ
   only in how they come by a lease and what they do with the outcome;
 * :func:`run_worker` drains gracefully on SIGTERM: the in-flight unit
   finishes, publishes, and releases its claim before exit.
 
-The spool's on-disk shape is deliberately the shape a multi-host work
-queue needs (karambaci's queue-prefix/worker-prefix separation and
-stalled-thread reaping are the exemplar): claim = lease, result =
-completion record, and the ``results/`` directory doubles as a crash
-journal -- re-running a driver over a half-finished spool harvests
-completed units without re-executing them.
+On disk a spool is a work queue (karambaci's queue-prefix/worker-prefix
+separation and stalled-thread reaping are the exemplar): claim =
+lease, result = completion record, and the ``results/`` directory
+doubles as a crash journal -- re-running a driver over a half-finished
+spool harvests completed units without re-executing them.
 """
 
 from __future__ import annotations
@@ -81,7 +75,7 @@ from .integrity import gc_tmp as _gc_tmp_dir
 from .jobs import WorkUnit, execute_spec, quarantined_run, unit_key
 
 __all__ = ["Transport", "SerialTransport", "PoolTransport",
-           "DirQueueTransport", "run_worker", "telemetry_area", "LEASE_S"]
+           "DirQueueTransport", "run_worker", "LEASE_S"]
 
 _LOG = logging.getLogger("repro.harness.transport")
 
@@ -92,9 +86,9 @@ OnResult = Callable[[WorkUnit, object], None]
 #: quarantined as poison rather than tried again.
 POISON_AFTER = 3
 
-#: Seconds a claim may stand before it can be reaped: the one default
-#: of the driver, ``repro worker --lease`` and ``repro status --stall``.
-#: Set it above the longest unit (see :meth:`_Spool.stall`).
+#: Seconds a claim may stand before it can be reaped, by the driver and
+#: by a pool's children alike.  Set it above the longest unit (see
+#: :meth:`_Spool.stall`).
 LEASE_S = 60.0
 
 
@@ -219,13 +213,13 @@ class SerialTransport(Transport):
     _dispatch = Transport._run_inline
 
 
-# -- shared spool directory --------------------------------------------------
+# -- spool directory ---------------------------------------------------------
 
 class _UnitFailure:
     """A spec-raised exception, published so the driver re-raises it.
 
     Spool workers must not die on a failing unit (they would retry it
-    forever across the fleet); they publish the failure as the unit's
+    forever); they publish the failure as the unit's
     result and move on, and the driver raises it at harvest -- the
     same "spec errors propagate" contract the other transports keep.
     The process that caught the exception gets the same object back
@@ -268,7 +262,7 @@ class _Spool:
     """The on-disk protocol shared by driver and workers.
 
     ``units/<key>.spec``    pickled RunSpec (the job description);
-    ``claims/<key>.claim``  lease: JSON ``{pid, time, worker}``,
+    ``claims/<key>.claim``  lease: JSON ``{pid, time}``,
                             created with O_CREAT|O_EXCL so exactly one
                             process wins a unit;
     ``results/<key>.run``   pickled BenchRun (or :class:`_UnitFailure`),
@@ -278,8 +272,7 @@ class _Spool:
                             size = attempts survived so far);
     ``corrupt/``            quarantined files that failed integrity
                             verification (kept as evidence);
-    ``telemetry/``          the shared telemetry area: event logs, and
-                            ``heartbeats/<worker>.json`` per session.
+    ``telemetry/``          the workers' event logs.
 
     All payload files are integrity-framed; loads verify and treat a
     corrupt file as a quarantined miss.  What is published is asked of
@@ -300,7 +293,6 @@ class _Spool:
         self.corrupt = self.root / "corrupt"
         self.attempts = self.root / "attempts"
         self.area = self.root / "telemetry"
-        self.heartbeats = self.area / "heartbeats"
         #: Session integrity problems are reported through (attached
         #: by the transport / worker that owns this spool handle).
         self.telemetry = telemetry
@@ -341,29 +333,24 @@ class _Spool:
     def claim_path(self, key: str) -> Path:
         return self.claims / f"{key}.claim"
 
-    def try_claim(self, key: str, worker: Optional[str] = None) -> bool:
-        """Atomically lease a unit (O_CREAT|O_EXCL claim file).
-
-        ``worker`` names the claiming telemetry session so lease
-        reaping can consult the owner's heartbeat before stealing.
-        """
+    def try_claim(self, key: str) -> bool:
+        """Atomically lease a unit (O_CREAT|O_EXCL claim file)."""
         try:
             fd = os.open(self.claim_path(key),
                          os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         except OSError:                     # FileExistsError: lost the race
             return False
         with os.fdopen(fd, "w") as fh:
-            json.dump({"pid": os.getpid(), "time": time.time(),
-                       "worker": worker}, fh)
+            json.dump({"pid": os.getpid(), "time": time.time()}, fh)
         return True
 
-    def lease(self, key: str, worker: Optional[str] = None) -> bool:
+    def lease(self, key: str) -> bool:
         """Lease a unit that is still unsettled -- the one way driver
         and worker come by a lease.  Unclaimed, won by exclusive
         create, and still without a published result once the claim is
         held: a settler publishes before it releases, so a unit settled
         after the caller listed it is let go here, never run twice."""
-        if self.claim_age(key) is not None or not self.try_claim(key, worker):
+        if self.claim_age(key) is not None or not self.try_claim(key):
             return False
         if self.has_result(key):
             self.release(key)
@@ -376,14 +363,13 @@ class _Spool:
         except OSError:
             pass
 
-    def claim_owner(self, key: str, field: str = "worker"):
-        """A field of a claim's record, if any: the telemetry worker id
-        by default, or the claiming process's ``"pid"``."""
+    def claim_owner(self, key: str) -> Optional[int]:
+        """The pid of the process holding the claim on ``key``, if any."""
         try:
             body = json.loads(self.claim_path(key).read_text())
         except (OSError, ValueError):
             return None
-        return body.get(field) if isinstance(body, dict) else None
+        return body.get("pid") if isinstance(body, dict) else None
 
     @staticmethod
     def file_age(path) -> Optional[float]:
@@ -408,30 +394,14 @@ class _Spool:
             age = plan.skew_claim_age(age)
         return age
 
-    def stall(self, key: str, age: Optional[float],
-              lease_s: float) -> Optional[dict]:
-        """The one rule for a stalled claim -- what the reaper takes and
-        ``repro status`` flags: the claim on ``key``, ``age`` seconds
-        old, has outlived ``lease_s`` and so has its owner's last
-        heartbeat.  Returns the evidence (unit, claim age, owner, the
-        owner's heartbeat age), or None for a claim that stands.
-
-        The age is checked first: a claim inside its lease costs no
-        read.  An owner without a heartbeat (an anonymous claim, a
-        worker killed before its first beat) is silent.  A session
-        heartbeats only between units, so the owner of a unit that
-        outlasts the lease is silent too: that unit is reaped and runs
-        again elsewhere -- the same key, the same bytes.
-        """
-        if age is None or age <= lease_s:
-            return None
-        owner = self.claim_owner(key)
-        beat = self.file_age(self.heartbeats / f"{owner}.json") \
-            if owner else None
-        if beat is not None and beat <= lease_s:
-            return None
-        return {"unit": key, "claim_age_s": round(age, 3), "owner": owner,
-                "heartbeat_age_s": None if beat is None else round(beat, 3)}
+    @staticmethod
+    def stall(age: Optional[float], lease_s: float) -> bool:
+        """The one rule for a stalled claim, what the reaper takes: a
+        claim ``age`` seconds old has outlived ``lease_s``.  Whoever
+        holds it is not asked, so the holder of a unit that outlasts
+        the lease loses it and the unit runs again elsewhere -- the
+        same key, the same bytes."""
+        return age is not None and age > lease_s
 
     def reap(self, key: str, lease_s: float) -> None:
         """Take a lease back -- the one way a claim is reaped: release
@@ -447,7 +417,7 @@ class _Spool:
         :meth:`claim_age` reading each); returns the reaped."""
         reaped = []
         for key in keys:
-            if self.stall(key, self.claim_age(key), lease_s):
+            if self.stall(self.claim_age(key), lease_s):
                 self.reap(key, lease_s)
                 reaped.append(key)
         return reaped
@@ -460,8 +430,8 @@ class _Spool:
     def record_attempt(self, key: str) -> int:
         """Record that an execution attempt is starting (one appended
         byte; crash-safe across SIGKILL); returns total attempts.  The
-        ledger gets a claim's mode: whoever may claim the unit on a
-        shared spool must be able to count its own dead executions."""
+        ledger gets a claim's mode: whoever may claim the unit must be
+        able to count its own dead executions."""
         try:
             self.attempts.mkdir(parents=True, exist_ok=True)
             fd = os.open(self.attempt_path(key),
@@ -575,36 +545,28 @@ class _Spool:
         return reaped
 
 
-def telemetry_area(spool_root) -> Path:
-    """The shared telemetry directory of a spool sweep."""
-    return _Spool(spool_root).area
-
-
 class DirQueueTransport(Transport):
-    """Lease units through a shared spool directory (see module
-    docstring).  The driver enqueues every unit, then alternates
-    between harvesting results published by attached workers and
-    claiming+executing units itself, so progress never depends on
-    external workers existing.
+    """Lease units through a spool directory (see module docstring).
+    The driver enqueues every unit, then alternates between harvesting
+    results other processes published and claiming+executing units
+    itself, so progress never depends on another process existing.
 
-    ``lease_s`` bounds how long a crashed worker can pin a unit; set
-    it above the longest expected single-unit wall time.  A claim past
-    ``lease_s`` whose owner's last heartbeat is older too is reaped
-    (:meth:`_Spool.stall`).  Sessions heartbeat only between units, so
-    a live worker still running a unit past ``lease_s`` loses it too
-    and the unit runs again elsewhere (same key, same bytes).  A unit
-    whose attempts ledger shows :data:`POISON_AFTER` dead executions
-    is quarantined with a placeholder result, so a crash-looping unit
+    A claim older than :attr:`lease_s` is reaped (:meth:`_Spool.stall`)
+    and its unit runs again (same key, same bytes).  A unit whose
+    attempts ledger shows :data:`POISON_AFTER` dead executions is
+    quarantined with a placeholder result, so a crash-looping unit
     stops after that many reaps.
     """
 
     name = "spool"
+    #: How long a dead executor can pin a unit (:data:`LEASE_S`).
+    lease_s = LEASE_S
+    #: Seconds between scans while every pending unit is leased out.
+    poll_s = 0.05
 
-    def __init__(self, root, lease_s: float = LEASE_S, poll_s: float = 0.05):
+    def __init__(self, root):
         super().__init__()
         self.spool = _Spool(root)
-        self.lease_s = lease_s
-        self.poll_s = poll_s
 
     def describe(self) -> str:
         return f"spool({self.spool.root})"
@@ -618,7 +580,6 @@ class DirQueueTransport(Transport):
             self._note(f"collected {len(litter)} leftover tmp file(s) "
                        f"from a dead writer")
         pending = {u.key: u for u in units}
-        n_total = len(pending)
         for u in units:
             try:
                 spool.enqueue(u.key, u.spec)
@@ -627,8 +588,7 @@ class DirQueueTransport(Transport):
                 self._note(f"enqueue failed for unit {u.key[:12]} ({e}); "
                            f"driver will execute it inline")
         while pending:
-            tel.heartbeat(state="driving", done=n_total - len(pending))
-            # Harvest what attached workers published since last look.
+            # Harvest what other processes published since last look.
             harvested = False
             published = spool.published_keys()
             for key in [k for k in pending if k in published]:
@@ -647,7 +607,7 @@ class DirQueueTransport(Transport):
             for key, unit in pending.items():
                 if plan is not None:
                     plan.maybe_stale_claim(spool, key)
-                if spool.lease(key, worker=tel.worker):
+                if spool.lease(key):
                     break
             else:
                 # All leased out: reap the stalled, or wait briefly.
@@ -659,7 +619,8 @@ class DirQueueTransport(Transport):
                     time.sleep(self.poll_s)
                 continue
             # Settle it and deliver from memory: a failed publish costs
-            # attached workers the spool copy, never the driver a result.
+            # the other processes the spool copy, never the driver a
+            # result.
             del pending[key]
             payload, published = spool.settle(
                 key, unit.spec, lambda: execute_spec(unit.spec))
@@ -667,15 +628,14 @@ class DirQueueTransport(Transport):
                 self._note(f"publish failed for unit {key[:12]}; result "
                            f"kept in memory, spool copy skipped")
             if isinstance(payload, _UnitFailure):
-                # Published so attached workers stop re-trying the
-                # unit; surfaced exactly like the other transports.
+                # Published so no other process tries the unit again;
+                # surfaced exactly like the other transports.
                 raise payload.unwrap()
             self._deliver(unit, payload, on_result)
-        tel.heartbeat(state="idle", done=n_total, force=True)
 
     def _harvest(self, unit: WorkUnit, run, on_result: OnResult) -> None:
         """Deliver a result another process published (its own log,
-        in the spool's shared area, tells how it ran)."""
+        in the spool's telemetry area, tells how it ran)."""
         self.telemetry.count("unit.harvested")
         self._deliver(unit, run, on_result)
 
@@ -695,6 +655,9 @@ class PoolTransport(DirQueueTransport):
     propagates, and no child outlives the dispatch."""
 
     name = "pool"
+    #: A private local spool is cheap to poll, and the sweep's tail
+    #: waits up to one interval for the last child's result.
+    poll_s = 0.01
 
     def __init__(self, jobs: Optional[int] = None,
                  start_method: Optional[str] = None):
@@ -703,9 +666,6 @@ class PoolTransport(DirQueueTransport):
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs or os.cpu_count() or 1
         self.start_method = start_method
-        # A private local spool is cheap to poll, and the sweep's tail
-        # waits up to one interval for the last child's result.
-        self.lease_s, self.poll_s = LEASE_S, 0.01
         self._children: Dict[int, object] = {}
 
     def describe(self) -> str:
@@ -728,8 +688,8 @@ class PoolTransport(DirQueueTransport):
                 with suppress(OSError):
                     self.spool.enqueue(u.key, u.spec)
             for _ in range(n - 1):
-                child = ctx.Process(target=_pool_worker,
-                                    args=(root, self.poll_s), daemon=True)
+                child = ctx.Process(target=run_worker, args=(root,),
+                                    daemon=True)
                 child.start()
                 self._children[child.pid] = child
             DirQueueTransport._dispatch(self, units, on_result)
@@ -758,7 +718,7 @@ class PoolTransport(DirQueueTransport):
         dead = {pid for pid, child in self._children.items()
                 if child.exitcode not in (None, 0)}
         for key in pending if dead else ():
-            pid = self.spool.claim_owner(key, "pid")
+            pid = self.spool.claim_owner(key)
             if pid in dead:
                 self.spool.reap(key, self.lease_s)
                 self._note(f"worker {pid} died holding unit {key[:12]}")
@@ -768,26 +728,15 @@ class PoolTransport(DirQueueTransport):
 _WORKER_LOG = logging.getLogger("repro.worker")
 
 
-def _pool_worker(root: str, poll_s: float) -> None:
-    """A :class:`PoolTransport` child: :func:`run_worker` draining the
-    private spool, per-unit lines off (the driver reports the sweep)."""
-    _WORKER_LOG.setLevel(max(logging.WARNING,
-                             _WORKER_LOG.getEffectiveLevel()))
-    run_worker(root, poll_s=poll_s)
+def run_worker(root) -> int:
+    """A :class:`PoolTransport` child's loop: lease, execute, publish.
 
-
-def run_worker(root, poll_s: float = 0.1, lease_s: float = LEASE_S,
-               max_units: Optional[int] = None, drain: bool = True,
-               out=None) -> int:
-    """Worker loop for ``repro worker DIR``: lease, execute, publish.
-
-    Attaches to the spool at ``root`` and keeps winning claimable
-    units until the spool is drained (``drain=True``, the default --
-    the process exits 0 when no executable unit remains) or
-    ``max_units`` have been executed.  A unit whose spec no longer
-    hashes to its enqueued key (the worker runs different code or
-    hot-path tiers than the driver) is *skipped*, never executed: a
-    result the driver's key scheme can't trust must not be published.
+    Attaches to the spool at ``root`` and keeps winning claimable units
+    until no executable unit remains, then returns the number it
+    executed.  A unit whose spec no longer hashes to its enqueued key
+    (the worker runs different code or hot-path tiers than the driver)
+    is *skipped*, never executed: a result the driver's key scheme
+    can't trust must not be published.
 
     Robustness contract:
 
@@ -807,39 +756,17 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = LEASE_S,
     * Failing specs are published as failure records for the driver to
       re-raise; the worker itself keeps going.
 
-    Returns the number of units this worker executed.
-
-    Reporting is structured: per-unit console lines go through the
-    ``repro.worker`` logger (mirrored to ``out`` when given, for the
-    CLI and tests), and the full lifecycle -- attach, claims, skips,
-    per-unit start/terminal, heartbeats, detach -- is recorded in the
-    spool's shared ``telemetry/`` area, where ``repro status DIR``
-    and the event-log validator read it.
+    The lifecycle -- attach, claims, skips, per-unit start/terminal,
+    detach -- is recorded in the spool's ``telemetry/`` area; skipped
+    units and reaped leases are warnings on the ``repro.worker`` logger.
     """
     log = _WORKER_LOG
-    handler = None
-    old_propagate = log.propagate
-    if out is not None:
-        # Mirror console lines to the caller's stream (the CLI's
-        # stdout) without double-printing through root handlers.
-        handler = logging.StreamHandler(out)
-        handler.setFormatter(logging.Formatter("%(message)s"))
-        log.addHandler(handler)
-        log.propagate = False
-    if log.level == logging.NOTSET and log.getEffectiveLevel() > logging.INFO:
-        # Default to per-unit lines unless verbosity was configured
-        # explicitly (repro worker --quiet sets this logger ERROR).
-        log.setLevel(logging.INFO)
-
     spool = _Spool(root)
-    tel = spool.telemetry = Telemetry(root=spool.area, role="worker")
+    tel = spool.telemetry = Telemetry(root=spool.area)
     spool.ensure()
-    plan = hazards.current(telemetry=tel)
-    litter = spool.gc_tmp(older_than_s=lease_s)
-    if litter:
-        log.info("worker: collected %d leftover tmp file(s)", len(litter))
+    plan = hazards.current()
+    spool.gc_tmp(older_than_s=LEASE_S)
     tel.emit("worker.started", spool=str(spool.root))
-    tel.heartbeat(state="idle", done=0, force=True)
     t_attach = time.perf_counter()
     executed = 0
     skipped = set()
@@ -849,21 +776,17 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = LEASE_S,
     except ValueError:                      # not the main thread: no handler
         old_term = None
     try:
-        while (max_units is None or executed < max_units) and not stop:
+        while not stop:
             if plan is not None:
                 plan.boundary("worker.scan")
             pending = [k for k in spool.pending_keys() if k not in skipped]
             if not pending:
-                if drain:
-                    break
-                tel.heartbeat(state="idle", done=executed)
-                time.sleep(poll_s)
-                continue
+                break
             progressed = False
             for key in pending:
-                if (max_units is not None and executed >= max_units) or stop:
+                if stop:
                     break
-                if not spool.lease(key, worker=tel.worker):
+                if not spool.lease(key):
                     continue
                 spec = spool.load_spec(key)
                 if spec is None or unit_key(spec) != key:
@@ -877,61 +800,33 @@ def run_worker(root, poll_s: float = 0.1, lease_s: float = LEASE_S,
                     continue
 
                 def execute():
-                    tel.heartbeat(state="running", unit=key, done=executed,
-                                  force=True)
                     if plan is not None:
                         plan.boundary("worker.claimed")
                     return execute_spec(spec)
 
-                t0 = time.perf_counter()
                 payload, published = spool.settle(key, spec, execute)
                 progressed = progressed or published
-                if not published:
-                    # Disk full / I/O error: whoever claims the unit
-                    # next re-executes it and records its own attempt.
-                    log.warning("worker: publish failed for unit %s; "
-                                "claim released for retry", key[:12])
-                elif getattr(payload, "error_kind", None) == "quarantined":
-                    log.warning("worker: QUARANTINED %s (%s)", key[:12],
-                                payload.error)
-                else:
+                if (published and getattr(payload, "error_kind", None)
+                        != "quarantined"):
                     executed += 1
-                    tel.heartbeat(state="idle", done=executed)
-                    status = ("FAILED" if isinstance(payload, _UnitFailure)
-                              else f"{payload.cycles:,.0f} cycles")
-                    log.info("worker: %s -> %s [%.2fs] (%s)", spec, status,
-                             time.perf_counter() - t0, key[:12])
             if not progressed and not stop:
                 # Nothing published this scan (all leased elsewhere,
                 # or the disk refuses writes): reap stalled claims, or
                 # wait for publishes and lease expiry.
-                reaped = spool.idle(pending, lease_s)
+                reaped = spool.idle(pending, LEASE_S)
                 for key in reaped:
                     log.warning("worker: reaped stalled lease on unit "
-                                "%s (> %gs)", key[:12], lease_s)
+                                "%s (> %gs)", key[:12], LEASE_S)
                 if not reaped:
-                    tel.heartbeat(state="waiting", done=executed)
-                    time.sleep(poll_s)
+                    time.sleep(PoolTransport.poll_s)
         attached_s = time.perf_counter() - t_attach
         if attached_s > 0:
             tel.gauge("worker.units_per_s", executed / attached_s)
         tel.emit("worker.stopped", executed=executed,
                  skipped=len(skipped), attached_s=round(attached_s, 6),
                  reason="sigterm" if stop else "done")
-        if stop:
-            log.info("worker: SIGTERM received -- drained in-flight "
-                     "unit, %d unit(s) executed, exiting cleanly",
-                     executed)
-        elif skipped:
-            log.info("worker: done, %d unit(s) executed, %d skipped "
-                     "(key mismatch)", executed, len(skipped))
-        else:
-            log.info("worker: done, %d unit(s) executed", executed)
     finally:
         if old_term is not None:
             signal.signal(signal.SIGTERM, old_term)
         tel.close()
-        if handler is not None:
-            log.removeHandler(handler)
-            log.propagate = old_propagate
     return executed

@@ -516,7 +516,15 @@ class CoherentMemorySystem:
                     yield from serve_legs(self._depart[owner])
                     engine.process(serve_legs(self._memory[home]),
                                    name="3hop-wb")
-                    entry.demote_to_shared(node)
+                    if (entry.state == DirState.EXCLUSIVE
+                            and entry.owner == owner):
+                        entry.demote_to_shared(node)
+                    else:
+                        # The owner evicted the line on the way (evictions
+                        # take no line lock): its data is already in flight
+                        # and its writeback made memory current, so this is
+                        # a plain read grant (DESIGN.md §4).
+                        entry.add_sharer(node)
                     yield from serve_legs(self._fill[node][home])
                 else:
                     yield from serve_legs(self._memory[home])

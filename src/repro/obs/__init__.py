@@ -36,8 +36,8 @@ engine, so simulated cycle counts are bit-identical whichever sink is
 installed (pinned by ``tests/test_obs_determinism.py``).
 
 The :mod:`repro.obs.telemetry` subpackage applies the same discipline
-to the *harness* around runs -- wall-clock event logs, metrics and
-heartbeats for the execution pipeline -- with
+to the *harness* around runs -- wall-clock event logs and metrics for
+the execution pipeline -- with
 :data:`~repro.obs.telemetry.NULL_TELEMETRY` playing NullSink's
 zero-cost-off role.
 """

@@ -1,7 +1,7 @@
 """Telemetry sessions: the one object harness code records through.
 
 A :class:`Telemetry` session belongs to one process playing one role
-in a sweep -- the driver, or a spool worker -- and bundles the three
+in a sweep -- the driver, or a pool's worker -- and bundles the two
 recording surfaces:
 
 * **events** (:meth:`Telemetry.emit`) -- typed, versioned lifecycle
@@ -10,11 +10,7 @@ recording surfaces:
   slice of the shared event log;
 * **metrics** (:meth:`observe` / :meth:`count` / :meth:`gauge`) -- the
   wall-clock :class:`~repro.obs.telemetry.metrics.MetricsRegistry`
-  folded into ``ExecutionPipeline.rt_stats`` and the sweep summary;
-* **heartbeats** (:meth:`heartbeat`) -- small atomically-replaced
-  status files under ``<area>/heartbeats/<worker>.json`` whose mtime
-  is the worker's last-seen instant; ``repro status DIR`` renders the
-  fleet from them.
+  folded into ``ExecutionPipeline.rt_stats`` and the sweep summary.
 
 The disabled path is :data:`NULL_TELEMETRY`, a shared do-nothing
 session: every call is one attribute lookup plus an empty method, the
@@ -27,10 +23,8 @@ with telemetry on or off.
 
 from __future__ import annotations
 
-import json
 import os
 import socket
-import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional, Union
@@ -40,12 +34,10 @@ from .metrics import MetricsRegistry
 
 __all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "worker_id"]
 
-#: Seconds between heartbeat writes (unforced beats are throttled).
-HEARTBEAT_S = 1.0
-
 
 def worker_id() -> str:
-    """A fleet-unique session id: ``<host>-<pid>-<nonce>``.
+    """A session id unique across hosts and processes:
+    ``<host>-<pid>-<nonce>``.
 
     The nonce keeps two sessions of one process (a sweep and its
     resume, a driver and an in-process worker in tests) from sharing
@@ -60,7 +52,6 @@ class NullTelemetry:
 
     enabled = False
     worker = "null"
-    role = "off"
     dir: Optional[Path] = None
     records: tuple = ()
     metrics: Optional[MetricsRegistry] = None
@@ -78,10 +69,6 @@ class NullTelemetry:
     def gauge(self, name: str, value: float) -> None:
         pass
 
-    def heartbeat(self, state: str = "idle", unit: Optional[str] = None,
-                  done: Optional[int] = None, force: bool = False) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
@@ -93,8 +80,8 @@ NULL_TELEMETRY = NullTelemetry()
 class Telemetry(NullTelemetry):
     """A live telemetry session (see module docstring).
 
-    ``root`` is the shared telemetry area (``<spool>/telemetry`` for
-    spool sweeps, any directory otherwise); ``None`` keeps events
+    ``root`` is the telemetry area, a directory each session of a
+    sweep appends its own event file to; ``None`` keeps events
     in memory only -- enough for metrics and ``rt_stats`` folding, with
     nothing written to disk.
     """
@@ -102,18 +89,14 @@ class Telemetry(NullTelemetry):
     enabled = True
 
     def __init__(self, root: Union[str, Path, None] = None,
-                 worker: Optional[str] = None, role: str = "driver"):
+                 worker: Optional[str] = None):
         self.dir = Path(root) if root is not None else None
         self.worker = worker or worker_id()
-        self.role = role
         self.records: List[dict] = []
         self.metrics = MetricsRegistry()
         self._log = (EventLog(self.dir, self.worker)
                      if self.dir is not None else None)
         self._seq = 0
-        self._started = time.time()
-        self._last_beat = 0.0
-        self._done = 0
 
     # -- events --------------------------------------------------------------
 
@@ -146,49 +129,9 @@ class Telemetry(NullTelemetry):
     def gauge(self, name: str, value: float) -> None:
         self.metrics.gauge(name, value)
 
-    # -- heartbeats ----------------------------------------------------------
-
-    @property
-    def heartbeat_path(self) -> Optional[Path]:
-        if self.dir is None:
-            return None
-        return self.dir / "heartbeats" / f"{self.worker}.json"
-
-    def heartbeat(self, state: str = "idle", unit: Optional[str] = None,
-                  done: Optional[int] = None, force: bool = False) -> None:
-        """Refresh this session's liveness file (atomic replace).
-
-        Throttled to one write per :data:`HEARTBEAT_S` unless ``force``;
-        the file's mtime is the last-seen signal ``repro status``
-        reads, its body the progress snapshot.
-        """
-        if self.dir is None:
-            return
-        now = time.time()
-        if done is not None:
-            self._done = done
-        if not force and now - self._last_beat < HEARTBEAT_S:
-            return
-        self._last_beat = now
-        payload = {"v": SCHEMA_VERSION, "worker": self.worker,
-                   "pid": os.getpid(), "role": self.role,
-                   "started": self._started, "ts": now, "state": state,
-                   "unit": unit, "done": self._done}
-        path = self.heartbeat_path
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except OSError:
-            # An unwritable heartbeat must never fail the sweep.
-            pass
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Final heartbeat + event-log close (safe to call twice)."""
-        self.heartbeat(state="stopped", force=True)
+        """Close the event log (safe to call twice)."""
         if self._log is not None:
             self._log.close()

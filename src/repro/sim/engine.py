@@ -149,6 +149,9 @@ class Process:
         if self._waiting_on is not None:
             self._waiting_on.remove_waiter(self)
             self._waiting_on = None
+        else:
+            # A sleep cut short: its timed resumption must never run.
+            self.engine._cancel(self)
         # Resume (the interrupt is delivered in _step).
         self.engine._schedule(self, 0.0, None)
 
@@ -234,6 +237,18 @@ class _TimerFire:
         self.evt.fire(value)
 
 
+class _Cancelled:
+    """Stand-in process of a queue entry whose resumption was cancelled:
+    dead, so the drain loop skips it like a killed process's entry."""
+
+    __slots__ = ()
+    alive = False
+
+
+#: The queue entry a cancelled resumption is swapped for.
+_CANCELLED = (_Cancelled(), None)
+
+
 class Engine:
     """The event loop: a clock plus an ordered queue of resumptions.
 
@@ -268,6 +283,7 @@ class Engine:
         # afterwards -- exactly the (time, seq) order of a heap.
         self._front = iter(())
         self._front_t: float = 0.0
+        self._front_bucket: list = []    # the list ``_front`` walks
 
     # -- process management -------------------------------------------------
 
@@ -356,6 +372,19 @@ class Engine:
         times = self._times
         return times[0] if times else None
 
+    def _cancel(self, proc) -> None:
+        """Swap every queued resumption of ``proc`` -- in the draining
+        bucket's unread tail or any later bucket -- for the dead
+        :data:`_CANCELLED` entry.  Rare (an interrupt that finds its
+        process asleep), so a scan."""
+        front = self._front_bucket
+        tails = [(front, len(front) - length_hint(self._front))]
+        tails.extend((b, 0) for b in self._buckets.values())
+        for bucket, start in tails:
+            for i in range(start, len(bucket)):
+                if bucket[i][0] is proc:
+                    bucket[i] = _CANCELLED
+
     # -- execution ----------------------------------------------------------
     #
     # One drain loop holds the pop logic; step() and run() are that
@@ -442,7 +471,8 @@ class Engine:
             if not times or times[0] > horizon:
                 return True
             t = pop(times)
-            self._front = front = iter(buckets.pop(t))
+            self._front_bucket = bucket = buckets.pop(t)
+            self._front = front = iter(bucket)
             self._front_t = self.now = t
 
     def step(self) -> bool:

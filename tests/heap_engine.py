@@ -13,6 +13,7 @@ import heapq
 from math import inf
 
 from repro.sim import Engine
+from repro.sim.engine import _CANCELLED
 
 
 class HeapEngine(Engine):
@@ -29,6 +30,14 @@ class HeapEngine(Engine):
     def next_time(self):
         q = self._queue
         return q[0][0] if q else None
+
+    def _cancel(self, proc):
+        """Cancel in place -- a dead entry at the same ``(time, seq)``,
+        not a removal: ``next_time()`` counts dead entries."""
+        q = self._queue
+        for i, (t, seq, p, _value) in enumerate(q):
+            if p is proc:
+                q[i] = (t, seq) + _CANCELLED
 
     def _drain(self, until, max_steps):
         """Same contract as ``Engine._drain``, nothing fused."""

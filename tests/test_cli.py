@@ -113,32 +113,28 @@ def test_bench_resume_and_memo_flags(tmp_path, monkeypatch):
     assert "0 executed" in out
 
 
-def test_bench_spool_flag(tmp_path):
-    rc, out = run_cli(["bench", "cg", "--size", "test", "--cmps", "4",
-                       "--spool", str(tmp_path / "spool")])
-    assert rc == 0
-    assert "via spool" in out and "4 executed" in out
-
-
-def test_bench_spool_quarantine_exits_5(tmp_path):
+def test_bench_spool_quarantine_exits_5(tmp_path, monkeypatch):
     """A sweep that completes but had to quarantine a poison unit exits
-    with the distinct code 5 (outranking pool-degrade's 3), so scripts
-    can tell 'done with data loss flagged' from 'done'."""
-    from repro.harness.transport import _Spool
+    with the distinct code 5, so scripts can tell 'done with data loss
+    flagged' from 'done'.  The sweep runs on a spool (in place of the
+    serial transport) whose ledger holds ``POISON_AFTER`` dead
+    executions of one unit."""
+    import repro.harness as harness
+    from repro.harness.transport import (POISON_AFTER, DirQueueTransport,
+                                         _Spool)
 
-    spool_dir = tmp_path / "spool"
-    argv = ["bench", "cg", "--size", "test", "--cmps", "4",
-            "--spool", str(spool_dir)]
+    spool = _Spool(tmp_path / "spool")
+    monkeypatch.setattr(harness, "SerialTransport",
+                        lambda: DirQueueTransport(spool.root))
+    argv = ["bench", "cg", "--size", "test", "--cmps", "4"]
     rc, _ = run_cli(argv)
     assert rc == 0
 
-    # poison one unit: drop its result, fake 3 dead execution attempts
-    spool = _Spool(spool_dir)
-    key = next(k for k in (p.name[:-4]
-                           for p in sorted(spool.results.glob("*.run")))
+    # poison one unit: drop its result, fake the dead execution attempts
+    key = next(k for k in sorted(spool.published_keys())
                if spool.load_spec(k).config == "G0")
     os.unlink(spool.result_path(key))
-    for _ in range(3):
+    for _ in range(POISON_AFTER):
         spool.record_attempt(key)
 
     rc, out = run_cli(argv)
@@ -155,137 +151,6 @@ def test_chaos_harness_subcommand(tmp_path):
     assert rc == 0
     assert "harness chaos matrix" in out
     assert "harness verdict: OK" in out
-
-
-def test_worker_on_empty_spool(tmp_path):
-    rc, out = run_cli(["worker", str(tmp_path / "spool")])
-    assert rc == 0
-    assert "0 unit(s) executed" in out
-
-
-def _spooled_cg(tmp_path):
-    """A spool holding the four test-size ``cg`` units, none run."""
-    from repro.config import PAPER_MACHINE
-    from repro.harness.jobs import SweepPlan, static_specs
-    from repro.harness.transport import _Spool
-
-    spool = _Spool(tmp_path / "spool")
-    spool.ensure()
-    for u in SweepPlan(static_specs(
-            PAPER_MACHINE.with_(n_cmps=4), "test", ("cg",),
-            ("single", "double", "G0", "L1"))).distinct():
-        spool.enqueue(u.key, u.spec)
-    return spool
-
-
-def test_worker_max_units_stops_after_that_many(tmp_path):
-    spool = _spooled_cg(tmp_path)
-    rc, out = run_cli(["worker", str(spool.root), "--max-units", "1"])
-    assert rc == 0
-    assert "done, 1 unit(s) executed" in out
-    assert len(list(spool.results.glob("*.run"))) == 1
-    assert len(spool.pending_keys()) == 3
-
-
-def test_worker_poll_is_the_idle_sleep(tmp_path, monkeypatch):
-    """With every pending unit leased to someone else the worker sleeps
-    ``--poll`` seconds between scans."""
-    import repro.harness.transport as transport
-
-    spool = _spooled_cg(tmp_path)
-    for key in spool.pending_keys():
-        assert spool.try_claim(key, worker="someone-else")
-    naps = []
-
-    def nap(seconds):                    # the other worker goes away
-        naps.append(seconds)
-        for key in spool.pending_keys():
-            spool.release(key)
-
-    monkeypatch.setattr(transport.time, "sleep", nap)
-    rc, out = run_cli(["worker", str(spool.root), "--poll", "0.37",
-                       "--max-units", "1"])
-    assert rc == 0 and "done, 1 unit(s) executed" in out
-    assert naps == [0.37]
-
-
-def test_worker_quiet_prints_errors_only(tmp_path):
-    import logging
-    try:
-        rc, out = run_cli(["worker", str(tmp_path / "spool"), "--quiet"])
-    finally:                             # logger levels outlive the call
-        logging.getLogger("repro.worker").setLevel(logging.NOTSET)
-        logging.getLogger("repro").setLevel(logging.NOTSET)
-    assert rc == 0
-    assert out == ""                     # no "0 unit(s) executed" line
-
-
-@pytest.fixture
-def finished_spool(tmp_path):
-    """A spool whose sweep of one tiny unit ran to the end, recorded."""
-    from repro.config import PAPER_MACHINE
-    from repro.harness import (DirQueueTransport, ExecutionPipeline,
-                               RunSpec, Telemetry, telemetry_area)
-    root = tmp_path / "spool"
-    tel = Telemetry(root=telemetry_area(root))
-    spec = RunSpec.make("ep", "single", size="test",
-                        cfg=PAPER_MACHINE.with_(n_cmps=4),
-                        params=dict(n=48))
-    ExecutionPipeline(transport=DirQueueTransport(root, poll_s=0.01),
-                      telemetry=tel).run([spec])
-    tel.close()
-    return str(root)
-
-
-@pytest.fixture
-def stalled_spool(tmp_path):
-    """A spool whose one unit a silent worker claimed 120 s ago."""
-    from repro.harness.transport import _Spool
-    spool = _Spool(tmp_path / "spool")
-    spool.ensure()
-    spool.enqueue("unit-a", "spec")
-    assert spool.try_claim("unit-a", worker="gone")
-    old = os.path.getmtime(spool.claim_path("unit-a")) - 120
-    os.utime(spool.claim_path("unit-a"), (old, old))
-    return str(spool.root)
-
-
-def test_status_of_a_finished_spool(finished_spool):
-    rc, out = run_cli(["status", finished_spool])
-    assert rc == 0
-    assert out.splitlines()[-1] == "  complete"
-    assert "units: 1/1 done (100%)" in out
-
-
-def test_status_json(finished_spool):
-    import json
-    rc, out = run_cli(["status", finished_spool, "--json"])
-    assert rc == 0
-    snap = json.loads(out)
-    assert snap["units"]["total"] == snap["units"]["done"] == 1
-    assert snap["stalled"] is False
-    assert [w["role"] for w in snap["workers"]] == ["driver"]
-
-
-def test_status_of_a_stalled_claim_exits_1(stalled_spool):
-    rc, out = run_cli(["status", stalled_spool])
-    assert rc == 1
-    assert "straggler: unit unit-a claimed 120" in out
-    assert "STALLED: 1 claim(s) older than 60s" in out
-
-
-def test_status_reads_stall(stalled_spool):
-    rc, out = run_cli(["status", stalled_spool, "--stall", "600"])
-    assert rc == 0
-    assert "STALLED" not in out and "1 claimed" in out
-
-
-def test_status_of_a_non_spool_is_one_line_exit_2(tmp_path, capsys):
-    rc, out = run_cli(["status", str(tmp_path)])
-    assert rc == 2 and out == ""
-    (line,) = capsys.readouterr().err.splitlines()
-    assert line == f"error: {tmp_path}: not a spool directory " \
-                   f"(no units/ or telemetry/)"
 
 
 def test_num_threads_narrows_the_team(tmp_path):
@@ -401,7 +266,6 @@ _UNREAD = [
     (["chaos", "--harness"], "--timeout-cycles", ["9"]),
     (["chaos", "--harness"], "--resume", ["{tmp}/j"]),
     (["chaos", "--harness"], "--memo", []),
-    (["chaos", "--harness"], "--spool", ["{tmp}/s"]),
     (["chaos", "--harness"], "--telemetry", ["{tmp}/t"]),
     (["chaos"], "--workdir", ["{tmp}/w"]),
 ]

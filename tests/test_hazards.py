@@ -1,13 +1,9 @@
 """Harness hazard injection and the crash-consistency hardening it
 gates: seeded deterministic schedules, integrity framing, poison-unit
 quarantine, graceful SIGTERM drain, lease reaping, and the one
-stalled-claim rule (``repro status`` and the spool reaper must agree on
-what "stalled" means, at the same lease)."""
+stalled-claim rule at the one lease."""
 
 import errno
-import inspect
-import io
-import json
 import os
 import pickle
 import subprocess
@@ -24,8 +20,8 @@ from repro.harness.integrity import (IntegrityError, atomic_pickle, frame,
                                      gc_tmp, load_verified, unframe)
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
 from repro.harness.pipeline import ExecutionPipeline
-from repro.harness.status import collect_status
-from repro.harness.transport import DirQueueTransport, _Spool, telemetry_area
+from repro.harness.transport import (LEASE_S, DirQueueTransport,
+                                     PoolTransport, _Spool)
 from repro.obs.telemetry import Telemetry, read_events
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
@@ -152,7 +148,7 @@ def test_load_verified_quarantines_and_logs(tmp_path):
         "magic": bytes([good[0] ^ 0x01]) + good[1:],    # one flipped bit
         "unframed": pickle.dumps({"ok": True}),
     }
-    tel = Telemetry(root=tmp_path / "telemetry", role="driver")
+    tel = Telemetry(root=tmp_path / "telemetry")
     for n, (unit, data) in enumerate(rotten.items(), 1):
         path.write_bytes(data)
         got = load_verified(path, quarantine_to=tmp_path / "corrupt",
@@ -194,7 +190,7 @@ def test_lease_hazards_stale_claim_and_clock_skew(tmp_path):
     plan.schedule = {"stale_claim": {0: 500.0}, "clock_skew": {}}
     plan._seen = {k: 0 for k in plan.schedule}
     plan.maybe_stale_claim(spool, "k")
-    assert spool.claim_owner("k") == "hazard-phantom"
+    assert spool.claim_owner("k") == os.getpid()
     assert spool.claim_age("k") > 400.0                 # back-dated
     assert spool.reap_stale(["k"], lease_s=30.0) == ["k"]
     # clock skew inflates exactly one age reading
@@ -294,7 +290,7 @@ def test_sigkill_between_tmp_write_and_rename(golden, tmp_path):
         "    return _real(src, dst, *a, **kw)\n"
         "os.replace = boom\n"
         "import repro.harness.transport as ht\n"
-        "ht.run_worker(sys.argv[1], drain=False, poll_s=0.05)\n")
+        "ht.run_worker(sys.argv[1])\n")
     proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
                             env=_env(), stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
@@ -310,9 +306,10 @@ def test_sigkill_between_tmp_write_and_rename(golden, tmp_path):
     assert litter, "kill inside the window must strand a temp file"
     assert not spool.has_result(key)                    # readers see a miss
     assert spool.claim_age(key) is not None             # lease left behind
+    then = time.time() - 2 * LEASE_S                    # ...and outlived
+    os.utime(spool.claim_path(key), times=(then, then))
 
-    pipe = ExecutionPipeline(
-        transport=DirQueueTransport(root, lease_s=0.3, poll_s=0.02))
+    pipe = ExecutionPipeline(transport=DirQueueTransport(root))
     runs = pipe.run(specs)
     assert {r.config: r.cycles for r in runs} == {"single": golden["single"]}
     assert spool.has_result(key)
@@ -337,17 +334,16 @@ def test_spool_quarantines_poison_unit(golden, tmp_path):
     spool.ensure()
     for _ in range(3):
         spool.record_attempt(poison.key)
-    tel = Telemetry(root=telemetry_area(root), role="driver")
-    pipe = ExecutionPipeline(
-        transport=DirQueueTransport(root, lease_s=5.0, poll_s=0.02),
-        telemetry=tel)
+    tel = Telemetry(root=spool.area)
+    pipe = ExecutionPipeline(transport=DirQueueTransport(root),
+                             telemetry=tel)
     runs = {r.config: r for r in pipe.run(specs)}
     tel.close()
     assert runs["single"].cycles == golden["single"]
     assert runs["G0"].error_kind == "quarantined"
     assert pipe.quarantined and pipe.quarantined_units == [poison.key]
     assert "1 QUARANTINED (poison)" in pipe.summary()
-    events = read_events(telemetry_area(root))
+    events = read_events(spool.area)
     assert any(e["event"] == "unit.quarantined" and e["unit"] == poison.key
                for e in events)
 
@@ -373,7 +369,7 @@ def test_worker_sigterm_drains_in_flight_unit(tmp_path):
               "    time.sleep(1.5)\n"
               "    return _real(spec)\n"
               "ht.execute_spec = slow\n"
-              "ht.run_worker(sys.argv[1], drain=False, poll_s=0.05)\n")
+              "ht.run_worker(sys.argv[1])\n")
     proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
                             env=_env(), stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
@@ -389,148 +385,52 @@ def test_worker_sigterm_drains_in_flight_unit(tmp_path):
     (key,) = plan.keys
     assert spool.has_result(key)                        # drained, not dropped
     assert not list(spool.claims.glob("*.claim"))       # claim released
-    events = read_events(telemetry_area(root))
+    events = read_events(spool.area)
     stops = [e for e in events if e["event"] == "worker.stopped"]
     assert stops and stops[-1].get("reason") == "sigterm"
 
 
 # -- the one "stalled" rule and the one lease threshold --------------------
 
-def _claimed_unit(root, age_s, worker="w1"):
-    """A spool holding one unit, claimed by ``worker`` ``age_s`` ago."""
-    spool = _Spool(root)
+def test_stall_truth_table(tmp_path):
+    """A claim is stalled when, and only when, it has outlived the
+    lease -- whoever holds it is not asked -- and the driver's idle
+    step reaps exactly the stalled claims at the one default lease
+    :data:`LEASE_S` of the driver, the pool and the pool's children."""
+    assert not _Spool.stall(None, 30.0)                 # unclaimed
+    assert not _Spool.stall(1.0, 30.0)
+    assert not _Spool.stall(30.0, 30.0)
+    assert _Spool.stall(30.5, 30.0)
+    spool = _Spool(tmp_path / "spool")
     spool.ensure()
     spool.enqueue("unit-a", {"spec": "placeholder"})
-    assert spool.try_claim("unit-a", worker=worker)
-    then = time.time() - age_s
-    os.utime(spool.claim_path("unit-a"), times=(then, then))
-    return spool
-
-
-def _beat(spool, worker, age_s):
-    """Write ``worker``'s heartbeat, ``age_s`` old."""
-    spool.heartbeats.mkdir(parents=True, exist_ok=True)
-    hb = spool.heartbeats / f"{worker}.json"
-    hb.write_text(json.dumps({"worker": worker, "role": "worker",
-                              "state": "running"}))
-    then = time.time() - age_s
-    os.utime(hb, times=(then, then))
-    return hb
-
-
-def test_stall_truth_table(tmp_path, monkeypatch):
-    spool = _claimed_unit(tmp_path / "spool", 100.0)
-    # unclaimed, or inside the lease: standing, and nothing is read
-    monkeypatch.setattr(spool, "claim_owner", lambda *a: pytest.fail("read"))
-    assert spool.stall("unit-a", None, 30.0) is None
-    assert spool.stall("unit-a", 1.0, 30.0) is None
-    monkeypatch.undo()
-    # old claim, no heartbeat at all: presumed dead
-    assert spool.stall("unit-a", 100.0, 30.0) == {
-        "unit": "unit-a", "claim_age_s": 100.0, "owner": "w1",
-        "heartbeat_age_s": None}
-    # old claim, fresh heartbeat: the owner stands
-    hb = _beat(spool, "w1", 2.0)
-    assert spool.stall("unit-a", 100.0, 30.0) is None
-    # old claim, old heartbeat: stalled, with the heartbeat's age
-    os.utime(hb, times=(time.time() - 100.0,) * 2)
-    evidence = spool.stall("unit-a", 100.0, 30.0)
-    assert evidence["owner"] == "w1"
-    assert 99.0 < evidence["heartbeat_age_s"] < 110.0
-
-
-def test_status_and_reaper_agree_on_stalled(tmp_path):
-    """``repro status`` flags a claim as a straggler iff the reaper
-    takes it: both ask :meth:`_Spool.stall`, with the same evidence."""
-    root = tmp_path / "spool"
-    spool = _claimed_unit(root, 0.0)
-    hb = _beat(spool, "w1", 0.0)
-    then = time.time() - 100.0
-
-    def snapshot():
-        st = collect_status(root, stall_s=30.0)
-        flagged = [(s["unit"], s["owner"]) for s in st.stragglers]
-        evidence = spool.stall("unit-a", spool.claim_age("unit-a"), 30.0)
-        reapable = spool.reap_stale(["unit-a"], lease_s=30.0)
-        assert flagged == ([(evidence["unit"], evidence["owner"])]
-                           if evidence else [])
-        for k in reapable:                  # undo: reap_stale releases
-            assert spool.try_claim(k, worker="w1")
-            os.utime(spool.claim_path(k), times=(then, then))
-        return [unit for unit, _ in flagged], reapable
-
-    # fresh claim, fresh heartbeat -> neither flags it
-    assert snapshot() == ([], [])
-    # old claim, fresh heartbeat -> the owner stands: both leave it alone
-    os.utime(spool.claim_path("unit-a"), times=(then, then))
-    assert snapshot() == ([], [])
-    # old claim, old heartbeat -> both call it stalled
-    os.utime(hb, times=(then, then))
-    assert snapshot() == (["unit-a"], ["unit-a"])
-    # old claim, no heartbeat at all -> presumed dead, both agree
-    hb.unlink()
-    assert snapshot() == (["unit-a"], ["unit-a"])
-
-
-def test_status_and_reaper_share_one_lease_at_the_defaults(tmp_path):
-    """No threshold passed to either side: a 45 s claim without a
-    heartbeat is neither flagged nor reaped, a 61 s one is both -- every
-    default (driver, pool, worker, ``--lease``, ``--stall``) is
-    :data:`LEASE_S`."""
-    from repro.cli import _build_parser
-    from repro.cli import main as cli_main
-    from repro.harness.transport import LEASE_S, PoolTransport, run_worker
-
-    def status_exit():
-        return cli_main(["status", str(root)], out=io.StringIO())
-
-    root = tmp_path / "spool"
-    spool = _claimed_unit(root, 45.0)
-    driver = DirQueueTransport(root)
-    assert collect_status(root).stragglers == []
-    assert status_exit() == 0
-    assert driver._idle(["unit-a"]) == []
-    assert spool.claim_age("unit-a") is not None          # still held
-
-    os.utime(spool.claim_path("unit-a"), times=(time.time() - 61.0,) * 2)
-    assert [s["unit"] for s in collect_status(root).stragglers] == ["unit-a"]
-    assert status_exit() == 1
-    assert driver._idle(["unit-a"]) == ["unit-a"]
-    assert spool.claim_age("unit-a") is None              # reaped
-
-    parser = _build_parser()
-    assert {driver.lease_s, PoolTransport().lease_s,
-            inspect.signature(run_worker).parameters["lease_s"].default,
-            parser.parse_args(["worker", "d"]).lease,
-            parser.parse_args(["status", "d"]).stall} == {LEASE_S}
-
-
-def test_status_never_touches_a_hazard_plan(tmp_path, monkeypatch):
-    """Status is no hazard site: an armed plan keeps its opportunities,
-    and a process with a campaign in its environment stays unarmed."""
-    _claimed_unit(tmp_path / "spool", 100.0)
-    plan = hazards.arm(HazardConfig(0, classes=("lease",)))
-    plan.schedule = {"stale_claim": {}, "clock_skew": {0: 100.0}}
-    plan._seen = {k: 0 for k in plan.schedule}
-    assert collect_status(tmp_path / "spool").stalled
-    assert plan._seen == {"stale_claim": 0, "clock_skew": 0}
-    assert plan.injected == []
-    hazards.export_env(HazardConfig(0, classes=("lease",)))
-    monkeypatch.setattr(hazards, "_ACTIVE_PID", None)
-    collect_status(tmp_path / "spool")
-    assert hazards._ACTIVE_PID is None                    # never resolved
+    assert spool.try_claim("unit-a")
+    driver = DirQueueTransport(spool.root)
+    for age, reaped in ((LEASE_S - 15, []), (LEASE_S + 1, ["unit-a"])):
+        then = time.time() - age
+        os.utime(spool.claim_path("unit-a"), times=(then, then))
+        assert driver._idle(["unit-a"]) == reaped
+    assert spool.claim_age("unit-a") is None            # reaped
+    assert DirQueueTransport.lease_s == PoolTransport.lease_s == LEASE_S
 
 
 # -- the harness chaos matrix (smoke; CI runs the full default one) ----------
 
-def test_harness_chaos_smoke_spool(tmp_path):
-    """One armed spool scenario end to end: corrupt + lease hazards,
-    driver-only (no external worker), cold leg + disarmed resume leg
-    both bit-identical to the hazard-free baseline, telemetry valid."""
-    report = run_harness_chaos(tmp_path / "wd",
-                               classes=(("corrupt", "lease"),),
-                               spawn_worker=False)
+def test_harness_chaos_smoke_pool(tmp_path):
+    """One kill scenario end to end on the pool: the forked child arms
+    itself from the environment and the kill fires there, its
+    ``hazard.injected`` record reaches the scenario's log, and both
+    legs merge bit-identical to the hazard-free baseline with the log
+    valid."""
+    report = run_harness_chaos(tmp_path / "wd", classes=(("kill",),),
+                               base_seed=0)
     (outcome,) = report.outcomes
     assert outcome.ok, (outcome.error, outcome.telemetry_problems)
     assert report.ok and len(report.baseline) == 2
+    assert sum(outcome.injected.values()) >= 1
+    kills = [e for e in read_events(tmp_path / "wd" / "kill-s0" / "telemetry")
+             if e["event"] == "hazard.injected"]
+    assert kills and all(e["kind"] in ("kill_worker", "term_worker")
+                         and e["site"].startswith("worker.")
+                         and e["pid"] != os.getpid() for e in kills)
     assert hazards.current() is None                    # matrix disarms

@@ -276,3 +276,24 @@ def test_concurrent_writers_serialize_on_directory_lock():
     owner, loser = e.owner, 3 - e.owner
     assert ms.nodes[owner].l2.peek(a) is not None
     assert ms.nodes[loser].l2.peek(a) is None
+
+
+@pytest.mark.parametrize("bench, config, l2_kb, cmps", [
+    ("cg", "G0", 1, 4), ("mg", "double", 1, 2), ("mg", "single", 1, 2)])
+def test_eviction_racing_an_intervention_reads_shared(bench, config, l2_kb,
+                                                      cmps):
+    """An owner's L2 eviction drops its directory entry without the
+    home's line lock, so it can land while the home forwards a read to
+    that owner.  The read then ends as a plain read grant, not a demote
+    of a line that is no longer EXCLUSIVE.  Tiny caches make the race
+    common; these configurations raised ``demote on non-EXCLUSIVE
+    line`` before, and each must now verify against NumPy."""
+    from repro.config import CacheConfig
+    from repro.harness import run_benchmark
+    cfg = PAPER_MACHINE.with_(
+        n_cmps=cmps,
+        l1=CacheConfig(size_bytes=512, assoc=2, line_bytes=128, hit_cycles=1),
+        l2=CacheConfig(size_bytes=l2_kb * 1024, assoc=4, line_bytes=128,
+                       hit_cycles=10))
+    run = run_benchmark(bench, config, cfg=cfg, size="test")
+    assert run.error is None and run.cycles > 0

@@ -23,7 +23,8 @@ from repro.harness.checkpoint import (CheckpointJournal, MemoStore,
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
 from repro.harness.pipeline import ExecutionPipeline
 from repro.harness.runner import BenchRun
-from repro.harness.transport import DirQueueTransport, SerialTransport
+from repro.harness.transport import (LEASE_S, DirQueueTransport,
+                                     SerialTransport)
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -76,7 +77,7 @@ def test_sigkilled_spool_worker_resumes_bit_identical(golden, tmp_path):
     script = ("import sys, time\n"
               "import repro.harness.transport as ht\n"
               "ht.execute_spec = lambda spec: time.sleep(3600)\n"
-              "ht.run_worker(sys.argv[1], drain=False)\n")
+              "ht.run_worker(sys.argv[1])\n")
     proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
                             env=_env(), stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
@@ -88,11 +89,13 @@ def test_sigkilled_spool_worker_resumes_bit_identical(golden, tmp_path):
         # the kill left a stalled lease and no result behind
         held = [p.stem for p in spool.claims.glob("*.claim")]
         assert held and not spool.has_result(held[0])
+        # ...which the driver reaps once it has outlived the lease
+        then = time.time() - 2 * LEASE_S
+        os.utime(spool.claim_path(held[0]), times=(then, then))
 
         journal = CheckpointJournal(tmp_path / "journal")
-        pipe = ExecutionPipeline(
-            transport=DirQueueTransport(root, lease_s=0.3, poll_s=0.02),
-            journal=journal)
+        pipe = ExecutionPipeline(transport=DirQueueTransport(root),
+                                 journal=journal)
         runs = pipe.run(specs)
         assert {r.config: r.cycles for r in runs} == golden
         assert any("reaped" in e for e in pipe.events)

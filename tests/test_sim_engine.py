@@ -213,6 +213,39 @@ def test_interrupt_delivered_as_exception():
     assert not evt._waiters
 
 
+@pytest.mark.parametrize("engine_cls", (Engine, HeapEngine))
+@pytest.mark.parametrize("at", (3, 10), ids=("later-bucket", "same-bucket"))
+def test_interrupted_sleeper_is_never_resumed_by_its_old_timer(engine_cls,
+                                                               at):
+    """A sleep cut short by an interrupt is cancelled, not left queued:
+    the old timer -- in a later bucket, or in the bucket being drained
+    behind the interrupter -- must not resume the process again in the
+    middle of its next sleep."""
+    eng = engine_cls()
+    log = []
+
+    def sleeper():
+        try:
+            yield 10.0
+            log.append(("woke", eng.now))
+        except Interrupt:
+            log.append(("interrupted", eng.now))
+        yield 20.0
+        log.append(("slept", eng.now))
+
+    def interrupter(victims):
+        yield float(at)
+        victims[0].interrupt("diverged")
+
+    # The interrupter is queued first, so at t=10 its resumption comes
+    # ahead of the sleeper's timer in the one bucket.
+    victims = []
+    eng.process(interrupter(victims))
+    victims.append(eng.process(sleeper()))
+    eng.run()
+    assert log == [("interrupted", float(at)), ("slept", at + 20.0)]
+
+
 def test_kill_stops_process_and_fires_done():
     eng = Engine()
 

@@ -1,20 +1,16 @@
-"""Harness telemetry: event log schema + lifecycle, metrics, fleet
-status, harness Chrome trace -- and the non-negotiable: telemetry must
-never change a simulated cycle count."""
+"""Harness telemetry: event log schema + lifecycle, metrics, harness
+Chrome trace -- and the non-negotiable: telemetry must never change a
+simulated cycle count."""
 
 import json
-import os
 
 import pytest
 
-from repro.cli import main
 from repro.config import PAPER_MACHINE
-from repro.harness.jobs import RunSpec, SweepPlan
+from repro.harness.jobs import RunSpec
 from repro.harness.pipeline import ExecutionPipeline
-from repro.harness.status import collect_status, render_status
 from repro.harness.transport import (DirQueueTransport, PoolTransport,
-                                     SerialTransport, _Spool, run_worker,
-                                     telemetry_area)
+                                     SerialTransport, _Spool)
 from repro.obs.telemetry import (EVENT_TYPES, NULL_TELEMETRY, EventLog,
                                  Histogram, MetricsRegistry, Telemetry,
                                  harness_trace_events, read_events,
@@ -83,7 +79,6 @@ def test_emit_rejects_unknown_event():
 def test_null_telemetry_is_inert(tmp_path):
     NULL_TELEMETRY.emit("unit.started", unit="k")
     NULL_TELEMETRY.observe("x", 1.0)
-    NULL_TELEMETRY.heartbeat(force=True)
     NULL_TELEMETRY.close()
     assert NULL_TELEMETRY.records == ()
     assert not NULL_TELEMETRY.enabled
@@ -186,86 +181,17 @@ def test_pool_sweep_is_bit_identical_with_telemetry(golden):
 
 def test_spool_sweep_writes_shared_event_log(golden, tmp_path):
     root = tmp_path / "sp"
-    tel = Telemetry(root=telemetry_area(root), worker="driver-1")
-    pipe = ExecutionPipeline(
-        transport=DirQueueTransport(root, poll_s=0.02), telemetry=tel)
+    area = _Spool(root).area
+    tel = Telemetry(root=area, worker="driver-1")
+    pipe = ExecutionPipeline(transport=DirQueueTransport(root),
+                             telemetry=tel)
     runs = pipe.run(_specs())
     tel.close()
     assert [r.cycles for r in runs] == golden     # determinism: spool
-    records = read_events(telemetry_area(root))
+    records = read_events(area)
     assert validate_events(records) == []
-    assert telemetry_main([str(telemetry_area(root))]) == 0
-    status = collect_status(root)
-    assert status.units_total == 2 and status.units_done == 2
-    assert not status.stalled
-    assert "complete" in render_status(status)
-
-
-def test_worker_records_telemetry_and_heartbeat(tmp_path):
-    root = tmp_path / "sp"
-    plan = SweepPlan(_specs())
-    spool = _Spool(root)
-    spool.ensure()
-    for u in plan.distinct():
-        spool.enqueue(u.key, u.spec)
-    log_path = tmp_path / "w.log"
-    with open(log_path, "w") as fh:
-        assert run_worker(root, drain=True, out=fh) == 2
-    text = log_path.read_text()
-    assert "2 unit(s) executed" in text
-    records = read_events(telemetry_area(root))
-    events = [r["event"] for r in records]
-    assert "worker.started" in events and "worker.stopped" in events
-    assert events.count("unit.claimed") == 2
-    assert validate_events(records) == []
-    beats = list((telemetry_area(root) / "heartbeats").glob("*.json"))
-    assert len(beats) == 1
-    body = json.loads(beats[0].read_text())
-    assert body["role"] == "worker" and body["state"] == "stopped"
-    assert body["done"] == 2
-
-
-# -- fleet status ------------------------------------------------------------
-
-def test_status_detects_stalled_claim(tmp_path):
-    """A claim older than the stall threshold with no live worker is a
-    straggler and the fleet is stalled; the CLI exits 1 on it."""
-    root = tmp_path / "sp"
-    spool = _Spool(root)
-    spool.ensure()
-    spec = _specs()[0]
-    from repro.harness.jobs import unit_key
-    key = unit_key(spec)
-    spool.enqueue(key, spec)
-    assert spool.try_claim(key)
-    old = os.path.getmtime(spool.claim_path(key)) - 120
-    os.utime(spool.claim_path(key), (old, old))
-    status = collect_status(root, stall_s=30.0)
-    assert status.stalled
-    assert status.stragglers and status.stragglers[0]["unit"] == key
-    assert "STALLED" in render_status(status)
-    assert main(["status", str(root)]) == 1
-
-
-def test_status_healthy_while_fresh_claim(tmp_path):
-    """A fresh claim means somebody is working: not stalled, exit 0."""
-    root = tmp_path / "sp"
-    spool = _Spool(root)
-    spool.ensure()
-    spec = _specs()[0]
-    from repro.harness.jobs import unit_key
-    key = unit_key(spec)
-    spool.enqueue(key, spec)
-    assert spool.try_claim(key)
-    status = collect_status(root, stall_s=30.0)
-    assert not status.stalled and status.units_claimed == 1
-    assert main(["status", str(root)]) == 0
-
-
-def test_status_rejects_non_spool_dir(tmp_path):
-    with pytest.raises(FileNotFoundError):
-        collect_status(tmp_path / "nope")
-    assert main(["status", str(tmp_path / "nope")]) == 2
+    assert telemetry_main([str(area)]) == 0
+    assert [r["event"] for r in records].count("unit.finished") == 2
 
 
 # -- harness Chrome trace ----------------------------------------------------

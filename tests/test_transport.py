@@ -17,10 +17,10 @@ import pytest
 from repro.config import PAPER_MACHINE
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
 from repro.harness.pipeline import ExecutionPipeline
-from repro.harness.transport import (POISON_AFTER, DirQueueTransport,
-                                     PoolTransport, SerialTransport,
-                                     Transport, _Spool, _UnitFailure,
-                                     run_worker, telemetry_area)
+from repro.harness.transport import (LEASE_S, POISON_AFTER,
+                                     DirQueueTransport, PoolTransport,
+                                     SerialTransport, Transport, _Spool,
+                                     _UnitFailure, run_worker)
 from repro.obs.telemetry import Telemetry, read_events, validate_events
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
@@ -29,6 +29,13 @@ CFG = PAPER_MACHINE.with_(n_cmps=4)
 def _specs():
     return [RunSpec.make("cg", c, size="test", cfg=CFG)
             for c in ("single", "G0")]
+
+
+def _outlive_the_lease(spool, key):
+    """Back-date ``key``'s claim past :data:`LEASE_S`, as a holder that
+    died (or stalled) that long ago leaves it."""
+    then = time.time() - 2 * LEASE_S
+    os.utime(spool.claim_path(key), times=(then, then))
 
 
 @pytest.fixture(scope="module")
@@ -62,12 +69,9 @@ def test_worker_drains_spool_and_driver_harvests(golden, tmp_path):
     spool.ensure()
     for u in plan.distinct():
         spool.enqueue(u.key, u.spec)
-    executed = run_worker(root, drain=True,
-                          out=open(tmp_path / "w.log", "w"))
-    assert executed == 2
+    assert run_worker(root) == 2
     # drained spool: a second worker finds nothing
-    assert run_worker(root, drain=True,
-                      out=open(tmp_path / "w2.log", "w")) == 0
+    assert run_worker(root) == 0
     # driver harvest delivers the worker's results, in merge order
     pipe = ExecutionPipeline(transport=DirQueueTransport(root))
     runs = pipe.run(_specs())
@@ -82,10 +86,9 @@ def test_worker_skips_key_mismatched_unit(tmp_path):
     spool.ensure()
     spec = RunSpec.make("cg", "single", size="test", cfg=CFG)
     spool.enqueue("0" * 64, spec)            # wrong key on purpose
-    out = open(tmp_path / "w.log", "w")
-    assert run_worker(root, drain=True, out=out) == 0
-    out.close()
-    assert "skipping" in (tmp_path / "w.log").read_text()
+    assert run_worker(root) == 0
+    assert [(e["event"], e["unit"]) for e in read_events(spool.area)
+            if e["event"] == "unit.skipped"] == [("unit.skipped", "0" * 64)]
     assert not spool.has_result("0" * 64)
     assert os.path.isfile(spool.unit_path("0" * 64))   # left for inspection
 
@@ -99,8 +102,8 @@ def test_spool_spec_errors_propagate(tmp_path):
     pipe = ExecutionPipeline(transport=DirQueueTransport(tmp_path / "sp"))
     with pytest.raises(SimDeadlockError):
         pipe.run([spec])
-    # ...and the failure record is published so attached workers stop
-    # re-trying the unit.
+    # ...and the failure record is published so no other process tries
+    # the unit again.
     spool = _Spool(tmp_path / "sp")
     assert spool.has_result(unit_key(spec))
 
@@ -114,8 +117,8 @@ def test_spool_reaps_stalled_lease(golden, tmp_path):
     spool.ensure()
     stuck = plan.distinct()[0]
     assert spool.try_claim(stuck.key)        # a "worker" that died here
-    pipe = ExecutionPipeline(
-        transport=DirQueueTransport(root, lease_s=0.2, poll_s=0.02))
+    _outlive_the_lease(spool, stuck.key)
+    pipe = ExecutionPipeline(transport=DirQueueTransport(root))
     runs = pipe.run(_specs())
     assert [r.cycles for r in runs] == golden
     assert any("reaped" in e for e in pipe.events)
@@ -189,8 +192,8 @@ def test_entries_are_readable_by_whoever_may_read_the_directory(
         tmp_path, umask):
     """Specs, results, journal and memo entries get the mode the
     process umask allows -- the mode of a claim made beside them -- so
-    a ``repro worker`` under another uid on a shared spool can read
-    the specs of the units it may claim (``mkstemp`` made every entry
+    a worker under another uid on a group-shared spool can read the
+    specs of the units it may claim (``mkstemp`` made every entry
     ``0600`` whatever the umask).  The attempts ledger too: a worker
     that may claim a unit (umask ``002``, a group-shared spool) must be
     able to append its own dead executions, or a poison unit is never
@@ -271,8 +274,8 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
         monkeypatch.setattr(_Spool, "publish", _enospc)
 
     def drive():
-        transport = DirQueueTransport(root, poll_s=0.01)
-        transport.telemetry = Telemetry(root=telemetry_area(root))
+        transport = DirQueueTransport(root)
+        transport.telemetry = Telemetry(root=spool.area)
         got = []
         try:
             transport.run([unit], lambda u, run: got.append(run))
@@ -287,8 +290,7 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
             monkeypatch.setattr(
                 _Spool, "publish",
                 lambda *a: signal.raise_signal(signal.SIGTERM) or _enospc())
-        with open(tmp_path / "w.log", "w") as out:
-            executed = run_worker(root, max_units=1, poll_s=0.01, out=out)
+        executed = run_worker(root)
         assert executed == (1 if ending in ("good", "raises") else 0)
     result_type, error_kind, ledger, lifecycle, delivered = _ENDINGS[ending]
     if ending == "raises":
@@ -306,7 +308,7 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
     assert getattr(result, "error_kind", None) == error_kind
     assert spool.claim_age(unit.key) is None            # lease released
     assert spool.attempt_count(unit.key) == ledger
-    records = read_events(telemetry_area(root))
+    records = read_events(spool.area)
     assert [r["event"] for r in records
             if r["event"] in _LIFECYCLE] == lifecycle
     assert validate_events(records) == []
@@ -358,6 +360,7 @@ def test_a_reap_is_counted_by_whoever_does_it(tmp_path, monkeypatch, who):
     spool.ensure()
     spool.enqueue(unit.key, unit.spec)
     assert spool.try_claim(unit.key)        # a "worker" that died here
+    _outlive_the_lease(spool, unit.key)
     sessions = []
 
     class Spy(Telemetry):
@@ -366,17 +369,16 @@ def test_a_reap_is_counted_by_whoever_does_it(tmp_path, monkeypatch, who):
             sessions.append(self)
 
     if who == "driver":
-        transport = DirQueueTransport(root, lease_s=0.1, poll_s=0.01)
-        transport.telemetry = Spy(root=telemetry_area(root))
+        transport = DirQueueTransport(root)
+        transport.telemetry = Spy(root=spool.area)
         transport.run([unit], lambda u, run: None)
         transport.telemetry.close()
     else:
         monkeypatch.setattr(ht, "Telemetry", Spy)
-        with open(tmp_path / "w.log", "w") as out:
-            assert run_worker(root, lease_s=0.1, poll_s=0.01, out=out) == 1
+        assert run_worker(root) == 1
     (session,) = sessions
     assert session.metrics.counters.get("lease.reaped") == 1
-    records = read_events(telemetry_area(root))
+    records = read_events(spool.area)
     assert [r["event"] for r in records
             if r["event"] == "lease.reaped"] == ["lease.reaped"]
     assert spool.has_result(unit.key)
@@ -394,14 +396,14 @@ def _slow_worker(root, sleep_s):
         return real(spec)
 
     ht.execute_spec = slow
-    ht.run_worker(root, poll_s=0.01)
+    ht.run_worker(root)
 
 
 def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
-    """A session heartbeats only between units: a live worker still
-    running a unit past the lease looks silent, so the driver reaps it
-    and runs the unit again itself -- the same key, the same bytes, and
-    the merged result is the serial one."""
+    """Whoever holds a claim is not asked: a live worker still running
+    a unit past the lease loses it, so the driver reaps it and runs the
+    unit again itself -- the same key, the same bytes, and the merged
+    result is the serial one."""
     import multiprocessing
     spec = _tiny()
     (unit,) = SweepPlan([spec]).distinct()
@@ -417,10 +419,10 @@ def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
         while spool.claim_age(unit.key) is None:
             assert time.monotonic() < deadline, "worker never claimed"
             time.sleep(0.01)
-        tel = Telemetry(root=telemetry_area(root))
-        pipe = ExecutionPipeline(
-            transport=DirQueueTransport(root, lease_s=1.0, poll_s=0.02),
-            telemetry=tel)
+        _outlive_the_lease(spool, unit.key)
+        tel = Telemetry(root=spool.area)
+        pipe = ExecutionPipeline(transport=DirQueueTransport(root),
+                                 telemetry=tel)
         (run,) = pipe.run([spec])
         tel.close()
     finally:
@@ -431,7 +433,7 @@ def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
                                                 serial.result.output)
     assert [r["event"] for r in tel.records if r["event"] in (
         "lease.reaped", "unit.started")] == ["lease.reaped", "unit.started"]
-    records = read_events(telemetry_area(root))
+    records = read_events(spool.area)
     assert sum(r["event"] == "unit.started" for r in records) == 2
     assert validate_events(records) == []
 
@@ -468,18 +470,18 @@ def test_an_attached_worker_never_runs_a_settled_unit(tmp_path):
     for u in units:
         spool.enqueue(u.key, u.spec)
     worker = multiprocessing.get_context("fork").Process(
-        target=run_worker, args=(root,), kwargs=dict(poll_s=0.01))
+        target=run_worker, args=(root,))
     worker.start()
     tel = Telemetry()
     try:
-        pipe = ExecutionPipeline(
-            transport=DirQueueTransport(root, poll_s=0.01), telemetry=tel)
+        pipe = ExecutionPipeline(transport=DirQueueTransport(root),
+                                 telemetry=tel)
         assert len(pipe.run(specs)) == len(units)
     finally:
         worker.join(timeout=60)
     assert worker.exitcode == 0
     inline = [r for r in tel.records if r["event"] == "unit.started"]
-    remote = [r for r in read_events(telemetry_area(root))
+    remote = [r for r in read_events(spool.area)
               if r["event"] == "unit.finished"]
     assert len(inline) + len(remote) == len(units), (len(inline),
                                                      len(remote))
@@ -491,7 +493,8 @@ def test_the_settle_path_is_written_once():
     ``transport.py`` only where a unit is settled or a pool child's
     result harvested; one writer of ``unit.failed``; one way to lease;
     no ``run`` but ``Transport.run``; the removed knobs on no signature
-    and no reap backoff; no dead ``quarantined`` list."""
+    (the lease and the poll are class constants) and no reap backoff;
+    no dead ``quarantined`` list."""
     import repro.harness.transport as ht
     source = Path(ht.__file__).read_text()
     tree = ast.parse(source)
@@ -514,25 +517,29 @@ def test_the_settle_path_is_written_once():
             if isinstance(fn, ast.FunctionDef) and fn.name == "run"]
     assert runs == ["Transport"]
     for fn in (PoolTransport, DirQueueTransport, run_worker):
-        assert not {"poison_threshold", "quarantine_after",
-                    "backoff_base"} & set(inspect.signature(fn).parameters)
+        assert not {"poison_threshold", "quarantine_after", "backoff_base",
+                    "lease_s", "poll_s", "max_units", "drain", "out"} \
+            & set(inspect.signature(fn).parameters)
     assert not hasattr(Transport(), "quarantined")
     assert not hasattr(ht, "BACKOFF_BASE")
     assert len(inspect.signature(PoolTransport).parameters) == 2
-    assert len(inspect.signature(DirQueueTransport).parameters) == 3
-    assert len(inspect.signature(run_worker).parameters) == 6
+    assert len(inspect.signature(DirQueueTransport).parameters) == 1
+    assert len(inspect.signature(run_worker).parameters) == 1
+    assert list(inspect.signature(_Spool.try_claim).parameters) \
+        == ["self", "key"]
 
 
 def test_stalled_and_reaped_are_each_decided_once():
-    """One definition of ``_Spool.stall``, asked by the reaper and by
-    ``repro status`` only; one ``lease.reaped`` event and one count
-    under ``src/``; the reaper and lease read a claim's age once each
-    (the ``clock_skew`` schedule depends on it); the predicate and the
-    threshold it replaced are gone, and no module of ``repro.obs``
-    names a spool path."""
+    """One definition of ``_Spool.stall``, asked by the reaper only; one
+    ``lease.reaped`` event and one count under ``src/``; the reaper and
+    lease read a claim's age once each (the ``clock_skew`` schedule
+    depends on it); the predicate and the threshold it replaced, and
+    every heartbeat, are gone, and no module of ``repro.obs`` names a
+    spool path."""
     import re
 
     import repro
+    import repro.harness
     import repro.obs
     import repro.obs.telemetry
     src = Path(repro.__file__).parent
@@ -552,13 +559,14 @@ def test_stalled_and_reaped_are_each_decided_once():
                     elif n.func.attr == "claim_age":
                         ages.append(fn.name)
     assert defs == ["transport.py"]
-    assert sorted(callers) == ["collect_status", "reap_stale"]
+    assert sorted(callers) == ["reap_stale"]
     assert sorted(ages) == ["lease", "reap_stale"]
     text = "".join(sources.values())
     assert text.count('emit("lease.reaped"') == 1
     assert text.count('count("lease.reaped")') == 1
     assert not re.search(
-        r"\b(claim_is_stalled|heartbeat_age|DEFAULT_STALL_S)\b", text)
+        r"\b(claim_is_stalled|heartbeat\w*|HEARTBEAT_S|DEFAULT_STALL_S)\b",
+        text)
     obs = "".join(t for p, t in sources.items()
                   if "obs" in p.relative_to(src).parts)
     assert not re.search(r'"(units|claims|results|telemetry)"'
@@ -566,4 +574,5 @@ def test_stalled_and_reaped_are_each_decided_once():
     gone = {"claim_is_stalled", "heartbeat_age", "DEFAULT_STALL_S",
             "FleetStatus", "WorkerStatus", "collect_status",
             "render_status", "telemetry_area"}
-    assert not gone & set(repro.obs.__all__ + repro.obs.telemetry.__all__)
+    assert not gone & set(repro.obs.__all__ + repro.obs.telemetry.__all__
+                          + repro.harness.__all__)

@@ -17,14 +17,10 @@ A-streams are interrupted on a seeded schedule that catches them
 mid-miss, queued at a server and mid-backoff; afterwards no MSHR, line
 lock, server unit or prefetch slot may be left held.
 
-The seeds are ones on which the scenario ends clean.  Interrupting a
-stream mid-sleep leaves that sleep's queue entry behind
-(``Process.interrupt`` does not cancel it), and the stray resumption it
-causes later can orphan a gate inside ``Semaphore.acquire``; on other
-seeds that strands waiters on a free line lock, at the parent commit
-and here alike (CHANGES.md, PR 16).  Both sides of the comparison see
-the same stray resumptions, so they are part of what must come out
-equal; ``max_steps`` turns a scenario that does not end into a failure.
+Every seed of 0--39 must end clean under both queue disciplines
+(``max_steps`` turns a scenario that does not end into a failure); the
+comparison and its shape checks run on two seeds whose schedules catch
+the streams in every state the checks name.
 
 Mutation-checked when written (each makes the test fail): dropping
 ``self.hits += 1`` or the LRU touch from ``L1Tags.hit``; charging a
@@ -382,6 +378,18 @@ def test_flat_wait_path_equals_the_composition_it_replaces(seed, engine_cls,
     assert flat["mem"]["mshr_merges"] and flat["mem"]["prefetch_ex"]
     r1 = flat["breakdowns"]["R1@n1c0"]
     assert r1["memory"] > 0 and r1["lock"] > 0 and r1["jobwait"] > 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_every_seed_ends_with_nothing_held(seed, monkeypatch):
+    """Whatever the schedule cuts short, the scenario finishes and no
+    MSHR, line lock, server unit or prefetch slot is left held (the
+    checks at the end of ``_run``).  An interrupt that found its
+    stream asleep used to leave the sleep queued, and the stray
+    resumption it caused later stranded waiters on a free line lock."""
+    for engine_cls in (Engine, HeapEngine):
+        monkeypatch.setattr("repro.runtime.machine.Engine", engine_cls)
+        _run(_Flat, seed)
 
 
 def test_queue_disciplines_agree_on_the_wait_path(monkeypatch):
