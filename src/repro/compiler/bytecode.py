@@ -166,14 +166,13 @@ class Code:
     line: int = 0
     #: Source line per instruction (parallel to ``instrs``); the
     #: profiler's instr-index -> SlipC line map.  Kept in sync by the
-    #: peephole optimizer and pickled with the image, so disk-cached
-    #: entries carry it too.
+    #: peephole optimizer and carried by the image wherever it goes.
     lines: List[int] = field(default_factory=list)
     #: Generated-code tier payload: ``(python_source, hoisted_consts)``
     #: emitted by :func:`repro.interp.compile.generate_source` when the
-    #: ``compile`` hot-path tier was on at image build.  Pickled with
-    #: the image (the disk cache carries the generated source next to
-    #: the bytecode); exec'd lazily once per process.
+    #: ``compile`` hot-path tier was on at image build.  Kept with the
+    #: image in the in-memory compile cache; exec'd lazily once per
+    #: process.
     gen_src: Optional[Tuple[str, Tuple]] = None
 
     @property
@@ -184,7 +183,7 @@ class Code:
     def __getstate__(self):
         """Pickle without the interpreter's translated-instruction
         cache (``_fast``): it is derived state, rebuilt on first
-        execution, and would only bloat disk-cache entries."""
+        execution, and would only bloat the pickle."""
         state = self.__dict__.copy()
         state.pop("_fast", None)
         return state

@@ -431,11 +431,16 @@ class _Spool:
         """Record that an execution attempt is starting (one appended
         byte; crash-safe across SIGKILL); returns total attempts.  The
         ledger gets a claim's mode: whoever may claim the unit must be
-        able to count its own dead executions."""
+        able to count its own dead executions.  ``attempts/`` is made
+        when the open finds it missing, not before every byte."""
+        path = self.attempt_path(key)
+        flags = os.O_CREAT | os.O_APPEND | os.O_WRONLY
         try:
-            self.attempts.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.attempt_path(key),
-                         os.O_CREAT | os.O_APPEND | os.O_WRONLY, 0o666)
+            try:
+                fd = os.open(path, flags, 0o666)
+            except FileNotFoundError:
+                self.attempts.mkdir(parents=True, exist_ok=True)
+                fd = os.open(path, flags, 0o666)
             try:
                 os.write(fd, b".")
             finally:

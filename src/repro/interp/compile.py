@@ -49,13 +49,23 @@ frame and off the ladder:
   instead of one per block.  ``_MAX_MERGE_NEST`` bounds the nest; the
   block after the cap goes back to the ladder.
 * **collapsed loops** -- a loop whose blocks all merged into its header
-  is ``if b == lo:`` over ``while 1:`` with the header's body directly
-  under it: the back edge is ``continue`` (``b`` never left ``lo``) and
-  ``b`` changes only right before a ``break``, so nothing re-tests it.
+  is ``if b == lo:`` over ``for _t in range(_n):`` with the header's
+  body directly under it: the back edge is ``continue`` (``b`` never
+  left ``lo``) and ``b`` changes only right before a ``break``, so
+  nothing re-tests it.  ``_n`` is the slice budget left (at least 1),
+  so the ``for`` counts the trips the budget allows, and a trip pays
+  no budget test and no charge of its own: the smallest back-edge
+  charge ``K`` is settled as ``c + K * _t`` and ``budget - _t`` before
+  every ``break`` and ``return`` inside the trip (a dearer back edge
+  pays its excess over ``K`` in place), and as ``K * _n`` and
+  ``budget - _n`` in the ``for``'s ``else:``, the loop's one
+  ``TimeSlice`` -- where the per-trip test would have yielded, with
+  the same ``frame.pc`` and budget.  Inside the trip an ``sN = lK``
+  move whose one use is the next line is folded into that line.
   Such a loop keeps its *resident* slots -- those it writes that are
   live at its header -- in Python locals only, and writes them to the
   frame in one line before every ``return`` and ``break`` and in an
-  ``except BaseException:`` handler around the ``while 1:``.  A slot
+  ``except BaseException:`` handler around the ``for``.  A slot
   live at the header is bound at every point inside (liveness made a
   stub or a store bind it before the header), the exits are the loop's
   own lines, and a trap leaves through the handler, so the frame holds
@@ -79,7 +89,9 @@ tier on or off):
 * **yield points** -- shared-memory ops, runtime calls and prints
   return the same event objects in the same order, trying the shell's
   ``fast_read``/``fast_write`` callbacks first; backward jumps decrement
-  the same ``MAX_SLICE`` budget and yield ``TimeSlice`` on exhaustion.
+  the same ``MAX_SLICE`` budget and yield ``TimeSlice`` on exhaustion
+  (a collapsed loop counts its trips instead and settles the budget
+  where it leaves).
 * **state sync** -- ``frame.locals`` is current after every store
   (write-through) and at every exit from a collapsed loop (write-back);
   ``frame.pc``/``frame.stack`` are written back at every exit (event
@@ -104,10 +116,10 @@ whole program stays on the interpreter: the tier is all-or-nothing per
 image, so a partially compiled call chain can never mix conventions.
 
 The generated source is attached to each ``Code`` as ``gen_src`` when
-the image is built (see ``compiler.codegen.compile_program``), pickles
-with the image into the ``npb/cache.py`` disk layer (the ``compile=``
-key flag keeps tier-on and tier-off images apart), and is exec'd
-lazily once per process per program.
+the image is built (see ``compiler.codegen.compile_program``), lives
+with the image in the in-process ``npb/cache.py`` compile cache (the
+``compile=`` key flag keeps tier-on and tier-off images apart), and is
+exec'd lazily once per process per program.
 """
 
 from __future__ import annotations
@@ -115,7 +127,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..compiler.bytecode import (BINOP_COST, ICALL_COST, OP_COST,
                                  RT_RETURNS, Code, CompiledProgram)
@@ -185,6 +197,58 @@ _TERMINAL = _MEM_YIELDS | _LEAVES | frozenset(
 #: A write-through store as the emitter spells it; group 2 is what a
 #: collapsed loop keeps of a store to a resident slot.
 _STORE = re.compile(r"L\[(\d+)\] = (l\1 = )")
+#: A materialized local: stack register ``sN`` takes local ``lK``.
+_MOVE = re.compile(r"s(\d+) = (l\d+)")
+
+
+class _Back(NamedTuple):
+    """A back edge in a block's lines, in place of its text: the static
+    charge its path has not yet added to ``c``.  The assembler writes
+    the edge, budget test and all, or -- in a collapsed loop, whose
+    ``for`` counts the trips -- what the charge exceeds the per-trip
+    charge by and a ``continue``."""
+    charge: float
+
+
+def _forward_moves(lines: List[Tuple]) -> List[Tuple]:
+    """A collapsed loop's lines with every ``sN = lK`` move whose one
+    use is the next line folded into that line.  The next line must sit
+    at the same indent, name ``sN`` once and leave the stack at most N
+    deep (entry N is popped, so no later op reads the register), and no
+    line after it may name ``sN`` before one assigns it afresh: an op
+    that names a popped entry in several lines (a shared load's flat
+    index) keeps its move.  Nothing runs between the two lines and a
+    statement evaluates its right side first, so the next line reads
+    the local's value either way."""
+    lines = list(lines)
+    i = 0
+    while i < len(lines) - 1:
+        ind, text, _t, _d = lines[i]
+        move = _MOVE.fullmatch(text) if isinstance(text, str) else None
+        nind, ntext, ntarget, ndepth = lines[i + 1]
+        if (move and nind == ind and isinstance(ntext, str)
+                and ndepth <= int(move.group(1))):
+            reg = re.compile(r"\bs%s\b" % move.group(1))
+            if (len(reg.findall(ntext)) == 1
+                    and _assigned_before_read(reg, lines[i + 2:])):
+                lines[i + 1] = (nind, reg.sub(move.group(2), ntext),
+                                ntarget, ndepth)
+                del lines[i]
+                continue
+        i += 1
+    return lines
+
+
+def _assigned_before_read(reg, lines: List[Tuple]) -> bool:
+    """Whether the first of ``lines`` to name the register ``reg``
+    matches assigns it afresh, from an expression that does not name it
+    (True when none names it)."""
+    for _ind, text, _t, _d in lines:
+        if isinstance(text, str) and reg.search(text):
+            lhs, eq, rhs = text.partition(" = ")
+            return bool(eq) and reg.fullmatch(lhs) is not None \
+                and not reg.search(rhs)
+    return True
 
 
 def _bexpr(o: str, a: str, b: str) -> Tuple[str, str]:
@@ -530,15 +594,17 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         # snapshot has anything to write back.
         return "L[%d] = l%d = %s" % (k, k, expr)
 
-    bodies: Dict[int, List[Tuple[int, str, Optional[int]]]] = {}
+    bodies: Dict[int, List[Tuple]] = {}
     roots = [pc for pc in order if pc not in inline]
 
-    def emit_block(leader: int, out: List[Tuple[int, str, Optional[int]]],
-                   ind: int, nest: int, pend: float) -> None:
+    def emit_block(leader: int, out: List[Tuple], ind: int, nest: int,
+                   pend: float) -> None:
         """Append the block's lines to ``out`` as ``(indent, text,
-        target)``; ``target`` is the block id a ``b = N`` line transfers
-        to (None on every other line), so the assembler can tell a loop
-        exit from a transfer inside the loop.  ``pend`` is the static
+        target, depth)``; ``target`` is the block id a ``b = N`` line or
+        a back edge (text a :class:`_Back`) transfers to (None on every
+        other line), so the assembler can tell a loop exit from a
+        transfer inside the loop, and ``depth`` is the operand stack's
+        height when the line was written.  ``pend`` is the static
         charge of the blocks this one was merged under (``nest`` of
         them), not yet added to ``c``."""
         pcs = blocks[leader]
@@ -547,7 +613,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         deferred: Optional[Tuple[str, str, bool]] = None
 
         def w(i: int, text: str) -> None:
-            out.append((ind + i, text, None))
+            out.append((ind + i, text, None, d))
 
         def mat() -> None:
             nonlocal deferred
@@ -586,7 +652,8 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 w(i, "c = c + %r" % float(pend))
 
         def transfer(i: int, target_pc: int) -> None:
-            out.append((ind + i, "b = %d" % bid[target_pc], bid[target_pc]))
+            out.append((ind + i, "b = %d" % bid[target_pc], bid[target_pc],
+                        d))
 
         def goto(i: int, target_pc: int) -> None:
             """Continue at a block: in place when this is the one edge
@@ -609,14 +676,8 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             goto(1, target_pc)
 
         def back_jump(target_pc: int) -> None:
-            flush(0)
-            w(0, "budget = budget - 1")
-            w(0, "if budget <= 0:")
-            w(1, "frame.pc = %d" % target_pc)
-            w(1, sync(d))
-            w(1, "vm.pending_cycles = vm.pending_cycles + c")
-            w(1, "return _TimeSlice(), budget")
-            transfer(0, target_pc)           # a resume point: never merged
+            # A resume point: never merged.
+            out.append((ind, _Back(float(pend)), bid[target_pc], d))
 
         def mem_load(pc: int, gidx: int, flat: str) -> None:
             # d is the depth after operand pops, before the result push;
@@ -931,53 +992,111 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         return "%s = %s" % (", ".join("L[%d]" % k for k in slots),
                             ", ".join(ld(k) for k in slots))
 
+    def back_edge(ind: int, charge: float, target: int, depth: int,
+                  back: Optional[str]) -> None:
+        """A back edge as a ladder runs it: one budget unit a trip, and
+        the slice ends at the target when the budget does."""
+        if charge:
+            w(ind, "c = c + %r" % charge)
+        w(ind, "budget = budget - 1")
+        w(ind, "if budget <= 0:")
+        w(ind + 1, "frame.pc = %d" % order[target])
+        w(ind + 1, sync(depth))
+        w(ind + 1, "vm.pending_cycles = vm.pending_cycles + c")
+        if back:
+            w(ind + 1, back)
+        w(ind + 1, "return _TimeSlice(), budget")
+        w(ind, "b = %d" % target)
+
     def emit_body(ind: int, node: int, loop: Tuple[int, int],
-                  resident: Tuple[int, ...] = ()) -> None:
+                  resident: Tuple[int, ...] = (),
+                  trip: Optional[float] = None) -> None:
         """One ladder block with everything merged under it.  ``loop``
         is the id range of the innermost ``while`` around it: a transfer
         out of that range also breaks, which skips the guards left in
-        the ladder.  A range of the block alone is a collapsed loop:
-        ``b`` never leaves the header's id, so the back edge is a bare
-        ``continue``; its stores to ``resident`` slots skip the frame,
-        which gets them back before every ``return`` and ``break``."""
-        collapsed = loop == (node, node)
+        the ladder.  ``trip`` is set for the header of a collapsed loop,
+        written under its ``for``: the per-trip charge.  There a back
+        edge to ``node`` is a ``continue`` that pays only what its path
+        costs above ``trip``, every transfer leaves the ``for``, and the
+        trips before this one are settled once on the way out of it
+        (``c + trip * _t``, ``budget - _t``); stores to ``resident``
+        slots skip the frame, which gets them back before every
+        ``return`` and ``break``."""
         back = write_back(resident) if resident else None
-        for sub, text, target in bodies[node]:
-            if collapsed and target == node:
-                w(ind + sub, "continue")
-                continue
-            if back:
-                store = _STORE.match(text)
-                if store and int(store.group(1)) in resident:
-                    text = text[store.start(2):]
-                elif text.startswith("return "):
-                    w(ind + sub, back)
-            w(ind + sub, text)
-            if target is not None and not loop[0] <= target <= loop[1]:
+        lines = bodies[node]
+        if trip is not None:
+            lines = _forward_moves(lines)
+
+        def settle(i: int) -> None:
+            w(i, "c = c + %r * _t" % trip)
+            w(i, "budget = budget - _t")
+
+        for sub, text, target, depth in lines:
+            i = ind + sub
+            owed = trip is not None
+            if isinstance(text, _Back):
+                if owed and target == node:
+                    if text.charge > trip:
+                        w(i, "c = c + %r" % (text.charge - trip))
+                    w(i, "continue")
+                    continue
+                if owed:
+                    settle(i)
+                    owed = False
+                back_edge(i, text.charge, target, depth, back)
+            else:
                 if back:
-                    w(ind + sub, back)
-                w(ind + sub, "break")
+                    store = _STORE.match(text)
+                    if store and int(store.group(1)) in resident:
+                        text = text[store.start(2):]
+                    elif text.startswith("return "):
+                        w(i, back)
+                if owed and text.startswith("vm.pending_cycles = "):
+                    settle(i)
+                w(i, text)
+            if target is not None and (
+                    trip is not None or not loop[0] <= target <= loop[1]):
+                if back:
+                    w(i, back)
+                if owed:
+                    settle(i)
+                w(i, "break")
 
     def emit_collapsed(ind: int, lo: int) -> None:
         """A loop whose blocks all merged into its header: ``b`` is
-        tested once on the way in, and the slots live at the header
-        that the loop writes stay Python locals until it exits (or
-        traps: the handler writes them back and re-raises)."""
-        written = {int(store.group(1)) for _sub, text, _t in bodies[lo]
-                   if (store := _STORE.match(text))}
+        tested once on the way in, the ``for`` counts the trips the
+        slice budget allows, and the slots live at the header that the
+        loop writes stay Python locals until it exits (or traps: the
+        handler writes them back and re-raises).  The ``for``'s
+        ``else:`` is the slice ending where the last trip's back edge
+        would have ended it, with the budget spent."""
+        written = {int(store.group(1)) for _sub, text, _t, _d in bodies[lo]
+                   if isinstance(text, str) and (store := _STORE.match(text))}
         resident = tuple(k for k in sorted(written)
                          if live[order[lo]] >> k & 1)
+        # The cheapest back-edge path: what every trip pays.
+        trip = min((text.charge for _sub, text, target, _d in bodies[lo]
+                    if isinstance(text, _Back) and target == lo),
+                   default=0.0)
         w(ind, "if b == %d:" % lo)
-        if not resident:
-            w(ind + 1, "while 1:")
-            emit_body(ind + 2, lo, (lo, lo))
-            return
-        w(ind + 1, "try:")
-        w(ind + 2, "while 1:")
-        emit_body(ind + 3, lo, (lo, lo), resident)
-        w(ind + 1, "except BaseException:")
-        w(ind + 2, write_back(resident))
-        w(ind + 2, "raise")
+        w(ind + 1, "_n = budget if budget > 0 else 1")
+        inner = ind + 2 if resident else ind + 1
+        if resident:
+            w(ind + 1, "try:")
+        w(inner, "for _t in range(_n):")
+        emit_body(inner + 1, lo, (lo, lo), resident, trip)
+        w(inner, "else:")
+        w(inner + 1, "frame.pc = %d" % order[lo])
+        w(inner + 1, sync(depths[order[lo]]))
+        w(inner + 1, "vm.pending_cycles = vm.pending_cycles + (c + %r * _n)"
+          % trip)
+        if resident:
+            w(inner + 1, write_back(resident))
+        w(inner + 1, "return _TimeSlice(), budget - _n")
+        if resident:
+            w(ind + 1, "except BaseException:")
+            w(ind + 2, write_back(resident))
+            w(ind + 2, "raise")
 
     def emit_nodes(ind: int, nodes: List, loop: Tuple[int, int]) -> None:
         """A ladder of ``if b == k:`` guards in fall-through order; long

@@ -43,8 +43,8 @@ class KernelSpec:
         Served through the content-addressed compile cache: the key is
         the generated source (which embeds every parameter) plus the
         compiler fingerprint, so a sweep compiles each distinct
-        (bench, size, params) point once per process -- and once per
-        machine when the disk layer is enabled.
+        (bench, size, params) point once per process (the cache is in
+        memory only).
         """
         params = dict(self.sizes[size])
         params.update(overrides)

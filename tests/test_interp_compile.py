@@ -220,15 +220,19 @@ def frame_state(vm):
         for f in vm.frames)
 
 
-def drive(prog, compiled, fast=False, frames=True):
+def drive(prog, compiled, fast=False, frames=True, spy=None, trap=False):
     """Run to Done, logging every event with its cycles and -- unless
     the runs compared are of two different images -- the state of every
     frame at the event; optionally with fast-path hooks that hit on even
     flat indices and miss on odd.  Runtime calls are served as a team of
-    one by the functional runner."""
+    one by the functional runner.  ``spy(vm)`` sees the VM before it
+    runs; with ``trap`` a ``VMError`` ends the log as its last entry
+    (message, cycles and the top frame's locals)."""
     vm = VM(prog, prog.main_index)
     if not compiled:
         vm.disable_compiled()
+    if spy is not None:
+        spy(vm)
     rt = FunctionalRunner(prog)
     rt.store = store = DictStore(prog)
     if fast:
@@ -244,7 +248,14 @@ def drive(prog, compiled, fast=False, frames=True):
         vm.fast_write = fast_write
     trace = []
     for _ in range(200_000):
-        ev = vm.run()
+        try:
+            ev = vm.run()
+        except VMError as e:
+            if not trap:
+                raise
+            trace.append(("TRAP", str(e), vm.take_cycles(),
+                          frame_state(vm)[-1][3]))
+            return trace, store.data, vm
         at = (vm.take_cycles(),)
         if frames:
             at += (frame_state(vm),)
@@ -614,6 +625,148 @@ def test_trap_mid_trip_of_a_collapsed_loop_identical():
     assert "division by zero" in message and locs == (16, 0, 2, 18)
 
 
+# -------------------------------------------------------- counted trips
+#
+# A collapsed loop is a ``for`` over the trips the slice budget allows:
+# a trip neither charges ``c`` nor steps the budget, and each exit
+# settles both for the trips before it.  Every case runs one collapsed
+# loop in ``f`` over a trip counter ``k``, compares every event
+# (cycles, pc, stack, locals) with the interpreter's, and holds every
+# budget ``f``'s generated function hands back to the interpreter's
+# rule: one unit per back edge, and the slice ends when none is left.
+# The even-hit hooks take the loop's exit through a shared load that
+# hits (a ``break``), the plain run through one that misses (a
+# ``return``).
+
+def _budget_log(prog):
+    """``(log, spy)``: ``spy(vm)`` wraps ``f``'s generated function on
+    the VM, and each call logs (budget in, budget out, trips ``k`` ran,
+    event type)."""
+    fi = prog.func_index["f"]
+    slot = prog.funcs[fi].local_names.index("k")
+    log = []
+
+    def spy(vm):
+        fn = vm._cfns[fi]
+
+        def counted(vm_, frame, budget):
+            k = frame.locals[slot]
+            ev, left = fn(vm_, frame, budget)
+            log.append((budget, left, frame.locals[slot] - k, type(ev)))
+            return ev, left
+        vm._cfns = list(vm._cfns)
+        vm._cfns[fi] = counted
+    return log, spy
+
+
+def _assert_counted_trips_exact(src, max_slice, monkeypatch):
+    """Both hook modes: the same events as the interpreter, and the
+    budget rule at every return from ``f``.  Returns the last trace."""
+    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+    monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
+    prog = compile_source(src)
+    assert _COLLAPSED.search(prog.funcs[prog.func_index["f"]].gen_src[0])
+    for fast in (False, True):
+        log, spy = _budget_log(prog)
+        interp = drive(prog, compiled=False, fast=fast, trap=True)
+        compiled = drive(prog, compiled=True, fast=fast, spy=spy, trap=True)
+        assert_same_drive(interp, compiled, f"interp vs compiled, {fast=}")
+        assert log
+        for given, left, trips, kind in log:
+            assert left == given - trips, (given, left, trips, kind)
+            assert (left <= 0) == (kind is TimeSlice), (given, left, kind)
+    return interp[0]
+
+
+#: ``f`` runs one collapsed loop over private scalars and leaves through
+#: a shared load; ``main`` spends what is left of the slice after it.
+_COUNTED = """
+double g;
+double out[4];
+double f(int n) {
+    int k; double x;
+    x = 0.5;
+    k = 0;
+    while (k < n) {
+        %s
+    }
+    return x + g;
+}
+void main() {
+    int i; double s;
+    s = 0.0;
+    %s
+    for (i = 0; i < 30; i = i + 1) { s = s * 0.5 + 1.0; }
+    out[0] = s;
+}
+"""
+_ONE_PATH = "x = x * 1.5 - 0.25; k = k + 1;"
+_TRIPS = 6
+
+
+@pytest.mark.parametrize("max_slice", [_TRIPS - 1, _TRIPS, _TRIPS + 1])
+def test_slice_ends_on_the_trips_around_a_collapsed_loops_last(
+        max_slice, monkeypatch):
+    """The slice runs out on trip k-1 of a k-trip loop (the resume runs
+    one trip more), on trip k (the resume leaves at once) or one back
+    edge past the loop (it leaves holding one unit of budget, which
+    ``main``'s loop spends)."""
+    trace = _assert_counted_trips_exact(
+        _COUNTED % (_ONE_PATH, "s = f(%d);" % _TRIPS), max_slice, monkeypatch)
+    assert any(e[0] == "TS" for e in trace)
+
+
+@pytest.mark.parametrize("max_slice", [1, 2, 3, _DEFAULT_SLICE])
+def test_collapsed_loop_entered_for_no_trip(max_slice, monkeypatch):
+    """``f(0)`` leaves its loop on the test of trip 0 with nothing to
+    settle; the calls after it run 1, 2 and 3 trips in the same slice."""
+    _assert_counted_trips_exact(
+        _COUNTED % (_ONE_PATH, "for (i = 0; i < 4; i = i + 1) "
+                                "{ s = s + f(i); }"),
+        max_slice, monkeypatch)
+
+
+@pytest.mark.parametrize("max_slice", [2, 3, 4, 5, _DEFAULT_SLICE])
+def test_collapsed_loop_with_back_edges_of_different_charge(max_slice,
+                                                            monkeypatch):
+    """Every third trip takes the dearer arm to its own back edge: the
+    per-trip charge is the cheaper path's, and the dearer one pays its
+    excess in place before its ``continue``."""
+    src = _COUNTED % ("k = k + 1; if (k % 3 == 0) { x = x * 0.5 + 1.0; "
+                      "continue; } x = x - 0.25;", "s = f(8);")
+    prog = compile_source(src)
+    gen = prog.funcs[prog.func_index["f"]].gen_src[0]
+    assert re.search(r"c = c \+ [\d.]+\n\s*continue\n", gen)
+    assert gen.count("continue") == 2
+    _assert_counted_trips_exact(src, max_slice, monkeypatch)
+
+
+@pytest.mark.parametrize("max_slice", [2, 4, 7, _DEFAULT_SLICE])
+def test_trap_mid_trip_after_counted_trips(max_slice, monkeypatch):
+    """``f(12)`` and ``f(10)`` run nine trips and return; ``f(3)`` traps
+    in ``_div`` on its third trip.  Every event before the trap carries
+    the settled trips, and the trap leaves the resident slots of that
+    trip in the frame: d = 0, a = 16, k = 2, q = 18."""
+    src = """
+int out[4];
+int f(int d) {
+    int a; int k; int q;
+    a = 1; k = 0; q = 0;
+    while (k < 9) { a = a + 5; d = d - 1; q = q + 12 / d; k = k + 1; }
+    return q;
+}
+void main() {
+    int s;
+    s = f(12); out[0] = s;
+    s = s + f(10); out[1] = s;
+    s = s + f(3); out[2] = s;
+}
+"""
+    trace = _assert_counted_trips_exact(src, max_slice, monkeypatch)
+    assert trace[-1][0] == "TRAP" and "division by zero" in trace[-1][1]
+    assert trace[-1][3] == (0, 16, 2, 18)
+
+
 # ------------------------------------------------------------- liveness
 #
 # Generated code reads a frame local as the Python local ``l<k>``, bound
@@ -859,7 +1012,9 @@ _LOCAL_STORE = re.compile(r"\s*L\[(\d+)\] = l\1 = ")
 #: A collapsed loop's resident slots going back to the frame at an exit.
 _WRITE_BACK = re.compile(r"\s*L\[(\d+)\](, L\[\d+\])* = l\1(, l\d+)*$")
 #: The header of a collapsed loop, with or without a resident set.
-_COLLAPSED = re.compile(r"( *)if b == \d+:\n\1 (try:\n\1  )?while 1:\n")
+_COLLAPSED = re.compile(r"( *)if b == \d+:\n"
+                        r"\1 _n = budget if budget > 0 else 1\n"
+                        r"\1 (try:\n\1  )?for _t in range\(_n\):\n")
 
 
 def _line_hits(src):
@@ -964,13 +1119,18 @@ void main() {{
 def test_private_scalar_loop_runs_on_python_locals(monkeypatch):
     """What the ``vm_dense`` claim rests on: a trip of a loop over
     private scalars is no dispatch (the collapsed loop tests ``b`` once
-    on the way in), one charge, and no frame access at all -- x, y and
+    on the way in), no charge and no budget step (the ``for`` counts
+    the trips, and the exits settle both), no register copy of a local
+    used once on the next line, and no frame access at all -- x, y and
     k are resident and reach the frame where the loop exits;
     ``min``/``max`` name their literal operand in place."""
     monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     trip = _lines_of_one_iteration(_dense_loop)
     assert [t for t in trip if _DISPATCH_LINE.match(t)] == []
-    assert sum(t.lstrip().startswith("c = c + ") for t in trip) == 1
+    assert [t for t in trip if t.lstrip().startswith("c = c + ")] == []
+    assert [t for t in trip if "budget" in t] == []
+    assert [t for t in trip if re.match(r"\s*s\d+ = l\d+$", t)] == []
+    assert sum(t.lstrip().startswith("for _t in ") for t in trip) == 1
     assert [t for t in trip if "L[" in t] == []
     assert any("if s0 > -3.0 else -3.0" in t for t in trip)
     assert any("if s0 < 3.0 else 3.0" in t for t in trip)

@@ -186,6 +186,32 @@ def test_spool_driver_asks_the_directory_not_every_pending_unit(
     assert spool.pending_keys() == []
 
 
+def test_the_attempts_ledger_makes_its_directory_once(tmp_path,
+                                                      monkeypatch):
+    """``record_attempt`` makes ``attempts/`` only when opening a ledger
+    finds it missing: one ``mkdir`` of it in a 20-unit spool sweep
+    (execution stubbed out), where making it before every ledger byte
+    made one a unit."""
+    import repro.harness.transport as ht
+    from repro.harness.runner import BenchRun
+    specs = [_tiny(48 + i) for i in range(20)]
+    canned = {s: BenchRun("ep", "single", None, dict(s.params))
+              for s in specs}
+    monkeypatch.setattr(ht, "execute_spec", canned.__getitem__)
+    made = []
+    real = os.mkdir
+
+    def mkdir(path, *args, **kw):
+        made.append(os.fspath(path))
+        return real(path, *args, **kw)
+    monkeypatch.setattr(os, "mkdir", mkdir)
+    root = tmp_path / "sp"
+    pipe = ExecutionPipeline(transport=DirQueueTransport(root))
+    assert pipe.run(specs) == [canned[s] for s in specs]
+    assert pipe.counters.get("unit.executed") == 20
+    assert made.count(str(root / "attempts")) == 1
+
+
 @pytest.mark.parametrize("umask", (0o002, 0o022, 0o077),
                          ids=("002", "022", "077"))
 def test_entries_are_readable_by_whoever_may_read_the_directory(
