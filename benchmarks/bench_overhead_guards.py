@@ -109,7 +109,7 @@ def test_telemetry_overhead(once, tmp_path):
             tel.close()
 
     _guard(once, "harness-telemetry cost, 8-run static sweep", "telemetry",
-           "off (default)", "on (event log + metrics)",
+           "off (default)", "on (event log)",
            off=lambda tag: ExecutionPipeline().run(specs), on=live)
 
 

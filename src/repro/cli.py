@@ -62,10 +62,10 @@ def _pipeline_args(p: argparse.ArgumentParser) -> None:
                         "run-result memo store (REPRO_MEMO_DIR, default "
                         "~/.cache/repro/results)")
     p.add_argument("--telemetry", metavar="DIR", default=None,
-                   help="record the wall-clock telemetry event log and "
-                        "metrics under DIR ('python -m "
-                        "repro.obs.telemetry DIR --trace OUT.json' "
-                        "exports its wall-clock timeline)")
+                   help="record the wall-clock telemetry event log "
+                        "under DIR ('python -m repro.obs.telemetry DIR "
+                        "--trace OUT.json' exports its wall-clock "
+                        "timeline)")
 
 
 def _verbosity_args(p: argparse.ArgumentParser) -> None:

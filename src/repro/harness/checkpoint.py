@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -69,14 +68,14 @@ class ResultStore:
 
     suffix = ".run"
 
-    #: Prefix of the wall-clock histograms this store records
-    #: (``<prefix>.lookup_s`` / ``<prefix>.store_s``); subclasses
-    #: override so journal and memo latencies stay distinguishable.
+    #: The ``what`` label this store's entries carry in quarantine
+    #: records (``integrity.corrupt``) and at hazard sites; subclasses
+    #: override so journal and memo entries stay distinguishable.
     metric_prefix = "store"
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        #: Telemetry session lookups/publishes are timed through (the
+        #: Telemetry session corrupt entries are recorded through (the
         #: pipeline attaches its own; default is the null session).
         self.telemetry = NULL_TELEMETRY
 
@@ -91,14 +90,9 @@ class ResultStore:
         ``<root>/corrupt/`` (a logged miss, so the unit simply
         re-executes) -- a hit is only ever served after verification.
         """
-        t0 = time.perf_counter()
-        try:
-            got = read_verified(
-                self._path(key), f"{self.root}{os.sep}corrupt",
-                self.telemetry, self.metric_prefix, key)
-        finally:
-            self.telemetry.observe(f"{self.metric_prefix}.lookup_s",
-                                   time.perf_counter() - t0)
+        got = read_verified(
+            self._path(key), f"{self.root}{os.sep}corrupt",
+            self.telemetry, self.metric_prefix, key)
         return got if got and isinstance(got[0], BenchRun) else None
 
     def get(self, key: str) -> Optional[BenchRun]:
@@ -110,15 +104,11 @@ class ResultStore:
         """Atomically publish an already framed payload under ``key``;
         False if the store is unwritable (the sweep proceeds without
         durability)."""
-        t0 = time.perf_counter()
         try:
             publish_frame(data, self._path(key), self.metric_prefix)
             return True
         except OSError:
             return False
-        finally:
-            self.telemetry.observe(f"{self.metric_prefix}.store_s",
-                                   time.perf_counter() - t0)
 
     def put(self, key: str, run: BenchRun) -> bool:
         """Pickle, frame and :meth:`put_framed` ``run``."""

@@ -157,9 +157,7 @@ class HazardPlan(Schedule):
         rec = {"kind": kind, "site": site,
                "index": self._seen[kind] - 1, **detail}
         self.injected.append(rec)
-        self.telemetry.emit("hazard.injected", **{k: v for k, v in
-                                                  rec.items()})
-        self.telemetry.count("hazard.injected")
+        self.telemetry.emit("hazard.injected", **rec)
 
     # -- site helpers --------------------------------------------------------
 

@@ -164,7 +164,6 @@ def read_verified(path: str, quarantine_to: Optional[Path] = None,
         telemetry.emit("integrity.corrupt", unit=unit, what=what,
                        file=name, error=f"{exc}"[:200],
                        quarantined=str(moved) if moved else None)
-        telemetry.count("integrity.corrupt")
         _LOG.warning("integrity: corrupt %s %s (%s)%s", what, name,
                      exc, f" -> quarantined to {moved}" if moved else "")
         return None

@@ -28,17 +28,19 @@ transport and through any kill-and-resume.
 Effectiveness counters are recorded through the standard
 :class:`~repro.obs.probe.Probe` API on a ``pipeline`` track and
 surface in :attr:`rt_stats` (mirroring ``RunResult.rt_stats``) and on
-the CLI sweep summary line.
+the CLI sweep summary line; with a live telemetry session the summary
+also reads the execution-time percentiles off the event log.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.aggregate import Counter
 from ..obs.probe import Probe
-from ..obs.telemetry import NULL_TELEMETRY
+from ..obs.telemetry import NULL_TELEMETRY, TERMINAL_EVENTS
 from .checkpoint import CheckpointJournal, MemoStore
 from .jobs import RunSpec, SweepPlan
 from .runner import BenchRun
@@ -70,7 +72,7 @@ class ExecutionPipeline:
         #: Effectiveness counters (memo.hit/memo.miss/unit.resumed/
         #: unit.executed/unit.deduped), recorded via the Probe API.
         self.probe = Probe("pipeline", counters=self.counters)
-        #: Wall-clock telemetry session (event log, metrics); default
+        #: Wall-clock telemetry session (the event log); default
         #: is the zero-cost null session.  The
         #: same session is attached to every stage so one record
         #: stream covers the whole sweep.
@@ -187,7 +189,6 @@ class ExecutionPipeline:
 
     def _stage_finish(self, stage: str, t0: float, **fields) -> None:
         dt = time.perf_counter() - t0
-        self.telemetry.observe(f"stage.{stage}_s", dt)
         self.telemetry.emit("stage.finished", stage=stage,
                             wall_s=round(dt, 6), **fields)
 
@@ -195,19 +196,9 @@ class ExecutionPipeline:
 
     @property
     def rt_stats(self) -> Dict[str, Dict[str, float]]:
-        """Pipeline counters in ``RunResult.rt_stats`` shape.
-
-        With a live telemetry session a second ``harness`` track holds
-        the flattened wall-clock metrics (queue wait / execution-time
-        histograms, retry counts, stage timings)."""
+        """Pipeline counters in ``RunResult.rt_stats`` shape."""
         counts = self.counters.as_dict()
-        out: Dict[str, Dict[str, float]] = (
-            {"pipeline": counts} if counts else {})
-        if self.telemetry.enabled:
-            flat = self.telemetry.metrics.flat()
-            if flat:
-                out["harness"] = flat
-        return out
+        return {"pipeline": counts} if counts else {}
 
     def summary(self) -> str:
         """One-line sweep summary (the CLI prints this)."""
@@ -225,12 +216,13 @@ class ExecutionPipeline:
         if self.quarantined_units:
             parts.append(f"{len(self.quarantined_units)} QUARANTINED "
                          f"(poison)")
-        if self.telemetry.enabled:
-            hist = self.telemetry.metrics.histograms.get("unit.exec_s")
-            if hist is not None and len(hist):
-                parts.append(f"exec p50 {hist.percentile(50):.2f}s / "
-                             f"p90 {hist.percentile(90):.2f}s / "
-                             f"p99 {hist.percentile(99):.2f}s")
+        walls = sorted(r["wall_s"] for r in self.telemetry.records
+                       if r["event"] in TERMINAL_EVENTS and "wall_s" in r)
+        if walls:
+            p50, p90, p99 = (walls[math.ceil(p * len(walls) / 100) - 1]
+                             for p in (50, 90, 99))
+            parts.append(f"exec p50 {p50:.2f}s / p90 {p90:.2f}s / "
+                         f"p99 {p99:.2f}s")
         return "pipeline: " + ", ".join(parts)
 
     # -- transport health (CLI exit-code plumbing) ---------------------------

@@ -67,7 +67,7 @@ from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
+from ..obs.telemetry import NULL_TELEMETRY
 from ..runtime import SimDeadlockError
 from . import hazards
 from .integrity import atomic_pickle, load_verified
@@ -117,7 +117,6 @@ def _emit_terminal(tel, key: str, spec, run, wall_s) -> None:
     explains every outcome, not only raised ones."""
     fields = {}
     if wall_s is not None:
-        tel.observe("unit.exec_s", wall_s)
         fields["wall_s"] = round(wall_s, 6)
     if isinstance(run, BaseException):
         kind = "hang" if isinstance(run, SimDeadlockError) else "crash"
@@ -142,9 +141,8 @@ def _emit_terminal(tel, key: str, spec, run, wall_s) -> None:
 
 def _quarantined(tel, key: str, spec, attempts: int):
     """A poison unit's loud placeholder result, announced on ``tel``
-    (``unit.quarantined`` event + count) -- driver and worker alike."""
+    (a ``unit.quarantined`` event) -- driver and worker alike."""
     tel.emit("unit.quarantined", unit=key, spec=spec, attempts=attempts)
-    tel.count("unit.quarantined")
     return quarantined_run(spec, attempts)
 
 
@@ -189,11 +187,7 @@ class Transport:
                     on_result: OnResult) -> None:
         """Execute ``units`` in order in the driver process."""
         tel = self.telemetry
-        t0 = time.perf_counter()
         for unit in units:
-            # Queue wait for in-process execution is time spent behind
-            # earlier units of the same dispatch.
-            tel.observe("unit.queue_wait_s", time.perf_counter() - t0)
             run = _telemetered(tel, unit.key, unit.spec,
                                lambda spec=unit.spec: execute_spec(spec))
             on_result(unit, run)
@@ -271,8 +265,7 @@ class _Spool:
                             execution -- the poison-unit ledger (file
                             size = attempts survived so far);
     ``corrupt/``            quarantined files that failed integrity
-                            verification (kept as evidence);
-    ``telemetry/``          the workers' event logs.
+                            verification (kept as evidence).
 
     All payload files are integrity-framed; loads verify and treat a
     corrupt file as a quarantined miss.  What is published is asked of
@@ -285,17 +278,17 @@ class _Spool:
     claim is stalled is :meth:`stall`, and taking it back :meth:`reap`.
     """
 
-    def __init__(self, root, telemetry=NULL_TELEMETRY):
+    def __init__(self, root):
         self.root = Path(root)
         self.units = self.root / "units"
         self.claims = self.root / "claims"
         self.results = self.root / "results"
         self.corrupt = self.root / "corrupt"
         self.attempts = self.root / "attempts"
-        self.area = self.root / "telemetry"
-        #: Session integrity problems are reported through (attached
-        #: by the transport / worker that owns this spool handle).
-        self.telemetry = telemetry
+        #: Session leases and integrity problems are recorded through
+        #: (the driver's transport attaches its own; a pool's child
+        #: keeps the null session).
+        self.telemetry = NULL_TELEMETRY
 
     def ensure(self) -> None:
         for d in (self.units, self.claims, self.results):
@@ -405,12 +398,11 @@ class _Spool:
 
     def reap(self, key: str, lease_s: float) -> None:
         """Take a lease back -- the one way a claim is reaped: release
-        it, one ``lease.reaped`` event and one count.  Whatever the
+        it and record one ``lease.reaped`` event.  Whatever the
         holder was running is abandoned; if it publishes later, the
         atomic replace writes the same bytes."""
         self.release(key)
         self.telemetry.emit("lease.reaped", unit=key, lease_s=lease_s)
-        self.telemetry.count("lease.reaped")
 
     def reap_stale(self, keys, lease_s: float) -> List[str]:
         """Reap the stalled claims among ``keys`` (:meth:`stall` on one
@@ -504,13 +496,13 @@ class _Spool:
 
         A ledger at :data:`POISON_AFTER` yields the quarantine
         placeholder, unexecuted.  Otherwise: one ledger byte,
-        ``unit.claimed``, the queue wait (spec file age), ``execute()``
-        under :func:`_telemetered`; what it raises is the payload, as a
-        :class:`_UnitFailure`.  A publish that fails (ENOSPC/EIO) is
-        counted and returned, never raised: what a lost spool copy
-        means is the caller's call.  Only a real result that reached
-        the disk clears the ledger (*consecutive* dead executions are
-        what counts); the lease is released whatever happened.
+        ``unit.claimed``, ``execute()`` under :func:`_telemetered`;
+        what it raises is the payload, as a :class:`_UnitFailure`.  A
+        publish that fails (ENOSPC/EIO) is logged and returned, never
+        raised: what a lost spool copy means is the caller's call.
+        Only a real result that reached the disk clears the ledger
+        (*consecutive* dead executions are what counts); the lease is
+        released whatever happened.
         """
         tel = self.telemetry
         attempts = self.attempt_count(key)
@@ -519,9 +511,6 @@ class _Spool:
         else:
             self.record_attempt(key)
             tel.emit("unit.claimed", unit=key, spec=spec)
-            wait = self.file_age(self.unit_path(key))
-            if wait is not None:
-                tel.observe("unit.queue_wait_s", wait)
             try:
                 payload = _telemetered(tel, key, spec, execute)
             except Exception as e:          # noqa: BLE001 - republished
@@ -531,7 +520,6 @@ class _Spool:
             published = True
         except OSError as e:
             published = False
-            tel.count("publish.failed")
             _LOG.warning("publish failed for unit %s (%s); lease released "
                          "without a spool copy", key[:12], e)
         if (published and attempts < POISON_AFTER
@@ -577,9 +565,9 @@ class DirQueueTransport(Transport):
         return f"spool({self.spool.root})"
 
     def _dispatch(self, units: List[WorkUnit], on_result: OnResult) -> None:
-        spool, tel = self.spool, self.telemetry
+        spool = self.spool
         spool.ensure()
-        spool.telemetry = tel
+        spool.telemetry = self.telemetry
         litter = spool.gc_tmp(older_than_s=self.lease_s)
         if litter:
             self._note(f"collected {len(litter)} leftover tmp file(s) "
@@ -589,7 +577,6 @@ class DirQueueTransport(Transport):
             try:
                 spool.enqueue(u.key, u.spec)
             except OSError as e:
-                tel.count("publish.failed")
                 self._note(f"enqueue failed for unit {u.key[:12]} ({e}); "
                            f"driver will execute it inline")
         while pending:
@@ -638,11 +625,8 @@ class DirQueueTransport(Transport):
                 raise payload.unwrap()
             self._deliver(unit, payload, on_result)
 
-    def _harvest(self, unit: WorkUnit, run, on_result: OnResult) -> None:
-        """Deliver a result another process published (its own log,
-        in the spool's telemetry area, tells how it ran)."""
-        self.telemetry.count("unit.harvested")
-        self._deliver(unit, run, on_result)
+    #: Deliver a result another process published.
+    _harvest = Transport._deliver
 
     def _idle(self, pending) -> List[str]:
         """The driver's idle step, every pending unit leased out:
@@ -664,13 +648,11 @@ class PoolTransport(DirQueueTransport):
     #: waits up to one interval for the last child's result.
     poll_s = 0.01
 
-    def __init__(self, jobs: Optional[int] = None,
-                 start_method: Optional[str] = None):
+    def __init__(self, jobs: Optional[int] = None):
         Transport.__init__(self)        # the spool is made per dispatch
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs or os.cpu_count() or 1
-        self.start_method = start_method
         self._children: Dict[int, object] = {}
 
     def describe(self) -> str:
@@ -682,7 +664,9 @@ class PoolTransport(DirQueueTransport):
             self._run_inline(units, on_result)
             return
         import multiprocessing as mp
-        ctx = mp.get_context(self.start_method)
+        # Forked, always: a child inherits the driver's compile cache,
+        # and a chaos child arms from the environment it has at fork.
+        ctx = mp.get_context("fork")
         root = tempfile.mkdtemp(prefix="repro-pool-")
         self.spool, self._children = _Spool(root), {}
         try:
@@ -707,8 +691,8 @@ class PoolTransport(DirQueueTransport):
             shutil.rmtree(root, ignore_errors=True)
 
     def _harvest(self, unit: WorkUnit, run, on_result: OnResult) -> None:
-        """A child's log goes with the private spool: record the unit
-        on the driver's track instead, timed by the child."""
+        """A child records nothing: record the unit on the driver's
+        track, timed by the child."""
         tel = self.telemetry
         tel.emit("unit.claimed", unit=unit.key, spec=unit.spec)
         _emit_terminal(tel, unit.key, unit.spec, run,
@@ -745,12 +729,11 @@ def run_worker(root) -> int:
 
     Robustness contract:
 
-    * **SIGTERM drains**: the handler only flips a flag (no I/O, no
-      telemetry from signal context) that the loop checks at every
-      unit boundary, so the in-flight unit finishes, publishes, and
-      releases its claim before the loop exits (``worker.stopped``
-      carries ``reason="sigterm"``); only SIGKILL abandons work, and
-      that is exactly what lease reaping recovers.
+    * **SIGTERM drains**: the handler only flips a flag (no I/O from
+      signal context) that the loop checks at every unit boundary, so
+      the in-flight unit finishes, publishes, and releases its claim
+      before the loop exits; only SIGKILL abandons work, and that is
+      exactly what lease reaping recovers.
     * Another process's stalled lease (:meth:`_Spool.stall`) is
       reaped, and a publish that fails (disk full) releases the claim
       so another process retries -- the worker never wedges on a bad
@@ -761,18 +744,16 @@ def run_worker(root) -> int:
     * Failing specs are published as failure records for the driver to
       re-raise; the worker itself keeps going.
 
-    The lifecycle -- attach, claims, skips, per-unit start/terminal,
-    detach -- is recorded in the spool's ``telemetry/`` area; skipped
-    units and reaped leases are warnings on the ``repro.worker`` logger.
+    The worker keeps no event log: what it settles reaches the sweep's
+    record through the driver, which records each harvested unit timed
+    by the worker (:meth:`PoolTransport._harvest`).  Skipped units and
+    reaped leases are warnings on the ``repro.worker`` logger.
     """
     log = _WORKER_LOG
     spool = _Spool(root)
-    tel = spool.telemetry = Telemetry(root=spool.area)
     spool.ensure()
     plan = hazards.current()
     spool.gc_tmp(older_than_s=LEASE_S)
-    tel.emit("worker.started", spool=str(spool.root))
-    t_attach = time.perf_counter()
     executed = 0
     skipped = set()
     stop = []                               # SIGTERM appends: drain, exit
@@ -797,8 +778,6 @@ def run_worker(root) -> int:
                 if spec is None or unit_key(spec) != key:
                     spool.release(key)
                     skipped.add(key)
-                    tel.emit("unit.skipped", unit=key,
-                             reason="stale or foreign key")
                     log.warning("worker: skipping unit %s (stale or "
                                 "foreign key -- code/tier mismatch?)",
                                 key[:12])
@@ -824,14 +803,7 @@ def run_worker(root) -> int:
                                 "%s (> %gs)", key[:12], LEASE_S)
                 if not reaped:
                     time.sleep(PoolTransport.poll_s)
-        attached_s = time.perf_counter() - t_attach
-        if attached_s > 0:
-            tel.gauge("worker.units_per_s", executed / attached_s)
-        tel.emit("worker.stopped", executed=executed,
-                 skipped=len(skipped), attached_s=round(attached_s, 6),
-                 reason="sigterm" if stop else "done")
     finally:
         if old_term is not None:
             signal.signal(signal.SIGTERM, old_term)
-        tel.close()
     return executed

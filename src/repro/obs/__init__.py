@@ -36,8 +36,8 @@ engine, so simulated cycle counts are bit-identical whichever sink is
 installed (pinned by ``tests/test_obs_determinism.py``).
 
 The :mod:`repro.obs.telemetry` subpackage applies the same discipline
-to the *harness* around runs -- wall-clock event logs and metrics for
-the execution pipeline -- with
+to the *harness* around runs -- a wall-clock event log of the
+execution pipeline -- with
 :data:`~repro.obs.telemetry.NULL_TELEMETRY` playing NullSink's
 zero-cost-off role.
 """
@@ -49,9 +49,8 @@ from .profile import (MEM_LEVELS, ProfileSink, TrackProfile,
                       collapsed_stacks, line_totals, profile_total,
                       write_collapsed)
 from .sink import AggregateSink, NullSink, Sink, make_sink
-from .telemetry import (NULL_TELEMETRY, MetricsRegistry, NullTelemetry,
-                        Telemetry, harness_trace_events, read_events,
-                        validate_events)
+from .telemetry import (NULL_TELEMETRY, NullTelemetry, Telemetry,
+                        harness_trace_events, read_events, validate_events)
 from .trace import (TraceSink, merge_traces, trace_json, validate_trace,
                     write_trace)
 
@@ -64,6 +63,6 @@ __all__ = [
     "write_trace",
     "MEM_LEVELS", "ProfileSink", "TrackProfile", "collapsed_stacks",
     "line_totals", "profile_total", "write_collapsed",
-    "NULL_TELEMETRY", "MetricsRegistry", "NullTelemetry", "Telemetry",
+    "NULL_TELEMETRY", "NullTelemetry", "Telemetry",
     "harness_trace_events", "read_events", "validate_events",
 ]

@@ -1,5 +1,6 @@
 """The structured event log: versioned JSONL records of the unit
-lifecycle, appended by every process of a sweep.
+lifecycle, appended by the driver of a sweep (and, under ``repro chaos
+--harness``, by the hazard plan a pool's child arms).
 
 One record per line, schema version :data:`SCHEMA_VERSION`.  Every
 record carries ``{v, seq, ts, worker, event}`` plus event-specific
@@ -9,12 +10,11 @@ wall-clock epoch seconds: this log explains the *harness* timeline
 (who executed what, when, how long), never the simulated one -- that
 is :mod:`repro.obs.trace`'s job.
 
-Concurrency model: each process appends to its **own** file,
-``events-<worker>.jsonl`` inside a shared ``telemetry/`` area (for a
-spool sweep, ``<spool>/telemetry/``), one ``os.write`` per record on
-an ``O_APPEND`` descriptor.  No locks, no interleaving hazards; a
-SIGKILL can at worst truncate a process's final line, which readers
-tolerate.  :func:`read_events` merges every per-worker file into one
+Concurrency model: each writing process appends to its **own** file,
+``events-<worker>.jsonl`` inside a ``telemetry/`` area, one
+``os.write`` per record on an ``O_APPEND`` descriptor.  No locks, no
+interleaving hazards; a SIGKILL can at worst truncate a process's
+final line, which readers tolerate.  :func:`read_events` merges every per-worker file into one
 ``(ts, worker, seq)``-ordered stream.
 
 :func:`validate_events` is the schema-plus-lifecycle checker CI runs
@@ -41,19 +41,16 @@ SCHEMA_VERSION = 1
 
 #: Every event type a telemetry session may emit.  The ``unit.*`` set
 #: is the work-unit lifecycle; ``sweep.*`` / ``stage.*`` bracket the
-#: driver's pipeline stages; ``worker.*`` bracket a spool worker's
-#: attach/detach; the rest are health facts (reaped leases, watchdog
-#: deadlock reports, injected hazards, corrupt files).
+#: driver's pipeline stages; the rest are health facts (reaped leases,
+#: watchdog deadlock reports, injected hazards, corrupt files).
 EVENT_TYPES = frozenset({
     "sweep.started", "sweep.finished",
     "stage.started", "stage.finished",
-    "worker.started", "worker.stopped",
     "unit.planned", "unit.deduped",
     "memo.hit", "memo.miss",
     "unit.resumed",
     "unit.claimed", "unit.started",
     "unit.finished", "unit.failed",
-    "unit.skipped",
     "unit.quarantined",
     "lease.reaped",
     "watchdog.deadlock",

@@ -7,14 +7,14 @@ so one toolchain (Perfetto, ``python -m repro.obs.trace``) views both
 timelines.  The two exporters answer different questions and use
 different clocks: ``obs/trace.py`` maps one *simulated cycle* to one
 microsecond; this one maps one *wall-clock* microsecond to one
-microsecond, showing where the sweep's real time went -- queue wait,
-stragglers, reaped leases, worker overlap.
+microsecond, showing where the sweep's real time went -- stages,
+stragglers, reaped leases, injected hazards.
 
 Layout: a single ``harness`` process (pid 1) with one thread row per
-telemetry session (driver and each spool worker).  ``sweep.*`` /
-``stage.*`` / ``unit.started``..terminal pairs become nested B/E
-spans; everything else (claims, memo hits, reaped leases, watchdog
-reports) becomes an instant.  SIGKILLed workers leave spans open --
+telemetry session (the driver's, and a chaos child's hazard plan).
+``sweep.*`` / ``stage.*`` / ``unit.started``..terminal pairs become
+nested B/E spans; everything else (claims, memo hits, reaped leases,
+watchdog reports) becomes an instant.  A SIGKILLed writer leaves spans open --
 the exporter closes them at the last timestamp seen, exactly like
 ``TraceSink.trace_events``, so the output always passes
 :func:`repro.obs.trace.validate_trace`.

@@ -1,16 +1,13 @@
 """Telemetry sessions: the one object harness code records through.
 
-A :class:`Telemetry` session belongs to one process playing one role
-in a sweep -- the driver, or a pool's worker -- and bundles the two
-recording surfaces:
-
-* **events** (:meth:`Telemetry.emit`) -- typed, versioned lifecycle
-  records, kept in memory (:attr:`records`) and, when the session has
-  a ``telemetry/`` area on disk, appended to this process's JSONL
-  slice of the shared event log;
-* **metrics** (:meth:`observe` / :meth:`count` / :meth:`gauge`) -- the
-  wall-clock :class:`~repro.obs.telemetry.metrics.MetricsRegistry`
-  folded into ``ExecutionPipeline.rt_stats`` and the sweep summary.
+A :class:`Telemetry` session belongs to one process of a sweep -- the
+driver, or the hazard plan a pool's child arms under ``repro chaos
+--harness`` -- and its records are the sweep's one harness record:
+typed, versioned lifecycle events (:meth:`Telemetry.emit`), kept in
+memory (:attr:`records`) and, when the session has a ``telemetry/``
+area on disk, appended to this process's JSONL slice of the event
+log.  How long a unit ran, or how many leases were reaped, is read
+from those records.
 
 The disabled path is :data:`NULL_TELEMETRY`, a shared do-nothing
 session: every call is one attribute lookup plus an empty method, the
@@ -30,7 +27,6 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from .events import EVENT_TYPES, SCHEMA_VERSION, EventLog
-from .metrics import MetricsRegistry
 
 __all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY", "worker_id"]
 
@@ -54,20 +50,10 @@ class NullTelemetry:
     worker = "null"
     dir: Optional[Path] = None
     records: tuple = ()
-    metrics: Optional[MetricsRegistry] = None
 
     def emit(self, event: str, unit: Optional[str] = None,
              spec=None, **fields) -> Optional[dict]:
         return None
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def count(self, name: str, n: float = 1) -> None:
-        pass
-
-    def gauge(self, name: str, value: float) -> None:
-        pass
 
     def close(self) -> None:
         pass
@@ -82,8 +68,8 @@ class Telemetry(NullTelemetry):
 
     ``root`` is the telemetry area, a directory each session of a
     sweep appends its own event file to; ``None`` keeps events
-    in memory only -- enough for metrics and ``rt_stats`` folding, with
-    nothing written to disk.
+    in memory only -- enough for the sweep summary, with nothing
+    written to disk.
     """
 
     enabled = True
@@ -93,7 +79,6 @@ class Telemetry(NullTelemetry):
         self.dir = Path(root) if root is not None else None
         self.worker = worker or worker_id()
         self.records: List[dict] = []
-        self.metrics = MetricsRegistry()
         self._log = (EventLog(self.dir, self.worker)
                      if self.dir is not None else None)
         self._seq = 0
@@ -117,17 +102,6 @@ class Telemetry(NullTelemetry):
         if self._log is not None:
             self._log.append(rec)
         return rec
-
-    # -- metrics -------------------------------------------------------------
-
-    def observe(self, name: str, value: float) -> None:
-        self.metrics.observe(name, value)
-
-    def count(self, name: str, n: float = 1) -> None:
-        self.metrics.count(name, n)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name, value)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -110,7 +110,6 @@ def load_verified(path: Path, quarantine_to: Optional[Path] = None,
         telemetry.emit("integrity.corrupt", unit=unit, what=what,
                        file=path.name, error=f"{exc}"[:200],
                        quarantined=str(moved) if moved else None)
-        telemetry.count("integrity.corrupt")
         _LOG.warning("integrity: corrupt %s %s (%s)%s", what, path.name,
                      exc, f" -> quarantined to {moved}" if moved else "")
         return None

@@ -1,8 +1,10 @@
-"""Harness telemetry: event log schema + lifecycle, metrics, harness
-Chrome trace -- and the non-negotiable: telemetry must never change a
-simulated cycle count."""
+"""Harness telemetry: event log schema + lifecycle, the sweep summary
+read from it, harness Chrome trace -- and the non-negotiable: telemetry
+must never change a simulated cycle count."""
 
 import json
+import os
+import time
 
 import pytest
 
@@ -10,9 +12,9 @@ from repro.config import PAPER_MACHINE
 from repro.harness.jobs import RunSpec
 from repro.harness.pipeline import ExecutionPipeline
 from repro.harness.transport import (DirQueueTransport, PoolTransport,
-                                     SerialTransport, _Spool)
-from repro.obs.telemetry import (EVENT_TYPES, NULL_TELEMETRY, EventLog,
-                                 Histogram, MetricsRegistry, Telemetry,
+                                     SerialTransport)
+from repro.obs.telemetry import (EVENT_TYPES, NULL_TELEMETRY,
+                                 TERMINAL_EVENTS, Telemetry,
                                  harness_trace_events, read_events,
                                  validate_events)
 from repro.obs.telemetry.__main__ import main as telemetry_main
@@ -34,40 +36,6 @@ def golden():
     return [r.cycles for r in runs]
 
 
-# -- metrics -----------------------------------------------------------------
-
-def test_histogram_percentiles_exact():
-    h = Histogram()
-    for v in range(1, 101):          # 1..100
-        h.record(v)
-    assert h.percentile(50) == 50
-    assert h.percentile(90) == 90
-    assert h.percentile(99) == 99
-    snap = h.snapshot()
-    assert snap["count"] == 100 and snap["min"] == 1 and snap["max"] == 100
-    assert snap["p50"] == 50 and snap["mean"] == 50.5
-
-
-def test_histogram_empty_snapshot():
-    assert Histogram().snapshot() == {"count": 0}
-    assert Histogram().percentile(50) == 0.0
-
-
-def test_registry_flat_shape():
-    m = MetricsRegistry()
-    m.count("unit.retries", 2)
-    m.gauge("worker.units_per_s", 3.25)
-    m.observe("unit.exec_s", 1.0)
-    m.observe("unit.exec_s", 3.0)
-    flat = m.flat()
-    assert flat["unit.retries"] == 2
-    assert flat["worker.units_per_s"] == 3.25
-    assert flat["unit.exec_s.count"] == 2
-    assert flat["unit.exec_s.p99"] == 3.0
-    structured = m.as_dict()
-    assert structured["histograms"]["unit.exec_s"]["mean"] == 2.0
-
-
 # -- sessions and the event log ----------------------------------------------
 
 def test_emit_rejects_unknown_event():
@@ -78,7 +46,6 @@ def test_emit_rejects_unknown_event():
 
 def test_null_telemetry_is_inert(tmp_path):
     NULL_TELEMETRY.emit("unit.started", unit="k")
-    NULL_TELEMETRY.observe("x", 1.0)
     NULL_TELEMETRY.close()
     assert NULL_TELEMETRY.records == ()
     assert not NULL_TELEMETRY.enabled
@@ -89,11 +56,11 @@ def test_event_log_multi_writer_roundtrip(tmp_path):
     read is (ts, worker, seq)-ordered and survives a torn line."""
     a = Telemetry(root=tmp_path, worker="a")
     b = Telemetry(root=tmp_path, worker="b")
-    a.emit("worker.started")
-    b.emit("worker.started")
+    a.emit("sweep.started")
+    b.emit("stage.started", stage="dispatch")
     a.emit("unit.started", unit="k1")
     a.emit("unit.finished", unit="k1", wall_s=0.5)
-    b.emit("worker.stopped")
+    b.emit("stage.finished", stage="dispatch")
     a.close(), b.close()
     # a SIGKILLed writer's torn final line
     with open(tmp_path / "events-dead.jsonl", "w") as fh:
@@ -122,9 +89,9 @@ def test_validate_catches_bad_schema():
           "event": "unit.vanished"}]))
     assert any("seq" in p for p in validate_events(
         [{"v": 1, "seq": 2, "ts": 1.0, "worker": "w",
-          "event": "worker.started"},
+          "event": "sweep.started"},
          {"v": 1, "seq": 2, "ts": 2.0, "worker": "w",
-          "event": "worker.stopped"}]))
+          "event": "sweep.finished"}]))
 
 
 def test_abandoned_execution_needs_explanation():
@@ -158,10 +125,8 @@ def test_serial_sweep_records_full_lifecycle(golden):
     assert events.count("unit.started") == 2
     assert events.count("unit.finished") == 2
     assert validate_events(tel.records) == []
-    # metrics folded into rt_stats next to the pipeline counters
-    stats = pipe.rt_stats
-    assert stats["pipeline"]["unit.executed"] == 2
-    assert stats["harness"]["unit.exec_s.count"] == 2
+    assert pipe.rt_stats == {"pipeline": pipe.counters.as_dict()}
+    assert pipe.rt_stats["pipeline"]["unit.executed"] == 2
     assert "exec p50" in pipe.summary()
     # every recorded event type is schema-known
     assert {r["event"] for r in tel.records} <= EVENT_TYPES
@@ -179,9 +144,44 @@ def test_pool_sweep_is_bit_identical_with_telemetry(golden):
     assert validate_events(tel.records) == []
 
 
+def test_summary_percentiles_are_the_nearest_rank_of_terminal_wall_s(
+        monkeypatch):
+    """The summary's ``exec p50/p90/p99`` is read off the event log:
+    the nearest rank over the ``wall_s`` of the session's terminal
+    events -- a unit that failed, and units a pool child ran, whose
+    terminals the driver writes at harvest, timed by the child."""
+    import repro.harness.transport as ht
+    driver, real = os.getpid(), ht.execute_spec
+
+    def slow_in_the_driver(spec):
+        if os.getpid() == driver:           # leave units to the child
+            time.sleep(0.2)
+        return real(spec)
+
+    monkeypatch.setattr(ht, "execute_spec", slow_in_the_driver)
+    specs = [RunSpec.make("ep", "single", size="test", cfg=CFG,
+                          params=dict(n=n)) for n in range(48, 53)]
+    specs.append(RunSpec.make("cg", "single", size="test", cfg=CFG,
+                              timeout_cycles=300, capture_errors=True))
+    tel = Telemetry()
+    pipe = ExecutionPipeline(transport=PoolTransport(jobs=2),
+                             telemetry=tel)
+    assert pipe.run(specs)[-1].error_kind == "hang"
+    terminals = [r for r in tel.records if r["event"] in TERMINAL_EVENTS]
+    assert len(terminals) == len(specs)
+    assert "unit.failed" in {r["event"] for r in terminals}
+    started = sum(r["event"] == "unit.started" for r in tel.records)
+    assert started < len(terminals)             # some were harvested
+    walls = sorted(r["wall_s"] for r in terminals if "wall_s" in r)
+    n = len(walls)
+    p50, p90, p99 = (walls[-(-p * n // 100) - 1] for p in (50, 90, 99))
+    assert pipe.summary().endswith(
+        f"exec p50 {p50:.2f}s / p90 {p90:.2f}s / p99 {p99:.2f}s")
+
+
 def test_spool_sweep_writes_shared_event_log(golden, tmp_path):
     root = tmp_path / "sp"
-    area = _Spool(root).area
+    area = root / "telemetry"
     tel = Telemetry(root=area, worker="driver-1")
     pipe = ExecutionPipeline(transport=DirQueueTransport(root),
                              telemetry=tel)
@@ -212,7 +212,7 @@ def test_harness_trace_closes_sigkilled_spans():
     still produce matched-pair, monotonic trace JSON."""
     records = [
         {"v": 1, "seq": 1, "ts": 10.0, "worker": "w1",
-         "event": "worker.started"},
+         "event": "unit.claimed", "unit": "k" * 64},
         {"v": 1, "seq": 2, "ts": 10.5, "worker": "w1",
          "event": "unit.started", "unit": "k" * 64, "spec": "cg/G0"},
         # no terminal: w1 was SIGKILLed here

@@ -78,19 +78,36 @@ def test_worker_drains_spool_and_driver_harvests(golden, tmp_path):
     assert [r.cycles for r in runs] == golden
 
 
-def test_worker_skips_key_mismatched_unit(tmp_path):
+def test_worker_skips_key_mismatched_unit(tmp_path, caplog):
     """A unit whose spec no longer hashes to its filename (code or tier
-    drift between driver and worker) is skipped, never executed."""
+    drift between driver and worker) is skipped, never executed, and
+    the skip is a warning on the ``repro.worker`` logger."""
     root = tmp_path / "sp"
     spool = _Spool(root)
     spool.ensure()
     spec = RunSpec.make("cg", "single", size="test", cfg=CFG)
     spool.enqueue("0" * 64, spec)            # wrong key on purpose
-    assert run_worker(root) == 0
-    assert [(e["event"], e["unit"]) for e in read_events(spool.area)
-            if e["event"] == "unit.skipped"] == [("unit.skipped", "0" * 64)]
+    with caplog.at_level("WARNING", logger="repro.worker"):
+        assert run_worker(root) == 0
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "repro.worker"] == [
+        "worker: skipping unit 000000000000 (stale or foreign key -- "
+        "code/tier mismatch?)"]
     assert not spool.has_result("0" * 64)
     assert os.path.isfile(spool.unit_path("0" * 64))   # left for inspection
+
+
+def test_a_worker_keeps_no_event_log(tmp_path):
+    """A pool's child records nothing: ``run_worker`` settles a unit
+    and leaves no ``telemetry/`` directory in the spool."""
+    root = tmp_path / "sp"
+    spool = _Spool(root)
+    spool.ensure()
+    (unit,) = SweepPlan([_tiny()]).distinct()
+    spool.enqueue(unit.key, unit.spec)
+    assert run_worker(root) == 1
+    assert spool.has_result(unit.key)
+    assert not (root / "telemetry").exists()
 
 
 def test_spool_spec_errors_propagate(tmp_path):
@@ -282,10 +299,10 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
     """The four ways a leased unit ends, settled by the driver working
     inline (no worker attached) and by ``run_worker`` (the driver only
     harvesting): both must leave the same spool -- result and its
-    type, claim released, ledger cleared or kept -- and the same event
-    types for the unit in a log that validates.  What reaches the
-    sweep is the same too: the result, the quarantine placeholder, or
-    the spec's own exception type."""
+    type, claim released, ledger cleared or kept -- and a log that
+    validates; the driver's holds the unit's lifecycle.  What reaches
+    the sweep is the same too: the result, the quarantine placeholder,
+    or the spec's own exception type."""
     from repro.runtime import SimDeadlockError
     root = tmp_path / "sp"
     spec = _tiny(timeout_cycles=300) if ending == "raises" else _tiny()
@@ -301,7 +318,7 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
 
     def drive():
         transport = DirQueueTransport(root)
-        transport.telemetry = Telemetry(root=spool.area)
+        transport.telemetry = Telemetry(root=root / "telemetry")
         got = []
         try:
             transport.run([unit], lambda u, run: got.append(run))
@@ -334,9 +351,10 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
     assert getattr(result, "error_kind", None) == error_kind
     assert spool.claim_age(unit.key) is None            # lease released
     assert spool.attempt_count(unit.key) == ledger
-    records = read_events(spool.area)
-    assert [r["event"] for r in records
-            if r["event"] in _LIFECYCLE] == lifecycle
+    records = read_events(root / "telemetry")
+    if who == "driver":
+        assert [r["event"] for r in records
+                if r["event"] in _LIFECYCLE] == lifecycle
     assert validate_events(records) == []
 
 
@@ -353,9 +371,7 @@ def test_driver_publish_enospc_keeps_the_ledger_and_the_result(tmp_path):
     spool.ensure()
     for u in (lost, kept):
         spool.enqueue(u.key, u.spec)        # before arming: not a hazard site
-    tel = Telemetry()
-    pipe = ExecutionPipeline(transport=DirQueueTransport(tmp_path / "sp"),
-                             telemetry=tel)
+    pipe = ExecutionPipeline(transport=DirQueueTransport(tmp_path / "sp"))
     plan = hazards.arm(HazardConfig(0, classes=("disk",)))
     plan.schedule = {"publish_enospc": {0: True}, "publish_eio": {}}
     plan._seen = {k: 0 for k in plan.schedule}
@@ -369,17 +385,15 @@ def test_driver_publish_enospc_keeps_the_ledger_and_the_result(tmp_path):
     assert not spool.has_result(lost.key) and spool.has_result(kept.key)
     assert spool.attempt_count(lost.key) == 1
     assert spool.attempt_count(kept.key) == 0
-    assert tel.metrics.counters.get("publish.failed") == 1
-    assert any("publish failed" in e for e in pipe.events)
+    assert sum("publish failed" in e for e in pipe.events) == 1
     assert not list(spool.claims.iterdir())
 
 
 @pytest.mark.parametrize("who", ("driver", "worker"))
-def test_a_reap_is_counted_by_whoever_does_it(tmp_path, monkeypatch, who):
+def test_a_reap_is_counted_by_whoever_does_it(tmp_path, caplog, who):
     """A dead worker's lease is reaped by the driver or by another
-    worker, whoever idles first; either way the reaper's own metrics
-    count ``lease.reaped`` beside the event."""
-    import repro.harness.transport as ht
+    worker, whoever idles first: the driver records one
+    ``lease.reaped`` event, a worker one ``repro.worker`` warning."""
     root = tmp_path / "sp"
     (unit,) = SweepPlan([_tiny()]).distinct()
     spool = _Spool(root)
@@ -387,28 +401,21 @@ def test_a_reap_is_counted_by_whoever_does_it(tmp_path, monkeypatch, who):
     spool.enqueue(unit.key, unit.spec)
     assert spool.try_claim(unit.key)        # a "worker" that died here
     _outlive_the_lease(spool, unit.key)
-    sessions = []
-
-    class Spy(Telemetry):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            sessions.append(self)
-
-    if who == "driver":
-        transport = DirQueueTransport(root)
-        transport.telemetry = Spy(root=spool.area)
-        transport.run([unit], lambda u, run: None)
-        transport.telemetry.close()
-    else:
-        monkeypatch.setattr(ht, "Telemetry", Spy)
-        assert run_worker(root) == 1
-    (session,) = sessions
-    assert session.metrics.counters.get("lease.reaped") == 1
-    records = read_events(spool.area)
-    assert [r["event"] for r in records
-            if r["event"] == "lease.reaped"] == ["lease.reaped"]
+    tel = Telemetry()
+    with caplog.at_level("WARNING", logger="repro.worker"):
+        if who == "driver":
+            transport = DirQueueTransport(root)
+            transport.telemetry = tel
+            transport.run([unit], lambda u, run: None)
+        else:
+            assert run_worker(root) == 1
+    reaps = [r["unit"] for r in tel.records if r["event"] == "lease.reaped"]
+    warned = [r for r in caplog.records if r.name == "repro.worker"
+              and "reaped stalled lease" in r.getMessage()]
+    assert (reaps, len(warned)) == (([unit.key], 0) if who == "driver"
+                                    else ([], 1))
     assert spool.has_result(unit.key)
-    assert validate_events(records) == []
+    assert validate_events(tel.records) == []
 
 
 def _slow_worker(root, sleep_s):
@@ -429,7 +436,8 @@ def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
     """Whoever holds a claim is not asked: a live worker still running
     a unit past the lease loses it, so the driver reaps it and runs the
     unit again itself -- the same key, the same bytes, and the merged
-    result is the serial one."""
+    result is the serial one.  The worker's late publish leaves the
+    spool settled: result in place, claim released, ledger cleared."""
     import multiprocessing
     spec = _tiny()
     (unit,) = SweepPlan([spec]).distinct()
@@ -446,7 +454,7 @@ def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
             assert time.monotonic() < deadline, "worker never claimed"
             time.sleep(0.01)
         _outlive_the_lease(spool, unit.key)
-        tel = Telemetry(root=spool.area)
+        tel = Telemetry(root=root / "telemetry")
         pipe = ExecutionPipeline(transport=DirQueueTransport(root),
                                  telemetry=tel)
         (run,) = pipe.run([spec])
@@ -459,9 +467,10 @@ def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
                                                 serial.result.output)
     assert [r["event"] for r in tel.records if r["event"] in (
         "lease.reaped", "unit.started")] == ["lease.reaped", "unit.started"]
-    records = read_events(spool.area)
-    assert sum(r["event"] == "unit.started" for r in records) == 2
-    assert validate_events(records) == []
+    assert validate_events(read_events(root / "telemetry")) == []
+    assert spool.has_result(unit.key)
+    assert spool.claim_age(unit.key) is None
+    assert spool.attempt_count(unit.key) == 0
 
 
 def test_failing_spec_traceback_points_into_execute_spec(tmp_path):
@@ -482,6 +491,12 @@ def test_failing_spec_traceback_points_into_execute_spec(tmp_path):
 
 # -- structure: written once, nothing to set ----------------------------------
 
+def _counting_worker(root, out):
+    """``run_worker`` that writes how many units it executed to ``out``
+    (a forked child's return value is lost)."""
+    Path(out).write_text(str(run_worker(root)))
+
+
 def test_an_attached_worker_never_runs_a_settled_unit(tmp_path):
     """A driver and one forked ``run_worker`` over 40 units: every unit
     executes once.  The worker leases from the list its scan began
@@ -495,8 +510,9 @@ def test_an_attached_worker_never_runs_a_settled_unit(tmp_path):
     spool.ensure()
     for u in units:
         spool.enqueue(u.key, u.spec)
+    count = tmp_path / "executed"
     worker = multiprocessing.get_context("fork").Process(
-        target=run_worker, args=(root,))
+        target=_counting_worker, args=(root, count))
     worker.start()
     tel = Telemetry()
     try:
@@ -506,11 +522,9 @@ def test_an_attached_worker_never_runs_a_settled_unit(tmp_path):
     finally:
         worker.join(timeout=60)
     assert worker.exitcode == 0
-    inline = [r for r in tel.records if r["event"] == "unit.started"]
-    remote = [r for r in read_events(spool.area)
-              if r["event"] == "unit.finished"]
-    assert len(inline) + len(remote) == len(units), (len(inline),
-                                                     len(remote))
+    inline = sum(r["event"] == "unit.started" for r in tel.records)
+    remote = int(count.read_text())
+    assert inline + remote == len(units), (inline, remote)
 
 
 def test_the_settle_path_is_written_once():
@@ -544,11 +558,12 @@ def test_the_settle_path_is_written_once():
     assert runs == ["Transport"]
     for fn in (PoolTransport, DirQueueTransport, run_worker):
         assert not {"poison_threshold", "quarantine_after", "backoff_base",
-                    "lease_s", "poll_s", "max_units", "drain", "out"} \
+                    "lease_s", "poll_s", "max_units", "drain", "out",
+                    "start_method"} \
             & set(inspect.signature(fn).parameters)
     assert not hasattr(Transport(), "quarantined")
     assert not hasattr(ht, "BACKOFF_BASE")
-    assert len(inspect.signature(PoolTransport).parameters) == 2
+    assert len(inspect.signature(PoolTransport).parameters) == 1
     assert len(inspect.signature(DirQueueTransport).parameters) == 1
     assert len(inspect.signature(run_worker).parameters) == 1
     assert list(inspect.signature(_Spool.try_claim).parameters) \
@@ -557,11 +572,11 @@ def test_the_settle_path_is_written_once():
 
 def test_stalled_and_reaped_are_each_decided_once():
     """One definition of ``_Spool.stall``, asked by the reaper only; one
-    ``lease.reaped`` event and one count under ``src/``; the reaper and
-    lease read a claim's age once each (the ``clock_skew`` schedule
-    depends on it); the predicate and the threshold it replaced, and
-    every heartbeat, are gone, and no module of ``repro.obs`` names a
-    spool path."""
+    ``lease.reaped`` event under ``src/`` and no metrics registry; the
+    reaper and lease read a claim's age once each (the ``clock_skew``
+    schedule depends on it); the predicate and the threshold it
+    replaced, and every heartbeat, are gone, and no module of
+    ``repro.obs`` names a spool path."""
     import re
 
     import repro
@@ -589,7 +604,6 @@ def test_stalled_and_reaped_are_each_decided_once():
     assert sorted(ages) == ["lease", "reap_stale"]
     text = "".join(sources.values())
     assert text.count('emit("lease.reaped"') == 1
-    assert text.count('count("lease.reaped")') == 1
     assert not re.search(
         r"\b(claim_is_stalled|heartbeat\w*|HEARTBEAT_S|DEFAULT_STALL_S)\b",
         text)
@@ -599,6 +613,7 @@ def test_stalled_and_reaped_are_each_decided_once():
                          r'|\.(spec|claim)\b', obs)
     gone = {"claim_is_stalled", "heartbeat_age", "DEFAULT_STALL_S",
             "FleetStatus", "WorkerStatus", "collect_status",
-            "render_status", "telemetry_area"}
+            "render_status", "telemetry_area", "MetricsRegistry",
+            "Histogram"}
     assert not gone & set(repro.obs.__all__ + repro.obs.telemetry.__all__
                           + repro.harness.__all__)
