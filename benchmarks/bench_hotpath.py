@@ -153,10 +153,11 @@ def _measure():
                            "(see vm_dispatch_speedup_vs_off on the "
                            "compute-bound VM-only microbenchmark).  The "
                            "suite-level gain is Amdahl-capped: the "
-                           "interpreter, running fused bytecode, is "
-                           "roughly half of the reference arm's CPU, "
-                           "the rest being the memory system, coherence "
-                           "bookkeeping and the event engine.",
+                           "interpreter, running the base-op bytecode "
+                           "every image holds, is well over half of the "
+                           "reference arm's CPU, the rest being the "
+                           "memory system, coherence bookkeeping and the "
+                           "event engine.",
             },
         }
     finally:

@@ -36,39 +36,12 @@ print    nargs                        output I/O (yields to shell)
 ret      --                           return (value on stack)
 ======== ============================ =======================================
 
-Superinstructions (emitted only by the optimizer's fusion pass, see
-``optimize.fuse_program``) collapse the dominant stack-shuffle pairs of
-the NPB inner loops into one dispatch each.  Every fused op charges
-exactly the sum of its parts and carries the parts' common source line,
-so cycle accounting and profile attribution are unchanged:
-
-======== ============================ =======================================
-ll2b     (slot_a, slot_b, opname)     push locals[a] <op> locals[b]
-lcb      (slot, value, opname)        push locals[slot] <op> literal
-lb       (slot, opname)               top = top <op> locals[slot]
-cb       (value, opname)              top = top <op> literal
-llst     (src, dst)                   locals[dst] = locals[src]
-cjf      (opname, target)             pop b, a; branch unless a <op> b
-lcbs     (slot, value, opname, dst)   locals[dst] = locals[slot] <op> literal
-llbs     (a, b, opname, dst)          locals[dst] = locals[a] <op> locals[b]
-lcjf     (slot, value, opname, tgt)   branch unless locals[slot] <op> literal
-lljf     (a, b, opname, tgt)          branch unless locals[a] <op> locals[b]
-cs       (value, dst)                 locals[dst] = literal
-cblb     (k, op1, slot, op2)          top = (top <op1> k) <op2> locals[slot]
-lbcb     (slot, op1, k, op2)          top = (top <op1> locals[slot]) <op2> k
-lcblb    (a, k, op1, b, op2)          push (locals[a] <op1> k) <op2> locals[b]
-lcbsj    (a, k, opname, dst, tgt)     locals[dst] = locals[a] <op> k; jump
-ix       (a,k1,op1,b,op2,k2,op3,c,op4) push the 3-term index polynomial
-                                      (((l[a] op1 k1) op2 l[b]) op3 k2) op4 l[c]
-ixge     (...ix..., gidx)             ix, then *shared element load*
-cblbge   (k, op1, slot, op2, gidx)    cblb, then *shared element load*
-======== ============================ =======================================
-
-The wide ops capture the dominant loop idioms whole: the induction
-step plus its backward jump ``i = i + 1`` (``lcbsj``, which also
-enforces the VM slice budget like the jump it absorbs), the trip test
-``i < n`` (``lcjf``), and the two-term arithmetic chains of the NPB
-stencils (``cblb``/``lbcb``/``lcblb``) -- each a single dispatch.
+The optimizer emits only these opcodes, so every consumer -- the
+interpreter, the generated-code tier, the profiler's tallying stream,
+``VM.corrupt`` and :func:`disassemble` -- handles one set.  The
+generated-code tier builds whole expressions (an index polynomial, a
+loop's trip test and step) out of the base stack ops itself; see
+``interp.compile``.
 """
 
 from __future__ import annotations
@@ -89,26 +62,6 @@ OP_COST: Dict[str, float] = {
     # memory/rt/print ops cost is charged by the shell, not here
     "gload": 0, "gstore": 0, "geload": 0, "gestore": 0,
     "rt": 0, "print": 0,
-    # superinstructions: the exact sum of their parts (binop-bearing
-    # ones additionally charge BINOP_COST at translation, like binop)
-    "ll2b": 3,      # lload + lload + binop
-    "lcb": 3,       # lload + const + binop
-    "lb": 2,        # lload + binop
-    "cb": 2,        # const + binop
-    "llst": 2,      # lload + lstore
-    "cjf": 2,       # binop + jfalse
-    "lcbs": 4,      # lload + const + binop + lstore
-    "llbs": 4,      # lload + lload + binop + lstore
-    "lcjf": 4,      # lload + const + binop + jfalse
-    "lljf": 4,      # lload + lload + binop + jfalse
-    "cs": 2,        # const + lstore
-    "cblb": 4,      # const + binop + lload + binop  (both BINOP_COSTs)
-    "lbcb": 4,      # lload + binop + const + binop  (both BINOP_COSTs)
-    "lcblb": 5,     # lload + const + binop + lload + binop (both)
-    "lcbsj": 5,     # lload + const + binop + lstore + jump
-    "ix": 9,        # 3 lloads + 2 consts + 4 binops (all four BINOP_COSTs)
-    "ixge": 9,      # ix + geload (geload itself charges 0 here)
-    "cblbge": 4,    # cblb + geload
 }
 
 #: Extra cost for expensive arithmetic.

@@ -11,14 +11,11 @@ new index map rewrites every branch.  Mode-independence is unaffected
 -- the optimizer runs before the image is sealed, identically for every
 execution mode.
 
-A final *superinstruction fusion* pass collapses the dominant
-stack-shuffle sequences of the NPB inner loops into single fused
-opcodes -- up to whole loop idioms like ``i = i + 1`` (``lcbs``) and
-``i < n`` (``lcjf``); see the table in ``bytecode``.  Fusion is
-cycle-exact by construction: each fused op charges the exact sum of
-its parts, a window never contains a branch target past its first
-instruction, and -- so per-line profile totals cannot shift -- only
-instructions sharing one source line fuse.
+The pass emits only the base opcodes of ``bytecode``: every consumer
+of an image (interpreter, generated code, profiler, ``VM.corrupt``,
+disassembler) sees one opcode set.  The generated-code tier builds
+whole expressions out of the base stack ops itself (see
+``interp.compile``).
 """
 
 from __future__ import annotations
@@ -28,14 +25,9 @@ from typing import Dict, List, Set, Tuple
 
 from .bytecode import Code, CompiledProgram
 
-__all__ = ["optimize_code", "optimize_program", "fuse_code",
-           "fuse_program"]
+__all__ = ["optimize_code", "optimize_program"]
 
 _JUMPS = ("jump", "jfalse", "jnone")
-
-#: Fused ops that carry a branch target, with the target's position in
-#: their arg tuple (kept visible to target collection and remapping).
-_FUSED_JUMPS = {"cjf": 1, "lcjf": 3, "lljf": 3, "lcbsj": 4}
 
 _FOLDABLE = {
     "+": lambda a, b: a + b,
@@ -60,15 +52,7 @@ def _fold_div(a, b):
 
 
 def _jump_targets(instrs: List[Tuple]) -> Set[int]:
-    targets: Set[int] = set()
-    for ins in instrs:
-        if ins[0] in _JUMPS:
-            targets.add(ins[1])
-        else:
-            pos = _FUSED_JUMPS.get(ins[0])
-            if pos is not None:
-                targets.add(ins[1][pos])
-    return targets
+    return {ins[1] for ins in instrs if ins[0] in _JUMPS}
 
 
 def _remap_branches(out: List[Tuple], remap: Dict[int, int]) -> None:
@@ -76,12 +60,6 @@ def _remap_branches(out: List[Tuple], remap: Dict[int, int]) -> None:
     for k, ins in enumerate(out):
         if ins[0] in _JUMPS:
             out[k] = (ins[0], remap[ins[1]])
-        else:
-            pos = _FUSED_JUMPS.get(ins[0])
-            if pos is not None:
-                arg = list(ins[1])
-                arg[pos] = remap[arg[pos]]
-                out[k] = (ins[0], tuple(arg))
 
 
 def optimize_code(code: Code, max_passes: int = 4) -> int:
@@ -204,170 +182,6 @@ def _finite(v) -> bool:
         return False
 
 
-#: Operators eligible for fusion -- exactly the interpreter's binop set.
-_FUSABLE = frozenset(
-    {"+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!="})
-
-
-def fuse_code(code: Code) -> int:
-    """Fuse superinstruction windows in one function, in place.
-
-    Greedy longest-match left-to-right over the (already peephole-
-    optimized) stream.  4-wide windows capture whole loop idioms
-    (``lload; const; binop; lstore`` -> ``lcbs``, ``lload; const;
-    binop; jfalse`` -> ``lcjf``, and their two-local twins ``llbs``/
-    ``lljf``); 3-wide fuse a load pair into its binop (``lcb``/
-    ``ll2b``); 2-wide mop up the rest (``lb``/``cb``/``llst``/``cjf``).
-    A window fuses only when no branch targets its interior and all
-    its instructions carry the same source line (so per-line profile
-    totals cannot shift).  Returns the number of instructions
-    eliminated."""
-    instrs = code.instrs
-    n = len(instrs)
-    targets = _jump_targets(instrs)
-    lines = code.lines if len(code.lines) == n else [0] * n
-    out: List[Tuple] = []
-    out_lines: List[int] = []
-    remap: Dict[int, int] = {}
-    i = 0
-
-    def window_ok(width: int) -> bool:
-        if i + width > n:
-            return False
-        ln = lines[i]
-        for j in range(i + 1, i + width):
-            if j in targets or lines[j] != ln:
-                return False
-        return True
-
-    while i < n:
-        remap[i] = len(out)
-        ins = instrs[i]
-        op = ins[0]
-        ln = lines[i]
-        fused = None
-        width = 0
-        if op == "lload":
-            if window_ok(10) or window_ok(9):
-                o = instrs
-                if (o[i + 1][0] == "const" and o[i + 2][0] == "binop"
-                        and o[i + 2][1] in _FUSABLE
-                        and o[i + 3][0] == "lload"
-                        and o[i + 4][0] == "binop"
-                        and o[i + 4][1] in _FUSABLE
-                        and o[i + 5][0] == "const"
-                        and o[i + 6][0] == "binop"
-                        and o[i + 6][1] in _FUSABLE
-                        and o[i + 7][0] == "lload"
-                        and o[i + 8][0] == "binop"
-                        and o[i + 8][1] in _FUSABLE):
-                    poly = (ins[1], o[i + 1][1], o[i + 2][1], o[i + 3][1],
-                            o[i + 4][1], o[i + 5][1], o[i + 6][1],
-                            o[i + 7][1], o[i + 8][1])
-                    if window_ok(10) and o[i + 9][0] == "geload":
-                        fused = ("ixge", poly + (o[i + 9][1],))
-                        width = 10
-                    elif window_ok(9):
-                        fused = ("ix", poly)
-                        width = 9
-            if fused is None and window_ok(5):
-                o1, o2, o3, o4 = (instrs[i + 1], instrs[i + 2],
-                                  instrs[i + 3], instrs[i + 4])
-                if o1[0] == "const" and o2[0] == "binop" \
-                        and o2[1] in _FUSABLE:
-                    if o3[0] == "lstore" and o4[0] == "jump":
-                        fused = ("lcbsj",
-                                 (ins[1], o1[1], o2[1], o3[1], o4[1]))
-                        width = 5
-                    elif o3[0] == "lload" and o4[0] == "binop" \
-                            and o4[1] in _FUSABLE:
-                        fused = ("lcblb",
-                                 (ins[1], o1[1], o2[1], o3[1], o4[1]))
-                        width = 5
-            if fused is None and window_ok(4):
-                o1, o2, o3 = instrs[i + 1], instrs[i + 2], instrs[i + 3]
-                if o2[0] == "binop" and o2[1] in _FUSABLE \
-                        and o3[0] in ("lstore", "jfalse"):
-                    store = o3[0] == "lstore"
-                    if o1[0] == "const":
-                        fused = ("lcbs" if store else "lcjf",
-                                 (ins[1], o1[1], o2[1], o3[1]))
-                        width = 4
-                    elif o1[0] == "lload":
-                        fused = ("llbs" if store else "lljf",
-                                 (ins[1], o1[1], o2[1], o3[1]))
-                        width = 4
-                elif o1[0] == "binop" and o1[1] in _FUSABLE \
-                        and o2[0] == "const" and o3[0] == "binop" \
-                        and o3[1] in _FUSABLE:
-                    fused = ("lbcb", (ins[1], o1[1], o2[1], o3[1]))
-                    width = 4
-            if fused is None and window_ok(3):
-                o1, o2 = instrs[i + 1], instrs[i + 2]
-                if o2[0] == "binop" and o2[1] in _FUSABLE:
-                    if o1[0] == "const":
-                        fused = ("lcb", (ins[1], o1[1], o2[1]))
-                        width = 3
-                    elif o1[0] == "lload":
-                        fused = ("ll2b", (ins[1], o1[1], o2[1]))
-                        width = 3
-            if fused is None and window_ok(2):
-                o1 = instrs[i + 1]
-                if o1[0] == "binop" and o1[1] in _FUSABLE:
-                    fused = ("lb", (ins[1], o1[1]))
-                    width = 2
-                elif o1[0] == "lstore":
-                    fused = ("llst", (ins[1], o1[1]))
-                    width = 2
-        elif op == "const":
-            if window_ok(4):
-                o1, o2, o3 = instrs[i + 1], instrs[i + 2], instrs[i + 3]
-                if o1[0] == "binop" and o1[1] in _FUSABLE \
-                        and o2[0] == "lload" and o3[0] == "binop" \
-                        and o3[1] in _FUSABLE:
-                    if window_ok(5) and instrs[i + 4][0] == "geload":
-                        fused = ("cblbge", (ins[1], o1[1], o2[1], o3[1],
-                                            instrs[i + 4][1]))
-                        width = 5
-                    else:
-                        fused = ("cblb", (ins[1], o1[1], o2[1], o3[1]))
-                        width = 4
-            if fused is None and window_ok(2):
-                o1 = instrs[i + 1]
-                if o1[0] == "binop" and o1[1] in _FUSABLE:
-                    fused = ("cb", (ins[1], o1[1]))
-                    width = 2
-                elif o1[0] == "lstore":
-                    fused = ("cs", (ins[1], o1[1]))
-                    width = 2
-        elif op == "binop" and ins[1] in _FUSABLE:
-            if window_ok(2) and instrs[i + 1][0] == "jfalse":
-                fused = ("cjf", (ins[1], instrs[i + 1][1]))
-                width = 2
-        if fused is not None:
-            out.append(fused)
-            out_lines.append(ln)
-            i += width
-        else:
-            out.append(ins)
-            out_lines.append(ln)
-            i += 1
-    remap[n] = len(out)                  # branches may point past the end
-    _remap_branches(out, remap)
-    code.instrs[:] = out
-    code.lines[:] = out_lines
-    return n - len(out)
-
-
-def fuse_program(program: CompiledProgram) -> int:
-    """Fuse every function; returns total instructions eliminated."""
-    return sum(fuse_code(f) for f in program.funcs)
-
-
 def optimize_program(program: CompiledProgram) -> int:
-    """Optimize every function; returns total instructions removed.
-
-    Superinstruction fusion runs last, over the fully peephole-
-    optimized stream."""
-    removed = sum(optimize_code(f) for f in program.funcs)
-    return removed + fuse_program(program)
+    """Optimize every function; returns total instructions removed."""
+    return sum(optimize_code(f) for f in program.funcs)

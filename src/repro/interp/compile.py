@@ -9,12 +9,24 @@ and driven by :meth:`VM._run_compiled`.  Straight-line bytecode becomes
 straight-line Python over height-indexed virtual stack registers
 (``s0, s1, ...``), so CPython's own bytecode does the dispatching.
 
+Within a block the operand stack is symbolic, one entry per height:
+the register ``sN``, an *atom* (a literal or a local name: no effect,
+cannot trap) or an *expression*.  The image holds base ops only, so
+this is where ``l0 * 5 + l1`` or a loop's ``i < n`` and ``i = i + 1``
+become one Python expression each.  At most one expression is pending,
+so traps fire in the interpreter's order; an effect -- a store, a
+memory op, a call, ``rt``/``print``, a conditional branch, a block
+exit -- first materializes every entry it does not consume (so a store
+to slot *k* never overtakes an atom naming ``l<k>``); a flat index or
+a stored value named twice goes through one temporary ``x``; and a
+``pop`` of an expression still evaluates it.
+
 Control flow follows the loop nest.  The function is cut into basic
 blocks at every yield point and branch, numbered in pc order, and the
 current block id lives in the local ``b``.  A run of blocks is a
 *ladder* of sequential ``if b == k:`` guards in fall-through order, so
 a block that falls into the next one costs one compare.  Every natural
-loop (a backward ``jump`` or ``lcbsj`` and the id range it spans) is a
+loop (a backward ``jump`` and the id range it spans) is a
 native ``while lo <= b <= hi:`` around the ladder of its body: the back
 edge is the ``while`` test, an exit is ``b = target`` plus ``break``,
 and an iteration never looks at a block outside the loop.  A run of
@@ -60,12 +72,11 @@ frame and off the ladder:
   pays its excess over ``K`` in place), and as ``K * _n`` and
   ``budget - _n`` in the ``for``'s ``else:``, the loop's one
   ``TimeSlice`` -- where the per-trip test would have yielded, with
-  the same ``frame.pc`` and budget.  Inside the trip an ``sN = lK``
-  move whose one use is the next line is folded into that line.
-  Such a loop keeps its *resident* slots -- those it writes that are
-  live at its header -- in Python locals only, and writes them to the
-  frame in one line before every ``return`` and ``break`` and in an
-  ``except BaseException:`` handler around the ``for``.  A slot
+  the same ``frame.pc`` and budget.  Such a loop keeps its *resident*
+  slots -- those it writes that are live at its header -- in Python
+  locals only, and writes them to the frame in one line before every
+  ``return`` and ``break`` and in an ``except BaseException:`` handler
+  around the ``for``.  A slot
   live at the header is bound at every point inside (liveness made a
   stub or a store bind it before the header), the exits are the loop's
   own lines, and a trap leaves through the handler, so the frame holds
@@ -174,8 +185,7 @@ _ARITH_OPS = frozenset(("+", "-", "*"))
 _CMP_OPS = frozenset(("<", "<=", ">", ">=", "==", "!="))
 
 #: Ops that may yield a memory event (block-terminating, resumable).
-_MEM_YIELDS = frozenset(("gload", "geload", "gstore", "gestore",
-                         "ixge", "cblbge"))
+_MEM_YIELDS = frozenset(("gload", "geload", "gstore", "gestore"))
 #: Ops that always leave the function (resumable at pc+1).
 _LEAVES = frozenset(("rt", "print", "call"))
 
@@ -192,13 +202,15 @@ _MAX_LOOP_NEST = 8
 _MAX_MERGE_NEST = 32
 
 _TERMINAL = _MEM_YIELDS | _LEAVES | frozenset(
-    ("jump", "jfalse", "jnone", "cjf", "lcjf", "lljf", "lcbsj", "ret"))
+    ("jump", "jfalse", "jnone", "ret"))
 
 #: A write-through store as the emitter spells it; group 2 is what a
 #: collapsed loop keeps of a store to a resident slot.
 _STORE = re.compile(r"L\[(\d+)\] = (l\1 = )")
-#: A materialized local: stack register ``sN`` takes local ``lK``.
-_MOVE = re.compile(r"s(\d+) = (l\d+)")
+
+#: Kinds of a symbolic stack entry: in its register ``sN``, an atom, or
+#: an expression still to be evaluated.
+_REG, _ATOM, _EXPR = range(3)
 
 
 class _Back(NamedTuple):
@@ -208,47 +220,6 @@ class _Back(NamedTuple):
     ``for`` counts the trips -- what the charge exceeds the per-trip
     charge by and a ``continue``."""
     charge: float
-
-
-def _forward_moves(lines: List[Tuple]) -> List[Tuple]:
-    """A collapsed loop's lines with every ``sN = lK`` move whose one
-    use is the next line folded into that line.  The next line must sit
-    at the same indent, name ``sN`` once and leave the stack at most N
-    deep (entry N is popped, so no later op reads the register), and no
-    line after it may name ``sN`` before one assigns it afresh: an op
-    that names a popped entry in several lines (a shared load's flat
-    index) keeps its move.  Nothing runs between the two lines and a
-    statement evaluates its right side first, so the next line reads
-    the local's value either way."""
-    lines = list(lines)
-    i = 0
-    while i < len(lines) - 1:
-        ind, text, _t, _d = lines[i]
-        move = _MOVE.fullmatch(text) if isinstance(text, str) else None
-        nind, ntext, ntarget, ndepth = lines[i + 1]
-        if (move and nind == ind and isinstance(ntext, str)
-                and ndepth <= int(move.group(1))):
-            reg = re.compile(r"\bs%s\b" % move.group(1))
-            if (len(reg.findall(ntext)) == 1
-                    and _assigned_before_read(reg, lines[i + 2:])):
-                lines[i + 1] = (nind, reg.sub(move.group(2), ntext),
-                                ntarget, ndepth)
-                del lines[i]
-                continue
-        i += 1
-    return lines
-
-
-def _assigned_before_read(reg, lines: List[Tuple]) -> bool:
-    """Whether the first of ``lines`` to name the register ``reg``
-    matches assigns it afresh, from an expression that does not name it
-    (True when none names it)."""
-    for _ind, text, _t, _d in lines:
-        if isinstance(text, str) and reg.search(text):
-            lhs, eq, rhs = text.partition(" = ")
-            return bool(eq) and reg.fullmatch(lhs) is not None \
-                and not reg.search(rhs)
-    return True
 
 
 def _bexpr(o: str, a: str, b: str) -> Tuple[str, str]:
@@ -285,23 +256,11 @@ def _cost(ins: Tuple) -> float:
     """One instruction's folded static charge -- must mirror
     :func:`repro.interp.interpreter._translate` exactly."""
     op = ins[0]
-    B = BINOP_COST.get
     if op == "binop":
-        return OP_COST[op] + B(ins[1], 0)
+        return OP_COST[op] + BINOP_COST.get(ins[1], 0)
     if op == "icall":
         name, _n = ins[1]
         return OP_COST[op] + ICALL_COST.get(name, 1)
-    one = {"cb": 1, "lb": 1, "cjf": 0, "ll2b": 2, "lcb": 2, "lcbs": 2,
-           "llbs": 2, "lcjf": 2, "lljf": 2, "lcbsj": 2}
-    if op in one:
-        return OP_COST[op] + B(ins[1][one[op]], 0)
-    if op in ("cblb", "lbcb", "cblbge"):
-        return OP_COST[op] + B(ins[1][1], 0) + B(ins[1][3], 0)
-    if op == "lcblb":
-        return OP_COST[op] + B(ins[1][2], 0) + B(ins[1][4], 0)
-    if op in ("ix", "ixge"):
-        a, k1, o1, b, o2, k2, o3, c, o4 = ins[1][:9]
-        return OP_COST[op] + sum(B(o, 0) for o in (o1, o2, o3, o4))
     try:
         return OP_COST[op]
     except KeyError:
@@ -321,8 +280,7 @@ def _succ(ins: Tuple, pc: int, d: int) -> List[Tuple[int, int]]:
     def fall(nd: int) -> List[Tuple[int, int]]:
         return [(pc + 1, nd)]
 
-    if op in ("const", "lload", "ll2b", "lcb", "lcblb", "ix", "gload",
-              "ixge"):
+    if op in ("const", "lload", "gload"):
         return fall(d + 1)
     if op == "dup":
         need(1)
@@ -330,10 +288,7 @@ def _succ(ins: Tuple, pc: int, d: int) -> List[Tuple[int, int]]:
     if op in ("lstore", "pop", "gstore"):
         need(1)
         return fall(d - 1)
-    if op in ("llst", "cs", "lcbs", "llbs"):
-        return fall(d)
-    if op in ("unop", "aload", "cb", "lb", "cblb", "lbcb", "geload",
-              "cblbge"):
+    if op in ("unop", "aload", "geload"):
         need(1)
         return fall(d)
     if op == "unpack2":
@@ -357,13 +312,6 @@ def _succ(ins: Tuple, pc: int, d: int) -> List[Tuple[int, int]]:
     if op == "jnone":
         need(1)
         return [(arg, d - 1), (pc + 1, d)]
-    if op == "cjf":
-        need(2)
-        return [(arg[1], d - 2), (pc + 1, d - 2)]
-    if op in ("lcjf", "lljf"):
-        return [(arg[3], d), (pc + 1, d)]
-    if op == "lcbsj":
-        return [(arg[4], d)]
     if op == "call":
         _fidx, n = arg
         need(n)
@@ -388,12 +336,6 @@ def _succ(ins: Tuple, pc: int, d: int) -> List[Tuple[int, int]]:
 _LOCAL_RW = {
     "lload": ((0,), ()), "lstore": ((), (0,)),
     "aload": ((0,), ()), "astore": ((0,), ()),   # the array reference
-    "llst": ((0,), (1,)), "cs": ((), (1,)),
-    "ll2b": ((0, 1), ()), "lcb": ((0,), ()), "lb": ((0,), ()),
-    "lcbs": ((0,), (3,)), "llbs": ((0, 1), (3,)),
-    "lcjf": ((0,), ()), "lljf": ((0, 1), ()), "lcbsj": ((0,), (3,)),
-    "cblb": ((2,), ()), "lbcb": ((0,), ()), "lcblb": ((0, 3), ()),
-    "ix": ((0, 3, 7), ()), "ixge": ((0, 3, 7), ()), "cblbge": ((2,), ()),
 }
 
 
@@ -445,8 +387,6 @@ def _entry_pcs(instrs: List[Tuple], depths: Dict[int, int]) -> Set[int]:
                 entries.add(pc + 1)
         elif op == "jump" and ins[1] < pc:
             entries.add(ins[1])
-        elif op == "lcbsj" and ins[1][4] <= pc:
-            entries.add(ins[1][4])
     return entries
 
 
@@ -462,14 +402,6 @@ def _leader_pcs(instrs: List[Tuple], depths: Dict[int, int],
         elif op in ("jfalse", "jnone"):
             leaders.add(ins[1])
             leaders.add(pc + 1)
-        elif op == "cjf":
-            leaders.add(ins[1][1])
-            leaders.add(pc + 1)
-        elif op in ("lcjf", "lljf"):
-            leaders.add(ins[1][3])
-            leaders.add(pc + 1)
-        elif op == "lcbsj":
-            leaders.add(ins[1][4])
     return {pc for pc in leaders if pc in depths}
 
 
@@ -556,8 +488,6 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         ins = instrs[pc]
         if ins[0] == "jump" and ins[1] < pc:
             loop_hi[bid[ins[1]]] = i
-        elif ins[0] == "lcbsj" and ins[1][4] <= pc:
-            loop_hi[bid[ins[1][4]]] = i
         succs[leader] = [t for t, _d in _succ(ins, pc, depths[pc])]
         for t in succs[leader]:
             npred[t] += 1
@@ -606,42 +536,67 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         transfer inside the loop, and ``depth`` is the operand stack's
         height when the line was written.  ``pend`` is the static
         charge of the blocks this one was merged under (``nest`` of
-        them), not yet added to ``c``."""
+        them), not yet added to ``c``.  The operand stack is symbolic
+        (see the module docstring): one ``(value, truthiness, kind)``
+        entry per height."""
         pcs = blocks[leader]
-        d = depths[leader]
-        # (value, truthiness, is a literal or a local name)
-        deferred: Optional[Tuple[str, str, bool]] = None
+
+        def reg(h: int) -> Tuple[str, str, int]:
+            return ("s%d" % h, "s%d" % h, _REG)
+
+        sym = [reg(h) for h in range(depths[leader])]
 
         def w(i: int, text: str) -> None:
-            out.append((ind + i, text, None, d))
+            out.append((ind + i, text, None, len(sym)))
 
-        def mat() -> None:
-            nonlocal deferred
-            if deferred is not None:
-                w(0, "s%d = %s" % (d - 1, deferred[0]))
-                deferred = None
+        def mat(h: int) -> None:
+            """Entry ``h`` into its register.  Alone only for the one
+            pending expression: an atom may sit above registers an
+            expression below it still reads."""
+            text, _c, kind = sym[h]
+            if kind != _REG:
+                w(0, "s%d = %s" % (h, text))
+                sym[h] = reg(h)
 
-        def push(full: str, cond: Optional[str] = None,
-                 atom: bool = False) -> None:
-            nonlocal d, deferred
-            assert deferred is None
-            deferred = (full, cond if cond is not None else full, atom)
-            d += 1
+        def settle(keep: int = 0) -> None:
+            """Materialize every entry below the top ``keep``."""
+            for h in range(len(sym) - keep):
+                mat(h)
 
-        def pop1() -> Tuple[str, str, bool]:
-            nonlocal d, deferred
-            d -= 1
-            if deferred is not None:
-                t = deferred
-                deferred = None
-                return (t[0], t[1], True)
-            return ("s%d" % d, "s%d" % d, False)
+        def hold(n: int) -> None:
+            """The pending expression, if it is among the top ``n``
+            entries, into its register."""
+            for h in range(len(sym) - n, len(sym)):
+                if sym[h][2] == _EXPR:
+                    mat(h)
+
+        def push(text: str, cond: Optional[str] = None,
+                 kind: int = _EXPR) -> None:
+            if kind == _EXPR:
+                hold(len(sym))
+            sym.append((text, cond if cond is not None else text, kind))
 
         def pop_vals(n: int) -> List[str]:
             """Oldest-first value texts of the top n entries."""
-            texts = [pop1()[0] for _ in range(n)]
-            texts.reverse()
+            texts = [e[0] for e in sym[len(sym) - n:]]
+            del sym[len(sym) - n:]
             return texts
+
+        def named_twice(e: Tuple[str, str, int]) -> str:
+            """An operand a statement names more than once: an
+            expression is evaluated once, into the temporary ``x``."""
+            if e[2] == _EXPR:
+                w(0, "x = %s" % e[0])
+                return "x"
+            return e[0]
+
+        def leave(n: int) -> List[str]:
+            """The top ``n`` entries as the texts of a statement that
+            leaves the function: everything below them materialized, and
+            the one expression evaluated before the state is synced."""
+            settle(n)
+            hold(n)
+            return pop_vals(n)
 
         def flushed(extra: float = 0.0) -> str:
             tot = pend + extra
@@ -653,7 +608,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
 
         def transfer(i: int, target_pc: int) -> None:
             out.append((ind + i, "b = %d" % bid[target_pc], bid[target_pc],
-                        d))
+                        len(sym)))
 
         def goto(i: int, target_pc: int) -> None:
             """Continue at a block: in place when this is the one edge
@@ -677,12 +632,13 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
 
         def back_jump(target_pc: int) -> None:
             # A resume point: never merged.
-            out.append((ind, _Back(float(pend)), bid[target_pc], d))
+            out.append((ind, _Back(float(pend)), bid[target_pc], len(sym)))
 
         def mem_load(pc: int, gidx: int, flat: str) -> None:
-            # d is the depth after operand pops, before the result push;
-            # the interpreter leaves exactly d entries on the stack when
-            # it yields MemRead (push happens on resume via vm.push).
+            # The stack holds the entries below the flat index; the
+            # interpreter leaves exactly those when it yields MemRead
+            # (the push happens on resume via vm.push).
+            d = len(sym)
             w(0, "v = fr(%d, %s)" % (gidx, flat))
             w(0, "if v is _MISS:")
             w(1, "frame.pc = %d" % (pc + 1))
@@ -691,12 +647,13 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             w(1, "vm._pending_push = True")
             w(1, "return _MemRead(%d, %s), budget" % (gidx, flat))
             w(0, "s%d = v" % d)
+            sym.append(reg(d))
             goto(0, pc + 1)
 
         def mem_store(pc: int, gidx: int, flat: str, val: str) -> None:
             w(0, "if not fw(%d, %s, %s):" % (gidx, flat, val))
             w(1, "frame.pc = %d" % (pc + 1))
-            w(1, sync(d))
+            w(1, sync(len(sym)))
             w(1, "vm.pending_cycles = vm.pending_cycles + (%s)" % flushed())
             w(1, "return _MemWrite(%d, %s, %s), budget" % (gidx, flat, val))
             goto(0, pc + 1)
@@ -708,52 +665,42 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             pend += _cost(ins)
 
             if op == "const":
-                mat()
-                push(lit(arg), atom=True)
+                push(lit(arg), kind=_ATOM)
             elif op == "lload":
-                mat()
-                push(ld(arg), atom=True)
+                push(ld(arg), kind=_ATOM)
             elif op == "lstore":
-                t, _c, _df = pop1()
-                w(0, st(arg, t))
-            elif op == "llst":
-                mat()
-                w(0, st(arg[1], ld(arg[0])))
-            elif op == "cs":
-                mat()
-                w(0, st(arg[1], lit(arg[0])))
+                val = sym.pop()
+                settle()                     # an atom may name l<arg>
+                w(0, st(arg, val[0]))
             elif op == "dup":
-                mat()
-                push("s%d" % (d - 1))
+                hold(1)
+                text, cond, _k = sym[-1]
+                push(text, cond, _ATOM)
             elif op == "pop":
-                t, _c, was_def = pop1()
-                if was_def:
+                text, _c, kind = sym.pop()
+                if kind == _EXPR:
                     # The interpreter evaluated this expression when it
                     # was pushed; dropping it unevaluated could skip a
                     # trap (division, wild index) the A-stream relies on.
-                    w(0, t)
+                    w(0, text)
             elif op == "unop":
-                t, _c, _df = pop1()
-                if arg == "-":
-                    push("(-%s)" % t)
-                else:
-                    push("(0 if %s else 1)" % t)
+                t = sym.pop()[0]
+                push("(-%s)" % t if arg == "-" else "(0 if %s else 1)" % t)
             elif op == "unpack2":
-                mat()
-                t, _c, _df = pop1()
+                t = sym.pop()[0]
+                settle()
+                d = len(sym)
                 w(0, "s%d, s%d = %s" % (d, d + 1, t))
-                d += 2
+                sym += [reg(d), reg(d + 1)]
             elif op == "binop":
-                b_t, a_t = pop1()[0], pop1()[0]
+                a_t, b_t = pop_vals(2)
                 push(*_bexpr(arg, a_t, b_t))
             elif op == "icall":
                 name, n = arg
                 if name in ("min", "max"):
-                    # Both operands are named twice.  A literal or a
-                    # local is pure text; anything else goes through a
-                    # stack register first.
-                    if deferred is not None and not deferred[2]:
-                        mat()
+                    # Both operands are named twice: an expression goes
+                    # through its register first.
+                    hold(2)
                     a_t, b_t = pop_vals(2)
                     o = "<" if name == "min" else ">"
                     push("(%s if %s %s %s else %s)" % (a_t, a_t, o, b_t, b_t))
@@ -762,124 +709,60 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 else:
                     raise NotCompilable("unknown intrinsic %r" % (name,))
             elif op == "aload":
-                t, _c, _df = pop1()
+                t = sym.pop()[0]
                 push("%s[%s].item()" % (ld(arg), t))
             elif op == "astore":
-                vals = pop_vals(2)           # [flat, value]; only the
-                w(0, "%s[%s] = %s" % (ld(arg), vals[0], vals[1]))
-                # value can be deferred, and Python evaluates the RHS
-                # before the subscripted store -- interpreter order.
-            elif op == "ll2b":
-                mat()
-                push(*_bexpr(arg[2], ld(arg[0]), ld(arg[1])))
-            elif op == "cb":
-                t, _c, _df = pop1()
-                push(*_bexpr(arg[1], t, lit(arg[0])))
-            elif op == "lcb":
-                mat()
-                push(*_bexpr(arg[2], ld(arg[0]), lit(arg[1])))
-            elif op == "lb":
-                t, _c, _df = pop1()
-                push(*_bexpr(arg[1], t, ld(arg[0])))
-            elif op == "lcbs":
-                mat()
-                w(0, st(arg[3], _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[0]))
-            elif op == "llbs":
-                mat()
-                w(0, st(arg[3], _bexpr(arg[2], ld(arg[0]), ld(arg[1]))[0]))
-            elif op == "cblb":
-                t, _c, _df = pop1()
-                e1 = _bexpr(arg[1], t, lit(arg[0]))[0]
-                push(*_bexpr(arg[3], e1, ld(arg[2])))
-            elif op == "lbcb":
-                t, _c, _df = pop1()
-                e1 = _bexpr(arg[1], t, ld(arg[0]))[0]
-                push(*_bexpr(arg[3], e1, lit(arg[2])))
-            elif op == "lcblb":
-                mat()
-                e1 = _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[0]
-                push(*_bexpr(arg[4], e1, ld(arg[3])))
-            elif op in ("ix", "ixge"):
-                a, k1, o1, b, o2, k2, o3, cslot, o4 = arg[:9]
-                e = _bexpr(o1, ld(a), lit(k1))[0]
-                e = _bexpr(o2, e, ld(b))[0]
-                e = _bexpr(o3, e, lit(k2))[0]
-                e = _bexpr(o4, e, ld(cslot))[0]
-                if op == "ix":
-                    mat()
-                    push(e)
-                else:
-                    mat()
-                    w(0, "x = %s" % e)
-                    mem_load(pc, arg[9], "x")
+                flat, val = pop_vals(2)
+                settle()
+                # Python evaluates the right side before the subscript;
+                # of the two at most one is an expression, and an atom
+                # cannot trap, so traps fire in the interpreter's order.
+                w(0, "%s[%s] = %s" % (ld(arg), flat, val))
             elif op == "gload":
-                mat()
+                settle()
                 mem_load(pc, arg, "0")
             elif op == "geload":
-                mat()                        # flat is used twice
-                t, _c, _df = pop1()
-                mem_load(pc, arg, t)
-            elif op == "cblbge":
-                t, _c, _df = pop1()
-                e1 = _bexpr(arg[1], t, lit(arg[0]))[0]
-                e = _bexpr(arg[3], e1, ld(arg[2]))[0]
-                w(0, "x = %s" % e)
-                mem_load(pc, arg[4], "x")
+                flat = sym.pop()
+                settle()
+                mem_load(pc, arg, named_twice(flat))
             elif op == "gstore":
-                mat()                        # value is used twice
-                t, _c, _df = pop1()
-                mem_store(pc, arg, "0", t)
+                val = sym.pop()
+                settle()
+                mem_store(pc, arg, "0", named_twice(val))
             elif op == "gestore":
-                mat()
-                vals = pop_vals(2)           # [flat, value], both temps
-                mem_store(pc, arg, vals[0], vals[1])
+                val = sym.pop()
+                flat = sym.pop()
+                settle()
+                mem_store(pc, arg, named_twice(flat), named_twice(val))
             elif op == "jump":
-                mat()
+                settle()
                 if arg < pc:
                     back_jump(arg)
                 else:
                     goto(0, arg)
             elif op == "jfalse":
-                _t, cond, _df = pop1()
+                cond = sym.pop()[1]
+                settle()
                 cond_jump(cond, pc + 1, arg)
             elif op == "jnone":
-                mat()
-                w(0, "if s%d is None:" % (d - 1))
+                settle()
+                w(0, "if s%d is None:" % (len(sym) - 1))
+                sym.pop()
                 goto(1, arg)
                 w(0, "else:")
                 goto(1, pc + 1)
-            elif op == "cjf":
-                b_t, a_t = pop1()[0], pop1()[0]
-                cond_jump(_bexpr(arg[0], a_t, b_t)[1], pc + 1, arg[1])
-            elif op == "lcjf":
-                mat()
-                cond = _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[1]
-                cond_jump(cond, pc + 1, arg[3])
-            elif op == "lljf":
-                mat()
-                cond = _bexpr(arg[2], ld(arg[0]), ld(arg[1]))[1]
-                cond_jump(cond, pc + 1, arg[3])
-            elif op == "lcbsj":
-                mat()
-                w(0, st(arg[3], _bexpr(arg[2], ld(arg[0]), lit(arg[1]))[0]))
-                if arg[4] <= pc:
-                    back_jump(arg[4])
-                else:
-                    goto(0, arg[4])
             elif op == "call":
-                mat()
                 fidx, n = arg
-                args = pop_vals(n)
+                args = leave(n)
                 w(0, "frame.pc = %d" % (pc + 1))
-                w(0, sync(d))
+                w(0, sync(len(sym)))
                 w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
                   % flushed())
                 w(0, "vm.frames.append(_Frame(%d, _FUNCS[%d], %s))"
                   % (fidx, fidx, tup(args)))
                 w(0, "return None, budget")
             elif op == "ret":
-                mat()
-                rv = "s%d" % (d - 1) if d > 0 else "0"
+                rv = leave(1)[0] if sym else "0"
                 w(0, "vm.frames.pop()")
                 w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
                   % flushed())
@@ -890,20 +773,18 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 w(0, "vm.result = %s" % rv)
                 w(0, "return _Done(%s), budget" % rv)
             elif op == "rt":
-                mat()
                 name, static, n = arg
-                args = pop_vals(n)
+                args = leave(n)
                 w(0, "frame.pc = %d" % (pc + 1))
-                w(0, sync(d))
+                w(0, sync(len(sym)))
                 w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
                   % flushed(1.0))
                 w(0, "return _RtCall(%s, %s, %s), budget"
                   % (lit(name), lit(static), tup(args)))
             elif op == "print":
-                mat()
-                args = pop_vals(arg)
+                args = leave(arg)
                 w(0, "frame.pc = %d" % (pc + 1))
-                w(0, sync(d))
+                w(0, sync(len(sym)))
                 w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
                   % flushed(1.0))
                 w(0, "return _IoOut(%s), budget" % tup(args))
@@ -912,7 +793,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
 
         if instrs[pcs[-1]][0] not in _TERMINAL:
             # Plain fall-through into the next leader.
-            mat()
+            settle()
             goto(0, pcs[-1] + 1)
 
     # ``roots`` grows while it is walked: a block the nest cap kept out
@@ -1024,8 +905,6 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         ``return`` and ``break``."""
         back = write_back(resident) if resident else None
         lines = bodies[node]
-        if trip is not None:
-            lines = _forward_moves(lines)
 
         def settle(i: int) -> None:
             w(i, "c = c + %r * _t" % trip)

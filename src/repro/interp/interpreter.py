@@ -189,12 +189,6 @@ _INTRINSICS = {
  _N_NEG, _N_NOT, _N_DUP, _N_POP, _N_JNONE, _N_UNPACK2,
  _N_ICALL1, _N_ICALL2, _N_CALL, _N_RET, _N_RT, _N_PRINT) = range(24)
 
-# Superinstructions (optimizer fusion pass; see compiler.bytecode).
-(_N_LL2B, _N_CONSTB, _N_LLST, _N_CMPJF,
- _N_LCB, _N_LB, _N_LCBS, _N_LCJF, _N_LLBS, _N_LLJF,
- _N_CS, _N_CBLB, _N_LBCB, _N_LCBLB, _N_LCBSJ,
- _N_IX, _N_IXGE, _N_CBLBGE) = range(24, 42)
-
 _SIMPLE_NUM = {
     "lload": _N_LLOAD, "lstore": _N_LSTORE, "const": _N_CONST,
     "jump": _N_JUMP, "jfalse": _N_JFALSE,
@@ -227,128 +221,6 @@ def _translate(code: Code) -> List[Tuple]:
         elif op == "unop":
             fast.append((_N_NEG if ins[1] == "-" else _N_NOT, None,
                          OP_COST[op]))
-        elif op == "ll2b":
-            a, b, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LL2B, (a, b, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "cb":
-            k, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_CONSTB, (k, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "llst":
-            fast.append((_N_LLST, ins[1], OP_COST[op]))
-        elif op == "cjf":
-            o, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_CMPJF, (fn, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lcb":
-            a, k, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCB, (a, k, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lb":
-            b, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LB, (b, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lcbs":
-            a, k, o, d = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCBS, (a, k, fn, d),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "llbs":
-            a, b, o, d = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LLBS, (a, b, fn, d),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lcjf":
-            a, k, o, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCJF, (a, k, fn, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lljf":
-            a, b, o, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LLJF, (a, b, fn, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "cs":
-            fast.append((_N_CS, ins[1], OP_COST[op]))
-        elif op == "cblb":
-            k, o1, b, o2 = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_CBLB, (k, f1, b, f2),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
-        elif op == "lbcb":
-            b, o1, k, o2 = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_LBCB, (b, f1, k, f2),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
-        elif op == "lcblb":
-            a, k, o1, b, o2 = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_LCBLB, (a, k, f1, b, f2),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
-        elif op == "lcbsj":
-            a, k, o, d, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCBSJ, (a, k, fn, d, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op in ("ix", "ixge"):
-            arg = ins[1]
-            a, k1, o1, b, o2, k2, o3, c, o4 = arg[:9]
-            fns = []
-            for o in (o1, o2, o3, o4):
-                fn = _BINOP_FN.get(o)
-                if fn is None:
-                    raise VMError(f"unknown binop {o!r}")
-                fns.append(fn)
-            cost = OP_COST[op] + sum(
-                BINOP_COST.get(o, 0) for o in (o1, o2, o3, o4))
-            packed = (a, k1, fns[0], b, fns[1], k2, fns[2], c, fns[3])
-            if op == "ix":
-                fast.append((_N_IX, packed, cost))
-            else:
-                fast.append((_N_IXGE, packed + (arg[9],), cost))
-        elif op == "cblbge":
-            k, o1, b, o2, g = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_CBLBGE, (k, f1, b, f2, g),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
         else:
             num = _SIMPLE_NUM.get(op)
             if num is None:
@@ -582,35 +454,19 @@ class VM:
                     num, arg, cost = fi[pc]
                     cycles += cost
                     # Dispatch arms are ordered by measured dynamic
-                    # frequency over the static suite with fusion on
-                    # (lb 22%, lcb 15%, binop 14%, cb 11%, const 10%,
-                    # geload 8%, ...); the chain is a linear scan, so
-                    # hot ops must sit near the top.
-                    if num == _N_LB:
-                        stack[-1] = arg[1](stack[-1], locs[arg[0]])
-                        pc += 1
-                    elif num == _N_LCB:
-                        stack.append(arg[2](locs[arg[0]], arg[1]))
-                        pc += 1
-                    elif num == _N_CBLB:
-                        k, f1, b, f2 = arg
-                        stack[-1] = f2(f1(stack[-1], k), locs[b])
-                        pc += 1
-                    elif num == _N_LBCB:
-                        b, f1, k, f2 = arg
-                        stack[-1] = f2(f1(stack[-1], locs[b]), k)
-                        pc += 1
-                    elif num == _N_LCBLB:
-                        a, k, f1, b, f2 = arg
-                        stack.append(f2(f1(locs[a], k), locs[b]))
-                        pc += 1
-                    elif num == _N_BINOP:
+                    # frequency over the test-size static suite (6.9M
+                    # dispatches: binop 37.6%, lload 24.7%, const 22.8%,
+                    # geload 4.4%, lstore 3.1%, jfalse 2.6%, jump 2.3%,
+                    # gestore 2.0%, the rest under 1%; aload, astore,
+                    # unop and dup never run there); the chain is a
+                    # linear scan, so hot ops must sit near the top.
+                    if num == _N_BINOP:
                         b = stack.pop()
                         a = stack.pop()
                         stack.append(arg(a, b))
                         pc += 1
-                    elif num == _N_CONSTB:
-                        stack[-1] = arg[1](stack[-1], arg[0])
+                    elif num == _N_LLOAD:
+                        stack.append(locs[arg])
                         pc += 1
                     elif num == _N_CONST:
                         stack.append(arg)
@@ -630,38 +486,11 @@ class VM:
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(arg, flat)
-                    elif num == _N_IXGE:
-                        a, k1, f1, b, f2, k2, f3, c, f4, g = arg
-                        flat = f4(f3(f2(f1(locs[a], k1), locs[b]), k2),
-                                  locs[c])
-                        frame.pc = pc + 1
-                        if fast_read is not None:
-                            v = fast_read(g, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(g, flat)
-                    elif num == _N_CBLBGE:
-                        k, f1, b, f2, g = arg
-                        flat = f2(f1(stack.pop(), k), locs[b])
-                        frame.pc = pc + 1
-                        if fast_read is not None:
-                            v = fast_read(g, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(g, flat)
-                    elif num == _N_IX:
-                        a, k1, f1, b, f2, k2, f3, c, f4 = arg
-                        stack.append(f4(f3(f2(f1(locs[a], k1), locs[b]),
-                                           k2), locs[c]))
+                    elif num == _N_LSTORE:
+                        locs[arg] = stack.pop()
                         pc += 1
+                    elif num == _N_JFALSE:
+                        pc = arg if not stack.pop() else pc + 1
                     elif num == _N_JUMP:
                         if arg < pc:
                             # Backward jump: loop boundary.  Enforce the
@@ -683,63 +512,45 @@ class VM:
                             continue
                         self.pending_cycles += cycles
                         return MemWrite(arg, flat, v)
-                    elif num == _N_LCBSJ:
-                        a, k, fn, d, t = arg
-                        locs[d] = fn(locs[a], k)
-                        if t <= pc:
-                            # Absorbed backward jump: same slice-budget
-                            # enforcement as the standalone _N_JUMP arm.
-                            budget -= 1
-                            if budget <= 0:
-                                frame.pc = t
-                                self.pending_cycles += cycles
-                                return TimeSlice()
-                        pc = t
-                    elif num == _N_LCJF:
-                        a, k, fn, t = arg
-                        pc = pc + 1 if fn(locs[a], k) else t
-                    elif num == _N_LCBS:
-                        a, k, fn, d = arg
-                        locs[d] = fn(locs[a], k)
+                    elif num == _N_ICALL1:
+                        stack.append(arg(stack.pop()))
                         pc += 1
-                    elif num == _N_CS:
-                        locs[arg[1]] = arg[0]
-                        pc += 1
-                    elif num == _N_LSTORE:
-                        locs[arg] = stack.pop()
-                        pc += 1
-                    elif num == _N_JFALSE:
-                        pc = arg if not stack.pop() else pc + 1
-                    elif num == _N_LLOAD:
-                        stack.append(locs[arg])
-                        pc += 1
-                    elif num == _N_LL2B:
-                        a, b, fn = arg
-                        stack.append(fn(locs[a], locs[b]))
-                        pc += 1
-                    elif num == _N_LLBS:
-                        a, b, fn, d = arg
-                        locs[d] = fn(locs[a], locs[b])
-                        pc += 1
-                    elif num == _N_LLJF:
-                        a, b, fn, t = arg
-                        pc = pc + 1 if fn(locs[a], locs[b]) else t
-                    elif num == _N_CMPJF:
+                    elif num == _N_ICALL2:
                         b = stack.pop()
                         a = stack.pop()
-                        pc = pc + 1 if arg[0](a, b) else arg[1]
-                    elif num == _N_LLST:
-                        locs[arg[1]] = locs[arg[0]]
+                        stack.append(arg(a, b))
                         pc += 1
-                    elif num == _N_ALOAD:
-                        flat = stack.pop()
-                        stack.append(locs[arg][flat].item())
+                    elif num == _N_RT:
+                        name, static, nargs = arg
+                        if nargs:
+                            args = tuple(stack[len(stack) - nargs:])
+                            del stack[len(stack) - nargs:]
+                        else:
+                            args = ()
+                        frame.pc = pc + 1
+                        self.pending_cycles += cycles + 1
+                        return RtCall(name, static, args)
+                    elif num == _N_JNONE:
+                        if stack[-1] is None:
+                            stack.pop()
+                            pc = arg
+                        else:
+                            pc += 1
+                    elif num == _N_UNPACK2:
+                        a, b = stack.pop()
+                        stack.append(a)
+                        stack.append(b)
                         pc += 1
-                    elif num == _N_ASTORE:
-                        v = stack.pop()
-                        flat = stack.pop()
-                        locs[arg][flat] = v
-                        pc += 1
+                    elif num == _N_RET:
+                        rv = stack.pop() if stack else 0
+                        frames.pop()
+                        if not frames:
+                            self.done = True
+                            self.result = rv
+                            self.pending_cycles += cycles
+                            return Done(rv)
+                        frames[-1].stack.append(rv)
+                        break           # back to the caller's frame
                     elif num == _N_GLOAD:
                         frame.pc = pc + 1
                         if fast_read is not None:
@@ -760,6 +571,32 @@ class VM:
                             continue
                         self.pending_cycles += cycles
                         return MemWrite(arg, 0, v)
+                    elif num == _N_CALL:
+                        fidx, nargs = arg
+                        args = tuple(stack[len(stack) - nargs:])
+                        del stack[len(stack) - nargs:]
+                        frame.pc = pc + 1
+                        nf = Frame(fidx, self.program.funcs[fidx], args)
+                        frames.append(nf)
+                        break           # switch to the new frame
+                    elif num == _N_POP:
+                        stack.pop()
+                        pc += 1
+                    elif num == _N_PRINT:
+                        vals = tuple(stack[len(stack) - arg:])
+                        del stack[len(stack) - arg:]
+                        frame.pc = pc + 1
+                        self.pending_cycles += cycles + 1
+                        return IoOut(vals)
+                    elif num == _N_ALOAD:
+                        flat = stack.pop()
+                        stack.append(locs[arg][flat].item())
+                        pc += 1
+                    elif num == _N_ASTORE:
+                        v = stack.pop()
+                        flat = stack.pop()
+                        locs[arg][flat] = v
+                        pc += 1
                     elif num == _N_NEG:
                         stack[-1] = -stack[-1]
                         pc += 1
@@ -769,62 +606,6 @@ class VM:
                     elif num == _N_DUP:
                         stack.append(stack[-1])
                         pc += 1
-                    elif num == _N_POP:
-                        stack.pop()
-                        pc += 1
-                    elif num == _N_JNONE:
-                        if stack[-1] is None:
-                            stack.pop()
-                            pc = arg
-                        else:
-                            pc += 1
-                    elif num == _N_UNPACK2:
-                        a, b = stack.pop()
-                        stack.append(a)
-                        stack.append(b)
-                        pc += 1
-                    elif num == _N_ICALL1:
-                        stack.append(arg(stack.pop()))
-                        pc += 1
-                    elif num == _N_ICALL2:
-                        b = stack.pop()
-                        a = stack.pop()
-                        stack.append(arg(a, b))
-                        pc += 1
-                    elif num == _N_CALL:
-                        fidx, nargs = arg
-                        args = tuple(stack[len(stack) - nargs:])
-                        del stack[len(stack) - nargs:]
-                        frame.pc = pc + 1
-                        nf = Frame(fidx, self.program.funcs[fidx], args)
-                        frames.append(nf)
-                        break           # switch to the new frame
-                    elif num == _N_RET:
-                        rv = stack.pop() if stack else 0
-                        frames.pop()
-                        if not frames:
-                            self.done = True
-                            self.result = rv
-                            self.pending_cycles += cycles
-                            return Done(rv)
-                        frames[-1].stack.append(rv)
-                        break           # back to the caller's frame
-                    elif num == _N_RT:
-                        name, static, nargs = arg
-                        if nargs:
-                            args = tuple(stack[len(stack) - nargs:])
-                            del stack[len(stack) - nargs:]
-                        else:
-                            args = ()
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles + 1
-                        return RtCall(name, static, args)
-                    elif num == _N_PRINT:
-                        vals = tuple(stack[len(stack) - arg:])
-                        del stack[len(stack) - arg:]
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles + 1
-                        return IoOut(vals)
                     else:
                         raise VMError(f"unknown opcode number {num!r}")
             except IndexError:

@@ -61,11 +61,10 @@ void main() {
 
 
 def test_integer_division_by_zero_not_folded():
-    # Folding 1/0 at compile time would hide the runtime trap.  The
-    # divide may survive as a bare binop or inside a fused cb/ll2b/cjf
-    # superinstruction -- either way it runs (and traps) at runtime.
+    # Folding 1/0 at compile time would hide the runtime trap: the
+    # divide survives as a binop and runs (and traps) at runtime.
     opt = instrs("int x;\nvoid main() { x = 1 / 0; }", optimize=True)
-    assert any(i[0] in ("binop", "cb", "ll2b", "cjf") for i in opt)
+    assert ("binop", "/") in opt
 
 
 def test_string_constants_never_folded():

@@ -25,8 +25,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_source
-from repro.compiler.bytecode import OP_COST, Code
-from repro.compiler.optimize import optimize_code
+from repro.compiler.bytecode import OP_COST, Code, CompiledProgram
 from repro.config import PAPER_MACHINE
 from repro.harness import RunSpec, execute_spec
 from repro.hotpath import reset_for_tests
@@ -301,18 +300,6 @@ def _ops(prog):
     return {ins[0] for code in prog.funcs for ins in code.instrs}
 
 
-def compile_unfused(src):
-    """The image ``compile_source`` built before fusion existed: the
-    peephole pass alone, generated code attached over that stream."""
-    prog = compile_source(src, optimize=False)
-    unfused_ops = _ops(prog)
-    for code in prog.funcs:
-        optimize_code(code)
-    assert _ops(prog) <= unfused_ops        # no op codegen does not emit
-    assert attach_generated(prog)
-    return prog
-
-
 # ------------------------------------------------------- property sweep
 
 @pytest.mark.parametrize("seed", range(30))
@@ -342,42 +329,26 @@ def test_random_programs_identical_under_short_slices(seed, max_slice,
     assert_same_run(prog, fast=True)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 6, 9, 12])
-def test_random_programs_identical_without_fusion(seed, monkeypatch):
-    """Same property on unfused opcode streams: the generated code's
-    cost folding must match the pre-fusion translation too."""
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    prog = compile_unfused(make_program(seed))
-    assert all(f.gen_src is not None for f in prog.funcs)
-    assert_same_run(prog, fast=False)
-    assert_same_run(prog, fast=True)
-
-
 _DEFAULT_SLICE = VM.MAX_SLICE
 
+#: The opcodes of ``compiler.bytecode``'s table: the one set every
+#: consumer of an image handles.
+_BASE_OPS = frozenset((
+    "const", "lload", "lstore", "gload", "gstore", "geload", "gestore",
+    "aload", "astore", "binop", "unop", "dup", "pop", "jump", "jfalse",
+    "jnone", "unpack2", "call", "icall", "rt", "print", "ret"))
 
-@pytest.mark.parametrize("max_slice", [_DEFAULT_SLICE, 3, 7, 11])
-def test_fused_and_unfused_streams_agree_on_the_interpreter(max_slice,
-                                                            monkeypatch):
-    """Fusion exactness, on the reference interpreter: the same events
-    (``TimeSlice`` included), the same cycles between events (each
-    entry's ``take_cycles()`` reading) and the same final store from
-    the fused and the unfused image of one program -- at the default
-    slice budget and at budgets of a few backward jumps, where
-    ``lcbsj`` must spend the budget of the back edge it absorbed."""
-    monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
-    slices = 0
-    for seed in range(30):
-        src = make_program(seed)
-        fused, unfused = compile_source(src), compile_unfused(src)
-        assert "lcbsj" in _ops(fused) - _ops(unfused)
-        for fast in (False, True):
-            run = drive(fused, compiled=False, fast=fast, frames=False)
-            assert_same_drive(run, drive(unfused, compiled=False, fast=fast,
-                                         frames=False),
-                              f"seed {seed}, fused vs unfused")
-            slices += sum(ev[0] == "TS" for ev in run[0])
-    assert (slices > 0) == (max_slice != _DEFAULT_SLICE)
+
+def test_images_use_only_base_opcodes():
+    """The optimizer emits no opcode outside the base table: every
+    registry kernel at both sizes and every random program."""
+    from repro.npb import REGISTRY
+    assert set(OP_COST) == _BASE_OPS
+    sources = [make_program(seed) for seed in range(30)]
+    sources += [REGISTRY[b].source(**REGISTRY[b].params(size))
+                for b in sorted(REGISTRY) for size in ("test", "bench")]
+    for src in sources:
+        assert _ops(compile_source(src)) <= _BASE_OPS
 
 
 # -------------------------------------------------------- directed deopt
@@ -608,6 +579,29 @@ def test_wild_index_trap_identical():
     assert state[0] is VMError and state[2] == (0, 3.5, [0.0] * 4)
 
 
+def test_trap_pending_below_a_store_fires_before_it():
+    """A trapping int ``/`` is still an unevaluated expression on the
+    symbolic stack when an ``lstore`` to another slot consumes the
+    entry above it: the division must run first, so the trap leaves the
+    frame the interpreter leaves -- slot 2 still 0, the store not run."""
+    code = Code("t", ["a", "b"], [
+        ("lload", 0), ("lload", 1), ("binop", "/"), ("const", 5),
+        ("lstore", 2), ("pop",), ("ret",)], n_locals=3)
+    prog = CompiledProgram([], [code], {"t": 0}, 0)
+    assert attach_generated(prog)
+    states = []
+    for compiled in (True, False):
+        vm = VM(prog, 0, (7, 0))
+        assert vm._cfns is not None
+        if not compiled:
+            vm.disable_compiled()
+        with pytest.raises(VMError, match="division by zero"):
+            vm.run()
+        states.append((vm.pending_cycles, frame_state(vm)))
+    assert states[0] == states[1]
+    assert states[0][1][-1][3] == (7, 0, 0)
+
+
 def test_trap_mid_trip_of_a_collapsed_loop_identical():
     """An int division by a private that reaches 0 traps in the third
     trip of a loop over private scalars, after ``a`` and ``d`` were
@@ -809,7 +803,7 @@ _LIVENESS_CASES = {
         y = f0(y, x);
         #pragma omp barrier
         print(ga, x, y, i);""",
-    # lcbs / lcbsj read the slot they write.
+    # The steps ``n = n + 1`` and ``i = i + 1`` read the slot they write.
     "increment-of-one-slot": """
         int i; int n;
         n = 0;
@@ -884,15 +878,6 @@ _OP_TEMPLATES = {
     "unop": "-", "dup": None, "pop": None, "jump": _T, "jfalse": _T,
     "jnone": _T, "unpack2": None, "call": (0, 0), "icall": ("fabs", 1),
     "rt": ("barrier", (1,), 0), "print": 1, "ret": None,
-    "ll2b": (10, 11, "+"), "lcb": (10, 2, "+"), "lb": (10, "+"),
-    "cb": (2, "+"), "llst": (10, 11), "cjf": ("<", _T),
-    "lcbs": (10, 2, "+", 11), "llbs": (10, 11, "+", 12),
-    "lcjf": (10, 2, "<", _T), "lljf": (10, 11, "<", _T), "cs": (2, 10),
-    "cblb": (2, "+", 10, "+"), "lbcb": (10, "+", 2, "+"),
-    "lcblb": (10, 2, "+", 11, "+"), "lcbsj": (10, 2, "+", 11, _T),
-    "ix": (10, 2, "*", 11, "+", 3, "*", 12, "+"),
-    "ixge": (10, 2, "*", 11, "+", 3, "*", 12, "+", 0),
-    "cblbge": (2, "*", 10, "+", 0),
 }
 
 
@@ -937,6 +922,21 @@ def test_read_write_table_covers_every_local_the_emitter_names():
 
 
 # ------------------------------------------------ shape of the emitted code
+
+def test_index_polynomial_is_one_expression():
+    """Base ops for ``((l0 * 5 + l1) * 7 + l2)`` then ``geload``: the
+    symbolic stack carries the literals and locals as atoms and emits
+    the flat index once, into the load's temporary -- no register copy
+    of a local."""
+    code = Code("t", [], [
+        ("lload", 0), ("const", 5), ("binop", "*"), ("lload", 1),
+        ("binop", "+"), ("const", 7), ("binop", "*"), ("lload", 2),
+        ("binop", "+"), ("geload", 0), ("ret",)], n_locals=3)
+    text = generate_source(code)[0]
+    assert "x = ((((l0 * 5) + l1) * 7) + l2)\n" in text
+    assert "v = fr(0, x)" in text
+    assert not re.search(r"\bs\d+ = l\d+$", text, re.M)
+
 
 def _sibling_loops(n, trips=None):
     """``n`` identical loops one after another in ``main``; ``trips``
@@ -1284,26 +1284,6 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
     assert on.result.rt_stats == off.result.rt_stats
     assert on.result.r_breakdown == off.result.r_breakdown
     assert on.result.classes.as_dict() == off.result.classes.as_dict()
-
-
-@pytest.mark.parametrize("bench", ["cg", "lu"])
-def test_benchmark_identical_with_fused_and_unfused_image(bench):
-    """Fusion exactness through a whole machine: one kernel's fused and
-    unfused image, in single and in G0 slipstream mode, spend the same
-    cycles and see the same memory traffic."""
-    from repro.npb import REGISTRY
-    from repro.runtime import RuntimeEnv, run_program
-    src = REGISTRY[bench].source(**REGISTRY[bench].params("test"))
-    fused, unfused = compile_source(src), compile_unfused(src)
-    assert _ops(fused) - _ops(unfused)
-    cfg = PAPER_MACHINE.with_(n_cmps=4)
-    g0 = RuntimeEnv(slipstream=("GLOBAL_SYNC", 0), slipstream_set=True)
-    for mode, env in (("single", None), ("slipstream", g0)):
-        a = run_program(fused, cfg=cfg, mode=mode, env=env)
-        b = run_program(unfused, cfg=cfg, mode=mode, env=env)
-        assert a.cycles == b.cycles, mode
-        assert a.mem_stats.as_dict() == b.mem_stats.as_dict(), mode
-        assert a.output == b.output, mode
 
 
 def test_fault_armed_shells_run_interpreted(monkeypatch):

@@ -95,8 +95,7 @@ def test_lcg_indices_deterministic_and_in_range():
 def test_bench_size_compiles(name):
     spec = REGISTRY[name]
     image = spec.compile("bench")
-    # Sanity floor only; superinstruction fusion legitimately packs
-    # several bytecodes into one, so keep it below any fused size.
+    # Sanity floor only: every kernel's image is many times larger.
     assert image.n_instructions > 50
 
 

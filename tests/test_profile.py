@@ -252,8 +252,8 @@ void main() {
 
 def test_fast_path_hits_are_charged_to_the_line_of_the_access(monkeypatch):
     """Every shared access of ``FAST_SOURCE`` sits on a line of its own,
-    one per VM access site (``geload``, ``gestore``, ``gload``,
-    ``gstore`` and the fused ``cblbge`` and ``ixge``), and what each
+    one per VM access op (``geload``, ``gestore``, ``gload`` and
+    ``gstore``; the last two lines index through a sum), and what each
     line must be charged follows from counting: a hit the VM's hooks
     absorb is one busy cycle, plus -- a store, or a load that misses
     the L1 -- the rest of the L2 latency as ``memory``/``l2``; a miss
@@ -268,7 +268,7 @@ def test_fast_path_hits_are_charged_to_the_line_of_the_access(monkeypatch):
         size_bytes=1024, assoc=2, line_bytes=128, hit_cycles=1))
     image = compile_source(FAST_SOURCE)
     ops = {ins[0] for ins in image.funcs[image.main_index].instrs}
-    assert {"geload", "gestore", "gload", "gstore", "cblbge", "ixge"} <= ops
+    assert {"geload", "gestore", "gload", "gstore"} <= ops
     run = run_program(image, cfg=cfg, mode="single", obs="profile")
 
     n_lines = 256 * 8 // cfg.line_bytes             # 16 lines an array
@@ -293,10 +293,11 @@ def test_fast_path_hits_are_charged_to_the_line_of_the_access(monkeypatch):
         ("s = x;", "busy", ""): 64 + 63,
         ("s = x;", "memory", "l2"): 63 * l2_stall,
         ("s = x;", "memory", "local"): upgrade,
-        # ll2b (3) + cblbge (4) + lstore: a miss a line, then L1 hits.
+        # 7 index ops + geload + lstore: a miss a line, then L1 hits.
         ("x = c[(i + k) * 1 + k];", "busy", ""): 8 * 256 + (256 - n_lines),
         ("x = c[(i + k) * 1 + k];", "memory", "local"): n_lines * miss,
-        # ixge (9) + lstore: the element the line above just loaded.
+        # 9 index ops + geload + lstore: the element the line above
+        # just loaded.
         ("x = c[(i * 1 + k) * 1 + k];", "busy", ""): 10 * 256 + 256,
     }
     source_lines = FAST_SOURCE.splitlines()
