@@ -35,7 +35,7 @@ from typing import List, Optional
 from .compiler import compile_source, disassemble
 from .config import PAPER_MACHINE
 from .harness import render_speedups, run_static_suite
-from .hotpath import hotpath_tiers
+from .hotpath import generated_code
 from .interp import FunctionalRunner
 from .lang import analyze, parse
 from .lang.errors import CompileError
@@ -517,7 +517,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
     try:
-        hotpath_tiers()         # latch REPRO_HOTPATH; rejects unknown tiers
+        generated_code()        # latch REPRO_HOTPATH; rejects bad settings
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -121,11 +121,10 @@ class Code:
     #: profiler's instr-index -> SlipC line map.  Kept in sync by the
     #: peephole optimizer and carried by the image wherever it goes.
     lines: List[int] = field(default_factory=list)
-    #: Generated-code tier payload: ``(python_source, hoisted_consts)``
-    #: emitted by :func:`repro.interp.compile.generate_source` when the
-    #: ``compile`` hot-path tier was on at image build.  Kept with the
-    #: image in the in-memory compile cache; exec'd lazily once per
-    #: process.
+    #: Generated code: ``(python_source, hoisted_consts)`` emitted by
+    #: :func:`repro.interp.compile.generate_source` when the image is
+    #: built.  Kept with the image in the in-memory compile cache;
+    #: exec'd lazily once per process.
     gen_src: Optional[Tuple[str, Tuple]] = None
 
     @property

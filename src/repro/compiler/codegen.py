@@ -58,14 +58,11 @@ def compile_program(program: A.Program,
     if optimize:
         from .optimize import optimize_program
         optimize_program(cp)
-    from ..hotpath import hotpath_enabled
-    if hotpath_enabled("compile"):
-        # Generated-code tier: emit the per-function Python source now
-        # so it is part of the image (and of the npb/cache disk entry,
-        # whose key carries the compile= flag).  Imported late -- the
-        # interp package imports this one.
-        from ..interp.compile import attach_generated
-        attach_generated(cp)
+    # Generated code: emit the per-function Python source now so it is
+    # part of the image, whichever engine the VMs that run it use.
+    # Imported late -- the interp package imports this one.
+    from ..interp.compile import attach_generated
+    attach_generated(cp)
     return cp
 
 
@@ -687,25 +684,26 @@ class _FuncCompiler:
                 self._emit_flat_index(e, g.dims)
                 self.emit("geload", idx)
         elif isinstance(e, A.BinOp):
-            if e.op == "&&":
-                self.compile_expr(e.lhs)
-                self.emit("dup")
-                jf = self.emit("jfalse", -1)
-                self.emit("pop")
-                self.compile_expr(e.rhs)
-                self.patch(jf, self.here)
-            elif e.op == "||":
-                self.compile_expr(e.lhs)
-                self.emit("dup")
-                self.emit("unop", "!")
-                jf = self.emit("jfalse", -1)
-                self.emit("pop")
-                self.compile_expr(e.rhs)
-                self.patch(jf, self.here)
-            else:
-                self.compile_expr(e.lhs)
-                self.compile_expr(e.rhs)
-                self.emit("binop", e.op)
+            # Down the left spine in a loop, not by recursion: a chain
+            # ``a + b + ...`` nests one level a term, without bound.
+            spine = [e]
+            while isinstance(spine[-1].lhs, A.BinOp):
+                spine.append(spine[-1].lhs)
+                if spine[-1].line:
+                    self._line = spine[-1].line
+            self.compile_expr(spine[-1].lhs)
+            for node in reversed(spine):
+                if node.op in ("&&", "||"):
+                    self.emit("dup")
+                    if node.op == "||":
+                        self.emit("unop", "!")
+                    jf = self.emit("jfalse", -1)
+                    self.emit("pop")
+                    self.compile_expr(node.rhs)
+                    self.patch(jf, self.here)
+                else:
+                    self.compile_expr(node.rhs)
+                    self.emit("binop", node.op)
         elif isinstance(e, A.UnOp):
             self.compile_expr(e.operand)
             self.emit("unop", e.op)

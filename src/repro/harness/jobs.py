@@ -15,7 +15,7 @@ keys on:
   content-keyed units.  The unit key extends the spec's by-value
   identity with the things the process environment contributes: a
   fingerprint of the simulator's own sources and the latched
-  ``REPRO_HOTPATH`` tier set.  Cycle counts are a pure function of
+  ``REPRO_HOTPATH`` engine.  Cycle counts are a pure function of
   that triple, which is what lets the checkpoint journal and the
   run-result memo store treat a unit key as a full content address
   (same scheme as :mod:`repro.npb.cache` uses for compiled images).
@@ -38,7 +38,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
 
 from ..config.machine import MachineConfig, PAPER_MACHINE
 from ..faults import FaultConfig
-from ..hotpath import hotpath_tiers
+from ..hotpath import generated_code
 from ..npb import REGISTRY
 from ..runtime import SimDeadlockError, run_program
 from .runner import BenchRun, _env_for, _mode_for
@@ -146,13 +146,13 @@ def unit_key(spec: RunSpec) -> str:
     ``repr`` of a frozen dataclass tree (spec, nested MachineConfig /
     CacheConfig / FaultConfig, tuples) is canonical and deterministic,
     so it serves as the serialized identity; the code fingerprint and
-    the latched hot-path tier set fold in everything else a simulated
-    cycle count depends on.  Equal keys => bit-identical results, on
+    the latched ``REPRO_HOTPATH`` engine fold in everything else a
+    simulated cycle count depends on.  Equal keys => bit-identical results, on
     any host, in any process.
     """
     h = hashlib.sha256()
     h.update(code_fingerprint().encode())
-    h.update(",".join(sorted(hotpath_tiers())).encode())
+    h.update(b"compile" if generated_code() else b"")
     h.update(repr(spec).encode())
     return h.hexdigest()
 

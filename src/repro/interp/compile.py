@@ -14,7 +14,8 @@ the register ``sN``, an *atom* (a literal or a local name: no effect,
 cannot trap) or an *expression*.  The image holds base ops only, so
 this is where ``l0 * 5 + l1`` or a loop's ``i < n`` and ``i = i + 1``
 become one Python expression each.  At most one expression is pending,
-so traps fire in the interpreter's order; an effect -- a store, a
+so traps fire in the interpreter's order, and one nested deeper than
+``_MAX_EXPR_NEST`` goes into its register at once; an effect -- a store, a
 memory op, a call, ``rt``/``print``, a conditional branch, a block
 exit -- first materializes every entry it does not consume (so a store
 to slot *k* never overtakes an atom naming ``l<k>``); a flat index or
@@ -116,27 +117,29 @@ tier on or off):
   else to a stub id past the last block; the stubs run once, before the
   ``while 1:``, reload the virtual registers from ``frame.stack`` and
   the live locals from ``frame.locals`` (``l0, l2 = L[0], L[2]``) and
-  set ``b``.  An unknown pc returns the ``_DEOPT`` sentinel and the VM
-  transparently falls back to the interpreter loop
-  (restore/corrupt/armed-fault paths).
+  set ``b``.  A VM that slipstream recovery restored or fault injection
+  corrupted is between events, at a yield point, so it resumes here
+  like any other.  An unknown pc returns the ``_DEOPT`` sentinel and
+  the VM transparently falls back to the interpreter loop for the rest
+  of its life.
 
 Functions whose bytecode the translator cannot prove statically
 well-shaped (unreachable-depth conflicts, unknown ops -- in practice
-only hand-built test Codes) raise :class:`NotCompilable`, and the
-whole program stays on the interpreter: the tier is all-or-nothing per
-image, so a partially compiled call chain can never mix conventions.
+only hand-built test Codes) raise :class:`NotCompilable`, and source
+CPython will not compile fails in ``compiled_functions``; either way
+the whole program stays on the interpreter: generated code is
+all-or-nothing per image, so a partially compiled call chain can
+never mix conventions.
 
 The generated source is attached to each ``Code`` as ``gen_src`` when
 the image is built (see ``compiler.codegen.compile_program``), lives
-with the image in the in-process ``npb/cache.py`` compile cache (the
-``compile=`` key flag keeps tier-on and tier-off images apart), and is
+with the image in the in-process ``npb/cache.py`` compile cache, and is
 exec'd lazily once per process per program.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -152,11 +155,6 @@ __all__ = ["NotCompilable", "generate_source", "attach_generated",
 
 class NotCompilable(Exception):
     """This Code cannot be translated; the VM keeps the interpreter."""
-
-
-def _strict() -> bool:
-    """Fail loudly instead of falling back (tests set this)."""
-    return os.environ.get("REPRO_COMPILE_STRICT") == "1"
 
 
 def _no_fr(gidx, flat):
@@ -200,6 +198,10 @@ _MAX_LOOP_NEST = 8
 #: one goes back to the ladder.  Each level indents by at most one, and
 #: CPython's tokenizer stops at 100 levels of indentation.
 _MAX_MERGE_NEST = 32
+#: A pending expression nested deeper than this goes into its register
+#: at once, so a long chain such as ``t + t + ... + t`` is split into
+#: statements.  CPython's tokenizer stops at 200 nested parentheses.
+_MAX_EXPR_NEST = 32
 
 _TERMINAL = _MEM_YIELDS | _LEAVES | frozenset(
     ("jump", "jfalse", "jnone", "ret"))
@@ -537,12 +539,12 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         height when the line was written.  ``pend`` is the static
         charge of the blocks this one was merged under (``nest`` of
         them), not yet added to ``c``.  The operand stack is symbolic
-        (see the module docstring): one ``(value, truthiness, kind)``
-        entry per height."""
+        (see the module docstring): one ``(value, truthiness, kind,
+        level)`` entry per height, ``level`` an expression's nesting."""
         pcs = blocks[leader]
 
-        def reg(h: int) -> Tuple[str, str, int]:
-            return ("s%d" % h, "s%d" % h, _REG)
+        def reg(h: int) -> Tuple[str, str, int, int]:
+            return ("s%d" % h, "s%d" % h, _REG, 0)
 
         sym = [reg(h) for h in range(depths[leader])]
 
@@ -553,7 +555,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             """Entry ``h`` into its register.  Alone only for the one
             pending expression: an atom may sit above registers an
             expression below it still reads."""
-            text, _c, kind = sym[h]
+            text, _c, kind, _n = sym[h]
             if kind != _REG:
                 w(0, "s%d = %s" % (h, text))
                 sym[h] = reg(h)
@@ -571,10 +573,17 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                     mat(h)
 
         def push(text: str, cond: Optional[str] = None,
-                 kind: int = _EXPR) -> None:
+                 kind: int = _EXPR, level: int = 0) -> None:
             if kind == _EXPR:
                 hold(len(sym))
-            sym.append((text, cond if cond is not None else text, kind))
+            sym.append((text, cond if cond is not None else text, kind,
+                        level))
+            if level > _MAX_EXPR_NEST:
+                mat(len(sym) - 1)
+
+        def level_of(n: int) -> int:
+            """Nesting depth of an expression over the top n entries."""
+            return 1 + max(e[3] for e in sym[len(sym) - n:])
 
         def pop_vals(n: int) -> List[str]:
             """Oldest-first value texts of the top n entries."""
@@ -582,7 +591,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             del sym[len(sym) - n:]
             return texts
 
-        def named_twice(e: Tuple[str, str, int]) -> str:
+        def named_twice(e: Tuple[str, str, int, int]) -> str:
             """An operand a statement names more than once: an
             expression is evaluated once, into the temporary ``x``."""
             if e[2] == _EXPR:
@@ -674,18 +683,20 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 w(0, st(arg, val[0]))
             elif op == "dup":
                 hold(1)
-                text, cond, _k = sym[-1]
+                text, cond, _k, _n = sym[-1]
                 push(text, cond, _ATOM)
             elif op == "pop":
-                text, _c, kind = sym.pop()
+                text, _c, kind, _n = sym.pop()
                 if kind == _EXPR:
                     # The interpreter evaluated this expression when it
                     # was pushed; dropping it unevaluated could skip a
                     # trap (division, wild index) the A-stream relies on.
                     w(0, text)
             elif op == "unop":
+                level = level_of(1)
                 t = sym.pop()[0]
-                push("(-%s)" % t if arg == "-" else "(0 if %s else 1)" % t)
+                push("(-%s)" % t if arg == "-" else "(0 if %s else 1)" % t,
+                     level=level)
             elif op == "unpack2":
                 t = sym.pop()[0]
                 settle()
@@ -693,8 +704,9 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 w(0, "s%d, s%d = %s" % (d, d + 1, t))
                 sym += [reg(d), reg(d + 1)]
             elif op == "binop":
+                level = level_of(2)
                 a_t, b_t = pop_vals(2)
-                push(*_bexpr(arg, a_t, b_t))
+                push(*_bexpr(arg, a_t, b_t), level=level)
             elif op == "icall":
                 name, n = arg
                 if name in ("min", "max"):
@@ -703,14 +715,17 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                     hold(2)
                     a_t, b_t = pop_vals(2)
                     o = "<" if name == "min" else ">"
-                    push("(%s if %s %s %s else %s)" % (a_t, a_t, o, b_t, b_t))
+                    push("(%s if %s %s %s else %s)" % (a_t, a_t, o, b_t, b_t),
+                         level=1)
                 elif name in _ICALL_INLINE:
-                    push(_ICALL_INLINE[name] % tuple(pop_vals(n)))
+                    level = level_of(n)
+                    push(_ICALL_INLINE[name] % tuple(pop_vals(n)), level=level)
                 else:
                     raise NotCompilable("unknown intrinsic %r" % (name,))
             elif op == "aload":
+                level = level_of(1)
                 t = sym.pop()[0]
-                push("%s[%s].item()" % (ld(arg), t))
+                push("%s[%s].item()" % (ld(arg), t), level=level)
             elif op == "astore":
                 flat, val = pop_vals(2)
                 settle()
@@ -1040,8 +1055,6 @@ def attach_generated(program: CompiledProgram) -> bool:
         for code in program.funcs:
             generated.append(generate_source(code))
     except NotCompilable:
-        if _strict():
-            raise
         return False
     for code, gs in zip(program.funcs, generated):
         code.gen_src = gs
@@ -1074,8 +1087,6 @@ def compiled_functions(program: CompiledProgram) -> Optional[List]:
         except (SyntaxError, RecursionError):
             # RecursionError: CPython's compiler gives up on statements
             # nested too deep, as it rejects other source it cannot take.
-            if _strict():
-                raise
             break
         fns.append(ns["_fn"])
     else:

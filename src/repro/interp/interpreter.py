@@ -22,7 +22,7 @@ import numpy as np
 
 from ..compiler.bytecode import (BINOP_COST, ICALL_COST, OP_COST, Code,
                                  CompiledProgram)
-from ..hotpath import hotpath_enabled
+from ..hotpath import generated_code
 from .events import Done, IoOut, MemRead, MemWrite, RtCall, TimeSlice
 
 __all__ = ["Frame", "VM", "VMError", "MISS"]
@@ -31,7 +31,7 @@ __all__ = ["Frame", "VM", "VMError", "MISS"]
 MISS = _MISS = object()
 
 #: Sentinel a generated function (``interp.compile``) returns when it
-#: is entered at a pc it has no resume stub for; the VM drops back to
+#: is entered at a pc it has no resume entry for; the VM drops back to
 #: the interpreter loop for the rest of this VM's life.
 _DEOPT = object()
 
@@ -51,10 +51,6 @@ def _compiled_fns(program):
 class VMError(RuntimeError):
     """Raised on VM faults (bad opcode, wild pc, integer traps)."""
     pass
-
-
-def _as_bool(v) -> bool:
-    return bool(v)
 
 
 # Binary operators as standalone functions, so the translator can embed
@@ -326,16 +322,13 @@ class VM:
         # its folded charges -- and fetches through a _TallyingStream;
         # when None (the default) the loop reads the plain list.
         self.profile = None
-        # Generated-code tier (REPRO_HOTPATH "compile"): one exec'd
-        # Python function per Code object, indexed by fidx.  None means
-        # the interpreter loop runs -- tier off, image without attached
-        # gen_src (hand-built test Codes), or a deopt (restore/corrupt/
-        # armed faults via disable_compiled).  Cycles and events are
+        # Generated code: one exec'd Python function per Code object,
+        # indexed by fidx.  None means the interpreter loop runs -- the
+        # reference switch (REPRO_HOTPATH=), an image without attached
+        # gen_src (hand-built test Codes), or, from the _DEOPT site on,
+        # a pc with no resume entry.  Cycles and events are
         # bit-identical either way; see interp.compile.
-        if hotpath_enabled("compile"):
-            self._cfns = _compiled_fns(program)
-        else:
-            self._cfns = None
+        self._cfns = _compiled_fns(program) if generated_code() else None
 
     # ----------------------------------------------------------- interface
 
@@ -356,19 +349,12 @@ class VM:
         return [f.clone() for f in self.frames]
 
     def restore(self, snap: List[Frame]) -> None:
-        """Adopt a snapshot (slipstream recovery re-fork).  The VM
-        drops to the interpreter loop for good: a restored pc may sit
-        anywhere, including mid-block positions the generated code has
-        no resume stub for, and recovery is far off the hot path."""
-        self._cfns = None
+        """Adopt a snapshot (slipstream recovery re-fork).  Snapshots
+        are taken at barriers, which are yield points, so generated
+        code resumes at the restored pc like after any other event."""
         self.frames = [f.clone() for f in snap]
         self.done = False
         self._pending_push = False
-
-    def disable_compiled(self) -> None:
-        """Force the interpreter loop for this VM (armed fault plans,
-        restore/corrupt consumers).  Cycle-neutral by construction."""
-        self._cfns = None
 
     def corrupt(self, spec: Tuple[int, object]) -> Optional[str]:
         """Deterministically corrupt one scalar of architectural state
@@ -378,11 +364,9 @@ class VM:
         frame's numeric stack/local slots, so identical runs corrupt
         identical slots.  Called from outside the dispatch loop -- the
         hot path carries no injection code.  Returns a description of
-        the corrupted slot, or None when no scalar slot exists."""
-        # Fault-injection consumers run interpreted (the shell already
-        # disables the compiled tier when a fault plan is armed; this
-        # keeps the contract even for direct callers).
-        self._cfns = None
+        the corrupted slot, or None when no scalar slot exists.  The
+        VM is between events, so generated code reloads the corrupted
+        slot from the frame when it resumes."""
         if not self.frames:
             return None
         sel, value = spec

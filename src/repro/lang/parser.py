@@ -22,8 +22,13 @@ _TYPE_WORDS = {"int", "double", "float", "void"}
 
 
 def parse(source: str) -> A.Program:
-    """Parse a full translation unit."""
-    return _Parser(tokenize(source)).program()
+    """Parse a full translation unit.  Nesting deeper than Python's
+    recursion limit allows (parentheses, blocks) is a ``ParseError``."""
+    parser = _Parser(tokenize(source))
+    try:
+        return parser.program()
+    except RecursionError:
+        raise ParseError("nested too deeply", parser.cur.line) from None
 
 
 def parse_expression(text: str, line: int = 0) -> A.Node:

@@ -143,9 +143,14 @@ def _children(node: A.Node):
 
 
 def walk(node: A.Node):
-    yield node
-    for c in _children(node):
-        yield from walk(c)
+    """``node`` and every node under it, in source order.  A loop, not
+    recursion: an expression chain ``a + b + ...`` nests one level a
+    term, and its length has no bound."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        yield n
+        stack.extend(reversed(list(_children(n))))
 
 
 def collect_var_reads(node: A.Node) -> Set[str]:
@@ -170,16 +175,14 @@ def declared_locals(node: A.Node) -> Set[str]:
     """Names declared by VarDecls under ``node`` (not descending into
     nested parallel regions -- they have their own scopes)."""
     names: Set[str] = set()
-
-    def rec(n):
+    stack = [node]
+    while stack:
+        n = stack.pop()
         if isinstance(n, A.OmpParallel):
-            return
+            continue
         if isinstance(n, A.VarDecl):
             names.add(n.name)
-        for c in _children(n):
-            rec(c)
-
-    rec(node)
+        stack.extend(_children(n))
     return names
 
 
@@ -220,42 +223,50 @@ def _check_function(f: A.FuncDef, info: SemaInfo,
 
 def _check_stmt(node: A.Node, f: A.FuncDef, info: SemaInfo,
                 scope: Set[str], in_region: bool) -> None:
-    if isinstance(node, A.VarDecl):
-        if node.typ == "void":
-            raise SemanticError("void variables are not allowed", node.line)
-        scope.add(node.name)
-        return
-    if isinstance(node, A.OmpParallel):
-        if in_region:
-            raise SemanticError("nested parallel regions are not supported",
-                                node.line)
-        _check_region(node, f, info, scope)
-        return
-    if isinstance(node, (A.OmpFor, A.OmpSingle, A.OmpMaster, A.OmpCritical,
-                         A.OmpAtomic, A.OmpBarrier, A.OmpSections)):
-        if not in_region:
-            raise SemanticError(
-                f"{type(node).__name__} outside a parallel region",
-                node.line)
-    if isinstance(node, A.OmpAtomic):
-        tgt = node.stmt.target
-        if not isinstance(tgt, (A.Var, A.Index)):
-            raise SemanticError("atomic needs an lvalue target", node.line)
-    if isinstance(node, (A.Var, A.Index)):
-        if (node.name not in scope and node.name not in info.globals
-                and node.name not in INTRINSICS):
-            raise SemanticError(f"undeclared variable {node.name!r}",
-                                node.line)
-    if isinstance(node, A.Call):
-        if node.name not in info.funcs and node.name not in INTRINSICS:
-            raise SemanticError(f"undeclared function {node.name!r}",
-                                node.line)
-        if node.name in INTRINSICS and len(node.args) != INTRINSICS[node.name]:
-            raise SemanticError(
-                f"{node.name} takes {INTRINSICS[node.name]} argument(s)",
-                node.line)
-    for c in _children(node):
-        _check_stmt(c, f, info, scope, in_region)
+    # Walked in source order with a stack, like ``walk``: declarations
+    # enter ``scope`` before the uses after them are checked.
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, A.VarDecl):
+            if node.typ == "void":
+                raise SemanticError("void variables are not allowed",
+                                    node.line)
+            scope.add(node.name)
+            continue
+        if isinstance(node, A.OmpParallel):
+            if in_region:
+                raise SemanticError(
+                    "nested parallel regions are not supported", node.line)
+            _check_region(node, f, info, scope)
+            continue
+        if isinstance(node, (A.OmpFor, A.OmpSingle, A.OmpMaster,
+                             A.OmpCritical, A.OmpAtomic, A.OmpBarrier,
+                             A.OmpSections)):
+            if not in_region:
+                raise SemanticError(
+                    f"{type(node).__name__} outside a parallel region",
+                    node.line)
+        if isinstance(node, A.OmpAtomic):
+            tgt = node.stmt.target
+            if not isinstance(tgt, (A.Var, A.Index)):
+                raise SemanticError("atomic needs an lvalue target",
+                                    node.line)
+        if isinstance(node, (A.Var, A.Index)):
+            if (node.name not in scope and node.name not in info.globals
+                    and node.name not in INTRINSICS):
+                raise SemanticError(f"undeclared variable {node.name!r}",
+                                    node.line)
+        if isinstance(node, A.Call):
+            if node.name not in info.funcs and node.name not in INTRINSICS:
+                raise SemanticError(f"undeclared function {node.name!r}",
+                                    node.line)
+            if (node.name in INTRINSICS
+                    and len(node.args) != INTRINSICS[node.name]):
+                raise SemanticError(
+                    f"{node.name} takes {INTRINSICS[node.name]} "
+                    f"argument(s)", node.line)
+        stack.extend(reversed(list(_children(node))))
 
 
 def _check_region(region: A.OmpParallel, f: A.FuncDef, info: SemaInfo,

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from ..compiler import CompiledProgram, compile_source
-from ..hotpath import hotpath_enabled
 
 __all__ = ["CompileCache", "COMPILE_CACHE", "compiler_fingerprint",
            "cache_stats", "clear_cache", "cache_root"]
@@ -90,19 +89,11 @@ class CompileCache:
 
     @staticmethod
     def key_for(source: str) -> str:
-        """Content hash of a compile request: source + compiler version
-        + whether the image carries generated code.
-
-        ``REPRO_HOTPATH`` changes what ``compile_source`` emits without
-        changing any compiler source file, so it must be part of the
-        key -- otherwise an image produced with generated code would
-        be served to a reference-interpreter run (and vice versa:
-        an image without ``gen_src`` would silently drop a default
-        process back to the interpreter)."""
+        """Content hash of a compile request: source + compiler
+        version.  Every image carries generated code, so one image
+        serves both engines ``REPRO_HOTPATH`` chooses between."""
         h = hashlib.sha256()
         h.update(compiler_fingerprint().encode())
-        h.update(b"compile=1" if hotpath_enabled("compile")
-                 else b"compile=0")
         h.update(source.encode())
         return h.hexdigest()
 

@@ -100,14 +100,8 @@ class ThreadShell:
         self._faults = plan
 
     def _bind_vm(self, vm: VM) -> VM:
-        """Install a (new) VM, attaching the line profiler when live.
-        Shells with an armed fault plan run their VMs interpreted: the
-        injection hooks (corrupt, mid-run restore) need architectural
-        state live in Frame objects at every instruction, and the
-        generated-code tier only syncs it at yield points."""
+        """Install a (new) VM, attaching the line profiler when live."""
         self.vm = vm
-        if self._faults is not None:
-            vm.disable_compiled()
         if self._prof is not None:
             self._prof.bind_vm(vm)
         return vm

@@ -1,7 +1,7 @@
 """Shared fixtures.
 
-``hotpath_tiers()`` latches ``REPRO_HOTPATH`` on first use (the tier
-set is read once per process by contract), so every test gets the
+``generated_code()`` latches ``REPRO_HOTPATH`` on first use (the
+switch is read once per process by contract), so every test gets the
 latch dropped around it: a test that monkeypatches the variable sees
 its own value, and its choice cannot leak into the next test.  Tests
 that flip the variable *mid-test* must call

@@ -229,8 +229,21 @@ def test_unknown_hotpath_tier_is_one_line_exit_2(demo, monkeypatch, capsys):
         assert out == ""
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "REPRO_HOTPATH" in err and stale.split(",")[0] in err
-        assert err.endswith("the valid tier is compile\n")
+        assert "REPRO_HOTPATH" in err and repr(stale) in err
+
+
+def test_deep_nesting_is_one_compile_error_line(tmp_path, capsys):
+    """Parentheses nested past what the recursive-descent parser can
+    take are a compile error on one line, not a Python traceback."""
+    e = "t"
+    for _ in range(150):
+        e = f"(t * {e})"
+    f = tmp_path / "deep.c"
+    f.write_text(f"double y;\nvoid main() {{ double t;\n  y = {e}; }}\n")
+    rc, out = run_cli(["check", str(f)])
+    assert rc == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "compile error: line 3: nested too deeply\n")
 
 
 def test_inputs_flag(tmp_path):

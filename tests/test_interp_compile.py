@@ -1,6 +1,6 @@
-"""Generated code (``REPRO_HOTPATH`` token ``compile``, the default):
-the exec'd functions must be observationally identical to the reference
-interpreter loop.
+"""Generated code (the default; ``REPRO_HOTPATH=`` runs the reference
+interpreter instead): the exec'd functions must be observationally
+identical to the reference interpreter loop.
 
 The contract under test is *bit-identity of the event/cycle stream*:
 for any program, driving a VM whose Codes run as generated Python
@@ -12,9 +12,15 @@ locals: generated code keeps locals in Python locals and writes every
 store through to the frame, except that a collapsed loop writes its
 resident slots back where it exits).  A seeded random-program sweep
 covers the combinatorial space; directed tests pin liveness (what a
-resume must reload), the deopt edges (restore, corrupt, armed faults,
-profiling, wild pc) where the tier must step aside without perturbing
-a single cycle, and the shape of the emitted code.
+resume must reload), the VMs that keep generated code where recovery
+or fault injection touches their state (restore, corrupt, armed
+faults), the edges where it steps aside without perturbing a single
+cycle (profiling, wild pc), and the shape of the emitted code.
+
+Every program compiled here goes through :func:`compile_generated`,
+which asserts that the whole image has generated code: a function
+CPython cannot compile drops its image to the interpreter without
+moving a cycle, so no comparison of runs would notice.
 """
 
 import random
@@ -32,7 +38,8 @@ from repro.hotpath import reset_for_tests
 from repro.interp import (VM, Done, FunctionalRunner, IoOut, MemRead,
                           MemWrite, RtCall)
 from repro.interp.compile import (_LOCAL_RW, NotCompilable, _local_rw,
-                                  attach_generated, generate_source)
+                                  attach_generated, compiled_functions,
+                                  generate_source)
 from repro.interp.events import TimeSlice
 from repro.interp.interpreter import MISS, VMError
 from repro.obs.profile import TrackProfile
@@ -183,6 +190,25 @@ void main() {{
 
 # ------------------------------------------------------------------ driver
 
+def compile_generated(src):
+    """The image of ``src``, asserted to run generated code throughout."""
+    prog = compile_source(src)
+    assert compiled_functions(prog) is not None
+    return prog
+
+
+def new_vm(prog, compiled=True, fidx=None, args=()):
+    """A VM on generated code or, through the reference switch
+    (``REPRO_HOTPATH=``), on the interpreter."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not compiled:
+            mp.setenv("REPRO_HOTPATH", "")
+        reset_for_tests()
+        vm = VM(prog, prog.main_index if fidx is None else fidx, args)
+    reset_for_tests()
+    return vm
+
+
 def new_store(prog):
     store = {}
     for g in prog.globals:
@@ -227,9 +253,7 @@ def drive(prog, compiled, fast=False, frames=True, spy=None, trap=False):
     one by the functional runner.  ``spy(vm)`` sees the VM before it
     runs; with ``trap`` a ``VMError`` ends the log as its last entry
     (message, cycles and the top frame's locals)."""
-    vm = VM(prog, prog.main_index)
-    if not compiled:
-        vm.disable_compiled()
+    vm = new_vm(prog, compiled)
     if spy is not None:
         spy(vm)
     rt = FunctionalRunner(prog)
@@ -303,13 +327,10 @@ def _ops(prog):
 # ------------------------------------------------------- property sweep
 
 @pytest.mark.parametrize("seed", range(30))
-def test_random_programs_identical_streams(seed, monkeypatch):
+def test_random_programs_identical_streams(seed):
     """Seeded random programs: identical (event, cycles) streams and
     final stores, with and without the uncontended fast path."""
-    src = make_program(seed)
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    prog = compile_source(src)
-    assert all(f.gen_src is not None for f in prog.funcs)
+    prog = compile_generated(make_program(seed))
     assert_same_run(prog, fast=False)
     assert_same_run(prog, fast=True)
 
@@ -322,9 +343,8 @@ def test_random_programs_identical_under_short_slices(seed, max_slice,
     ``TimeSlice`` resumes land on every loop header of every nest, and
     with the even-hit/odd-miss hooks, so memory resumes enter loop
     bodies in the middle of a ladder."""
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
-    prog = compile_source(make_program(seed))
+    prog = compile_generated(make_program(seed))
     assert_same_run(prog, fast=False)
     assert_same_run(prog, fast=True)
 
@@ -348,7 +368,7 @@ def test_images_use_only_base_opcodes():
     sources += [REGISTRY[b].source(**REGISTRY[b].params(size))
                 for b in sorted(REGISTRY) for size in ("test", "bench")]
     for src in sources:
-        assert _ops(compile_source(src)) <= _BASE_OPS
+        assert _ops(compile_generated(src)) <= _BASE_OPS
 
 
 # -------------------------------------------------------- directed deopt
@@ -370,33 +390,32 @@ void main() {{
 
 
 def test_compiled_tier_attaches_and_activates():
-    prog = compile_source(SRC_LOOP)
+    prog = compile_generated(SRC_LOOP)
     assert all(f.gen_src is not None for f in prog.funcs)
     vm = VM(prog, prog.main_index)
     assert vm._cfns is not None
 
 
-def test_tier_off_means_no_gen_src_and_interpreter(monkeypatch):
+def test_reference_switch_runs_the_interpreter(monkeypatch):
+    """``REPRO_HOTPATH=`` picks the engine and nothing else: the image
+    still carries generated code, and the VM interprets it."""
     monkeypatch.setenv("REPRO_HOTPATH", "")
     reset_for_tests()
-    prog = compile_source(SRC_LOOP)
-    assert all(f.gen_src is None for f in prog.funcs)
+    prog = compile_generated(SRC_LOOP)
+    assert prog.funcs[0].gen_src == compile_source(SRC_LOOP).funcs[0].gen_src
     vm = VM(prog, prog.main_index)
     assert vm._cfns is None
     t, s, _ = drive(prog, compiled=False)
     assert t[-1][0] == "DONE"
 
 
-def test_image_without_gen_src_falls_back(monkeypatch):
-    """A compile-tier process handed an image built with the tier off
-    (stale pickle, foreign producer) must run it interpreted -- the
+def test_image_without_gen_src_falls_back():
+    """A process handed an image without generated code (hand-built
+    Codes, a foreign producer) must run it interpreted -- the
     all-or-nothing gate returns None, never a partial table."""
-    monkeypatch.setenv("REPRO_HOTPATH", "")
-    reset_for_tests()
     prog = compile_source(SRC_LOOP)
-    monkeypatch.delenv("REPRO_HOTPATH")
-    reset_for_tests()
-    vm = VM(prog, prog.main_index)          # tier on, but no gen_src
+    prog.funcs[prog.main_index].gen_src = None
+    vm = VM(prog, prog.main_index)
     assert vm._cfns is None
     t, _, _ = drive(prog, compiled=False)
     assert t[-1][0] == "DONE"
@@ -421,24 +440,46 @@ def _run_to_nth_write(vm, store, n):
                 return ev
 
 
-def test_restore_deopts_and_replays_exactly():
-    """Snapshot mid-run under the compiled tier, restore, finish: the
-    VM drops to the interpreter for good and the replayed tail matches
-    a never-compiled run bit for bit."""
-    prog = compile_source(SRC_LOOP)
-    vm = VM(prog, prog.main_index)
-    assert vm._cfns is not None
+def _finish(vm, store):
+    """Run to Done: every event with its cycles and frames."""
+    tail = []
+    while True:
+        ev = vm.run()
+        at = (vm.take_cycles(), frame_state(vm))
+        if isinstance(ev, MemRead):
+            val = store[ev.gidx]
+            vm.push(val[ev.flat] if isinstance(val, list) else val)
+            tail.append(("R", ev.gidx, ev.flat) + at)
+        elif isinstance(ev, MemWrite):
+            val = store[ev.gidx]
+            if isinstance(val, list):
+                val[ev.flat] = ev.value
+            else:
+                store[ev.gidx] = ev.value
+            tail.append(("W", ev.gidx, ev.flat, ev.value) + at)
+        elif isinstance(ev, IoOut):
+            tail.append(("IO", ev.values) + at)
+        elif isinstance(ev, Done):
+            tail.append(("DONE",) + at)
+            return tail
+
+
+def test_restore_keeps_generated_code_and_replays_exactly():
+    """Snapshot mid-run under generated code, restore, finish: the VM
+    resumes generated code at the restored pc, and the replayed tail
+    matches an interpreter's at every event."""
+    prog = compile_generated(SRC_LOOP)
+    vm = new_vm(prog)
     store = new_store(prog)
     _run_to_nth_write(vm, store, 5)
     snap = vm.snapshot()
     snap_store = {k: (list(v) if isinstance(v, list) else v)
                   for k, v in store.items()}
     vm.restore(snap)
-    assert vm._cfns is None                 # permanent deopt
+    assert vm._cfns is not None
 
-    # Reference: an interpreter-only VM advanced to the same point.
-    ref = VM(prog, prog.main_index)
-    ref.disable_compiled()
+    # Reference: an interpreter VM advanced to the same point.
+    ref = new_vm(prog, compiled=False)
     ref_store = new_store(prog)
     _run_to_nth_write(ref, ref_store, 5)
     # Generated code wrote every local through: the snapshot it was
@@ -447,45 +488,31 @@ def test_restore_deopts_and_replays_exactly():
             == [(f.pc, f.stack, f.locals) for f in ref.snapshot()])
     ref.restore(ref.snapshot())
 
-    def finish(v, st):
-        tail = []
-        while True:
-            ev = v.run()
-            c = v.take_cycles()
-            if isinstance(ev, MemRead):
-                val = st[ev.gidx]
-                v.push(val[ev.flat] if isinstance(val, list) else val)
-                tail.append(("R", ev.gidx, ev.flat, c))
-            elif isinstance(ev, MemWrite):
-                val = st[ev.gidx]
-                if isinstance(val, list):
-                    val[ev.flat] = ev.value
-                else:
-                    st[ev.gidx] = ev.value
-                tail.append(("W", ev.gidx, ev.flat, ev.value, c))
-            elif isinstance(ev, IoOut):
-                tail.append(("IO", ev.values, c))
-            elif isinstance(ev, Done):
-                tail.append(("DONE", c))
-                return tail
-
-    assert finish(vm, snap_store) == finish(ref, ref_store)
+    assert _finish(vm, snap_store) == _finish(ref, ref_store)
+    assert vm._cfns is not None             # no deopt on the way
 
 
-def test_corrupt_deopts():
-    prog = compile_source(SRC_LOOP)
-    vm = VM(prog, prog.main_index)
-    assert vm._cfns is not None
-    store = new_store(prog)
-    _run_to_nth_write(vm, store, 2)
-    assert vm.corrupt((0, 999.0)) is not None
-    assert vm._cfns is None
+def test_corrupt_keeps_generated_code():
+    """A corrupted local is reloaded from the frame when generated code
+    resumes: the loop counter set back to 3 reruns the tail of the loop
+    exactly as the interpreter does."""
+    prog = compile_generated(SRC_LOOP)
+    tails = []
+    for compiled in (True, False):
+        vm = new_vm(prog, compiled)
+        store = new_store(prog)
+        _run_to_nth_write(vm, store, 2)
+        assert vm.corrupt((0, 3)) == "local[0]=3 in main"
+        tails.append(_finish(vm, store))
+        assert (vm._cfns is not None) == compiled
+    assert tails[0] == tails[1]
+    assert tails[0][0][:4] == ("W", prog.globals[1].index, 4, 10.0)
 
 
 def test_profile_binding_takes_priority():
     """A profiling VM must interpret even with compiled functions
     attached -- and tally the same busy cycles."""
-    prog = compile_source(SRC_LOOP)
+    prog = compile_generated(SRC_LOOP)
     vm = VM(prog, prog.main_index)
     assert vm._cfns is not None
     TrackProfile("T0").bind_vm(vm)
@@ -523,11 +550,9 @@ def test_wild_pc_faults_like_interpreter():
     """A pc the generated code has no entry for deopts to the
     interpreter, which raises its usual VMError -- no KeyError or
     silent miscompile from the dispatch table."""
-    prog = compile_source(SRC_LOOP)
+    prog = compile_generated(SRC_LOOP)
     for compiled in (True, False):
-        vm = VM(prog, prog.main_index)
-        if not compiled:
-            vm.disable_compiled()
+        vm = new_vm(prog, compiled)
         vm.frames[-1].pc = 10 ** 6
         with pytest.raises(VMError):
             vm.run()
@@ -536,9 +561,7 @@ def test_wild_pc_faults_like_interpreter():
 def _crash(prog, compiled):
     """Run until the VM traps: the message, and (exception type, cycles
     flushed, the top frame's locals as the trap left them)."""
-    vm = VM(prog, prog.main_index)
-    if not compiled:
-        vm.disable_compiled()
+    vm = new_vm(prog, compiled)
     store = DictStore(prog)
     try:
         while True:
@@ -560,7 +583,7 @@ def test_division_trap_identical():
     leave the 7)."""
     src = ("int z;\nvoid main() { int a; int b; a = 7; z = 0; b = z; "
            "a = 9; a = a / b; }")
-    prog = compile_source(src)
+    prog = compile_generated(src)
     assert _crash(prog, True) == _crash(prog, False)
     message, (_kind, _cycles, locs) = _crash(prog, True)
     assert "division by zero" in message and locs == (9, 0)
@@ -573,7 +596,7 @@ def test_wild_index_trap_identical():
     -- in the frame."""
     src = ("int z;\nvoid main() { int i; double x; double p[4]; x = 1.5; "
            "i = z; x = 3.5; p[i + 100] = x; }")
-    prog = compile_source(src)
+    prog = compile_generated(src)
     state = _crash(prog, True)[1]
     assert state == _crash(prog, False)[1]
     assert state[0] is VMError and state[2] == (0, 3.5, [0.0] * 4)
@@ -591,10 +614,8 @@ def test_trap_pending_below_a_store_fires_before_it():
     assert attach_generated(prog)
     states = []
     for compiled in (True, False):
-        vm = VM(prog, 0, (7, 0))
-        assert vm._cfns is not None
-        if not compiled:
-            vm.disable_compiled()
+        vm = new_vm(prog, compiled, 0, (7, 0))
+        assert (vm._cfns is not None) == compiled
         with pytest.raises(VMError, match="division by zero"):
             vm.run()
         states.append((vm.pending_cycles, frame_state(vm)))
@@ -612,7 +633,7 @@ def test_trap_mid_trip_of_a_collapsed_loop_identical():
     src = ("int z;\nvoid main() { int a; int d; int k; int q; a = 1; d = 3; "
            "k = 0; q = 0; z = 0; while (k < 9) { a = a + 5; d = d - 1; "
            "q = q + 12 / d; k = k + 1; } z = q; }")
-    prog = compile_source(src)
+    prog = compile_generated(src)
     assert "except BaseException:" in prog.funcs[prog.main_index].gen_src[0]
     assert _crash(prog, True) == _crash(prog, False)
     message, (_kind, _cycles, locs) = _crash(prog, True)
@@ -656,9 +677,8 @@ def _budget_log(prog):
 def _assert_counted_trips_exact(src, max_slice, monkeypatch):
     """Both hook modes: the same events as the interpreter, and the
     budget rule at every return from ``f``.  Returns the last trace."""
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
-    prog = compile_source(src)
+    prog = compile_generated(src)
     assert _COLLAPSED.search(prog.funcs[prog.func_index["f"]].gen_src[0])
     for fast in (False, True):
         log, spy = _budget_log(prog)
@@ -728,7 +748,7 @@ def test_collapsed_loop_with_back_edges_of_different_charge(max_slice,
     excess in place before its ``continue``."""
     src = _COUNTED % ("k = k + 1; if (k % 3 == 0) { x = x * 0.5 + 1.0; "
                       "continue; } x = x - 0.25;", "s = f(8);")
-    prog = compile_source(src)
+    prog = compile_generated(src)
     gen = prog.funcs[prog.func_index["f"]].gen_src[0]
     assert re.search(r"c = c \+ [\d.]+\n\s*continue\n", gen)
     assert gen.count("continue") == 2
@@ -852,9 +872,8 @@ _LIVENESS_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_LIVENESS_CASES))
-def test_liveness_directed(case, monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    prog = compile_source(f"""
+def test_liveness_directed(case):
+    prog = compile_generated(f"""
 double ga;
 double arr[{N_ARR}];
 double f0(double a, double b) {{ double r; r = a * b; return r + min(a, b); }}
@@ -968,6 +987,21 @@ def _else_if_chain(arms):
             "print(ga); }\n")
 
 
+def _expression(terms, nested):
+    """One statement of ``terms`` operands: a left-leaning chain
+    ``t + t - t + ...``, one pending expression all the way down, or
+    ``(t * (t - (t + ...)))`` nested to the right."""
+    ops = ["+", "-", "*"]
+    if nested:
+        e = "t"
+        for k in range(terms - 1):
+            e = f"(t {ops[k % 3]} {e})"
+    else:
+        e = "t" + "".join(f" {ops[k % 2]} t" for k in range(terms - 1))
+    return (f"double y;\nvoid main() {{ double t; t = 0.75; y = {e}; "
+            "print(y); }\n")
+
+
 @pytest.mark.parametrize("src", [
     # 3 604 blocks in main: as one elif chain CPython's compiler hit its
     # recursion limit and VM(...) raised instead of compiling.
@@ -975,10 +1009,15 @@ def _else_if_chain(arms):
     # More loops inside one another than CPython nests blocks (20).
     pytest.param(_loop_nest(24), id="24-deep-nest"),
     pytest.param(_else_if_chain(200), id="200-arm-else-if"),
+    # One pending expression per chain: past 200 nested parentheses
+    # CPython's tokenizer refused the function, and the image ran
+    # interpreted.
+    pytest.param(_expression(250, False), id="250-term-chain"),
+    pytest.param(_expression(1000, False), id="1000-term-chain"),
+    pytest.param(_expression(60, True), id="60-deep-parentheses"),
 ])
-def test_large_shapes_compile_and_run_generated(src, monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    prog = compile_source(src)
+def test_large_shapes_compile_and_run_generated(src):
+    prog = compile_generated(src)
     for fast in (False, True):
         vm = assert_same_run(prog, fast=fast)
         assert vm._cfns is not None         # ran generated to the end
@@ -987,21 +1026,18 @@ def test_large_shapes_compile_and_run_generated(src, monkeypatch):
 def test_source_cpython_cannot_compile_falls_back(monkeypatch):
     """Source that CPython's compiler gives up on with RecursionError
     (which depth does it depends on the version, so it is raised here)
-    is handled like a SyntaxError: interpreter, or a raise under
-    strict."""
+    is handled like a SyntaxError: the whole image runs interpreted."""
     import repro.interp.compile as tier
 
     def too_deep(*args):
         raise RecursionError("maximum recursion depth exceeded "
                              "during compilation")
     monkeypatch.setattr(tier, "compile", too_deep, raising=False)
-    monkeypatch.delenv("REPRO_COMPILE_STRICT", raising=False)
     prog = compile_source(SRC_LOOP)
     assert tier.compiled_functions(prog) is None
     assert VM(prog, prog.main_index)._cfns is None
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    with pytest.raises(RecursionError):
-        tier.compiled_functions(compile_source(SRC_LOOP))
+    t, _, _ = drive(prog, compiled=True)
+    assert t[-1][0] == "DONE"
 
 
 _DISPATCH_LINE = re.compile(r"\s*(if|while) (\d+ <= )?b (==|<|>=|<=) \d+:")
@@ -1020,7 +1056,7 @@ _COLLAPSED = re.compile(r"( *)if b == \d+:\n"
 def _line_hits(src):
     """Run ``src`` generated with always-hit hooks under line tracing:
     (source lines of ``main``, line number -> times executed)."""
-    prog = compile_source(src)
+    prog = compile_generated(src)
     main = prog.funcs[prog.main_index]
     text = main.gen_src[0].split("\n")
     vm = VM(prog, prog.main_index)
@@ -1076,11 +1112,10 @@ def _lines_of_one_iteration(make_src, extra=40):
     return per_trip
 
 
-def test_inner_loop_cost_is_independent_of_its_position(monkeypatch):
+def test_inner_loop_cost_is_independent_of_its_position():
     """An iteration of a loop stays inside that loop's ``while``: it
     costs the same dispatch lines whether the loop is the 1st or the
     200th of its siblings, and about one per block it runs."""
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     siblings = 200
     per_iter = {}
     for pos in (0, siblings - 1):
@@ -1116,7 +1151,7 @@ void main() {{
 """
 
 
-def test_private_scalar_loop_runs_on_python_locals(monkeypatch):
+def test_private_scalar_loop_runs_on_python_locals():
     """What the ``vm_dense`` claim rests on: a trip of a loop over
     private scalars is no dispatch (the collapsed loop tests ``b`` once
     on the way in), no charge and no budget step (the ``for`` counts
@@ -1124,7 +1159,6 @@ def test_private_scalar_loop_runs_on_python_locals(monkeypatch):
     used once on the next line, and no frame access at all -- x, y and
     k are resident and reach the frame where the loop exits;
     ``min``/``max`` name their literal operand in place."""
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     trip = _lines_of_one_iteration(_dense_loop)
     assert [t for t in trip if _DISPATCH_LINE.match(t)] == []
     assert [t for t in trip if t.lstrip().startswith("c = c + ")] == []
@@ -1137,10 +1171,9 @@ def test_private_scalar_loop_runs_on_python_locals(monkeypatch):
     assert not any(re.match(r"\s*s\d+ = -?3\.0$", t) for t in trip)
 
 
-def test_loop_with_shared_accesses_dispatches_once_per_access(monkeypatch):
+def test_loop_with_shared_accesses_dispatches_once_per_access():
     """A resume may land behind every shared access, so each one ends a
     ladder block; a trip pays the ``while`` and one guard per block."""
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
     trip = _lines_of_one_iteration(lambda n: _sibling_loops(1, {0: n}))
     accesses = sum("fr(" in t or "fw(" in t for t in trip)
     assert accesses == 3                    # ga, arr[...], ga =
@@ -1155,7 +1188,7 @@ def test_random_programs_exercise_collapsed_loops():
     seeds emit at least one collapsed loop."""
     seeds = sum(
         any(_COLLAPSED.search(f.gen_src[0])
-            for f in compile_source(make_program(seed)).funcs)
+            for f in compile_generated(make_program(seed)).funcs)
         for seed in range(30))
     assert seeds >= 10
 
@@ -1173,14 +1206,10 @@ _PARENT_SOURCE_BYTES = {
 
 
 @pytest.mark.parametrize("bench,size", sorted(_PARENT_SOURCE_BYTES))
-def test_registry_kernels_compile_strict_and_stay_small(bench, size,
-                                                        monkeypatch):
-    from repro.interp.compile import compiled_functions
+def test_registry_kernels_compile_strict_and_stay_small(bench, size):
     from repro.npb import REGISTRY
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    prog = compile_source(REGISTRY[bench].source(
+    prog = compile_generated(REGISTRY[bench].source(
         **REGISTRY[bench].params(size)))
-    assert compiled_functions(prog) is not None
     nbytes = sum(len(f.gen_src[0]) for f in prog.funcs)
     assert nbytes <= _PARENT_SOURCE_BYTES[bench, size]
     # One emitter: locals are Python locals everywhere past the entry
@@ -1246,8 +1275,7 @@ void main() {
 
 @pytest.mark.parametrize("shape", _EXAMPLE_SHAPES + [None], ids=lambda s: (
     "constructs" if s is None else f"{s[0]}:{s[1]}"))
-def test_examples_identical_under_strict_mode(shape, monkeypatch):
-    monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
+def test_examples_identical_under_strict_mode(shape):
     if shape is None:
         src = _CONSTRUCTS
     else:
@@ -1257,7 +1285,7 @@ def test_examples_identical_under_strict_mode(shape, monkeypatch):
         for extent, here in shape[2:]:
             assert extent in src
             src = src.replace(extent, here)
-    prog = compile_source(src)
+    prog = compile_generated(src)
     assert all(f.gen_src is not None for f in prog.funcs)
     for fast in (False, True):
         vm = assert_same_run(prog, fast=fast)
@@ -1286,62 +1314,73 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
     assert on.result.classes.as_dict() == off.result.classes.as_dict()
 
 
-def test_fault_armed_shells_run_interpreted(monkeypatch):
-    """Armed fault plans force the interpreter (injection hooks need
-    live Frame state) -- and the campaign's results are tier-invariant
-    because only disarmed A-streams ever ran compiled."""
-    from repro.faults import FaultConfig
-    cfg = PAPER_MACHINE.with_(n_cmps=4)
+def _campaign(**spec):
+    """One fault campaign on the reference interpreter, then on
+    generated code: each run's (cycles, rt_stats, firings, recoveries),
+    keyed by the ``REPRO_HOTPATH`` setting, and the VMs of the
+    generated-code run -- every one built, and those restored or
+    corrupted."""
+    vms = {"__init__": [], "restore": [], "corrupt": []}
     outcomes = {}
-    for tiers in (None, ""):
-        if tiers is None:
-            monkeypatch.delenv("REPRO_HOTPATH", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_HOTPATH", tiers)
-        reset_for_tests()
-        spec = RunSpec.make("cg", "G0", size="test", verify=True,
-                            faults=FaultConfig(4, classes=("vm",)),
-                            timeout_cycles=5e6, cfg=cfg)
-        r = execute_spec(spec).result
-        outcomes[tiers] = (r.cycles, r.rt_stats, r.faults["fired"],
-                           r.recoveries)
-    assert outcomes[None] == outcomes[""]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, seen in vms.items():
+            def spy(vm, *args, _real=getattr(VM, name), _seen=seen,
+                    **kwargs):
+                _seen.append(vm)
+                return _real(vm, *args, **kwargs)
+            mp.setattr(VM, name, spy)
+        for setting in ("", None):
+            if setting is None:
+                mp.delenv("REPRO_HOTPATH", raising=False)
+            else:
+                mp.setenv("REPRO_HOTPATH", setting)
+            reset_for_tests()
+            for seen in vms.values():
+                seen.clear()
+            r = execute_spec(RunSpec.make(
+                "cg", "G0", size="test", verify=True, timeout_cycles=5e6,
+                **spec)).result
+            outcomes[setting] = (r.cycles, r.rt_stats, r.faults["fired"],
+                                 r.recoveries)
+    reset_for_tests()
+    return outcomes, vms
+
+
+def test_fault_armed_shells_keep_generated_code():
+    """Armed A-stream faults corrupt VMs and send them through
+    recovery, and every VM keeps generated code to the end (a
+    ``_DEOPT`` would have dropped it): each is between events when
+    it is touched, at a pc generated code resumes at.  The campaigns'
+    results are those of interpreting everything.  (Seed 4 fires two
+    spurious faults, seed 6 a corruption as well.)"""
+    from repro.faults import FaultConfig
+    touched = {"restore": 0, "corrupt": 0}
+    for seed in (4, 6):
+        outcomes, vms = _campaign(
+            cfg=PAPER_MACHINE.with_(n_cmps=4),
+            faults=FaultConfig(seed, classes=("vm",)))
+        assert all(vm._cfns is not None for vm in vms["__init__"])
+        assert outcomes[None] == outcomes[""]
+        for kind in touched:
+            touched[kind] += len(vms[kind])
+    assert touched["restore"] and touched["corrupt"]
 
 
 @pytest.mark.parametrize("classes, schedule", [
     (("net",), None), (("channel",), ("dynamic", 4))],
     ids=["net", "channel"])
-def test_plans_without_a_stream_kinds_keep_generated_code(monkeypatch,
-                                                          classes, schedule):
+def test_plans_without_a_stream_kinds_keep_generated_code(classes,
+                                                          schedule):
     """A plan that schedules no A-stream kind -- ``net`` jitter fires in
     the network interfaces, ``channel`` faults in the pair channel --
-    arms no shell, so no VM is sent to the interpreter; the campaign's
-    cycles, firings and recoveries are those of interpreting
-    everything."""
+    leaves every VM on generated code too; the campaign's cycles,
+    firings and recoveries are those of interpreting everything."""
     from repro.faults import FaultConfig
-    interpreted = []
-    real = VM.disable_compiled
-
-    def spy(vm):
-        interpreted.append(vm)
-        real(vm)
-
-    monkeypatch.setattr(VM, "disable_compiled", spy)
-    outcomes = {}
-    for tiers in (None, ""):
-        if tiers is None:
-            monkeypatch.delenv("REPRO_HOTPATH", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_HOTPATH", tiers)
-        reset_for_tests()
-        # The default 16 CMPs: at 4, CG serves too few NI requests to
-        # reach the jitter window.
-        spec = RunSpec.make("cg", "G0", size="test", schedule=schedule,
-                            verify=True, timeout_cycles=5e6,
-                            faults=FaultConfig(4, classes=classes))
-        r = execute_spec(spec).result
-        outcomes[tiers] = (r.cycles, r.rt_stats, r.faults["fired"],
-                           r.recoveries)
-    assert interpreted == []
+    # The default 16 CMPs: at 4, CG serves too few NI requests to
+    # reach the jitter window.
+    outcomes, vms = _campaign(schedule=schedule,
+                              faults=FaultConfig(4, classes=classes))
+    assert vms["__init__"]
+    assert all(vm._cfns is not None for vm in vms["__init__"])
     assert outcomes[None][2], "the campaign fired nothing"
     assert outcomes[None] == outcomes[""]

@@ -25,7 +25,7 @@ import pytest
 
 from repro import compile_source
 from repro.config import PAPER_MACHINE, CacheConfig
-from repro.hotpath import HOTPATH_TIERS, hotpath_tiers, reset_for_tests
+from repro.hotpath import generated_code, reset_for_tests
 from repro.interp.interpreter import MISS
 from repro.mem import CoherentMemorySystem
 from repro.mem.address import SHARED_BASE
@@ -598,18 +598,19 @@ def test_hit_is_one_call_and_miss_a_handful_of_generators():
 def test_removed_mem_tier_is_refused_not_dropped(monkeypatch):
     """``mem``, ``engine`` and ``fuse`` are no longer tiers: a stale
     ``REPRO_HOTPATH=mem`` used to parse to the empty set (the
-    interpreter) without a word."""
-    assert HOTPATH_TIERS == ("compile",)
-    for stale, named in [("mem", "mem"), ("engine", "engine"),
-                         ("fuse", "fuse"), ("compile,mem", "mem"),
-                         ("engine,fuse,compile", "engine, fuse")]:
+    interpreter) without a word.  The switch takes exactly three
+    settings; anything else, a list included, is refused."""
+    for stale in ("mem", "engine", "fuse", "compile,mem", " compile ,",
+                  " , "):
         monkeypatch.setenv("REPRO_HOTPATH", stale)
         with pytest.raises(ValueError) as err:      # refused: no latch
-            hotpath_tiers()
+            generated_code()
         assert "\n" not in str(err.value)
-        assert f"unknown tier(s) {named};" in str(err.value)
-        assert str(err.value).endswith("the valid tier is compile")
-    for raw, tiers in [(" compile ,", {"compile"}), (" , ", set())]:
-        monkeypatch.setenv("REPRO_HOTPATH", raw)
+        assert repr(stale) in str(err.value)
+    for raw, generated in [("compile", True), ("", False), (None, True)]:
+        if raw is None:
+            monkeypatch.delenv("REPRO_HOTPATH")
+        else:
+            monkeypatch.setenv("REPRO_HOTPATH", raw)
         reset_for_tests()
-        assert hotpath_tiers() == tiers
+        assert generated_code() is generated

@@ -62,22 +62,24 @@ def test_compiler_fingerprint_invalidates_key(monkeypatch):
     assert k1 != k2
 
 
-def test_hotpath_tier_flags_change_key(monkeypatch):
-    """``REPRO_HOTPATH`` shapes the image (``gen_src`` or none) without
-    touching any compiler source, so generated-code and
-    reference-interpreter images must map to different cache keys --
-    and unset must alias ``compile``, its semantic equivalent."""
+def test_reference_switch_keeps_key_and_generated_code(monkeypatch):
+    """``REPRO_HOTPATH`` picks the engine a VM runs and nothing else:
+    every setting builds the same image, generated code included, under
+    the same cache key."""
     from repro.hotpath import reset_for_tests
-    keys = {}
-    for tiers in ("compile", "", None):
-        if tiers is None:
+    keys, sources = {}, {}
+    for setting in ("compile", "", None):
+        if setting is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
-            monkeypatch.setenv("REPRO_HOTPATH", tiers)
+            monkeypatch.setenv("REPRO_HOTPATH", setting)
         reset_for_tests()
-        keys[tiers] = CompileCache.key_for(SRC_A)
-    assert keys[None] == keys["compile"]
-    assert keys["compile"] != keys[""]
+        keys[setting] = CompileCache.key_for(SRC_A)
+        sources[setting] = [f.gen_src for f in CompileCache()
+                            .get_or_compile(SRC_A).funcs]
+    assert keys[None] == keys["compile"] == keys[""]
+    assert sources[None] == sources["compile"] == sources[""]
+    assert all(gs is not None for gs in sources[""])
 
 
 def test_fingerprint_is_stable_and_hexlike():
