@@ -162,8 +162,9 @@ class HazardPlan(Schedule):
     # -- site helpers --------------------------------------------------------
 
     def on_publish(self, what: str, path, data: bytes) -> bytes:
-        """Hazard hook inside :func:`~.integrity.atomic_pickle`: may
-        corrupt/truncate the framed bytes or raise ENOSPC/EIO."""
+        """Hazard hook inside :func:`~.integrity.publish_frame` and a
+        store's append: may corrupt/truncate the framed bytes or raise
+        ENOSPC/EIO."""
         hit = self.fire("publish_enospc")
         if hit:
             self._record("publish_enospc", f"publish.{what}",

@@ -1,39 +1,42 @@
-"""Integrity-framed pickle publishing: the crash-consistency layer
-every on-disk payload of the execution pipeline goes through.
+"""Integrity-framed pickles: the crash-consistency layer every
+on-disk payload of the execution pipeline goes through.
 
-Spool units and results, checkpoint-journal entries and memo-store
-entries are all pickles published with ``os.replace``.  Atomic rename
-protects readers from *torn* writes, but not from a disk flipping
-bits, a writer dying mid-``write`` on the temp file of a filesystem
-without ordered metadata, or an operator truncating a file -- and a
-silently corrupt pickle is the one failure mode a deterministic
+Spool units and results are pickles published one file each with
+``os.replace``; checkpoint-journal and memo-store records are the same
+frames appended to one log per store
+(:class:`repro.harness.checkpoint.ResultStore`).  Atomic rename and a
+closing mark on each log record protect readers from *torn* writes,
+but not from a disk flipping bits or an operator truncating a file --
+and a silently corrupt pickle is the one failure mode a deterministic
 reproduction harness cannot tolerate (``pickle.loads`` on garbage can
 return *anything*, including a plausible-looking wrong result).
 
-So every publish is framed::
+So every payload is framed::
 
     RPF1 | 8-byte big-endian payload length | payload | sha256(payload)
 
-and every load verifies the frame before unpickling.  A file that
-fails verification is **quarantined** -- moved aside into a
-``corrupt/`` sibling directory (never deleted: it is evidence) -- the
-failure is recorded as an ``integrity.corrupt`` telemetry event, and
-the caller sees a plain miss, never an exception.
+and every load verifies the frame before unpickling.  A spool file
+that fails verification is **quarantined** -- moved aside into a
+``corrupt/`` sibling directory (never deleted: it is evidence), a log
+record's bytes are copied there -- the failure is recorded as an
+``integrity.corrupt`` telemetry event, and the caller sees a plain
+miss, never an exception.
 
-Framed bytes are the currency: :func:`publish_frame` is the one
-function that writes a frame to disk, :func:`read_verified` the one
-that reads and verifies one -- it returns the object *and* its frame,
-so a verified entry is copied to another store without a second pickle
-or digest.  :func:`atomic_pickle` and :func:`load_verified` wrap them
-for callers with an object to store or no use for the frame.  Paths
-are ``str``: naming each entry through :mod:`pathlib` cost more than
-the system calls did.
+Framed bytes are the currency: :func:`frame` makes one and
+:func:`unframe` checks one.  :func:`publish_frame` writes a frame to a
+spool file and :func:`read_verified` reads and verifies one;
+:func:`atomic_pickle` and :func:`load_verified` wrap them for callers
+with an object to store or no use for the frame.  A store reads a
+record and hands back its frame the same way, so a verified memo
+record is journaled without a second pickle or digest.  Paths are
+``str``: naming each entry through :mod:`pathlib` cost more than the
+system calls did.
 
-:func:`publish_frame` is also the harness-hazard injection seam: an
-armed :mod:`repro.harness.hazards` plan may corrupt/truncate the
-framed bytes or fail the publish with ENOSPC/EIO at deterministic
-opportunity indices (zero cost when disarmed -- one module-attribute
-test).
+:func:`publish_frame` and a store's append are the harness-hazard
+injection seams: an armed :mod:`repro.harness.hazards` plan may
+corrupt/truncate the framed bytes or fail the write with ENOSPC/EIO at
+deterministic opportunity indices (zero cost when disarmed -- one
+module-attribute test).
 """
 
 from __future__ import annotations
@@ -112,7 +115,7 @@ def publish_frame(data: bytes, path: str, what: str = "entry") -> None:
     create finds it missing, not before every entry, and the file gets
     the mode the umask allows, like claims and event logs.
     ``what`` labels the publish site for hazard injection ("unit" /
-    "result" / "journal" / "memo") -- an armed hazard plan may rewrite
+    "result") -- an armed hazard plan may rewrite
     the bytes or raise ``OSError`` here, which propagates to the
     caller exactly like a real full disk.
     """

@@ -320,6 +320,29 @@ class Machine:
         self.memsys.finalize()
         return self._collect(end)
 
+    def _release(self) -> None:
+        """Break every reference cycle of a finished run: the lines and
+        directory entries go with the sets and the directory, and the
+        rest once each cycle is cut.  Only for a machine nobody looks at
+        afterwards (``run_program``'s); :meth:`run` keeps everything."""
+        for nm in self.memsys.nodes:
+            nm.l2.clear()
+            nm.l2.on_evict = None       # a closure over the memory system
+        self.memsys.directory._entries.clear()
+        eng = self.engine               # killed processes still queued
+        eng._buckets.clear()
+        eng._times.clear()
+        eng._front, eng._front_bucket = iter(()), []
+        for shell in self.shells:
+            # Its memory hooks close over it, and so do its VM's; it
+            # holds them, its VM, its pair, its team and this machine.
+            shell.fast_read = shell.fast_write = shell.vm = None
+            shell.machine = shell.team = shell.pair = None
+            if shell._prof is not None:
+                shell._prof.vm = None
+        self.team.machine = None
+        self.obs._probes.clear()        # a trace probe's emitter is the sink
+
     def _hang_error(self, kind: str, detail: str) -> SimDeadlockError:
         """Build the structured hang diagnostic (deadlock or watchdog):
         one row per stream with its state and wait reason."""
@@ -402,13 +425,12 @@ def run_program(program: CompiledProgram,
                 max_cycles: float = 2e9,
                 max_steps: int = 200_000_000,
                 **kw) -> RunResult:
-    """Convenience: build a machine, run the image once, and release its
-    L2 lines and directory entries by reference count (no caller can see
-    it; its cycles would keep them until a full collection).  A hang
-    raises :class:`SimDeadlockError` at ``max_cycles``/``max_steps``."""
+    """Convenience: build a machine, run the image once, and break the
+    machine's reference cycles (no caller can see it), so it goes by
+    reference count as this call returns rather than at the next full
+    collection.  A hang raises :class:`SimDeadlockError` at
+    ``max_cycles``/``max_steps``."""
     m = Machine(program, cfg, mode, env, **kw)
     result = m.run(inputs=inputs, max_cycles=max_cycles, max_steps=max_steps)
-    for nm in m.memsys.nodes:
-        nm.l2.clear()
-    m.memsys.directory._entries.clear()
+    m._release()
     return result

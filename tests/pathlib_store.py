@@ -1,4 +1,4 @@
-"""The reference result store the string-path store must replay.
+"""The reference result store the log-structured store must replay.
 
 ``frame``/``unframe``/``atomic_pickle``/``load_verified``/
 ``quarantine_file`` are the functions of ``repro.harness.integrity`` as
@@ -6,9 +6,10 @@ they were before publishing went to ``os.open`` on ``str`` paths, line
 for line: ``pathlib`` for every name, ``mkdir`` before every entry,
 ``tempfile.mkstemp`` for the temp file, the same hazard seam.
 They say what a publish and a verified load do in the plainest terms
-the standard library has; ``PathlibStore`` is ``ResultStore`` over
-them, and ``tests/test_properties.py`` drives both stores with the same
-operations.
+the standard library has; ``PathlibStore`` is ``ResultStore`` as it was
+over them, one file per entry, and ``tests/test_properties.py`` drives
+it and today's ``ResultStore``, one append-only log per root, with the
+same operations.
 """
 
 import hashlib

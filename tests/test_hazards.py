@@ -209,11 +209,11 @@ def test_lease_hazards_stale_claim_and_clock_skew(tmp_path):
 def test_memo_hit_journal_publish_is_a_hazard_site(golden, tmp_path, kind,
                                                    payload):
     """A memo hit journals the frame it verified without pickling it
-    again, and that publish is still one opportunity of the ``journal``
+    again, and that append is still one opportunity of the ``journal``
     site: the hazard armed for the second one hits the second hit's
-    journal copy (the memo's stays good), the next resume quarantines
-    what was corrupted, serves that unit from the memo once more and
-    heals the journal."""
+    journal record (the memo's stays good), the next resume keeps what
+    was corrupted as evidence, serves that unit from the memo once more
+    and heals the journal with a record after the damaged one."""
     from repro.harness.checkpoint import CheckpointJournal, MemoStore
     specs = _specs()
     ExecutionPipeline(memo=MemoStore(tmp_path / "memo")).run(specs)
@@ -249,8 +249,8 @@ def test_memo_hit_journal_publish_is_a_hazard_site(golden, tmp_path, kind,
             if rotten.exists() else []) \
         == ([] if lost else [f"{keys[1]}.run"])
     for key in keys:
-        assert open(again.journal._path(key), "rb").read() \
-            == open(again.memo._path(key), "rb").read()
+        assert again.journal.get_framed(key)[1] \
+            == again.memo.get_framed(key)[1]
 
 
 # -- tmp litter: ignored by readers, GC'd ------------------------------------

@@ -15,7 +15,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, rule)
 
 from repro.config import CacheConfig, PAPER_MACHINE
+from repro.harness import checkpoint
 from repro.harness.checkpoint import ResultStore
+from repro.harness.integrity import IntegrityError, unframe
 from repro.harness.runner import BenchRun
 from repro.interp.interpreter import _binop
 from repro.mem import (Cache, L1Tags, MESIState, Placement,
@@ -176,14 +178,16 @@ test_sparse_l2_replays_the_dense_model = SparseL2ReplaysDense.TestCase
 # ------------------------------------------ result store vs pathlib model
 
 class StrPathStoreReplaysPathlib(RuleBasedStateMachine):
-    """``ResultStore`` publishes through ``os.open`` on ``str`` paths,
-    makes its directory when a create finds it missing and names its
-    temp files itself; the model is the store that went through
-    ``pathlib``, ``mkdir`` and ``mkstemp`` for every entry
-    (``tests/pathlib_store.py``).  The same puts, gets, rot and
-    deletions on both: every return value equal, and after every step
-    the same keys, the same names under ``corrupt/``, the same bytes in
-    every surviving entry, and no temp file left by either."""
+    """``ResultStore`` is an append-only log, ``<root>/results.log``,
+    that serves each key's last record once it verifies; the model is
+    the store that published one file per entry through ``pathlib``,
+    ``mkdir`` and ``mkstemp`` (``tests/pathlib_store.py``).  The same
+    puts and gets on both, the same rot -- a flipped byte, or a kill
+    mid-append, in the key's last record of the log and in the key's
+    file of the model -- and the same removal or blocking of the whole
+    store: every return value equal, and after every step the same
+    keys, the same names under ``corrupt/``, the same bytes for every
+    key whose model file verifies, and no temp file left by either."""
 
     keys = st.sampled_from(("a", "b", "c"))
 
@@ -196,8 +200,11 @@ class StrPathStoreReplaysPathlib(RuleBasedStateMachine):
     def teardown(self):
         shutil.rmtree(self.tmp, ignore_errors=True)
 
-    def paths(self, key):
-        return [Path(self.new._path(key)), Path(self.ref._path(key))]
+    def frame_at(self, key):
+        """Offset of ``key``'s frame in the log, and its length."""
+        offset, size = self.new._index[key]
+        head = checkpoint._ENV.size + len(key.encode())
+        return offset + head, size - head - checkpoint._CRC.size
 
     @rule(key=keys, n=st.integers(0, 3), kind=st.sampled_from(
         (BenchRun, dict)))
@@ -214,52 +221,68 @@ class StrPathStoreReplaysPathlib(RuleBasedStateMachine):
 
     @rule(key=keys, where=st.integers(0, 255), mask=st.integers(1, 255))
     def flip_a_bit(self, key, where, mask):
-        for path in self.paths(key):
-            if path.is_file() and path.stat().st_size:
-                raw = bytearray(path.read_bytes())
-                raw[where % len(raw)] ^= mask
-                path.write_bytes(bytes(raw))
+        ref = self.ref._path(key)
+        if key not in self.new or not ref.stat().st_size:
+            return
+        at = where % ref.stat().st_size
+        for path, offset in ((ref, at),
+                             (self.new.path, self.frame_at(key)[0] + at)):
+            with open(path, "r+b") as fh:
+                fh.seek(offset)
+                byte = fh.read(1)[0]
+                fh.seek(offset)
+                fh.write(bytes([byte ^ mask]))
 
     @rule(key=keys, keep=st.floats(0, 1, exclude_max=True))
-    def truncate(self, key, keep):
-        for path in self.paths(key):
-            if path.is_file():
-                raw = path.read_bytes()
-                path.write_bytes(raw[:int(keep * len(raw))])
+    def kill_mid_append(self, key, keep):
+        """Cut the log inside ``key``'s record when it is the last one
+        and whole, and the model's file of ``key`` to as many frame
+        bytes."""
+        if key not in self.new:
+            return
+        offset, size = self.new._index[key]
+        start, length = self.frame_at(key)
+        if (offset + size != os.path.getsize(self.new.path)
+                or self.ref._path(key).stat().st_size != length):
+            return
+        kept = int(keep * length)
+        os.truncate(self.new.path, start + kept)
+        os.truncate(self.ref._path(key), kept)
 
-    @rule(key=keys)
-    def block(self, key):
-        """A directory where the entry goes: the rename fails, the
-        publish says so and takes its temp file with it."""
-        for path in self.paths(key):
-            if path.parent.is_dir() and not path.exists():
-                path.mkdir()
-
-    @rule(key=keys)
-    def delete_entry(self, key):
-        for path in self.paths(key):
-            if path.is_dir():
-                path.rmdir()
-            elif path.exists():
-                path.unlink()
+    @rule()
+    def block(self):
+        """A file where the store's directory goes: every put fails."""
+        for store in (self.new, self.ref):
+            if not store.root.exists():
+                store.root.parent.mkdir(parents=True, exist_ok=True)
+                store.root.write_bytes(b"")
 
     @rule()
     def delete_directory(self):
         for store in (self.new, self.ref):
+            if store.root.is_file():
+                store.root.unlink()
             shutil.rmtree(store.root, ignore_errors=True)
 
     @invariant()
-    def same_entries_same_bytes_no_litter(self):
+    def same_keys_same_bytes_no_litter(self):
         assert self.new.keys() == self.ref.keys()
         for key in self.new.keys():
-            new, ref = self.paths(key)
-            assert new.is_file() == ref.is_file()
-            if new.is_file():
-                assert new.read_bytes() == ref.read_bytes()
-        listing = [sorted(os.listdir(s.root)) if s.root.is_dir() else None
-                   for s in (self.new, self.ref)]
-        assert listing[0] == listing[1]
-        assert not [n for n in listing[0] or () if n.endswith(".tmp")]
+            ref = self.ref._path(key).read_bytes()
+            try:
+                unframe(ref)
+            except IntegrityError:
+                continue
+            with open(self.new.path, "rb") as fh:
+                start, length = self.frame_at(key)
+                fh.seek(start)
+                assert fh.read(length) == ref
+        if self.new.root.is_dir():
+            assert set(os.listdir(self.new.root)) \
+                <= {"results.log", "corrupt"}
+        if self.ref.root.is_dir():
+            assert not [n for n in os.listdir(self.ref.root)
+                        if n.endswith(".tmp")]
         rotten = [sorted(os.listdir(s.root / "corrupt"))
                   if (s.root / "corrupt").is_dir() else []
                   for s in (self.new, self.ref)]

@@ -18,13 +18,15 @@ from pathlib import Path
 import pytest
 
 from repro.config import PAPER_MACHINE
+from repro.harness import checkpoint
 from repro.harness.checkpoint import (CheckpointJournal, MemoStore,
                                       ResultStore, default_memo_dir)
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
 from repro.harness.pipeline import ExecutionPipeline
 from repro.harness.runner import BenchRun
 from repro.harness.transport import (LEASE_S, DirQueueTransport,
-                                     SerialTransport)
+                                     SerialTransport, _Spool)
+from repro.obs.telemetry import Telemetry
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -178,9 +180,13 @@ def test_result_store_roundtrip_and_corruption(tmp_path):
     assert store.put("k", _fake_run())
     assert "k" in store and store.keys() == ["k"]
     assert isinstance(store.get("k"), BenchRun)
-    # a torn/corrupt entry is a miss, never an error
-    Path(store._path("bad")).write_bytes(b"\x00not a pickle")
-    assert store.get("bad") is None
+    # a record whose frame is not a pickle is a miss, never an error
+    assert store.put_framed("bad", b"\x00not a pickle")
+    assert "bad" in store and store.get("bad") is None
+    assert store.keys() == ["k"]
+    # one log holds every record; the evidence goes beside it
+    assert sorted(os.listdir(store.root)) == ["corrupt", "results.log"]
+    assert os.listdir(store.root / "corrupt") == ["bad.run"]
 
 
 def test_journal_loads_only_requested_keys(tmp_path):
@@ -227,15 +233,42 @@ def test_second_sweep_is_served_from_the_memo(tmp_path):
     assert second.rt_stats["pipeline"]["memo.hit"] == len(specs)
 
 
-def _rot_entries(store, keys):
-    """Hand-damage journal/memo entries on disk: bit-flip the first
-    key's payload, truncate the second's file mid-frame."""
-    flip = Path(store._path(keys[0]))
-    raw = bytearray(flip.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    flip.write_bytes(bytes(raw))
-    trunc = Path(store._path(keys[1]))
-    trunc.write_bytes(trunc.read_bytes()[:20])
+def _in_log_order(store):
+    """The keys of ``store``, by the offset of their last record."""
+    store.keys()                            # index what is on disk
+    return sorted(store._index, key=lambda k: store._index[k][0])
+
+
+def _frame_span(store, key):
+    """Byte range of the frame in ``key``'s last record of the log."""
+    store.keys()
+    offset, size = store._index[key]
+    start = offset + checkpoint._ENV.size + len(key.encode())
+    return start, offset + size - checkpoint._CRC.size
+
+
+def _flip(path, at, mask=0xFF):
+    with open(path, "r+b") as fh:
+        fh.seek(at)
+        byte = fh.read(1)[0]
+        fh.seek(at)
+        fh.write(bytes([byte ^ mask]))
+
+
+def _tear(store, key, keep=20):
+    """Cut the log inside ``key``'s record, ``keep`` bytes into its
+    frame: what a writer killed mid-append leaves."""
+    start, _ = _frame_span(store, key)
+    os.truncate(store.path, start + keep)
+
+
+def _rot_entries(store):
+    """Hand-damage journal/memo records on disk: bit-flip the first
+    record's frame, and cut the log short inside the last record."""
+    first, *_, last = _in_log_order(store)
+    start, end = _frame_span(store, first)
+    _flip(store.path, (start + end) // 2)
+    _tear(store, last)
 
 
 def test_corrupt_journal_entries_recovered(golden, tmp_path):
@@ -246,7 +279,7 @@ def test_corrupt_journal_entries_recovered(golden, tmp_path):
     first = ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j"))
     first.run(specs)
     keys = sorted(first.journal.keys())
-    _rot_entries(first.journal, keys)
+    _rot_entries(first.journal)
 
     resume = ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j"))
     runs = resume.run(specs)
@@ -269,7 +302,7 @@ def test_corrupt_memo_entries_recovered(golden, tmp_path):
     first = ExecutionPipeline(memo=MemoStore(tmp_path / "m"))
     first.run(specs)
     keys = sorted(first.memo.keys())
-    _rot_entries(first.memo, keys)
+    _rot_entries(first.memo)
 
     resume = ExecutionPipeline(memo=MemoStore(tmp_path / "m"))
     runs = resume.run(specs)
@@ -299,7 +332,7 @@ def test_memo_respects_code_and_spec_identity(tmp_path):
 def test_memo_hit_journals_the_frame_it_verified(tmp_path, monkeypatch):
     """A sweep served from a warm memo into a fresh journal pickles
     nothing: each hit is one read, one digest, one ``loads`` and one
-    write of the bytes just verified, so the journal's copy is the
+    append of the bytes just verified, so the journal's frame is the
     memo's, byte for byte -- and a resume over it is bit-identical."""
     specs = _specs(("single", "double", "G0"))
     cold = ExecutionPipeline(memo=MemoStore(tmp_path / "memo"))
@@ -317,18 +350,39 @@ def test_memo_hit_journals_the_frame_it_verified(tmp_path, monkeypatch):
     keys = warm.journal.keys()
     assert keys == sorted(SweepPlan(specs).keys)
     for key in keys:
-        assert Path(warm.journal._path(key)).read_bytes() \
-            == Path(warm.memo._path(key)).read_bytes()
+        assert warm.journal.get_framed(key)[1] \
+            == warm.memo.get_framed(key)[1]
     resumed = ExecutionPipeline(
         journal=CheckpointJournal(tmp_path / "journal"))
     assert [r.cycles for r in resumed.run(specs)] == want
     assert resumed.counters.get("unit.resumed") == len(specs)
 
 
+def test_memo_served_sweep_adds_one_file_and_renames_nothing(
+        tmp_path, monkeypatch):
+    """Journaling every memo hit of a sweep into a fresh journal makes
+    one file, the journal's log, and no ``os.replace``: records are
+    appended, not published one file each."""
+    specs = _specs(("single", "double", "G0"))
+    ExecutionPipeline(memo=MemoStore(tmp_path / "memo")).run(specs)
+    before = {p for p in tmp_path.rglob("*") if p.is_file()}
+    real, renames = os.replace, []
+    monkeypatch.setattr(os, "replace",
+                        lambda *a, **kw: renames.append(a) or real(*a, **kw))
+    warm = ExecutionPipeline(journal=CheckpointJournal(tmp_path / "journal"),
+                             memo=MemoStore(tmp_path / "memo"))
+    warm.run(specs)
+    monkeypatch.undo()
+    assert warm.counters.get("memo.hit") == len(specs)
+    added = {p for p in tmp_path.rglob("*") if p.is_file()} - before
+    assert added == {Path(warm.journal.path)} and renames == []
+    assert len(warm.journal) == len(specs)
+
+
 def test_second_publish_makes_no_directory_and_no_mkstemp(tmp_path,
                                                           monkeypatch):
-    """The directory is made when the first create finds it missing,
-    not before every entry, and the temp file is named by the store:
+    """The directory is made when the first append finds it missing,
+    not before every record, and nothing goes through ``mkstemp``:
     ``integrity.py`` does not know ``tempfile``."""
     from repro.harness import integrity
     store = ResultStore(tmp_path / "deep" / "store")
@@ -345,7 +399,7 @@ def test_second_publish_makes_no_directory_and_no_mkstemp(tmp_path,
     assert "mkstemp" not in source and "tempfile" not in source
 
 
-# -- a writer that dies between create and rename ------------------------------
+# -- a writer that dies mid-publish -------------------------------------------
 
 def _visible(store, spool, key):
     """Every way a reader can come to see an entry."""
@@ -356,11 +410,12 @@ def _visible(store, spool, key):
 
 def test_writer_dying_before_the_rename_leaves_nothing_visible(
         tmp_path, monkeypatch):
-    """``os.replace`` never happens (an interrupt, the worst case a
-    handler can see): the failure leg unlinks its own temp file, and no
-    reader -- ``keys``, ``in``, ``get``, the spool's listing of
-    ``results/`` and its ``pending_keys`` -- sees an entry."""
-    from repro.harness.transport import _Spool
+    """``os.replace`` never happens in a spool publish, and the store's
+    ``os.write`` never happens (an interrupt, the worst case a handler
+    can see): the spool's failure leg unlinks its own temp file, the
+    store leaves an empty log at most, and no reader -- ``keys``,
+    ``in``, ``get``, the spool's listing of ``results/`` and its
+    ``pending_keys`` -- sees an entry.  The next append lands whole."""
     store = ResultStore(tmp_path / "store")
     spool = _Spool(tmp_path / "spool")
     spool.ensure()
@@ -370,30 +425,40 @@ def test_writer_dying_before_the_rename_leaves_nothing_visible(
         assert src.endswith(".tmp") and os.path.isfile(src)
         raise KeyboardInterrupt
 
+    def dies_writing(fd, data):
+        raise KeyboardInterrupt
+
     monkeypatch.setattr(os, "replace", dies)
-    for publish in (lambda: store.put("k", _fake_run()),
-                    lambda: spool.publish("k", _fake_run()),
+    for publish in (lambda: spool.publish("k", _fake_run()),
                     lambda: spool.enqueue("k", "spec")):
         with pytest.raises(KeyboardInterrupt):
             publish()
+    monkeypatch.setattr(os, "write", dies_writing)
+    with pytest.raises(KeyboardInterrupt):
+        store.put("k", _fake_run())
     monkeypatch.undo()
     assert _visible(store, spool, "k") \
         == ([], False, None, [], set(), False, None)
-    assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] \
+        == [Path(store.path)]
+    assert os.path.getsize(store.path) == 0
+    assert store.put("k", _fake_run())
+    assert store.keys() == ["k"] and isinstance(store.get("k"), BenchRun)
 
 
 def test_stranded_temp_is_invisible_and_collected_once_stale(tmp_path):
-    """What a SIGKILL between create and rename leaves, made by hand:
-    ``<key>.run.<pid>.<n>.tmp``.  No reader matches it; ``gc_tmp``
-    collects it once it is older than the lease and spares a young
-    one (a live writer's)."""
-    from repro.harness.integrity import gc_tmp
-    from repro.harness.transport import _Spool
+    """What a SIGKILL between create and rename leaves in a spool, made
+    by hand: ``<key>.run.<pid>.<n>.tmp``.  No reader matches it;
+    ``gc_tmp`` collects it once it is older than the lease and spares a
+    young one (a live writer's).  A store reads its log only: litter
+    and a per-entry ``<key>.run`` of the old layout beside it are
+    invisible to it."""
+    from repro.harness.integrity import frame, gc_tmp
     store = ResultStore(tmp_path / "store")
     spool = _Spool(tmp_path / "spool")
     spool.ensure()
     store.root.mkdir()
-    old = [Path(store._path("k") + ".4242.0.tmp"),
+    old = [store.root / "k.run.4242.0.tmp",
            Path(spool.result_path("k") + ".4242.1.tmp")]
     young = Path(spool.result_path("k") + ".4242.2.tmp")
     then = time.time() - 3600
@@ -401,6 +466,7 @@ def test_stranded_temp_is_invisible_and_collected_once_stale(tmp_path):
         path.write_bytes(b"RPF1 half a frame")
     for path in old:
         os.utime(path, times=(then, then))
+    (store.root / "k.run").write_bytes(frame(pickle.dumps(_fake_run())))
     spool.enqueue("k", "spec")
     assert _visible(store, spool, "k") \
         == ([], False, None, ["k"], set(), False, None)
@@ -411,24 +477,115 @@ def test_stranded_temp_is_invisible_and_collected_once_stale(tmp_path):
 
 def test_leftover_temp_of_the_same_name_fails_the_publish_loudly(
         golden, tmp_path, monkeypatch):
-    """The temp file is created exclusively: one already there under
-    the very name the next publish would use (a recycled pid) is an
-    ``OSError`` -- ``put`` says False and the sweep goes on -- never a
-    file to append to or to unlink on the way out."""
+    """A spool's temp file is created exclusively: one already there
+    under the very name the next publish would use (a recycled pid) is
+    an ``OSError``, never a file to append to or to unlink on the way
+    out.  A store has no temp files; a log it cannot open is its
+    failed publish -- ``put`` says False and the sweep goes on."""
     from repro.harness import integrity
-    specs = _specs(("single", "G0"))
-    journal = CheckpointJournal(tmp_path / "j")
-    journal.root.mkdir()
-    first = SweepPlan(specs).keys[0]
-    squatter = Path(f"{journal._path(first)}.{os.getpid()}.7.tmp")
+    spool = _Spool(tmp_path / "spool")
+    spool.ensure()
+    squatter = Path(f"{spool.result_path('k')}.{os.getpid()}.7.tmp")
     squatter.write_bytes(b"someone else's bytes")
     monkeypatch.setattr(integrity, "_tmp_serial", itertools.count(7))
-    pipe = ExecutionPipeline(journal=journal)
-    runs = pipe.run(specs)
+    with pytest.raises(FileExistsError):
+        spool.publish("k", _fake_run())
+    assert not spool.has_result("k")
+    assert squatter.read_bytes() == b"someone else's bytes"
+    spool.publish("k", _fake_run())                  # the next name is free
+    assert spool.has_result("k")
+
+    specs = _specs(("single", "G0"))
+    journal = CheckpointJournal(tmp_path / "j")
+    os.makedirs(journal.path)                        # where the log goes
+    runs = ExecutionPipeline(journal=journal).run(specs)
     assert {r.config: r.cycles for r in runs} \
         == {c: golden[c] for c in ("single", "G0")}
-    assert journal.keys() == sorted(SweepPlan(specs).keys[1:])
-    assert squatter.read_bytes() == b"someone else's bytes"
+    assert journal.keys() == [] and not journal.record("k", _fake_run())
+
+
+# -- the log: torn tails, rot in the middle, healing -------------------------
+
+def _corrupt_events(tel):
+    return [r["unit"] for r in tel.records
+            if r["event"] == "integrity.corrupt"]
+
+
+def test_torn_tail_then_a_later_append_loses_only_the_torn_record(
+        golden, tmp_path):
+    """A kill mid-append cuts the log inside its last record, and a
+    later append lands after the torn bytes.  The resume loads every
+    complete record, the torn key is one logged miss and executes
+    once, and the next resume executes nothing."""
+    specs = _specs(("single", "double", "G0"))
+    keys = SweepPlan(specs).keys
+    ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j")).run(specs)
+    journal = CheckpointJournal(tmp_path / "j")
+    *whole, torn = _in_log_order(journal)
+    _tear(journal, torn, keep=100)
+    assert CheckpointJournal(tmp_path / "j").record("later", _fake_run())
+
+    tel = Telemetry()
+    resume = ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j"),
+                               telemetry=tel)
+    runs = resume.run(specs)
+    assert {r.config: r.cycles for r in runs} == golden
+    assert resume.counters.get("unit.resumed") == len(whole)
+    assert resume.counters.get("unit.executed") == 1
+    assert _corrupt_events(tel) == [torn]
+    assert os.listdir(tmp_path / "j" / "corrupt") == [f"{torn}.run"]
+
+    tel = Telemetry()
+    again = ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j"),
+                              telemetry=tel)
+    assert [r.cycles for r in again.run(specs)] == [r.cycles for r in runs]
+    assert again.counters.get("unit.resumed") == len(keys)
+    assert again.counters.get("unit.executed") == 0
+    assert _corrupt_events(tel) == []
+    assert sorted(again.journal.keys()) == sorted(keys + ["later"])
+
+
+def test_rot_in_a_middle_record_costs_that_record_only(golden, tmp_path):
+    """A flipped byte in the frame of a record with records after it:
+    that key is one logged miss, every other record loads, and the
+    records after it are still read."""
+    specs = _specs(("single", "double", "G0"))
+    ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j")).run(specs)
+    journal = CheckpointJournal(tmp_path / "j")
+    first, middle, last = _in_log_order(journal)
+    start, end = _frame_span(journal, middle)
+    _flip(journal.path, start + (end - start) // 3, 0x10)
+
+    tel = Telemetry()
+    resume = ExecutionPipeline(journal=CheckpointJournal(tmp_path / "j"),
+                               telemetry=tel)
+    runs = resume.run(specs)
+    assert {r.config: r.cycles for r in runs} == golden
+    assert resume.counters.get("unit.resumed") == 2
+    assert resume.counters.get("unit.executed") == 1
+    assert _corrupt_events(tel) == [middle]
+    assert _in_log_order(resume.journal) == [first, last, middle]
+
+
+def test_a_healed_key_raises_no_second_corrupt_event(tmp_path):
+    """Once a good record follows a damaged one, no reader -- the one
+    that found the damage, or a fresh one -- reports it again; and the
+    reader that found it reports it once, however often it asks."""
+    store = ResultStore(tmp_path / "s")
+    assert store.put("a", _fake_run()) and store.put("b", _fake_run())
+    start, end = _frame_span(store, "a")
+    _flip(store.path, (start + end) // 2)
+    tel = store.telemetry = Telemetry()
+    assert store.get("a") is None and store.get("a") is None
+    assert "a" not in store and store.keys() == ["b"]
+    assert _corrupt_events(tel) == ["a"]
+    assert store.put("a", _fake_run())
+    assert isinstance(store.get("a"), BenchRun)
+    fresh = ResultStore(tmp_path / "s")
+    tel = fresh.telemetry = Telemetry()
+    assert fresh.keys() == ["a", "b"]
+    assert isinstance(fresh.get("a"), BenchRun)
+    assert _corrupt_events(tel) == []
 
 
 def test_journal_directory_removed_mid_sweep_is_recreated(golden, tmp_path):

@@ -474,3 +474,31 @@ def test_run_program_hands_its_lines_back_without_the_collector(
         gc.enable()
     assert alive == []
     assert result.mem_stats.get("cache.l2.misses") > 0
+
+
+@pytest.mark.parametrize("mode,kw", [
+    ("single", {}), ("double", {}), ("slipstream", {}),
+    ("slipstream", {"faults": "all"}), ("slipstream", {"obs": "trace"}),
+    ("slipstream", {"obs": "profile"})],
+    ids=("single", "double", "slipstream", "fault-armed", "traced",
+         "profiled"))
+def test_run_program_leaves_the_collector_nothing(stencil_image, mode, kw):
+    """``run_program`` breaks every cycle of its machine -- shells, VMs
+    and their memory hooks, queued processes, cache callbacks, pairs,
+    team, sink -- so the machine goes by reference count as the call
+    returns: with the collector off, a collection after it finds
+    nothing."""
+    from repro.faults import FaultConfig
+    if kw.get("faults"):
+        kw = dict(kw, faults=FaultConfig(6))
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_program(stencil_image, cfg=CFG4, mode=mode, **kw)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+    assert result.cycles > 0
+    if kw.get("faults"):
+        assert result.faults["fired"]

@@ -233,7 +233,7 @@ def test_the_attempts_ledger_makes_its_directory_once(tmp_path,
                          ids=("002", "022", "077"))
 def test_entries_are_readable_by_whoever_may_read_the_directory(
         tmp_path, umask):
-    """Specs, results, journal and memo entries get the mode the
+    """Specs, results, journal and memo logs get the mode the
     process umask allows -- the mode of a claim made beside them -- so
     a worker under another uid on a group-shared spool can read the
     specs of the units it may claim (``mkstemp`` made every entry
@@ -256,7 +256,7 @@ def test_entries_are_readable_by_whoever_may_read_the_directory(
         os.umask(old)
     modes = {str(path): os.stat(path).st_mode & 0o777
              for path in (spool.unit_path("k"), spool.result_path("k"),
-                          store._path("k"), spool.attempt_path("k"),
+                          store.path, spool.attempt_path("k"),
                           spool.claim_path("k"))}
     assert set(modes.values()) == {0o666 & ~umask}, modes
 
