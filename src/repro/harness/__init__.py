@@ -19,8 +19,7 @@ from .checkpoint import CheckpointJournal, MemoStore, default_memo_dir
 from .pipeline import ExecutionPipeline
 from .hazards import (HAZARD_CLASS_KINDS, HAZARD_CLASSES, HAZARD_KINDS,
                       HazardConfig, HazardPlan)
-from .integrity import (IntegrityError, atomic_pickle, gc_tmp,
-                        load_verified)
+from .integrity import IntegrityError, atomic_pickle, load_verified
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .chaos import (CHAOS_BENCHMARKS, ChaosOutcome, ChaosReport,
                     HarnessChaosOutcome, HarnessChaosReport, chaos_specs,
@@ -42,7 +41,7 @@ __all__ = [
     "ExecutionPipeline",
     "HAZARD_KINDS", "HAZARD_CLASSES", "HAZARD_CLASS_KINDS",
     "HazardConfig", "HazardPlan",
-    "IntegrityError", "atomic_pickle", "load_verified", "gc_tmp",
+    "IntegrityError", "atomic_pickle", "load_verified",
     "NULL_TELEMETRY", "Telemetry",
     "CHAOS_BENCHMARKS", "ChaosOutcome", "ChaosReport", "chaos_specs",
     "oracle_check", "render_chaos", "run_chaos",

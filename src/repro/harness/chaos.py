@@ -366,7 +366,7 @@ def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
 # The pipeline-side mirror of the fault matrix above.  Each scenario
 # arms a seeded hazard campaign (:mod:`repro.harness.hazards`) over a
 # ``-j 2`` pool sweep: the spool, worked by the driver and one forked
-# ``run_worker`` child that arms itself from ``REPRO_HAZARDS`` -- the
+# ``run_worker`` child that arms itself from the plan it inherits -- the
 # transport with every hazard site (a serial sweep's publishes are a
 # subset of its sites).  It runs the same small sweep twice -- a
 # **cold** leg with hazards firing (corrupted publishes, ENOSPC, stale
@@ -494,19 +494,15 @@ def _run_harness_scenario(cls: Tuple[str, ...], seed: int,
     outcome = HarnessChaosOutcome(classes=tuple(cls), seed=seed)
     try:
         # Leg A (cold): armed driver; the pool's forked child arms
-        # itself worker-side from the environment.
-        hazards.export_env(config, state_dir=sdir / "hazard-state",
-                           telemetry_root=tel_root)
+        # itself worker-side from the plan it inherits.
         tel = Telemetry(root=tel_root)
-        plan = hazards.arm(config, state_dir=sdir / "hazard-state",
-                           telemetry=tel)
+        plan = hazards.arm(config, telemetry=tel)
         try:
             pipe = _scenario_pipeline(sdir, tel)
             cold = [r.cycles for r in pipe.run(specs)]
             outcome.quarantined += len(pipe.quarantined_units)
         finally:
             hazards.disarm()
-            hazards.clear_env()
             tel.close()
         # Leg B (resume, disarmed): same journal/memo.  Every
         # entry the cold leg corrupted must quarantine as a logged
@@ -541,7 +537,6 @@ def _run_harness_scenario(cls: Tuple[str, ...], seed: int,
         outcome.error = f"{type(e).__name__}: {e}"
     finally:
         hazards.disarm()
-        hazards.clear_env()
     return outcome
 
 
@@ -558,9 +553,9 @@ def run_harness_chaos(workdir,
     bit-identical against one hazard-free serial baseline (see the
     section comment).  ``classes`` overrides the default scenario sets
     (:data:`HARNESS_CLASS_SETS`).  Each campaign schedules the default
-    two injections per hazard kind, which is also the kill-token budget
-    per kill kind: a kill-armed sweep runs out of kills before a unit
-    crosses the poison threshold.
+    two injections per hazard kind; the pool's one child dies at most
+    once, so a kill-armed sweep never takes a unit across the poison
+    threshold.
     """
     workdir = Path(workdir)
     specs = [RunSpec.make(b, c, size=size, cfg=cfg)

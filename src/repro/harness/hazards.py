@@ -27,21 +27,18 @@ kind                      injection point                        class
 ``stale_claim``           a back-dated foreign claim appears     ``lease``
 ``clock_skew``            a claim-age reading is inflated        ``lease``
 ``kill_worker``           worker SIGKILLs itself at a boundary   ``kill``
-``term_worker``           worker SIGTERMs itself at a boundary   ``kill``
 ========================  =====================================  =========
 
-Kill hazards only fire in processes armed as *worker-side* (a pool's
-forked children, armed through the ``REPRO_HAZARDS`` environment
-variable), never in the driver, and are budgeted through on-disk
-``O_EXCL`` kill tokens in a shared state directory: workers that
-respawn with fresh opportunity counters would otherwise kill
-themselves forever.
+Kill hazards only fire in a pool's forked children, never in the
+driver.  A child arms itself from the plan it inherits at fork (see
+:func:`current`): same campaign, its own opportunity counters, its own
+telemetry session in the driver plan's directory.  A child is never
+respawned, so it dies at most once.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import os
 import random
 import signal
@@ -52,23 +49,23 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..faults import Schedule, ScheduleConfig
-from ..obs.telemetry import NULL_TELEMETRY
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["HAZARD_KINDS", "HAZARD_CLASSES", "HAZARD_CLASS_KINDS",
            "HazardConfig", "HazardPlan", "arm", "disarm", "armed",
-           "current", "export_env", "clear_env", "ENV_VAR"]
+           "current"]
 
 #: Every injectable hazard kind, in the fixed order schedules are drawn.
 HAZARD_KINDS: Tuple[str, ...] = (
     "pickle_corrupt", "pickle_truncate", "publish_enospc", "publish_eio",
-    "stale_claim", "clock_skew", "kill_worker", "term_worker")
+    "stale_claim", "clock_skew", "kill_worker")
 
 #: Hazard classes (CLI / scenario-matrix granularity) -> member kinds.
 HAZARD_CLASS_KINDS: Dict[str, Tuple[str, ...]] = {
     "corrupt": ("pickle_corrupt", "pickle_truncate"),
     "disk": ("publish_enospc", "publish_eio"),
     "lease": ("stale_claim", "clock_skew"),
-    "kill": ("kill_worker", "term_worker"),
+    "kill": ("kill_worker",),
 }
 
 HAZARD_CLASSES: Tuple[str, ...] = tuple(sorted(HAZARD_CLASS_KINDS))
@@ -87,12 +84,7 @@ _WINDOWS: Dict[str, Tuple[int, int]] = {
     # scan and one a unit), so the window is tight: a kill-armed process
     # dies within its first few boundaries or not at all.
     "kill_worker": (0, 3),
-    "term_worker": (0, 3),
 }
-
-#: Environment variable carrying an armed campaign into a pool's forked
-#: workers.
-ENV_VAR = "REPRO_HAZARDS"
 
 
 def _draw_payload(kind: str, rng: random.Random):
@@ -106,7 +98,7 @@ def _draw_payload(kind: str, rng: random.Random):
         return rng.uniform(120.0, 900.0)    # seconds to back-date by
     if kind == "clock_skew":
         return rng.uniform(30.0, 600.0)     # seconds added to one reading
-    return True     # publish_enospc / publish_eio / kill_* are boolean
+    return True     # publish_enospc / publish_eio / kill_worker: boolean
 
 
 @dataclass(frozen=True)
@@ -114,8 +106,8 @@ class HazardConfig(ScheduleConfig):
     """Hashable, picklable description of one hazard campaign.
 
     The heavier :class:`HazardPlan` is rebuilt from this in every
-    process (driver, worker), so each derives an identical schedule
-    from the seed alone.
+    process (driver, forked child), so each derives an identical
+    schedule from the seed alone.
     """
 
     classes: Tuple[str, ...] = HAZARD_CLASSES
@@ -133,14 +125,12 @@ class HazardPlan(Schedule):
     opportunity indices deterministically and, when an injection is
     actually applied, records it on :attr:`injected` and as a
     ``hazard.injected`` telemetry event.  ``worker_side`` gates the
-    kill kinds: only processes that *are* expendable workers may be
-    killed.
+    kill kind: only a pool's forked child may be killed.
     """
 
-    def __init__(self, config: HazardConfig, state_dir=None,
-                 telemetry=NULL_TELEMETRY, worker_side: bool = False):
+    def __init__(self, config: HazardConfig, telemetry=NULL_TELEMETRY,
+                 worker_side: bool = False):
         super().__init__(config, _WINDOWS, _draw_payload)
-        self.state_dir = Path(state_dir) if state_dir is not None else None
         self.telemetry = telemetry
         self.worker_side = worker_side
         #: Applied injections (dicts: kind, site, index, ...).
@@ -150,7 +140,8 @@ class HazardPlan(Schedule):
         """Advance this kind's opportunity counter; the scheduled
         payload exactly at drawn indices, None elsewhere.  Firing does
         *not* record -- sites record via :meth:`_record` only when the
-        injection is actually applied (a kill may be token-starved)."""
+        injection is actually applied (a stale claim cannot land on a
+        unit already claimed)."""
         return self._consume(kind)
 
     def _record(self, kind: str, site: str, **detail) -> None:
@@ -201,11 +192,14 @@ class HazardPlan(Schedule):
     def maybe_stale_claim(self, spool, key: str) -> None:
         """Plant a back-dated claim on an unclaimed unit, as a worker
         that died holding it would leave, forcing the lease-reaping
-        path to run."""
+        path to run.  Only a unit this process wins the claim on is an
+        opportunity: one a pool's child leased first would swallow a
+        scheduled injection, and whether it did is a race."""
+        if not spool.try_claim(key):
+            return
         age = self.fire("stale_claim")
         if age is None:
-            return
-        if not spool.try_claim(key):
+            spool.release(key)
             return
         then = time.time() - float(age)
         try:
@@ -216,40 +210,12 @@ class HazardPlan(Schedule):
                      backdated_s=round(float(age), 3))
 
     def boundary(self, site: str) -> None:
-        """Worker unit boundary: may SIGKILL/SIGTERM this process.
-
-        Only fires worker-side and only while kill tokens remain in
-        the shared state directory -- respawned workers re-derive the
-        same schedule with reset counters, so without an on-disk
-        budget a kill-armed sweep would never finish.
-        """
-        if not self.worker_side:
-            return
-        for kind, sig in (("kill_worker", signal.SIGKILL),
-                          ("term_worker", signal.SIGTERM)):
-            if self.fire(kind) and self._claim_kill_token(kind):
-                self._record(kind, site, pid=os.getpid())
-                os.kill(os.getpid(), sig)
-                if sig == signal.SIGKILL:   # pragma: no cover - we die
-                    time.sleep(5.0)
-
-    def _claim_kill_token(self, kind: str) -> bool:
-        if self.state_dir is None:
-            return False
-        tokens = self.state_dir / "kills"
-        try:
-            tokens.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            return False
-        for i in range(self.config.rate):
-            try:
-                fd = os.open(tokens / f"{kind}-{i}.token",
-                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except OSError:
-                continue
-            os.close(fd)
-            return True
-        return False
+        """Worker unit boundary: may SIGKILL this process, worker-side
+        only."""
+        if self.worker_side and self.fire("kill_worker"):
+            self._record("kill_worker", site, pid=os.getpid())
+            os.kill(os.getpid(), signal.SIGKILL)
+            time.sleep(5.0)                 # pragma: no cover - we die
 
     def summary(self) -> Dict[str, int]:
         """Applied injections per kind (this process only)."""
@@ -262,21 +228,20 @@ class HazardPlan(Schedule):
 # -- arming ------------------------------------------------------------------
 #
 # `current()` is the one lookup every hazard site performs.  It is
-# per-process: a fork/spawn child inherits the parent's module state
-# but must not reuse the parent's plan (its opportunity counters, its
-# worker_side flag), so the cache is keyed by pid and children re-arm
-# from the environment variable -- or run disarmed when it is unset.
+# per-process: a forked child inherits the driver's module state but
+# must not reuse the driver's plan (its opportunity counters, its
+# worker_side flag), so the cache is keyed by pid and a child arms a
+# fresh worker-side plan from the inherited one -- or runs disarmed
+# when the driver was.
 
 ACTIVE: Optional[HazardPlan] = None
 _ACTIVE_PID: Optional[int] = None
 
 
-def arm(config: HazardConfig, state_dir=None, telemetry=NULL_TELEMETRY,
-        worker_side: bool = False) -> HazardPlan:
+def arm(config: HazardConfig, telemetry=NULL_TELEMETRY) -> HazardPlan:
     """Arm a hazard plan for this process (the driver side)."""
     global ACTIVE, _ACTIVE_PID
-    plan = HazardPlan(config, state_dir=state_dir, telemetry=telemetry,
-                      worker_side=worker_side)
+    plan = HazardPlan(config, telemetry=telemetry)
     ACTIVE = plan
     _ACTIVE_PID = os.getpid()
     return plan
@@ -290,10 +255,8 @@ def disarm() -> None:
 
 
 @contextmanager
-def armed(config: HazardConfig, state_dir=None, telemetry=NULL_TELEMETRY,
-          worker_side: bool = False):
-    plan = arm(config, state_dir=state_dir, telemetry=telemetry,
-               worker_side=worker_side)
+def armed(config: HazardConfig, telemetry=NULL_TELEMETRY):
+    plan = arm(config, telemetry=telemetry)
     try:
         yield plan
     finally:
@@ -303,53 +266,25 @@ def armed(config: HazardConfig, state_dir=None, telemetry=NULL_TELEMETRY,
 def current() -> Optional[HazardPlan]:
     """This process's armed plan, or None.
 
-    First call in any process (including a fresh fork/spawn child that
-    inherited stale module state) resolves ``REPRO_HAZARDS`` once and
-    caches the verdict by pid; after that this is one comparison plus
-    an attribute read.
+    The first call in a forked child arms it from the plan it
+    inherited (:func:`_arm_forked`) and caches the verdict by pid;
+    after that this is one comparison plus an attribute read.
     """
     if _ACTIVE_PID == os.getpid():
         return ACTIVE
-    return _rearm_from_env()
+    return _arm_forked()
 
 
-def _rearm_from_env() -> Optional[HazardPlan]:
-    """A worker-side plan from ``REPRO_HAZARDS``, recording its
-    injections under the campaign's ``"tel"`` directory (if any)."""
+def _arm_forked() -> Optional[HazardPlan]:
+    """A worker-side plan for a forked child: the inherited plan's
+    campaign with counters at zero, recording its injections in a new
+    session on the inherited plan's telemetry directory (if any)."""
     global ACTIVE, _ACTIVE_PID
-    plan = None
-    raw = os.environ.get(ENV_VAR)
-    if raw:
-        try:
-            body = json.loads(raw)
-            config = HazardConfig(int(body["seed"]),
-                                  classes=tuple(body["classes"]),
-                                  rate=int(body["rate"]))
-            tel = NULL_TELEMETRY
-            if body.get("tel"):
-                from ..obs.telemetry import Telemetry
-                tel = Telemetry(root=body["tel"])
-            plan = HazardPlan(config, state_dir=body.get("state") or None,
-                              telemetry=tel, worker_side=True)
-        except Exception:                   # noqa: BLE001 - stay disarmed
-            plan = None
-    ACTIVE = plan
+    inherited, ACTIVE = ACTIVE, None
+    if inherited is not None:
+        root = inherited.telemetry.dir
+        ACTIVE = HazardPlan(
+            inherited.config, worker_side=True,
+            telemetry=NULL_TELEMETRY if root is None else Telemetry(root))
     _ACTIVE_PID = os.getpid()
-    return plan
-
-
-def export_env(config: HazardConfig, state_dir=None,
-               telemetry_root=None) -> None:
-    """Publish a campaign to ``REPRO_HAZARDS`` so a pool's forked
-    workers arm themselves worker-side, recording under
-    ``telemetry_root``; kill hazards require ``state_dir`` for the
-    shared token budget."""
-    os.environ[ENV_VAR] = json.dumps({
-        "seed": config.seed, "classes": list(config.classes),
-        "rate": config.rate,
-        "state": str(state_dir) if state_dir is not None else None,
-        "tel": str(telemetry_root) if telemetry_root is not None else None})
-
-
-def clear_env() -> None:
-    os.environ.pop(ENV_VAR, None)
+    return ACTIVE

@@ -30,7 +30,9 @@ with an object to store or no use for the frame.  A store reads a
 record and hands back its frame the same way, so a verified memo
 record is journaled without a second pickle or digest.  Paths are
 ``str``: naming each entry through :mod:`pathlib` cost more than the
-system calls did.
+system calls did.  A writer killed between the temp write and the
+rename leaves ``<path>.<pid>.<n>.tmp`` behind; no reader matches it,
+and nothing collects it (a pool's private spool is removed whole).
 
 :func:`publish_frame` and a store's append are the harness-hazard
 injection seams: an armed :mod:`repro.harness.hazards` plan may
@@ -47,15 +49,14 @@ import logging
 import os
 import pickle
 import struct
-import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..obs.telemetry import NULL_TELEMETRY
 
 __all__ = ["MAGIC", "IntegrityError", "frame", "unframe", "atomic_pickle",
            "publish_frame", "load_verified", "read_verified",
-           "quarantine_file", "gc_tmp"]
+           "quarantine_file"]
 
 _LOG = logging.getLogger("repro.harness.integrity")
 
@@ -199,27 +200,3 @@ def quarantine_file(path: Path, root: Optional[Path]) -> Optional[Path]:
         return target
     except OSError:
         return None
-
-
-def gc_tmp(directory: Path, older_than_s: float = 0.0) -> List[Path]:
-    """Collect ``*.tmp`` litter a writer killed between create and
-    ``os.replace`` left behind.
-
-    Only files older than ``older_than_s`` are removed (a live
-    writer's in-flight temp file must survive); readers never match
-    ``*.tmp`` in the first place, so litter is cosmetic until it is
-    collected here.
-    """
-    directory = Path(directory)
-    removed: List[Path] = []
-    if not directory.is_dir():
-        return removed
-    now = time.time()
-    for tmp in directory.glob("*.tmp"):
-        try:
-            if now - tmp.stat().st_mtime >= older_than_s:
-                tmp.unlink()
-                removed.append(tmp)
-        except OSError:
-            continue
-    return removed

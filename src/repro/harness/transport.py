@@ -34,17 +34,14 @@ Crash-consistency (the harness-hazard hardening, proven by
 * the driver delivers its own results to ``on_result`` directly from
   memory, so a failing publish (ENOSPC/EIO) degrades durability, not
   correctness -- the sweep still completes and merges;
-* ``*.tmp`` litter from a writer SIGKILLed between temp write and
-  rename is garbage-collected once older than the lease (readers
-  never match it in the first place);
+* a writer SIGKILLed between temp write and rename leaves ``*.tmp``
+  litter that no reader matches; a pool's private spool goes with it;
 * a unit whose execution *process* dies :data:`POISON_AFTER` times
   (tracked in an ``attempts/`` ledger) is quarantined with a
   placeholder result instead of wedging the sweep;
 * what happens to a leased unit is written once
   (:meth:`_Spool.settle`): the driver and :func:`run_worker` differ
-  only in how they come by a lease and what they do with the outcome;
-* :func:`run_worker` drains gracefully on SIGTERM: the in-flight unit
-  finishes, publishes, and releases its claim before exit.
+  only in how they come by a lease and what they do with the outcome.
 
 On disk a spool is a work queue (karambaci's queue-prefix/worker-prefix
 separation and stalled-thread reaping are the exemplar): claim =
@@ -55,12 +52,10 @@ spool harvests completed units without re-executing them.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import pickle
 import shutil
-import signal
 import tempfile
 import time
 from contextlib import suppress
@@ -71,8 +66,7 @@ from ..obs.telemetry import NULL_TELEMETRY
 from ..runtime import SimDeadlockError
 from . import hazards
 from .integrity import atomic_pickle, load_verified
-from .integrity import gc_tmp as _gc_tmp_dir
-from .jobs import WorkUnit, execute_spec, quarantined_run, unit_key
+from .jobs import WorkUnit, execute_spec, quarantined_run
 
 __all__ = ["Transport", "SerialTransport", "PoolTransport",
            "DirQueueTransport", "run_worker", "LEASE_S"]
@@ -256,9 +250,9 @@ class _Spool:
     """The on-disk protocol shared by driver and workers.
 
     ``units/<key>.spec``    pickled RunSpec (the job description);
-    ``claims/<key>.claim``  lease: JSON ``{pid, time}``,
-                            created with O_CREAT|O_EXCL so exactly one
-                            process wins a unit;
+    ``claims/<key>.claim``  lease: the holder's pid (its age is the
+                            file's mtime), created with O_CREAT|O_EXCL
+                            so exactly one process wins a unit;
     ``results/<key>.run``   pickled BenchRun (or :class:`_UnitFailure`),
                             atomically published;
     ``attempts/<key>.n``    one byte appended per claim that reached
@@ -333,8 +327,10 @@ class _Spool:
                          os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         except OSError:                     # FileExistsError: lost the race
             return False
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"pid": os.getpid(), "time": time.time()}, fh)
+        try:
+            os.write(fd, b"%d" % os.getpid())
+        finally:
+            os.close(fd)
         return True
 
     def lease(self, key: str) -> bool:
@@ -359,10 +355,9 @@ class _Spool:
     def claim_owner(self, key: str) -> Optional[int]:
         """The pid of the process holding the claim on ``key``, if any."""
         try:
-            body = json.loads(self.claim_path(key).read_text())
+            return int(self.claim_path(key).read_text())
         except (OSError, ValueError):
             return None
-        return body.get("pid") if isinstance(body, dict) else None
 
     @staticmethod
     def file_age(path) -> Optional[float]:
@@ -477,17 +472,6 @@ class _Spool:
                              telemetry=self.telemetry, what="result",
                              unit=key)
 
-    # -- hygiene -------------------------------------------------------------
-
-    def gc_tmp(self, older_than_s: float = 0.0) -> List[Path]:
-        """Collect ``*.tmp`` litter from writers killed between temp
-        write and rename, across every payload directory."""
-        removed: List[Path] = []
-        for d in (self.units, self.claims, self.results, self.attempts):
-            removed.extend(_gc_tmp_dir(d, older_than_s))
-        return removed
-
-
     # -- a leased unit, start to finish ---------------------------------------
 
     def settle(self, key: str, spec, execute) -> Tuple[object, bool]:
@@ -530,12 +514,8 @@ class _Spool:
 
     def idle(self, keys, lease_s: float) -> List[str]:
         """Every unit in ``keys`` is leased elsewhere: reap the stalled
-        leases or -- nothing to reap -- collect tmp litter.  Returns
-        the reaped."""
-        reaped = self.reap_stale(keys, lease_s)
-        if not reaped:
-            self.gc_tmp(older_than_s=lease_s)
-        return reaped
+        leases.  Returns the reaped."""
+        return self.reap_stale(keys, lease_s)
 
 
 class DirQueueTransport(Transport):
@@ -568,10 +548,6 @@ class DirQueueTransport(Transport):
         spool = self.spool
         spool.ensure()
         spool.telemetry = self.telemetry
-        litter = spool.gc_tmp(older_than_s=self.lease_s)
-        if litter:
-            self._note(f"collected {len(litter)} leftover tmp file(s) "
-                       f"from a dead writer")
         pending = {u.key: u for u in units}
         for u in units:
             try:
@@ -664,14 +640,14 @@ class PoolTransport(DirQueueTransport):
             self._run_inline(units, on_result)
             return
         import multiprocessing as mp
-        # Forked, always: a child inherits the driver's compile cache,
-        # and a chaos child arms from the environment it has at fork.
+        # Forked, always: a child inherits the driver's compile cache
+        # and code, and a chaos child arms from the plan it inherits.
         ctx = mp.get_context("fork")
         root = tempfile.mkdtemp(prefix="repro-pool-")
         self.spool, self._children = _Spool(root), {}
         try:
-            # Enqueued before the children start (a draining worker
-            # leaves an empty spool); the driver's enqueue notes errors.
+            # Enqueued before the children start (a child that finds
+            # nothing pending exits); the driver's enqueue notes errors.
             self.spool.ensure()
             for u in units:
                 with suppress(OSError):
@@ -720,28 +696,25 @@ _WORKER_LOG = logging.getLogger("repro.worker")
 def run_worker(root) -> int:
     """A :class:`PoolTransport` child's loop: lease, execute, publish.
 
-    Attaches to the spool at ``root`` and keeps winning claimable units
-    until no executable unit remains, then returns the number it
-    executed.  A unit whose spec no longer hashes to its enqueued key
-    (the worker runs different code or hot-path tiers than the driver)
-    is *skipped*, never executed: a result the driver's key scheme
-    can't trust must not be published.
+    Works the spool at ``root`` until no pending unit remains, then
+    returns the number it executed.  The child is forked from the
+    driver and runs its code, so every enqueued key is one it would
+    compute itself; a spec that fails verification is skipped (it was
+    quarantined on the way).
 
     Robustness contract:
 
-    * **SIGTERM drains**: the handler only flips a flag (no I/O from
-      signal context) that the loop checks at every unit boundary, so
-      the in-flight unit finishes, publishes, and releases its claim
-      before the loop exits; only SIGKILL abandons work, and that is
-      exactly what lease reaping recovers.
-    * Another process's stalled lease (:meth:`_Spool.stall`) is
+    * the child is expendable: killed (by a hazard, by the driver at
+      the end of the dispatch) it abandons its unit, and the driver
+      releases the lease (:meth:`PoolTransport._idle`);
+    * another process's stalled lease (:meth:`_Spool.stall`) is
       reaped, and a publish that fails (disk full) releases the claim
       so another process retries -- the worker never wedges on a bad
-      disk.
-    * A unit whose attempts ledger shows :data:`POISON_AFTER` dead
+      disk;
+    * a unit whose attempts ledger shows :data:`POISON_AFTER` dead
       executions is quarantined (placeholder result published) rather
-      than executed again.
-    * Failing specs are published as failure records for the driver to
+      than executed again;
+    * failing specs are published as failure records for the driver to
       re-raise; the worker itself keeps going.
 
     The worker keeps no event log: what it settles reaches the sweep's
@@ -753,57 +726,43 @@ def run_worker(root) -> int:
     spool = _Spool(root)
     spool.ensure()
     plan = hazards.current()
-    spool.gc_tmp(older_than_s=LEASE_S)
     executed = 0
     skipped = set()
-    stop = []                               # SIGTERM appends: drain, exit
-    try:
-        old_term = signal.signal(signal.SIGTERM, lambda *_: stop.append(1))
-    except ValueError:                      # not the main thread: no handler
-        old_term = None
-    try:
-        while not stop:
-            if plan is not None:
-                plan.boundary("worker.scan")
-            pending = [k for k in spool.pending_keys() if k not in skipped]
-            if not pending:
-                break
-            progressed = False
-            for key in pending:
-                if stop:
-                    break
-                if not spool.lease(key):
-                    continue
-                spec = spool.load_spec(key)
-                if spec is None or unit_key(spec) != key:
-                    spool.release(key)
-                    skipped.add(key)
-                    log.warning("worker: skipping unit %s (stale or "
-                                "foreign key -- code/tier mismatch?)",
-                                key[:12])
-                    continue
+    while True:
+        if plan is not None:
+            plan.boundary("worker.scan")
+        pending = [k for k in spool.pending_keys() if k not in skipped]
+        if not pending:
+            return executed
+        progressed = False
+        for key in pending:
+            if not spool.lease(key):
+                continue
+            spec = spool.load_spec(key)
+            if spec is None:
+                spool.release(key)
+                skipped.add(key)
+                log.warning("worker: skipping unit %s (spec failed "
+                            "verification)", key[:12])
+                continue
 
-                def execute():
-                    if plan is not None:
-                        plan.boundary("worker.claimed")
-                    return execute_spec(spec)
+            def execute():
+                if plan is not None:
+                    plan.boundary("worker.claimed")
+                return execute_spec(spec)
 
-                payload, published = spool.settle(key, spec, execute)
-                progressed = progressed or published
-                if (published and getattr(payload, "error_kind", None)
-                        != "quarantined"):
-                    executed += 1
-            if not progressed and not stop:
-                # Nothing published this scan (all leased elsewhere,
-                # or the disk refuses writes): reap stalled claims, or
-                # wait for publishes and lease expiry.
-                reaped = spool.idle(pending, LEASE_S)
-                for key in reaped:
-                    log.warning("worker: reaped stalled lease on unit "
-                                "%s (> %gs)", key[:12], LEASE_S)
-                if not reaped:
-                    time.sleep(PoolTransport.poll_s)
-    finally:
-        if old_term is not None:
-            signal.signal(signal.SIGTERM, old_term)
-    return executed
+            payload, published = spool.settle(key, spec, execute)
+            progressed = progressed or published
+            if (published and getattr(payload, "error_kind", None)
+                    != "quarantined"):
+                executed += 1
+        if not progressed:
+            # Nothing published this scan (all leased elsewhere, or the
+            # disk refuses writes): reap stalled claims, or wait for
+            # publishes and lease expiry.
+            reaped = spool.idle(pending, LEASE_S)
+            for key in reaped:
+                log.warning("worker: reaped stalled lease on unit "
+                            "%s (> %gs)", key[:12], LEASE_S)
+            if not reaped:
+                time.sleep(PoolTransport.poll_s)

@@ -321,10 +321,14 @@ class Machine:
         return self._collect(end)
 
     def _release(self) -> None:
-        """Break every reference cycle of a finished run: the lines and
+        """Break every reference cycle of a finished or hung run: the
+        streams a hang left suspended are killed, the lines and
         directory entries go with the sets and the directory, and the
         rest once each cycle is cut.  Only for a machine nobody looks at
         afterwards (``run_program``'s); :meth:`run` keeps everything."""
+        for shell in self.shells:
+            if shell.proc is not None:
+                shell.proc.kill()       # a no-op once it finished
         for nm in self.memsys.nodes:
             nm.l2.clear()
             nm.l2.on_evict = None       # a closure over the memory system
@@ -429,8 +433,10 @@ def run_program(program: CompiledProgram,
     machine's reference cycles (no caller can see it), so it goes by
     reference count as this call returns rather than at the next full
     collection.  A hang raises :class:`SimDeadlockError` at
-    ``max_cycles``/``max_steps``."""
+    ``max_cycles``/``max_steps``, and its machine goes the same way."""
     m = Machine(program, cfg, mode, env, **kw)
-    result = m.run(inputs=inputs, max_cycles=max_cycles, max_steps=max_steps)
-    m._release()
-    return result
+    try:
+        return m.run(inputs=inputs, max_cycles=max_cycles,
+                     max_steps=max_steps)
+    finally:
+        m._release()

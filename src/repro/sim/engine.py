@@ -18,6 +18,7 @@ proc, value)`` tuples it must agree with lives in
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from math import inf
 from operator import length_hint
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -326,20 +327,25 @@ class Engine:
         output event fires on that turn, not one turn later."""
         events = list(events)
         out = self.event(name=name or "all_of")
-        pending = [e for e in events if not e.fired]
+        values = [e.value for e in events]
+        pending = [i for i, e in enumerate(events) if not e.fired]
         if not pending:
-            out.fire([e.value for e in events])
+            out.fire(values)
             return out
         remaining = [len(pending)]
 
-        def on_fire(_value, delay):
+        # Closes over the values, not the events: an input that never
+        # fires (a hung run) keeps this callback, and one that held the
+        # inputs would make a cycle only the collector frees.
+        def on_fire(i, value, delay):
+            values[i] = value
             remaining[0] -= 1
             if remaining[0] == 0:
                 self._schedule(_TimerFire(out, "all_of.fire"), delay,
-                               [e.value for e in events])
+                               values)
 
-        for e in pending:
-            e.add_callback(on_fire)
+        for i in pending:
+            events[i].add_callback(partial(on_fire, i))
         return out
 
     # -- scheduling ---------------------------------------------------------

@@ -1,13 +1,13 @@
 """Harness hazard injection and the crash-consistency hardening it
 gates: seeded deterministic schedules, integrity framing, poison-unit
-quarantine, graceful SIGTERM drain, lease reaping, and the one
-stalled-claim rule at the one lease."""
+quarantine, lease reaping, the one stalled-claim rule at the one lease,
+and a pool child that arms itself from the plan it inherits at fork."""
 
 import errno
+import multiprocessing as mp
 import os
 import pickle
-import subprocess
-import sys
+import signal
 import time
 
 import pytest
@@ -17,12 +17,12 @@ from repro.harness import hazards
 from repro.harness.chaos import run_harness_chaos
 from repro.harness.hazards import HazardConfig, HazardPlan
 from repro.harness.integrity import (IntegrityError, atomic_pickle, frame,
-                                     gc_tmp, load_verified, unframe)
-from repro.harness.jobs import RunSpec, SweepPlan, unit_key
+                                     load_verified, unframe)
+from repro.harness.jobs import RunSpec, SweepPlan
 from repro.harness.pipeline import ExecutionPipeline
 from repro.harness.transport import (LEASE_S, DirQueueTransport,
-                                     PoolTransport, _Spool)
-from repro.obs.telemetry import Telemetry, read_events
+                                     PoolTransport, _Spool, run_worker)
+from repro.obs.telemetry import Telemetry, read_events, validate_events
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -40,27 +40,9 @@ def golden():
 
 @pytest.fixture(autouse=True)
 def _always_disarmed():
-    """No test may leak an armed plan (or env campaign) into the next."""
+    """No test may leak an armed plan into the next."""
     yield
     hazards.disarm()
-    hazards.clear_env()
-
-
-def _env():
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return env
-
-
-def _wait_for(predicate, timeout_s=60.0, poll_s=0.05):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(poll_s)
-    return False
 
 
 # -- schedules: seeded, validated, opportunity-indexed -----------------------
@@ -97,8 +79,7 @@ def test_seed_zero_schedule_is_pinned():
         "publish_eio": {6: True, 8: True},
         "stale_claim": {2: 229.00171227400955, 7: 193.9679955119476},
         "clock_skew": {26: 592.7377445888173, 9: 333.56127143046047},
-        "kill_worker": {2: True, 0: True},
-        "term_worker": {1: True, 0: True}}
+        "kill_worker": {2: True, 0: True}}
 
 
 def test_fire_by_opportunity_index():
@@ -203,6 +184,25 @@ def test_lease_hazards_stale_claim_and_clock_skew(tmp_path):
                                                   "clock_skew"]
 
 
+def test_a_stale_claim_lands_on_a_unit_this_process_wins(tmp_path):
+    """A unit another process holds (a pool's child that leased it
+    first) is no ``stale_claim`` opportunity: the scheduled injection
+    lands on the next unit the driver wins, whoever won the race, and
+    an opportunity that does not fire leaves no claim behind."""
+    spool = _Spool(tmp_path / "spool")
+    spool.ensure()
+    plan = hazards.arm(HazardConfig(0, classes=("lease",)))
+    plan.schedule = {"stale_claim": {0: 500.0}, "clock_skew": {}}
+    plan._seen = {k: 0 for k in plan.schedule}
+    assert spool.try_claim("held")
+    for key in ("held", "free", "next"):
+        plan.maybe_stale_claim(spool, key)
+    assert [(r["kind"], r["unit"], r["index"]) for r in plan.injected] \
+        == [("stale_claim", "free", 0)]
+    assert spool.claim_age("free") > 400.0
+    assert spool.claim_age("next") is None
+
+
 @pytest.mark.parametrize("kind,payload", [
     ("pickle_corrupt", (0.5, 0xFF)), ("pickle_truncate", 0.4),
     ("publish_enospc", True)])
@@ -253,27 +253,13 @@ def test_memo_hit_journal_publish_is_a_hazard_site(golden, tmp_path, kind,
             == again.memo.get_framed(key)[1]
 
 
-# -- tmp litter: ignored by readers, GC'd ------------------------------------
-
-def test_gc_tmp_collects_only_stale_litter(tmp_path):
-    old = tmp_path / "dead-writer.tmp"
-    old.write_bytes(b"partial")
-    then = time.time() - 3600
-    os.utime(old, times=(then, then))
-    fresh = tmp_path / "live-writer.tmp"
-    fresh.write_bytes(b"in flight")
-    keeper = tmp_path / "entry.run"
-    keeper.write_bytes(b"payload")
-    removed = gc_tmp(tmp_path, older_than_s=60.0)
-    assert removed == [old]
-    assert fresh.exists() and keeper.exists()
-
+# -- tmp litter: ignored by readers -----------------------------------------
 
 def test_sigkill_between_tmp_write_and_rename(golden, tmp_path):
-    """A worker SIGKILLed inside the publish window (after the temp
-    write, before the rename) leaves only ``*.tmp`` litter: readers
-    never see a partial result, the driver reaps the dead lease and
-    finishes bit-identical, and GC collects the litter."""
+    """A forked worker SIGKILLed inside the publish window (after the
+    temp write, before the rename) leaves only ``*.tmp`` litter:
+    readers never see a partial result, and the driver reaps the dead
+    lease and finishes bit-identical."""
     root = tmp_path / "spool"
     specs = _specs(("single",))
     plan = SweepPlan(specs)
@@ -281,29 +267,30 @@ def test_sigkill_between_tmp_write_and_rename(golden, tmp_path):
     spool.ensure()
     for u in plan.distinct():
         spool.enqueue(u.key, u.spec)
-    script = (
-        "import os, signal, sys\n"
-        "_real = os.replace\n"
-        "def boom(src, dst, *a, **kw):\n"
-        "    if str(dst).endswith('.run'):\n"
-        "        os.kill(os.getpid(), signal.SIGKILL)\n"
-        "    return _real(src, dst, *a, **kw)\n"
-        "os.replace = boom\n"
-        "import repro.harness.transport as ht\n"
-        "ht.run_worker(sys.argv[1])\n")
-    proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
-                            env=_env(), stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    try:
-        assert _wait_for(lambda: proc.poll() is not None, timeout_s=120.0), \
-            "worker never hit the publish window"
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+
+    def dies_publishing():
+        real = os.replace
+
+        def boom(src, dst, *a, **kw):
+            if str(dst).endswith(".run"):
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(src, dst, *a, **kw)
+
+        os.replace = boom
+        run_worker(root)
+
+    proc = mp.get_context("fork").Process(target=dies_publishing,
+                                          daemon=True)
+    proc.start()
+    proc.join(timeout=120.0)
+    if proc.exitcode is None:
+        proc.kill()
+        proc.join()
+    assert proc.exitcode == -signal.SIGKILL, \
+        "worker never hit the publish window"
     (key,) = plan.keys
-    litter = list(spool.results.glob("*.tmp"))
-    assert litter, "kill inside the window must strand a temp file"
+    assert list(spool.results.glob("*.tmp")), \
+        "kill inside the window must strand a temp file"
     assert not spool.has_result(key)                    # readers see a miss
     assert spool.claim_age(key) is not None             # lease left behind
     then = time.time() - 2 * LEASE_S                    # ...and outlived
@@ -313,11 +300,7 @@ def test_sigkill_between_tmp_write_and_rename(golden, tmp_path):
     runs = pipe.run(specs)
     assert {r.config: r.cycles for r in runs} == {"single": golden["single"]}
     assert spool.has_result(key)
-    # the transport's in-run GC (or this explicit sweep) clears the
-    # litter; results are never eligible
-    spool.gc_tmp(older_than_s=0.0)
-    assert not list(spool.results.glob("*.tmp"))
-    assert spool.has_result(key)                        # GC never eats results
+    assert any("reaped" in e for e in pipe.events)
 
 
 # -- poison-unit quarantine --------------------------------------------------
@@ -348,45 +331,6 @@ def test_spool_quarantines_poison_unit(golden, tmp_path):
                for e in events)
 
 
-# -- graceful SIGTERM drain --------------------------------------------------
-
-def test_worker_sigterm_drains_in_flight_unit(tmp_path):
-    """SIGTERM mid-unit: the worker finishes the unit, publishes,
-    releases its claim, and exits 0 -- nothing for lease reaping to
-    recover."""
-    root = tmp_path / "spool"
-    specs = _specs(("single",))
-    plan = SweepPlan(specs)
-    spool = _Spool(root)
-    spool.ensure()
-    for u in plan.distinct():
-        spool.enqueue(u.key, u.spec)
-    # stretch the unit so SIGTERM reliably lands mid-execution
-    script = ("import sys, time\n"
-              "import repro.harness.transport as ht\n"
-              "_real = ht.execute_spec\n"
-              "def slow(spec):\n"
-              "    time.sleep(1.5)\n"
-              "    return _real(spec)\n"
-              "ht.execute_spec = slow\n"
-              "ht.run_worker(sys.argv[1])\n")
-    proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
-                            env=_env(), stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    try:
-        assert _wait_for(lambda: any(spool.claims.glob("*.claim")),
-                         timeout_s=120.0), "worker never claimed"
-        proc.terminate()                                # SIGTERM
-        assert proc.wait(timeout=120) == 0
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
-    (key,) = plan.keys
-    assert spool.has_result(key)                        # drained, not dropped
-    assert not list(spool.claims.glob("*.claim"))       # claim released
-
-
 # -- the one "stalled" rule and the one lease threshold --------------------
 
 def test_stall_truth_table(tmp_path):
@@ -415,7 +359,7 @@ def test_stall_truth_table(tmp_path):
 
 def test_harness_chaos_smoke_pool(tmp_path):
     """One kill scenario end to end on the pool: the forked child arms
-    itself from the environment and the kill fires there, its
+    itself from the plan it inherits and the kill fires there, its
     ``hazard.injected`` record reaches the scenario's log, and both
     legs merge bit-identical to the hazard-free baseline with the log
     valid."""
@@ -427,7 +371,37 @@ def test_harness_chaos_smoke_pool(tmp_path):
     assert sum(outcome.injected.values()) >= 1
     kills = [e for e in read_events(tmp_path / "wd" / "kill-s0" / "telemetry")
              if e["event"] == "hazard.injected"]
-    assert kills and all(e["kind"] in ("kill_worker", "term_worker")
+    assert kills and all(e["kind"] == "kill_worker"
                          and e["site"].startswith("worker.")
                          and e["pid"] != os.getpid() for e in kills)
     assert hazards.current() is None                    # matrix disarms
+
+
+def test_a_pool_child_arms_from_the_plan_it_inherits(golden, tmp_path,
+                                                     monkeypatch):
+    """No environment carries the campaign: an armed driver's forked
+    child builds its own worker-side plan from the one it inherits --
+    same seed, counters at zero -- and the child's ``kill_worker``
+    fires, recorded in the driver plan's telemetry directory under the
+    child's pid.  The driver is never killed, and the sweep merges
+    bit-identical."""
+    monkeypatch.delenv("REPRO_HAZARDS", raising=False)
+    tel_root = tmp_path / "telemetry"
+    tel = Telemetry(root=tel_root)
+    plan = hazards.arm(HazardConfig(0, classes=("kill",)), telemetry=tel)
+    try:
+        pipe = ExecutionPipeline(transport=PoolTransport(jobs=2),
+                                 telemetry=tel)
+        runs = pipe.run(_specs())
+    finally:
+        hazards.disarm()
+        tel.close()
+    assert {r.config: r.cycles for r in runs} == golden
+    assert plan.injected == []
+    events = read_events(tel_root)
+    assert validate_events(events) == []
+    kills = [e for e in events if e["event"] == "hazard.injected"]
+    assert [e["kind"] for e in kills] == ["kill_worker"]
+    assert kills[0]["site"].startswith("worker.")
+    assert kills[0]["pid"] != os.getpid()
+    assert kills[0]["worker"] != tel.worker

@@ -5,6 +5,7 @@ completed units.  Plus the journal/memo store semantics those
 guarantees rest on."""
 
 import itertools
+import multiprocessing as mp
 import os
 import pickle
 import shutil
@@ -19,6 +20,7 @@ import pytest
 
 from repro.config import PAPER_MACHINE
 from repro.harness import checkpoint
+from repro.harness import transport as ht
 from repro.harness.checkpoint import (CheckpointJournal, MemoStore,
                                       ResultStore, default_memo_dir)
 from repro.harness.jobs import RunSpec, SweepPlan, unit_key
@@ -68,26 +70,25 @@ def test_sigkilled_spool_worker_resumes_bit_identical(golden, tmp_path):
     root = tmp_path / "spool"
     specs = _specs(("single", "double", "G0"))
     plan = SweepPlan(specs)
-    from repro.harness.transport import _Spool
     spool = _Spool(root)
     spool.ensure()
     for u in plan.distinct():
         spool.enqueue(u.key, u.spec)
 
-    # A worker that claims a unit and then wedges forever: the shape a
-    # SIGKILL mid-simulation leaves behind, made deterministic.
-    script = ("import sys, time\n"
-              "import repro.harness.transport as ht\n"
-              "ht.execute_spec = lambda spec: time.sleep(3600)\n"
-              "ht.run_worker(sys.argv[1])\n")
-    proc = subprocess.Popen([sys.executable, "-c", script, str(root)],
-                            env=_env(), stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
+    def wedged():
+        # A worker that claims a unit and then wedges forever: the shape
+        # a SIGKILL mid-simulation leaves behind, made deterministic.
+        ht.execute_spec = lambda spec: time.sleep(3600)
+        ht.run_worker(root)
+
+    proc = mp.get_context("fork").Process(target=wedged, daemon=True)
+    proc.start()
     try:
         assert _wait_for(lambda: any(spool.claims.glob("*.claim"))), \
             "worker never claimed a unit"
-        proc.send_signal(signal.SIGKILL)
-        proc.wait(timeout=30)
+        proc.kill()
+        proc.join(timeout=30)
+        assert proc.exitcode == -signal.SIGKILL
         # the kill left a stalled lease and no result behind
         held = [p.stem for p in spool.claims.glob("*.claim")]
         assert held and not spool.has_result(held[0])
@@ -103,9 +104,9 @@ def test_sigkilled_spool_worker_resumes_bit_identical(golden, tmp_path):
         assert any("reaped" in e for e in pipe.events)
         assert sorted(journal.keys()) == sorted(plan.keys)
     finally:
-        if proc.poll() is None:
+        if proc.exitcode is None:
             proc.kill()
-            proc.wait(timeout=30)
+            proc.join(timeout=30)
 
 
 # -- SIGKILL the pooled driver -----------------------------------------------
@@ -446,33 +447,25 @@ def test_writer_dying_before_the_rename_leaves_nothing_visible(
     assert store.keys() == ["k"] and isinstance(store.get("k"), BenchRun)
 
 
-def test_stranded_temp_is_invisible_and_collected_once_stale(tmp_path):
+def test_stranded_temp_is_invisible(tmp_path):
     """What a SIGKILL between create and rename leaves in a spool, made
-    by hand: ``<key>.run.<pid>.<n>.tmp``.  No reader matches it;
-    ``gc_tmp`` collects it once it is older than the lease and spares a
-    young one (a live writer's).  A store reads its log only: litter
-    and a per-entry ``<key>.run`` of the old layout beside it are
-    invisible to it."""
-    from repro.harness.integrity import frame, gc_tmp
+    by hand: ``<key>.run.<pid>.<n>.tmp``.  No reader matches it, and
+    nothing collects it: a pool's private spool is removed whole.  A
+    store reads its log only: litter and a per-entry ``<key>.run`` of
+    the old layout beside it are invisible to it."""
+    from repro.harness.integrity import frame
     store = ResultStore(tmp_path / "store")
     spool = _Spool(tmp_path / "spool")
     spool.ensure()
     store.root.mkdir()
-    old = [store.root / "k.run.4242.0.tmp",
-           Path(spool.result_path("k") + ".4242.1.tmp")]
-    young = Path(spool.result_path("k") + ".4242.2.tmp")
-    then = time.time() - 3600
-    for path in old + [young]:
+    litter = [store.root / "k.run.4242.0.tmp",
+              Path(spool.result_path("k") + ".4242.1.tmp")]
+    for path in litter:
         path.write_bytes(b"RPF1 half a frame")
-    for path in old:
-        os.utime(path, times=(then, then))
     (store.root / "k.run").write_bytes(frame(pickle.dumps(_fake_run())))
     spool.enqueue("k", "spec")
     assert _visible(store, spool, "k") \
         == ([], False, None, ["k"], set(), False, None)
-    assert gc_tmp(store.root, older_than_s=60.0) == [old[0]]
-    assert spool.gc_tmp(older_than_s=60.0) == [old[1]]
-    assert young.exists() and not any(p.exists() for p in old)
 
 
 def test_leftover_temp_of_the_same_name_fails_the_publish_loudly(

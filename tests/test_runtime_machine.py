@@ -479,26 +479,35 @@ def test_run_program_hands_its_lines_back_without_the_collector(
 @pytest.mark.parametrize("mode,kw", [
     ("single", {}), ("double", {}), ("slipstream", {}),
     ("slipstream", {"faults": "all"}), ("slipstream", {"obs": "trace"}),
-    ("slipstream", {"obs": "profile"})],
+    ("slipstream", {"obs": "profile"}),
+    ("slipstream", {"max_cycles": 2000})],
     ids=("single", "double", "slipstream", "fault-armed", "traced",
-         "profiled"))
+         "profiled", "watchdog"))
 def test_run_program_leaves_the_collector_nothing(stencil_image, mode, kw):
     """``run_program`` breaks every cycle of its machine -- shells, VMs
     and their memory hooks, queued processes, cache callbacks, pairs,
     team, sink -- so the machine goes by reference count as the call
     returns: with the collector off, a collection after it finds
-    nothing."""
+    nothing.  A run the watchdog stops too: its streams are still
+    suspended when the error is raised."""
     from repro.faults import FaultConfig
+    from repro.runtime import SimDeadlockError
     if kw.get("faults"):
         kw = dict(kw, faults=FaultConfig(6))
     gc.collect()
     gc.disable()
     try:
-        result = run_program(stencil_image, cfg=CFG4, mode=mode, **kw)
+        try:
+            result = run_program(stencil_image, cfg=CFG4, mode=mode, **kw)
+        except SimDeadlockError:
+            result = None
         found = gc.collect()
     finally:
         gc.enable()
     assert found == 0
+    assert (result is None) == ("max_cycles" in kw)
+    if result is None:
+        return
     assert result.cycles > 0
     if kw.get("faults"):
         assert result.faults["fired"]

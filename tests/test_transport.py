@@ -1,13 +1,12 @@
 """Transport pluggability: serial, pool and spool dispatch must agree
 bit-for-bit, and the spool protocol (claim files, published results,
-worker key checks) must hold up under cooperating processes."""
+the attempts ledger) must hold up under cooperating processes."""
 
 import ast
 import errno
 import inspect
 import os
 import pickle
-import signal
 import time
 import traceback
 from pathlib import Path
@@ -78,23 +77,25 @@ def test_worker_drains_spool_and_driver_harvests(golden, tmp_path):
     assert [r.cycles for r in runs] == golden
 
 
-def test_worker_skips_key_mismatched_unit(tmp_path, caplog):
-    """A unit whose spec no longer hashes to its filename (code or tier
-    drift between driver and worker) is skipped, never executed, and
+def test_worker_skips_a_spec_that_fails_verification(tmp_path, caplog):
+    """A unit whose spec file is damaged is skipped, never executed:
+    the spec is quarantined into ``corrupt/``, the claim released, and
     the skip is a warning on the ``repro.worker`` logger."""
     root = tmp_path / "sp"
     spool = _Spool(root)
     spool.ensure()
-    spec = RunSpec.make("cg", "single", size="test", cfg=CFG)
-    spool.enqueue("0" * 64, spec)            # wrong key on purpose
+    (unit,) = SweepPlan([_tiny()]).distinct()
+    spool.enqueue(unit.key, unit.spec)
+    path = Path(spool.unit_path(unit.key))
+    path.write_bytes(path.read_bytes()[:-1])
     with caplog.at_level("WARNING", logger="repro.worker"):
         assert run_worker(root) == 0
     assert [r.getMessage() for r in caplog.records
             if r.name == "repro.worker"] == [
-        "worker: skipping unit 000000000000 (stale or foreign key -- "
-        "code/tier mismatch?)"]
-    assert not spool.has_result("0" * 64)
-    assert os.path.isfile(spool.unit_path("0" * 64))   # left for inspection
+        f"worker: skipping unit {unit.key[:12]} (spec failed verification)"]
+    assert not spool.has_result(unit.key)
+    assert spool.claim_age(unit.key) is None
+    assert [p.name for p in spool.corrupt.iterdir()] == [path.name]
 
 
 def test_a_worker_keeps_no_event_log(tmp_path):
@@ -329,10 +330,13 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
     if who == "worker":
         if ending == "enospc":
             # The unit stays unpublished, so the worker would try it
-            # again: the operator's SIGTERM ends it after this one.
-            monkeypatch.setattr(
-                _Spool, "publish",
-                lambda *a: signal.raise_signal(signal.SIGTERM) or _enospc())
+            # again: the queue it scans next is empty, as once the
+            # driver has settled the unit.
+            def publish_fails(self, *a):
+                monkeypatch.setattr(_Spool, "pending_keys", lambda self: [])
+                _enospc()
+
+            monkeypatch.setattr(_Spool, "publish", publish_fails)
         executed = run_worker(root)
         assert executed == (1 if ending in ("good", "raises") else 0)
     result_type, error_kind, ledger, lifecycle, delivered = _ENDINGS[ending]
