@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from ..lang import ast as A
 from ..lang.errors import SemanticError
 from ..lang.parser import parse
-from ..lang.sema import INTRINSICS, SemaInfo, analyze, collect_var_reads, walk
+from ..lang.sema import INTRINSICS, SemaInfo, analyze
 from .bytecode import Code, CompiledProgram, GlobalDecl
 
 __all__ = ["compile_program", "compile_source"]
@@ -622,22 +622,14 @@ class _FuncCompiler:
 
     def _captured_locals(self, node: A.OmpParallel) -> List[str]:
         """Enclosing-function locals referenced by the region, captured
-        by value as region parameters (sorted for determinism)."""
-        from ..lang.sema import declared_locals
-        refs = collect_var_reads(node.body)
-        inner = declared_locals(node.body)
+        by value as region parameters (sorted for determinism), from
+        the facts semantic analysis gathered on the region."""
+        ri = self.prog.sema.region_of[id(node)]
         clause = (set(node.private) | set(node.firstprivate)
                   | {n for r in node.reductions for n in r.names})
-        auto_private = set()
-        for n in walk(node.body):
-            if isinstance(n, A.OmpFor):
-                init = n.loop.init
-                if isinstance(init, A.Assign) and isinstance(init.target,
-                                                             A.Var):
-                    auto_private.add(init.target.name)
         captured = []
-        for name in sorted(refs):
-            if (name in inner or name in clause or name in auto_private
+        for name in sorted(ri.reads):
+            if (name in ri.declared or name in clause or name in ri.for_vars
                     or name in self.prog.gindex
                     or name in self.prog.func_index
                     or name in INTRINSICS):

@@ -268,7 +268,7 @@ class _Spool:
 
     What happens to a unit between winning its lease and giving it up
     is :meth:`settle`; what a process does when every unit is leased
-    elsewhere is :meth:`idle`.  Driver and worker call both.  Whether a
+    elsewhere is :meth:`reap_stale`.  Driver and worker call both.  Whether a
     claim is stalled is :meth:`stall`, and taking it back :meth:`reap`.
     """
 
@@ -512,11 +512,6 @@ class _Spool:
         self.release(key)
         return payload, published
 
-    def idle(self, keys, lease_s: float) -> List[str]:
-        """Every unit in ``keys`` is leased elsewhere: reap the stalled
-        leases.  Returns the reaped."""
-        return self.reap_stale(keys, lease_s)
-
 
 class DirQueueTransport(Transport):
     """Lease units through a spool directory (see module docstring).
@@ -606,8 +601,8 @@ class DirQueueTransport(Transport):
 
     def _idle(self, pending) -> List[str]:
         """The driver's idle step, every pending unit leased out:
-        :meth:`_Spool.idle`.  Returns the reaped."""
-        return self.spool.idle(pending, self.lease_s)
+        :meth:`_Spool.reap_stale`.  Returns the reaped."""
+        return self.spool.reap_stale(pending, self.lease_s)
 
 
 class PoolTransport(DirQueueTransport):
@@ -709,11 +704,13 @@ def run_worker(root) -> int:
       releases the lease (:meth:`PoolTransport._idle`);
     * another process's stalled lease (:meth:`_Spool.stall`) is
       reaped, and a publish that fails (disk full) releases the claim
-      so another process retries -- the worker never wedges on a bad
-      disk;
+      with the ledger byte kept, so the unit runs again;
     * a unit whose attempts ledger shows :data:`POISON_AFTER` dead
       executions is quarantined (placeholder result published) rather
-      than executed again;
+      than executed again; if not even the placeholder can be
+      published, the worker skips the unit and leaves it to the
+      driver, which delivers it from memory -- on a disk that refuses
+      every publish the worker returns once nothing else is pending;
     * failing specs are published as failure records for the driver to
       re-raise; the worker itself keeps going.
 
@@ -753,14 +750,18 @@ def run_worker(root) -> int:
 
             payload, published = spool.settle(key, spec, execute)
             progressed = progressed or published
-            if (published and getattr(payload, "error_kind", None)
-                    != "quarantined"):
+            poisoned = getattr(payload, "error_kind", None) == "quarantined"
+            if published and not poisoned:
                 executed += 1
+            elif poisoned and not published:
+                skipped.add(key)
+                log.warning("worker: skipping unit %s (its quarantine "
+                            "placeholder failed to publish)", key[:12])
         if not progressed:
             # Nothing published this scan (all leased elsewhere, or the
             # disk refuses writes): reap stalled claims, or wait for
             # publishes and lease expiry.
-            reaped = spool.idle(pending, LEASE_S)
+            reaped = spool.reap_stale(pending, LEASE_S)
             for key in reaped:
                 log.warning("worker: reaped stalled lease on unit "
                             "%s (> %gs)", key[:12], LEASE_S)

@@ -38,7 +38,7 @@ in the middle of a body, a range that does not nest, a loop past
 ``_MAX_LOOP_NEST`` -- goes round it and finds its block from the top,
 so the structure decides speed and never results.
 
-Three mechanisms keep a path through private variables -- the paper's
+Four mechanisms keep a path through private variables -- the paper's
 "control flow and address generation rely mostly on private variables",
 which the simulator charges a fixed hit and never simulates -- off the
 frame and off the ladder:
@@ -85,6 +85,24 @@ frame and off the ladder:
   a trip makes no call, and the ``fr``/``fw`` hooks never see a frame.
   A slot the loop writes but that is not live at its header may be
   unbound at an exit and stays write-through.
+* **counted loops** -- a collapsed loop of the *counted shape* is
+  counted once: its header tests ``k < B`` or ``k <= B`` on a resident
+  counter ``k``, ``B`` an int literal or a slot the loop never stores;
+  the loop's one back-edge path ends with ``k = k + 1``, no other line
+  of the trip names ``k``, and the test's false arm is the loop's only
+  way out (``_counted``).  On entry ``_trips`` works out how many
+  trips ``_m`` of the ``_n`` the budget allows the test lets run:
+  ``clamp(B - k (+1 for <=), 0, _n)`` when ``k`` and ``B`` are exactly
+  ``int``, else by stepping a copy of the counter through the same
+  additions and comparisons the trips would make (exact for floats,
+  NaN and infinities).  ``for _t in range(_m):`` then runs the body
+  with no test and no step.  After it ``k`` takes its final value, and
+  with ``_t = _m`` the exit arm runs (``_m < _n``; its transfers fall
+  off its end instead of breaking) or the slice ends as above
+  (``_m == _n``).  A trap in trip ``_t`` leaves ``k`` stepped ``_t``
+  times from its entry value (``_step``).  Every other collapsed loop
+  -- a body that reads ``k``, a second back edge, an exit inside the
+  trip (a shared access, a call) -- keeps the test in its trips.
 
 Exactness contract (the golden tables must be bit-identical with the
 tier on or off):
@@ -167,9 +185,39 @@ def _no_fw(gidx, flat, value):
     return False
 
 
+def _trips(k, bound, n, le):
+    """A counted loop's entry: ``(m, k after m trips)``, where ``m`` is
+    how many of at most ``n`` trips find ``k < bound`` (``k <= bound``
+    with ``le``) true, the counter stepping by 1 a trip.  Exactly-int
+    operands are counted by one subtraction; any other value steps a
+    copy of the counter through the additions and comparisons the trips
+    would have made, so a float, NaN or an infinity stops where they
+    would have."""
+    if type(k) is int and type(bound) is int:
+        m = bound - k + le
+        m = 0 if m < 0 else n if m > n else m
+        return m, k + m
+    m = 0
+    while m < n and (k <= bound if le else k < bound):
+        k = k + 1
+        m += 1
+    return m, k
+
+
+def _step(k, t):
+    """A counted loop's counter ``t`` trips after ``k``: what a trap in
+    trip ``t`` leaves in the frame."""
+    if type(k) is int:
+        return k + t
+    for _ in range(t):
+        k = k + 1
+    return k
+
+
 # Names the generated code resolves as globals of its exec namespace.
 _BASE_NS = {
     "_MISS": MISS, "_no_fr": _no_fr, "_no_fw": _no_fw,
+    "_trips": _trips, "_step": _step,
     "_div": _op_div, "_mod": _op_mod,
     "_sqrt": _sqrt, "_exp": _exp, "_log": _log, "_pow": _pow,
     "_floor": math.floor,
@@ -209,6 +257,9 @@ _TERMINAL = _MEM_YIELDS | _LEAVES | frozenset(
 #: A write-through store as the emitter spells it; group 2 is what a
 #: collapsed loop keeps of a store to a resident slot.
 _STORE = re.compile(r"L\[(\d+)\] = (l\1 = )")
+#: A collapsed loop's header test on a counter ``k`` (group 1) against a
+#: slot (group 3) or an int literal (group 4).
+_COUNTED_TEST = re.compile(r"if l(\d+) (<=?) (?:l(\d+)|(-?\d+)):$")
 
 #: Kinds of a symbolic stack entry: in its register ``sN``, an atom, or
 #: an expression still to be evaluated.
@@ -222,6 +273,44 @@ class _Back(NamedTuple):
     ``for`` counts the trips -- what the charge exceeds the per-trip
     charge by and a ``continue``."""
     charge: float
+
+
+def _counted(body: List[Tuple], lo: int, resident: Tuple[int, ...]):
+    """``(k, bound, le, trip lines, exit lines)`` when a collapsed
+    loop's header lines have the counted shape, else None.  The shape:
+    the header tests ``l<k> < B`` or ``<=``, ``k`` resident and ``B`` an
+    int literal or a slot the loop never stores; the test's true arm is
+    the trip, straight-line and without an exit, whose last two lines
+    are ``k = k + 1`` and the loop's one back edge, and no other line of
+    it names ``k``; its false arm is the loop's one way out."""
+    sub, text, _target, _d = body[0]
+    test = (_COUNTED_TEST.match(text)
+            if sub == 0 and isinstance(text, str) else None)
+    if test is None or int(test.group(1)) not in resident:
+        return None
+    k = int(test.group(1))
+    tops = [i for i, line in enumerate(body) if line[0] == 0]
+    if len(tops) != 2 or body[tops[1]][1] != "else:" or tops[1] < 3:
+        return None
+    trip, exits = body[1:tops[1] - 2], body[tops[1] + 1:]
+    (_s, step, _t, _d), (_s, back, target, _d) = body[tops[1] - 2:tops[1]]
+    if (step != "L[%d] = l%d = (l%d + 1)" % (k, k, k)
+            or not isinstance(back, _Back) or target != lo
+            or any(isinstance(text, _Back) and target == lo
+                   for _s, text, target, _d in exits)):
+        return None
+    names_k = re.compile(r"\bl%d\b" % k).search
+    for _s, text, target, _d in trip:
+        if (target is not None or not isinstance(text, str)
+                or text.startswith("return ") or names_k(text)):
+            return None
+    if test.group(3) is not None:
+        slot = test.group(3)
+        if any(isinstance(text, str) and (store := _STORE.match(text))
+               and store.group(1) == slot for _s, text, _t, _d in body):
+            return None
+    bound = test.group(4) or "l" + test.group(3)
+    return k, bound, int(test.group(2) == "<="), trip, exits
 
 
 def _bexpr(o: str, a: str, b: str) -> Tuple[str, str]:
@@ -906,7 +995,9 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
 
     def emit_body(ind: int, node: int, loop: Tuple[int, int],
                   resident: Tuple[int, ...] = (),
-                  trip: Optional[float] = None) -> None:
+                  trip: Optional[float] = None,
+                  body: Optional[List[Tuple]] = None,
+                  falls: bool = False) -> None:
         """One ladder block with everything merged under it.  ``loop``
         is the id range of the innermost ``while`` around it: a transfer
         out of that range also breaks, which skips the guards left in
@@ -917,9 +1008,11 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         trips before this one are settled once on the way out of it
         (``c + trip * _t``, ``budget - _t``); stores to ``resident``
         slots skip the frame, which gets them back before every
-        ``return`` and ``break``."""
+        ``return`` and ``break``.  ``body`` is a part of the node's
+        lines to write in place of all of them; with ``falls`` a
+        transfer ends its path where it is, with no ``break``."""
         back = write_back(resident) if resident else None
-        lines = bodies[node]
+        lines = bodies[node] if body is None else body
 
         def settle(i: int) -> None:
             w(i, "c = c + %r * _t" % trip)
@@ -954,7 +1047,8 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                     w(i, back)
                 if owed:
                     settle(i)
-                w(i, "break")
+                if not falls:
+                    w(i, "break")
 
     def emit_collapsed(ind: int, lo: int) -> None:
         """A loop whose blocks all merged into its header: ``b`` is
@@ -963,7 +1057,16 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         loop writes stay Python locals until it exits (or traps: the
         handler writes them back and re-raises).  The ``for``'s
         ``else:`` is the slice ending where the last trip's back edge
-        would have ended it, with the budget spent."""
+        would have ended it, with the budget spent.
+
+        A loop of the counted shape (:func:`_counted`) works out on
+        entry how many trips ``_m`` of the ``_n`` its test lets run
+        (:func:`_trips`), and the ``for`` runs those with no test and no
+        step of the counter.  After them the counter takes its final
+        value ``_k`` and the exit arm runs with ``_t = _m``, its
+        transfers falling off its end, or, all ``_n`` trips run, the
+        slice ends; a trap in trip ``_t`` leaves the counter stepped
+        ``_t`` times (:func:`_step`)."""
         written = {int(store.group(1)) for _sub, text, _t, _d in bodies[lo]
                    if isinstance(text, str) and (store := _STORE.match(text))}
         resident = tuple(k for k in sorted(written)
@@ -972,13 +1075,28 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         trip = min((text.charge for _sub, text, target, _d in bodies[lo]
                     if isinstance(text, _Back) and target == lo),
                    default=0.0)
+        counted = _counted(bodies[lo], lo, resident)
         w(ind, "if b == %d:" % lo)
         w(ind + 1, "_n = budget if budget > 0 else 1")
         inner = ind + 2 if resident else ind + 1
+        if counted:
+            k, bound, le, trips, exits = counted
+            w(ind + 1, "_m, _k = _trips(l%d, %s, _n, %d)" % (k, bound, le))
         if resident:
             w(ind + 1, "try:")
-        w(inner, "for _t in range(_n):")
-        emit_body(inner + 1, lo, (lo, lo), resident, trip)
+        if counted:
+            w(inner, "for _t in range(_m):")
+            # The trip's lines sit one level under the dropped test.
+            emit_body(inner, lo, (lo, lo), resident, trip, trips)
+            if not trips:
+                w(inner + 1, "pass")
+            w(inner, "_t = _m")
+            w(inner, "l%d = _k" % k)
+            w(inner, "if _m < _n:")
+            emit_body(inner, lo, (lo, lo), resident, trip, exits, True)
+        else:
+            w(inner, "for _t in range(_n):")
+            emit_body(inner + 1, lo, (lo, lo), resident, trip)
         w(inner, "else:")
         w(inner + 1, "frame.pc = %d" % order[lo])
         w(inner + 1, sync(depths[order[lo]]))
@@ -989,6 +1107,9 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         w(inner + 1, "return _TimeSlice(), budget - _n")
         if resident:
             w(ind + 1, "except BaseException:")
+            if counted:
+                w(ind + 2, "if _t < _m:")
+                w(ind + 3, "l%d = _step(l%d, _t)" % (k, k))
             w(ind + 2, write_back(resident))
             w(ind + 2, "raise")
 

@@ -25,8 +25,7 @@ from typing import Dict, List, Set, Tuple
 from . import ast as A
 from .errors import SemanticError
 
-__all__ = ["GlobalSym", "RegionInfo", "SemaInfo", "analyze",
-           "collect_var_reads", "collect_var_writes", "declared_locals"]
+__all__ = ["GlobalSym", "RegionInfo", "SemaInfo", "analyze"]
 
 INTRINSICS = {
     "sqrt": 1, "fabs": 1, "exp": 1, "log": 1, "pow": 2,
@@ -74,6 +73,14 @@ class RegionInfo:
     captured: Set[str] = field(default_factory=set)
     reductions: List[A.Reduction] = field(default_factory=list)
     schedules: List[A.Schedule] = field(default_factory=list)
+    #: What the body holds, gathered in one walk (:func:`_region_facts`):
+    #: names it declares (outside a nested region), names it reads and
+    #: assigns, its ``omp for`` loop variables and ``omp for`` nodes.
+    declared: Set[str] = field(default_factory=set)
+    reads: Set[str] = field(default_factory=set)
+    writes: Set[str] = field(default_factory=set)
+    for_vars: Set[str] = field(default_factory=set)
+    fors: List[A.OmpFor] = field(default_factory=list)
 
 
 @dataclass
@@ -82,108 +89,50 @@ class SemaInfo:
     globals: Dict[str, GlobalSym]
     funcs: Dict[str, A.FuncDef]
     regions: List[RegionInfo]
+    #: ``id()`` of each region's OmpParallel node -> its record.
+    region_of: Dict[int, RegionInfo] = field(default_factory=dict)
 
 
 # ------------------------------------------------------------------ walkers
 
+def _body(n):
+    return [n.body]
+
+
+#: A node's children in source order, by class.  Leaves (Num, Var,
+#: Break, Continue, OmpBarrier, OmpFlush, OmpSlipstream) have no entry.
+_CHILDREN = {
+    A.Program: lambda n: n.globals + n.funcs,
+    A.FuncDef: _body,
+    A.Block: lambda n: n.stmts,
+    A.VarDecl: lambda n: () if n.init is None else (n.init,),
+    A.Assign: lambda n: (n.target, n.value),
+    A.If: lambda n: ((n.cond, n.then) if n.orelse is None
+                     else (n.cond, n.then, n.orelse)),
+    A.For: lambda n: [p for p in (n.init, n.cond, n.step, n.body)
+                      if p is not None],
+    A.While: lambda n: (n.cond, n.body),
+    A.Return: lambda n: () if n.value is None else (n.value,),
+    A.ExprStmt: lambda n: (n.expr,),
+    A.Print: lambda n: n.args,
+    A.Index: lambda n: n.indices,
+    A.BinOp: lambda n: (n.lhs, n.rhs),
+    A.UnOp: lambda n: (n.operand,),
+    A.Call: lambda n: n.args,
+    A.OmpParallel: _body,
+    A.OmpFor: lambda n: (n.loop,),
+    A.OmpSingle: _body,
+    A.OmpMaster: _body,
+    A.OmpCritical: _body,
+    A.OmpSection: _body,
+    A.OmpAtomic: lambda n: (n.stmt,),
+    A.OmpSections: lambda n: n.sections,
+}
+
+
 def _children(node: A.Node):
-    if isinstance(node, A.Program):
-        yield from node.globals
-        yield from node.funcs
-    elif isinstance(node, A.FuncDef):
-        yield node.body
-    elif isinstance(node, A.Block):
-        yield from node.stmts
-    elif isinstance(node, A.VarDecl):
-        if node.init is not None:
-            yield node.init
-    elif isinstance(node, A.Assign):
-        yield node.target
-        yield node.value
-    elif isinstance(node, A.If):
-        yield node.cond
-        yield node.then
-        if node.orelse is not None:
-            yield node.orelse
-    elif isinstance(node, A.For):
-        for part in (node.init, node.cond, node.step, node.body):
-            if part is not None:
-                yield part
-    elif isinstance(node, A.While):
-        yield node.cond
-        yield node.body
-    elif isinstance(node, A.Return):
-        if node.value is not None:
-            yield node.value
-    elif isinstance(node, A.ExprStmt):
-        yield node.expr
-    elif isinstance(node, A.Print):
-        yield from node.args
-    elif isinstance(node, A.Index):
-        yield from node.indices
-    elif isinstance(node, A.BinOp):
-        yield node.lhs
-        yield node.rhs
-    elif isinstance(node, A.UnOp):
-        yield node.operand
-    elif isinstance(node, A.Call):
-        yield from node.args
-    elif isinstance(node, A.OmpParallel):
-        yield node.body
-    elif isinstance(node, A.OmpFor):
-        yield node.loop
-    elif isinstance(node, (A.OmpSingle, A.OmpMaster, A.OmpCritical,
-                           A.OmpSection)):
-        yield node.body
-    elif isinstance(node, A.OmpAtomic):
-        yield node.stmt
-    elif isinstance(node, A.OmpSections):
-        yield from node.sections
-    # Num, Var, Break, Continue, OmpBarrier, OmpFlush, OmpSlipstream: leaves
-
-
-def walk(node: A.Node):
-    """``node`` and every node under it, in source order.  A loop, not
-    recursion: an expression chain ``a + b + ...`` nests one level a
-    term, and its length has no bound."""
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        yield n
-        stack.extend(reversed(list(_children(n))))
-
-
-def collect_var_reads(node: A.Node) -> Set[str]:
-    """All variable/array names referenced under ``node``."""
-    names: Set[str] = set()
-    for n in walk(node):
-        if isinstance(n, (A.Var, A.Index)):
-            names.add(n.name)
-    return names
-
-
-def collect_var_writes(node: A.Node) -> Set[str]:
-    """Names written (assignment targets) under ``node``."""
-    names: Set[str] = set()
-    for n in walk(node):
-        if isinstance(n, A.Assign) and isinstance(n.target, (A.Var, A.Index)):
-            names.add(n.target.name)
-    return names
-
-
-def declared_locals(node: A.Node) -> Set[str]:
-    """Names declared by VarDecls under ``node`` (not descending into
-    nested parallel regions -- they have their own scopes)."""
-    names: Set[str] = set()
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, A.OmpParallel):
-            continue
-        if isinstance(n, A.VarDecl):
-            names.add(n.name)
-        stack.extend(_children(n))
-    return names
+    kids = _CHILDREN.get(type(node))
+    return () if kids is None else kids(node)
 
 
 # ------------------------------------------------------------------ analyze
@@ -223,8 +172,10 @@ def _check_function(f: A.FuncDef, info: SemaInfo,
 
 def _check_stmt(node: A.Node, f: A.FuncDef, info: SemaInfo,
                 scope: Set[str], in_region: bool) -> None:
-    # Walked in source order with a stack, like ``walk``: declarations
-    # enter ``scope`` before the uses after them are checked.
+    # Walked in source order with a stack, not recursion (an expression
+    # chain ``a + b + ...`` nests one level a term, and its length has
+    # no bound): declarations enter ``scope`` before the uses after them
+    # are checked.
     stack = [node]
     while stack:
         node = stack.pop()
@@ -266,7 +217,7 @@ def _check_stmt(node: A.Node, f: A.FuncDef, info: SemaInfo,
                 raise SemanticError(
                     f"{node.name} takes {INTRINSICS[node.name]} "
                     f"argument(s)", node.line)
-        stack.extend(reversed(list(_children(node))))
+        stack.extend(reversed(_children(node)))
 
 
 def _check_region(region: A.OmpParallel, f: A.FuncDef, info: SemaInfo,
@@ -297,19 +248,13 @@ def _check_region(region: A.OmpParallel, f: A.FuncDef, info: SemaInfo,
             raise SemanticError(f"firstprivate({name}): unknown variable",
                                 region.line)
 
-    region_locals = declared_locals(region.body)
+    _region_facts(region.body, ri)
     reduction_names = {n for r in region.reductions for n in r.names}
     # omp-for loop variables are automatically private (OpenMP rule).
-    for n in walk(region.body):
-        if isinstance(n, A.OmpFor):
-            init = n.loop.init
-            if isinstance(init, A.Assign) and isinstance(init.target, A.Var):
-                ri.private.add(init.target.name)
+    ri.private |= ri.for_vars
     clause_names |= ri.private
-    refs = collect_var_reads(region.body)
-    writes = collect_var_writes(region.body)
-    for name in refs:
-        if name in region_locals or name in clause_names or \
+    for name in ri.reads:
+        if name in ri.declared or name in clause_names or \
            name in reduction_names or name in INTRINSICS or \
            name in info.funcs:
             continue
@@ -317,25 +262,55 @@ def _check_region(region: A.OmpParallel, f: A.FuncDef, info: SemaInfo,
             ri.shared_refs.add(name)
         elif name in scope:
             ri.captured.add(name)
-            if name in writes:
+            if name in ri.writes:
                 raise SemanticError(
                     f"{name!r} is a captured enclosing local and may not "
                     f"be written inside the parallel region (add it to a "
                     f"private() clause or make it file-scope)", region.line)
-    for n in walk(region.body):
-        if isinstance(n, A.OmpFor):
-            if n.schedule is not None:
-                ri.schedules.append(n.schedule)
-            for name in n.lastprivate:
-                g = info.globals.get(name)
-                if g is None or g.is_array:
-                    raise SemanticError(
-                        f"lastprivate({name}) must name a shared "
-                        f"(file-scope) scalar", n.line)
+    for n in ri.fors:
+        if n.schedule is not None:
+            ri.schedules.append(n.schedule)
+        for name in n.lastprivate:
+            g = info.globals.get(name)
+            if g is None or g.is_array:
+                raise SemanticError(
+                    f"lastprivate({name}) must name a shared "
+                    f"(file-scope) scalar", n.line)
         # The omp-for loop variable is auto-private: writing the captured
         # loop counter is the one sanctioned exception, handled by codegen
         # promoting it to a region-local slot.
     info.regions.append(ri)
+    info.region_of[id(region)] = ri
     # Validate the region body in its own scope.
     inner = set(scope) | clause_names | reduction_names
     _check_stmt(region.body, f, info, inner, in_region=True)
+
+
+def _region_facts(body: A.Node, ri: RegionInfo) -> None:
+    """Fill ``ri``'s body facts in one walk in source order: the names
+    declared (not under a nested region, which has its own scope), read
+    (every ``Var`` and ``Index``, assignment targets included) and
+    assigned, the ``omp for`` loop variables and ``omp for`` nodes."""
+    declared, reads, writes = ri.declared, ri.reads, ri.writes
+    stack = [(body, False)]                 # (node, inside a nested region)
+    while stack:
+        n, nested = stack.pop()
+        t = type(n)
+        if t is A.Var or t is A.Index:
+            reads.add(n.name)
+        elif t is A.Assign:
+            if isinstance(n.target, (A.Var, A.Index)):
+                writes.add(n.target.name)
+        elif t is A.VarDecl:
+            if not nested:
+                declared.add(n.name)
+        elif t is A.OmpFor:
+            ri.fors.append(n)
+            init = n.loop.init
+            if isinstance(init, A.Assign) and isinstance(init.target, A.Var):
+                ri.for_vars.add(init.target.name)
+        elif t is A.OmpParallel:
+            nested = True
+        kids = _CHILDREN.get(t)
+        if kids is not None:
+            stack.extend((kid, nested) for kid in reversed(kids(n)))

@@ -23,6 +23,7 @@ CPython cannot compile drops its image to the interpreter without
 moving a cycle, so no comparison of runs would notice.
 """
 
+import math
 import random
 import re
 import sys
@@ -653,12 +654,12 @@ def test_trap_mid_trip_of_a_collapsed_loop_identical():
 # hits (a ``break``), the plain run through one that misses (a
 # ``return``).
 
-def _budget_log(prog):
+def _budget_log(prog, counter="k"):
     """``(log, spy)``: ``spy(vm)`` wraps ``f``'s generated function on
-    the VM, and each call logs (budget in, budget out, trips ``k`` ran,
-    event type)."""
+    the VM, and each call logs (budget in, budget out, trips ``counter``
+    counted, event type)."""
     fi = prog.func_index["f"]
-    slot = prog.funcs[fi].local_names.index("k")
+    slot = prog.funcs[fi].local_names.index(counter)
     log = []
 
     def spy(vm):
@@ -674,16 +675,54 @@ def _budget_log(prog):
     return log, spy
 
 
-def _assert_counted_trips_exact(src, max_slice, monkeypatch):
+def _corrupting(prog, values):
+    """``(left, spy)``: ``spy(vm)`` has ``VM.corrupt`` write ``values``
+    to ``f``'s ``k``, one at each of the first TimeSlices ``f`` yields;
+    ``left`` holds those not yet written."""
+    fi = prog.func_index["f"]
+    slot = prog.funcs[fi].local_names.index("k")
+    left = list(values)
+
+    def spy(vm):
+        run = vm.run
+
+        def run_and_corrupt():
+            ev = run()
+            frame = vm.frames[-1] if vm.frames else None
+            if left and type(ev) is TimeSlice and frame.fidx == fi:
+                scalars = [v for v in frame.stack + frame.locals[:slot]
+                           if isinstance(v, (int, float))]
+                vm.corrupt((len(scalars), left.pop(0)))
+            return ev
+        vm.run = run_and_corrupt
+    return left, spy
+
+
+def _assert_counted_trips_exact(src, max_slice, monkeypatch, counted=True,
+                                counter="k", corrupt=()):
     """Both hook modes: the same events as the interpreter, and the
-    budget rule at every return from ``f``.  Returns the last trace."""
+    budget rule at every return from ``f``, whose loop is emitted in
+    the counted form or (``counted=False``) over the budget's trips.
+    ``counter`` counts the trips, and ``corrupt`` lists what
+    :func:`_corrupting` writes to ``k``.  Returns the last trace."""
     monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
     prog = compile_generated(src)
-    assert _COLLAPSED.search(prog.funcs[prog.func_index["f"]].gen_src[0])
+    gen = prog.funcs[prog.func_index["f"]].gen_src[0]
+    assert _COLLAPSED.search(gen)
+    assert ("for _t in range(_m):" in gen) == counted
     for fast in (False, True):
-        log, spy = _budget_log(prog)
-        interp = drive(prog, compiled=False, fast=fast, trap=True)
-        compiled = drive(prog, compiled=True, fast=fast, spy=spy, trap=True)
+        log, budget_spy = _budget_log(prog, counter)
+        runs = []
+        for compiled in (False, True):
+            left, corrupt_spy = _corrupting(prog, corrupt)
+
+            def spy(vm, compiled=compiled, corrupt_spy=corrupt_spy):
+                if compiled:
+                    budget_spy(vm)
+                corrupt_spy(vm)
+            runs.append(drive(prog, compiled, fast=fast, spy=spy, trap=True))
+            assert not left, "f yielded too few TimeSlices to corrupt"
+        interp, compiled = runs
         assert_same_drive(interp, compiled, f"interp vs compiled, {fast=}")
         assert log
         for given, left, trips, kind in log:
@@ -694,28 +733,36 @@ def _assert_counted_trips_exact(src, max_slice, monkeypatch):
 
 #: ``f`` runs one collapsed loop over private scalars and leaves through
 #: a shared load; ``main`` spends what is left of the slice after it.
+#: ``_counted_src`` fills in the loop's body and head and main's calls.
 _COUNTED = """
 double g;
 double out[4];
 double f(int n) {
-    int k; double x;
+    %(k)s k; double x; int j; double h;
     x = 0.5;
-    k = 0;
-    while (k < n) {
-        %s
+    j = 0;
+    h = n + 0.25;
+    k = %(k0)s;
+    while (%(test)s) {
+        %(body)s
     }
     return x + g;
 }
 void main() {
     int i; double s;
     s = 0.0;
-    %s
+    %(calls)s
     for (i = 0; i < 30; i = i + 1) { s = s * 0.5 + 1.0; }
     out[0] = s;
 }
 """
 _ONE_PATH = "x = x * 1.5 - 0.25; k = k + 1;"
 _TRIPS = 6
+_EIGHT_CALLS = "for (i = 0; i < 8; i = i + 1) { s = s + f(i); }"
+
+
+def _counted_src(body, calls, k="int", k0="0", test="k < n"):
+    return _COUNTED % dict(body=body, calls=calls, k=k, k0=k0, test=test)
 
 
 @pytest.mark.parametrize("max_slice", [_TRIPS - 1, _TRIPS, _TRIPS + 1])
@@ -726,7 +773,8 @@ def test_slice_ends_on_the_trips_around_a_collapsed_loops_last(
     edge past the loop (it leaves holding one unit of budget, which
     ``main``'s loop spends)."""
     trace = _assert_counted_trips_exact(
-        _COUNTED % (_ONE_PATH, "s = f(%d);" % _TRIPS), max_slice, monkeypatch)
+        _counted_src(_ONE_PATH, "s = f(%d);" % _TRIPS), max_slice,
+        monkeypatch)
     assert any(e[0] == "TS" for e in trace)
 
 
@@ -735,7 +783,7 @@ def test_collapsed_loop_entered_for_no_trip(max_slice, monkeypatch):
     """``f(0)`` leaves its loop on the test of trip 0 with nothing to
     settle; the calls after it run 1, 2 and 3 trips in the same slice."""
     _assert_counted_trips_exact(
-        _COUNTED % (_ONE_PATH, "for (i = 0; i < 4; i = i + 1) "
+        _counted_src(_ONE_PATH, "for (i = 0; i < 4; i = i + 1) "
                                 "{ s = s + f(i); }"),
         max_slice, monkeypatch)
 
@@ -746,13 +794,13 @@ def test_collapsed_loop_with_back_edges_of_different_charge(max_slice,
     """Every third trip takes the dearer arm to its own back edge: the
     per-trip charge is the cheaper path's, and the dearer one pays its
     excess in place before its ``continue``."""
-    src = _COUNTED % ("k = k + 1; if (k % 3 == 0) { x = x * 0.5 + 1.0; "
-                      "continue; } x = x - 0.25;", "s = f(8);")
+    src = _counted_src("k = k + 1; if (k % 3 == 0) { x = x * 0.5 + 1.0; "
+                       "continue; } x = x - 0.25;", "s = f(8);")
     prog = compile_generated(src)
     gen = prog.funcs[prog.func_index["f"]].gen_src[0]
     assert re.search(r"c = c \+ [\d.]+\n\s*continue\n", gen)
     assert gen.count("continue") == 2
-    _assert_counted_trips_exact(src, max_slice, monkeypatch)
+    _assert_counted_trips_exact(src, max_slice, monkeypatch, counted=False)
 
 
 @pytest.mark.parametrize("max_slice", [2, 4, 7, _DEFAULT_SLICE])
@@ -760,7 +808,8 @@ def test_trap_mid_trip_after_counted_trips(max_slice, monkeypatch):
     """``f(12)`` and ``f(10)`` run nine trips and return; ``f(3)`` traps
     in ``_div`` on its third trip.  Every event before the trap carries
     the settled trips, and the trap leaves the resident slots of that
-    trip in the frame: d = 0, a = 16, k = 2, q = 18."""
+    trip in the frame: d = 0, a = 16, k = 2, q = 18 -- the counter as
+    of the trapping trip, not its final value."""
     src = """
 int out[4];
 int f(int d) {
@@ -779,6 +828,96 @@ void main() {
     trace = _assert_counted_trips_exact(src, max_slice, monkeypatch)
     assert trace[-1][0] == "TRAP" and "division by zero" in trace[-1][1]
     assert trace[-1][3] == (0, 16, 2, 18)
+
+
+@pytest.mark.parametrize("max_slice", [2, 4, _DEFAULT_SLICE])
+def test_trap_mid_trip_steps_a_double_counter(max_slice, monkeypatch):
+    """The same trap over ``double k`` from 0.5, which counts by
+    stepping: the handler steps the counter once for each trip before
+    the trapping one, k = 2.5.  ``j`` counts the trips."""
+    src = """
+int out[4];
+int f(int d) {
+    int a; double k; int q; int j;
+    a = 1; k = 0.5; q = 0; j = 0;
+    while (k < 9) {
+        a = a + 5; d = d - 1; q = q + 12 / d; j = j + 1; k = k + 1;
+    }
+    return q;
+}
+void main() {
+    int s;
+    s = f(12); out[0] = s;
+    s = s + f(3); out[1] = s;
+}
+"""
+    trace = _assert_counted_trips_exact(src, max_slice, monkeypatch,
+                                        counter="j")
+    assert trace[-1][0] == "TRAP"
+    assert trace[-1][3] == (0, 16, 2.5, 18, 2)
+
+
+#: Heads of the counted shape, as (type of ``k``, its start, the test).
+#: Over ``f(0)`` .. ``f(7)`` each runs up to several trips, and all but
+#: the ``double`` bound run none on some call -- the bound below the
+#: start, or the start past the bound.
+_HEADS = {
+    "k < n": ("int", "0", "k < n"),
+    "k <= n": ("int", "1", "k <= n"),
+    "k < literal": ("int", "n - 2", "k < 3"),
+    "k <= literal": ("int", "n", "k <= 4"),
+    "double k": ("double", "0.5", "k < n"),
+    "double bound": ("int", "0", "k < h"),
+}
+
+
+@pytest.mark.parametrize("max_slice", [1, 2, 3, 5, _DEFAULT_SLICE])
+@pytest.mark.parametrize("head", sorted(_HEADS))
+def test_counted_heads_run_the_interpreters_trips(head, max_slice,
+                                                  monkeypatch):
+    """``<`` and ``<=``, a slot or an int literal bound, an int or a
+    double counter or bound: each head is emitted counted (a ``double``
+    counts by stepping), and the budgets end slices on the trips before,
+    at and after the last one of each call.  ``j`` counts the trips."""
+    k, k0, test = _HEADS[head]
+    _assert_counted_trips_exact(
+        _counted_src("x = x * 1.5 - 0.25; j = j + 1; k = k + 1;",
+                     _EIGHT_CALLS, k, k0, test),
+        max_slice, monkeypatch, counter="j")
+
+
+def test_loop_that_reads_its_counter_keeps_the_budget_form(monkeypatch):
+    """A trip that names ``k`` besides its step is not the counted
+    shape: the ``for`` runs over the budget's trips and tests ``k``."""
+    for max_slice in (2, 3, _DEFAULT_SLICE):
+        _assert_counted_trips_exact(
+            _counted_src("x = x * 0.5 + k; k = k + 1;", _EIGHT_CALLS),
+            max_slice, monkeypatch, counted=False)
+
+
+#: What ``VM.corrupt`` writes to ``k`` at ``f``'s first TimeSlices.
+_CORRUPTIONS = {
+    "nan": (math.nan,),
+    "inf": (math.inf,),
+    "float": (2.5,),
+    "-inf, then a float": (-math.inf, 7.25),
+    "huge ints": (-10**30, 10**30),
+}
+
+
+@pytest.mark.parametrize("max_slice", [3, 5])
+@pytest.mark.parametrize("values", sorted(_CORRUPTIONS))
+def test_counted_loop_resumes_on_a_corrupted_counter(values, max_slice,
+                                                     monkeypatch):
+    """A soft error writes ``k`` between slices, and the resume counts
+    from what the frame holds: NaN, +inf and 10**30 fail the test at
+    once; -inf (``k + 1`` leaves it where it is) and -10**30 pass it
+    for a whole slice a resume, until the next write; a float steps to
+    the bound.  ``j`` counts the trips."""
+    _assert_counted_trips_exact(
+        _counted_src("x = x * 0.5 + 1.0; j = j + 1; k = k + 1;",
+                     "s = f(12);"),
+        max_slice, monkeypatch, counter="j", corrupt=_CORRUPTIONS[values])
 
 
 # ------------------------------------------------------------- liveness
@@ -1047,10 +1186,13 @@ _BLOCK_GUARD = re.compile(r"\s*if b == \d+:")
 _LOCAL_STORE = re.compile(r"\s*L\[(\d+)\] = l\1 = ")
 #: A collapsed loop's resident slots going back to the frame at an exit.
 _WRITE_BACK = re.compile(r"\s*L\[(\d+)\](, L\[\d+\])* = l\1(, l\d+)*$")
-#: The header of a collapsed loop, with or without a resident set.
+#: The header of a collapsed loop, with or without a resident set, over
+#: the trips the budget allows or, of the counted shape, over those its
+#: test lets run.
 _COLLAPSED = re.compile(r"( *)if b == \d+:\n"
                         r"\1 _n = budget if budget > 0 else 1\n"
-                        r"\1 (try:\n\1  )?for _t in range\(_n\):\n")
+                        r"(\1 _m, _k = _trips\(l\d+, \S+, _n, [01]\)\n)?"
+                        r"\1 (try:\n\1  )?for _t in range\(_[nm]\):\n")
 
 
 def _line_hits(src):
@@ -1158,8 +1300,14 @@ def test_private_scalar_loop_runs_on_python_locals():
     the trips, and the exits settle both), no register copy of a local
     used once on the next line, and no frame access at all -- x, y and
     k are resident and reach the frame where the loop exits;
-    ``min``/``max`` name their literal operand in place."""
+    ``min``/``max`` name their literal operand in place.  The loop is
+    counted: its trips are worked out on entry, so a trip neither tests
+    nor steps ``k`` -- no line of it names ``k`` at all."""
     trip = _lines_of_one_iteration(_dense_loop)
+    prog = compile_generated(_dense_loop(5))
+    k = prog.funcs[prog.main_index].local_names.index("k")
+    assert [t for t in trip if re.search(r"\bl%d\b" % k, t)] == []
+    assert len(trip) == 5                   # the for and four assignments
     assert [t for t in trip if _DISPATCH_LINE.match(t)] == []
     assert [t for t in trip if t.lstrip().startswith("c = c + ")] == []
     assert [t for t in trip if "budget" in t] == []

@@ -4,8 +4,6 @@ the paper identifies as OpenMP's key enabler for slipstream."""
 import pytest
 
 from repro.lang import SemanticError, analyze, parse
-from repro.lang.sema import (collect_var_reads, collect_var_writes,
-                             declared_locals)
 
 
 def region_info(src):
@@ -148,16 +146,20 @@ def test_intrinsic_arity_checked():
 
 
 def test_walk_helpers():
-    prog = parse("""
+    """The facts one walk gathers on a region body: names read
+    (assignment targets included), assigned and declared."""
+    ri = region_info("""
 double a[4];
 int i;
 void main() {
-    int k;
-    k = 2;
-    a[k] = a[k - 1] + i;
+    #pragma omp parallel
+    {
+        int k;
+        k = 2;
+        a[k] = a[k - 1] + i;
+    }
 }
 """)
-    body = prog.funcs[0].body
-    assert collect_var_reads(body) == {"a", "k", "i"}
-    assert collect_var_writes(body) == {"k", "a"}
-    assert declared_locals(body) == {"k"}
+    assert ri.reads == {"a", "k", "i"}
+    assert ri.writes == {"k", "a"}
+    assert ri.declared == {"k"}

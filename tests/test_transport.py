@@ -393,6 +393,40 @@ def test_driver_publish_enospc_keeps_the_ledger_and_the_result(tmp_path):
     assert not list(spool.claims.iterdir())
 
 
+def test_worker_returns_on_a_disk_that_refuses_every_publish(
+        tmp_path, monkeypatch, caplog):
+    """On a disk that refuses every publish a pool child runs its unit
+    until the ledger reaches :data:`POISON_AFTER`, fails to publish even
+    the quarantine placeholder, skips the unit and returns: forked, it
+    exits within the join timeout.  The driver, on the same disk, then
+    settles the unit and delivers it from memory."""
+    import multiprocessing
+    root = tmp_path / "sp"
+    (unit,) = SweepPlan([_tiny()]).distinct()
+    spool = _Spool(root)
+    spool.ensure()
+    spool.enqueue(unit.key, unit.spec)
+    monkeypatch.setattr(_Spool, "publish", _enospc)
+    child = multiprocessing.get_context("fork").Process(
+        target=run_worker, args=(root,), daemon=True)
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join()
+    assert not hung, "run_worker still running after 60 s"
+    assert child.exitcode == 0
+    assert not spool.has_result(unit.key)
+    assert spool.claim_age(unit.key) is None            # lease released
+    assert spool.attempt_count(unit.key) == POISON_AFTER
+    got = []
+    with caplog.at_level("WARNING", logger="repro.harness.transport"):
+        DirQueueTransport(root).run([unit], lambda u, run: got.append(run))
+    assert [run.error_kind for run in got] == ["quarantined"]
+    assert any("publish failed" in r.getMessage() for r in caplog.records)
+
+
 @pytest.mark.parametrize("who", ("driver", "worker"))
 def test_a_reap_is_counted_by_whoever_does_it(tmp_path, caplog, who):
     """A dead worker's lease is reaped by the driver or by another
@@ -549,7 +583,7 @@ def test_the_settle_path_is_written_once():
         assert calls.count(name) == 1, name
     assert calls.count("settle") == 2                   # driver + worker
     assert calls.count("lease") == 2                    # driver + worker
-    assert calls.count("idle") == 2
+    assert calls.count("reap_stale") == 2              # driver + worker
     spool_half = source[source.index("class _UnitFailure"):]
     # settle, and the pool driver's record of a child's harvested unit
     assert spool_half.count('"unit.claimed"') == 2
