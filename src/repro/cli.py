@@ -463,8 +463,11 @@ def _cmd_harness_chaos(args, out) -> int:
     """``repro chaos --harness``: the pipeline crash-consistency matrix
     (:func:`repro.harness.chaos.run_harness_chaos`).  Exit 1 when any
     scenario loses or corrupts a result, 5 when the matrix itself
-    quarantined poison units, 0 on a clean pass."""
+    quarantined poison units, 0 on a clean pass.  A workdir it made
+    itself (no ``--workdir``) is removed on a clean pass and kept, its
+    path on stderr, otherwise."""
     import json
+    import shutil
     import tempfile
 
     from .harness.chaos import render_harness_chaos, run_harness_chaos
@@ -499,17 +502,23 @@ def _cmd_harness_chaos(args, out) -> int:
         with open(args.report, "w") as fh:
             json.dump(report.to_json(), fh, indent=2)
         print(f"report written to {args.report}", file=out)
+    rc = 0
     if not report.ok:
         failed = [o for o in report.outcomes if not o.ok]
         print(f"error: {len(failed)} of {len(report.outcomes)} harness "
               f"scenario(s) violated the crash-consistency invariant",
               file=sys.stderr)
-        return 1
-    if report.total_quarantined:
+        rc = 1
+    elif report.total_quarantined:
         print(f"warning: {report.total_quarantined} poison unit(s) were "
               f"quarantined during the matrix", file=sys.stderr)
-        return 5
-    return 0
+        rc = 5
+    if not args.workdir:
+        if rc:
+            print(f"scenario workdirs kept in {workdir}", file=sys.stderr)
+        else:
+            shutil.rmtree(workdir)
+    return rc
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:

@@ -444,7 +444,7 @@ class _Spool:
             return 0
 
     def clear_attempts(self, key: str) -> None:
-        """Forget the ledger after a successful publish -- only
+        """Forget the ledger after an execution that returned -- only
         *consecutive* dead attempts count toward quarantine."""
         try:
             self.attempt_path(key).unlink()
@@ -484,9 +484,11 @@ class _Spool:
         what it raises is the payload, as a :class:`_UnitFailure`.  A
         publish that fails (ENOSPC/EIO) is logged and returned, never
         raised: what a lost spool copy means is the caller's call.
-        Only a real result that reached the disk clears the ledger
-        (*consecutive* dead executions are what counts); the lease is
-        released whatever happened.
+        An execution that returned clears the ledger, a real result and
+        a :class:`_UnitFailure` alike, whether or not its publish
+        landed: only a death leaves its byte (*consecutive* dead
+        executions are what counts).  The lease is released whatever
+        happened.
         """
         tel = self.telemetry
         attempts = self.attempt_count(key)
@@ -506,8 +508,7 @@ class _Spool:
             published = False
             _LOG.warning("publish failed for unit %s (%s); lease released "
                          "without a spool copy", key[:12], e)
-        if (published and attempts < POISON_AFTER
-                and not isinstance(payload, _UnitFailure)):
+        if attempts < POISON_AFTER:
             self.clear_attempts(key)
         self.release(key)
         return payload, published
@@ -703,14 +704,14 @@ def run_worker(root) -> int:
       the end of the dispatch) it abandons its unit, and the driver
       releases the lease (:meth:`PoolTransport._idle`);
     * another process's stalled lease (:meth:`_Spool.stall`) is
-      reaped, and a publish that fails (disk full) releases the claim
-      with the ledger byte kept, so the unit runs again;
+      reaped;
+    * a unit whose publish fails (disk full) is skipped and left to
+      the driver, which settles it and delivers it from memory: on a
+      disk that refuses every publish the worker returns after one
+      execution a unit;
     * a unit whose attempts ledger shows :data:`POISON_AFTER` dead
       executions is quarantined (placeholder result published) rather
-      than executed again; if not even the placeholder can be
-      published, the worker skips the unit and leaves it to the
-      driver, which delivers it from memory -- on a disk that refuses
-      every publish the worker returns once nothing else is pending;
+      than executed again;
     * failing specs are published as failure records for the driver to
       re-raise; the worker itself keeps going.
 
@@ -749,18 +750,16 @@ def run_worker(root) -> int:
                 return execute_spec(spec)
 
             payload, published = spool.settle(key, spec, execute)
-            progressed = progressed or published
-            poisoned = getattr(payload, "error_kind", None) == "quarantined"
-            if published and not poisoned:
-                executed += 1
-            elif poisoned and not published:
+            progressed = True
+            if not published:
                 skipped.add(key)
-                log.warning("worker: skipping unit %s (its quarantine "
-                            "placeholder failed to publish)", key[:12])
+                log.warning("worker: skipping unit %s (its result failed "
+                            "to publish)", key[:12])
+            elif getattr(payload, "error_kind", None) != "quarantined":
+                executed += 1
         if not progressed:
-            # Nothing published this scan (all leased elsewhere, or the
-            # disk refuses writes): reap stalled claims, or wait for
-            # publishes and lease expiry.
+            # Nothing settled this scan (all leased elsewhere): reap
+            # stalled claims, or wait for publishes and lease expiry.
             reaped = spool.reap_stale(pending, LEASE_S)
             for key in reaped:
                 log.warning("worker: reaped stalled lease on unit "

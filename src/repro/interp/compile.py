@@ -50,10 +50,11 @@ frame and off the ladder:
   interpreter would have left.  (Writing back at exits instead is
   cheaper per store, but in general needs a may-dirty set per exit and
   definite assignment for every write-back, and leaves the frame stale
-  at a mid-block trap; DESIGN.md section 6 has the sizes.)  What a
-  function needs bound on entry comes from a backward liveness pass
-  over the block CFG (``_live_in`` over the per-opcode ``_LOCAL_RW``
-  table).  Collapsed loops are the one exception, below.
+  at a mid-block trap; DESIGN.md section 6 has the sizes.)  Every
+  slot is bound on entry, in one statement ``l0, ..., lN, = L``.  A
+  backward liveness pass over the block CFG (``_live_in`` over the
+  per-opcode ``_LOCAL_RW`` table) decides only the resident sets of
+  collapsed loops, the one exception, below.
 * **single-predecessor merging** -- a block that no resume enters and
   exactly one edge reaches is emitted where that edge is: inside the
   ``if``/``else`` arm, or after the forward ``jump``.  Its id leaves
@@ -77,14 +78,14 @@ frame and off the ladder:
   slots -- those it writes that are live at its header -- in Python
   locals only, and writes them to the frame in one line before every
   ``return`` and ``break`` and in an ``except BaseException:`` handler
-  around the ``for``.  A slot
-  live at the header is bound at every point inside (liveness made a
-  stub or a store bind it before the header), the exits are the loop's
-  own lines, and a trap leaves through the handler, so the frame holds
-  what write-through would have left wherever anything can look at it:
-  a trip makes no call, and the ``fr``/``fw`` hooks never see a frame.
-  A slot the loop writes but that is not live at its header may be
-  unbound at an exit and stays write-through.
+  around the ``for``.  Every
+  slot is bound from the entry on, the exits are the loop's own lines,
+  and a trap leaves through the handler, so the frame holds what
+  write-through would have left wherever anything can look at it: a
+  trip makes no call, and the ``fr``/``fw`` hooks never see a frame.
+  A slot the loop writes but that is not live at its header stays
+  write-through, so a slot a liveness hole misses is written through,
+  which is still exact.
 * **counted loops** -- a collapsed loop of the *counted shape* is
   counted once: its header tests ``k < B`` or ``k <= B`` on a resident
   counter ``k``, ``B`` an int literal or a slot the loop never stores;
@@ -112,10 +113,11 @@ tier on or off):
   as :func:`~repro.interp.interpreter._translate` folds them) is
   constant-folded into accumulator updates ``c = c + <sum>``, one per
   ladder block and path through what merged under it (the charges are
-  integers, so the sum does not depend on how it is split); event
-  returns flush ``vm.pending_cycles += c + <tail>`` just like the
-  interpreter flushes its local ``cycles``.  An exception mid-block
-  discards the local accumulator in both worlds.
+  integers, so the sum does not depend on how it is split); every
+  exit hands ``c + <tail>`` to its exit helper, which adds it to
+  ``vm.pending_cycles`` just like the interpreter flushes its local
+  ``cycles``.  An exception mid-block discards the local accumulator
+  in both worlds.
 * **yield points** -- shared-memory ops, runtime calls and prints
   return the same event objects in the same order, trying the shell's
   ``fast_read``/``fast_write`` callbacks first; backward jumps decrement
@@ -123,23 +125,25 @@ tier on or off):
   (a collapsed loop counts its trips instead and settles the budget
   where it leaves).
 * **state sync** -- ``frame.locals`` is current after every store
-  (write-through) and at every exit from a collapsed loop (write-back);
-  ``frame.pc``/``frame.stack`` are written back at every exit (event
-  return, call/ret frame switch).  Snapshots taken at barriers,
+  (write-through) and at every exit from a collapsed loop (write-back,
+  inline ahead of the ``return``); every exit is one ``return``
+  through a helper of the exec namespace -- ``_leave`` (events),
+  ``_miss`` (a shared load, pushed on resume), ``_call`` and ``_ret``
+  (frame switches) -- which sets ``frame.pc``, syncs ``frame.stack``
+  to the registers it is handed and flushes the charge.  Snapshots
+  taken at barriers,
   ``clone``, ``restore``/``corrupt`` and every shell-side observer see
   exactly the state the interpreter would have left.
 * **resume** -- the generated function is re-entered through an
   ``_ENTRY`` table mapping resumable pcs (function entry, post-yield,
-  post-call, backward-jump targets) to the block id itself when the
-  operand stack is empty there and no local is live into the block,
-  else to a stub id past the last block; the stubs run once, before the
-  ``while 1:``, reload the virtual registers from ``frame.stack`` and
-  the live locals from ``frame.locals`` (``l0, l2 = L[0], L[2]``) and
-  set ``b``.  A VM that slipstream recovery restored or fault injection
-  corrupted is between events, at a yield point, so it resumes here
-  like any other.  An unknown pc returns the ``_DEOPT`` sentinel and
-  the VM transparently falls back to the interpreter loop for the rest
-  of its life.
+  post-call, backward-jump targets) to their block ids.  Once, before
+  the ``while 1:``, it binds every frame slot (``l0, ..., lN, = L``)
+  and the virtual registers of the stack it finds, by a short chain on
+  ``len(S)`` over the heights some resume pc has.  A VM that
+  slipstream recovery restored or fault injection corrupted is between
+  events, at a yield point, so it resumes here like any other.  An
+  unknown pc returns the ``_DEOPT`` sentinel and the VM transparently
+  falls back to the interpreter loop for the rest of its life.
 
 Functions whose bytecode the translator cannot prove statically
 well-shaped (unreachable-depth conflicts, unknown ops -- in practice
@@ -214,16 +218,56 @@ def _step(k, t):
     return k
 
 
+def _leave(vm, frame, pc, stack, charge, event):
+    """A yield point's exit: the frame synced at ``pc`` with ``stack``,
+    the charge flushed, and ``event`` handed back."""
+    frame.pc = pc
+    frame.stack[:] = stack
+    vm.pending_cycles = vm.pending_cycles + charge
+    return event
+
+
+def _miss(vm, frame, pc, stack, charge, event):
+    """:func:`_leave` for a shared load its hook missed: the value is
+    pushed on resume."""
+    frame.pc = pc
+    frame.stack[:] = stack
+    vm.pending_cycles = vm.pending_cycles + charge
+    vm._pending_push = True
+    return event
+
+
+def _call(vm, frame, pc, stack, charge, fidx, args):
+    """:func:`_leave` into a callee's new frame (no event)."""
+    frame.pc = pc
+    frame.stack[:] = stack
+    vm.pending_cycles = vm.pending_cycles + charge
+    vm.frames.append(Frame(fidx, vm.program.funcs[fidx], args))
+
+
+def _ret(vm, charge, value):
+    """A ``ret``: ``value`` onto the caller's stack (no event), or
+    ``Done`` when the last frame returns."""
+    vm.frames.pop()
+    vm.pending_cycles = vm.pending_cycles + charge
+    if vm.frames:
+        vm.frames[-1].stack.append(value)
+        return None
+    vm.done = True
+    vm.result = value
+    return Done(value)
+
+
 # Names the generated code resolves as globals of its exec namespace.
 _BASE_NS = {
     "_MISS": MISS, "_no_fr": _no_fr, "_no_fw": _no_fw,
     "_trips": _trips, "_step": _step,
+    "_leave": _leave, "_miss": _miss, "_call": _call, "_ret": _ret,
     "_div": _op_div, "_mod": _op_mod,
     "_sqrt": _sqrt, "_exp": _exp, "_log": _log, "_pow": _pow,
     "_floor": math.floor,
-    "_Frame": Frame,
     "_MemRead": MemRead, "_MemWrite": MemWrite, "_RtCall": RtCall,
-    "_IoOut": IoOut, "_Done": Done, "_TimeSlice": TimeSlice,
+    "_IoOut": IoOut, "_TimeSlice": TimeSlice,
     "_VMError": VMError, "_DEOPT": _DEOPT,
 }
 
@@ -552,12 +596,10 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     Raises :class:`NotCompilable` for bytecode the static analysis
     cannot shape.
 
-    A frame local is read as the Python local ``l<k>``, which the entry
-    stubs bind from the liveness of the block they enter.  A slot the
-    liveness misses is an ``UnboundLocalError`` out of ``vm.run()``:
-    the generated code catches ``IndexError`` only and the shell's
-    A-stream net does not list ``NameError``, so a hole in
-    ``_LOCAL_RW`` is a crash, never a silent deopt or a recovery.
+    A frame local is read as the Python local ``l<k>``; the function
+    binds every slot on entry, so a slot the liveness misses is never
+    unbound: it stays out of a collapsed loop's resident set and is
+    written through.
     """
     instrs = code.instrs
     if not instrs:
@@ -597,15 +639,14 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         consts.append(v)             # non-finite float, tuple, ...
         return "_K%d" % (len(consts) - 1)
 
-    def sync(k: int) -> str:
-        if k == 0:
-            return "del S[:]"
-        return "S[:] = (%s,)" % ", ".join("s%d" % i for i in range(k))
-
     def tup(texts: List[str]) -> str:
         if not texts:
             return "()"
         return "(%s,)" % ", ".join(texts)
+
+    def regs(k: int) -> str:
+        """The operand stack of height ``k`` as an exit syncs it."""
+        return tup(["s%d" % i for i in range(k)])
 
     def ld(k: int) -> str:
         return "l%d" % k
@@ -700,6 +741,14 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             tot = pend + extra
             return "c" if tot == 0 else "c + %r" % float(tot)
 
+        def exit_to(i: int, pc: int, tail: str, extra: float = 0.0,
+                    helper: str = "_leave") -> None:
+            """Return through an exit helper, to resume at ``pc`` with
+            the stack as it stands; ``tail`` is the helper's last
+            arguments (the event, for ``_leave`` and ``_miss``)."""
+            w(i, "return %s(vm, frame, %d, %s, %s, %s), budget"
+              % (helper, pc, regs(len(sym)), flushed(extra), tail))
+
         def flush(i: int) -> None:
             if pend:
                 w(i, "c = c + %r" % float(pend))
@@ -739,21 +788,15 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             d = len(sym)
             w(0, "v = fr(%d, %s)" % (gidx, flat))
             w(0, "if v is _MISS:")
-            w(1, "frame.pc = %d" % (pc + 1))
-            w(1, sync(d))
-            w(1, "vm.pending_cycles = vm.pending_cycles + (%s)" % flushed())
-            w(1, "vm._pending_push = True")
-            w(1, "return _MemRead(%d, %s), budget" % (gidx, flat))
+            exit_to(1, pc + 1, "_MemRead(%d, %s)" % (gidx, flat),
+                    helper="_miss")
             w(0, "s%d = v" % d)
             sym.append(reg(d))
             goto(0, pc + 1)
 
         def mem_store(pc: int, gidx: int, flat: str, val: str) -> None:
             w(0, "if not fw(%d, %s, %s):" % (gidx, flat, val))
-            w(1, "frame.pc = %d" % (pc + 1))
-            w(1, sync(len(sym)))
-            w(1, "vm.pending_cycles = vm.pending_cycles + (%s)" % flushed())
-            w(1, "return _MemWrite(%d, %s, %s), budget" % (gidx, flat, val))
+            exit_to(1, pc + 1, "_MemWrite(%d, %s, %s)" % (gidx, flat, val))
             goto(0, pc + 1)
 
         for pc in pcs:
@@ -858,40 +901,19 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             elif op == "call":
                 fidx, n = arg
                 args = leave(n)
-                w(0, "frame.pc = %d" % (pc + 1))
-                w(0, sync(len(sym)))
-                w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
-                  % flushed())
-                w(0, "vm.frames.append(_Frame(%d, _FUNCS[%d], %s))"
-                  % (fidx, fidx, tup(args)))
-                w(0, "return None, budget")
+                exit_to(0, pc + 1, "%d, %s" % (fidx, tup(args)),
+                        helper="_call")
             elif op == "ret":
                 rv = leave(1)[0] if sym else "0"
-                w(0, "vm.frames.pop()")
-                w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
-                  % flushed())
-                w(0, "if vm.frames:")
-                w(1, "vm.frames[-1].stack.append(%s)" % rv)
-                w(1, "return None, budget")
-                w(0, "vm.done = True")
-                w(0, "vm.result = %s" % rv)
-                w(0, "return _Done(%s), budget" % rv)
+                w(0, "return _ret(vm, %s, %s), budget" % (flushed(), rv))
             elif op == "rt":
                 name, static, n = arg
                 args = leave(n)
-                w(0, "frame.pc = %d" % (pc + 1))
-                w(0, sync(len(sym)))
-                w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
-                  % flushed(1.0))
-                w(0, "return _RtCall(%s, %s, %s), budget"
-                  % (lit(name), lit(static), tup(args)))
+                exit_to(0, pc + 1, "_RtCall(%s, %s, %s)"
+                        % (lit(name), lit(static), tup(args)), 1.0)
             elif op == "print":
                 args = leave(arg)
-                w(0, "frame.pc = %d" % (pc + 1))
-                w(0, sync(len(sym)))
-                w(0, "vm.pending_cycles = vm.pending_cycles + (%s)"
-                  % flushed(1.0))
-                w(0, "return _IoOut(%s), budget" % tup(args))
+                exit_to(0, pc + 1, "_IoOut(%s)" % tup(args), 1.0)
             else:
                 raise NotCompilable("unknown opcode %r" % (op,))
 
@@ -905,19 +927,6 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     for leader in roots:
         bodies[bid[leader]] = out = []
         emit_block(leader, out, 0, 0, 0.0)
-
-    # Entry stubs: reload the virtual registers from the synced stack
-    # and the locals live into the block from the frame, then dispatch
-    # to the block.  An entry that needs neither maps straight to the
-    # block id.
-    entry_map: Dict[int, int] = {}
-    stubs: List[Tuple[int, int]] = []        # (stub id, entry pc)
-    for e in sorted(entries):
-        if depths[e] == 0 and not live[e]:
-            entry_map[e] = bid[e]
-        else:
-            entry_map[e] = len(order) + len(stubs)
-            stubs.append((entry_map[e], e))
 
     # Loop nest over the ids left in the ladder.  A node is a block id
     # or a loop ``(lo, hi, nodes)``.  A range that straddles the loop it
@@ -956,23 +965,6 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     def w(ind: int, text: str) -> None:
         lines.append(" " * ind + text)
 
-    def emit_stubs(ind: int, some: List[Tuple[int, int]]) -> None:
-        if len(some) > 1:
-            mid = len(some) // 2
-            w(ind, "if b < %d:" % some[mid][0])
-            emit_stubs(ind + 1, some[:mid])
-            w(ind, "else:")
-            emit_stubs(ind + 1, some[mid:])
-            return
-        e = some[0][1]
-        if depths[e]:
-            w(ind, "%s= S" % "".join("s%d, " % i for i in range(depths[e])))
-        slots = [k for k in range(live[e].bit_length()) if live[e] >> k & 1]
-        if slots:
-            w(ind, "%s = %s" % (", ".join(ld(k) for k in slots),
-                                ", ".join("L[%d]" % k for k in slots)))
-        w(ind, "b = %d" % bid[e])
-
     def write_back(slots: Tuple[int, ...]) -> str:
         return "%s = %s" % (", ".join("L[%d]" % k for k in slots),
                             ", ".join(ld(k) for k in slots))
@@ -985,12 +977,10 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             w(ind, "c = c + %r" % charge)
         w(ind, "budget = budget - 1")
         w(ind, "if budget <= 0:")
-        w(ind + 1, "frame.pc = %d" % order[target])
-        w(ind + 1, sync(depth))
-        w(ind + 1, "vm.pending_cycles = vm.pending_cycles + c")
         if back:
             w(ind + 1, back)
-        w(ind + 1, "return _TimeSlice(), budget")
+        w(ind + 1, "return _leave(vm, frame, %d, %s, c, _TimeSlice()), budget"
+          % (order[target], regs(depth)))
         w(ind, "b = %d" % target)
 
     def emit_body(ind: int, node: int, loop: Tuple[int, int],
@@ -1038,7 +1028,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                         text = text[store.start(2):]
                     elif text.startswith("return "):
                         w(i, back)
-                if owed and text.startswith("vm.pending_cycles = "):
+                if owed and text.startswith("return "):
                     settle(i)
                 w(i, text)
             if target is not None and (
@@ -1098,13 +1088,11 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             w(inner, "for _t in range(_n):")
             emit_body(inner + 1, lo, (lo, lo), resident, trip)
         w(inner, "else:")
-        w(inner + 1, "frame.pc = %d" % order[lo])
-        w(inner + 1, sync(depths[order[lo]]))
-        w(inner + 1, "vm.pending_cycles = vm.pending_cycles + (c + %r * _n)"
-          % trip)
         if resident:
             w(inner + 1, write_back(resident))
-        w(inner + 1, "return _TimeSlice(), budget - _n")
+        w(inner + 1, "return _leave(vm, frame, %d, %s, c + %r * _n, "
+          "_TimeSlice()), budget - _n"
+          % (order[lo], regs(depths[order[lo]]), trip))
         if resident:
             w(ind + 1, "except BaseException:")
             if counted:
@@ -1140,20 +1128,32 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
                 emit_nodes(ind + 1, inner, (lo, hi))
 
     w(0, "_ENTRY = {%s}" % ", ".join(
-        "%d: %d" % (pc, i) for pc, i in sorted(entry_map.items())))
+        "%d: %d" % (pc, bid[pc]) for pc in sorted(entries)))
     w(0, "def _fn(vm, frame, budget):")
     w(1, "b = _ENTRY.get(frame.pc, -1)")
     w(1, "if b < 0:")
     w(2, "return _DEOPT, budget")
+    # Every slot is bound on entry, and the registers the resume's
+    # stack height names: a chain on ``len(S)`` over the heights some
+    # entry has.
     w(1, "S = frame.stack")
     w(1, "L = frame.locals")
+    if code.n_locals:
+        w(1, "%s, = L" % ", ".join(ld(k) for k in range(code.n_locals)))
+    heights = sorted({depths[e] for e in entries} - {0})
+    if heights:
+        w(1, "if S:")
+        for j, d in enumerate(heights):
+            if j < len(heights) - 1:
+                w(2, "%s len(S) == %d:" % ("elif" if j else "if", d))
+            elif j:
+                w(2, "else:")
+            w(3 if len(heights) > 1 else 2, "%s, = S" % ", ".join(
+                "s%d" % i for i in range(d)))
     w(1, "fr = vm.fast_read or _no_fr")
     w(1, "fw = vm.fast_write or _no_fw")
     w(1, "c = 0.0")
     w(1, "try:")
-    if stubs:
-        w(2, "if b >= %d:" % len(order))
-        emit_stubs(3, stubs)
     w(2, "while 1:")
     # The catch-all spans every id, so nothing under it breaks out of it.
     emit_nodes(3, root, (0, len(order) - 1))
@@ -1199,7 +1199,6 @@ def compiled_functions(program: CompiledProgram) -> Optional[List]:
             break
         src, consts = gs
         ns = dict(_BASE_NS)
-        ns["_FUNCS"] = program.funcs
         for i, v in enumerate(consts):
             ns["_K%d" % i] = v
         try:

@@ -605,8 +605,8 @@ class VM:
         exec-compiled function until it returns an event.  ``None``
         means a frame switch (call pushed / ret popped) -- loop with
         the surviving slice budget, exactly like the interpreter's
-        outer while.  The ``_DEOPT`` sentinel (entry pc without a
-        resume stub) permanently drops this VM to the interpreter,
+        outer while.  The ``_DEOPT`` sentinel (a pc with no resume
+        entry) permanently drops this VM to the interpreter,
         which re-runs from the identical synced state."""
         if self.done:
             return Done(self.result)

@@ -253,7 +253,8 @@ def _check_region(region: A.OmpParallel, f: A.FuncDef, info: SemaInfo,
     # omp-for loop variables are automatically private (OpenMP rule).
     ri.private |= ri.for_vars
     clause_names |= ri.private
-    for name in ri.reads:
+    # Sorted: the first error names the same local whatever the hash seed.
+    for name in sorted(ri.reads):
         if name in ri.declared or name in clause_names or \
            name in reduction_names or name in INTRINSICS or \
            name in info.funcs:

@@ -153,6 +153,38 @@ def test_chaos_harness_subcommand(tmp_path):
     assert "harness verdict: OK" in out
 
 
+def test_chaos_harness_without_a_workdir_leaves_nothing_behind(
+        tmp_path, monkeypatch):
+    """Without ``--workdir`` the matrix works in a ``mkdtemp`` directory
+    of its own, and a clean pass removes it: the temp root is empty."""
+    import tempfile
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    rc, out = run_cli(["chaos", "--harness", "cg", "--cmps", "2"])
+    assert rc == 0
+    assert "harness verdict: OK" in out
+    assert os.listdir(tmp_path) == []
+
+
+def test_chaos_harness_that_fails_keeps_its_workdir(tmp_path, monkeypatch,
+                                                    capsys):
+    """A matrix that found a violation keeps the workdir it made and
+    names it on stderr: the scenarios' spools are the evidence."""
+    import tempfile
+
+    import repro.harness.chaos as chaos
+
+    class Failed(_CleanMatrix):
+        ok = False
+        outcomes = [type("Outcome", (), {"ok": False})()]
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    monkeypatch.setattr(chaos, "run_harness_chaos", lambda *a, **k: Failed())
+    monkeypatch.setattr(chaos, "render_harness_chaos", lambda *a, **k: "")
+    rc, _ = run_cli(["chaos", "--harness", "cg", "--cmps", "2"])
+    (kept,) = os.listdir(tmp_path)
+    assert rc == 1 and kept.startswith("repro-harness-chaos-")
+    assert str(tmp_path / kept) in capsys.readouterr().err
+
+
 def test_num_threads_narrows_the_team(tmp_path):
     f = tmp_path / "team.c"
     f.write_text("""

@@ -922,12 +922,12 @@ def test_counted_loop_resumes_on_a_corrupted_counter(values, max_slice,
 
 # ------------------------------------------------------------- liveness
 #
-# Generated code reads a frame local as the Python local ``l<k>``, bound
-# by the entry stub of the block a resume enters from that block's live
-# set.  The odd-index misses of ``drive(fast=True)`` put resumes in the
-# middle of a chain, so a slot the liveness pass lost is an
-# ``UnboundLocalError`` here (nothing on the way catches it), and a slot
-# it reloads stale is a frame or event mismatch.
+# Generated code reads a frame local as the Python local ``l<k>``, every
+# slot bound on entry; liveness decides a collapsed loop's resident set,
+# the slots it keeps off the frame until it exits.  The odd-index misses
+# of ``drive(fast=True)`` put resumes in the middle of a chain, so a
+# resident set that leaves out a slot it needs, or writes one back
+# stale or at the wrong exit, is a frame or event mismatch here.
 
 _LIVENESS_CASES = {
     # t is read before any write while i <= 2: the frame's initial 0.
@@ -987,8 +987,8 @@ _LIVENESS_CASES = {
         }
         arr[3] = x + t;
         print(t, x, i);""",
-    # The same loop shape run for no trip: t is never bound, so a
-    # write-back that named it would raise at the exit.
+    # The same loop shape run for no trip: t is never written, and the
+    # frame must still hold its value from before the loop at the exit.
     "written-in-a-collapsed-loop-that-runs-no-trip": """
         int i; double t; double x;
         i = 7; x = 0.5;
@@ -1341,31 +1341,61 @@ def test_random_programs_exercise_collapsed_loops():
     assert seeds >= 10
 
 
-#: Bytes of generated source per image at the commit before the
-#: loop-ladder emitter (PR 14), all functions of the image together.
-_PARENT_SOURCE_BYTES = {
-    ("bt", "test"): 59162, ("bt", "bench"): 59168,
-    ("cg", "test"): 26628, ("cg", "bench"): 26632,
-    ("ep", "test"): 7031, ("ep", "bench"): 7032,
-    ("lu", "test"): 28846, ("lu", "bench"): 28846,
-    ("mg", "test"): 61552, ("mg", "bench"): 111479,
-    ("sp", "test"): 34635, ("sp", "bench"): 34641,
+#: Ceilings on the bytes of generated source per image, all functions
+#: of the image together: each image as it compiles with one entry
+#: statement a function and one exit helper a yield (255 027 in all).
+_SOURCE_BYTES = {
+    ("bt", "test"): 32416, ("bt", "bench"): 32422,
+    ("cg", "test"): 12947, ("cg", "bench"): 12943,
+    ("ep", "test"): 3851, ("ep", "bench"): 3852,
+    ("lu", "test"): 14014, ("lu", "bench"): 14014,
+    ("mg", "test"): 31275, ("mg", "bench"): 60463,
+    ("sp", "test"): 18412, ("sp", "bench"): 18418,
 }
 
 
-@pytest.mark.parametrize("bench,size", sorted(_PARENT_SOURCE_BYTES))
+#: An exit of a function's body: one ``return`` through an exit helper.
+_HELPER_EXIT = re.compile(
+    r"\s*return _(leave|miss|call|ret)\(.*\), budget( - _n)?$")
+
+
+@pytest.mark.parametrize("bench,size", sorted(_SOURCE_BYTES))
 def test_registry_kernels_compile_strict_and_stay_small(bench, size):
+    """Every registry image compiles to generated code under its byte
+    ceiling, in the emitter's one shape: above the ``while 1:`` a
+    function binds every frame slot in one statement and the registers
+    by a chain on ``len(S)``, with no ``if b <`` tree of resume stubs;
+    below it every ``return`` goes through an exit helper, and no line
+    syncs ``frame.pc`` or the stack or sets ``_pending_push`` itself."""
     from repro.npb import REGISTRY
     prog = compile_generated(REGISTRY[bench].source(
         **REGISTRY[bench].params(size)))
     nbytes = sum(len(f.gen_src[0]) for f in prog.funcs)
-    assert nbytes <= _PARENT_SOURCE_BYTES[bench, size]
-    # One emitter: locals are Python locals everywhere past the entry
-    # stubs, written through or written back over a collapsed loop's
-    # resident set, and no collapsed loop re-tests or keeps the guard of
-    # its header (the catch-all ``while 1:`` is the first line).
+    assert nbytes <= _SOURCE_BYTES[bench, size]
     for f in prog.funcs:
         text = f.gen_src[0]
+        head, body = text.split("  while 1:\n")
+        bindings = [line for line in head.split("\n")
+                    if re.fullmatch(r"\s*(l\d+, )+= L", line)]
+        every = " %s= L" % "".join("l%d, " % k for k in range(f.n_locals))
+        assert bindings == ([every] if f.n_locals else [])
+        # ``if b < 0:`` is the deopt; a stub tree tests ids past it.
+        assert not re.search(r"^\s*if b (<|>=) (?!0:)", head, re.M)
+        assert "L[" not in head
+        for line in text.split("\n"):
+            assert "frame.pc =" not in line, line
+            assert "del S[:]" not in line and "S[:] =" not in line, line
+            assert "_pending_push" not in line, line
+        returns = [line for line in body.split("\n")
+                   if line.lstrip().startswith("return ")]
+        assert returns
+        for line in returns:
+            assert _HELPER_EXIT.match(line), line
+        # Locals are Python locals everywhere past the entry statement,
+        # written through or written back over a collapsed loop's
+        # resident set, and no collapsed loop re-tests or keeps the
+        # guard of its header (the catch-all ``while 1:`` is the first
+        # line).
         lines = text[text.index("  while 1:"):].split("\n")
         for above, line in zip(lines[1:], lines[2:]):
             assert ("L[" not in line or _LOCAL_STORE.match(line)

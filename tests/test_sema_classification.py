@@ -109,6 +109,42 @@ def test_worksharing_outside_region_rejected():
             analyze(parse("int i;\nvoid main() {\n%s\n}" % frag))
 
 
+_TWO_CAPTURED_WRITES = """
+void main() {
+    int a; int b;
+    a = 0; b = 0;
+    #pragma omp parallel
+    { b = 1; a = 2; }
+}
+"""
+
+
+def test_captured_write_error_names_the_same_local_under_every_seed():
+    """Two captured enclosing locals written in one region: the error
+    names the first in sorted order, whatever ``PYTHONHASHSEED`` makes
+    of the sets the region's facts live in."""
+    import os
+    import subprocess
+    import sys
+    probe = ("import sys\n"
+             "from repro.lang import SemanticError, analyze, parse\n"
+             "try:\n"
+             "    analyze(parse(sys.stdin.read()))\n"
+             "except SemanticError as e:\n"
+             "    print(e)\n")
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    messages = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", probe],
+                              input=_TWO_CAPTURED_WRITES, env=env,
+                              capture_output=True, text=True, check=True)
+        messages.add(done.stdout)
+    (message,) = messages
+    assert "'a' is a captured enclosing local" in message
+
+
 def test_shared_clause_must_name_global():
     with pytest.raises(SemanticError):
         analyze(parse("""

@@ -284,11 +284,11 @@ _LIFECYCLE = ("unit.claimed", "unit.started", "unit.finished",
 _ENDINGS = {
     "good": ("BenchRun", None, 0,
              ["unit.claimed", "unit.started", "unit.finished"], None),
-    "raises": ("_UnitFailure", None, 1,
+    "raises": ("_UnitFailure", None, 0,
                ["unit.claimed", "unit.started", "unit.failed"], None),
     "poison": ("BenchRun", "quarantined", POISON_AFTER,
                ["unit.quarantined"], "quarantined"),
-    "enospc": (None, None, 1,
+    "enospc": (None, None, 0,
                ["unit.claimed", "unit.started", "unit.finished"], None),
 }
 
@@ -328,15 +328,6 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
         return got
 
     if who == "worker":
-        if ending == "enospc":
-            # The unit stays unpublished, so the worker would try it
-            # again: the queue it scans next is empty, as once the
-            # driver has settled the unit.
-            def publish_fails(self, *a):
-                monkeypatch.setattr(_Spool, "pending_keys", lambda self: [])
-                _enospc()
-
-            monkeypatch.setattr(_Spool, "publish", publish_fails)
         executed = run_worker(root)
         assert executed == (1 if ending in ("good", "raises") else 0)
     result_type, error_kind, ledger, lifecycle, delivered = _ENDINGS[ending]
@@ -362,11 +353,12 @@ def test_driver_and_worker_settle_a_leased_unit_alike(
     assert validate_events(records) == []
 
 
-def test_driver_publish_enospc_keeps_the_ledger_and_the_result(tmp_path):
+def test_driver_publish_enospc_clears_the_ledger_and_keeps_the_result(
+        tmp_path):
     """A driver whose first result publish hits injected ENOSPC still
-    delivers that result from memory and completes the sweep; the
-    unit's ledger entry stays (it ran but is not on the spool, so it
-    will run again), the published unit's ledger is cleared."""
+    delivers that result from memory and completes the sweep; both
+    units' ledgers are cleared (each execution returned, published or
+    not), and only the published one is on the spool."""
     from repro.harness import hazards
     from repro.harness.hazards import HazardConfig
     specs = [_tiny(), _tiny(n=49)]
@@ -387,7 +379,7 @@ def test_driver_publish_enospc_keeps_the_ledger_and_the_result(tmp_path):
     assert [r.error for r in runs] == [None, None]
     assert runs[0].cycles == runs[0].cycles             # a real result
     assert not spool.has_result(lost.key) and spool.has_result(kept.key)
-    assert spool.attempt_count(lost.key) == 1
+    assert spool.attempt_count(lost.key) == 0
     assert spool.attempt_count(kept.key) == 0
     assert sum("publish failed" in e for e in pipe.events) == 1
     assert not list(spool.claims.iterdir())
@@ -396,10 +388,10 @@ def test_driver_publish_enospc_keeps_the_ledger_and_the_result(tmp_path):
 def test_worker_returns_on_a_disk_that_refuses_every_publish(
         tmp_path, monkeypatch, caplog):
     """On a disk that refuses every publish a pool child runs its unit
-    until the ledger reaches :data:`POISON_AFTER`, fails to publish even
-    the quarantine placeholder, skips the unit and returns: forked, it
-    exits within the join timeout.  The driver, on the same disk, then
-    settles the unit and delivers it from memory."""
+    once, clears the ledger (the execution returned), skips the unit
+    and returns: forked, it exits within the join timeout.  The driver,
+    on the same disk, then settles the unit and delivers the real
+    result from memory, not a quarantine placeholder."""
     import multiprocessing
     root = tmp_path / "sp"
     (unit,) = SweepPlan([_tiny()]).distinct()
@@ -419,11 +411,15 @@ def test_worker_returns_on_a_disk_that_refuses_every_publish(
     assert child.exitcode == 0
     assert not spool.has_result(unit.key)
     assert spool.claim_age(unit.key) is None            # lease released
-    assert spool.attempt_count(unit.key) == POISON_AFTER
+    assert spool.attempt_count(unit.key) == 0
     got = []
     with caplog.at_level("WARNING", logger="repro.harness.transport"):
         DirQueueTransport(root).run([unit], lambda u, run: got.append(run))
-    assert [run.error_kind for run in got] == ["quarantined"]
+    (run,) = got
+    (serial,) = ExecutionPipeline().run([unit.spec])
+    assert run.error_kind is None
+    assert run.cycles == serial.cycles
+    assert spool.attempt_count(unit.key) == 0
     assert any("publish failed" in r.getMessage() for r in caplog.records)
 
 
