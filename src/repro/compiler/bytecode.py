@@ -154,11 +154,13 @@ class CompiledProgram:
     source: str = ""
 
     def __getstate__(self):
-        """Pickle without the exec'd generated-function cache
-        (``_cfns``): function objects are not picklable and are derived
-        state, rebuilt from each Code's ``gen_src`` on first run."""
+        """Pickle without the exec'd generated-function caches
+        (``_cfns``, and ``_afns`` of the A-stream versions): function
+        objects are not picklable and are derived state, rebuilt from
+        each Code on first run."""
         state = self.__dict__.copy()
         state.pop("_cfns", None)
+        state.pop("_afns", None)
         return state
 
     def func(self, name: str) -> Code:

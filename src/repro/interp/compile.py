@@ -97,13 +97,22 @@ frame and off the ladder:
   ``int``, else by stepping a copy of the counter through the same
   additions and comparisons the trips would make (exact for floats,
   NaN and infinities).  ``for _t in range(_m):`` then runs the body
-  with no test and no step.  After it ``k`` takes its final value, and
+  with no test and no step (and is left out when nothing but the step
+  is left of a trip).  After it ``k`` takes its final value, and
   with ``_t = _m`` the exit arm runs (``_m < _n``; its transfers fall
   off its end instead of breaking) or the slice ends as above
   (``_m == _n``).  A trap in trip ``_t`` leaves ``k`` stepped ``_t``
   times from its entry value (``_step``).  Every other collapsed loop
   -- a body that reads ``k``, a second back edge, an exit inside the
   trip (a shared access, a call) -- keeps the test in its trips.
+
+An A-stream turns its shared stores into prefetches and skips
+reductions and prints, so it runs its own *A-stream version* of each
+function (``generate_source(code, "A", globals)``, built on an image's
+first A-stream VM by ``compiled_functions(program, "A")``): the
+A-needed pass (``_a_needed``) leaves out every operation whose value
+only those consume and that cannot raise, and the charges, yields,
+events, addresses and branches stay the full version's.
 
 Exactness contract (the golden tables must be bit-identical with the
 tier on or off):
@@ -163,10 +172,11 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..compiler.bytecode import (BINOP_COST, ICALL_COST, OP_COST,
-                                 RT_RETURNS, Code, CompiledProgram)
+                                 RT_RETURNS, Code, CompiledProgram,
+                                 GlobalDecl)
 from .events import Done, IoOut, MemRead, MemWrite, RtCall, TimeSlice
 from .interpreter import (MISS, VMError, Frame, _DEOPT, _exp, _log,
                           _op_div, _op_mod, _pow, _sqrt)
@@ -551,6 +561,22 @@ def _block_pcs(start: int, instrs: List[Tuple],
         pc += 1
 
 
+def _cfg(instrs: List[Tuple]):
+    """``(depths, entries, blocks, succs)``: the stack depth at every
+    reachable pc, the resume pcs, each block's pcs by its leader, and
+    each leader's successor leaders."""
+    if not instrs:
+        raise NotCompilable("empty code object")
+    depths = _analyze(instrs)
+    entries = _entry_pcs(instrs, depths)
+    leaders = _leader_pcs(instrs, depths, entries)
+    blocks = {pc: _block_pcs(pc, instrs, leaders) for pc in leaders}
+    succs = {leader: [t for t, _d in _succ(instrs[pcs[-1]], pcs[-1],
+                                           depths[pcs[-1]])]
+             for leader, pcs in blocks.items()}
+    return depths, entries, blocks, succs
+
+
 def _live_in(instrs: List[Tuple], blocks: Dict[int, List[int]],
              succs: Dict[int, List[int]]) -> Dict[int, int]:
     """Backward liveness over the block CFG: leader pc -> bitmask of the
@@ -584,9 +610,247 @@ def _live_in(instrs: List[Tuple], blocks: Dict[int, List[int]],
     return live
 
 
+# ----------------------------------------------------------- A-needed pass
+#
+# An A-stream turns its shared stores into prefetches and skips
+# reductions and I/O, so the values those consume are thrown away.  Its
+# version of a function leaves out every computation whose value only
+# reaches them and that cannot raise.  A value type is ``_F`` (float),
+# ``_I`` (int), ``None`` (anything else) or, while slot types settle,
+# ``_TOP`` (not known yet).
+
+_F, _I, _TOP = "f", "i", "?"
+_NUM = (_F, _I)
+
+
+def _arith_t(a, b):
+    """The type of ``a + b``/``-``/``*``/``/``/``%`` when it completes:
+    float with a float operand, int with two."""
+    if a == _F or b == _F:
+        return _F
+    if a is None or b is None:
+        return None
+    return _I if a == b == _I else _TOP
+
+
+def _meet_t(a, b):
+    """One type for two values: equal types, or ``None``."""
+    if a == _TOP:
+        return b
+    if b == _TOP or a == b:
+        return a
+    return None
+
+
+def _a_flow(instrs: List[Tuple], pcs: List[int], reg_t: List,
+            slot_t: List, gtypes: Dict[int, str]):
+    """One block, forward over a stack of value ids: ``(steps, types,
+    stack)``.  A step is ``(pc, op, arg, ids consumed, id produced,
+    raises)``; ``types`` maps an id to its type, and ``stack`` is what
+    the block leaves, with the value a load, ``call`` or ``rt`` pushes
+    on resume on top.  The registers the block starts with are ids
+    ``0..len(reg_t)-1``, of the types ``reg_t``."""
+    stack = list(range(len(reg_t)))
+    types: Dict[int, Optional[str]] = dict(enumerate(reg_t))
+    steps = []
+    for pc in pcs:
+        ins = instrs[pc]
+        op = ins[0]
+        arg = ins[1] if len(ins) > 1 else None
+        if op == "dup":
+            stack.append(stack[-1])
+            continue
+        n_in, n_out, raises = _A_SHAPE.get(op, (0, 0, True))
+        t = None
+        if op == "const":
+            if isinstance(arg, float):
+                t = _F
+            elif isinstance(arg, int) and not isinstance(arg, bool):
+                t = _I
+        elif op == "lload":
+            t = slot_t[arg]
+        elif op in ("gload", "geload"):
+            t = gtypes.get(arg)
+        elif op == "binop":
+            a, b = (types[i] for i in stack[-2:])
+            if arg in _CMP_OPS:
+                t, raises = _I, not (a in _NUM and b in _NUM)
+            else:
+                t = _arith_t(a, b)
+                raises = not (arg in _ARITH_OPS and a == b and a in _NUM)
+        elif op == "unop":
+            a = types[stack[-1]]
+            t = a if arg == "-" else _I
+            raises = a not in _NUM
+        elif op == "icall":
+            name, n_in = arg
+            ops = [types[i] for i in stack[len(stack) - n_in:]]
+            if name in ("fabs", "min", "max"):
+                t = ops[0] if n_in == 1 else _meet_t(*ops)
+                raises = not all(a in _NUM for a in ops)
+            elif name in ("sqrt", "exp", "log", "pow"):
+                t = _F
+            elif name == "floor":
+                t = _I
+            elif n_in == 2:
+                t = _arith_t(*ops)
+        elif op in ("call", "print"):
+            n_in = arg[1] if op == "call" else arg
+        elif op == "rt":
+            n_in, n_out = arg[2], int(arg[0] in RT_RETURNS)
+        elif op == "ret":
+            n_in = 1 if stack else 0
+        ins_ids = tuple(stack[len(stack) - n_in:])
+        del stack[len(stack) - n_in:]
+        out = len(types) if n_out else None
+        for i in range(n_out):
+            types[out + i] = t
+            stack.append(out + i)
+        steps.append((pc, op, arg, ins_ids, out, raises))
+    return steps, types, stack
+
+
+#: ``op -> (values consumed, values produced, raises)`` where the op's
+#: operands do not decide them.  A ``jnone`` consumes nothing: on the
+#: path that falls through the value it tests stays, and its block
+#: leaves it; a ``call``'s value is pushed when the callee returns.
+_A_SHAPE = {
+    "const": (0, 1, False), "lload": (0, 1, False),
+    "lstore": (1, 0, True), "pop": (1, 0, True),
+    "gload": (0, 1, True), "geload": (1, 1, True),
+    "gstore": (1, 0, True), "gestore": (2, 0, True),
+    "aload": (1, 1, True), "astore": (2, 0, True),
+    "binop": (2, 1, True), "unop": (1, 1, True),
+    "icall": (0, 1, True), "unpack2": (1, 2, True),
+    "jfalse": (1, 0, True), "call": (0, 1, True),
+}
+
+
+def _a_back(steps, stack, depth: int, need: int, slot_t: List,
+            drops: Optional[Tuple[Set[int], Set[int]]] = None) -> int:
+    """One block, backward from ``need``, what some path from its end
+    uses in a needed way (bit *k* a slot, bit ``len(slot_t) + h`` the
+    register at height *h*): the same at its top.  With ``drops`` (dead
+    pcs, dropped stores) the block's share of each is added.  A value is
+    needed when it reaches a branch, a shared or private-array access's
+    index, a private-array store, a runtime call other than as
+    ``reduce``'s operand, a ``call`` or ``ret``, a store to a slot of no
+    type (so a dropped store never leaves a number where the full
+    version has something else), a needed slot or register, or an
+    operation that can raise."""
+    nl = len(slot_t)
+    needed = {i for h, i in enumerate(stack) if need >> (nl + h) & 1}
+    need &= (1 << nl) - 1
+    for pc, op, arg, ins, out, raises in reversed(steps):
+        if op == "lstore":
+            if need >> arg & 1 or slot_t[arg] is None:
+                needed.add(ins[0])
+            elif drops is not None:
+                drops[1].add(pc)
+            need &= ~(1 << arg)
+        elif op == "lload":
+            if out in needed:
+                need |= 1 << arg
+        elif op in ("binop", "unop", "icall"):
+            if out in needed or raises:
+                needed.update(ins)
+            elif drops is not None:
+                drops[0].add(pc)
+        elif op in ("aload", "astore"):
+            needed.update(ins)
+            need |= 1 << arg
+        elif op in ("const", "gstore", "print", "pop") or (
+                op == "rt" and arg[0] == "reduce"):
+            pass
+        elif op == "gestore":
+            needed.add(ins[0])
+        else:
+            needed.update(ins)
+    for h in range(depth):
+        if h in needed:
+            need |= 1 << (nl + h)
+    return need
+
+
+def _a_needed(code: Code, gdecls: Sequence[GlobalDecl] = ()):
+    """The A-needed pass over one function of an image whose globals are
+    ``gdecls``: ``(dead, dropped, need_in)``.  ``dead`` holds the pcs of
+    operations whose value nothing needed uses and that cannot raise,
+    ``dropped`` the ``lstore`` pcs whose slot nothing needed reads before
+    it is stored again, and ``need_in`` maps a leader to what is needed
+    at its top, as :func:`_a_back` masks it.
+
+    Types first, to a fixed point down from "not known": a slot is
+    float-typed (int-typed) when every store to it is float-valued
+    (int-valued) -- a slot no ``lstore`` names has no type -- and a
+    register a block starts with has the type every edge into it hands
+    over.  ``+``, ``-`` and ``*`` cannot raise on two float-typed or two
+    int-typed operands; comparisons, ``abs``, ``min``, ``max``, negation
+    and ``!`` cannot raise on numbers; everything else can.  Then
+    neededness, backward over the block CFG like :func:`_live_in`."""
+    instrs = code.instrs
+    depths, _entries, blocks, succs = _cfg(instrs)
+    gtypes = {g.index: _F if g.typ == "double" else _I for g in gdecls}
+    stored = {ins[1] for ins in instrs if ins[0] == "lstore"}
+    slot_t: List = [_TOP if k in stored else None
+                    for k in range(code.n_locals)]
+    order = sorted(blocks)
+    reg_t = {leader: [_TOP] * depths[leader] for leader in order}
+    while True:
+        changed = False
+        for leader in order:
+            steps, types, stack = _a_flow(instrs, blocks[leader],
+                                          reg_t[leader], slot_t, gtypes)
+            for _pc, op, arg, ins, _o, _r in steps:
+                if op == "lstore":
+                    t = _meet_t(slot_t[arg], types[ins[0]])
+                    if t != slot_t[arg]:
+                        slot_t[arg], changed = t, True
+            for succ in succs[leader]:
+                regs = reg_t[succ]
+                for h, i in enumerate(stack[:len(regs)]):
+                    t = _meet_t(regs[h], types[i])
+                    if t != regs[h]:
+                        regs[h], changed = t, True
+        if not changed:
+            if _TOP not in slot_t and not any(
+                    _TOP in regs for regs in reg_t.values()):
+                break
+            slot_t = [None if t == _TOP else t for t in slot_t]
+            for regs in reg_t.values():
+                regs[:] = [None if t == _TOP else t for t in regs]
+    flows = {leader: _a_flow(instrs, blocks[leader], reg_t[leader],
+                             slot_t, gtypes) for leader in order}
+
+    def need_out(leader: int) -> int:
+        out = 0
+        for t in succs[leader]:
+            out |= need_in[t]
+        return out
+
+    need_in = dict.fromkeys(order, 0)
+    changed = True
+    while changed:
+        changed = False
+        for leader in reversed(order):
+            steps, _types, stack = flows[leader]
+            new = _a_back(steps, stack, depths[leader], need_out(leader),
+                          slot_t)
+            if new != need_in[leader]:
+                need_in[leader], changed = new, True
+    dead: Set[int] = set()
+    dropped: Set[int] = set()
+    for leader in order:
+        steps, _types, stack = flows[leader]
+        _a_back(steps, stack, depths[leader], need_out(leader), slot_t,
+                (dead, dropped))
+    return dead, dropped, need_in
+
+
 # --------------------------------------------------------------- emission
 
-def generate_source(code: Code) -> Tuple[str, Tuple]:
+def generate_source(code: Code, stream: str = "R",
+                    gdecls: Sequence[GlobalDecl] = ()) -> Tuple[str, Tuple]:
     """Translate one Code into ``(python_source, hoisted_constants)``.
 
     The source defines ``_ENTRY`` (resume-pc -> dispatch id) and
@@ -600,34 +864,39 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
     binds every slot on entry, so a slot the liveness misses is never
     unbound: it stays out of a collapsed loop's resident set and is
     written through.
+
+    ``stream="A"`` emits the A-stream version (:func:`_a_needed`, with
+    the element types of ``gdecls``, the image's globals): every
+    computation whose value no needed use reaches and that cannot raise
+    is left out -- its slot keeps the number it held, a shared store,
+    ``reduce`` or ``print`` is handed ``0.0`` for it -- and one that can
+    raise is still evaluated, then discarded.  Charges, yields, events,
+    addresses and branches are the full version's.
     """
     instrs = code.instrs
-    if not instrs:
-        raise NotCompilable("empty code object")
-    depths = _analyze(instrs)
-    entries = _entry_pcs(instrs, depths)
-    leaders = _leader_pcs(instrs, depths, entries)
-    blocks = {pc: _block_pcs(pc, instrs, leaders) for pc in leaders}
+    depths, entries, blocks, succs = _cfg(instrs)
 
     # Blocks are numbered in pc order, so a loop is a contiguous id
     # range [header, block ending in its last back edge].
-    order = sorted(leaders)
+    order = sorted(blocks)
     bid = {leader: i for i, leader in enumerate(order)}
     loop_hi: Dict[int, int] = {}             # header id -> last id
-    succs: Dict[int, List[int]] = {}         # leader -> successor leaders
-    npred = dict.fromkeys(leaders, 0)
+    npred = dict.fromkeys(order, 0)
     for i, leader in enumerate(order):
         pc = blocks[leader][-1]
         ins = instrs[pc]
         if ins[0] == "jump" and ins[1] < pc:
             loop_hi[bid[ins[1]]] = i
-        succs[leader] = [t for t, _d in _succ(ins, pc, depths[pc])]
         for t in succs[leader]:
             npred[t] += 1
     live = _live_in(instrs, blocks, succs)
+    dead: Set[int] = set()
+    dropped: Set[int] = set()
+    if stream == "A":
+        dead, dropped, _need = _a_needed(code, gdecls)
     # A block one edge reaches and no resume enters is emitted where
     # that edge is (``goto``); its id never shows in the ladder.
-    inline = {pc for pc in leaders if npred[pc] == 1 and pc not in entries}
+    inline = {pc for pc in order if npred[pc] == 1 and pc not in entries}
 
     consts: List = []
 
@@ -805,6 +1074,17 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             arg = ins[1] if len(ins) > 1 else None
             pend += _cost(ins)
 
+            if pc in dead or pc in dropped:
+                # An A-stream drops it: a kept operand that can raise is
+                # evaluated, and a value still goes on the stack.
+                n = _A_SHAPE[op][0] if op != "icall" else arg[1]
+                for text, _c, kind, _n in sym[len(sym) - n:]:
+                    if kind == _EXPR:
+                        w(0, text)
+                del sym[len(sym) - n:]
+                if pc in dead:
+                    push("0.0", kind=_ATOM)
+                continue
             if op == "const":
                 push(lit(arg), kind=_ATOM)
             elif op == "lload":
@@ -1052,7 +1332,8 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         A loop of the counted shape (:func:`_counted`) works out on
         entry how many trips ``_m`` of the ``_n`` its test lets run
         (:func:`_trips`), and the ``for`` runs those with no test and no
-        step of the counter.  After them the counter takes its final
+        step of the counter (there is no ``for`` when a trip has no line
+        left but the step).  After them the counter takes its final
         value ``_k`` and the exit arm runs with ``_t = _m``, its
         transfers falling off its end, or, all ``_n`` trips run, the
         slice ends; a trap in trip ``_t`` leaves the counter stepped
@@ -1075,11 +1356,10 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
         if resident:
             w(ind + 1, "try:")
         if counted:
-            w(inner, "for _t in range(_m):")
-            # The trip's lines sit one level under the dropped test.
-            emit_body(inner, lo, (lo, lo), resident, trip, trips)
-            if not trips:
-                w(inner + 1, "pass")
+            if trips:
+                w(inner, "for _t in range(_m):")
+                # The trip's lines sit one level under the dropped test.
+                emit_body(inner, lo, (lo, lo), resident, trip, trips)
             w(inner, "_t = _m")
             w(inner, "l%d = _k" % k)
             w(inner, "if _m < _n:")
@@ -1095,7 +1375,7 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
           % (order[lo], regs(depths[order[lo]]), trip))
         if resident:
             w(ind + 1, "except BaseException:")
-            if counted:
+            if counted and counted[3]:
                 w(ind + 2, "if _t < _m:")
                 w(ind + 3, "l%d = _step(l%d, _t)" % (k, k))
             w(ind + 2, write_back(resident))
@@ -1182,34 +1462,55 @@ def attach_generated(program: CompiledProgram) -> bool:
     return True
 
 
-def compiled_functions(program: CompiledProgram) -> Optional[List]:
+def _exec(gen_src: Tuple[str, Tuple], name: str):
+    """The ``_fn`` of one generated ``(source, constants)``, or None when
+    CPython will not compile it."""
+    src, consts = gen_src
+    ns = dict(_BASE_NS)
+    for i, v in enumerate(consts):
+        ns["_K%d" % i] = v
+    try:
+        exec(compile(src, "<repro-compiled:%s>" % name, "exec"), ns)
+    except (SyntaxError, RecursionError):
+        # RecursionError: CPython's compiler gives up on statements
+        # nested too deep, as it rejects other source it cannot take.
+        return None
+    return ns["_fn"]
+
+
+def _a_function(code: Code, full, gdecls: Sequence[GlobalDecl]):
+    """The callable of one function's A-stream version: ``full``, the
+    full version's, when the two texts agree or CPython refuses the A
+    text."""
+    gs = generate_source(code, "A", gdecls)
+    return full if gs == code.gen_src else _exec(gs, code.name) or full
+
+
+def compiled_functions(program: CompiledProgram,
+                       stream: str = "R") -> Optional[List]:
     """exec the attached sources into callables, one per function,
     cached on the program (and rebuilt after unpickling -- the cache is
     dropped by ``CompiledProgram.__getstate__``).  Returns None when
-    any function lacks ``gen_src``: the VM keeps the interpreter."""
+    any function lacks ``gen_src``: the VM keeps the interpreter.
+
+    ``stream="A"`` returns the A-stream versions, generated and exec'd
+    on the first call (an image no A-stream runs never pays for them);
+    a function whose A-stream text is its full text, or that CPython
+    will not compile, is the full version's callable."""
+    cache = "_afns" if stream == "A" else "_cfns"
     try:
-        return program._cfns
+        return getattr(program, cache)
     except AttributeError:
         pass
-    fns: List = []
-    result: Optional[List] = None
-    for code in program.funcs:
-        gs = getattr(code, "gen_src", None)
-        if gs is None:
-            break
-        src, consts = gs
-        ns = dict(_BASE_NS)
-        for i, v in enumerate(consts):
-            ns["_K%d" % i] = v
-        try:
-            exec(compile(src, "<repro-compiled:%s>" % code.name,
-                         "exec"), ns)
-        except (SyntaxError, RecursionError):
-            # RecursionError: CPython's compiler gives up on statements
-            # nested too deep, as it rejects other source it cannot take.
-            break
-        fns.append(ns["_fn"])
+    if stream == "A":
+        full = compiled_functions(program)
+        fns = None if full is None else [
+            _a_function(code, fn, program.globals)
+            for code, fn in zip(program.funcs, full)]
     else:
-        result = fns
-    program._cfns = result
-    return result
+        fns = [_exec(code.gen_src, code.name) if code.gen_src else None
+               for code in program.funcs]
+        if None in fns:
+            fns = None
+    setattr(program, cache, fns)
+    return fns

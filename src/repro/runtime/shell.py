@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..interp.compile import compiled_functions
 from ..interp.events import Done, IoOut, MemRead, MemWrite, RtCall, TimeSlice
 from ..interp.interpreter import MISS, VM, VMError
 from ..sim import Interrupt
@@ -100,8 +101,13 @@ class ThreadShell:
         self._faults = plan
 
     def _bind_vm(self, vm: VM) -> VM:
-        """Install a (new) VM, attaching the line profiler when live."""
+        """Install a (new) VM, attaching the line profiler when live.
+        An A-stream's VM on generated code runs the A-stream versions,
+        which leave out what only its stores, reductions and prints
+        would use (``interp.compile``)."""
         self.vm = vm
+        if self.role == "A" and vm._cfns is not None:
+            vm._cfns = compiled_functions(vm.program, "A")
         if self._prof is not None:
             self._prof.bind_vm(vm)
         return vm

@@ -108,6 +108,17 @@ void main() {
                if isinstance(v, (int, float)))
 
 
+def test_corrupt_values_mix_with_floats_without_raising():
+    """An A-stream's version of a function drops float arithmetic that
+    cannot raise on its operands' types (``interp.compile``), which holds
+    for an int an ``a_corrupt`` fault writes over a float-typed slot only
+    while ``int + float`` cannot overflow: every int it writes is below
+    2**1023 in magnitude."""
+    from repro.faults import _CORRUPT_VALUES
+    ints = [v for v in _CORRUPT_VALUES if isinstance(v, int)]
+    assert ints and all(abs(v) < 2 ** 1023 for v in ints)
+
+
 def test_vm_corrupt_without_frames_is_a_noop():
     img = compile_source("void main() { }")
     vm = VM(img, img.main_index)

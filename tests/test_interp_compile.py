@@ -38,9 +38,9 @@ from repro.harness import RunSpec, execute_spec
 from repro.hotpath import reset_for_tests
 from repro.interp import (VM, Done, FunctionalRunner, IoOut, MemRead,
                           MemWrite, RtCall)
-from repro.interp.compile import (_LOCAL_RW, NotCompilable, _local_rw,
-                                  attach_generated, compiled_functions,
-                                  generate_source)
+from repro.interp.compile import (_LOCAL_RW, NotCompilable, _a_needed,
+                                  _local_rw, attach_generated,
+                                  compiled_functions, generate_source)
 from repro.interp.events import TimeSlice
 from repro.interp.interpreter import MISS, VMError
 from repro.obs.profile import TrackProfile
@@ -246,19 +246,49 @@ def frame_state(vm):
         for f in vm.frames)
 
 
-def drive(prog, compiled, fast=False, frames=True, spy=None, trap=False):
+def a_frame_state(prog):
+    """``frame_state`` as two A-stream runs must agree on it: pc, the
+    slots and registers the A-needed pass calls needed at that pc (bit
+    *k* of its mask slot *k*, bit ``n_locals + h`` the register at
+    height *h*), and which of every slot and register hold a number (so
+    ``VM.corrupt`` picks the same one)."""
+    need = [_a_needed(code, prog.globals)[2] for code in prog.funcs]
+
+    def state(vm):
+        out = []
+        for f in vm.frames:
+            mask, nl = need[f.fidx][f.pc], f.code.n_locals
+            values = list(f.locals) + list(f.stack)
+            out.append((f.fidx, f.pc, tuple(
+                (v.tolist() if isinstance(v, np.ndarray) else v)
+                if mask >> i & 1 else isinstance(v, (int, float))
+                for i, v in enumerate(values)), len(f.stack), nl))
+        return tuple(out)
+    return state
+
+
+def drive(prog, compiled, fast=False, frames=True, spy=None, trap=False,
+          stream="R"):
     """Run to Done, logging every event with its cycles and -- unless
     the runs compared are of two different images -- the state of every
     frame at the event; optionally with fast-path hooks that hit on even
     flat indices and miss on odd.  Runtime calls are served as a team of
     one by the functional runner.  ``spy(vm)`` sees the VM before it
     runs; with ``trap`` a ``VMError`` ends the log as its last entry
-    (message, cycles and the top frame's locals)."""
+    (message, cycles and the top frame's locals).
+
+    ``stream="A"`` drives an A-stream, on the A-stream versions when
+    ``compiled``: its stores, reductions and prints change nothing and
+    their values are not logged, and the frames are :func:`a_frame_state`'s."""
+    a = stream == "A"
     vm = new_vm(prog, compiled)
+    if a and compiled:
+        vm._cfns = compiled_functions(prog, "A")
     if spy is not None:
         spy(vm)
     rt = FunctionalRunner(prog)
     rt.store = store = DictStore(prog)
+    state = a_frame_state(prog) if a else frame_state
     if fast:
         def fast_read(g, flat):
             return store.read(g, flat) if flat % 2 == 0 else MISS
@@ -266,7 +296,8 @@ def drive(prog, compiled, fast=False, frames=True, spy=None, trap=False):
         def fast_write(g, flat, val):
             if flat % 2:
                 return False
-            store.write(g, flat, val)
+            if not a:
+                store.write(g, flat, val)
             return True
         vm.fast_read = fast_read
         vm.fast_write = fast_write
@@ -282,18 +313,22 @@ def drive(prog, compiled, fast=False, frames=True, spy=None, trap=False):
             return trace, store.data, vm
         at = (vm.take_cycles(),)
         if frames:
-            at += (frame_state(vm),)
+            at += (state(vm),)
         k = type(ev)
         if k is MemRead:
             trace.append(("R", ev.gidx, ev.flat) + at)
             vm.push(store.read(ev.gidx, ev.flat))
+        elif k is MemWrite and a:
+            trace.append(("W", ev.gidx, ev.flat) + at)
         elif k is MemWrite:
             trace.append(("W", ev.gidx, ev.flat, ev.value) + at)
             store.write(ev.gidx, ev.flat, ev.value)
         elif k is IoOut:
-            trace.append(("IO", ev.values) + at)
+            trace.append(("IO", len(ev.values) if a else ev.values) + at)
         elif k is TimeSlice:
             trace.append(("TS",) + at)
+        elif k is RtCall and a and ev.name == "reduce":
+            trace.append(("RT", ev.name) + at)
         elif k is RtCall:
             trace.append(("RT", ev.name, ev.args) + at)
             rt._rt(vm, ev, 0)
@@ -321,6 +356,14 @@ def assert_same_run(prog, fast=False):
     return compiled[2]
 
 
+def assert_same_a_run(prog, fast=False):
+    """:func:`assert_same_run` for an A-stream: the A-stream versions
+    against the interpreter, each run as an A-stream."""
+    assert_same_drive(drive(prog, compiled=False, fast=fast, stream="A"),
+                      drive(prog, compiled=True, fast=fast, stream="A"),
+                      "interp vs compiled A-stream")
+
+
 def _ops(prog):
     return {ins[0] for code in prog.funcs for ins in code.instrs}
 
@@ -330,10 +373,12 @@ def _ops(prog):
 @pytest.mark.parametrize("seed", range(30))
 def test_random_programs_identical_streams(seed):
     """Seeded random programs: identical (event, cycles) streams and
-    final stores, with and without the uncontended fast path."""
+    final stores, with and without the uncontended fast path; and run as
+    an A-stream, the same events, cycles, pcs and needed values."""
     prog = compile_generated(make_program(seed))
-    assert_same_run(prog, fast=False)
-    assert_same_run(prog, fast=True)
+    for fast in (False, True):
+        assert_same_run(prog, fast)
+        assert_same_a_run(prog, fast)
 
 
 @pytest.mark.parametrize("max_slice", [3, 7, 11])
@@ -346,8 +391,9 @@ def test_random_programs_identical_under_short_slices(seed, max_slice,
     bodies in the middle of a ladder."""
     monkeypatch.setattr(VM, "MAX_SLICE", max_slice)
     prog = compile_generated(make_program(seed))
-    assert_same_run(prog, fast=False)
-    assert_same_run(prog, fast=True)
+    for fast in (False, True):
+        assert_same_run(prog, fast)
+        assert_same_a_run(prog, fast)
 
 
 _DEFAULT_SLICE = VM.MAX_SLICE
@@ -1359,50 +1405,60 @@ _HELPER_EXIT = re.compile(
     r"\s*return _(leave|miss|call|ret)\(.*\), budget( - _n)?$")
 
 
+def _assert_strict_shape(text, n_locals):
+    """The emitter's one shape: above the ``while 1:`` a function binds
+    every frame slot in one statement and the registers by a chain on
+    ``len(S)``, with no ``if b <`` tree of resume stubs; below it every
+    ``return`` goes through an exit helper, and no line syncs
+    ``frame.pc`` or the stack or sets ``_pending_push`` itself."""
+    head, body = text.split("  while 1:\n")
+    bindings = [line for line in head.split("\n")
+                if re.fullmatch(r"\s*(l\d+, )+= L", line)]
+    every = " %s= L" % "".join("l%d, " % k for k in range(n_locals))
+    assert bindings == ([every] if n_locals else [])
+    # ``if b < 0:`` is the deopt; a stub tree tests ids past it.
+    assert not re.search(r"^\s*if b (<|>=) (?!0:)", head, re.M)
+    assert "L[" not in head
+    for line in text.split("\n"):
+        assert "frame.pc =" not in line, line
+        assert "del S[:]" not in line and "S[:] =" not in line, line
+        assert "_pending_push" not in line, line
+    returns = [line for line in body.split("\n")
+               if line.lstrip().startswith("return ")]
+    assert returns
+    for line in returns:
+        assert _HELPER_EXIT.match(line), line
+    # Locals are Python locals everywhere past the entry statement,
+    # written through or written back over a collapsed loop's resident
+    # set.  The catch-all is the one ``while 1:``, no loop is a ``while``
+    # on its header's guard, and the trips of a collapsed loop never
+    # re-test the guard it was entered by.
+    assert text.count("while 1:") == 1
+    lines = text[text.index("  while 1:"):].split("\n")
+    for above, line in zip(lines, lines[1:]):
+        assert ("L[" not in line or _LOCAL_STORE.match(line)
+                or _WRITE_BACK.match(line)), line
+        assert not re.match(r"\s*while b == \d+:", line), line
+        assert not (above.lstrip().startswith("for _t in range(")
+                    and _BLOCK_GUARD.match(line)), line
+
+
 @pytest.mark.parametrize("bench,size", sorted(_SOURCE_BYTES))
 def test_registry_kernels_compile_strict_and_stay_small(bench, size):
     """Every registry image compiles to generated code under its byte
-    ceiling, in the emitter's one shape: above the ``while 1:`` a
-    function binds every frame slot in one statement and the registers
-    by a chain on ``len(S)``, with no ``if b <`` tree of resume stubs;
-    below it every ``return`` goes through an exit helper, and no line
-    syncs ``frame.pc`` or the stack or sets ``_pending_push`` itself."""
+    ceiling, in the emitter's one shape (:func:`_assert_strict_shape`);
+    so do its A-stream versions, which are no larger than the full
+    ones."""
     from repro.npb import REGISTRY
     prog = compile_generated(REGISTRY[bench].source(
         **REGISTRY[bench].params(size)))
     nbytes = sum(len(f.gen_src[0]) for f in prog.funcs)
     assert nbytes <= _SOURCE_BYTES[bench, size]
-    for f in prog.funcs:
-        text = f.gen_src[0]
-        head, body = text.split("  while 1:\n")
-        bindings = [line for line in head.split("\n")
-                    if re.fullmatch(r"\s*(l\d+, )+= L", line)]
-        every = " %s= L" % "".join("l%d, " % k for k in range(f.n_locals))
-        assert bindings == ([every] if f.n_locals else [])
-        # ``if b < 0:`` is the deopt; a stub tree tests ids past it.
-        assert not re.search(r"^\s*if b (<|>=) (?!0:)", head, re.M)
-        assert "L[" not in head
-        for line in text.split("\n"):
-            assert "frame.pc =" not in line, line
-            assert "del S[:]" not in line and "S[:] =" not in line, line
-            assert "_pending_push" not in line, line
-        returns = [line for line in body.split("\n")
-                   if line.lstrip().startswith("return ")]
-        assert returns
-        for line in returns:
-            assert _HELPER_EXIT.match(line), line
-        # Locals are Python locals everywhere past the entry statement,
-        # written through or written back over a collapsed loop's
-        # resident set, and no collapsed loop re-tests or keeps the
-        # guard of its header (the catch-all ``while 1:`` is the first
-        # line).
-        lines = text[text.index("  while 1:"):].split("\n")
-        for above, line in zip(lines[1:], lines[2:]):
-            assert ("L[" not in line or _LOCAL_STORE.match(line)
-                    or _WRITE_BACK.match(line)), line
-            assert not re.match(r"\s*while b == \d+:", line), line
-            assert not (above.strip() == "while 1:"
-                        and re.match(r"\s*if b == \d+:", line)), line
+    a_texts = [generate_source(f, "A", prog.globals)[0] for f in prog.funcs]
+    assert sum(map(len, a_texts)) <= nbytes
+    for f, a_text in zip(prog.funcs, a_texts):
+        _assert_strict_shape(f.gen_src[0], f.n_locals)
+        _assert_strict_shape(a_text, f.n_locals)
 
 
 #: Worksharing, reductions, ``schedule(runtime)``, a barrier under a
@@ -1490,6 +1546,99 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
     assert on.result.rt_stats == off.result.rt_stats
     assert on.result.r_breakdown == off.result.r_breakdown
     assert on.result.classes.as_dict() == off.result.classes.as_dict()
+
+
+_A_TRAP = """
+int z;
+double out[64];
+int i;
+void main() {
+    #pragma omp parallel
+    {
+        int d;
+        if (astream_probe() == 1) d = z; else d = z + 1;
+        #pragma omp for
+        for (i = 0; i < 64; i = i + 1) out[i] = 7 / d * 2;
+    }
+}
+"""
+
+
+def test_a_stream_traps_in_a_dropped_store_value_alike(monkeypatch):
+    """An A-stream's store value is dropped, but the int division by a
+    shared zero under it can raise, so its A-stream version still
+    evaluates it: each A-stream parks at the cycle it parks at when
+    every stream interprets, and the run's cycles and recoveries are
+    the same."""
+    from repro.runtime.machine import Machine, run_program
+    prog = compile_generated(_A_TRAP)
+    region = prog.funcs[prog.func_index["main._region1"]]
+    a_text = generate_source(region, "A", prog.globals)[0]
+    assert re.search(r"^\s*_div\(7, l\d+\)$", a_text, re.M)
+    assert "_MemWrite(1, l1, 0.0)" in a_text
+    runs = {}
+    for setting in ("", None):
+        if setting is None:
+            monkeypatch.delenv("REPRO_HOTPATH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_HOTPATH", setting)
+        reset_for_tests()
+        parks = []
+        real = Machine.note_parked
+
+        def spy(machine, shell, _parks=parks, _real=real):
+            _parks.append((shell.name, shell.engine.now))
+            _real(machine, shell)
+        monkeypatch.setattr(Machine, "note_parked", spy)
+        r = run_program(compile_source(_A_TRAP), mode="slipstream",
+                        cfg=PAPER_MACHINE.with_(n_cmps=4))
+        monkeypatch.setattr(Machine, "note_parked", real)
+        runs[setting] = (r.cycles, len(r.recoveries), parks)
+    reset_for_tests()
+    assert runs[None] == runs[""]
+    assert len(runs[None][2]) == 4          # every A-stream parked
+
+
+def test_private_recurrence_is_dropped_from_the_a_stream():
+    """The ``vm_dense`` loop as an A-stream: ``x`` and ``y`` only reach
+    the shared store after the loop, so its A-stream version stores
+    neither, runs no trip of the counted loop (``_t = _m`` with no
+    ``for``), and hands the store ``0.0``; every event, cycle and needed
+    value is the interpreter's."""
+    prog = compile_generated(_dense_loop(50))
+    main = prog.funcs[prog.main_index]
+    a_text = generate_source(main, "A", prog.globals)[0]
+    assert "for _t in range(_m):" in main.gen_src[0]
+    assert "for _t in " not in a_text
+    x, y = (main.local_names.index(v) for v in ("x", "y"))
+    assert not re.search(r"\bl(%d|%d) = " % (x, y), a_text)
+    assert "_MemWrite(0, l0, 0.0)" in a_text
+    assert compiled_functions(prog, "A")[prog.main_index] is not \
+        compiled_functions(prog)[prog.main_index]
+    for fast in (False, True):
+        assert_same_a_run(prog, fast)
+
+
+def test_a_stream_versions_are_built_lazily_and_shared():
+    """The A-stream versions are made on the first A-stream VM, never
+    with the image: ``attach_generated`` and a full-version VM leave no
+    A cache on the program.  A function whose A-stream text is its full
+    text is the full version's callable."""
+    prog = compile_generated(SRC_LOOP + _A_CALLEE)
+    VM(prog, prog.main_index)
+    assert not hasattr(prog, "_afns")
+    a_fns, r_fns = compiled_functions(prog, "A"), compiled_functions(prog)
+    assert compiled_functions(prog, "A") is a_fns
+    same = [generate_source(f, "A", prog.globals)[0] == f.gen_src[0]
+            for f in prog.funcs]
+    assert True in same and False in same
+    for fa, fr, is_same in zip(a_fns, r_fns, same):
+        assert (fa is fr) == is_same
+
+
+_A_CALLEE = """
+int twice(int v) { return v + v; }
+"""
 
 
 def _campaign(**spec):
