@@ -1619,6 +1619,39 @@ def test_private_recurrence_is_dropped_from_the_a_stream():
         assert_same_a_run(prog, fast)
 
 
+_SHORT_CIRCUIT = """
+double arr[8];
+int gb;
+void main() {
+    int i; double x; int q; int r;
+    x = 0.5;
+    for (i = 0; i < 8; i = i + 1) {
+        x = x * 1.25 + 0.5;
+        q = (x > 2.0) && (i < 5);
+        r = (x < 1.0) || (i == 3) || (x > 100.0);
+        gb = q + r;
+        arr[i] = q * 2.0;
+        if ((x > 3.0) || (i == 6)) { arr[0] = x; }
+    }
+    print(q, r);
+}
+"""
+
+
+def test_a_stream_drops_a_value_its_block_hands_on():
+    """An ``||`` leaves its value on the stack for the block it joins,
+    and ``r`` only reaches a store and a print: the A-stream version
+    puts ``0.0`` in that register instead of the last comparison, and
+    every event, cycle and needed value is still the interpreter's."""
+    prog = compile_generated(_SHORT_CIRCUIT)
+    main = prog.funcs[prog.main_index]
+    a_text = generate_source(main, "A", prog.globals)[0]
+    assert "s0 = (1 if l1 > 100.0 else 0)" in main.gen_src[0]
+    assert "s0 = 0.0" in a_text
+    for fast in (False, True):
+        assert_same_a_run(prog, fast)
+
+
 def test_a_stream_versions_are_built_lazily_and_shared():
     """The A-stream versions are made on the first A-stream VM, never
     with the image: ``attach_generated`` and a full-version VM leave no
