@@ -50,7 +50,7 @@ frame and off the ladder:
   interpreter would have left.  (Writing back at exits instead is
   cheaper per store, but in general needs a may-dirty set per exit and
   definite assignment for every write-back, and leaves the frame stale
-  at a mid-block trap; DESIGN.md section 6 has the sizes.)  Every
+  at a mid-block trap; CHANGES.md has the sizes.)  Every
   slot is bound on entry, in one statement ``l0, ..., lN, = L``.  A
   backward liveness pass over the block CFG (``_live_in`` over the
   per-opcode ``_LOCAL_RW`` table) decides only the resident sets of

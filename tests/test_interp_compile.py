@@ -1570,12 +1570,19 @@ def test_a_stream_traps_in_a_dropped_store_value_alike(monkeypatch):
     evaluates it: each A-stream parks at the cycle it parks at when
     every stream interprets, and the run's cycles and recoveries are
     the same."""
-    from repro.runtime.machine import Machine, run_program
     prog = compile_generated(_A_TRAP)
     region = prog.funcs[prog.func_index["main._region1"]]
     a_text = generate_source(region, "A", prog.globals)[0]
     assert re.search(r"^\s*_div\(7, l\d+\)$", a_text, re.M)
     assert "_MemWrite(1, l1, 0.0)" in a_text
+    assert_a_streams_park_alike(_A_TRAP, monkeypatch)
+
+
+def assert_a_streams_park_alike(src, monkeypatch, **kw):
+    """One slipstream run of ``src`` on 4 CMPs on the reference
+    interpreter, one on generated code: equal cycles, recoveries and
+    parks (which A-stream, at which cycle), and every A-stream parked."""
+    from repro.runtime.machine import Machine, run_program
     runs = {}
     for setting in ("", None):
         if setting is None:
@@ -1590,13 +1597,82 @@ def test_a_stream_traps_in_a_dropped_store_value_alike(monkeypatch):
             _parks.append((shell.name, shell.engine.now))
             _real(machine, shell)
         monkeypatch.setattr(Machine, "note_parked", spy)
-        r = run_program(compile_source(_A_TRAP), mode="slipstream",
-                        cfg=PAPER_MACHINE.with_(n_cmps=4))
+        r = run_program(compile_source(src), mode="slipstream",
+                        cfg=PAPER_MACHINE.with_(n_cmps=4), **kw)
         monkeypatch.setattr(Machine, "note_parked", real)
         runs[setting] = (r.cycles, len(r.recoveries), parks)
     reset_for_tests()
     assert runs[None] == runs[""]
     assert len(runs[None][2]) == 4          # every A-stream parked
+
+
+_A_MOD_STORE = """
+int z;
+int out[64];
+int i;
+void main() {
+    #pragma omp parallel
+    {
+        int d;
+        d = z + 5;
+        #pragma omp for
+        for (i = 0; i < 64; i = i + 1) out[i] = d % 1000;
+    }
+}
+"""
+
+_A_MOD_REDUCE = """
+int z;
+int s;
+int i;
+void main() {
+    #pragma omp parallel
+    {
+        int d;
+        d = z + 5;
+        #pragma omp for reduction(+: s)
+        for (i = 0; i < 64; i = i + 1) s = s + mod(d, 1000.0);
+    }
+}
+"""
+
+
+@pytest.mark.parametrize("src, kept", [
+    (_A_MOD_STORE, "x = _mod(l{d}, 1000)"),
+    (_A_MOD_REDUCE, "_mod(l{d}, 1000.0)")], ids=["percent", "mod"])
+def test_a_stream_traps_on_an_injected_inf_mod_a_literal_alike(
+        src, kept, monkeypatch):
+    """``%`` and ``mod`` by a nonzero literal can raise: an int-typed
+    slot can hold the ``inf`` that ``a_corrupt`` injects, and
+    ``fmod(inf, 1000)`` is a ``ValueError``.  So an A-stream version
+    still evaluates one whose value only a shared store or a reduction
+    uses, and each A-stream, its ``d`` set to ``inf`` once in the
+    region, parks at the cycle it parks at when every stream
+    interprets."""
+    from repro.faults import _CORRUPT_VALUES, FaultConfig
+    from repro.runtime.shell import ThreadShell
+    assert math.inf in _CORRUPT_VALUES
+    prog = compile_generated(src)
+    region = prog.funcs[prog.func_index["main._region1"]]
+    d = region.local_names.index("d")
+    a_text = generate_source(region, "A", prog.globals)[0]
+    assert kept.format(d=d) in map(str.strip, a_text.splitlines())
+
+    hit = set()
+
+    def inject(shell):
+        # In place of an armed shell's draws: ``d`` becomes ``inf`` once
+        # a shell, at its first event in the region after ``d = z + 5``.
+        frame = shell.vm.frames[-1] if shell.vm.frames else None
+        if (frame is not None and frame.code.name == region.name
+                and shell not in hit and frame.locals[d] == 5):
+            hit.add(shell)
+            frame.locals[d] = math.inf
+        return
+        yield
+    monkeypatch.setattr(ThreadShell, "_inject_faults", inject)
+    assert_a_streams_park_alike(src, monkeypatch,
+                                faults=FaultConfig(0, classes=("vm",)))
 
 
 def test_private_recurrence_is_dropped_from_the_a_stream():
