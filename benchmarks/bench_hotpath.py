@@ -23,7 +23,8 @@ import platform
 import time
 
 from repro.config import PAPER_MACHINE
-from repro.harness import render_table, run_static_suite
+from repro.harness import (ExecutionPipeline, SerialTransport, render_table,
+                           run_static_suite)
 from repro.hotpath import reset_for_tests
 
 BASELINE_PATH = pathlib.Path(__file__).parent.parent / "BENCH_hotpath.json"
@@ -35,7 +36,8 @@ REPS = int(os.environ.get("REPRO_BENCH_HOTPATH_REPS", "3"))
 
 def _suite():
     cfg = PAPER_MACHINE.with_(n_cmps=4)
-    return run_static_suite(cfg=cfg, size="test")
+    return run_static_suite(cfg=cfg, size="test", context=ExecutionPipeline(
+        transport=SerialTransport()))
 
 
 def _vm_only_bench():

@@ -30,8 +30,8 @@ import time
 
 from repro.config import PAPER_MACHINE
 from repro.harness import (CheckpointJournal, ExecutionPipeline, HazardConfig,
-                           MemoStore, Telemetry, hazards, render_table,
-                           static_specs)
+                           MemoStore, SerialTransport, Telemetry, hazards,
+                           render_table, static_specs)
 
 #: The CI smoke sweep: every execution mode, both sync policies, on the
 #: two benchmarks with the most distinct communication patterns.
@@ -52,12 +52,18 @@ def _specs(**machine_kw):
                         SMOKE_BENCHMARKS, SMOKE_CONFIGS, **machine_kw)
 
 
+def _serial(**kw):
+    """A pipeline that runs every unit in this process, where
+    ``time.process_time`` sees it."""
+    return ExecutionPipeline(transport=SerialTransport(), **kw)
+
+
 def _interleave(off, on):
     """Time adjacent sweeps of the two arms (callables taking a number
     unique to the call, returning the sweep's runs).  Returns the
     median off/on ratio over the pairs and each arm's CPU seconds."""
     baseline = [r.cycles                # also warms the compile cache
-                for r in ExecutionPipeline().run(_specs())]
+                for r in _serial().run(_specs())]
     total = {off: 0.0, on: 0.0}
     ratios = []
     while len(ratios) < PAIRS or min(total.values()) < MIN_ARM_S:
@@ -91,8 +97,8 @@ def test_null_sink_overhead(once):
     aggregate, null = _specs(), _specs(obs="null")
     _guard(once, "observability-off cost, 8-run static sweep", "sink",
            "null (observability off)", "aggregate (default)",
-           off=lambda tag: ExecutionPipeline().run(null),
-           on=lambda tag: ExecutionPipeline().run(aggregate))
+           off=lambda tag: _serial().run(null),
+           on=lambda tag: _serial().run(aggregate))
 
 
 def test_telemetry_overhead(once, tmp_path):
@@ -104,13 +110,13 @@ def test_telemetry_overhead(once, tmp_path):
     def live(tag):
         tel = Telemetry(root=tmp_path / f"telemetry-{tag}")
         try:
-            return ExecutionPipeline(telemetry=tel).run(specs)
+            return _serial(telemetry=tel).run(specs)
         finally:
             tel.close()
 
     _guard(once, "harness-telemetry cost, 8-run static sweep", "telemetry",
            "off (default)", "on (event log)",
-           off=lambda tag: ExecutionPipeline().run(specs), on=live)
+           off=lambda tag: _serial().run(specs), on=live)
 
 
 def test_hazards_disarmed_overhead(once, tmp_path):
@@ -123,7 +129,7 @@ def test_hazards_disarmed_overhead(once, tmp_path):
         # fresh journal/memo per sweep: every run pays the full
         # publish path (atomic_pickle x2 per unit), where the hazard
         # seam lives
-        return ExecutionPipeline(
+        return _serial(
             journal=CheckpointJournal(tmp_path / f"j-{tag}"),
             memo=MemoStore(tmp_path / f"m-{tag}")).run(specs)
 

@@ -439,9 +439,10 @@ def build(size: str, cfg):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                    help="run the distinct simulations on the spool driver "
-                         "plus N-1 forked workers (default serial)")
+    ap.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
+                    help="run the distinct simulations on the driver plus "
+                         "N-1 forked workers (default: CPU count; -j 1 "
+                         "serial)")
     ap.add_argument("--memo", action="store_true",
                     help="serve repeated units from the run-result store")
     ap.add_argument("--size", default="bench", choices=["test", "bench"])
@@ -450,8 +451,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     exhibits = build(args.size, PAPER_MACHINE.with_(n_cmps=args.cmps))
     pipe = ExecutionPipeline(
-        transport=(PoolTransport(jobs=args.jobs) if args.jobs > 1
-                   else SerialTransport()),
+        transport=(SerialTransport() if args.jobs is not None
+                   and args.jobs <= 1 else PoolTransport(jobs=args.jobs)),
         memo=MemoStore() if args.memo else None)
     runs = pipe.map([s for specs, _ in exhibits.values() for s in specs])
     RESULTS.mkdir(exist_ok=True)

@@ -129,10 +129,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("names", nargs="*", default=[],
                      help="benchmarks (default: all of bt cg lu mg sp)")
     ben.add_argument("--size", default="test", choices=["test", "bench"])
-    ben.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                     help="run the suite's independent simulations on a "
-                          "process pool of N workers (results are "
-                          "bit-identical to -j 1; default serial)")
+    ben.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
+                     help="run the suite's independent simulations on "
+                          "the driver plus N-1 forked workers (results "
+                          "are bit-identical to -j 1; default: CPU "
+                          "count; -j 1 serial)")
     ben.add_argument("--trace", metavar="OUT.json",
                      help="write a merged Chrome trace-event timeline "
                           "(one process per benchmark run)")
@@ -159,7 +160,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           "fault classes (default: one scenario per class "
                           "plus all classes together)")
     cha.add_argument("--jobs", "-j", type=int, default=None, metavar="N",
-                     help="process-pool workers (default serial)")
+                     help="the driver plus N-1 forked workers (default: "
+                          "CPU count; -j 1 serial)")
     cha.add_argument("--timeout-cycles", type=float, default=None,
                      metavar="N",
                      help="per-run watchdog budget (default 5e6)")
@@ -167,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write the full machine-readable report")
     cha.add_argument("--harness", action="store_true",
                      help="run the execution-harness hazard matrix "
-                          "(corrupt publishes, disk-full, lease races, "
-                          "worker kills) instead of the simulator fault "
+                          "(corrupt appends, disk-full, worker kills) "
+                          "instead of the simulator fault "
                           "matrix; every sweep must merge bit-identical "
                           "to a hazard-free baseline")
     cha.add_argument("--workdir", metavar="DIR", default=None,
@@ -196,8 +198,8 @@ def _pipeline_from_args(args):
     from .harness import (CheckpointJournal, ExecutionPipeline, MemoStore,
                           PoolTransport, SerialTransport, Telemetry)
     return ExecutionPipeline(
-        transport=(PoolTransport(jobs=args.jobs)
-                   if args.jobs and args.jobs > 1 else SerialTransport()),
+        transport=(SerialTransport() if args.jobs is not None
+                   and args.jobs <= 1 else PoolTransport(jobs=args.jobs)),
         journal=CheckpointJournal(args.resume) if args.resume else None,
         memo=MemoStore() if args.memo else None,
         telemetry=Telemetry(root=args.telemetry) if args.telemetry else None)

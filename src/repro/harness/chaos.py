@@ -25,9 +25,8 @@ The second half of this module is the **harness** chaos matrix
 (``repro chaos --harness``, :func:`run_harness_chaos`): the same
 adversarial discipline pointed at the execution pipeline itself.
 Seeded :class:`~repro.harness.hazards.HazardConfig` campaigns corrupt
-published pickles, fail publishes with ENOSPC/EIO, plant stale claims,
-skew lease clocks and kill workers, on a ``-j 2`` pool sweep -- the
-spool, worked by the driver and a forked worker, has every hazard site
+journal and memo appends, fail them with ENOSPC/EIO and kill a pool's
+forked child, on a ``-j 2`` pool sweep with a journal and a memo store
 -- and every scenario must still merge cycles bit-identical to a
 hazard-free sweep, with the telemetry event log validating and every
 anomaly explained by a ``hazard.injected`` record.
@@ -51,7 +50,7 @@ from .checkpoint import CheckpointJournal, MemoStore
 from .jobs import RunSpec, execute_spec
 from .pipeline import ExecutionPipeline
 from .runner import BenchRun
-from .transport import PoolTransport
+from .transport import PoolTransport, SerialTransport
 
 __all__ = ["CHAOS_BENCHMARKS", "SCENARIO_CLASS_SETS", "ChaosOutcome",
            "ChaosReport", "chaos_specs", "run_chaos", "oracle_check",
@@ -322,7 +321,7 @@ def run_chaos(specs: Sequence[RunSpec],
 
     ``context`` is an :class:`~repro.harness.pipeline.
     ExecutionPipeline` with any transport/journal/memo combination;
-    default serial pipeline."""
+    default pipeline (a pool of every core)."""
     specs = list(specs)
     context = context or ExecutionPipeline()
     runs = context.run(specs)
@@ -365,13 +364,11 @@ def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
 #
 # The pipeline-side mirror of the fault matrix above.  Each scenario
 # arms a seeded hazard campaign (:mod:`repro.harness.hazards`) over a
-# ``-j 2`` pool sweep: the spool, worked by the driver and one forked
-# ``run_worker`` child that arms itself from the plan it inherits -- the
-# transport with every hazard site (a serial sweep's publishes are a
-# subset of its sites).  It runs the same small sweep twice -- a
-# **cold** leg with hazards firing (corrupted publishes, ENOSPC, stale
-# claims, killed workers), then a disarmed **resume** leg over the
-# surviving journal/memo state -- and demands:
+# ``-j 2`` pool sweep, whose forked child arms itself from the plan it
+# inherits.  It runs the same small sweep twice -- a **cold** leg with
+# hazards firing (corrupted journal and memo appends, ENOSPC, a killed
+# child), then a disarmed **resume** leg over the surviving journal/memo
+# state -- and demands:
 #
 # * both legs' merged cycle vectors are *bit-identical* to a
 #   hazard-free serial baseline (zero silent data loss, zero wrong
@@ -380,8 +377,8 @@ def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
 #   reaches a terminal, every abandoned execution is explained);
 # * every driver-side injection shows up as a ``hazard.injected``
 #   event (each observed anomaly is explained by the log).  The
-#   child's plan logs its own injections there too; the rest of the
-#   child's session goes with the pool's private spool.
+#   child's plan logs its own injections there too, in a file of its
+#   own pid.
 #
 # The resume leg is what proves corrupt-entry recovery: entries the
 # cold leg corrupted must be quarantined into ``corrupt/`` and
@@ -389,7 +386,7 @@ def render_chaos(report: ChaosReport, title: str = "chaos matrix") -> str:
 
 #: One scenario per hazard class plus an everything-armed scenario.
 HARNESS_CLASS_SETS: Tuple[Tuple[str, ...], ...] = (
-    ("corrupt",), ("disk",), ("lease",), ("kill",), hazards.HAZARD_CLASSES)
+    ("corrupt",), ("disk",), ("kill",), hazards.HAZARD_CLASSES)
 
 #: Configurations each benchmark of the scenario sweep runs.
 _HARNESS_CONFIGS = ("single", "G0")
@@ -563,7 +560,8 @@ def run_harness_chaos(workdir,
     if hazards.current() is not None:
         raise RuntimeError(
             "refusing to measure the baseline with hazards armed")
-    baseline = [r.cycles for r in ExecutionPipeline().run(specs)]
+    baseline = [r.cycles for r in ExecutionPipeline(
+        transport=SerialTransport()).run(specs)]
     sets = classes if classes is not None else HARNESS_CLASS_SETS
     outcomes = [_run_harness_scenario(tuple(cls), base_seed * 10_000 + ci,
                                       specs, baseline, workdir)

@@ -1,8 +1,8 @@
 """Seeded deterministic *harness* hazard injection.
 
 :mod:`repro.faults` (PR 4) corrupts the simulated machine;
-this module corrupts the machinery *around* it -- the spool, the
-checkpoint stores, a pool's forked workers -- to prove the execution
+this module corrupts the machinery *around* it -- the checkpoint
+stores, the spool, a pool's forked children -- to prove the execution
 pipeline's crash-consistency story the same way the fault injector
 proves the paper's recovery story.  Same discipline throughout:
 
@@ -24,8 +24,6 @@ kind                      injection point                        class
 ``pickle_truncate``       published bytes are cut short          ``corrupt``
 ``publish_enospc``        publish raises ENOSPC                  ``disk``
 ``publish_eio``           publish raises EIO                     ``disk``
-``stale_claim``           a back-dated foreign claim appears     ``lease``
-``clock_skew``            a claim-age reading is inflated        ``lease``
 ``kill_worker``           worker SIGKILLs itself at a boundary   ``kill``
 ========================  =====================================  =========
 
@@ -58,31 +56,28 @@ __all__ = ["HAZARD_KINDS", "HAZARD_CLASSES", "HAZARD_CLASS_KINDS",
 #: Every injectable hazard kind, in the fixed order schedules are drawn.
 HAZARD_KINDS: Tuple[str, ...] = (
     "pickle_corrupt", "pickle_truncate", "publish_enospc", "publish_eio",
-    "stale_claim", "clock_skew", "kill_worker")
+    "kill_worker")
 
 #: Hazard classes (CLI / scenario-matrix granularity) -> member kinds.
 HAZARD_CLASS_KINDS: Dict[str, Tuple[str, ...]] = {
     "corrupt": ("pickle_corrupt", "pickle_truncate"),
     "disk": ("publish_enospc", "publish_eio"),
-    "lease": ("stale_claim", "clock_skew"),
     "kill": ("kill_worker",),
 }
 
 HAZARD_CLASSES: Tuple[str, ...] = tuple(sorted(HAZARD_CLASS_KINDS))
 
 #: Opportunity-index window each kind is drawn from, sized to the site
-#: density of a test-scale sweep (publishes per unit are few; claim
-#: scans are frequent; worker unit boundaries number in the dozens).
+#: density of the harness chaos matrix's two-unit pool sweep: its cold
+#: leg appends four times (a journal record and a memo entry a unit),
+#: and its one child passes two boundaries a unit.
 _WINDOWS: Dict[str, Tuple[int, int]] = {
-    "pickle_corrupt": (0, 16),
-    "pickle_truncate": (0, 16),
-    "publish_enospc": (0, 16),
-    "publish_eio": (0, 16),
-    "stale_claim": (0, 8),
-    "clock_skew": (1, 30),
-    # Kill boundaries are scarce in a short sweep (a worker sees one a
-    # scan and one a unit), so the window is tight: a kill-armed process
-    # dies within its first few boundaries or not at all.
+    "pickle_corrupt": (0, 4),
+    "pickle_truncate": (0, 4),
+    "publish_enospc": (0, 4),
+    "publish_eio": (0, 4),
+    # Two of the three first boundaries are drawn, so a kill-armed child
+    # dies on its first unit, before running it or before answering.
     "kill_worker": (0, 3),
 }
 
@@ -94,10 +89,6 @@ def _draw_payload(kind: str, rng: random.Random):
         return (rng.random(), rng.randrange(1, 256))
     if kind == "pickle_truncate":
         return rng.uniform(0.05, 0.9)       # fraction of bytes kept
-    if kind == "stale_claim":
-        return rng.uniform(120.0, 900.0)    # seconds to back-date by
-    if kind == "clock_skew":
-        return rng.uniform(30.0, 600.0)     # seconds added to one reading
     return True     # publish_enospc / publish_eio / kill_worker: boolean
 
 
@@ -120,8 +111,7 @@ class HazardConfig(ScheduleConfig):
 class HazardPlan(Schedule):
     """A materialized hazard schedule plus its injection record.
 
-    Sites call the ``on_publish`` / ``skew_claim_age`` /
-    ``maybe_stale_claim`` / ``boundary`` helpers; each consumes
+    Sites call the ``on_publish`` / ``boundary`` helpers; each consumes
     opportunity indices deterministically and, when an injection is
     actually applied, records it on :attr:`injected` and as a
     ``hazard.injected`` telemetry event.  ``worker_side`` gates the
@@ -140,8 +130,8 @@ class HazardPlan(Schedule):
         """Advance this kind's opportunity counter; the scheduled
         payload exactly at drawn indices, None elsewhere.  Firing does
         *not* record -- sites record via :meth:`_record` only when the
-        injection is actually applied (a stale claim cannot land on a
-        unit already claimed)."""
+        injection is actually applied (an empty payload is left
+        alone)."""
         return self._consume(kind)
 
     def _record(self, kind: str, site: str, **detail) -> None:
@@ -180,34 +170,6 @@ class HazardPlan(Schedule):
             self._record("pickle_truncate", f"publish.{what}",
                          file=Path(path).name, kept=keep)
         return data
-
-    def skew_claim_age(self, age_s: float) -> float:
-        """Inflate one claim-age reading (the reaper's clock drifts)."""
-        skew = self.fire("clock_skew")
-        if skew is None:
-            return age_s
-        self._record("clock_skew", "spool.claim_age", skew_s=round(skew, 3))
-        return age_s + float(skew)
-
-    def maybe_stale_claim(self, spool, key: str) -> None:
-        """Plant a back-dated claim on an unclaimed unit, as a worker
-        that died holding it would leave, forcing the lease-reaping
-        path to run.  Only a unit this process wins the claim on is an
-        opportunity: one a pool's child leased first would swallow a
-        scheduled injection, and whether it did is a race."""
-        if not spool.try_claim(key):
-            return
-        age = self.fire("stale_claim")
-        if age is None:
-            spool.release(key)
-            return
-        then = time.time() - float(age)
-        try:
-            os.utime(spool.claim_path(key), times=(then, then))
-        except OSError:
-            pass
-        self._record("stale_claim", "spool.claim", unit=key,
-                     backdated_s=round(float(age), 3))
 
     def boundary(self, site: str) -> None:
         """Worker unit boundary: may SIGKILL this process, worker-side

@@ -44,7 +44,7 @@ from ..obs.telemetry import NULL_TELEMETRY, TERMINAL_EVENTS
 from .checkpoint import CheckpointJournal, MemoStore
 from .jobs import RunSpec, SweepPlan
 from .runner import BenchRun
-from .transport import SerialTransport, Transport
+from .transport import PoolTransport, Transport
 
 __all__ = ["ExecutionPipeline"]
 
@@ -52,8 +52,9 @@ __all__ = ["ExecutionPipeline"]
 class ExecutionPipeline:
     """Checkpointed, memoized, transport-pluggable sweep execution.
 
-    ``transport`` defaults to :class:`SerialTransport`; pass a
-    :class:`~repro.harness.transport.PoolTransport` or
+    ``transport`` defaults to a
+    :class:`~repro.harness.transport.PoolTransport` of every core; pass
+    a :class:`~repro.harness.transport.SerialTransport` or a
     :class:`~repro.harness.transport.DirQueueTransport` to change how
     units are dispatched without changing a single result bit.
     ``journal`` (a :class:`CheckpointJournal`) makes the sweep
@@ -65,7 +66,7 @@ class ExecutionPipeline:
                  journal: Optional[CheckpointJournal] = None,
                  memo: Optional[MemoStore] = None,
                  telemetry=None):
-        self.transport = transport or SerialTransport()
+        self.transport = transport or PoolTransport()
         self.journal = journal
         self.memo = memo
         self.counters = Counter()

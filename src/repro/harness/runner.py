@@ -149,9 +149,9 @@ def run_static_suite(cfg: MachineConfig = PAPER_MACHINE,
     """All Figure-2/3 runs: {bench: {config: BenchRun}}.
 
     ``context`` selects how the independent runs execute: an
-    :class:`~repro.harness.pipeline.ExecutionPipeline` (serial by
-    default; give it a pool or spool transport, a checkpoint journal,
-    a memo store).  Results are bit-identical through any of them."""
+    :class:`~repro.harness.pipeline.ExecutionPipeline` (a pool by
+    default; give it another transport, a checkpoint journal, a memo
+    store).  Results are bit-identical through any of them."""
     from .jobs import static_specs
     from .pipeline import ExecutionPipeline
     specs = static_specs(cfg, size, benchmarks, configs, verify=verify,

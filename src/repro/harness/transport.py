@@ -9,23 +9,22 @@ merge restores submission order -- which is precisely what makes the
 dispatch mechanism pluggable:
 
 * :class:`SerialTransport` -- units in order, in process;
-* :class:`PoolTransport` -- the spool below, made private to one
-  dispatch and worked by the driver plus ``jobs - 1`` forked
-  :func:`run_worker` children: one failure model for every parallel
-  run (a dead child's lease is released at once and the unit runs
-  again; a unit that keeps killing its executors is quarantined);
+* :class:`PoolTransport` -- the default: the driver plus ``jobs - 1``
+  forked children fed specs over pipes, who holds what kept in memory
+  (a dead child's unit runs again at once, one that keeps killing its
+  executors is quarantined, one held past the lease is run by the
+  driver too and the first result wins, a spec error propagates);
 * :class:`DirQueueTransport` -- units leased through a **spool
   directory**: job files under ``units/``, exclusive-create claim
   files under ``claims/``, atomically-published results under
   ``results/``.  The driver works it inline, so a sweep completes with
-  no other process attached; a pool's forked children are the only
-  other processes that work a spool.  A claim older than the lease is
+  no other process attached; :func:`run_worker` processes forked
+  beside it work the same spool.  A claim older than the lease is
   reaped (:meth:`_Spool.stall`) and the unit runs again.
   Determinism makes duplicated execution harmless (same key, same
   bytes; the last atomic publish wins).
 
-Crash-consistency (the harness-hazard hardening, proven by
-``repro chaos --harness``):
+Crash-consistency of the spool:
 
 * every publish goes through :func:`repro.harness.integrity.
   atomic_pickle` (sha256 frame, same-directory temp + ``os.replace``)
@@ -35,7 +34,7 @@ Crash-consistency (the harness-hazard hardening, proven by
   memory, so a failing publish (ENOSPC/EIO) degrades durability, not
   correctness -- the sweep still completes and merges;
 * a writer SIGKILLed between temp write and rename leaves ``*.tmp``
-  litter that no reader matches; a pool's private spool goes with it;
+  litter that no reader matches;
 * a unit whose execution *process* dies :data:`POISON_AFTER` times
   (tracked in an ``attempts/`` ledger) is quarantined with a
   placeholder result instead of wedging the sweep;
@@ -55,9 +54,8 @@ from __future__ import annotations
 import logging
 import os
 import pickle
-import shutil
-import tempfile
 import time
+from collections import deque
 from contextlib import suppress
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -76,13 +74,17 @@ _LOG = logging.getLogger("repro.harness.transport")
 #: Driver callback: one finished unit, invoked in the driver process.
 OnResult = Callable[[WorkUnit, object], None]
 
-#: Dead executions (spool ledger bytes) after which a unit is
-#: quarantined as poison rather than tried again.
+#: Units a pool child holds, the one it runs and those in its pipe: with
+#: two, a child idled a third of a sweep of 10-25 ms units.
+_DEPTH = 4
+
+#: Dead executions (spool ledger bytes, a pool's count in memory) after
+#: which a unit is quarantined as poison rather than tried again.
 POISON_AFTER = 3
 
-#: Seconds a claim may stand before it can be reaped, by the driver and
-#: by a pool's children alike.  Set it above the longest unit (see
-#: :meth:`_Spool.stall`).
+#: Seconds a spool claim, or a pool child's hold on a unit, may stand
+#: before another executor runs the unit too.  Set it above the longest
+#: unit (see :meth:`_Spool.stall`).
 LEASE_S = 60.0
 
 
@@ -352,35 +354,13 @@ class _Spool:
         except OSError:
             pass
 
-    def claim_owner(self, key: str) -> Optional[int]:
-        """The pid of the process holding the claim on ``key``, if any."""
+    def claim_age(self, key: str) -> Optional[float]:
+        """Seconds since the unit was claimed (None = unclaimed)."""
         try:
-            return int(self.claim_path(key).read_text())
-        except (OSError, ValueError):
-            return None
-
-    @staticmethod
-    def file_age(path) -> Optional[float]:
-        """Seconds since ``path`` was last written (None = missing)."""
-        try:
-            return max(0.0, time.time() - os.stat(path).st_mtime)
+            mtime = os.stat(self.claim_path(key)).st_mtime
         except OSError:
             return None
-
-    def claim_age(self, key: str) -> Optional[float]:
-        """Seconds since the unit was claimed (None = unclaimed).
-
-        A hazard site: an armed plan may skew this reading (the
-        reaper's clock drifts), which must only ever cause a harmless
-        duplicate execution, never a lost or wrong result.
-        """
-        age = self.file_age(self.claim_path(key))
-        if age is None:
-            return None
-        plan = hazards.current()
-        if plan is not None:
-            age = plan.skew_claim_age(age)
-        return age
+        return max(0.0, time.time() - mtime)
 
     @staticmethod
     def stall(age: Optional[float], lease_s: float) -> bool:
@@ -563,19 +543,16 @@ class DirQueueTransport(Transport):
                 unit = pending.pop(key)
                 if isinstance(payload, _UnitFailure):
                     raise payload.unwrap()
-                self._harvest(unit, payload, on_result)
+                self._deliver(unit, payload, on_result)
             if not pending or harvested:
                 continue
             # Work inline: lease the first unit that nobody holds.
-            plan = hazards.current()
             for key, unit in pending.items():
-                if plan is not None:
-                    plan.maybe_stale_claim(spool, key)
                 if spool.lease(key):
                     break
             else:
                 # All leased out: reap the stalled, or wait briefly.
-                reaped = self._idle(pending)
+                reaped = spool.reap_stale(pending, self.lease_s)
                 for key in reaped:
                     self._note(f"reaped stalled lease on unit "
                                f"{key[:12]} (> {self.lease_s:g}s)")
@@ -597,34 +574,21 @@ class DirQueueTransport(Transport):
                 raise payload.unwrap()
             self._deliver(unit, payload, on_result)
 
-    #: Deliver a result another process published.
-    _harvest = Transport._deliver
 
-    def _idle(self, pending) -> List[str]:
-        """The driver's idle step, every pending unit leased out:
-        :meth:`_Spool.reap_stale`.  Returns the reaped."""
-        return self.spool.reap_stale(pending, self.lease_s)
-
-
-class PoolTransport(DirQueueTransport):
-    """The spool, private to one dispatch and worked by the driver plus
-    ``jobs - 1`` forked :func:`run_worker` children (``jobs`` defaults
-    to the CPU count; a single unit or ``jobs=1`` runs inline).  It
-    fails the way the spool does: a dead child's lease is released at
-    once (:meth:`_idle`) and its unit runs again, the ledger
-    quarantines a unit that keeps killing its executors, a spec error
-    propagates, and no child outlives the dispatch."""
+class PoolTransport(Transport):
+    """The driver plus ``jobs - 1`` forked children fed over pipes
+    (``jobs`` defaults to the CPU count; one unit or ``jobs=1`` runs
+    inline), the driver working units itself between polls.  See the
+    module docstring for how it fails; no child outlives the dispatch."""
 
     name = "pool"
-    #: A private local spool is cheap to poll, and the sweep's tail
-    #: waits up to one interval for the last child's result.
-    poll_s = 0.01
 
     def __init__(self, jobs: Optional[int] = None):
-        Transport.__init__(self)        # the spool is made per dispatch
+        super().__init__()
         if jobs is not None and jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs or os.cpu_count() or 1
+        #: pid -> process of the last dispatch's children.
         self._children: Dict[int, object] = {}
 
     def describe(self) -> str:
@@ -636,73 +600,149 @@ class PoolTransport(DirQueueTransport):
             self._run_inline(units, on_result)
             return
         import multiprocessing as mp
+        from multiprocessing.connection import wait
         # Forked, always: a child inherits the driver's compile cache
         # and code, and a chaos child arms from the plan it inherits.
         ctx = mp.get_context("fork")
-        root = tempfile.mkdtemp(prefix="repro-pool-")
-        self.spool, self._children = _Spool(root), {}
+        pipes: Dict[object, object] = {}        # driver end -> child
+        for _ in range(n - 1):
+            ours, theirs = ctx.Pipe()
+            child = ctx.Process(target=_serve, args=(theirs, [*pipes, ours]),
+                                daemon=True)
+            child.start()
+            theirs.close()
+            pipes[ours] = child
+        self._children = {c.pid: c for c in pipes.values()}
+        queue, left = deque(units), {u.key: u for u in units}
+        # driver end -> [(unit, since)] the child holds, the first running
+        held: Dict[object, list] = {conn: [] for conn in pipes}
+        deaths: Dict[str, int] = {}
+        timeout = 0.0
         try:
-            # Enqueued before the children start (a child that finds
-            # nothing pending exits); the driver's enqueue notes errors.
-            self.spool.ensure()
-            for u in units:
-                with suppress(OSError):
-                    self.spool.enqueue(u.key, u.spec)
-            for _ in range(n - 1):
-                child = ctx.Process(target=run_worker, args=(root,),
-                                    daemon=True)
-                child.start()
-                self._children[child.pid] = child
-            DirQueueTransport._dispatch(self, units, on_result)
+            while left:
+                for conn in wait(list(pipes), timeout):
+                    try:
+                        payload = conn.recv()
+                    except (EOFError, OSError):         # the child died
+                        self._lost(pipes.pop(conn).pid, held.pop(conn),
+                                   deaths, queue, left, on_result)
+                        continue
+                    hold = held[conn]
+                    unit = hold.pop(0)[0]
+                    if hold:                    # the next one starts now
+                        hold[0] = (hold[0][0], time.monotonic())
+                    if left.pop(unit.key, None) is None:
+                        continue                # the driver's copy won
+                    if isinstance(payload, _UnitFailure):
+                        raise payload.unwrap()
+                    # A child records nothing: the driver does, timed
+                    # by the child.
+                    self.telemetry.emit("unit.claimed", unit=unit.key,
+                                        spec=unit.spec)
+                    _emit_terminal(self.telemetry, unit.key, unit.spec,
+                                   payload, payload.timing.get("total_s"))
+                    self._deliver(unit, payload, on_result)
+                for conn, hold in held.items():
+                    # More than one only while the driver has more left.
+                    while queue and (not hold or len(hold) < _DEPTH
+                                     and len(queue) > len(held)):
+                        unit = queue.popleft()
+                        hold.append((unit, time.monotonic()))
+                        with suppress(OSError):     # a dead child reads EOF
+                            conn.send(unit.spec)
+                own = self._pick(queue, held, deaths, left)
+                if own is not None:
+                    del left[own.key]
+                    self._run_inline([own], on_result)
+                    timeout = 0.0
+                    continue
+                # Nothing for the driver: sleep until a child answers or
+                # a unit sent outlives the lease.
+                due = [t for hold in held.values() for u, t in hold
+                       if u.key in left]
+                timeout = max(0.0, min(due, default=time.monotonic())
+                              + LEASE_S - time.monotonic())
         finally:
-            # The driver holds every result or is raising: nothing a
-            # killed child leaves behind outlives the private spool.
             for child in self._children.values():
                 child.kill()
                 child.join()
-            shutil.rmtree(root, ignore_errors=True)
 
-    def _harvest(self, unit: WorkUnit, run, on_result: OnResult) -> None:
-        """A child records nothing: record the unit on the driver's
-        track, timed by the child."""
-        tel = self.telemetry
-        tel.emit("unit.claimed", unit=unit.key, spec=unit.spec)
-        _emit_terminal(tel, unit.key, unit.spec, run,
-                       run.timing.get("total_s"))
-        super()._harvest(unit, run, on_result)
+    def _pick(self, queue, held, deaths, left) -> Optional[WorkUnit]:
+        """The driver's next unit: the first queued one that has killed
+        no child (one that has waits while a child answers within the
+        lease), else one a child has held past the lease, or None."""
+        now = time.monotonic()
+        answering = any(not hold or now - hold[0][1] <= LEASE_S
+                        for hold in held.values())
+        for unit in queue:
+            if not (answering and deaths.get(unit.key)):
+                queue.remove(unit)
+                return unit
+        for unit, since in (e for hold in held.values() for e in hold):
+            if unit.key in left and now - since > LEASE_S:
+                self._note(f"unit {unit.key[:12]} held past the lease "
+                           f"(> {LEASE_S:g}s); the driver runs it too")
+                return unit
+        return None
 
-    def _idle(self, pending) -> List[str]:
-        """Every claim on a private spool is the driver's or a child's:
-        release those of children that exited non-zero, a
-        ``lease.reaped`` each (no lease to wait out), then the spool's
-        own idle step."""
-        dead = {pid for pid, child in self._children.items()
-                if child.exitcode not in (None, 0)}
-        for key in pending if dead else ():
-            pid = self.spool.claim_owner(key)
-            if pid in dead:
-                self.spool.reap(key, self.lease_s)
-                self._note(f"worker {pid} died holding unit {key[:12]}")
-        return super()._idle(pending)
+    def _lost(self, pid, hold, deaths, queue, left, on_result) -> None:
+        """A child died: what it held goes back to the queue, the unit
+        it ran with one death more (one ``lease.reaped``) or quarantined."""
+        queue.extendleft(u for u, _ in reversed(hold[1:]) if u.key in left)
+        if not hold or hold[0][0].key not in left:
+            return
+        unit = hold[0][0]
+        n = deaths[unit.key] = deaths.get(unit.key, 0) + 1
+        self.telemetry.emit("lease.reaped", unit=unit.key, pid=pid)
+        self._note(f"worker {pid} died holding unit {unit.key[:12]}")
+        if n < POISON_AFTER:
+            queue.appendleft(unit)
+            return
+        del left[unit.key]
+        self._deliver(unit, _quarantined(self.telemetry, unit.key,
+                                         unit.spec, n), on_result)
+
+
+def _serve(conn, inherited) -> None:
+    """A :class:`PoolTransport` child: answer each spec with its
+    ``BenchRun`` or a :class:`_UnitFailure` until the driver's end
+    closes.  The driver ends the fork copied (``inherited``) are closed,
+    so that the driver's death is this child's EOF."""
+    for end in inherited:
+        end.close()
+    plan = hazards.current()
+    while True:
+        try:
+            spec = conn.recv()
+        except EOFError:
+            return
+        if plan is not None:
+            plan.boundary("worker.claimed")
+        try:
+            payload = execute_spec(spec)
+        except Exception as e:          # noqa: BLE001 - the driver raises it
+            payload = _UnitFailure(e)
+        if plan is not None:
+            plan.boundary("worker.answered")
+        conn.send(payload)
 
 
 _WORKER_LOG = logging.getLogger("repro.worker")
 
 
 def run_worker(root) -> int:
-    """A :class:`PoolTransport` child's loop: lease, execute, publish.
+    """A spool worker's loop: lease, execute, publish.
 
     Works the spool at ``root`` until no pending unit remains, then
-    returns the number it executed.  The child is forked from the
+    returns the number it executed.  The worker is forked from the
     driver and runs its code, so every enqueued key is one it would
     compute itself; a spec that fails verification is skipped (it was
     quarantined on the way).
 
     Robustness contract:
 
-    * the child is expendable: killed (by a hazard, by the driver at
-      the end of the dispatch) it abandons its unit, and the driver
-      releases the lease (:meth:`PoolTransport._idle`);
+    * the worker is expendable: killed, it abandons its unit, and
+      another process reaps the lease once it stalls;
     * another process's stalled lease (:meth:`_Spool.stall`) is
       reaped;
     * a unit whose publish fails (disk full) is skipped and left to
@@ -715,10 +755,8 @@ def run_worker(root) -> int:
     * failing specs are published as failure records for the driver to
       re-raise; the worker itself keeps going.
 
-    The worker keeps no event log: what it settles reaches the sweep's
-    record through the driver, which records each harvested unit timed
-    by the worker (:meth:`PoolTransport._harvest`).  Skipped units and
-    reaped leases are warnings on the ``repro.worker`` logger.
+    The worker keeps no event log.  Skipped units and reaped leases
+    are warnings on the ``repro.worker`` logger.
     """
     log = _WORKER_LOG
     spool = _Spool(root)
@@ -765,4 +803,4 @@ def run_worker(root) -> int:
                 log.warning("worker: reaped stalled lease on unit "
                             "%s (> %gs)", key[:12], LEASE_S)
             if not reaped:
-                time.sleep(PoolTransport.poll_s)
+                time.sleep(DirQueueTransport.poll_s)

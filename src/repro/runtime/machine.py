@@ -199,8 +199,8 @@ class Machine:
         # protocol-legal NI delays -- never R-stream state -- so a
         # faulted run must still produce correct output (the paper's
         # invariant the chaos harness asserts).  A-stream shells are
-        # armed only when the plan schedules one of their kinds: an
-        # armed shell runs interpreted.
+        # armed only when the plan schedules one of their kinds; an
+        # armed shell keeps its generated code.
         self.fault_plan: Optional[FaultPlan] = None
         if faults is not None:
             plan = self.fault_plan = FaultPlan(faults)
@@ -333,10 +333,7 @@ class Machine:
             nm.l2.clear()
             nm.l2.on_evict = None       # a closure over the memory system
         self.memsys.directory._entries.clear()
-        eng = self.engine               # killed processes still queued
-        eng._buckets.clear()
-        eng._times.clear()
-        eng._front, eng._front_bucket = iter(()), []
+        self.engine.drop_queue()        # killed processes still queued
         for shell in self.shells:
             # Its memory hooks close over it, and so do its VM's; it
             # holds them, its VM, its pair, its team and this machine.

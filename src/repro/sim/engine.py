@@ -378,6 +378,14 @@ class Engine:
         times = self._times
         return times[0] if times else None
 
+    def drop_queue(self) -> None:
+        """Forget every queued resumption, the draining bucket's unread
+        tail too -- between runs, not from a process (a drain under way
+        keeps walking its bucket)."""
+        self._buckets.clear()
+        self._times.clear()
+        self._front, self._front_bucket = iter(()), []
+
     def _cancel(self, proc) -> None:
         """Swap every queued resumption of ``proc`` -- in the draining
         bucket's unread tail or any later bucket -- for the dead

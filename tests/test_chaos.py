@@ -12,7 +12,7 @@ from repro.faults import FAULT_CLASSES, FaultConfig
 from repro.harness.chaos import (CHAOS_BENCHMARKS, chaos_specs,
                                  oracle_check, render_chaos, run_chaos)
 from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
-                           execute_spec)
+                           SerialTransport, execute_spec)
 
 SUBSET = ("cg", "mg")
 
@@ -23,7 +23,8 @@ def _subset_specs():
 
 @pytest.fixture(scope="module")
 def serial_report():
-    return run_chaos(_subset_specs())
+    return run_chaos(_subset_specs(),
+                     context=ExecutionPipeline(transport=SerialTransport()))
 
 
 # ---------------------------------------------------------- composition

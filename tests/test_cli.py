@@ -118,7 +118,7 @@ def test_bench_spool_quarantine_exits_5(tmp_path, monkeypatch):
     with the distinct code 5, so scripts can tell 'done with data loss
     flagged' from 'done'.  The sweep runs on a spool (in place of the
     serial transport) whose ledger holds ``POISON_AFTER`` dead
-    executions of one unit."""
+    executions of one unit; ``-j 1`` picks the serial transport."""
     import repro.harness as harness
     from repro.harness.transport import (POISON_AFTER, DirQueueTransport,
                                          _Spool)
@@ -126,7 +126,7 @@ def test_bench_spool_quarantine_exits_5(tmp_path, monkeypatch):
     spool = _Spool(tmp_path / "spool")
     monkeypatch.setattr(harness, "SerialTransport",
                         lambda: DirQueueTransport(spool.root))
-    argv = ["bench", "cg", "--size", "test", "--cmps", "4"]
+    argv = ["bench", "cg", "--size", "test", "--cmps", "4", "-j", "1"]
     rc, _ = run_cli(argv)
     assert rc == 0
 

@@ -327,3 +327,25 @@ def test_stop_returns_after_the_resumption_that_asked():
         assert eng.next_time() == 5.0
         assert eng.run() == 6.0              # a fresh run() goes on
         assert order == ["a", "b", "c", "a'", "b'", "c'"], engine_cls
+
+
+def test_drop_queue_forgets_every_queued_resumption():
+    """``drop_queue`` between runs empties the queue, the draining
+    bucket's unread tail included: nothing is queued, a later run
+    resumes nothing, and the engine holds no dropped entry."""
+    eng = Engine()
+    ran = []
+
+    def sleeper(tag):
+        ran.append(tag)
+        yield 5
+        ran.append(tag)
+
+    for tag in range(3):
+        eng.process(sleeper(tag))
+    eng.run(max_steps=2)        # sleeper 2's start is still in the bucket
+    eng.drop_queue()
+    assert eng.next_time() is None
+    eng.run()
+    assert ran == [0, 1]
+    assert (eng._buckets, eng._times, eng._front_bucket) == ({}, [], [])

@@ -13,8 +13,8 @@ import pytest
 
 from repro.config import PAPER_MACHINE
 from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
-                           dynamic_specs, execute_spec, run_static_suite,
-                           static_specs)
+                           SerialTransport, dynamic_specs, execute_spec,
+                           run_static_suite, static_specs)
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
 
@@ -62,15 +62,19 @@ def test_execute_spec_records_stage_timings():
 
 # --------------------------------------------------- transports/determinism
 
+def _serial():
+    return ExecutionPipeline(transport=SerialTransport())
+
+
 def test_serial_context_is_deterministic_across_repeats():
-    first = [_signature(r) for r in ExecutionPipeline().run(SMOKE)]
-    second = [_signature(r) for r in ExecutionPipeline().run(SMOKE)]
+    first = [_signature(r) for r in _serial().run(SMOKE)]
+    second = [_signature(r) for r in _serial().run(SMOKE)]
     assert first == second
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
 def test_pool_results_bit_identical_to_serial(jobs):
-    serial = [_signature(r) for r in ExecutionPipeline().run(SMOKE)]
+    serial = [_signature(r) for r in _serial().run(SMOKE)]
     pool = ExecutionPipeline(transport=PoolTransport(jobs=jobs))
     pooled = [_signature(r) for r in pool.run(SMOKE)]
     assert pooled == serial
@@ -85,6 +89,24 @@ def test_pool_merges_in_submission_order_not_completion_order():
         == [(s.bench, s.config) for s in SMOKE]
 
 
+def test_the_default_pipeline_is_a_pool_of_every_core(monkeypatch):
+    """With no transport named, a sweep runs on a ``PoolTransport`` of
+    ``os.cpu_count()`` jobs and merges bit-identical to the serial
+    transport; a one-unit sweep runs in the driver and forks nothing."""
+    pipe = ExecutionPipeline()
+    assert type(pipe.transport) is PoolTransport
+    assert pipe.transport.jobs == os.cpu_count()
+    assert [_signature(r) for r in pipe.run(SMOKE)] \
+        == [_signature(r) for r in _serial().run(SMOKE)]
+
+    def no_fork():
+        raise AssertionError("a one-unit sweep forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    (run,) = ExecutionPipeline().run(SMOKE[:1])
+    assert run.cycles == _serial().run(SMOKE[:1])[0].cycles
+
+
 def test_map_keys_results_by_spec():
     out = ExecutionPipeline().map(SMOKE[:2])
     assert set(out) == {s.key for s in SMOKE[:2]}
@@ -95,7 +117,7 @@ def test_map_keys_results_by_spec():
 def test_suite_via_pool_matches_serial_suite():
     serial = run_static_suite(cfg=CFG, size="test",
                               benchmarks=("bt", "cg"),
-                              configs=("single", "G0"))
+                              configs=("single", "G0"), context=_serial())
     pooled = run_static_suite(
         cfg=CFG, size="test", benchmarks=("bt", "cg"),
         configs=("single", "G0"),
@@ -138,7 +160,7 @@ def test_pool_speedup_on_full_static_suite():
                          ("bt", "cg", "lu", "mg", "sp"),
                          ("single", "double", "G0", "L1"))
     t0 = time.perf_counter()
-    serial = ExecutionPipeline().run(specs)
+    serial = _serial().run(specs)
     t_serial = time.perf_counter() - t0
     t0 = time.perf_counter()
     pooled = ExecutionPipeline(transport=PoolTransport(jobs=4)).run(specs)

@@ -21,7 +21,8 @@ from repro.harness.integrity import (IntegrityError, atomic_pickle, frame,
 from repro.harness.jobs import RunSpec, SweepPlan
 from repro.harness.pipeline import ExecutionPipeline
 from repro.harness.transport import (LEASE_S, DirQueueTransport,
-                                     PoolTransport, _Spool, run_worker)
+                                     PoolTransport, SerialTransport, _Spool,
+                                     run_worker)
 from repro.obs.telemetry import Telemetry, read_events, validate_events
 
 CFG = PAPER_MACHINE.with_(n_cmps=4)
@@ -34,7 +35,7 @@ def _specs(configs=("single", "G0")):
 @pytest.fixture(scope="module")
 def golden():
     """Hazard-free serial cycles for the two-config sweep."""
-    runs = ExecutionPipeline().run(_specs())
+    runs = ExecutionPipeline(transport=SerialTransport()).run(_specs())
     return {r.config: r.cycles for r in runs}
 
 
@@ -52,11 +53,12 @@ def test_config_validation_and_canonicalization():
         HazardConfig(0, classes=("nosuch",))
     with pytest.raises(ValueError):
         HazardConfig(0, rate=0)
-    cfg = HazardConfig(0, classes=("lease", "corrupt", "corrupt"))
-    assert cfg.classes == ("corrupt", "lease")
+    with pytest.raises(ValueError):
+        HazardConfig(0, classes=("lease",))             # no claim to age
+    cfg = HazardConfig(0, classes=("kill", "corrupt", "corrupt"))
+    assert cfg.classes == ("corrupt", "kill")
     # kinds come out in fixed schedule-draw order, classes only gate
-    assert cfg.kinds == ("pickle_corrupt", "pickle_truncate",
-                         "stale_claim", "clock_skew")
+    assert cfg.kinds == ("pickle_corrupt", "pickle_truncate", "kill_worker")
 
 
 def test_schedule_is_a_pure_function_of_the_seed():
@@ -72,14 +74,12 @@ def test_seed_zero_schedule_is_pinned():
     """Seed -> schedule, as literal values (see the twin in
     ``test_faults.py``: both plans draw through one algorithm)."""
     assert HazardPlan(HazardConfig(0)).schedule == {
-        "pickle_corrupt": {12: (0.890243920837131, 11),
-                           15: (0.25891675029296335, 131)},
-        "pickle_truncate": {15: 0.8304991820173621, 6: 0.7553749681101427},
-        "publish_enospc": {15: True, 5: True},
-        "publish_eio": {6: True, 8: True},
-        "stale_claim": {2: 229.00171227400955, 7: 193.9679955119476},
-        "clock_skew": {26: 592.7377445888173, 9: 333.56127143046047},
-        "kill_worker": {2: True, 0: True}}
+        "pickle_corrupt": {3: (0.04048437818077755, 248),
+                           1: (0.5112747213686085, 104)},
+        "pickle_truncate": {2: 0.35434196849074007, 1: 0.8079115608475801},
+        "publish_enospc": {1: True, 2: True},
+        "publish_eio": {1: True, 3: True},
+        "kill_worker": {0: True, 2: True}}
 
 
 def test_fire_by_opportunity_index():
@@ -162,45 +162,6 @@ def test_publish_hazards_enospc_then_corrupt(tmp_path):
     assert spool.load_result("k") is None               # quarantined miss
     assert list(spool.corrupt.iterdir())
     assert plan.summary() == {"publish_enospc": 1, "pickle_corrupt": 1}
-
-
-def test_lease_hazards_stale_claim_and_clock_skew(tmp_path):
-    spool = _Spool(tmp_path / "spool")
-    spool.ensure()
-    plan = hazards.arm(HazardConfig(0, classes=("lease",)))
-    plan.schedule = {"stale_claim": {0: 500.0}, "clock_skew": {}}
-    plan._seen = {k: 0 for k in plan.schedule}
-    plan.maybe_stale_claim(spool, "k")
-    assert spool.claim_owner("k") == os.getpid()
-    assert spool.claim_age("k") > 400.0                 # back-dated
-    assert spool.reap_stale(["k"], lease_s=30.0) == ["k"]
-    # clock skew inflates exactly one age reading
-    plan.schedule = {"stale_claim": {}, "clock_skew": {0: 100.0}}
-    plan._seen = {k: 0 for k in plan.schedule}
-    assert spool.try_claim("k2")
-    assert spool.claim_age("k2") >= 100.0
-    assert spool.claim_age("k2") < 50.0                 # only the one reading
-    assert [r["kind"] for r in plan.injected] == ["stale_claim",
-                                                  "clock_skew"]
-
-
-def test_a_stale_claim_lands_on_a_unit_this_process_wins(tmp_path):
-    """A unit another process holds (a pool's child that leased it
-    first) is no ``stale_claim`` opportunity: the scheduled injection
-    lands on the next unit the driver wins, whoever won the race, and
-    an opportunity that does not fire leaves no claim behind."""
-    spool = _Spool(tmp_path / "spool")
-    spool.ensure()
-    plan = hazards.arm(HazardConfig(0, classes=("lease",)))
-    plan.schedule = {"stale_claim": {0: 500.0}, "clock_skew": {}}
-    plan._seen = {k: 0 for k in plan.schedule}
-    assert spool.try_claim("held")
-    for key in ("held", "free", "next"):
-        plan.maybe_stale_claim(spool, key)
-    assert [(r["kind"], r["unit"], r["index"]) for r in plan.injected] \
-        == [("stale_claim", "free", 0)]
-    assert spool.claim_age("free") > 400.0
-    assert spool.claim_age("next") is None
 
 
 @pytest.mark.parametrize("kind,payload", [
@@ -337,7 +298,7 @@ def test_stall_truth_table(tmp_path):
     """A claim is stalled when, and only when, it has outlived the
     lease -- whoever holds it is not asked -- and the driver's idle
     step reaps exactly the stalled claims at the one default lease
-    :data:`LEASE_S` of the driver, the pool and the pool's children."""
+    :data:`LEASE_S`."""
     assert not _Spool.stall(None, 30.0)                 # unclaimed
     assert not _Spool.stall(1.0, 30.0)
     assert not _Spool.stall(30.0, 30.0)
@@ -350,9 +311,9 @@ def test_stall_truth_table(tmp_path):
     for age, reaped in ((LEASE_S - 15, []), (LEASE_S + 1, ["unit-a"])):
         then = time.time() - age
         os.utime(spool.claim_path("unit-a"), times=(then, then))
-        assert driver._idle(["unit-a"]) == reaped
+        assert spool.reap_stale(["unit-a"], driver.lease_s) == reaped
     assert spool.claim_age("unit-a") is None            # reaped
-    assert DirQueueTransport.lease_s == PoolTransport.lease_s == LEASE_S
+    assert DirQueueTransport.lease_s == LEASE_S
 
 
 # -- the harness chaos matrix (smoke; CI runs the full default one) ----------

@@ -1430,11 +1430,14 @@ def _assert_strict_shape(text, n_locals):
         assert _HELPER_EXIT.match(line), line
     # Locals are Python locals everywhere past the entry statement,
     # written through or written back over a collapsed loop's resident
-    # set.  The catch-all is the one ``while 1:``, no loop is a ``while``
-    # on its header's guard, and the trips of a collapsed loop never
-    # re-test the guard it was entered by.
+    # set.  The catch-all is the one ``while 1:``, with the block ladder
+    # (``if b == 0:``, or a bisection ``if b < N:``) right under it; no
+    # loop is a ``while`` on its header's guard, and the trips of a
+    # collapsed loop never re-test the guard it was entered by.  The
+    # pairs start at the ``while 1:`` line itself.
     assert text.count("while 1:") == 1
     lines = text[text.index("  while 1:"):].split("\n")
+    assert re.fullmatch(r"\s*if b (== 0|< \d+):", lines[1]), lines[1]
     for above, line in zip(lines, lines[1:]):
         assert ("L[" not in line or _LOCAL_STORE.match(line)
                 or _WRITE_BACK.match(line)), line

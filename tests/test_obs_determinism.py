@@ -18,8 +18,8 @@ import pytest
 from repro.compiler import compile_source
 from repro.config import PAPER_MACHINE
 from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
-                           dynamic_specs, execute_spec, run_benchmark,
-                           run_static_suite)
+                           SerialTransport, dynamic_specs, execute_spec,
+                           run_benchmark, run_static_suite)
 from repro.obs import merge_traces, validate_trace
 from repro.runtime import run_program
 
@@ -152,7 +152,8 @@ def test_profile_itself_is_pinned(runs):
 def test_pool_merge_matches_serial_with_profiling():
     kw = dict(cfg=CFG, size="test", benchmarks=("cg",),
               configs=("single", "G0"), obs="profile")
-    serial = run_static_suite(context=ExecutionPipeline(), **kw)
+    serial = run_static_suite(
+        context=ExecutionPipeline(transport=SerialTransport()), **kw)
     pooled = run_static_suite(
         context=ExecutionPipeline(transport=PoolTransport(jobs=2)), **kw)
     for cfg_name in ("single", "G0"):
@@ -171,7 +172,8 @@ def test_runspec_with_sink_selection_pickles():
 def test_pool_merge_matches_serial_with_tracing():
     kw = dict(cfg=CFG, size="test", benchmarks=("cg",),
               configs=("single", "G0"), obs="trace")
-    serial = run_static_suite(context=ExecutionPipeline(), **kw)
+    serial = run_static_suite(
+        context=ExecutionPipeline(transport=SerialTransport()), **kw)
     pooled = run_static_suite(
         context=ExecutionPipeline(transport=PoolTransport(jobs=2)), **kw)
 

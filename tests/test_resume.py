@@ -40,7 +40,8 @@ def _specs(configs=("single", "G0")):
 @pytest.fixture(scope="module")
 def golden():
     """Uninterrupted serial cycles for the three-config sweep."""
-    runs = ExecutionPipeline().run(_specs(("single", "double", "G0")))
+    runs = ExecutionPipeline(transport=SerialTransport()).run(
+        _specs(("single", "double", "G0")))
     return {r.config: r.cycles for r in runs}
 
 
@@ -596,7 +597,8 @@ def test_journal_directory_removed_mid_sweep_is_recreated(golden, tmp_path):
 
     specs = _specs(("single", "G0"))
     journal = Vanishing(tmp_path / "j")
-    runs = ExecutionPipeline(journal=journal).run(specs)
+    runs = ExecutionPipeline(transport=SerialTransport(),
+                             journal=journal).run(specs)
     assert {r.config: r.cycles for r in runs} \
         == {c: golden[c] for c in ("single", "G0")}
     assert journal.gone

@@ -139,7 +139,8 @@ def test_pool_sweep_is_bit_identical_with_telemetry(golden):
     runs = pipe.run(_specs())
     assert [r.cycles for r in runs] == golden       # determinism: -j 2
     events = [r["event"] for r in tel.records]
-    assert events.count("unit.claimed") == 2
+    # the child's unit is recorded at harvest, the driver's as it runs
+    assert events.count("unit.claimed") == events.count("unit.started") == 1
     assert events.count("unit.finished") == 2
     assert validate_events(tel.records) == []
 

@@ -416,7 +416,8 @@ def test_worker_returns_on_a_disk_that_refuses_every_publish(
     with caplog.at_level("WARNING", logger="repro.harness.transport"):
         DirQueueTransport(root).run([unit], lambda u, run: got.append(run))
     (run,) = got
-    (serial,) = ExecutionPipeline().run([unit.spec])
+    (serial,) = ExecutionPipeline(
+        transport=SerialTransport()).run([unit.spec])
     assert run.error_kind is None
     assert run.cycles == serial.cycles
     assert spool.attempt_count(unit.key) == 0
@@ -496,7 +497,7 @@ def test_a_live_worker_whose_unit_outlasts_the_lease_is_reaped(tmp_path):
     finally:
         worker.join(timeout=60)
     assert worker.exitcode == 0
-    (serial,) = ExecutionPipeline().run([spec])
+    (serial,) = ExecutionPipeline(transport=SerialTransport()).run([spec])
     assert (run.cycles, run.result.output) == (serial.cycles,
                                                 serial.result.output)
     assert [r["event"] for r in tel.records if r["event"] in (
@@ -605,10 +606,10 @@ def test_the_settle_path_is_written_once():
 
 
 def test_stalled_and_reaped_are_each_decided_once():
-    """One definition of ``_Spool.stall``, asked by the reaper only; one
-    ``lease.reaped`` event under ``src/`` and no metrics registry; the
-    reaper and lease read a claim's age once each (the ``clock_skew``
-    schedule depends on it); the predicate and the threshold it
+    """One definition of ``_Spool.stall``, asked by the reaper only;
+    ``lease.reaped`` written where the spool reaps and where a pool
+    child dies, and no metrics registry; the reaper and lease read a
+    claim's age once each; the predicate and the threshold it
     replaced, and every heartbeat, are gone, and no module of
     ``repro.obs`` names a spool path."""
     import re
@@ -637,7 +638,8 @@ def test_stalled_and_reaped_are_each_decided_once():
     assert sorted(callers) == ["reap_stale"]
     assert sorted(ages) == ["lease", "reap_stale"]
     text = "".join(sources.values())
-    assert text.count('emit("lease.reaped"') == 1
+    # the spool's reap, and a pool child's death
+    assert text.count('emit("lease.reaped"') == 2
     assert not re.search(
         r"\b(claim_is_stalled|heartbeat\w*|HEARTBEAT_S|DEFAULT_STALL_S)\b",
         text)
